@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import stats as _scipy_stats
 
 from .discovery import Endpoint
@@ -120,15 +121,20 @@ class PopAggregate:
 def isolate_satellite_latency(session: MeasurementSession) -> tuple[LatencySeries, int]:
     """Subtract per-tick terrestrial RTT from endpoint RTT.
 
-    Ticks where either probe was lost are omitted.  Occasional negative
-    differences (jitter on the terrestrial probe exceeding the satellite
-    segment) are clamped to zero and counted; the count is returned with
-    the series.  Raises if the session is unusable or no tick paired.
+    Both hops must hold one sample per tick.  Ticks where either probe
+    was lost are omitted.  Occasional negative differences (jitter on
+    the terrestrial probe exceeding the satellite segment) are clamped to
+    zero and counted; the count is returned with the series.  Raises if
+    the session is unusable, the hop counts differ, or no tick paired.
     """
     if not session.usable:
         raise SessionUnusableError(
             f"{session.path.target}: terrestrial loss "
             f"{session.terrestrial_loss_fraction:.0%} exceeds 50%")
+    counts = len(session.terrestrial_samples), len(session.endpoint_samples)
+    if counts[0] != counts[1]:
+        raise AnalysisError(f"{session.path.target}: {counts[0]} terrestrial and "
+                            f"{counts[1]} endpoint samples cannot be paired by tick")
     timestamps: list[int] = []
     values: list[float] = []
     clamped = 0
@@ -174,27 +180,25 @@ def smooth(series: LatencySeries, window_s: float = SMOOTHING_WINDOW_S) -> Laten
     vs = series.values_ms
     out = np.empty(n, dtype=np.float64)
     lo = np.searchsorted(ts, ts - half_ms, side="left")
-    hi = np.searchsorted(ts, ts + half_ms, side="right")
-    for i in range(n):
-        out[i] = np.median(vs[lo[i]:hi[i]])
+    width = np.searchsorted(ts, ts + half_ms, side="right") - lo
+    # Windows of equal width are rows of one sliding-window view, whose
+    # row medians equal the slice medians bit for bit.  Each np.median
+    # call gathers at most 2**16 values, so memory stays flat.
+    order = np.argsort(width, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
+        w = int(width[group[0]])
+        rows = sliding_window_view(vs, w)
+        step = max(1, (1 << 16) // w)
+        for k in range(0, len(group), step):
+            part = group[k:k + step]
+            out[part] = np.median(rows[lo[part]], axis=1)
     return LatencySeries(ts.copy(), out, source=series.source)
 
 
 def _maximal_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Index ranges [i, j) of maximal True runs."""
-    runs = []
-    i = 0
-    n = len(mask)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j < n and mask[j]:
-                j += 1
-            runs.append((i, j))
-            i = j
-        else:
-            i += 1
-    return runs
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    return [(int(i), int(j)) for i, j in zip(edges[::2], edges[1::2])]
 
 
 def detect_spikes(

@@ -167,17 +167,30 @@ def _excluded(address: str, nets: Sequence) -> bool:
     return any(addr in net for net in nets)
 
 
-def _measure_endpoint(transport, endpoint: Endpoint,
-                      cfg: CampaignConfig) -> probe.MeasurementSession:
+def _trace_path(transport, endpoint: Endpoint, cfg: CampaignConfig) -> probe.SatLinkPath:
     trace = probe.run_traceroute(
         transport, endpoint.address, protocol=cfg.protocol,
         max_ttl=cfg.max_ttl, probes_per_hop=cfg.probes_per_hop,
         timeout_s=cfg.timeout_s)
-    path = probe.identify_sat_link(trace, jump_threshold_ms=cfg.jump_threshold_ms)
+    return probe.identify_sat_link(trace, jump_threshold_ms=cfg.jump_threshold_ms)
+
+
+def _measure_endpoint(transport, endpoint: Endpoint,
+                      cfg: CampaignConfig) -> probe.MeasurementSession:
+    path = _trace_path(transport, endpoint, cfg)
     return probe.measure_session(
         transport, endpoint, path, duration_s=cfg.duration_s,
         cadence_hz=cfg.cadence_hz, protocol=cfg.protocol,
         timeout_s=cfg.timeout_s)
+
+
+def _with_transport(transport: Optional[SimnetTransport], step, endpoint: Endpoint, cfg):
+    """Run ``step`` on the simulated transport, else on raw sockets it closes."""
+    if transport is not None:
+        return step(transport, endpoint, cfg)
+    from .rawnet import RawTransport
+    with RawTransport() as raw:
+        return step(raw, endpoint, cfg)
 
 
 def _run_campaign(cfg: CampaignConfig, partition_label: Optional[str]) -> tuple[int, dict]:
@@ -214,12 +227,7 @@ def _run_campaign(cfg: CampaignConfig, partition_label: Optional[str]) -> tuple[
     def work(job: tuple[Endpoint, Optional[SimnetTransport]]) -> Optional[str]:
         endpoint, transport = job
         try:
-            if transport is None:
-                from .rawnet import RawTransport
-                with RawTransport() as raw:
-                    session = _measure_endpoint(raw, endpoint, cfg)
-            else:
-                session = _measure_endpoint(transport, endpoint, cfg)
+            session = _with_transport(transport, _measure_endpoint, endpoint, cfg)
         except probe.ProbeError as exc:
             return f"measure error stage=probe endpoint={endpoint.address} msg={exc}"
         except Exception as exc:  # noqa: BLE001 - cohort must survive one endpoint
@@ -271,14 +279,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     failures = 0
     for endpoint, transport in jobs:
         try:
-            if transport is None:
-                from .rawnet import RawTransport
-                transport = RawTransport()
-            trace = probe.run_traceroute(
-                transport, endpoint.address, protocol=cfg.protocol,
-                max_ttl=cfg.max_ttl, probes_per_hop=cfg.probes_per_hop,
-                timeout_s=cfg.timeout_s)
-            path = probe.identify_sat_link(trace, jump_threshold_ms=cfg.jump_threshold_ms)
+            path = _with_transport(transport, _trace_path, endpoint, cfg)
         except probe.ProbeError as exc:
             _err(f"trace error stage=probe endpoint={endpoint.address} msg={exc}")
             failures += 1

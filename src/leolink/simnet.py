@@ -61,6 +61,7 @@ import json
 import math
 import random
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -132,6 +133,18 @@ class Scenario:
     hop_flap: Optional[HopFlap] = None
     endpoint_meta: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # build_scenario sorts events and rejects overlaps, so the last
+        # event to start by t is the only one that can be active at t.
+        self._event_starts = [ev.at_s for ev in self.events]
+        # (hop, oneway_ms, is_sat_entry, sigma_ms) per TTL, without and
+        # with a flap, which puts one terrestrial hop before the span.
+        chain = [(hop, ms, i == self.pre_sat, self.jitter.satellite_sigma_ms
+                  if i == self.pre_sat else self.jitter.sigma_ms)
+                 for i, (hop, ms) in enumerate(zip(self.hops, self.base_latencies_ms))]
+        flap = [(SimHop(label="flap", address="10.255.255.1"), 0.1, False, self.jitter.sigma_ms)]
+        self._chains = (chain, chain[:self.pre_sat] + flap + chain[self.pre_sat:])
+
     @property
     def target_address(self) -> str:
         return self.hops[-1].address
@@ -146,11 +159,12 @@ class Scenario:
 
     def satellite_delta_ms(self, t_s: float) -> tuple[float, Optional[RerouteEvent]]:
         """One-way latency delta on the satellite span at time t."""
-        for ev in self.events:
-            if ev.active_at(t_s):
-                if ev.new_rtt_ms is not None:
-                    return ev.new_rtt_ms / 2.0 - self.satellite_base_oneway_ms(), ev
-                return (ev.delta_ms or 0.0) / 2.0, ev
+        i = bisect_right(self._event_starts, t_s) - 1
+        if i >= 0 and self.events[i].active_at(t_s):
+            ev = self.events[i]
+            if ev.new_rtt_ms is not None:
+                return ev.new_rtt_ms / 2.0 - self.satellite_base_oneway_ms(), ev
+            return (ev.delta_ms or 0.0) / 2.0, ev
         return 0.0, None
 
     def flap_active(self, t_s: float) -> bool:
@@ -366,23 +380,13 @@ def respond_to_probe(
         return None
 
     delta, _ = scenario.satellite_delta_ms(t_s)
-
-    # Effective chain; a flap inserts one extra terrestrial hop just
-    # before the satellite span, shifting later hops one TTL deeper.
-    chain: list[tuple[SimHop, float, bool]] = []  # (hop, oneway_ms, is_sat_entry)
-    for i, hop in enumerate(scenario.hops):
-        is_sat_entry = (i + 1) == scenario.pre_sat + 1
-        chain.append((hop, scenario.base_latencies_ms[i], is_sat_entry))
-    if scenario.flap_active(t_s):
-        flap_hop = SimHop(label="flap", address="10.255.255.1", ttl_expired=True, echo=False)
-        chain.insert(scenario.pre_sat, (flap_hop, 0.1, False))
+    chain = scenario._chains[scenario.flap_active(t_s)]
 
     n = len(chain)
     expire_at = min(ttl, n)  # 1-based position where the probe stops
-    reached_target = ttl >= n
 
-    hop, _, _ = chain[expire_at - 1]
-    if reached_target:
+    hop = chain[expire_at - 1][0]
+    if ttl >= n:  # reached the target
         if not hop.echo or protocol not in scenario.target_protocols:
             return None
         kind = "echo"
@@ -393,10 +397,8 @@ def respond_to_probe(
 
     oneway = 0.0
     noise = 0.0
-    for (h, seg_ms, is_sat_entry) in chain[:expire_at]:
-        seg = seg_ms + (delta if is_sat_entry else 0.0)
-        oneway += seg
-        sigma = scenario.jitter.satellite_sigma_ms if is_sat_entry else scenario.jitter.sigma_ms
+    for _, seg_ms, is_sat_entry, sigma in chain[:expire_at]:
+        oneway += seg_ms + (delta if is_sat_entry else 0.0)
         if scenario.jitter.dist == "gaussian" and sigma > 0:
             noise += rng.gauss(0.0, sigma)
         elif scenario.jitter.dist == "lognormal" and sigma > 0:

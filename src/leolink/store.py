@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import heapq
 import json
+import os
 import re
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -183,27 +186,18 @@ class MeasurementStore:
         config_hash: str,
         extra_meta: Optional[dict] = None,
     ) -> Path:
-        """Persist one session; refuses to touch an existing one."""
+        """Persist one session; refuses to touch an existing one.
+
+        Both files are written under temporary names and renamed into
+        place, ``session.csv`` last: ``sessions()`` lists a session once
+        that name exists, so a failed write leaves no session behind and
+        the same partition can be written again.
+        """
         endpoint_dir = self.root / partition / session.endpoint.address
         endpoint_dir.mkdir(parents=True, exist_ok=True)
         session_path = endpoint_dir / SESSION_FILENAME
         if session_path.exists():
             raise StoreError(f"{session_path} already exists; store is append-only")
-
-        rows = []
-        for samples in (session.terrestrial_samples, session.endpoint_samples):
-            for s in samples:
-                rtt = "" if s.rtt_us is None else f"{s.rtt_us:.1f}"
-                lost = "true" if s.rtt_us is None else "false"
-                rows.append((s.timestamp_ms, session.path.target,
-                             s.target_ttl, rtt, lost))
-        # the terrestrial hop's smaller TTL sorts first at equal
-        # timestamps, matching the probe order within a tick
-        rows.sort(key=lambda r: (r[0], r[2]))
-        with open(session_path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["timestamp_ms", "target", "hop_ttl", "rtt_us", "lost"])
-            w.writerows(rows)
 
         ep = session.endpoint
         meta = {
@@ -226,9 +220,31 @@ class MeasurementStore:
         }
         if extra_meta:
             meta.update(extra_meta)
-        with open(endpoint_dir / META_FILENAME, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+
+        target = session.path.target
+        if any(c in target for c in ',"\r\n'):  # quoted as csv.writer would
+            target = '"' + target.replace('"', '""') + '"'
+        # Each hop's samples are in send order; at equal timestamps the
+        # terrestrial hop's smaller TTL goes first, as it was probed first.
+        samples = heapq.merge(session.terrestrial_samples, session.endpoint_samples,
+                              key=attrgetter("timestamp_ms", "target_ttl"))
+        tmp_session = endpoint_dir / (SESSION_FILENAME + ".tmp")
+        tmp_meta = endpoint_dir / (META_FILENAME + ".tmp")
+        try:
+            with open(tmp_session, "w", newline="", encoding="utf-8") as fh:
+                fh.write("timestamp_ms,target,hop_ttl,rtt_us,lost\r\n")
+                fh.writelines(
+                    f"{s.timestamp_ms},{target},{s.target_ttl},,true\r\n" if s.rtt_us is None
+                    else f"{s.timestamp_ms},{target},{s.target_ttl},{s.rtt_us:.1f},false\r\n"
+                    for s in samples)
+            with open(tmp_meta, "w", encoding="utf-8") as fh:
+                json.dump(meta, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp_meta, endpoint_dir / META_FILENAME)
+            os.replace(tmp_session, session_path)
+        finally:
+            tmp_meta.unlink(missing_ok=True)
+            tmp_session.unlink(missing_ok=True)
         return session_path
 
     def sessions(self, partition: Optional[str] = None) -> list[SessionRecord]:
@@ -279,22 +295,29 @@ class MeasurementStore:
             duration_s=int(meta["duration_s"]),
             cadence_hz=int(meta["cadence_hz"]),
         )
+        by_ttl = {path.pre_sat_ttl: session.terrestrial_samples,
+                  path.post_sat_ttl: session.endpoint_samples}
         with open(record.path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                sample = ProbeSample(
-                    timestamp_ms=int(row["timestamp_ms"]),
-                    target_ttl=int(row["hop_ttl"]),
-                    rtt_us=float(row["rtt_us"]) if row["rtt_us"] else None,
-                )
-                if sample.target_ttl == path.pre_sat_ttl:
-                    session.terrestrial_samples.append(sample)
-                elif sample.target_ttl == path.post_sat_ttl:
-                    session.endpoint_samples.append(sample)
-                else:
-                    raise StoreError(
-                        f"{record.path}: hop_ttl {sample.target_ttl} matches "
-                        f"neither side of the recorded path")
+            reader = csv.reader(fh)
+            try:
+                header = next(reader, [])
+                i_ts, i_ttl, i_rtt = (header.index(c) for c in ("timestamp_ms", "hop_ttl", "rtt_us"))
+                for row in reader:
+                    ttl = int(row[i_ttl])
+                    if ttl not in by_ttl:
+                        raise StoreError(
+                            f"{record.path}: hop_ttl {ttl} matches "
+                            f"neither side of the recorded path")
+                    rtt = row[i_rtt]
+                    by_ttl[ttl].append(ProbeSample(int(row[i_ts]), ttl, float(rtt) if rtt else None))
+            except (IndexError, ValueError) as exc:
+                raise StoreError(f"{record.path} line {reader.line_num}: {exc}") from None
+        for hop, samples in (("terrestrial", session.terrestrial_samples),
+                             ("endpoint", session.endpoint_samples)):
+            if len(samples) != int(meta[f"n_{hop}"]):
+                raise StoreError(
+                    f"{record.path}: {len(samples)} {hop} rows, "
+                    f"meta.json records {meta[f'n_{hop}']}")
         return session
 
 

@@ -84,6 +84,14 @@ def test_isolate_rejects_fully_lost_pairing():
         isolate_satellite_latency(make_session(pairs))
 
 
+@pytest.mark.parametrize("hop", ["terrestrial_samples", "endpoint_samples"])
+def test_isolate_rejects_unequal_sample_counts(hop):
+    session = make_session([(12_000.0, 50_000.0)] * 10)
+    del getattr(session, hop)[4]
+    with pytest.raises(AnalysisError, match="9 .* 10|10 .* 9"):
+        isolate_satellite_latency(session)
+
+
 def test_terrestrial_series_converts_to_ms():
     session = make_session([(12_500.0, 50_000.0)] * 5)
     terr = terrestrial_series(session)

@@ -1,14 +1,18 @@
 import csv
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from leolink import cli
+from leolink import cli, rawnet
+from leolink import store as store_module
 from leolink.discovery import Endpoint
 from leolink.probe import MeasurementSession, ProbeSample, SatLinkPath
+from leolink.simnet import build_scenario, respond_to_probe
 from leolink.store import (
+    TRANSPORTS,
     CampaignConfig,
     ConfigError,
     MeasurementStore,
@@ -178,6 +182,51 @@ def test_read_session_rejects_alien_ttl(tmp_path):
         store.read_session(store.sessions()[0])
 
 
+@pytest.mark.parametrize("hop_ttl", ["2", "3"])
+def test_read_session_rejects_missing_rows(tmp_path, hop_ttl):
+    store = MeasurementStore(tmp_path / "store")
+    store.write_session(store.new_partition("p"), small_session(), config_hash="x")
+    csv_path = next((store.root / "p").glob("*/session.csv"))
+    lines = csv_path.read_bytes().split(b"\r\n")
+    dropped = next(i for i, line in enumerate(lines)
+                   if line.split(b",")[2:3] == [hop_ttl.encode()])
+    csv_path.write_bytes(b"\r\n".join(lines[:dropped] + lines[dropped + 1:]))
+    with pytest.raises(StoreError, match="4 .* rows, meta.json records 5"):
+        store.read_session(store.sessions()[0])
+
+
+@pytest.mark.parametrize("bad_row", [b"0,100.64.9.1,2", b"0,100.64.9.1,2,fast,false",
+                                     b"zero,100.64.9.1,2,10000.0,false"])
+def test_read_session_rejects_malformed_rows(tmp_path, bad_row):
+    store = MeasurementStore(tmp_path / "store")
+    store.write_session(store.new_partition("p"), small_session(), config_hash="x")
+    csv_path = next((store.root / "p").glob("*/session.csv"))
+    lines = csv_path.read_bytes().split(b"\r\n")
+    csv_path.write_bytes(b"\r\n".join(lines[:1] + [bad_row] + lines[2:]))
+    with pytest.raises(StoreError, match="line 2"):
+        store.read_session(store.sessions()[0])
+
+
+def test_failed_meta_write_leaves_no_session(tmp_path, monkeypatch):
+    store = MeasurementStore(tmp_path / "store")
+    part = store.new_partition("p")
+
+    def broken_dump(*args, **kwargs):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as m:
+        m.setattr(store_module.json, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            store.write_session(part, small_session(), config_hash="x")
+    endpoint_dir = store.root / "p" / "100.64.9.1"
+    assert sorted(p.name for p in endpoint_dir.iterdir()) == []
+    assert store.sessions() == []
+    # nothing half-written blocks the append-only store from a retry
+    store.write_session(part, small_session(), config_hash="x")
+    assert sorted(p.name for p in endpoint_dir.iterdir()) == ["meta.json", "session.csv"]
+    assert len(store.read_session(store.sessions()[0]).endpoint_samples) == 5
+
+
 def test_report_csv_roundtrip(tmp_path):
     path = tmp_path / "r.csv"
     write_report_csv(path, ["a", "b"], [[1, "x"], [2, "y"]],
@@ -282,6 +331,23 @@ def test_simulate_reroute_day_finds_five_sustained(tmp_path, capsys):
     assert [r[4] for r in rows] == ["sustained"] * 5
 
 
+def test_analyze_truncated_session_exits_1(tmp_path, capsys):
+    store_dir = tmp_path / "store"
+    assert cli.main(["simulate", "--scenarios", str(SCENARIOS / "relay_split"),
+                     "--out", str(store_dir), "--duration", "300",
+                     "--partition", "p"]) == 0
+    csv_path = next((store_dir / "p").glob("*/session.csv"))
+    lines = csv_path.read_bytes().splitlines(keepends=True)
+    csv_path.write_bytes(b"".join(lines[:100] + lines[101:]))
+    capsys.readouterr()
+    assert cli.main(["analyze", "--store", str(store_dir), "--partition", "p"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("analyze error sessions=0 failed=1 ")
+    assert "analyze error stage=analysis endpoint=" in captured.err
+    assert "meta.json records 300" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_analyze_empty_store_exits_1(tmp_path, capsys):
     MeasurementStore(tmp_path / "store")
     assert cli.main(["analyze", "--store", str(tmp_path / "store")]) == 1
@@ -374,3 +440,55 @@ def test_report_renders_tables(tmp_path, capsys):
     assert [r[0] for r in trend] == ["2026-08-01"]
     summary = (out_dir / "summary.txt").read_text()
     assert "sessions analyzed: 1" in summary
+
+
+class StubRawTransport:
+    """Answers like the base scenario for any target, except silent ones."""
+
+    instances: list["StubRawTransport"] = []
+    SILENT = "100.64.9.99"
+
+    def __init__(self):
+        self.exits = 0
+        StubRawTransport.instances.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.exits += 1
+
+    def probe(self, target, ttl, *, protocol="icmp", flow_id=0, timeout_s=2.0):
+        if target == self.SILENT:
+            return None
+        hops = scenario_dict()["hops"]
+        hops[-1]["address"] = target
+        return respond_to_probe(build_scenario(scenario_dict(hops=hops)), target, ttl, 0,
+                                protocol=protocol, flow_id=flow_id)
+
+
+def test_trace_closes_raw_transport_per_endpoint(tmp_path, capsys, monkeypatch):
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text("address,pop_code\n100.64.9.1,sttlwax1\n"
+                      f"{StubRawTransport.SILENT},sttlwax1\n100.64.9.2,sttlwax1\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"transport": "raw", "output_dir": str(tmp_path / "s"),
+                                    "endpoints_file": str(cohort)}))
+    monkeypatch.setattr(StubRawTransport, "instances", [])
+    monkeypatch.setattr(rawnet, "RawTransport", StubRawTransport)
+    code = cli.main(["trace", "--config", str(cfg_path), "--out", str(tmp_path / "paths.csv")])
+    assert code == 1
+    assert "trace error paths=2 failed=1" in capsys.readouterr().out
+    # one transport per endpoint, each closed once, the failed one too
+    assert [t.exits for t in StubRawTransport.instances] == [1, 1, 1]
+
+
+def test_readme_transports_are_accepted(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    named = re.search(r"`transport` \(([^)]*)\)", readme)
+    assert named, "README no longer lists the campaign transports"
+    values = re.findall(r'"([^"]+)"', named.group(1))
+    assert sorted(values) == sorted(TRANSPORTS)
+    for value in values:
+        CampaignConfig(transport=value, output_dir=str(tmp_path / "s"),
+                       scenario_dir=str(tmp_path), endpoints_file=str(tmp_path / "c.csv"))
