@@ -109,6 +109,14 @@ class SessionStats:
     spike_time_fraction: float
 
 
+@dataclass(frozen=True)
+class SessionResult:
+    n_ticks: int  # paired ticks in the isolated series
+    clamped: int
+    spikes: list[SpikeEvent]
+    stats: SessionStats
+
+
 @dataclass
 class PopAggregate:
     pop_code: str
@@ -257,6 +265,20 @@ def detect_spikes(
             ))
     events.sort(key=lambda e: e.start_ms)
     return events
+
+
+def analyze_session(session: MeasurementSession, *, window_s: float = SMOOTHING_WINDOW_S,
+                    sustained_sigma: float = SUSTAINED_SIGMA,
+                    standard_sigma: float = STANDARD_SIGMA) -> SessionResult:
+    """Isolate, smooth, detect and summarize one session; loss is counted
+    against its scheduled ticks.  Raises :class:`AnalysisError`."""
+    series, clamped = isolate_satellite_latency(session)
+    spikes = detect_spikes(smooth(series, window_s=window_s),
+                           sustained_sigma=sustained_sigma,
+                           standard_sigma=standard_sigma)
+    stats = session_stats(series, spikes=spikes,
+                          expected_ticks=session.duration_s * session.cadence_hz)
+    return SessionResult(len(series), clamped, spikes, stats)
 
 
 def jitter_filter(

@@ -17,7 +17,6 @@ import ipaddress
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from datetime import date
 from pathlib import Path
 from typing import Optional, Sequence
@@ -34,12 +33,14 @@ from .discovery import (
     geolocate_customer,
     parse_scan_dataset,
 )
-from .simnet import Scenario, ScenarioError, SimnetTransport, load_scenario_dir
+from .simnet import Scenario, ScenarioError, SimnetTransport, fleet_transports, load_scenario_dir
 from .store import (
     CampaignConfig,
     ConfigError,
     MeasurementStore,
     StoreError,
+    endpoint_from_meta,
+    read_report_csv,
     write_report_csv,
 )
 
@@ -58,6 +59,13 @@ def _params_hash(params: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _print_summary(command: str, code: int, counters: dict) -> int:
+    """Print the one summary line of ``command`` and pass its exit code on."""
+    status = "ok" if code == 0 else "error"
+    print(f"{command} {status} " + " ".join(f"{k}={v}" for k, v in counters.items()))
+    return code
+
+
 # ---------------------------------------------------------------- discover
 
 def cmd_discover(args: argparse.Namespace) -> int:
@@ -72,7 +80,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
         endpoints, unclassifiable = filter_oneweb_customers(records)
         pep_removed = 0
         kept = endpoints
-        extra = f"unclassifiable={unclassifiable}"
+        extra = {"unclassifiable": unclassifiable}
     else:
         endpoints, filter_report = filter_customer_endpoints(records, catalog)
         if args.pep_blocklist:
@@ -82,8 +90,8 @@ def cmd_discover(args: argparse.Namespace) -> int:
         else:
             blocklist = PepBlocklist()
         kept, pep_removed = exclude_peps(endpoints, records, blocklist)
-        extra = (f"unknown_pop={len(filter_report.unknown_pop)} "
-                 f"ambiguous={len(filter_report.ambiguous)}")
+        extra = {"unknown_pop": len(filter_report.unknown_pop),
+                 "ambiguous": len(filter_report.ambiguous)}
 
     if args.geofeed:
         kept = [geolocate_customer(ep, args.geofeed) for ep in kept]
@@ -105,10 +113,10 @@ def cmd_discover(args: argparse.Namespace) -> int:
                 f"{cust[1]:.4f}" if cust else "",
                 ep.source,
             ])
-    print(f"discover ok records={parse_report.total_rows} "
-          f"malformed={parse_report.malformed} candidates={len(endpoints)} "
-          f"pep_removed={pep_removed} kept={len(kept)} {extra} out={out}")
-    return 0
+    return _print_summary("discover", 0, {
+        "records": parse_report.total_rows, "malformed": parse_report.malformed,
+        "candidates": len(endpoints), "pep_removed": pep_removed,
+        "kept": len(kept), **extra, "out": out})
 
 
 def load_endpoints_csv(path: str | Path, catalog: Optional[PopCatalog] = None) -> list[Endpoint]:
@@ -167,6 +175,15 @@ def _excluded(address: str, nets: Sequence) -> bool:
     return any(addr in net for net in nets)
 
 
+def _cohort(cfg: CampaignConfig) -> list[tuple[Endpoint, Optional[SimnetTransport]]]:
+    """Each endpoint of the campaign with its simulator, or None for raw sockets."""
+    catalog = PopCatalog.default()
+    if cfg.transport == "simnet":
+        return [(_endpoint_from_scenario(t.scenario, catalog), t)
+                for _, t in fleet_transports(load_scenario_dir(cfg.scenario_dir))]
+    return [(ep, None) for ep in load_endpoints_csv(cfg.endpoints_file, catalog)]
+
+
 def _trace_path(transport, endpoint: Endpoint, cfg: CampaignConfig) -> probe.SatLinkPath:
     trace = probe.run_traceroute(
         transport, endpoint.address, protocol=cfg.protocol,
@@ -200,25 +217,20 @@ def _run_campaign(cfg: CampaignConfig, partition_label: Optional[str]) -> tuple[
     skipped; only configuration-level problems abort the run.
     """
     store = MeasurementStore(cfg.output_dir)
-    catalog = PopCatalog.default()
     nets = _load_exclusions(cfg.exclude_file)
 
-    jobs: list[tuple[Endpoint, Optional[SimnetTransport]]] = []
-    excluded = 0
-    if cfg.transport == "simnet":
-        scenarios = load_scenario_dir(cfg.scenario_dir)
-        for address in sorted(scenarios):
-            ep = _endpoint_from_scenario(scenarios[address], catalog)
-            if _excluded(ep.address, nets):
-                excluded += 1
-                continue
-            jobs.append((ep, SimnetTransport(scenarios[address])))
-    else:
-        for ep in load_endpoints_csv(cfg.endpoints_file, catalog):
-            if _excluded(ep.address, nets):
-                excluded += 1
-                continue
-            jobs.append((ep, None))
+    jobs: dict[str, tuple[Endpoint, Optional[SimnetTransport]]] = {}
+    excluded = duplicates = 0
+    for ep, transport in _cohort(cfg):
+        if _excluded(ep.address, nets):
+            excluded += 1
+        elif ep.address in jobs:
+            # Two writers of one address would race on its session directory.
+            _err(f"measure error stage=store endpoint={ep.address} "
+                 f"msg=listed more than once in the cohort")
+            duplicates += 1
+        else:
+            jobs[ep.address] = (ep, transport)
 
     label = partition_label or cfg.partition_label or date.today().isoformat()
     partition = store.new_partition(label)
@@ -235,49 +247,40 @@ def _run_campaign(cfg: CampaignConfig, partition_label: Optional[str]) -> tuple[
         extra = {"transport": cfg.transport, "protocol": cfg.protocol}
         if transport is not None:
             extra["seed"] = transport.scenario.seed
-        store.write_session(partition, session, config_hash=config_hash,
-                            extra_meta=extra)
+        try:
+            store.write_session(partition, session, config_hash=config_hash,
+                                extra_meta=extra)
+        except (StoreError, OSError) as exc:
+            return f"measure error stage=store endpoint={endpoint.address} msg={exc}"
         return None
 
     failures = 0
     with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
-        for problem in pool.map(work, jobs):
+        for problem in pool.map(work, jobs.values()):
             if problem:
                 _err(problem)
                 failures += 1
 
     counters = {
         "sessions": len(jobs) - failures,
-        "failed": failures,
+        "failed": failures + duplicates,
         "excluded": excluded,
         "partition": partition,
         "store": str(store.root),
     }
-    return (1 if failures else 0), counters
+    return (1 if failures or duplicates else 0), counters
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
     cfg = CampaignConfig.from_json(args.config)
-    code, counters = _run_campaign(cfg, args.partition)
-    status = "ok" if code == 0 else "error"
-    pairs = " ".join(f"{k}={v}" for k, v in counters.items())
-    print(f"measure {status} {pairs}")
-    return code
+    return _print_summary("measure", *_run_campaign(cfg, args.partition))
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     cfg = CampaignConfig.from_json(args.config)
-    catalog = PopCatalog.default()
-    if cfg.transport == "simnet":
-        scenarios = load_scenario_dir(cfg.scenario_dir)
-        jobs = [(_endpoint_from_scenario(scenarios[a], catalog),
-                 SimnetTransport(scenarios[a])) for a in sorted(scenarios)]
-    else:
-        jobs = [(ep, None) for ep in load_endpoints_csv(cfg.endpoints_file, catalog)]
-
     rows = []
     failures = 0
-    for endpoint, transport in jobs:
+    for endpoint, transport in _cohort(cfg):
         try:
             path = _with_transport(transport, _trace_path, endpoint, cfg)
         except probe.ProbeError as exc:
@@ -292,88 +295,85 @@ def cmd_trace(args: argparse.Namespace) -> int:
     write_report_csv(out, ["address", "pre_sat_ttl", "pre_sat_router",
                            "post_sat_ttl", "jump_ms"], rows,
                      config_hash=cfg.config_hash())
-    status = "ok" if failures == 0 else "error"
-    print(f"trace {status} paths={len(rows)} failed={failures} out={out}")
-    return 1 if failures else 0
+    return _print_summary("trace", 1 if failures else 0,
+                          {"paths": len(rows), "failed": failures, "out": out})
 
 
 # --------------------------------------------------------------- analysis
 
+SESSION_HEADER = ["partition", "address", "pop_code", "n_ticks", "clamped",
+                  "min_ms", "median_ms", "mean_ms", "stddev_ms",
+                  "loss_fraction", "spike_time_fraction"]
+SPIKE_HEADER = ["partition", "address", "start_ms", "end_ms", "kind",
+                "peak_ms", "baseline_median_ms"]
+
+
+def _analysis_hash(window_s: float = analysis.SMOOTHING_WINDOW_S,
+                   sustained_sigma: float = analysis.SUSTAINED_SIGMA,
+                   standard_sigma: float = analysis.STANDARD_SIGMA) -> str:
+    """Hash of the ``analysis.analyze_session`` parameters, defaults included."""
+    return _params_hash({"smoothing_window_s": window_s,
+                         "sustained_sigma": sustained_sigma,
+                         "standard_sigma": standard_sigma})
+
+
+def _analysis_rows(store: MeasurementStore, records: Sequence, params: dict,
+                   command: str) -> tuple[list[list], list[list], int]:
+    """Session rows, spike rows and failure count of ``analyze_session(**params)``
+    over records; a failed session is reported as ``<command> error stage=analysis``."""
+    session_rows: list[list] = []
+    spike_rows: list[list] = []
+    failures = 0
+    for rec in records:
+        try:
+            result = analysis.analyze_session(store.read_session(rec), **params)
+        except (analysis.AnalysisError, StoreError, KeyError, ValueError) as exc:
+            _err(f"{command} error stage=analysis endpoint={rec.address} msg={exc}")
+            failures += 1
+            continue
+        st = result.stats
+        session_rows.append([
+            rec.partition, rec.address, rec.meta.get("pop_code", ""),
+            result.n_ticks, result.clamped, f"{st.min_ms:.3f}", f"{st.median_ms:.3f}",
+            f"{st.mean_ms:.3f}", f"{st.stddev_ms:.3f}",
+            f"{st.loss_fraction:.4f}", f"{st.spike_time_fraction:.4f}",
+        ])
+        spike_rows.extend([rec.partition, rec.address, ev.start_ms, ev.end_ms,
+                           ev.kind, f"{ev.peak_ms:.3f}", f"{ev.baseline_median_ms:.3f}"]
+                          for ev in result.spikes)
+    return session_rows, spike_rows, failures
+
+
 def _analyze_store(store: MeasurementStore, partition: Optional[str],
-                   out_dir: Path, *, window_s: float, sustained_sigma: float,
-                   standard_sigma: float) -> tuple[int, dict]:
+                   out_dir: Path, params: dict) -> tuple[int, dict]:
+    """Analyze a partition (or all) into ``sessions.csv`` and ``spikes.csv``."""
     records = store.sessions(partition)
     if not records:
         return 1, {}
-    params_hash = _params_hash({
-        "smoothing_window_s": window_s,
-        "sustained_sigma": sustained_sigma,
-        "standard_sigma": standard_sigma,
-    })
-    spike_rows = []
-    session_rows = []
-    failures = 0
-    n_spikes = n_sustained = 0
-    for rec in records:
-        try:
-            session = store.read_session(rec)
-            series, clamped = analysis.isolate_satellite_latency(session)
-            smoothed = analysis.smooth(series, window_s=window_s)
-            spikes = analysis.detect_spikes(
-                smoothed, sustained_sigma=sustained_sigma,
-                standard_sigma=standard_sigma)
-            expected = session.duration_s * session.cadence_hz
-            stats = analysis.session_stats(series, spikes=spikes,
-                                           expected_ticks=expected)
-        except (analysis.AnalysisError, StoreError, KeyError, ValueError) as exc:
-            _err(f"analyze error stage=analysis endpoint={rec.address} msg={exc}")
-            failures += 1
-            continue
-        for ev in spikes:
-            n_spikes += 1
-            n_sustained += ev.kind == "sustained"
-            spike_rows.append([rec.partition, rec.address, ev.start_ms,
-                               ev.end_ms, ev.kind, f"{ev.peak_ms:.3f}",
-                               f"{ev.baseline_median_ms:.3f}"])
-        session_rows.append([
-            rec.partition, rec.address, rec.meta.get("pop_code", ""),
-            len(series), clamped, f"{stats.min_ms:.3f}", f"{stats.median_ms:.3f}",
-            f"{stats.mean_ms:.3f}", f"{stats.stddev_ms:.3f}",
-            f"{stats.loss_fraction:.4f}", f"{stats.spike_time_fraction:.4f}",
-        ])
+    session_rows, spike_rows, failures = _analysis_rows(store, records, params, "analyze")
+    params_hash = _analysis_hash(**params)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_report_csv(out_dir / "spikes.csv",
-                     ["partition", "address", "start_ms", "end_ms", "kind",
-                      "peak_ms", "baseline_median_ms"],
-                     spike_rows, config_hash=params_hash)
-    write_report_csv(out_dir / "sessions.csv",
-                     ["partition", "address", "pop_code", "n_ticks", "clamped",
-                      "min_ms", "median_ms", "mean_ms", "stddev_ms",
-                      "loss_fraction", "spike_time_fraction"],
-                     session_rows, config_hash=params_hash)
-    counters = {
-        "sessions": len(session_rows),
-        "failed": failures,
-        "spikes": n_spikes,
-        "sustained": n_sustained,
-        "out": str(out_dir),
-    }
-    return (1 if failures else 0), counters
+    write_report_csv(out_dir / "spikes.csv", SPIKE_HEADER, spike_rows,
+                     config_hash=params_hash)
+    write_report_csv(out_dir / "sessions.csv", SESSION_HEADER, session_rows,
+                     config_hash=params_hash)
+    sustained = sum(row[4] == analysis.KIND_SUSTAINED for row in spike_rows)
+    return (1 if failures else 0), {"sessions": len(session_rows), "failed": failures,
+                                    "spikes": len(spike_rows), "sustained": sustained,
+                                    "out": str(out_dir)}
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     store = MeasurementStore(args.store)
     out_dir = Path(args.out) if args.out else store.root / "reports"
     code, counters = _analyze_store(
-        store, args.partition, out_dir, window_s=args.window,
-        sustained_sigma=args.sustained_sigma, standard_sigma=args.standard_sigma)
+        store, args.partition, out_dir,
+        {"window_s": args.window, "sustained_sigma": args.sustained_sigma,
+         "standard_sigma": args.standard_sigma})
     if not counters:
         print("analyze error no-sessions")
         return 1
-    status = "ok" if code == 0 else "error"
-    pairs = " ".join(f"{k}={v}" for k, v in counters.items())
-    print(f"analyze {status} {pairs}")
-    return code
+    return _print_summary("analyze", code, counters)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -392,57 +392,70 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     code, counters = _run_campaign(cfg, args.partition)
     if counters.get("sessions"):
         store = MeasurementStore(cfg.output_dir)
-        a_code, a_counters = _analyze_store(
-            store, counters["partition"], store.root / "reports",
-            window_s=cfg.smoothing_window_s,
-            sustained_sigma=cfg.sustained_sigma,
-            standard_sigma=cfg.standard_sigma)
+        a_code, a_counters = _analyze_store(store, counters["partition"],
+                                            store.root / "reports", {})
         code = max(code, a_code)
         counters.update({k: a_counters[k] for k in ("spikes", "sustained") if k in a_counters})
-    status = "ok" if code == 0 else "error"
-    pairs = " ".join(f"{k}={v}" for k, v in counters.items())
-    print(f"simulate {status} {pairs}")
-    return code
+    return _print_summary("simulate", code, counters)
 
 
 # ---------------------------------------------------------------- report
 
+def _analyzed_tables(store: MeasurementStore) -> tuple[Optional[str], list, list]:
+    """(params hash, session rows, spike rows) of ``<store>/reports``; none
+    unless both tables exist with the documented columns and one hash."""
+    try:
+        (s_hash, s_header, session_rows), (k_hash, k_header, spike_rows) = (
+            read_report_csv(store.root / "reports" / name)
+            for name in ("sessions.csv", "spikes.csv"))
+    except (OSError, StoreError, ValueError, csv.Error):
+        return None, [], []
+    if (s_hash, s_header, k_header) != (k_hash, SESSION_HEADER, SPIKE_HEADER):
+        return None, [], []
+    return s_hash, session_rows, spike_rows
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     store = MeasurementStore(args.store)
     records = store.sessions(args.partition)
-    if not records:
-        print("report error no-sessions")
-        return 1
     catalog = PopCatalog.from_csv(args.pop_catalog) if args.pop_catalog else PopCatalog.default()
-    params_hash = _params_hash({"report": 1, "partitions": sorted({r.partition for r in records})})
+
+    # Sessions in analyze's tables keep its rows and params; the rest are
+    # analyzed here with the defaults and nothing is written back.
+    table_hash, table_sessions, table_spikes = _analyzed_tables(store)
+    session_rows = {tuple(r[:2]): r for r in table_sessions}
+    spike_rows = [r for r in table_spikes if tuple(r[:2]) in session_rows]
+    uncovered = [r for r in records if (r.partition, r.address) not in session_rows]
+    analysis_hashes = (({table_hash} if len(uncovered) < len(records) else set())
+                       | ({_analysis_hash()} if uncovered else set()))
+    fresh_sessions, fresh_spikes, failures = _analysis_rows(store, uncovered, {}, "report")
+    session_rows.update((tuple(r[:2]), r) for r in fresh_sessions)
+    spike_rows += fresh_spikes
+    spikes_of: dict[tuple, list] = {}
+    for row in spike_rows:
+        spikes_of.setdefault(tuple(row[:2]), []).append(row)
+    params_hash = _params_hash({"report": 1,
+                                "partitions": sorted({r.partition for r in records}),
+                                "analysis": sorted(analysis_hashes)})
 
     items: list[tuple[Endpoint, analysis.SessionStats]] = []
     by_date: dict[str, list[tuple[str, analysis.SessionStats]]] = {}
-    spike_rows = []
-    failures = 0
+    inventory = []
     for rec in records:
+        key = (rec.partition, rec.address)
+        if key not in session_rows:
+            continue  # its analysis failed and was reported
         try:
-            session = store.read_session(rec)
-            series, _ = analysis.isolate_satellite_latency(session)
-            smoothed = analysis.smooth(series)
-            spikes = analysis.detect_spikes(smoothed)
-            expected = session.duration_s * session.cadence_hz
-            stats = analysis.session_stats(series, spikes=spikes,
-                                           expected_ticks=expected)
-        except (analysis.AnalysisError, StoreError, KeyError, ValueError) as exc:
+            endpoint = endpoint_from_meta(rec.meta, catalog)
+            stats = analysis.SessionStats(*map(float, session_rows[key][5:]))
+        except (KeyError, TypeError, ValueError) as exc:
             _err(f"report error stage=analysis endpoint={rec.address} msg={exc}")
             failures += 1
             continue
-        endpoint = session.endpoint
-        if endpoint.pop_code in catalog:
-            endpoint = replace(endpoint, pop_location=catalog[endpoint.pop_code])
         items.append((endpoint, stats))
         day = rec.partition.split(".")[0]
         by_date.setdefault(day, []).append((endpoint.address, stats))
-        for ev in spikes:
-            spike_rows.append([rec.partition, rec.address, ev.start_ms, ev.end_ms,
-                               ev.kind, f"{ev.peak_ms:.3f}",
-                               f"{ev.baseline_median_ms:.3f}"])
+        inventory.extend(spikes_of.get(key, ()))
     if not items:
         print("report error no-sessions")
         return 1
@@ -451,36 +464,22 @@ def cmd_report(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     aggregates = analysis.aggregate_by_pop(items)
-    write_report_csv(out_dir / "pop_summary.csv",
-                     ["pop_code", "n_endpoints", "mean_of_means_ms",
-                      "stddev_of_means_ms"],
-                     [[a.pop_code, a.n_endpoints, f"{a.mean_of_means_ms:.3f}",
-                       f"{a.stddev_of_means_ms:.3f}"] for a in aggregates],
-                     config_hash=params_hash)
-
     dist_rows, rho = analysis.min_rtt_vs_pop_distance(items)
-    write_report_csv(out_dir / "min_rtt_distance.csv",
-                     ["address", "pop_distance_km", "min_rtt_ms"],
-                     [[a, f"{d:.1f}", f"{m:.3f}"] for a, d, m in dist_rows],
-                     config_hash=params_hash)
-
-    daily = []
-    for day in sorted(by_date):
-        agg = analysis.PopAggregate(
-            pop_code="all", n_endpoints=len(by_date[day]),
-            mean_of_means_ms=0.0, stddev_of_means_ms=0.0,
-            endpoint_stats=by_date[day])
-        daily.append((day, agg))
-    trend = analysis.temporal_trend(daily)
-    write_report_csv(out_dir / "temporal_trend.csv",
-                     ["date", "median_ms"],
-                     [[d, f"{m:.3f}"] for d, m in trend],
-                     config_hash=params_hash)
-
-    write_report_csv(out_dir / "spike_inventory.csv",
-                     ["partition", "address", "start_ms", "end_ms", "kind",
-                      "peak_ms", "baseline_median_ms"],
-                     spike_rows, config_hash=params_hash)
+    trend = analysis.temporal_trend([
+        (day, analysis.PopAggregate("all", len(stats), 0.0, 0.0, stats))
+        for day, stats in by_date.items()])
+    tables = {
+        "pop_summary.csv": (
+            ["pop_code", "n_endpoints", "mean_of_means_ms", "stddev_of_means_ms"],
+            [[a.pop_code, a.n_endpoints, f"{a.mean_of_means_ms:.3f}",
+              f"{a.stddev_of_means_ms:.3f}"] for a in aggregates]),
+        "min_rtt_distance.csv": (["address", "pop_distance_km", "min_rtt_ms"],
+                                 [[a, f"{d:.1f}", f"{m:.3f}"] for a, d, m in dist_rows]),
+        "temporal_trend.csv": (["date", "median_ms"], [[d, f"{m:.3f}"] for d, m in trend]),
+        "spike_inventory.csv": (SPIKE_HEADER, inventory),
+    }
+    for name, (header, rows) in tables.items():
+        write_report_csv(out_dir / name, header, rows, config_hash=params_hash)
 
     lines = [
         f"sessions analyzed: {len(items)} (failed: {failures})",
@@ -488,23 +487,21 @@ def cmd_report(args: argparse.Namespace) -> int:
         "",
         f"{'pop':10s} {'n':>4s} {'mean_ms':>9s} {'std_ms':>8s}",
     ]
-    for a in aggregates:
-        lines.append(f"{a.pop_code:10s} {a.n_endpoints:4d} "
-                     f"{a.mean_of_means_ms:9.2f} {a.stddev_of_means_ms:8.2f}")
-    lines.append("")
-    if rho is not None:
-        lines.append(f"spearman(min RTT, POP distance) = {rho:.3f} over {len(dist_rows)} endpoints")
-    else:
-        lines.append("spearman(min RTT, POP distance): not enough located endpoints")
-    lines.append(f"spikes recorded: {len(spike_rows)}")
-    lines.append("")
-    lines.append(f"config_hash: {params_hash}")
+    lines += [f"{a.pop_code:10s} {a.n_endpoints:4d} "
+              f"{a.mean_of_means_ms:9.2f} {a.stddev_of_means_ms:8.2f}" for a in aggregates]
+    lines += [
+        "",
+        f"spearman(min RTT, POP distance) = {rho:.3f} over {len(dist_rows)} endpoints"
+        if rho is not None else "spearman(min RTT, POP distance): not enough located endpoints",
+        f"spikes recorded: {len(inventory)}",
+        "",
+        f"config_hash: {params_hash}",
+    ]
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    status = "ok" if failures == 0 else "error"
-    print(f"report {status} sessions={len(items)} failed={failures} "
-          f"pops={len(aggregates)} spikes={len(spike_rows)} out={out_dir}")
-    return 1 if failures else 0
+    return _print_summary("report", 1 if failures else 0, {
+        "sessions": len(items), "failed": failures, "pops": len(aggregates),
+        "spikes": len(inventory), "out": out_dir})
 
 
 # ------------------------------------------------------------------ main
@@ -572,6 +569,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (ConfigError, ScenarioError, DatasetError) as exc:
         _err(f"{args.command} error stage=config msg={exc}")
+        return 2
+    except StoreError as exc:
+        _err(f"{args.command} error stage=store msg={exc}")
         return 2
     except OSError as exc:
         _err(f"{args.command} error stage=io msg={exc}")

@@ -39,6 +39,7 @@ from .geo import (
     haversine_km,
     latlon_to_ecef,
     miles_to_km,
+    vacuum_rtt_ms,
 )
 
 MU_EARTH_KM3_S2 = 398_600.4418
@@ -133,10 +134,6 @@ class SatelliteState:
     slot_index: int
     position_km: tuple[float, float, float]
 
-    @property
-    def radius_km(self) -> float:
-        return float(np.linalg.norm(self.position_km))
-
 
 @dataclass
 class Snapshot:
@@ -149,17 +146,6 @@ class Snapshot:
     orbit_index: np.ndarray
     slot_index: np.ndarray
     altitudes_km: np.ndarray       # per-satellite shell altitude
-
-    def states(self) -> list[SatelliteState]:
-        return [
-            SatelliteState(
-                shell_index=int(self.shell_index[i]),
-                orbit_index=int(self.orbit_index[i]),
-                slot_index=int(self.slot_index[i]),
-                position_km=tuple(float(x) for x in self.positions[i]),
-            )
-            for i in range(len(self.positions))
-        ]
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -181,6 +167,7 @@ class DishSite(GroundStation):
 
     def azimuth_allowed(self, azimuth_deg: float) -> bool:
         # Boresight -22 deg => azimuths below 158 or above 338 pass.
+        # Elementwise on an array of azimuths.
         return (azimuth_deg - self.boresight_azimuth_deg) % 360.0 < 180.0
 
 
@@ -287,9 +274,17 @@ def _visible_mask(
     slant, elevation, azimuth = _look_angles(site_pos, snapshot.positions)
     mask = (slant <= max_slant_km) & (elevation >= min_elevation_deg)
     if apply_fov and isinstance(site, DishSite):
-        allowed = (azimuth - site.boresight_azimuth_deg) % 360.0 < 180.0
-        mask &= allowed
+        mask &= site.azimuth_allowed(azimuth)
     return mask, slant
+
+
+def _state_at(snapshot: Snapshot, i: int) -> SatelliteState:
+    return SatelliteState(
+        shell_index=int(snapshot.shell_index[i]),
+        orbit_index=int(snapshot.orbit_index[i]),
+        slot_index=int(snapshot.slot_index[i]),
+        position_km=tuple(float(x) for x in snapshot.positions[i]),
+    )
 
 
 def visible_satellites(
@@ -306,16 +301,7 @@ def visible_satellites(
     unless ``apply_fov`` is disabled.
     """
     mask, _ = _visible_mask(site, snapshot, max_slant_km, min_elevation_deg, apply_fov)
-    idx = np.nonzero(mask)[0]
-    return [
-        SatelliteState(
-            shell_index=int(snapshot.shell_index[i]),
-            orbit_index=int(snapshot.orbit_index[i]),
-            slot_index=int(snapshot.slot_index[i]),
-            position_km=tuple(float(x) for x in snapshot.positions[i]),
-        )
-        for i in idx
-    ]
+    return [_state_at(snapshot, i) for i in np.nonzero(mask)[0]]
 
 
 def _joint_path_sums(
@@ -334,15 +320,6 @@ def _joint_path_sums(
                                       min_elevation_deg, False)
     sums = np.where(dish_mask & gs_mask, dish_slant + gs_slant, np.inf)
     return sums
-
-
-def _state_at(snapshot: Snapshot, i: int) -> SatelliteState:
-    return SatelliteState(
-        shell_index=int(snapshot.shell_index[i]),
-        orbit_index=int(snapshot.orbit_index[i]),
-        slot_index=int(snapshot.slot_index[i]),
-        position_km=tuple(float(x) for x in snapshot.positions[i]),
-    )
 
 
 def best_case_rtt(
@@ -366,7 +343,7 @@ def best_case_rtt(
     i = int(np.argmin(sums))
     if not np.isfinite(sums[i]):
         raise NoCoverageError("no satellite jointly visible to dish and ground station")
-    return 2.0 * float(sums[i]) / LIGHT_SPEED_KM_S * 1000.0, _state_at(snapshot, i)
+    return vacuum_rtt_ms(float(sums[i])), _state_at(snapshot, i)
 
 
 def worst_case_rtt(
@@ -391,7 +368,7 @@ def worst_case_rtt(
     i = int(np.argmax(masked))
     if not np.isfinite(masked[i]):
         raise NoCoverageError("no satellite jointly visible within the dish field of view")
-    return 2.0 * float(sums[i]) / LIGHT_SPEED_KM_S * 1000.0, _state_at(snapshot, i)
+    return vacuum_rtt_ms(float(sums[i])), _state_at(snapshot, i)
 
 
 def isl_extra_hop_rtt(config: ConstellationConfig, shell_index: int = 0) -> float:
@@ -402,7 +379,7 @@ def isl_extra_hop_rtt(config: ConstellationConfig, shell_index: int = 0) -> floa
     directions.
     """
     shell = config.shells[shell_index]
-    return 2.0 * shell.in_plane_spacing_km / LIGHT_SPEED_KM_S * 1000.0
+    return vacuum_rtt_ms(shell.in_plane_spacing_km)
 
 
 def isl_path_distance_km(
@@ -573,7 +550,7 @@ def min_isl_ng_threshold(
             best = m
     if not np.isfinite(best):
         raise NoCoverageError("no two-satellite path exists")
-    return 2.0 * best / LIGHT_SPEED_KM_S * 1000.0
+    return vacuum_rtt_ms(best)
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,12 @@ import hashlib
 import heapq
 import json
 import os
-import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .discovery import Endpoint, PopLocation
+from .discovery import Endpoint, PopCatalog
 from .probe import MeasurementSession, ProbeSample, SatLinkPath
 
 SCHEMA_VERSION = 1
@@ -36,8 +35,6 @@ META_FILENAME = "meta.json"
 
 TRANSPORTS = ("simnet", "raw")
 SCHEDULES = ("once", "daily")
-
-_PARTITION_SUFFIX_RE = re.compile(r"^(?P<base>.+)\.(?P<n>\d+)$")
 
 
 class StoreError(RuntimeError):
@@ -170,9 +167,6 @@ class MeasurementStore:
         (self.root / name).mkdir(parents=True)
         return name
 
-    def partition_dir(self, name: str) -> Path:
-        return self.root / name
-
     def partitions(self) -> list[str]:
         if not self.root.is_dir():
             return []
@@ -274,14 +268,6 @@ class MeasurementStore:
             raise StoreError(
                 f"{record.path}: schema {meta.get('schema_version')!r}, "
                 f"expected {SCHEMA_VERSION}")
-        loc = meta.get("customer_location")
-        endpoint = Endpoint(
-            address=meta["address"],
-            pop_code=meta.get("pop_code", ""),
-            pop_location=None,
-            customer_location=tuple(loc) if loc else None,
-            source=meta.get("source", "starlink_ptr"),
-        )
         path = SatLinkPath(
             target=meta["address"],
             pre_sat_ttl=int(meta["pre_sat_ttl"]),
@@ -290,7 +276,7 @@ class MeasurementStore:
             jump_ms=float(meta["jump_ms"]),
         )
         session = MeasurementSession(
-            endpoint=endpoint, path=path,
+            endpoint=endpoint_from_meta(meta), path=path,
             start_ms=int(meta["start_ms"]),
             duration_s=int(meta["duration_s"]),
             cadence_hz=int(meta["cadence_hz"]),
@@ -319,6 +305,19 @@ class MeasurementStore:
                     f"{record.path}: {len(samples)} {hop} rows, "
                     f"meta.json records {meta[f'n_{hop}']}")
         return session
+
+
+def endpoint_from_meta(meta: dict, catalog: Optional[PopCatalog] = None) -> Endpoint:
+    """The endpoint a session's ``meta.json`` describes, located by ``catalog``."""
+    loc = meta.get("customer_location")
+    pop_code = meta.get("pop_code", "")
+    return Endpoint(
+        address=meta["address"],
+        pop_code=pop_code,
+        pop_location=catalog[pop_code] if catalog and pop_code in catalog else None,
+        customer_location=tuple(loc) if loc else None,
+        source=meta.get("source", "starlink_ptr"),
+    )
 
 
 def write_report_csv(

@@ -1,0 +1,49 @@
+"""Smoke test of the benchmark's pipeline workloads at their quick size.
+
+``perfbench/workloads.py`` runs ``simulate`` and ``report`` through the
+CLI and checks that every scheduled event is recalled in both
+``spikes.csv`` and ``spike_inventory.csv``.  Running it here means a CLI
+change that breaks those checks fails the test suite, not only the
+benchmark.  No timing is asserted.
+"""
+from __future__ import annotations
+
+import importlib.util
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from tests.conftest import REPO_ROOT
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    path = REPO_ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    # the workloads pass paths relative to the checkout to the CLI
+    monkeypatch.chdir(REPO_ROOT)
+    return module
+
+
+@pytest.mark.parametrize("name", ["fleet", "day"])
+def test_pipeline_workload_passes_its_checks(workloads, name):
+    bench_dir = REPO_ROOT / ".perfbench"
+    bench_dir.mkdir(exist_ok=True)
+    workdir = Path(tempfile.mkdtemp(prefix=f"smoke-{name}-", dir=bench_dir))
+    try:
+        work = workloads.make(name, REPO_ROOT, workdir, seed=7, quick=True)
+        work.reset()
+        work.part1()
+        work.part2()
+        verdict = work.verify()
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    assert verdict.quality["event_recall"] == 1.0
+    assert [line.split()[1] for line in verdict.lines] == ["spikes.csv", "spike_inventory.csv"]

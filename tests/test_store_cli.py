@@ -356,6 +356,15 @@ def test_analyze_empty_store_exits_1(tmp_path, capsys):
     assert "report error no-sessions" in capsys.readouterr().out
 
 
+def test_missing_partition_is_a_store_diagnostic(tmp_path, capsys):
+    for command in ("analyze", "report"):
+        assert cli.main([command, "--store", str(tmp_path / "store"),
+                         "--partition", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert f"{command} error stage=store msg=no such partition: nope" in err
+        assert "Traceback" not in err
+
+
 def test_simulate_runs_are_byte_identical(tmp_path, capsys):
     args = ["simulate", "--scenarios", str(SCENARIOS / "relay_split"),
             "--duration", "1000", "--partition", "p1"]
@@ -442,6 +451,61 @@ def test_report_renders_tables(tmp_path, capsys):
     assert "sessions analyzed: 1" in summary
 
 
+def _spike_rows(path):
+    return read_report_csv(path)[2]
+
+
+def test_report_takes_spike_rows_from_analyze(tmp_path, capsys):
+    store_dir = tmp_path / "store"
+    assert cli.main(["simulate", "--scenarios", str(SCENARIOS / "relay_split"),
+                     "--out", str(store_dir), "--duration", "1000",
+                     "--partition", "p"]) == 0
+    assert cli.main(["analyze", "--store", str(store_dir), "--window", "30",
+                     "--sustained-sigma", "2.5"]) == 0
+    out_dir = tmp_path / "tables"
+    assert cli.main(["report", "--store", str(store_dir), "--out", str(out_dir)]) == 0
+    spikes = _spike_rows(store_dir / "reports" / "spikes.csv")
+    assert [r[4] for r in spikes] == ["standard"] * 2  # the defaults find 4 sustained
+    assert _spike_rows(out_dir / "spike_inventory.csv") == spikes
+    assert "report ok sessions=1 failed=0 " in capsys.readouterr().out
+
+
+def test_report_mixes_analyzed_tables_and_fresh_sessions(tmp_path, capsys):
+    store_dir = tmp_path / "store"
+    reports = store_dir / "reports"
+    simulate = ["simulate", "--scenarios", str(SCENARIOS / "relay_split"),
+                "--out", str(store_dir), "--duration", "1000"]
+    assert cli.main(simulate + ["--partition", "p1"]) == 0
+    p1_spikes = _spike_rows(reports / "spikes.csv")
+    # the tables now cover p2 only, analyzed with other parameters
+    assert cli.main(simulate + ["--partition", "p2"]) == 0
+    assert cli.main(["analyze", "--store", str(store_dir), "--partition", "p2",
+                     "--window", "30", "--sustained-sigma", "2.5"]) == 0
+    tables = {name: (reports / name).read_bytes() for name in ("sessions.csv", "spikes.csv")}
+    capsys.readouterr()
+    assert cli.main(["report", "--store", str(store_dir)]) == 0
+    assert capsys.readouterr().out.startswith("report ok sessions=2 failed=0 ")
+    inventory = _spike_rows(reports / "spike_inventory.csv")
+    assert inventory == p1_spikes + _spike_rows(reports / "spikes.csv")
+    assert {r[0] for r in inventory} == {"p1", "p2"}
+    assert tables == {name: (reports / name).read_bytes() for name in tables}
+
+
+def test_report_without_analyze_writes_no_tables(tmp_path, capsys):
+    cfg = make_config(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "transport": "simnet", "output_dir": cfg.output_dir,
+        "scenario_dir": cfg.scenario_dir, "duration_s": 120}))
+    assert cli.main(["measure", "--config", str(cfg_path), "--partition", "m"]) == 0
+    assert cli.main(["report", "--store", cfg.output_dir]) == 0
+    assert "report ok sessions=1 failed=0 " in capsys.readouterr().out
+    reports = Path(cfg.output_dir) / "reports"
+    assert (reports / "spike_inventory.csv").is_file()
+    assert not (reports / "sessions.csv").exists()
+    assert not (reports / "spikes.csv").exists()
+
+
 class StubRawTransport:
     """Answers like the base scenario for any target, except silent ones."""
 
@@ -450,7 +514,14 @@ class StubRawTransport:
 
     def __init__(self):
         self.exits = 0
+        self.clock_ms = 0
         StubRawTransport.instances.append(self)
+
+    def now_ms(self):
+        return self.clock_ms
+
+    def sleep_until_ms(self, t_ms):
+        self.clock_ms = max(self.clock_ms, t_ms)
 
     def __enter__(self):
         return self
@@ -492,3 +563,38 @@ def test_readme_transports_are_accepted(tmp_path):
     for value in values:
         CampaignConfig(transport=value, output_dir=str(tmp_path / "s"),
                        scenario_dir=str(tmp_path), endpoints_file=str(tmp_path / "c.csv"))
+
+
+def test_measure_reports_duplicate_address_as_store_error(tmp_path, capsys, monkeypatch):
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text("address,pop_code\n100.64.9.1,sttlwax1\n100.64.9.1,sttlwax1\n")
+    store_dir = tmp_path / "s"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"transport": "raw", "output_dir": str(store_dir),
+                                    "endpoints_file": str(cohort), "duration_s": 5,
+                                    "concurrency": 2}))
+    monkeypatch.setattr(rawnet, "RawTransport", StubRawTransport)
+    code = cli.main(["measure", "--config", str(cfg_path), "--partition", "p"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("measure error sessions=1 failed=1 ")
+    assert len(MeasurementStore(store_dir).sessions("p")) == 1
+    assert captured.err.count("stage=store") == 1
+    assert "measure error stage=store endpoint=100.64.9.1 " in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_measure_reports_store_write_error_per_endpoint(tmp_path, capsys, monkeypatch):
+    def refuse(self, partition, session, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(MeasurementStore, "write_session", refuse)
+    cfg = make_config(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "transport": "simnet", "output_dir": cfg.output_dir,
+        "scenario_dir": cfg.scenario_dir, "duration_s": 120}))
+    assert cli.main(["measure", "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("measure error sessions=0 failed=1 ")
+    assert "measure error stage=store endpoint=100.64.9.1 msg=disk full" in captured.err
