@@ -129,46 +129,34 @@ class PopAggregate:
 def isolate_satellite_latency(session: MeasurementSession) -> tuple[LatencySeries, int]:
     """Subtract per-tick terrestrial RTT from endpoint RTT.
 
-    Both hops must hold one sample per tick.  Ticks where either probe
-    was lost are omitted.  Occasional negative differences (jitter on
-    the terrestrial probe exceeding the satellite segment) are clamped to
-    zero and counted; the count is returned with the series.  Raises if
-    the session is unusable, the hop counts differ, or no tick paired.
+    Ticks where either probe was lost are omitted.  Occasional negative
+    differences (jitter on the terrestrial probe exceeding the satellite
+    segment) are clamped to zero and counted; the count is returned with
+    the series.  Raises if the session is unusable or no tick paired.
     """
     if not session.usable:
         raise SessionUnusableError(
             f"{session.path.target}: terrestrial loss "
             f"{session.terrestrial_loss_fraction:.0%} exceeds 50%")
-    counts = len(session.terrestrial_samples), len(session.endpoint_samples)
-    if counts[0] != counts[1]:
-        raise AnalysisError(f"{session.path.target}: {counts[0]} terrestrial and "
-                            f"{counts[1]} endpoint samples cannot be paired by tick")
-    timestamps: list[int] = []
-    values: list[float] = []
-    clamped = 0
-    for terr, endp in zip(session.terrestrial_samples, session.endpoint_samples):
-        if terr.lost or endp.lost:
-            continue
-        diff_ms = (endp.rtt_us - terr.rtt_us) / 1000.0
-        if diff_ms < 0.0:
-            diff_ms = 0.0
-            clamped += 1
-        timestamps.append(endp.timestamp_ms)
-        values.append(diff_ms)
-    if not values:
+    terr, endp = session.terrestrial_rtt_us, session.endpoint_rtt_us
+    paired = ~(np.isnan(terr) | np.isnan(endp))
+    if not paired.any():
         raise EmptySeriesError(f"{session.path.target}: no paired ticks")
-    series = LatencySeries(np.array(timestamps), np.array(values), source="isolated")
-    return series, clamped
+    diff_ms = (endp[paired] - terr[paired]) / 1000.0
+    negative = diff_ms < 0.0
+    series = LatencySeries(session.endpoint_sent_ms[paired],
+                           np.where(negative, 0.0, diff_ms), source="isolated")
+    return series, int(np.count_nonzero(negative))
 
 
 def terrestrial_series(session: MeasurementSession) -> LatencySeries:
     """RTT series of the terrestrial reference hop, for jitter screening."""
-    pairs = [(s.timestamp_ms, s.rtt_us / 1000.0)
-             for s in session.terrestrial_samples if not s.lost]
-    if not pairs:
+    rtt_us = session.terrestrial_rtt_us
+    answered = ~np.isnan(rtt_us)
+    if not answered.any():
         raise EmptySeriesError(f"{session.path.target}: terrestrial hop never answered")
-    ts, vs = zip(*pairs)
-    return LatencySeries(np.array(ts), np.array(vs), source="terrestrial")
+    return LatencySeries(session.terrestrial_sent_ms[answered], rtt_us[answered] / 1000.0,
+                         source="terrestrial")
 
 
 def smooth(series: LatencySeries, window_s: float = SMOOTHING_WINDOW_S) -> LatencySeries:

@@ -125,17 +125,10 @@ def load_endpoints_csv(path: str | Path, catalog: Optional[PopCatalog] = None) -
     endpoints = []
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            pop_code = row.get("pop_code", "")
-            cust = None
-            if row.get("cust_lat") and row.get("cust_lon"):
-                cust = (float(row["cust_lat"]), float(row["cust_lon"]))
-            endpoints.append(Endpoint(
-                address=row["address"],
-                pop_code=pop_code,
-                pop_location=catalog[pop_code] if pop_code in catalog else None,
-                customer_location=cust,
-                source=row.get("source", "starlink_ptr"),
-            ))
+            located = row.get("cust_lat") and row.get("cust_lon")
+            row["customer_location"] = (
+                (float(row["cust_lat"]), float(row["cust_lon"])) if located else None)
+            endpoints.append(endpoint_from_meta(row, catalog))
     return endpoints
 
 
@@ -143,45 +136,33 @@ def load_endpoints_csv(path: str | Path, catalog: Optional[PopCatalog] = None) -
 
 def _endpoint_from_scenario(scenario: Scenario, catalog: PopCatalog) -> Endpoint:
     meta = scenario.endpoint_meta
-    pop_code = str(meta.get("pop_code", ""))
-    cust = None
-    if "latitude" in meta and "longitude" in meta:
-        cust = (float(meta["latitude"]), float(meta["longitude"]))
-    return Endpoint(
-        address=scenario.target_address,
-        pop_code=pop_code,
-        pop_location=catalog[pop_code] if pop_code in catalog else None,
-        customer_location=cust,
-        source=str(meta.get("source", "starlink_ptr")),
-    )
+    located = "latitude" in meta and "longitude" in meta
+    return endpoint_from_meta({
+        "address": scenario.target_address, "pop_code": str(meta.get("pop_code", "")),
+        "customer_location": (float(meta["latitude"]), float(meta["longitude"])) if located else None,
+        "source": str(meta.get("source", "starlink_ptr"))}, catalog)
 
 
-def _load_exclusions(path: Optional[str]) -> list:
-    if not path:
-        return []
-    nets = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                nets.append(ipaddress.ip_network(line, strict=False))
-    return nets
-
-
-def _excluded(address: str, nets: Sequence) -> bool:
-    if not nets:
-        return False
-    addr = ipaddress.ip_address(address)
-    return any(addr in net for net in nets)
-
-
-def _cohort(cfg: CampaignConfig) -> list[tuple[Endpoint, Optional[SimnetTransport]]]:
-    """Each endpoint of the campaign with its simulator, or None for raw sockets."""
+def _cohort(cfg: CampaignConfig) -> tuple[list[tuple[Endpoint, Optional[SimnetTransport]]], int]:
+    """Each endpoint of the campaign with its simulator, or None for raw
+    sockets, and how many addresses ``cfg.exclude_file`` dropped."""
     catalog = PopCatalog.default()
     if cfg.transport == "simnet":
-        return [(_endpoint_from_scenario(t.scenario, catalog), t)
-                for _, t in fleet_transports(load_scenario_dir(cfg.scenario_dir))]
-    return [(ep, None) for ep in load_endpoints_csv(cfg.endpoints_file, catalog)]
+        cohort = [(_endpoint_from_scenario(t.scenario, catalog), t)
+                  for _, t in fleet_transports(load_scenario_dir(cfg.scenario_dir))]
+    else:
+        cohort = [(ep, None) for ep in load_endpoints_csv(cfg.endpoints_file, catalog)]
+    nets = []
+    if cfg.exclude_file:
+        with open(cfg.exclude_file, encoding="utf-8") as fh:
+            entries = [line.split("#", 1)[0].strip() for line in fh]
+        try:
+            nets = [ipaddress.ip_network(entry, strict=False) for entry in entries if entry]
+        except ValueError as exc:
+            raise ConfigError(f"exclude_file: {exc}") from None
+    kept = [(ep, t) for ep, t in cohort
+            if not any(ipaddress.ip_address(ep.address) in net for net in nets)]
+    return kept, len(cohort) - len(kept)
 
 
 def _trace_path(transport, endpoint: Endpoint, cfg: CampaignConfig) -> probe.SatLinkPath:
@@ -217,14 +198,12 @@ def _run_campaign(cfg: CampaignConfig, partition_label: Optional[str]) -> tuple[
     skipped; only configuration-level problems abort the run.
     """
     store = MeasurementStore(cfg.output_dir)
-    nets = _load_exclusions(cfg.exclude_file)
+    cohort, excluded = _cohort(cfg)
 
     jobs: dict[str, tuple[Endpoint, Optional[SimnetTransport]]] = {}
-    excluded = duplicates = 0
-    for ep, transport in _cohort(cfg):
-        if _excluded(ep.address, nets):
-            excluded += 1
-        elif ep.address in jobs:
+    duplicates = 0
+    for ep, transport in cohort:
+        if ep.address in jobs:
             # Two writers of one address would race on its session directory.
             _err(f"measure error stage=store endpoint={ep.address} "
                  f"msg=listed more than once in the cohort")
@@ -280,7 +259,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     cfg = CampaignConfig.from_json(args.config)
     rows = []
     failures = 0
-    for endpoint, transport in _cohort(cfg):
+    cohort, _ = _cohort(cfg)
+    for endpoint, transport in cohort:
         try:
             path = _with_transport(transport, _trace_path, endpoint, cfg)
         except probe.ProbeError as exc:

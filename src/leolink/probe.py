@@ -19,9 +19,12 @@ drives real raw-socket probing and the deterministic simulator.
 """
 from __future__ import annotations
 
+import math
 import statistics
-from dataclasses import dataclass, field
-from typing import Optional, Protocol, Sequence, runtime_checkable
+from dataclasses import dataclass
+from typing import Optional, Protocol, runtime_checkable
+
+import numpy as np
 
 from .discovery import Endpoint
 
@@ -119,35 +122,39 @@ class SatLinkPath:
     jump_ms: float
 
 
-@dataclass(frozen=True)
-class ProbeSample:
-    timestamp_ms: int
-    target_ttl: int
-    rtt_us: Optional[float]
-
-    @property
-    def lost(self) -> bool:
-        return self.rtt_us is None
-
-
 @dataclass
 class MeasurementSession:
-    """Paired per-tick samples of the terrestrial and endpoint hops."""
+    """Per-tick probes of the terrestrial and endpoint hops.
+
+    Entry k of each array is tick k: the send time in ms (int64) and the
+    RTT in microseconds (float64, NaN for a lost probe) of that hop's
+    probe.  The four arrays always have one length.
+    """
 
     endpoint: Endpoint
     path: SatLinkPath
     start_ms: int
     duration_s: int
     cadence_hz: int
-    terrestrial_samples: list[ProbeSample] = field(default_factory=list)
-    endpoint_samples: list[ProbeSample] = field(default_factory=list)
+    terrestrial_sent_ms: np.ndarray
+    terrestrial_rtt_us: np.ndarray
+    endpoint_sent_ms: np.ndarray
+    endpoint_rtt_us: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.terrestrial_sent_ms = np.asarray(self.terrestrial_sent_ms, dtype=np.int64)
+        self.terrestrial_rtt_us = np.asarray(self.terrestrial_rtt_us, dtype=np.float64)
+        self.endpoint_sent_ms = np.asarray(self.endpoint_sent_ms, dtype=np.int64)
+        self.endpoint_rtt_us = np.asarray(self.endpoint_rtt_us, dtype=np.float64)
+        shapes = {a.shape for a in (self.terrestrial_sent_ms, self.terrestrial_rtt_us,
+                                    self.endpoint_sent_ms, self.endpoint_rtt_us)}
+        if len(shapes) != 1 or self.terrestrial_sent_ms.ndim != 1:
+            raise ValueError(f"per-hop arrays must be aligned by tick, got shapes {shapes}")
 
     @property
     def terrestrial_loss_fraction(self) -> float:
-        if not self.terrestrial_samples:
-            return 1.0
-        lost = sum(1 for s in self.terrestrial_samples if s.lost)
-        return lost / len(self.terrestrial_samples)
+        lost = np.isnan(self.terrestrial_rtt_us)
+        return float(lost.mean()) if len(lost) else 1.0
 
     @property
     def usable(self) -> bool:
@@ -255,20 +262,17 @@ def ttl_ping(
     protocol: str = "icmp",
     flow_id: int = 1,
     timeout_s: float = DEFAULT_PROBE_TIMEOUT_S,
-) -> ProbeSample:
+) -> tuple[int, float]:
     """Single probe pinned to one hop: initial TTL = max TTL = hop_ttl.
 
     The responder is either the hop (TTL expired) or the target itself
-    when hop_ttl reaches it.  Timeout yields a lost sample.
+    when hop_ttl reaches it.  Returns (send time in ms, RTT in
+    microseconds), the RTT NaN on a timeout.
     """
-    sent_at = transport.now_ms()
+    sent_ms = transport.now_ms()
     reply = transport.probe(target, hop_ttl, protocol=protocol,
                             flow_id=flow_id, timeout_s=timeout_s)
-    return ProbeSample(
-        timestamp_ms=sent_at,
-        target_ttl=hop_ttl,
-        rtt_us=None if reply is None else reply.rtt_us,
-    )
+    return sent_ms, math.nan if reply is None else reply.rtt_us
 
 
 def measure_session(
@@ -293,22 +297,22 @@ def measure_session(
         raise ValueError("duration_s must be >= 1")
     if not 1 <= cadence_hz <= 10:
         raise ValueError("cadence_hz must be within [1, 10]")
-    session = MeasurementSession(
-        endpoint=endpoint, path=path,
-        start_ms=transport.now_ms(),
-        duration_s=duration_s, cadence_hz=cadence_hz,
-    )
+    start_ms = transport.now_ms()
     tick_ms = 1000 // cadence_hz
     n_ticks = duration_s * cadence_hz
+    # row 0 is the terrestrial hop, row 1 the endpoint hop
+    sent_ms = np.empty((2, n_ticks), dtype=np.int64)
+    rtt_us = np.empty((2, n_ticks), dtype=np.float64)
     for k in range(n_ticks):
-        transport.sleep_until_ms(session.start_ms + k * tick_ms)
-        session.terrestrial_samples.append(
-            ttl_ping(transport, path.target, path.pre_sat_ttl,
-                     protocol=protocol, flow_id=flow_id, timeout_s=timeout_s))
-        session.endpoint_samples.append(
-            ttl_ping(transport, path.target, path.post_sat_ttl,
-                     protocol=protocol, flow_id=flow_id, timeout_s=timeout_s))
-    return session
+        transport.sleep_until_ms(start_ms + k * tick_ms)
+        for hop, ttl in enumerate((path.pre_sat_ttl, path.post_sat_ttl)):
+            sent_ms[hop, k], rtt_us[hop, k] = ttl_ping(
+                transport, path.target, ttl, protocol=protocol, flow_id=flow_id,
+                timeout_s=timeout_s)
+    return MeasurementSession(
+        endpoint=endpoint, path=path, start_ms=start_ms, duration_s=duration_s,
+        cadence_hz=cadence_hz, terrestrial_sent_ms=sent_ms[0], terrestrial_rtt_us=rtt_us[0],
+        endpoint_sent_ms=sent_ms[1], endpoint_rtt_us=rtt_us[1])
 
 
 def validate_hop_stability(

@@ -18,20 +18,26 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import heapq
+import itertools
 import json
+import math
 import os
+import warnings
 from dataclasses import asdict, dataclass
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .discovery import Endpoint, PopCatalog
-from .probe import MeasurementSession, ProbeSample, SatLinkPath
+from .probe import MeasurementSession, SatLinkPath
 
 SCHEMA_VERSION = 1
 SESSION_FILENAME = "session.csv"
 META_FILENAME = "meta.json"
+SESSION_COLUMNS = ["timestamp_ms", "target", "hop_ttl", "rtt_us", "lost"]
+# The session.csv columns read back: timestamp_ms, hop_ttl, rtt_us.
+_ROW_DTYPE = np.dtype([("sent_ms", np.int64), ("ttl", np.int64), ("rtt_us", np.float64)])
 
 TRANSPORTS = ("simnet", "raw")
 SCHEDULES = ("once", "daily")
@@ -208,8 +214,8 @@ class MeasurementStore:
             "start_ms": session.start_ms,
             "duration_s": session.duration_s,
             "cadence_hz": session.cadence_hz,
-            "n_terrestrial": len(session.terrestrial_samples),
-            "n_endpoint": len(session.endpoint_samples),
+            "n_terrestrial": len(session.terrestrial_sent_ms),
+            "n_endpoint": len(session.endpoint_sent_ms),
             "terrestrial_loss_fraction": round(session.terrestrial_loss_fraction, 6),
         }
         if extra_meta:
@@ -218,19 +224,23 @@ class MeasurementStore:
         target = session.path.target
         if any(c in target for c in ',"\r\n'):  # quoted as csv.writer would
             target = '"' + target.replace('"', '""') + '"'
-        # Each hop's samples are in send order; at equal timestamps the
-        # terrestrial hop's smaller TTL goes first, as it was probed first.
-        samples = heapq.merge(session.terrestrial_samples, session.endpoint_samples,
-                              key=attrgetter("timestamp_ms", "target_ttl"))
+        # Rows in send order; at equal timestamps the terrestrial hop's
+        # smaller TTL goes first, as it was probed first.
+        sent_ms = np.concatenate([session.terrestrial_sent_ms, session.endpoint_sent_ms])
+        ttls = np.repeat([session.path.pre_sat_ttl, session.path.post_sat_ttl],
+                         len(session.terrestrial_sent_ms))
+        rtt_us = np.concatenate([session.terrestrial_rtt_us, session.endpoint_rtt_us])
+        order = np.lexsort((ttls, sent_ms))  # stable
+        rows = zip(sent_ms[order].tolist(), ttls[order].tolist(), rtt_us[order].tolist())
         tmp_session = endpoint_dir / (SESSION_FILENAME + ".tmp")
         tmp_meta = endpoint_dir / (META_FILENAME + ".tmp")
         try:
             with open(tmp_session, "w", newline="", encoding="utf-8") as fh:
-                fh.write("timestamp_ms,target,hop_ttl,rtt_us,lost\r\n")
+                fh.write(",".join(SESSION_COLUMNS) + "\r\n")
                 fh.writelines(
-                    f"{s.timestamp_ms},{target},{s.target_ttl},,true\r\n" if s.rtt_us is None
-                    else f"{s.timestamp_ms},{target},{s.target_ttl},{s.rtt_us:.1f},false\r\n"
-                    for s in samples)
+                    f"{t},{target},{ttl},,true\r\n" if math.isnan(rtt)
+                    else f"{t},{target},{ttl},{rtt:.1f},false\r\n"
+                    for t, ttl, rtt in rows)
             with open(tmp_meta, "w", encoding="utf-8") as fh:
                 json.dump(meta, fh, indent=2, sort_keys=True)
                 fh.write("\n")
@@ -262,49 +272,66 @@ class MeasurementStore:
         return out
 
     def read_session(self, record: SessionRecord) -> MeasurementSession:
-        """Rebuild a MeasurementSession from one stored record."""
+        """Rebuild a MeasurementSession from one stored record.
+
+        The k-th row of each hop is tick k, so every tick's endpoint
+        probe must leave no earlier than its terrestrial probe and no
+        later than the next tick's terrestrial probe.
+        """
         meta = record.meta
         if meta.get("schema_version") != SCHEMA_VERSION:
             raise StoreError(
                 f"{record.path}: schema {meta.get('schema_version')!r}, "
                 f"expected {SCHEMA_VERSION}")
-        path = SatLinkPath(
-            target=meta["address"],
-            pre_sat_ttl=int(meta["pre_sat_ttl"]),
-            pre_sat_router=meta["pre_sat_router"],
-            post_sat_ttl=int(meta["post_sat_ttl"]),
-            jump_ms=float(meta["jump_ms"]),
-        )
-        session = MeasurementSession(
-            endpoint=endpoint_from_meta(meta), path=path,
-            start_ms=int(meta["start_ms"]),
-            duration_s=int(meta["duration_s"]),
-            cadence_hz=int(meta["cadence_hz"]),
-        )
-        by_ttl = {path.pre_sat_ttl: session.terrestrial_samples,
-                  path.post_sat_ttl: session.endpoint_samples}
+        path = SatLinkPath(target=meta["address"], pre_sat_ttl=int(meta["pre_sat_ttl"]),
+                           pre_sat_router=meta["pre_sat_router"],
+                           post_sat_ttl=int(meta["post_sat_ttl"]), jump_ms=float(meta["jump_ms"]))
         with open(record.path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+            if fh.readline().rstrip("\r\n").split(",") != SESSION_COLUMNS:
+                raise StoreError(f"{record.path} line 1: columns are not {SESSION_COLUMNS}")
             try:
-                header = next(reader, [])
-                i_ts, i_ttl, i_rtt = (header.index(c) for c in ("timestamp_ms", "hop_ttl", "rtt_us"))
-                for row in reader:
-                    ttl = int(row[i_ttl])
-                    if ttl not in by_ttl:
-                        raise StoreError(
-                            f"{record.path}: hop_ttl {ttl} matches "
-                            f"neither side of the recorded path")
-                    rtt = row[i_rtt]
-                    by_ttl[ttl].append(ProbeSample(int(row[i_ts]), ttl, float(rtt) if rtt else None))
-            except (IndexError, ValueError) as exc:
-                raise StoreError(f"{record.path} line {reader.line_num}: {exc}") from None
-        for hop, samples in (("terrestrial", session.terrestrial_samples),
-                             ("endpoint", session.endpoint_samples)):
-            if len(samples) != int(meta[f"n_{hop}"]):
+                with warnings.catch_warnings():  # no rows is the count check's to report
+                    warnings.simplefilter("ignore", UserWarning)
+                    rows = np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",", quotechar='"',
+                                      comments=None, usecols=(0, 2, 3), ndmin=1,
+                                      converters={3: lambda rtt: float(rtt or "nan")})
+            except ValueError as exc:
                 raise StoreError(
-                    f"{record.path}: {len(samples)} {hop} rows, "
-                    f"meta.json records {meta[f'n_{hop}']}")
+                    f"{record.path} line {_first_bad_line(record.path)}: {exc}") from None
+        ttl = rows["ttl"]
+        alien = ttl[(ttl != path.pre_sat_ttl) & (ttl != path.post_sat_ttl)]
+        if len(alien):
+            raise StoreError(f"{record.path}: hop_ttl {alien[0]} matches "
+                             f"neither side of the recorded path")
+        terr, endp = rows[ttl == path.pre_sat_ttl], rows[ttl == path.post_sat_ttl]
+        for hop, hop_rows in (("terrestrial", terr), ("endpoint", endp)):
+            if len(hop_rows) != int(meta[f"n_{hop}"]):
+                raise StoreError(f"{record.path}: {len(hop_rows)} {hop} rows, "
+                                 f"meta.json records {meta[f'n_{hop}']}")
+        session = MeasurementSession(
+            endpoint=endpoint_from_meta(meta), path=path, start_ms=int(meta["start_ms"]),
+            duration_s=int(meta["duration_s"]), cadence_hz=int(meta["cadence_hz"]),
+            terrestrial_sent_ms=terr["sent_ms"], terrestrial_rtt_us=terr["rtt_us"],
+            endpoint_sent_ms=endp["sent_ms"], endpoint_rtt_us=endp["rtt_us"])
+        # send times in probe order: terrestrial 0, endpoint 0, terrestrial 1, ...
+        sent_ms = np.column_stack([session.terrestrial_sent_ms, session.endpoint_sent_ms])
+        late = np.flatnonzero(np.diff(sent_ms.ravel()) < 0)
+        if len(late):
+            raise StoreError(f"{record.path}: the rows of tick {late[0] // 2} do not pair "
+                             f"by send time; rows are missing or out of order")
         return session
+
+
+def _first_bad_line(path: Path) -> int | str:
+    """The line of the first unparsable row of ``session.csv``, for an error message."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for row in itertools.islice(reader, 1, None):
+            try:
+                int(row[0]), int(row[2]), float(row[3] or "nan")
+            except (IndexError, ValueError):
+                return reader.line_num
+    return "?"
 
 
 def endpoint_from_meta(meta: dict, catalog: Optional[PopCatalog] = None) -> Endpoint:

@@ -3,23 +3,38 @@
 Each oracle below is the earlier, obviously correct implementation: a
 per-tick ``np.median`` loop for ``smooth``, a ``while`` loop for
 ``_maximal_runs``, a linear event scan and a per-probe hop chain for the
-simulator, and a sort-then-``csv.writer`` pass for the session store.
+simulator, a per-sample loop for isolation, and for the session store a
+sort-then-``csv.writer`` pass and a ``heapq.merge`` of per-sample lists.
 The fast code must agree with them exactly, not approximately.
 """
 import csv
+import heapq
 import io
 import math
+from collections import namedtuple
+from operator import attrgetter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leolink import simnet
-from leolink.analysis import LatencySeries, _maximal_runs, smooth
+from leolink.analysis import (
+    EmptySeriesError,
+    LatencySeries,
+    SessionUnusableError,
+    _maximal_runs,
+    isolate_satellite_latency,
+    smooth,
+)
 from leolink.discovery import Endpoint
-from leolink.probe import MeasurementSession, ProbeSample, SatLinkPath
+from leolink.probe import MeasurementSession, SatLinkPath
 from leolink.store import MeasurementStore
 from tests.conftest import scenario_dict
+
+# One probe as the per-sample code held it; rtt_us is None when lost.
+Sample = namedtuple("Sample", "timestamp_ms target_ttl rtt_us")
 
 # ------------------------------------------------------------- oracles
 
@@ -98,20 +113,56 @@ def oracle_respond_to_probe(scenario, target, ttl, t_ms, *, protocol="icmp", flo
     return (hop.address, rtt_ms * 1000.0, kind)
 
 
-def oracle_session_csv(session):
+def samples_of(session):
+    """The per-hop sample lists of an array session."""
+    return [[Sample(t, ttl, None if math.isnan(r) else r)
+             for t, r in zip(sent.tolist(), rtt.tolist())]
+            for sent, rtt, ttl in ((session.terrestrial_sent_ms, session.terrestrial_rtt_us,
+                                    session.path.pre_sat_ttl),
+                                   (session.endpoint_sent_ms, session.endpoint_rtt_us,
+                                    session.path.post_sat_ttl))]
+
+
+def oracle_session_csv(target, terrestrial, endpoint):
     """The session.csv bytes as csv.writer wrote them from one sorted list."""
     rows = []
-    for samples in (session.terrestrial_samples, session.endpoint_samples):
+    for samples in (terrestrial, endpoint):
         for s in samples:
             rtt = "" if s.rtt_us is None else f"{s.rtt_us:.1f}"
             lost = "true" if s.rtt_us is None else "false"
-            rows.append((s.timestamp_ms, session.path.target, s.target_ttl, rtt, lost))
+            rows.append((s.timestamp_ms, target, s.target_ttl, rtt, lost))
     rows.sort(key=lambda r: (r[0], r[2]))
     buf = io.StringIO(newline="")
     w = csv.writer(buf)
     w.writerow(["timestamp_ms", "target", "hop_ttl", "rtt_us", "lost"])
     w.writerows(rows)
     return buf.getvalue().encode("utf-8")
+
+
+def oracle_merged_csv(target, terrestrial, endpoint):
+    """The session.csv bytes as the per-sample writer merged the two hops."""
+    if any(c in target for c in ',"\r\n'):
+        target = '"' + target.replace('"', '""') + '"'
+    samples = heapq.merge(terrestrial, endpoint, key=attrgetter("timestamp_ms", "target_ttl"))
+    return ("timestamp_ms,target,hop_ttl,rtt_us,lost\r\n" + "".join(
+        f"{s.timestamp_ms},{target},{s.target_ttl},,true\r\n" if s.rtt_us is None
+        else f"{s.timestamp_ms},{target},{s.target_ttl},{s.rtt_us:.1f},false\r\n"
+        for s in samples)).encode("utf-8")
+
+
+def oracle_isolate(terrestrial, endpoint):
+    """(timestamps, values, clamped) of the per-sample isolation loop."""
+    timestamps, values, clamped = [], [], 0
+    for terr, endp in zip(terrestrial, endpoint):
+        if terr.rtt_us is None or endp.rtt_us is None:
+            continue
+        diff_ms = (endp.rtt_us - terr.rtt_us) / 1000.0
+        if diff_ms < 0.0:
+            diff_ms = 0.0
+            clamped += 1
+        timestamps.append(endp.timestamp_ms)
+        values.append(diff_ms)
+    return timestamps, values, clamped
 
 
 # ----------------------------------------------------------- smoothing
@@ -214,28 +265,80 @@ def test_probe_replies_equal_per_probe_chain(scenario, times_ms, flow_id, protoc
                                                   t_ms, protocol=protocol, flow_id=flow_id)
 
 
-# -------------------------------------------------------------- store
+# ------------------------------------------------------- store, isolation
 
 rtts = st.one_of(st.none(), st.floats(0.0, 3e6), st.sampled_from([0.05, 0.25, 12345.65]))
+# RTTs that survive session.csv's one decimal exactly
+tenths = st.one_of(st.none(), st.integers(0, 30_000_000).map(lambda k: k / 10))
+targets = st.sampled_from(["100.64.9.1", "2001:db8::1", 'odd,"name"', "a\nb", "#x"])
+
+
+def make_session(ticks, target="100.64.9.1"):
+    """ticks: (gap, terrestrial rtt, endpoint rtt); None is a lost probe.
+
+    The endpoint probe leaves when the terrestrial one returned, sometimes
+    in the same millisecond, and the next tick may start in that one too.
+    """
+    path = SatLinkPath(target=target, pre_sat_ttl=2, pre_sat_router="10.0.0.2",
+                       post_sat_ttl=3, jump_ms=25.0)
+    terr_ms, endp_ms = [], []
+    t = 0
+    for gap, _, _ in ticks:
+        terr_ms.append(t)
+        t += gap % 3
+        endp_ms.append(t)
+        t += gap
+    terr, endp = ([math.nan if v is None else v for v in hop] for hop in
+                  ([terr for _, terr, _ in ticks], [endp for _, _, endp in ticks]))
+    return MeasurementSession(
+        endpoint=Endpoint(address="100.64.9.1", pop_code="sttlwax1", pop_location=None),
+        path=path, start_ms=0, duration_s=len(ticks), cadence_hz=1,
+        terrestrial_sent_ms=terr_ms, terrestrial_rtt_us=terr,
+        endpoint_sent_ms=endp_ms, endpoint_rtt_us=endp)
 
 
 @given(st.lists(st.tuples(st.integers(0, 2500), rtts, rtts), min_size=1, max_size=60),
-       st.sampled_from(["100.64.9.1", "2001:db8::1", 'odd,"name"', "a\nb"]))
+       targets)
 @settings(max_examples=60, deadline=None)
 def test_session_csv_equals_sorted_csv_writer(tmp_path_factory, ticks, target):
-    path = SatLinkPath(target=target, pre_sat_ttl=2, pre_sat_router="10.0.0.2",
-                       post_sat_ttl=3, jump_ms=25.0)
-    session = MeasurementSession(
-        endpoint=Endpoint(address="100.64.9.1", pop_code="sttlwax1", pop_location=None),
-        path=path, start_ms=0, duration_s=len(ticks), cadence_hz=1)
-    t = 0
-    for gap, terr, endp in ticks:
-        # the endpoint probe leaves when the terrestrial one returned,
-        # sometimes in the same millisecond
-        session.terrestrial_samples.append(ProbeSample(t, 2, terr))
-        t += gap % 3
-        session.endpoint_samples.append(ProbeSample(t, 3, endp))
-        t += 1 + gap
+    session = make_session(ticks, target)
     store = MeasurementStore(tmp_path_factory.mktemp("store"))
     written = store.write_session(store.new_partition("p"), session, config_hash="x")
-    assert written.read_bytes() == oracle_session_csv(session)
+    terrestrial, endpoint = samples_of(session)
+    assert written.read_bytes() == oracle_session_csv(target, terrestrial, endpoint)
+    assert written.read_bytes() == oracle_merged_csv(target, terrestrial, endpoint)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2500), tenths, tenths), min_size=1, max_size=60),
+       targets)
+@settings(max_examples=60, deadline=None)
+def test_read_session_round_trips_arrays(tmp_path_factory, ticks, target):
+    session = make_session(ticks, target)
+    store = MeasurementStore(tmp_path_factory.mktemp("store"))
+    store.write_session(store.new_partition("p"), session, config_hash="x")
+    loaded = store.read_session(store.sessions()[0])
+    for name in ("terrestrial_sent_ms", "terrestrial_rtt_us",
+                 "endpoint_sent_ms", "endpoint_rtt_us"):
+        got, want = getattr(loaded, name), getattr(session, name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+@given(st.lists(st.tuples(rtts, rtts), min_size=1, max_size=120))
+@settings(max_examples=150, deadline=None)
+def test_isolation_equals_per_sample_loop(pairs):
+    # Both hops of a tick sent in the same millisecond.
+    session = make_session([(1000, terr, endp) for terr, endp in pairs])
+    session.endpoint_sent_ms = session.terrestrial_sent_ms.copy()
+    timestamps, values, clamped = oracle_isolate(*samples_of(session))
+    if not session.usable:
+        with pytest.raises(SessionUnusableError):
+            isolate_satellite_latency(session)
+    elif not values:
+        with pytest.raises(EmptySeriesError):
+            isolate_satellite_latency(session)
+    else:
+        series, got_clamped = isolate_satellite_latency(session)
+        assert np.array_equal(series.timestamps_ms, np.array(timestamps, dtype=np.int64))
+        assert series.values_ms.tolist() == values
+        assert got_clamped == clamped

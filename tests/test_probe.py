@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from leolink.discovery import Endpoint
 from leolink.probe import (
     InsufficientPathError,
+    MeasurementSession,
     NoSatelliteJumpError,
     TraceHop,
     TracerouteResult,
@@ -197,28 +201,29 @@ def test_identify_sat_link_is_deterministic(seed):
 
 def test_ttl_ping_exact_rtt_without_jitter(quiet_transport):
     # Hop 2 sits behind segments of 2 + 3 ms one way: RTT 10 ms.
-    sample = ttl_ping(quiet_transport, "100.64.9.1", 2)
-    assert not sample.lost
-    assert sample.rtt_us == pytest.approx(10_000.0, abs=1.0)
-    assert sample.target_ttl == 2
+    before = quiet_transport.now_ms()
+    sent_ms, rtt_us = ttl_ping(quiet_transport, "100.64.9.1", 2)
+    assert not math.isnan(rtt_us)
+    assert rtt_us == pytest.approx(10_000.0, abs=1.0)
+    assert sent_ms == before
 
 
 def test_ttl_ping_beyond_path_is_lost(quiet_transport):
-    sample = ttl_ping(quiet_transport, "100.64.9.1", 9,
-                      protocol="udp")  # target only answers icmp+udp echo here
-    assert not sample.lost  # ttl past the chain still reaches the target
+    _, rtt_us = ttl_ping(quiet_transport, "100.64.9.1", 9,
+                         protocol="udp")  # target only answers icmp+udp echo here
+    assert not math.isnan(rtt_us)  # ttl past the chain still reaches the target
     obj = scenario_dict(target_protocols=["udp"])
     transport = SimnetTransport(build_scenario(obj))
-    lost = ttl_ping(transport, "100.64.9.1", 9, protocol="icmp")
-    assert lost.lost and lost.rtt_us is None
+    _, lost_rtt_us = ttl_ping(transport, "100.64.9.1", 9, protocol="icmp")
+    assert math.isnan(lost_rtt_us)
 
 
 def test_terrestrial_hop_answers_ttl_ping_but_not_direct_ping(quiet_transport):
-    pinned = ttl_ping(quiet_transport, "100.64.9.1", 1)
-    assert not pinned.lost
+    _, pinned_rtt_us = ttl_ping(quiet_transport, "100.64.9.1", 1)
+    assert not math.isnan(pinned_rtt_us)
     # A direct ping addressed at the router itself gets nothing back.
-    direct = ttl_ping(quiet_transport, "10.0.0.1", 32)
-    assert direct.lost
+    _, direct_rtt_us = ttl_ping(quiet_transport, "10.0.0.1", 32)
+    assert math.isnan(direct_rtt_us)
 
 
 # ---------------------------------------------------------------- sessions
@@ -230,8 +235,9 @@ def path_of(transport):
 def test_measure_session_sample_counts(quiet_transport):
     path = path_of(quiet_transport)
     session = measure_session(quiet_transport, ENDPOINT, path, duration_s=300)
-    assert len(session.terrestrial_samples) == 300
-    assert len(session.endpoint_samples) == 300
+    for hop in ("terrestrial", "endpoint"):
+        assert len(getattr(session, f"{hop}_sent_ms")) == 300
+        assert len(getattr(session, f"{hop}_rtt_us")) == 300
     assert session.usable
     assert session.terrestrial_loss_fraction == 0.0
 
@@ -248,11 +254,9 @@ def test_measure_session_probe_budget():
 def test_measure_session_timestamps_strictly_increasing(quiet_transport):
     path = path_of(quiet_transport)
     session = measure_session(quiet_transport, ENDPOINT, path, duration_s=60)
-    for samples in (session.terrestrial_samples, session.endpoint_samples):
-        stamps = [s.timestamp_ms for s in samples]
-        assert stamps == sorted(stamps)
-        assert len(set(stamps)) == len(stamps)
-    span = session.endpoint_samples[-1].timestamp_ms - session.start_ms
+    for stamps in (session.terrestrial_sent_ms, session.endpoint_sent_ms):
+        assert np.all(np.diff(stamps) > 0)
+    span = session.endpoint_sent_ms[-1] - session.start_ms
     assert span <= 60 * 1000
 
 
@@ -262,12 +266,10 @@ def test_measure_session_shows_reroute_for_full_event():
     transport = SimnetTransport(build_scenario(obj))
     path = path_of(transport)
     session = measure_session(transport, ENDPOINT, path, duration_s=150)
-    shifted = [s for s in session.endpoint_samples
-               if s.rtt_us and s.rtt_us > 80_000.0]
-    assert len(shifted) == 30
-    ticks = sorted(s.timestamp_ms for s in shifted)
-    gaps = [b - a for a, b in zip(ticks, ticks[1:])]
-    assert all(g == 1000 for g in gaps)  # consecutive ticks
+    shifted = session.endpoint_rtt_us > 80_000.0  # False where lost
+    assert np.count_nonzero(shifted) == 30
+    gaps = np.diff(session.endpoint_sent_ms[shifted])
+    assert np.all(gaps == 1000)  # consecutive ticks
 
 
 def test_measure_session_flags_unusable_on_heavy_terrestrial_loss():
@@ -277,6 +279,7 @@ def test_measure_session_flags_unusable_on_heavy_terrestrial_loss():
         transport, ENDPOINT,
         path_of_uncheckable(), duration_s=120)
     assert session.terrestrial_loss_fraction > 0.5
+    assert type(session.terrestrial_loss_fraction) is float
     assert not session.usable
 
 
@@ -285,6 +288,19 @@ def path_of_uncheckable():
     from leolink.probe import SatLinkPath
     return SatLinkPath(target="100.64.9.1", pre_sat_ttl=2,
                        pre_sat_router="10.0.0.2", post_sat_ttl=3, jump_ms=25.0)
+
+
+@pytest.mark.parametrize("hop", ["terrestrial", "endpoint"])
+def test_session_rejects_misaligned_arrays(hop):
+    arrays = {f"{h}_{kind}": np.arange(10) for h in ("terrestrial", "endpoint")
+              for kind in ("sent_ms", "rtt_us")}
+    MeasurementSession(endpoint=ENDPOINT, path=path_of_uncheckable(), start_ms=0,
+                       duration_s=10, cadence_hz=1, **arrays)
+    for kind in ("sent_ms", "rtt_us"):
+        short = dict(arrays, **{f"{hop}_{kind}": np.arange(9)})
+        with pytest.raises(ValueError, match="aligned by tick"):
+            MeasurementSession(endpoint=ENDPOINT, path=path_of_uncheckable(), start_ms=0,
+                               duration_s=10, cadence_hz=1, **short)
 
 
 def test_measure_session_validates_arguments(quiet_transport):

@@ -4,13 +4,14 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from leolink import cli, rawnet
 from leolink import store as store_module
 from leolink.discovery import Endpoint
-from leolink.probe import MeasurementSession, ProbeSample, SatLinkPath
-from leolink.simnet import build_scenario, respond_to_probe
+from leolink.probe import MeasurementSession, SatLinkPath
+from leolink.simnet import SimnetTransport, build_scenario, respond_to_probe
 from leolink.store import (
     TRANSPORTS,
     CampaignConfig,
@@ -48,13 +49,14 @@ def small_session(address="100.64.9.1", n=5):
     path = SatLinkPath(target=address, pre_sat_ttl=2, pre_sat_router="10.0.0.2",
                        post_sat_ttl=3, jump_ms=25.0)
     endpoint = Endpoint(address=address, pop_code="sttlwax1", pop_location=None)
-    session = MeasurementSession(endpoint=endpoint, path=path, start_ms=0,
-                                 duration_s=n, cadence_hz=1)
-    for k in range(n):
-        session.terrestrial_samples.append(ProbeSample(k * 1000, 2, 10_000.0))
-        session.endpoint_samples.append(
-            ProbeSample(k * 1000, 3, None if k == 2 else 35_000.0))
-    return session
+    sent_ms = np.arange(n, dtype=np.int64) * 1000
+    endpoint_rtt_us = np.full(n, 35_000.0)
+    endpoint_rtt_us[2] = np.nan
+    return MeasurementSession(endpoint=endpoint, path=path, start_ms=0,
+                              duration_s=n, cadence_hz=1,
+                              terrestrial_sent_ms=sent_ms,
+                              terrestrial_rtt_us=np.full(n, 10_000.0),
+                              endpoint_sent_ms=sent_ms, endpoint_rtt_us=endpoint_rtt_us)
 
 
 # ----------------------------------------------------------- campaign config
@@ -128,8 +130,10 @@ def test_session_roundtrip(tmp_path):
     assert rec.address == "100.64.9.1"
     assert rec.partition == "p"
     loaded = store.read_session(rec)
-    assert loaded.terrestrial_samples == session.terrestrial_samples
-    assert loaded.endpoint_samples == session.endpoint_samples
+    for name in ("terrestrial_sent_ms", "terrestrial_rtt_us",
+                 "endpoint_sent_ms", "endpoint_rtt_us"):
+        assert np.array_equal(getattr(loaded, name), getattr(session, name), equal_nan=True)
+        assert getattr(loaded, name).dtype == getattr(session, name).dtype
     assert loaded.path == session.path
     assert loaded.endpoint.pop_code == "sttlwax1"
     assert loaded.duration_s == 5 and loaded.cadence_hz == 1
@@ -207,6 +211,16 @@ def test_read_session_rejects_malformed_rows(tmp_path, bad_row):
         store.read_session(store.sessions()[0])
 
 
+def test_read_session_without_rows_fails_on_the_counts(tmp_path, recwarn):
+    store = MeasurementStore(tmp_path / "store")
+    store.write_session(store.new_partition("p"), small_session(), config_hash="x")
+    csv_path = next((store.root / "p").glob("*/session.csv"))
+    csv_path.write_bytes(csv_path.read_bytes().split(b"\r\n")[0] + b"\r\n")
+    with pytest.raises(StoreError, match="0 terrestrial rows, meta.json records 5"):
+        store.read_session(store.sessions()[0])
+    assert not recwarn.list
+
+
 def test_failed_meta_write_leaves_no_session(tmp_path, monkeypatch):
     store = MeasurementStore(tmp_path / "store")
     part = store.new_partition("p")
@@ -224,7 +238,7 @@ def test_failed_meta_write_leaves_no_session(tmp_path, monkeypatch):
     # nothing half-written blocks the append-only store from a retry
     store.write_session(part, small_session(), config_hash="x")
     assert sorted(p.name for p in endpoint_dir.iterdir()) == ["meta.json", "session.csv"]
-    assert len(store.read_session(store.sessions()[0]).endpoint_samples) == 5
+    assert len(store.read_session(store.sessions()[0]).endpoint_rtt_us) == 5
 
 
 def test_report_csv_roundtrip(tmp_path):
@@ -348,6 +362,36 @@ def test_analyze_truncated_session_exits_1(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_unpaired_ticks_fail_the_session(tmp_path, capsys):
+    # One row of each hop dropped and meta.json fixed up to match: the
+    # counts agree, but pairing the rest by position would shift ticks.
+    store_dir = tmp_path / "store"
+    assert cli.main(["simulate", "--scenarios", str(SCENARIOS / "relay_split"),
+                     "--out", str(store_dir), "--duration", "300",
+                     "--partition", "p"]) == 0
+    csv_path = next((store_dir / "p").glob("*/session.csv"))
+    meta_path = csv_path.parent / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    lines = csv_path.read_bytes().split(b"\r\n")
+    rows_of = {ttl: [i for i, line in enumerate(lines)
+                     if line.split(b",")[2:3] == [str(ttl).encode()]]
+               for ttl in (meta["pre_sat_ttl"], meta["post_sat_ttl"])}
+    dropped = {rows_of[meta["pre_sat_ttl"]][3], rows_of[meta["post_sat_ttl"]][7]}
+    csv_path.write_bytes(b"\r\n".join(line for i, line in enumerate(lines)
+                                       if i not in dropped))
+    meta.update(n_terrestrial=299, n_endpoint=299)
+    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    store = MeasurementStore(store_dir)
+    with pytest.raises(StoreError, match="tick 3 do not pair"):
+        store.read_session(store.sessions("p")[0])
+    capsys.readouterr()
+    assert cli.main(["analyze", "--store", str(store_dir), "--partition", "p"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("analyze error sessions=0 failed=1 ")
+    assert "analyze error stage=analysis endpoint=176.83.201.7 " in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_analyze_empty_store_exits_1(tmp_path, capsys):
     MeasurementStore(tmp_path / "store")
     assert cli.main(["analyze", "--store", str(tmp_path / "store")]) == 1
@@ -392,6 +436,47 @@ def test_measure_honors_exclusion_file(tmp_path, capsys):
     assert cli.main(["measure", "--config", str(cfg_path)]) == 0
     line = capsys.readouterr().out.strip()
     assert "sessions=0" in line and "excluded=1" in line
+
+
+def test_trace_and_measure_share_the_exclusion_file(tmp_path, capsys, monkeypatch):
+    exclude = tmp_path / "exclude.txt"
+    exclude.write_text("176.83.201.7/32  # the relay_split endpoint\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "transport": "simnet", "output_dir": str(tmp_path / "store"),
+        "scenario_dir": str(SCENARIOS / "relay_split"), "duration_s": 120,
+        "exclude_file": str(exclude)}))
+    probed = []
+    original = SimnetTransport.probe
+
+    def spy(self, target, ttl, **kwargs):
+        probed.append(target)
+        return original(self, target, ttl, **kwargs)
+
+    monkeypatch.setattr(SimnetTransport, "probe", spy)
+    out = tmp_path / "paths.csv"
+    assert cli.main(["trace", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("trace ok paths=0 failed=0 ")
+    assert read_report_csv(out)[2] == []
+    assert cli.main(["measure", "--config", str(cfg_path)]) == 0
+    line = capsys.readouterr().out.strip()
+    assert "sessions=0" in line and "excluded=1" in line
+    assert probed == []
+
+
+@pytest.mark.parametrize("command", ["trace", "measure"])
+def test_malformed_exclusion_file_is_a_config_error(tmp_path, capsys, command):
+    exclude = tmp_path / "exclude.txt"
+    exclude.write_text("100.64.9.0/24\nnot-a-network\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "transport": "simnet", "output_dir": str(tmp_path / "store"),
+        "scenario_dir": str(SCENARIOS / "relay_split"), "exclude_file": str(exclude)}))
+    extra = {"trace": ["--out", str(tmp_path / "paths.csv")], "measure": []}[command]
+    assert cli.main([command, "--config", str(cfg_path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert f"{command} error stage=config msg=exclude_file: 'not-a-network'" in err
+    assert "Traceback" not in err
 
 
 def test_measure_bad_config_exits_2(tmp_path, capsys):
