@@ -160,8 +160,15 @@ def _cohort(cfg: CampaignConfig) -> tuple[list[tuple[Endpoint, Optional[SimnetTr
             nets = [ipaddress.ip_network(entry, strict=False) for entry in entries if entry]
         except ValueError as exc:
             raise ConfigError(f"exclude_file: {exc}") from None
-    kept = [(ep, t) for ep, t in cohort
-            if not any(ipaddress.ip_address(ep.address) in net for net in nets)]
+
+    def excluded(address: str) -> bool:
+        try:
+            ip = ipaddress.ip_address(address)
+        except ValueError as exc:
+            raise ConfigError(f"exclude_file: cohort address {exc}") from None
+        return any(ip in net for net in nets)
+
+    kept = [(ep, t) for ep, t in cohort if not (nets and excluded(ep.address))]
     return kept, len(cohort) - len(kept)
 
 

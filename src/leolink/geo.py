@@ -45,15 +45,19 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float,
     return 2.0 * radius_km * math.asin(math.sqrt(a))
 
 
-def latlon_to_ecef(lat: float, lon: float, radius_km: float = EARTH_RADIUS_KM) -> np.ndarray:
-    """Cartesian position of a surface point at the given radius."""
-    phi = math.radians(lat)
-    lam = math.radians(lon)
-    return np.array([
-        radius_km * math.cos(phi) * math.cos(lam),
-        radius_km * math.cos(phi) * math.sin(lam),
-        radius_km * math.sin(phi),
-    ])
+def latlon_to_ecef(lat: float | np.ndarray, lon: float | np.ndarray,
+                   radius_km: float = EARTH_RADIUS_KM) -> np.ndarray:
+    """Cartesian position of a surface point at the given radius.
+
+    Elementwise over arrays of coordinates; the last axis holds x, y, z.
+    """
+    phi = np.radians(lat)
+    lam = np.radians(lon)
+    xyz = np.empty(np.broadcast(phi, lam).shape + (3,))
+    xyz[..., 0] = radius_km * np.cos(phi) * np.cos(lam)
+    xyz[..., 1] = radius_km * np.cos(phi) * np.sin(lam)
+    xyz[..., 2] = radius_km * np.sin(phi)
+    return xyz
 
 
 def central_angle_rad(lat1: float, lon1: float, lat2: float, lon2: float) -> float:

@@ -1,10 +1,12 @@
-"""Smoke test of the benchmark's pipeline workloads at their quick size.
+"""Smoke test of the benchmark's workloads at their quick size.
 
 ``perfbench/workloads.py`` runs ``simulate`` and ``report`` through the
 CLI and checks that every scheduled event is recalled in both
-``spikes.csv`` and ``spike_inventory.csv``.  Running it here means a CLI
-change that breaks those checks fails the test suite, not only the
-benchmark.  No timing is asserted.
+``spikes.csv`` and ``spike_inventory.csv``; for ``geometry`` it checks
+``evaluate_case`` on the Nigeria case against its recorded reference
+and prices a route sweep against the speed-of-light floor.  Running it
+here means a change that breaks those checks fails the test suite, not
+only the benchmark.  No timing is asserted.
 """
 from __future__ import annotations
 
@@ -32,8 +34,8 @@ def workloads(monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("name", ["fleet", "day"])
-def test_pipeline_workload_passes_its_checks(workloads, name):
+def run_quick(workloads, name):
+    """Build, run and verify one workload at quick size; its verdict."""
     bench_dir = REPO_ROOT / ".perfbench"
     bench_dir.mkdir(exist_ok=True)
     workdir = Path(tempfile.mkdtemp(prefix=f"smoke-{name}-", dir=bench_dir))
@@ -42,8 +44,23 @@ def test_pipeline_workload_passes_its_checks(workloads, name):
         work.reset()
         work.part1()
         work.part2()
-        verdict = work.verify()
+        return work.verify()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+
+
+@pytest.mark.parametrize("name", ["fleet", "day"])
+def test_pipeline_workload_passes_its_checks(workloads, name):
+    verdict = run_quick(workloads, name)
     assert verdict.quality["event_recall"] == 1.0
     assert [line.split()[1] for line in verdict.lines] == ["spikes.csv", "spike_inventory.csv"]
+
+
+def test_geometry_workload_passes_its_checks(workloads):
+    # verify() raises CheckFailed unless the Nigeria summary matches the
+    # reference to 1e-9, every route is priced and none beats the floor
+    verdict = run_quick(workloads, "geometry")
+    n = workloads.QUICK_ROUTE_ATTEMPTS
+    assert verdict.attempted == 1 + n
+    assert verdict.lines == [f"check nigeria_summary=reference routes={n}/{n} "
+                             "no_coverage=0 allowed=0 floor_violations=0"]

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +40,7 @@ from leolink.geo import (
     haversine_km,
     latlon_to_ecef,
 )
+from tests.conftest import REPO_ROOT
 
 DISH = DishSite(latitude=0.0, longitude=0.0)
 GS = GroundStation(latitude=2.0, longitude=2.0, label="gs")
@@ -423,6 +428,25 @@ def test_evaluate_nigeria_case_frozen_medians():
     assert 9.0 <= summary.best_rtt_ms <= 13.0
     assert summary.worst_minus_best_ms == pytest.approx(12.0, abs=3.0)
     assert summary.isl_threshold_ms > summary.best_rtt_ms
+
+
+def test_route_estimates_script_prints_case_medians():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, str(REPO_ROOT / "scripts" / "route_estimates.py")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    summary = evaluate_case(StudyCase.nigeria())
+    printed = dict(re.findall(r"^  (best-case RTT|worst-case RTT|worst minus best"
+                              r"|next-gen threshold) +(\S+) ms$", run.stdout, re.M))
+    assert printed == {
+        "best-case RTT": f"{summary.best_rtt_ms:.3f}",
+        "worst-case RTT": f"{summary.worst_rtt_ms:.3f}",
+        "worst minus best": f"{summary.worst_minus_best_ms:.3f}",
+        "next-gen threshold": f"{summary.isl_threshold_ms:.3f}",
+    }
+    assert (f"({summary.n_samples} samples, {summary.n_no_coverage} without coverage)"
+            in run.stdout)
 
 
 # ------------------------------------------------------------------ geometry

@@ -3,23 +3,27 @@
 Each oracle below is the earlier, obviously correct implementation: a
 per-tick ``np.median`` loop for ``smooth``, a ``while`` loop for
 ``_maximal_runs``, a linear event scan and a per-probe hop chain for the
-simulator, a per-sample loop for isolation, and for the session store a
-sort-then-``csv.writer`` pass and a ``heapq.merge`` of per-sample lists.
-The fast code must agree with them exactly, not approximately.
+simulator, a per-sample loop for isolation, for the session store a
+sort-then-``csv.writer`` pass and a ``heapq.merge`` of per-sample lists,
+and for the constellation the per-snapshot geometry: one propagation,
+one look-angle pass over every satellite per rule and a per-satellite
+loop for the two-satellite threshold, one time step at a time.  The
+fast code must agree with them exactly, not approximately.
 """
 import csv
 import heapq
 import io
 import math
 from collections import namedtuple
+from dataclasses import replace
 from operator import attrgetter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leolink import simnet
+from leolink import constellation, simnet
 from leolink.analysis import (
     EmptySeriesError,
     LatencySeries,
@@ -28,7 +32,25 @@ from leolink.analysis import (
     isolate_satellite_latency,
     smooth,
 )
+from leolink.constellation import (
+    CaseSummary,
+    ConstellationConfig,
+    DishSite,
+    GroundStation,
+    NoCoverageError,
+    SatelliteState,
+    Shell,
+    StudyCase,
+    best_case_rtt,
+    evaluate_case,
+    min_isl_ng_threshold,
+    propagate,
+    propagate_many,
+    visible_satellites,
+    worst_case_rtt,
+)
 from leolink.discovery import Endpoint
+from leolink.geo import EARTH_RADIUS_KM, vacuum_rtt_ms
 from leolink.probe import MeasurementSession, SatLinkPath
 from leolink.store import MeasurementStore
 from tests.conftest import scenario_dict
@@ -163,6 +185,116 @@ def oracle_isolate(terrestrial, endpoint):
         timestamps.append(endp.timestamp_ms)
         values.append(diff_ms)
     return timestamps, values, clamped
+
+
+def oracle_propagate(config, t_s):
+    """(positions, shell, orbit, slot) of every satellite at one instant."""
+    dt = t_s - config.epoch_s
+    pos_parts, shell_ix, orbit_ix, slot_ix = [], [], [], []
+    for s_i, shell in enumerate(config.shells):
+        a = shell.semi_major_axis_km
+        inc = math.radians(shell.inclination_deg)
+        orbits = np.arange(shell.n_orbits)
+        slots = np.arange(shell.sats_per_orbit)
+        raan = np.radians(360.0 * orbits / shell.n_orbits)[:, None]
+        u0 = np.radians(360.0 * slots / shell.sats_per_orbit)[None, :]
+        u = u0 + np.radians(shell.phase_offset_deg) * orbits[:, None] \
+            + shell.mean_motion_rad_s * dt
+        cos_u, sin_u = np.cos(u), np.sin(u)
+        cos_r, sin_r = np.cos(raan), np.sin(raan)
+        x = a * (cos_r * cos_u - sin_r * sin_u * math.cos(inc))
+        y = a * (sin_r * cos_u + cos_r * sin_u * math.cos(inc))
+        z = a * (sin_u * math.sin(inc))
+        n = shell.n_orbits * shell.sats_per_orbit
+        pos_parts.append(np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1))
+        shell_ix.append(np.full(n, s_i))
+        orbit_ix.append(np.repeat(orbits, shell.sats_per_orbit))
+        slot_ix.append(np.tile(slots, shell.n_orbits))
+    return (np.concatenate(pos_parts), np.concatenate(shell_ix),
+            np.concatenate(orbit_ix), np.concatenate(slot_ix))
+
+
+def oracle_site_position(site, t_s, epoch_s):
+    theta = math.degrees(constellation.EARTH_ROTATION_RAD_S * (t_s - epoch_s))
+    radius = EARTH_RADIUS_KM + site.altitude_m / 1000.0
+    phi, lam = math.radians(site.latitude), math.radians(site.longitude + theta)
+    return np.array([radius * math.cos(phi) * math.cos(lam),
+                     radius * math.cos(phi) * math.sin(lam),
+                     radius * math.sin(phi)])
+
+
+def oracle_look_angles(site_pos, sat_pos):
+    """Slant range (km), elevation and azimuth (deg) to each satellite."""
+    rel = sat_pos - site_pos[None, :]
+    slant = np.linalg.norm(rel, axis=1)
+    up = site_pos / np.linalg.norm(site_pos)
+    sin_el = rel @ up / slant
+    elevation = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
+    east = np.cross([0.0, 0.0, 1.0], up)
+    norm = np.linalg.norm(east)
+    if norm < 1e-12:
+        east = np.array([1.0, 0.0, 0.0])
+    else:
+        east = east / norm
+    north = np.cross(up, east)
+    azimuth = np.degrees(np.arctan2(rel @ east, rel @ north)) % 360.0
+    return slant, elevation, azimuth
+
+
+def oracle_visible(site, t_s, epoch_s, positions, max_slant_km, min_elevation_deg, apply_fov):
+    """(mask, slant) of one site over one snapshot."""
+    slant, elevation, azimuth = oracle_look_angles(
+        oracle_site_position(site, t_s, epoch_s), positions)
+    mask = (slant <= max_slant_km) & (elevation >= min_elevation_deg)
+    if apply_fov and isinstance(site, DishSite):
+        mask &= site.azimuth_allowed(azimuth)
+    return mask, slant
+
+
+def oracle_selection(dish, gs, t_s, epoch_s, positions, max_slant_km, min_elevation_deg):
+    """Best and worst ``(rtt_ms, index)`` and the two-satellite threshold,
+    each None without coverage."""
+    look = (t_s, epoch_s, positions, max_slant_km, min_elevation_deg)
+    gs_mask, gs_slant = oracle_visible(gs, *look, False)
+    out = []
+    for fov, pick, fill in ((False, np.argmin, np.inf), (True, np.argmax, -np.inf)):
+        dish_mask, dish_slant = oracle_visible(dish, *look, fov)
+        sums = np.where(dish_mask & gs_mask, dish_slant + gs_slant, fill)
+        i = int(pick(sums))
+        out.append((vacuum_rtt_ms(float(sums[i])), i) if np.isfinite(sums[i]) else None)
+    dish_mask, dish_slant = oracle_visible(dish, *look, False)
+    dish_idx, gs_idx = np.nonzero(dish_mask)[0], np.nonzero(gs_mask)[0]
+    best = np.inf
+    for i in dish_idx:
+        inter = np.linalg.norm(positions[gs_idx] - positions[i], axis=1)
+        totals = dish_slant[i] + inter + gs_slant[gs_idx]
+        totals[gs_idx == i] = np.inf
+        best = min(best, float(np.min(totals)) if len(totals) else np.inf)
+    out.append(vacuum_rtt_ms(best) if np.isfinite(best) else None)
+    return out
+
+
+def oracle_evaluate_case(case):
+    """The per-step sweep of one period; None when no step had coverage."""
+    times = np.arange(0.0, case.config.shells[0].period_s, case.sample_step_s)
+    best, worst, thresh = [], [], []
+    for t in times:
+        positions = oracle_propagate(case.config, float(t))[0]
+        b, w, th = oracle_selection(case.dish, case.access_gs, float(t), case.config.epoch_s,
+                                    positions, case.max_slant_km, case.min_elevation_deg)
+        if b is None or w is None or th is None:
+            continue
+        best.append(b[0])
+        worst.append(w[0])
+        thresh.append(th)
+    if not best:
+        return None
+    b, w = np.asarray(best), np.asarray(worst)
+    return CaseSummary(label=case.label, best_rtt_ms=float(np.median(b)),
+                       worst_rtt_ms=float(np.median(w)),
+                       worst_minus_best_ms=float(np.median(w - b)),
+                       isl_threshold_ms=float(np.median(thresh)),
+                       n_samples=len(times), n_no_coverage=len(times) - len(best))
 
 
 # ----------------------------------------------------------- smoothing
@@ -342,3 +474,155 @@ def test_isolation_equals_per_sample_loop(pairs):
         assert np.array_equal(series.timestamps_ms, np.array(timestamps, dtype=np.int64))
         assert series.values_ms.tolist() == values
         assert got_clamped == clamped
+
+
+# ------------------------------------------------------- constellation
+
+shells = st.builds(Shell, altitude_km=st.floats(300.0, 2000.0),
+                   inclination_deg=st.floats(0.0, 180.0), n_orbits=st.integers(1, 8),
+                   sats_per_orbit=st.integers(1, 10), phase_offset_deg=st.floats(0.0, 30.0))
+configs = st.builds(lambda shells, epoch: ConstellationConfig(shells=tuple(shells), epoch_s=epoch),
+                    st.lists(shells, min_size=1, max_size=2), st.floats(-5000.0, 5000.0))
+# the poles exactly, where the local east vector falls back to +x
+latitudes = st.one_of(st.sampled_from([90.0, -90.0]), st.floats(-90.0, 90.0))
+longitudes = st.floats(-180.0, 180.0)
+dishes = st.builds(DishSite, latitude=latitudes, longitude=longitudes,
+                   altitude_m=st.floats(0.0, 3000.0), boresight_azimuth_deg=st.floats(-360.0, 360.0))
+offsets = st.floats(-25.0, 25.0)
+max_slants = st.floats(300.0, 9000.0)
+min_elevations = st.floats(-20.0, 80.0)
+
+
+def ground_station(dish, dlat, dlon):
+    """A ground station near the dish, its latitude folded into [-90, 90]."""
+    return GroundStation(latitude=max(-90.0, min(90.0, dish.latitude + dlat)),
+                         longitude=dish.longitude + dlon)
+
+
+def state(arrays, i):
+    positions, shell_ix, orbit_ix, slot_ix = arrays
+    return SatelliteState(int(shell_ix[i]), int(orbit_ix[i]), int(slot_ix[i]),
+                          tuple(float(x) for x in positions[i]))
+
+
+@given(configs, st.lists(st.floats(-20_000.0, 20_000.0), min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_propagate_many_equals_per_step_propagation(config, times):
+    block = propagate_many(config, times)
+    assert block.shape == (len(times), config.n_satellites, 3)
+    for t, positions in zip(times, block):
+        want = oracle_propagate(config, t)
+        assert np.array_equal(positions, want[0])
+        snap = propagate(config, t)
+        assert np.array_equal(snap.positions, want[0])
+        assert np.array_equal(snap.shell_index, want[1])
+        assert np.array_equal(snap.orbit_index, want[2])
+        assert np.array_equal(snap.slot_index, want[3])
+
+
+@given(configs, st.floats(0.0, 20_000.0), dishes, offsets, offsets, max_slants, min_elevations)
+@settings(max_examples=300, deadline=None)
+def test_selection_equals_per_snapshot_oracle(config, t_s, dish, dlat, dlon,
+                                              max_slant, min_elev):
+    gs = ground_station(dish, dlat, dlon)
+    arrays = oracle_propagate(config, t_s)
+    snap = propagate(config, t_s)
+    mask = dict(max_slant_km=max_slant, min_elevation_deg=min_elev)
+    want_best, want_worst, want_threshold = oracle_selection(
+        dish, gs, t_s, config.epoch_s, arrays[0], max_slant, min_elev)
+    for rule, want in ((best_case_rtt, want_best), (worst_case_rtt, want_worst)):
+        if want is None:
+            with pytest.raises(NoCoverageError):
+                rule(dish, gs, snap, **mask)
+        else:
+            rtt, sat = rule(dish, gs, snap, **mask)
+            assert (rtt, sat) == (want[0], state(arrays, want[1]))
+    if want_threshold is None:
+        with pytest.raises(NoCoverageError):
+            min_isl_ng_threshold(dish, gs, snap, **mask)
+    else:
+        assert min_isl_ng_threshold(dish, gs, snap, **mask) == want_threshold
+    for site in (dish, gs):
+        for fov in (False, True):
+            want_mask, _ = oracle_visible(site, t_s, config.epoch_s, arrays[0],
+                                          max_slant, min_elev, fov)
+            got = visible_satellites(site, snap, apply_fov=fov, **mask)
+            assert got == [state(arrays, i) for i in np.flatnonzero(want_mask)]
+
+
+@st.composite
+def study_cases(draw):
+    dish = draw(dishes)
+    config = draw(configs)
+    # 1 to ~60 steps per period, so some sweeps span several blocks
+    step = config.shells[0].period_s / draw(st.floats(0.9, 60.0))
+    return StudyCase(label="drawn", dish=dish,
+                     access_gs=ground_station(dish, draw(offsets), draw(offsets)),
+                     pop=GroundStation(0.0, 0.0), landing_gs=None, terrestrial_rtt_ms=None,
+                     max_slant_km=draw(max_slants), min_elevation_deg=draw(min_elevations),
+                     sample_step_s=step, config=config)
+
+
+def partly_covered_case():
+    """A sparse shell over a polar dish: some steps see a pair, some none."""
+    config = ConstellationConfig(shells=(Shell(550.0, 97.0, 3, 4, 7.0),))
+    dish = DishSite(90.0, 0.0, boresight_azimuth_deg=40.0)
+    return StudyCase(label="sparse", dish=dish, access_gs=GroundStation(84.0, 30.0),
+                     pop=GroundStation(0.0, 0.0), landing_gs=None, terrestrial_rtt_ms=None,
+                     max_slant_km=3000.0, min_elevation_deg=5.0,
+                     sample_step_s=config.shells[0].period_s / 50, config=config)
+
+
+@given(study_cases())
+@example(partly_covered_case())
+@settings(max_examples=60, deadline=None)
+def test_evaluate_case_equals_per_step_sweep(case):
+    want = oracle_evaluate_case(case)
+    if want is None:
+        with pytest.raises(NoCoverageError):
+            evaluate_case(case)
+    else:
+        assert evaluate_case(case) == want
+
+
+def test_partly_covered_case_has_steps_with_and_without_coverage():
+    summary = oracle_evaluate_case(partly_covered_case())
+    assert summary is not None
+    assert summary.n_samples > constellation._BLOCK_STEPS
+    assert 0 < summary.n_no_coverage < summary.n_samples
+
+
+def test_evaluate_case_equals_per_step_sweep_on_nigeria():
+    case = StudyCase.nigeria()
+    assert evaluate_case(case) == oracle_evaluate_case(case)
+
+
+@pytest.mark.parametrize("site", [DishSite(6.45, 3.39, boresight_azimuth_deg=-22.0),
+                                  GroundStation(-33.9, 151.2, altitude_m=58.0),
+                                  DishSite(-90.0, 0.0, boresight_azimuth_deg=10.0)])
+def test_visibility_limits_hold_at_the_oracle_values(site):
+    # Each limit set to one satellite's own slant range, elevation or
+    # azimuth, as the per-snapshot code computed them, puts it on the edge
+    # of the mask; one unit in the last place either way moves it out.
+    # The default shell plus a polar one that passes over the pole site:
+    config = ConstellationConfig(shells=(*ConstellationConfig.default().shells,
+                                         Shell(560.0, 97.6, 6, 20, 1.0)))
+    t_s = 1234.5
+    snap = propagate(config, t_s)
+    arrays = oracle_propagate(config, t_s)
+    slant, elevation, azimuth = oracle_look_angles(
+        oracle_site_position(site, t_s, config.epoch_s), arrays[0])
+    near = np.flatnonzero(slant <= 3000.0)
+    assert len(near) >= 5
+    for i in near:
+        edges = [(site, dict(max_slant_km=float(slant[i]), min_elevation_deg=-90.0)),
+                 (site, dict(max_slant_km=3000.0, min_elevation_deg=float(elevation[i])))]
+        if isinstance(site, DishSite):
+            edges.append((replace(site, boresight_azimuth_deg=float(azimuth[i])),
+                          dict(max_slant_km=3000.0, min_elevation_deg=-90.0)))
+        for edge_site, mask in edges:
+            for fov in (False, True):
+                want, _ = oracle_visible(edge_site, t_s, config.epoch_s, arrays[0],
+                                         apply_fov=fov, **mask)
+                got = visible_satellites(edge_site, snap, apply_fov=fov, **mask)
+                assert got == [state(arrays, k) for k in np.flatnonzero(want)]

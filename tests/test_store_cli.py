@@ -479,6 +479,27 @@ def test_malformed_exclusion_file_is_a_config_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["trace", "measure"])
+def test_non_ip_cohort_address_under_exclusion_is_a_config_error(tmp_path, capsys,
+                                                                 monkeypatch, command):
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text("address,pop_code\n100.64.9.1,sttlwax1\nhost.example,sttlwax1\n")
+    exclude = tmp_path / "exclude.txt"
+    exclude.write_text("192.0.2.0/24\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"transport": "raw", "output_dir": str(tmp_path / "s"),
+                                    "endpoints_file": str(cohort),
+                                    "exclude_file": str(exclude)}))
+    monkeypatch.setattr(StubRawTransport, "instances", [])
+    monkeypatch.setattr(rawnet, "RawTransport", StubRawTransport)
+    extra = {"trace": ["--out", str(tmp_path / "paths.csv")], "measure": []}[command]
+    assert cli.main([command, "--config", str(cfg_path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert f"{command} error stage=config msg=exclude_file: cohort address 'host.example'" in err
+    assert "Traceback" not in err
+    assert StubRawTransport.instances == []
+
+
 def test_measure_bad_config_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"transport": "simnet", "output_dir": "x",
