@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import stats as _scipy_stats
 
 from .discovery import Endpoint
 from .geo import haversine_km
@@ -165,7 +164,7 @@ def smooth(series: LatencySeries, window_s: float = SMOOTHING_WINDOW_S) -> Laten
     The window is [t - w/2, t + w/2] and is truncated at the series
     edges.  Timestamps are preserved.
     """
-    if window_s <= 0:
+    if not window_s > 0:  # NaN fails too
         raise ValueError("window_s must be positive")
     n = len(series)
     if n == 0:
@@ -202,7 +201,6 @@ def detect_spikes(
     *,
     sustained_sigma: float = SUSTAINED_SIGMA,
     standard_sigma: float = STANDARD_SIGMA,
-    sustained_min_ms: int = SUSTAINED_MIN_MS,
 ) -> list[SpikeEvent]:
     """Classify excursions of a smoothed series against its own baseline.
 
@@ -236,7 +234,7 @@ def detect_spikes(
         sustained_here: list[SpikeEvent] = []
         for a, b in _maximal_runs(vs[i:j] > m + sustained_sigma * sigma):
             start, end = span(i + a, i + b)
-            if end - start >= sustained_min_ms:
+            if end - start >= SUSTAINED_MIN_MS:
                 sustained_here.append(SpikeEvent(
                     start_ms=start, end_ms=end, kind=KIND_SUSTAINED,
                     peak_ms=float(np.max(vs[i + a:i + b])),
@@ -269,10 +267,7 @@ def analyze_session(session: MeasurementSession, *, window_s: float = SMOOTHING_
     return SessionResult(len(series), clamped, spikes, stats)
 
 
-def jitter_filter(
-    candidates: Sequence[tuple[Endpoint, LatencySeries]],
-    max_deviation_ms: float = JITTER_MAX_DEVIATION_MS,
-) -> list[Endpoint]:
+def jitter_filter(candidates: Sequence[tuple[Endpoint, LatencySeries]]) -> list[Endpoint]:
     """Keep endpoints whose terrestrial hop is effectively jitter-free.
 
     The screen is the maximum absolute deviation of the terrestrial RTT
@@ -285,7 +280,7 @@ def jitter_filter(
         if len(series) == 0:
             continue
         deviation = float(np.max(np.abs(series.values_ms - np.median(series.values_ms))))
-        if deviation <= max_deviation_ms:
+        if deviation <= JITTER_MAX_DEVIATION_MS:
             kept.append(endpoint)
     return kept
 
@@ -373,9 +368,21 @@ def min_rtt_vs_pop_distance(
         d = haversine_km(lat, lon, endpoint.pop_location.latitude,
                          endpoint.pop_location.longitude)
         rows.append((endpoint.address, d, st.min_ms))
-    rho: Optional[float] = None
-    if len(rows) >= 3:
-        dist = [r[1] for r in rows]
-        rtts = [r[2] for r in rows]
-        rho = float(_scipy_stats.spearmanr(dist, rtts).statistic)
-    return rows, rho
+    if len(rows) < 3:
+        return rows, None
+    _, dist, rtts = zip(*rows)
+    return rows, _spearman_rho(np.array(dist), np.array(rtts))
+
+
+def _spearman_rho(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson correlation of average ranks (ties share their mean rank);
+    NaN for a constant column or one holding NaN."""
+    if np.isnan(x).any() or np.isnan(y).any():
+        return float("nan")
+    ranks = []
+    for column in (x, y):
+        _, inverse, counts = np.unique(column, return_inverse=True, return_counts=True)
+        ends = np.cumsum(counts)
+        ranks.append(((2 * ends - counts + 1) / 2)[inverse])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.corrcoef(*ranks)[0, 1])

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import ipaddress
-import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import date
@@ -40,6 +38,7 @@ from .store import (
     MeasurementStore,
     StoreError,
     endpoint_from_meta,
+    params_hash,
     read_report_csv,
     write_report_csv,
 )
@@ -52,11 +51,6 @@ ENDPOINT_CSV_HEADER = [
 
 def _err(line: str) -> None:
     print(line, file=sys.stderr)
-
-
-def _params_hash(params: dict) -> str:
-    blob = json.dumps(params, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
 
 
 def _print_summary(command: str, code: int, counters: dict) -> int:
@@ -120,14 +114,21 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
 
 def load_endpoints_csv(path: str | Path, catalog: Optional[PopCatalog] = None) -> list[Endpoint]:
-    """Read an endpoint cohort written by cmd_discover."""
+    """Read an endpoint cohort written by cmd_discover; a malformed one
+    raises :class:`ConfigError` naming the file and line."""
     catalog = catalog or PopCatalog.default()
     endpoints = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        if "address" not in (reader.fieldnames or ()):
+            raise ConfigError(f"{path} line 1: no address column")
+        for row in reader:
             located = row.get("cust_lat") and row.get("cust_lon")
-            row["customer_location"] = (
-                (float(row["cust_lat"]), float(row["cust_lon"])) if located else None)
+            try:
+                row["customer_location"] = (
+                    (float(row["cust_lat"]), float(row["cust_lon"])) if located else None)
+            except ValueError as exc:
+                raise ConfigError(f"{path} line {reader.line_num}: {exc}") from None
             endpoints.append(endpoint_from_meta(row, catalog))
     return endpoints
 
@@ -299,9 +300,9 @@ def _analysis_hash(window_s: float = analysis.SMOOTHING_WINDOW_S,
                    sustained_sigma: float = analysis.SUSTAINED_SIGMA,
                    standard_sigma: float = analysis.STANDARD_SIGMA) -> str:
     """Hash of the ``analysis.analyze_session`` parameters, defaults included."""
-    return _params_hash({"smoothing_window_s": window_s,
-                         "sustained_sigma": sustained_sigma,
-                         "standard_sigma": standard_sigma})
+    return params_hash({"smoothing_window_s": window_s,
+                        "sustained_sigma": sustained_sigma,
+                        "standard_sigma": standard_sigma})
 
 
 def _analysis_rows(store: MeasurementStore, records: Sequence, params: dict,
@@ -338,12 +339,12 @@ def _analyze_store(store: MeasurementStore, partition: Optional[str],
     if not records:
         return 1, {}
     session_rows, spike_rows, failures = _analysis_rows(store, records, params, "analyze")
-    params_hash = _analysis_hash(**params)
+    analysis_hash = _analysis_hash(**params)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report_csv(out_dir / "spikes.csv", SPIKE_HEADER, spike_rows,
-                     config_hash=params_hash)
+                     config_hash=analysis_hash)
     write_report_csv(out_dir / "sessions.csv", SESSION_HEADER, session_rows,
-                     config_hash=params_hash)
+                     config_hash=analysis_hash)
     sustained = sum(row[4] == analysis.KIND_SUSTAINED for row in spike_rows)
     return (1 if failures else 0), {"sessions": len(session_rows), "failed": failures,
                                     "spikes": len(spike_rows), "sustained": sustained,
@@ -351,6 +352,14 @@ def _analyze_store(store: MeasurementStore, partition: Optional[str],
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    # Written as "not in range" so that NaN fails each check.
+    if not 1 <= args.window <= 120:
+        raise ConfigError(f"--window: {args.window} s is not in 1..120")
+    if not args.standard_sigma > 0:
+        raise ConfigError(f"--standard-sigma: {args.standard_sigma} is not positive")
+    if not args.sustained_sigma >= args.standard_sigma:
+        raise ConfigError(f"--sustained-sigma: {args.sustained_sigma} is below "
+                          f"--standard-sigma {args.standard_sigma}")
     store = MeasurementStore(args.store)
     out_dir = Path(args.out) if args.out else store.root / "reports"
     code, counters = _analyze_store(
@@ -364,18 +373,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        cfg = CampaignConfig(
-            transport="simnet",
-            scenario_dir=args.scenarios,
-            output_dir=args.out,
-            duration_s=args.duration,
-            cadence_hz=args.cadence,
-            concurrency=args.concurrency,
-        )
-    except ConfigError as exc:
-        _err(f"simulate error stage=config msg={exc}")
-        return 2
+    cfg = CampaignConfig(
+        transport="simnet",
+        scenario_dir=args.scenarios,
+        output_dir=args.out,
+        duration_s=args.duration,
+        cadence_hz=args.cadence,
+        concurrency=args.concurrency,
+    )
     code, counters = _run_campaign(cfg, args.partition)
     if counters.get("sessions"):
         store = MeasurementStore(cfg.output_dir)
@@ -421,9 +426,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     spikes_of: dict[tuple, list] = {}
     for row in spike_rows:
         spikes_of.setdefault(tuple(row[:2]), []).append(row)
-    params_hash = _params_hash({"report": 1,
-                                "partitions": sorted({r.partition for r in records}),
-                                "analysis": sorted(analysis_hashes)})
+    report_hash = params_hash({"report": 1,
+                               "partitions": sorted({r.partition for r in records}),
+                               "analysis": sorted(analysis_hashes)})
 
     items: list[tuple[Endpoint, analysis.SessionStats]] = []
     by_date: dict[str, list[tuple[str, analysis.SessionStats]]] = {}
@@ -466,7 +471,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         "spike_inventory.csv": (SPIKE_HEADER, inventory),
     }
     for name, (header, rows) in tables.items():
-        write_report_csv(out_dir / name, header, rows, config_hash=params_hash)
+        write_report_csv(out_dir / name, header, rows, config_hash=report_hash)
 
     lines = [
         f"sessions analyzed: {len(items)} (failed: {failures})",
@@ -482,7 +487,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if rho is not None else "spearman(min RTT, POP distance): not enough located endpoints",
         f"spikes recorded: {len(inventory)}",
         "",
-        f"config_hash: {params_hash}",
+        f"config_hash: {report_hash}",
     ]
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -34,7 +34,11 @@ CUSTOMER_PTR_RE = re.compile(
 # infrastructure rather than customer terminals.
 RIR_DOMAINS = ("afrinic", "arin", "apnic", "lacnic", "ripe")
 
+ONEWEB_DOMAIN = "oneweb"
+
 DEFAULT_PEP_SUBSTRINGS = ("peplink",)
+POP_CATALOG_COLUMNS = ("pop_code", "city", "country", "latitude", "longitude")
+MAX_KEPT_ERRORS = 20  # malformed-row messages a ParseReport keeps; it counts all
 
 SOURCE_STARLINK_PTR = "starlink_ptr"
 SOURCE_ONEWEB_BLOCKLIST = "oneweb_blocklist"
@@ -87,7 +91,8 @@ class PopCatalog:
     """Mapping of POP subdomain codes to city-centre locations.
 
     Ships with the twenty known POP codes; a user-supplied CSV with the
-    same columns (pop_code,city,country,latitude,longitude) overrides it.
+    same columns (pop_code,city,country,latitude,longitude) overrides it;
+    a missing column or a bad coordinate raises :class:`DatasetError`.
     Coordinates are city-centre approximations: the reverse DNS names
     only identify the metro area.
     """
@@ -99,13 +104,20 @@ class PopCatalog:
     def from_csv(cls, path: str | Path) -> "PopCatalog":
         entries: dict[str, PopLocation] = {}
         with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                entries[row["pop_code"].strip().lower()] = PopLocation(
-                    city=row["city"],
-                    country=row["country"],
-                    latitude=float(row["latitude"]),
-                    longitude=float(row["longitude"]),
-                )
+            reader = csv.DictReader(fh, restval="")
+            missing = [c for c in POP_CATALOG_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise DatasetError(f"{path} line 1: missing columns {missing}")
+            for row in reader:
+                try:
+                    entries[row["pop_code"].strip().lower()] = PopLocation(
+                        city=row["city"],
+                        country=row["country"],
+                        latitude=float(row["latitude"]),
+                        longitude=float(row["longitude"]),
+                    )
+                except ValueError as exc:
+                    raise DatasetError(f"{path} line {reader.line_num}: {exc}") from None
         return cls(entries)
 
     @classmethod
@@ -144,9 +156,9 @@ class ParseReport:
     malformed: int = 0
     errors: list[str] = field(default_factory=list)
 
-    def note_error(self, lineno: int, message: str, keep: int = 20) -> None:
+    def note_error(self, lineno: int, message: str) -> None:
         self.malformed += 1
-        if len(self.errors) < keep:
+        if len(self.errors) < MAX_KEPT_ERRORS:
             self.errors.append(f"row {lineno}: {message}")
 
 
@@ -298,18 +310,14 @@ def exclude_peps(
     return kept, len(endpoints) - len(kept)
 
 
-def filter_oneweb_customers(
-    records: Iterable[ScanRecord],
-    provider_domain: str = "oneweb",
-    rir_domains: Sequence[str] = RIR_DOMAINS,
-) -> tuple[list[Endpoint], int]:
+def filter_oneweb_customers(records: Iterable[ScanRecord]) -> tuple[list[Endpoint], int]:
     """Blocklist-style discovery for providers without customer PTR labels.
 
     Keeps records whose PTR or SOA name contains neither the provider
     domain nor any RIR domain.  Records lacking both names cannot be
     classified and are excluded; their count is returned alongside.
     """
-    blocked = [provider_domain.lower()] + [d.lower() for d in rir_domains]
+    blocked = (ONEWEB_DOMAIN, *RIR_DOMAINS)
     endpoints: list[Endpoint] = []
     unclassifiable = 0
     seen: set[str] = set()

@@ -35,6 +35,7 @@ DEFAULT_MAX_TTL = 32
 DEFAULT_CADENCE_HZ = 1
 DEFAULT_DURATION_S = 300
 UNUSABLE_LOSS_FRACTION = 0.5
+STABILITY_INTERVAL_MS = 1000  # between validate_hop_stability's re-traces
 
 
 class ProbeError(Exception):
@@ -320,7 +321,6 @@ def validate_hop_stability(
     path: SatLinkPath,
     *,
     trials: int = 100,
-    interval_s: float = 1.0,
     protocol: str = "icmp",
     flow_id: int = 1,
     max_ttl: int = DEFAULT_MAX_TTL,
@@ -337,7 +337,7 @@ def validate_hop_stability(
     terrestrial_ok = 0
     started = transport.now_ms()
     for k in range(trials):
-        transport.sleep_until_ms(started + int(k * interval_s * 1000))
+        transport.sleep_until_ms(started + k * STABILITY_INTERVAL_MS)
         try:
             trace = run_traceroute(transport, path.target, protocol=protocol,
                                    flow_id=flow_id, max_ttl=max_ttl,

@@ -40,7 +40,6 @@ SESSION_COLUMNS = ["timestamp_ms", "target", "hop_ttl", "rtt_us", "lost"]
 _ROW_DTYPE = np.dtype([("sent_ms", np.int64), ("ttl", np.int64), ("rtt_us", np.float64)])
 
 TRANSPORTS = ("simnet", "raw")
-SCHEDULES = ("once", "daily")
 
 
 class StoreError(RuntimeError):
@@ -57,8 +56,7 @@ class CampaignConfig:
 
     Tunable ranges: cadence_hz 1..10, duration_s 1..86400, concurrency
     1..64, probes_per_hop 1..10, max_ttl 1..64, timeout_s (0, 30],
-    smoothing_window_s 1..120, jump_threshold_ms > 0, sigma thresholds
-    positive with sustained >= standard.
+    jump_threshold_ms > 0.
     """
 
     transport: str
@@ -73,11 +71,7 @@ class CampaignConfig:
     probes_per_hop: int = 3
     max_ttl: int = 32
     timeout_s: float = 2.0
-    smoothing_window_s: float = 15.0
-    sustained_sigma: float = 2.0
-    standard_sigma: float = 1.0
     protocol: str = "icmp"
-    schedule: str = "once"
     exclude_file: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -109,14 +103,8 @@ class CampaignConfig:
             raise bad("max_ttl", "must be in 1..64")
         if not 0 < float(self.timeout_s) <= 30:
             raise bad("timeout_s", "must be in (0, 30]")
-        if not 1 <= float(self.smoothing_window_s) <= 120:
-            raise bad("smoothing_window_s", "must be in 1..120")
-        if not (self.standard_sigma > 0 and self.sustained_sigma >= self.standard_sigma):
-            raise bad("sustained_sigma", "need sustained >= standard > 0")
         if self.protocol not in ("icmp", "udp", "tcp"):
             raise bad("protocol", "must be icmp, udp or tcp")
-        if self.schedule not in SCHEDULES:
-            raise bad("schedule", f"must be one of {SCHEDULES}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "CampaignConfig":
@@ -141,8 +129,13 @@ class CampaignConfig:
         # campaigns with the same probing parameters hash identically.
         fields = asdict(self)
         fields.pop("output_dir")
-        blob = json.dumps(fields, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
+        return params_hash(fields)
+
+
+def params_hash(params: dict) -> str:
+    """The 12-hex-digit provenance hash of a JSON-able dict, as artifacts record it."""
+    blob = json.dumps(params, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:12]
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,11 @@ def test_smooth_rejects_nonpositive_window():
         smooth(series([1.0, 2.0]), window_s=0.0)
 
 
+def test_smooth_rejects_nan_window():
+    with pytest.raises(ValueError, match="window_s must be positive"):
+        smooth(series([1.0, 2.0]), window_s=float("nan"))
+
+
 def test_smooth_exact_idempotence_on_long_plateaus():
     values = [30.0] * 40 + [55.0] * 40 + [30.0] * 40
     once = smooth(series(values))

@@ -8,12 +8,15 @@ sort-then-``csv.writer`` pass and a ``heapq.merge`` of per-sample lists,
 and for the constellation the per-snapshot geometry: one propagation,
 one look-angle pass over every satellite per rule and a per-satellite
 loop for the two-satellite threshold, one time step at a time.  The
-fast code must agree with them exactly, not approximately.
+fast code must agree with them exactly, not approximately.  The one
+exception is the report's Spearman rho, checked against
+``scipy.stats.spearmanr`` (skipped without scipy) to 1e-12.
 """
 import csv
 import heapq
 import io
 import math
+import warnings
 from collections import namedtuple
 from dataclasses import replace
 from operator import attrgetter
@@ -27,9 +30,11 @@ from leolink import constellation, simnet
 from leolink.analysis import (
     EmptySeriesError,
     LatencySeries,
+    SessionStats,
     SessionUnusableError,
     _maximal_runs,
     isolate_satellite_latency,
+    min_rtt_vs_pop_distance,
     smooth,
 )
 from leolink.constellation import (
@@ -49,7 +54,7 @@ from leolink.constellation import (
     visible_satellites,
     worst_case_rtt,
 )
-from leolink.discovery import Endpoint
+from leolink.discovery import Endpoint, PopLocation
 from leolink.geo import EARTH_RADIUS_KM, vacuum_rtt_ms
 from leolink.probe import MeasurementSession, SatLinkPath
 from leolink.store import MeasurementStore
@@ -336,6 +341,35 @@ def test_smooth_equals_per_tick_median_on_long_grids(n, cadence_hz, window_s, se
 def test_maximal_runs_equal_while_loop(bits):
     mask = np.array(bits, dtype=bool)
     assert _maximal_runs(mask) == oracle_maximal_runs(mask)
+
+
+def _spearman_columns(n):
+    # Few distinct values, so ties are common and a column is often constant.
+    dist = st.one_of(st.lists(st.integers(0, 6).map(float), min_size=n, max_size=n),
+                     st.lists(st.floats(0.0, 20_000.0), min_size=n, max_size=n))
+    rtts = st.lists(st.sampled_from([20.0, 25.0, 30.0, 31.5]), min_size=n, max_size=n)
+    return st.tuples(dist, rtts)
+
+
+@given(st.integers(3, 200).flatmap(_spearman_columns))
+@example(([1.0, 2.0, 3.0], [25.0, 25.0, 25.0]))
+@example(([4.0] * 5, [20.0, 25.0, 30.0, 25.0, 20.0]))
+@example(([0.0] * 200, [31.5] * 200))
+@settings(max_examples=200, deadline=None)
+def test_spearman_rho_equals_scipy(columns):
+    stats = pytest.importorskip("scipy.stats")
+    # A POP at (0, 0) and each customer on the equator, dist km east of it.
+    pop = PopLocation("", "", 0.0, 0.0)
+    items = [(Endpoint(f"a{i}", "x", pop, (0.0, math.degrees(d / EARTH_RADIUS_KM))),
+              SessionStats(m, m, m, 0.0, 0.0, 0.0)) for i, (d, m) in enumerate(zip(*columns))]
+    rows, rho = min_rtt_vs_pop_distance(items)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on a constant column
+        want = stats.spearmanr([r[1] for r in rows], [r[2] for r in rows]).statistic
+    if math.isnan(want):
+        assert math.isnan(rho)
+    else:
+        assert abs(rho - want) <= 1e-12
 
 
 # ------------------------------------------------------------- simnet

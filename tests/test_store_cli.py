@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -73,10 +76,9 @@ def small_session(address="100.64.9.1", n=5):
     (dict(probes_per_hop=11), "probes_per_hop"),
     (dict(max_ttl=65), "max_ttl"),
     (dict(timeout_s=31.0), "timeout_s"),
-    (dict(smoothing_window_s=0.5), "smoothing_window_s"),
-    (dict(sustained_sigma=0.5, standard_sigma=1.0), "sustained_sigma"),
+    (dict(timeout_s=0.0), "timeout_s"),
+    (dict(jump_threshold_ms=float("nan")), "jump_threshold_ms"),
     (dict(protocol="gre"), "protocol"),
-    (dict(schedule="hourly"), "schedule"),
 ])
 def test_config_validation(tmp_path, overrides, field):
     with pytest.raises(ConfigError) as err:
@@ -95,6 +97,26 @@ def test_config_from_json_rejects_unknown_fields(tmp_path):
         CampaignConfig.from_json(path)
     with pytest.raises(ConfigError, match="cannot load"):
         CampaignConfig.from_json(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("smoothing_window_s", 15.0), ("sustained_sigma", 2.0),
+    ("standard_sigma", 1.0), ("schedule", "once"),
+])
+def test_removed_config_fields_are_unknown(tmp_path, capsys, field, value):
+    # analyze's own options set these; a config naming one must say so.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"transport": "simnet", "output_dir": str(tmp_path / "s"),
+                                    "scenario_dir": str(SCENARIOS / "relay_split"),
+                                    field: value}))
+    with pytest.raises(ConfigError, match=re.escape(f"unknown fields ['{field}']")):
+        CampaignConfig.from_json(cfg_path)
+    assert cli.main(["measure", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"measure error stage=config msg={cfg_path}: unknown fields ['{field}']"]
+    assert not (tmp_path / "s").exists()
 
 
 def test_config_hash_ignores_store_location(tmp_path):
@@ -398,6 +420,31 @@ def test_analyze_empty_store_exits_1(tmp_path, capsys):
     assert "analyze error no-sessions" in capsys.readouterr().out
     assert cli.main(["report", "--store", str(tmp_path / "store")]) == 1
     assert "report error no-sessions" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("options", [
+    ["--window", "0"], ["--window", "nan"], ["--window", "121"],
+    ["--standard-sigma", "0"], ["--sustained-sigma", "0.5", "--standard-sigma", "1.0"],
+], ids=["window_0", "window_nan", "window_121", "standard_0", "sustained_below_standard"])
+def test_analyze_rejects_bad_parameters(tmp_path, capsys, options):
+    store = MeasurementStore(tmp_path / "store")
+    store.write_session(store.new_partition("p"), small_session(), config_hash="x")
+    assert cli.main(["analyze", "--store", str(store.root), *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"analyze error stage=config msg={options[0]}: ")
+    assert not (store.root / "reports").exists()
+
+
+def test_analyze_accepts_the_range_ends(tmp_path, capsys):
+    store_dir = tmp_path / "store"
+    assert cli.main(["simulate", "--scenarios", str(SCENARIOS / "relay_split"),
+                     "--out", str(store_dir), "--duration", "300", "--partition", "p"]) == 0
+    for options in (["--window", "1"], ["--window", "120"],
+                    ["--sustained-sigma", "1.5", "--standard-sigma", "1.5"]):
+        assert cli.main(["analyze", "--store", str(store_dir), *options]) == 0, options
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_missing_partition_is_a_store_diagnostic(tmp_path, capsys):
@@ -704,3 +751,107 @@ def test_measure_reports_store_write_error_per_endpoint(tmp_path, capsys, monkey
     captured = capsys.readouterr()
     assert captured.out.startswith("measure error sessions=0 failed=1 ")
     assert "measure error stage=store endpoint=100.64.9.1 msg=disk full" in captured.err
+
+
+# ------------------------------------------------------------ bad user files
+
+def _single_config_error(capsys, command, *parts):
+    """The one stderr line of a ``stage=config`` exit, checked for ``parts``."""
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"{command} error stage=config msg="), line
+    for part in parts:
+        assert part in line, line
+    return captured
+
+
+@pytest.mark.parametrize("cohort_text,where", [
+    ("address,pop_code,cust_lat,cust_lon\n100.64.9.1,sttlwax1,47.6,-122.3\n"
+     "100.64.9.2,sttlwax1,abc,-122.3\n", "line 3: could not convert string to float"),
+    ("addr,pop_code\n100.64.9.1,sttlwax1\n", "line 1: no address column"),
+], ids=["bad_value", "missing_column"])
+@pytest.mark.parametrize("command", ["trace", "measure"])
+def test_bad_cohort_csv_is_a_config_error(tmp_path, capsys, monkeypatch, command,
+                                          cohort_text, where):
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text(cohort_text)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"transport": "raw", "output_dir": str(tmp_path / "s"),
+                                    "endpoints_file": str(cohort)}))
+    monkeypatch.setattr(StubRawTransport, "instances", [])
+    monkeypatch.setattr(rawnet, "RawTransport", StubRawTransport)
+    extra = {"trace": ["--out", str(tmp_path / "paths.csv")], "measure": []}[command]
+    assert cli.main([command, "--config", str(cfg_path), *extra]) == 2
+    _single_config_error(capsys, command, f"{cohort} {where}")
+    assert StubRawTransport.instances == []
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("catalog_text,where", [
+    ("pop_code,city,country,latitude,longitude\nsttlwax1,Seattle,US,47.6,-122.3\n"
+     "lgosnga1,Lagos,NG,north,3.4\n", "line 3: could not convert string to float"),
+    ("pop_code,city,country,lat,lon\nsttlwax1,Seattle,US,47.6,-122.3\n",
+     "line 1: missing columns ['latitude', 'longitude']"),
+], ids=["bad_value", "missing_column"])
+@pytest.mark.parametrize("command", ["discover", "report"])
+def test_bad_pop_catalog_is_a_config_error(tmp_path, capsys, command, catalog_text, where):
+    catalog = tmp_path / "catalog.csv"
+    catalog.write_text(catalog_text)
+    store = MeasurementStore(tmp_path / "store")
+    store.write_session(store.new_partition("p"), small_session(), config_hash="x")
+    argv = {"discover": ["--scan", str(FIXTURES / "scan_small.jsonl"),
+                         "--out", str(tmp_path / "cohort.csv")],
+            "report": ["--store", str(store.root)]}[command]
+    assert cli.main([command, *argv, "--pop-catalog", str(catalog)]) == 2
+    _single_config_error(capsys, command, f"{catalog} {where}")
+    assert not (tmp_path / "cohort.csv").exists()
+    assert not (store.root / "reports").exists()
+
+
+# ------------------------------------------------------------- dependencies
+
+def _located_session(address, lat, lon, n=120):
+    """A flat 25 ms session of a located customer of the Lagos POP."""
+    path = SatLinkPath(target=address, pre_sat_ttl=2, pre_sat_router="10.0.0.2",
+                       post_sat_ttl=3, jump_ms=25.0)
+    endpoint = Endpoint(address=address, pop_code="lgosnga1", pop_location=None,
+                        customer_location=(lat, lon))
+    sent_ms = np.arange(n, dtype=np.int64) * 1000
+    return MeasurementSession(endpoint=endpoint, path=path, start_ms=0, duration_s=n,
+                              cadence_hz=1, terrestrial_sent_ms=sent_ms,
+                              terrestrial_rtt_us=np.full(n, 10_000.0),
+                              endpoint_sent_ms=sent_ms,
+                              endpoint_rtt_us=np.full(n, 35_000.0))
+
+
+def _run_cli(*argv):
+    """``python -m leolink.cli`` in a fresh interpreter, warnings shown as by default."""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "default"}
+    return subprocess.run([sys.executable, "-m", "leolink.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_constant_min_rtt_gives_nan_rho_without_warnings(tmp_path):
+    store = MeasurementStore(tmp_path / "store")
+    part = store.new_partition("2026-08-01")
+    for i, (lat, lon) in enumerate([(6.5, 3.4), (7.4, 3.9), (9.1, 7.5)]):
+        store.write_session(part, _located_session(f"100.64.9.{i + 1}", lat, lon),
+                            config_hash="x")
+    done = _run_cli("report", "--store", str(store.root))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    summary = (store.root / "reports" / "summary.txt").read_text()
+    assert "spearman(min RTT, POP distance) = nan over 3 endpoints" in summary
+
+
+def test_no_leolink_module_imports_scipy():
+    src = Path(cli.__file__).resolve().parent.parent
+    code = ("import importlib, pkgutil, sys, leolink\n"
+            "for m in pkgutil.walk_packages(leolink.__path__, 'leolink.'):\n"
+            "    importlib.import_module(m.name)\n"
+            "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
