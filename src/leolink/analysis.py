@@ -20,7 +20,7 @@ of 15 one-second ticks lasts exactly 15 s.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -122,7 +122,6 @@ class PopAggregate:
     n_endpoints: int
     mean_of_means_ms: float
     stddev_of_means_ms: float
-    endpoint_stats: list[tuple[str, SessionStats]] = field(default_factory=list)
 
 
 def isolate_satellite_latency(session: MeasurementSession) -> tuple[LatencySeries, int]:
@@ -318,37 +317,31 @@ def aggregate_by_pop(
     items: Sequence[tuple[Endpoint, SessionStats]],
 ) -> list[PopAggregate]:
     """Group per-endpoint stats by POP code, sorted by code."""
-    by_pop: dict[str, list[tuple[str, SessionStats]]] = {}
+    by_pop: dict[str, list[float]] = {}
     for endpoint, st in items:
-        by_pop.setdefault(endpoint.pop_code, []).append((endpoint.address, st))
+        by_pop.setdefault(endpoint.pop_code, []).append(st.mean_ms)
     aggregates = []
     for code in sorted(by_pop):
-        entries = by_pop[code]
-        means = np.array([st.mean_ms for _, st in entries])
+        means = np.array(by_pop[code])
         aggregates.append(PopAggregate(
             pop_code=code,
-            n_endpoints=len(entries),
+            n_endpoints=len(means),
             mean_of_means_ms=float(np.mean(means)),
             stddev_of_means_ms=float(np.std(means)),
-            endpoint_stats=entries,
         ))
     return aggregates
 
 
 def temporal_trend(
-    daily: Sequence[tuple[str, PopAggregate]],
+    daily: Sequence[tuple[str, Sequence[SessionStats]]],
 ) -> list[tuple[str, float]]:
     """Per-day median of endpoint median latencies, sorted by date.
 
-    Dates are ISO strings; the return value is plot-ready.
+    ``daily`` pairs an ISO date with that day's session statistics; a
+    day without any is left out.  The return value is plot-ready.
     """
-    out = []
-    for date, agg in sorted(daily, key=lambda item: item[0]):
-        medians = np.array([st.median_ms for _, st in agg.endpoint_stats])
-        if len(medians) == 0:
-            continue
-        out.append((date, float(np.median(medians))))
-    return out
+    return [(date, float(np.median([st.median_ms for st in stats])))
+            for date, stats in sorted(daily, key=lambda item: item[0]) if stats]
 
 
 def min_rtt_vs_pop_distance(

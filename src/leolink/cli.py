@@ -15,9 +15,11 @@ import csv
 import ipaddress
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from datetime import date
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import analysis, probe
 from .discovery import (
@@ -144,15 +146,18 @@ def _endpoint_from_scenario(scenario: Scenario, catalog: PopCatalog) -> Endpoint
         "source": str(meta.get("source", "starlink_ptr"))}, catalog)
 
 
-def _cohort(cfg: CampaignConfig) -> tuple[list[tuple[Endpoint, Optional[SimnetTransport]]], int]:
-    """Each endpoint of the campaign with its simulator, or None for raw
-    sockets, and how many addresses ``cfg.exclude_file`` dropped."""
+def _cohort(cfg: CampaignConfig) -> tuple[list[tuple[Endpoint, Callable]], int]:
+    """Each endpoint of the campaign with the function that opens its
+    transport (its own simulator, or raw sockets closed after use), and
+    how many addresses ``cfg.exclude_file`` dropped."""
     catalog = PopCatalog.default()
     if cfg.transport == "simnet":
-        cohort = [(_endpoint_from_scenario(t.scenario, catalog), t)
+        cohort = [(_endpoint_from_scenario(t.scenario, catalog), partial(nullcontext, t))
                   for _, t in fleet_transports(load_scenario_dir(cfg.scenario_dir))]
     else:
-        cohort = [(ep, None) for ep in load_endpoints_csv(cfg.endpoints_file, catalog)]
+        from . import rawnet  # only raw campaigns pay for the socket modules
+        cohort = [(ep, rawnet.RawTransport)
+                  for ep in load_endpoints_csv(cfg.endpoints_file, catalog)]
     nets = []
     if cfg.exclude_file:
         with open(cfg.exclude_file, encoding="utf-8") as fh:
@@ -190,72 +195,69 @@ def _measure_endpoint(transport, endpoint: Endpoint,
         timeout_s=cfg.timeout_s)
 
 
-def _with_transport(transport: Optional[SimnetTransport], step, endpoint: Endpoint, cfg):
-    """Run ``step`` on the simulated transport, else on raw sockets it closes."""
-    if transport is not None:
-        return step(transport, endpoint, cfg)
-    from .rawnet import RawTransport
-    with RawTransport() as raw:
-        return step(raw, endpoint, cfg)
+def _run_cohort(command: str, cfg: CampaignConfig, cohort: Sequence, step,
+                write: Optional[Callable] = None) -> tuple[list[tuple[Endpoint, object]], int]:
+    """Run ``step(transport, endpoint, cfg)`` on a transport opened for each
+    address of ``cohort``, ``cfg.concurrency`` at a time, then
+    ``write(transport, result)`` if given.  Returns the successful
+    (endpoint, what write returned, else what step returned) pairs in cohort
+    order and the failure count; each failure is a ``<command> error stage=``
+    line: ``probe`` for a ProbeError, ``transport`` for any other probing
+    error, ``store`` for a failed write or a repeated address."""
+    seen: set[str] = set()
+    jobs = []
+    for endpoint, open_transport in cohort:
+        jobs.append((endpoint, open_transport, endpoint.address in seen))
+        seen.add(endpoint.address)
+
+    def work(job) -> tuple[Optional[str], object]:
+        endpoint, open_transport, repeated = job
+        if repeated:
+            # Two workers on one address would race on its session directory.
+            return "store", "listed more than once in the cohort"
+        try:
+            with open_transport() as transport:
+                result = step(transport, endpoint, cfg)
+        except probe.ProbeError as exc:
+            return "probe", exc
+        except Exception as exc:  # noqa: BLE001 - cohort must survive one endpoint
+            return "transport", exc
+        if write is not None:
+            try:
+                result = write(transport, result)  # the session is not held past its write
+            except (StoreError, OSError) as exc:
+                return "store", exc
+        return None, result
+
+    done = []
+    with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
+        for (endpoint, *_), (stage, outcome) in zip(jobs, pool.map(work, jobs)):
+            if stage is None:
+                done.append((endpoint, outcome))
+            else:
+                _err(f"{command} error stage={stage} endpoint={endpoint.address} msg={outcome}")
+    return done, len(jobs) - len(done)
 
 
 def _run_campaign(cfg: CampaignConfig, partition_label: Optional[str]) -> tuple[int, dict]:
-    """Measure the whole cohort into a fresh partition.
-
-    Returns (exit_code, counters).  A failing endpoint is reported and
-    skipped; only configuration-level problems abort the run.
-    """
+    """Measure the whole cohort into a fresh partition; returns (exit_code, counters)."""
     store = MeasurementStore(cfg.output_dir)
     cohort, excluded = _cohort(cfg)
-
-    jobs: dict[str, tuple[Endpoint, Optional[SimnetTransport]]] = {}
-    duplicates = 0
-    for ep, transport in cohort:
-        if ep.address in jobs:
-            # Two writers of one address would race on its session directory.
-            _err(f"measure error stage=store endpoint={ep.address} "
-                 f"msg=listed more than once in the cohort")
-            duplicates += 1
-        else:
-            jobs[ep.address] = (ep, transport)
-
     label = partition_label or cfg.partition_label or date.today().isoformat()
     partition = store.new_partition(label)
     config_hash = cfg.config_hash()
 
-    def work(job: tuple[Endpoint, Optional[SimnetTransport]]) -> Optional[str]:
-        endpoint, transport = job
-        try:
-            session = _with_transport(transport, _measure_endpoint, endpoint, cfg)
-        except probe.ProbeError as exc:
-            return f"measure error stage=probe endpoint={endpoint.address} msg={exc}"
-        except Exception as exc:  # noqa: BLE001 - cohort must survive one endpoint
-            return f"measure error stage=transport endpoint={endpoint.address} msg={exc}"
+    def write(transport, session: probe.MeasurementSession) -> Path:
         extra = {"transport": cfg.transport, "protocol": cfg.protocol}
-        if transport is not None:
+        if isinstance(transport, SimnetTransport):
             extra["seed"] = transport.scenario.seed
-        try:
-            store.write_session(partition, session, config_hash=config_hash,
-                                extra_meta=extra)
-        except (StoreError, OSError) as exc:
-            return f"measure error stage=store endpoint={endpoint.address} msg={exc}"
-        return None
+        return store.write_session(partition, session, config_hash=config_hash,
+                                   extra_meta=extra)
 
-    failures = 0
-    with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
-        for problem in pool.map(work, jobs.values()):
-            if problem:
-                _err(problem)
-                failures += 1
-
-    counters = {
-        "sessions": len(jobs) - failures,
-        "failed": failures + duplicates,
-        "excluded": excluded,
-        "partition": partition,
-        "store": str(store.root),
-    }
-    return (1 if failures or duplicates else 0), counters
+    sessions, failed = _run_cohort("measure", cfg, cohort, _measure_endpoint, write)
+    return (1 if failed else 0), {"sessions": len(sessions), "failed": failed,
+                                  "excluded": excluded, "partition": partition,
+                                  "store": str(store.root)}
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
@@ -265,26 +267,17 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     cfg = CampaignConfig.from_json(args.config)
-    rows = []
-    failures = 0
     cohort, _ = _cohort(cfg)
-    for endpoint, transport in cohort:
-        try:
-            path = _with_transport(transport, _trace_path, endpoint, cfg)
-        except probe.ProbeError as exc:
-            _err(f"trace error stage=probe endpoint={endpoint.address} msg={exc}")
-            failures += 1
-            continue
-        rows.append([endpoint.address, path.pre_sat_ttl, path.pre_sat_router,
-                     path.post_sat_ttl, f"{path.jump_ms:.3f}"])
-
+    paths, failed = _run_cohort("trace", cfg, cohort, _trace_path)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_report_csv(out, ["address", "pre_sat_ttl", "pre_sat_router",
-                           "post_sat_ttl", "jump_ms"], rows,
+                           "post_sat_ttl", "jump_ms"],
+                     [[ep.address, p.pre_sat_ttl, p.pre_sat_router, p.post_sat_ttl,
+                       f"{p.jump_ms:.3f}"] for ep, p in paths],
                      config_hash=cfg.config_hash())
-    return _print_summary("trace", 1 if failures else 0,
-                          {"paths": len(rows), "failed": failures, "out": out})
+    return _print_summary("trace", 1 if failed else 0,
+                          {"paths": len(paths), "failed": failed, "out": out})
 
 
 # --------------------------------------------------------------- analysis
@@ -431,7 +424,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                                "analysis": sorted(analysis_hashes)})
 
     items: list[tuple[Endpoint, analysis.SessionStats]] = []
-    by_date: dict[str, list[tuple[str, analysis.SessionStats]]] = {}
+    by_date: dict[str, list[analysis.SessionStats]] = {}
     inventory = []
     for rec in records:
         key = (rec.partition, rec.address)
@@ -440,13 +433,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         try:
             endpoint = endpoint_from_meta(rec.meta, catalog)
             stats = analysis.SessionStats(*map(float, session_rows[key][5:]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (StoreError, KeyError, TypeError, ValueError) as exc:
             _err(f"report error stage=analysis endpoint={rec.address} msg={exc}")
             failures += 1
             continue
         items.append((endpoint, stats))
         day = rec.partition.split(".")[0]
-        by_date.setdefault(day, []).append((endpoint.address, stats))
+        by_date.setdefault(day, []).append(stats)
         inventory.extend(spikes_of.get(key, ()))
     if not items:
         print("report error no-sessions")
@@ -457,9 +450,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     aggregates = analysis.aggregate_by_pop(items)
     dist_rows, rho = analysis.min_rtt_vs_pop_distance(items)
-    trend = analysis.temporal_trend([
-        (day, analysis.PopAggregate("all", len(stats), 0.0, 0.0, stats))
-        for day, stats in by_date.items()])
+    trend = analysis.temporal_trend(list(by_date.items()))
     tables = {
         "pop_summary.csv": (
             ["pop_code", "n_endpoints", "mean_of_means_ms", "stddev_of_means_ms"],

@@ -24,6 +24,7 @@ import math
 import os
 import warnings
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -143,7 +144,22 @@ class SessionRecord:
     partition: str
     address: str
     path: Path
-    meta: dict
+
+    @cached_property
+    def meta(self) -> dict:
+        """The session's ``meta.json``, ``{}`` if there is none; one that
+        cannot be read as a JSON object raises :class:`StoreError` naming it."""
+        mpath = self.path.parent / META_FILENAME
+        if not mpath.is_file():
+            return {}
+        try:
+            with open(mpath, encoding="utf-8") as fh:
+                meta = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise StoreError(f"{mpath}: {exc}") from None
+        if not isinstance(meta, dict):
+            raise StoreError(f"{mpath}: top level is not an object")
+        return meta
 
 
 class MeasurementStore:
@@ -253,15 +269,8 @@ class MeasurementStore:
                 raise StoreError(f"no such partition: {part}")
             for epdir in sorted(p for p in pdir.iterdir() if p.is_dir()):
                 spath = epdir / SESSION_FILENAME
-                mpath = epdir / META_FILENAME
-                if not spath.is_file():
-                    continue
-                meta = {}
-                if mpath.is_file():
-                    with open(mpath, encoding="utf-8") as fh:
-                        meta = json.load(fh)
-                out.append(SessionRecord(partition=part, address=epdir.name,
-                                         path=spath, meta=meta))
+                if spath.is_file():
+                    out.append(SessionRecord(partition=part, address=epdir.name, path=spath))
         return out
 
     def read_session(self, record: SessionRecord) -> MeasurementSession:

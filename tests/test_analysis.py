@@ -312,9 +312,7 @@ def test_aggregate_groups_and_sorts_by_pop():
 
 def test_temporal_trend_25_percent_decrease():
     def day(median):
-        st_ = session_stats(series([median] * 4))
-        agg = aggregate_by_pop([(ENDPOINT, st_)])[0]
-        return agg
+        return [session_stats(series([median] * 4))]
     trend = temporal_trend([("2024-01-15", day(300.0)), ("2023-03-01", day(400.0))])
     assert [d for d, _ in trend] == ["2023-03-01", "2024-01-15"]
     first, last = trend[0][1], trend[-1][1]

@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -414,6 +416,55 @@ def test_unpaired_ticks_fail_the_session(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def _two_partition_store(tmp_path):
+    """A store with one relay_split session in each of p1 and p2; the
+    analyze tables under ``reports/`` cover p2 only."""
+    store_dir = tmp_path / "store"
+    for partition in ("p1", "p2"):
+        assert cli.main(["simulate", "--scenarios", str(SCENARIOS / "relay_split"),
+                         "--out", str(store_dir), "--duration", "300",
+                         "--partition", partition]) == 0
+    return store_dir
+
+
+BAD_META = pytest.mark.parametrize("meta_text", ["{not json", "[]"],
+                                   ids=["not_json", "not_an_object"])
+
+
+@BAD_META
+def test_analyze_fails_only_the_session_with_a_bad_meta_json(tmp_path, capsys, meta_text):
+    store_dir = _two_partition_store(tmp_path)
+    meta_path = next((store_dir / "p2").glob("*/meta.json"))
+    meta_path.write_text(meta_text)
+    capsys.readouterr()
+    assert cli.main(["analyze", "--store", str(store_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("analyze error sessions=1 failed=1 ")
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"analyze error stage=analysis endpoint=176.83.201.7 "
+                           f"msg={meta_path}: ")
+    _, _, rows = read_report_csv(store_dir / "reports" / "sessions.csv")
+    assert [r[0] for r in rows] == ["p1"]
+
+
+@BAD_META
+@pytest.mark.parametrize("partition", ["p1", "p2"], ids=["fresh", "from_tables"])
+def test_report_fails_only_the_session_with_a_bad_meta_json(tmp_path, capsys, meta_text,
+                                                            partition):
+    store_dir = _two_partition_store(tmp_path)
+    meta_path = next((store_dir / partition).glob("*/meta.json"))
+    meta_path.write_text(meta_text)
+    capsys.readouterr()
+    assert cli.main(["report", "--store", str(store_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("report error sessions=1 failed=1 ")
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"report error stage=analysis endpoint=176.83.201.7 "
+                           f"msg={meta_path}: ")
+    _, _, trend = read_report_csv(store_dir / "reports" / "temporal_trend.csv")
+    assert [r[0] for r in trend] == [{"p1": "p2", "p2": "p1"}[partition]]
+
+
 def test_analyze_empty_store_exits_1(tmp_path, capsys):
     MeasurementStore(tmp_path / "store")
     assert cli.main(["analyze", "--store", str(tmp_path / "store")]) == 1
@@ -705,6 +756,96 @@ def test_trace_closes_raw_transport_per_endpoint(tmp_path, capsys, monkeypatch):
     assert "trace error paths=2 failed=1" in capsys.readouterr().out
     # one transport per endpoint, each closed once, the failed one too
     assert [t.exits for t in StubRawTransport.instances] == [1, 1, 1]
+
+
+def _raw_trace(tmp_path, capsys, monkeypatch, transport_class, addresses):
+    """``trace`` over a raw cohort of ``addresses`` on ``transport_class``:
+    its exit code, captured output and the rows of ``paths.csv``."""
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text("address,pop_code\n" + "".join(f"{a},sttlwax1\n" for a in addresses))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"transport": "raw", "output_dir": str(tmp_path / "s"),
+                                    "endpoints_file": str(cohort), "concurrency": 2}))
+    monkeypatch.setattr(StubRawTransport, "instances", [])
+    monkeypatch.setattr(rawnet, "RawTransport", transport_class)
+    out = tmp_path / "paths.csv"
+    code = cli.main(["trace", "--config", str(cfg_path), "--out", str(out)])
+    return code, capsys.readouterr(), read_report_csv(out)[2] if out.exists() else None
+
+
+class NoSocketRawTransport(StubRawTransport):
+    def probe(self, target, ttl, **kwargs):
+        raise rawnet.TransportUnavailableError("raw ICMP socket needs root or CAP_NET_RAW")
+
+
+class UnreachableRawTransport(StubRawTransport):
+    UNREACHABLE = "100.64.9.2"
+
+    def probe(self, target, ttl, **kwargs):
+        if target == self.UNREACHABLE:
+            raise OSError("Network is unreachable")
+        return super().probe(target, ttl, **kwargs)
+
+
+def test_trace_without_raw_sockets_fails_each_endpoint(tmp_path, capsys, monkeypatch):
+    addresses = ["100.64.9.1", "100.64.9.2"]
+    code, captured, rows = _raw_trace(tmp_path, capsys, monkeypatch,
+                                      NoSocketRawTransport, addresses)
+    assert code == 1
+    assert captured.out.startswith("trace error paths=0 failed=2 ")
+    assert captured.err.splitlines() == [
+        f"trace error stage=transport endpoint={a} msg=raw ICMP socket needs root "
+        "or CAP_NET_RAW" for a in addresses]
+    assert rows == []
+    assert [t.exits for t in StubRawTransport.instances] == [1, 1]
+
+
+def test_trace_survives_an_unreachable_endpoint(tmp_path, capsys, monkeypatch):
+    code, captured, rows = _raw_trace(tmp_path, capsys, monkeypatch, UnreachableRawTransport,
+                                      ["100.64.9.1", "100.64.9.2", "100.64.9.3"])
+    assert code == 1
+    assert captured.out.startswith("trace error paths=2 failed=1 ")
+    assert captured.err.splitlines() == [
+        "trace error stage=transport endpoint=100.64.9.2 msg=Network is unreachable"]
+    assert [r[0] for r in rows] == ["100.64.9.1", "100.64.9.3"]
+
+
+def test_trace_writes_one_row_per_address(tmp_path, capsys, monkeypatch):
+    code, captured, rows = _raw_trace(tmp_path, capsys, monkeypatch, StubRawTransport,
+                                      ["100.64.9.1", "100.64.9.2", "100.64.9.1"])
+    assert code == 1
+    assert captured.out.startswith("trace error paths=2 failed=1 ")
+    assert captured.err.splitlines() == [
+        "trace error stage=store endpoint=100.64.9.1 msg=listed more than once in the cohort"]
+    assert [r[0] for r in rows] == ["100.64.9.1", "100.64.9.2"]
+
+
+def test_trace_paths_do_not_depend_on_concurrency(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "run_simulated_campaign",
+        Path(__file__).resolve().parent.parent / "scripts" / "run_simulated_campaign.py")
+    campaign = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(campaign)
+    scen_dir = tmp_path / "scenarios"
+    scen_dir.mkdir()
+    rng = random.Random(20260814)
+    for i in range(12):
+        (scen_dir / f"endpoint_{i:02d}.json").write_text(
+            json.dumps(campaign.make_scenario(rng, i, 600)))
+    tables = {}
+    for concurrency in (1, 8):
+        cfg_path = tmp_path / f"cfg{concurrency}.json"
+        cfg_path.write_text(json.dumps({"transport": "simnet", "output_dir": "unused",
+                                        "scenario_dir": str(scen_dir),
+                                        "concurrency": concurrency}))
+        out = tmp_path / f"paths{concurrency}.csv"
+        assert cli.main(["trace", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("trace ok paths=12 failed=0 ")
+        # the provenance line holds the config hash, which covers concurrency
+        provenance, table = out.read_bytes().split(b"\n", 1)
+        assert provenance == f"# config_hash={CampaignConfig.from_json(cfg_path).config_hash()}".encode()
+        tables[concurrency] = table
+    assert tables[1] == tables[8]
 
 
 def test_readme_transports_are_accepted(tmp_path):
