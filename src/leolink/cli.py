@@ -203,18 +203,19 @@ def _run_cohort(command: str, cfg: CampaignConfig, cohort: Sequence, step,
     (endpoint, what write returned, else what step returned) pairs in cohort
     order and the failure count; each failure is a ``<command> error stage=``
     line: ``probe`` for a ProbeError, ``transport`` for any other probing
-    error, ``store`` for a failed write or a repeated address."""
-    seen: set[str] = set()
-    jobs = []
+    error, ``store`` for a failed write or a repeated address (reported
+    before any probing starts)."""
+    jobs: dict[str, tuple] = {}
     for endpoint, open_transport in cohort:
-        jobs.append((endpoint, open_transport, endpoint.address in seen))
-        seen.add(endpoint.address)
+        if endpoint.address in jobs:
+            # Two workers on one address would race on its session directory.
+            _err(f"{command} error stage=store endpoint={endpoint.address} "
+                 f"msg=listed more than once in the cohort")
+        else:
+            jobs[endpoint.address] = (endpoint, open_transport)
 
     def work(job) -> tuple[Optional[str], object]:
-        endpoint, open_transport, repeated = job
-        if repeated:
-            # Two workers on one address would race on its session directory.
-            return "store", "listed more than once in the cohort"
+        endpoint, open_transport = job
         try:
             with open_transport() as transport:
                 result = step(transport, endpoint, cfg)
@@ -231,15 +232,16 @@ def _run_cohort(command: str, cfg: CampaignConfig, cohort: Sequence, step,
 
     done = []
     with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
-        for (endpoint, *_), (stage, outcome) in zip(jobs, pool.map(work, jobs)):
+        for (endpoint, _), (stage, outcome) in zip(jobs.values(), pool.map(work, jobs.values())):
             if stage is None:
                 done.append((endpoint, outcome))
             else:
                 _err(f"{command} error stage={stage} endpoint={endpoint.address} msg={outcome}")
-    return done, len(jobs) - len(done)
+    return done, len(cohort) - len(done)
 
 
-def _run_campaign(cfg: CampaignConfig, partition_label: Optional[str]) -> tuple[int, dict]:
+def _run_campaign(command: str, cfg: CampaignConfig,
+                  partition_label: Optional[str]) -> tuple[int, dict]:
     """Measure the whole cohort into a fresh partition; returns (exit_code, counters)."""
     store = MeasurementStore(cfg.output_dir)
     cohort, excluded = _cohort(cfg)
@@ -254,7 +256,7 @@ def _run_campaign(cfg: CampaignConfig, partition_label: Optional[str]) -> tuple[
         return store.write_session(partition, session, config_hash=config_hash,
                                    extra_meta=extra)
 
-    sessions, failed = _run_cohort("measure", cfg, cohort, _measure_endpoint, write)
+    sessions, failed = _run_cohort(command, cfg, cohort, _measure_endpoint, write)
     return (1 if failed else 0), {"sessions": len(sessions), "failed": failed,
                                   "excluded": excluded, "partition": partition,
                                   "store": str(store.root)}
@@ -262,7 +264,7 @@ def _run_campaign(cfg: CampaignConfig, partition_label: Optional[str]) -> tuple[
 
 def cmd_measure(args: argparse.Namespace) -> int:
     cfg = CampaignConfig.from_json(args.config)
-    return _print_summary("measure", *_run_campaign(cfg, args.partition))
+    return _print_summary("measure", *_run_campaign("measure", cfg, args.partition))
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -374,7 +376,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cadence_hz=args.cadence,
         concurrency=args.concurrency,
     )
-    code, counters = _run_campaign(cfg, args.partition)
+    code, counters = _run_campaign("simulate", cfg, args.partition)
     if counters.get("sessions"):
         store = MeasurementStore(cfg.output_dir)
         a_code, a_counters = _analyze_store(store, counters["partition"],

@@ -20,7 +20,12 @@ ICMP and UDP modes need a raw ICMP socket (root or CAP_NET_RAW).  On
 loopback the raw socket also sees our own outbound request, so the
 receive loop filters by message type and echoes' identifiers before
 matching.  One transport instance serves one probing thread; create a
-transport per worker instead of sharing.
+transport per worker instead of sharing.  Every raw ICMP socket of the
+process receives a copy of every ICMP message, so concurrent transports
+keep apart by instance: each shifts its flow ids by its instance number
+when it derives the echo identifier and the UDP source port, and a
+time-exceeded or unreachable message only counts when the datagram it
+quotes was addressed to the probe's target.
 
 Only the pure packet builders and parsers are unit-tested by default;
 socket paths are exercised by an opt-in loopback test.
@@ -28,10 +33,12 @@ socket paths are exercised by an opt-in loopback test.
 from __future__ import annotations
 
 import errno
+import itertools
 import os
 import select
 import socket
 import struct
+import threading
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -119,22 +126,26 @@ class ParsedIcmp:
     ident: Optional[int]        # echo id of ours, if recoverable
     seq: Optional[int]
     quoted_udp_ports: Optional[tuple[int, int]] = None
+    quoted_dst: Optional[bytes] = None  # packed destination of the quoted datagram
 
 
-def _parse_inner(inner: bytes) -> tuple[Optional[int], Optional[int], Optional[tuple[int, int]]]:
-    """Pull our identifiers out of the quoted original datagram."""
+def _parse_inner(icmp_type: int, code: int, inner: bytes) -> ParsedIcmp:
+    """An ICMP error with our identifiers pulled out of the quoted
+    original datagram."""
     if len(inner) < 20:
-        return None, None, None
+        return ParsedIcmp(icmp_type, code, ident=None, seq=None)
     ihl = (inner[0] & 0x0F) * 4
     proto = inner[9]
+    dst = inner[16:20]
     body = inner[ihl:]
     if proto == socket.IPPROTO_ICMP and len(body) >= 8:
         _t, _c, _ck, ident, seq = struct.unpack("!BBHHH", body[:8])
-        return ident, seq, None
+        return ParsedIcmp(icmp_type, code, ident=ident, seq=seq, quoted_dst=dst)
     if proto == socket.IPPROTO_UDP and len(body) >= 4:
-        sport, dport = struct.unpack("!HH", body[:4])
-        return None, None, (sport, dport)
-    return None, None, None
+        ports = struct.unpack("!HH", body[:4])
+        return ParsedIcmp(icmp_type, code, ident=None, seq=None,
+                          quoted_udp_ports=ports, quoted_dst=dst)
+    return ParsedIcmp(icmp_type, code, ident=None, seq=None, quoted_dst=dst)
 
 
 def parse_icmp_v4(datagram: bytes) -> Optional[ParsedIcmp]:
@@ -149,9 +160,7 @@ def parse_icmp_v4(datagram: bytes) -> Optional[ParsedIcmp]:
     if icmp_type == ICMP_ECHO_REPLY:
         return ParsedIcmp(icmp_type, code, ident=a, seq=b)
     if icmp_type in (ICMP_TIME_EXCEEDED, ICMP_DEST_UNREACH):
-        ident, seq, ports = _parse_inner(icmp[8:])
-        return ParsedIcmp(icmp_type, code, ident=ident, seq=seq,
-                          quoted_udp_ports=ports)
+        return _parse_inner(icmp_type, code, icmp[8:])
     return None
 
 
@@ -164,10 +173,12 @@ def parse_icmp_v6(datagram: bytes) -> Optional[ParsedIcmp]:
         return ParsedIcmp(icmp_type, code, ident=a, seq=b)
     if icmp_type in (ICMP6_TIME_EXCEEDED, ICMP6_DEST_UNREACH):
         inner = datagram[8:]
-        # quoted IPv6 header is fixed 40 bytes; next header at offset 6
+        # quoted IPv6 header is fixed 40 bytes; next header at offset 6,
+        # destination at 24
         if len(inner) >= 48 and inner[6] == socket.IPPROTO_ICMPV6:
             _t, _c, _ck, ident, seq = struct.unpack("!BBHHH", inner[40:48])
-            return ParsedIcmp(icmp_type, code, ident=ident, seq=seq)
+            return ParsedIcmp(icmp_type, code, ident=ident, seq=seq,
+                              quoted_dst=inner[24:40])
         return ParsedIcmp(icmp_type, code, ident=None, seq=None)
     return None
 
@@ -176,10 +187,17 @@ def udp_src_port(flow_id: int) -> int:
     return 33000 + (flow_id % 512)
 
 
+_instance_numbers = itertools.count()
+_instance_lock = threading.Lock()
+
+
 class RawTransport:
     """Live-network transport; one instance per probing thread."""
 
     def __init__(self) -> None:
+        with _instance_lock:
+            # distinct identifiers for up to 65,536 (udp: 512) live transports
+            self._instance = next(_instance_numbers)
         self._seq = 0
         self.probes_sent = 0
         self._icmp4: Optional[socket.socket] = None
@@ -253,7 +271,10 @@ class RawTransport:
             sock.setsockopt(socket.IPPROTO_IPV6, socket.IPV6_UNICAST_HOPS, ttl)
         self._seq = (self._seq + 1) & 0xFFFF
         seq = self._seq
-        ident = flow_ident(flow_id)
+        # flow_ident is one-to-one on flow ids mod 2**16, so shifting the
+        # flow id by the instance number keeps live transports apart
+        ident = flow_ident(flow_id + self._instance)
+        dst = socket.inet_pton(family, target)
         stamp = struct.pack("!Q", time.monotonic_ns() & (2**64 - 1))
         if family == socket.AF_INET:
             packet = build_icmp_echo(ident, seq, flow_id, payload_extra=stamp)
@@ -283,6 +304,8 @@ class RawTransport:
             parsed = parse(data)
             if parsed is None or parsed.ident != ident or parsed.seq != seq:
                 continue  # someone else's traffic, or our own request echoed back
+            if parsed.icmp_type != reply_type and parsed.quoted_dst != dst:
+                continue  # an error about a probe to another target
             rtt_us = (t1 - t0) / 1000.0
             if parsed.icmp_type == reply_type:
                 return ProbeReply(responder=addr[0], rtt_us=rtt_us, kind="echo")
@@ -294,15 +317,17 @@ class RawTransport:
     def _probe_udp(self, target: str, ttl: int, flow_id: int,
                    timeout_s: float) -> Optional[ProbeReply]:
         icmp = self._icmp_sock(socket.AF_INET)
-        sport, dport = udp_src_port(flow_id), UDP_BASE_DST_PORT
+        dport = UDP_BASE_DST_PORT
+        dst = socket.inet_pton(socket.AF_INET, target)
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as udp:
             udp.setsockopt(socket.IPPROTO_IP, socket.IP_TTL, ttl)
             try:
-                udp.bind(("", sport))
+                udp.bind(("", udp_src_port(flow_id + self._instance)))
             except OSError:
-                pass  # port taken; flow id still stable via dport + addresses
+                pass  # port taken; sendto binds another, read back below
             t0 = time.monotonic_ns()
             udp.sendto(b"\x00" * 8, (target, dport))
+            sport = udp.getsockname()[1]
             deadline = t0 + int(timeout_s * 1e9)
             while True:
                 remaining = (deadline - time.monotonic_ns()) / 1e9
@@ -319,7 +344,7 @@ class RawTransport:
                 parsed = parse_icmp_v4(data)
                 if parsed is None or parsed.quoted_udp_ports is None:
                     continue
-                if parsed.quoted_udp_ports != (sport, dport):
+                if parsed.quoted_udp_ports != (sport, dport) or parsed.quoted_dst != dst:
                     continue
                 rtt_us = (t1 - t0) / 1000.0
                 if (parsed.icmp_type == ICMP_DEST_UNREACH

@@ -1,11 +1,14 @@
+import errno
 import os
 import socket
 import struct
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leolink import rawnet
 from leolink.rawnet import (
     ICMP_DEST_UNREACH,
     ICMP_ECHO_REPLY,
@@ -26,10 +29,11 @@ from leolink.rawnet import (
 )
 
 
-def ipv4_header(proto, ihl_words=5):
+def ipv4_header(proto, ihl_words=5, dst="0.0.0.0"):
     header = bytearray(ihl_words * 4)
     header[0] = 0x40 | ihl_words
     header[9] = proto
+    header[16:20] = socket.inet_aton(dst)
     return bytes(header)
 
 
@@ -183,3 +187,145 @@ def test_loopback_clock_is_monotonic():
         t0 = transport.now_ms()
         transport.sleep_until_ms(t0 + 20)
         assert transport.now_ms() >= t0 + 20
+
+
+
+# ------------------------------------------------- concurrent transports
+
+class SharedIcmpWire:
+    """Stands in for the network and the kernel.  Every probe draws an ICMP
+    error from router ``10.<last octet of target>.0.<ttl>`` (time exceeded
+    for icmp, port unreachable for udp) and, as with raw sockets, every raw
+    ICMP socket of the process receives a copy of every message.  With
+    ``decoy`` set, each error is preceded by one from ``decoy``'s router
+    that quotes the same probe as sent to ``decoy``.  Ports in ``udp_ports_taken`` cannot be bound."""
+
+    def __init__(self, decoy=None, udp_ports_taken=()):
+        self.raw_sockets = []
+        self.decoy = decoy
+        self.udp_ports_taken = set(udp_ports_taken)
+
+    def raw_socket(self, *_):
+        sock = FakeRawSocket(self)
+        self.raw_sockets.append(sock)
+        return sock
+
+    def udp_socket(self, *_):
+        return FakeUdpSocket(self)
+
+    def answer(self, probe, target, ttl, proto):
+        head = (ICMP_TIME_EXCEEDED, 0) if proto == socket.IPPROTO_ICMP else (ICMP_DEST_UNREACH, 3)
+        for dst in ([self.decoy] if self.decoy else []) + [target]:
+            router = f"10.{dst.rsplit('.', 1)[1]}.0.{ttl}"
+            message = (ipv4_header(socket.IPPROTO_ICMP)
+                       + struct.pack("!BBHHH", *head, 0, 0, 0)
+                       + ipv4_header(proto, dst=dst) + probe)
+            for sock in self.raw_sockets:
+                sock.deliver(message, (router, 0))
+
+
+class FakeRawSocket:
+    """A raw ICMP socket on a SharedIcmpWire; a pipe makes it selectable."""
+
+    def __init__(self, wire):
+        self.wire, self.inbox, self.ttl = wire, [], None
+        self._r, self._w = os.pipe()
+
+    def fileno(self):
+        return self._r
+
+    def deliver(self, message, source):
+        self.inbox.append((message, source))
+        os.write(self._w, b"x")
+
+    def setsockopt(self, level, option, value):
+        self.ttl = value
+
+    def sendto(self, packet, address):
+        self.wire.answer(packet, address[0], self.ttl, socket.IPPROTO_ICMP)
+
+    def recvfrom(self, _size):
+        os.read(self._r, 1)
+        return self.inbox.pop(0)
+
+    def close(self):
+        os.close(self._r)
+        os.close(self._w)
+
+
+class FakeUdpSocket:
+    """A UDP socket on a SharedIcmpWire; sendto on an unbound one binds
+    the lowest free port from 40000."""
+
+    def __init__(self, wire):
+        self.wire, self.ttl, self.port = wire, None, None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.wire.udp_ports_taken.discard(self.port)
+
+    def setsockopt(self, level, option, value):
+        self.ttl = value
+
+    def bind(self, address):
+        if address[1] in self.wire.udp_ports_taken:
+            raise OSError(errno.EADDRINUSE, "Address already in use")
+        self.port = address[1]
+        self.wire.udp_ports_taken.add(self.port)
+
+    def getsockname(self):
+        return ("0.0.0.0", self.port)
+
+    def sendto(self, payload, address):
+        if self.port is None:
+            self.bind(("", min(set(range(40000, 40100)) - self.wire.udp_ports_taken)))
+        datagram = struct.pack("!HHHH", self.port, address[1], 8 + len(payload), 0)
+        self.wire.answer(datagram + payload, address[0], self.ttl, socket.IPPROTO_UDP)
+
+
+@pytest.fixture
+def on_wire(monkeypatch):
+    """Route RawTransport's sockets onto a SharedIcmpWire built from kwargs."""
+    def attach(**kwargs):
+        wire = SharedIcmpWire(**kwargs)
+        monkeypatch.setattr(RawTransport, "_open_raw", staticmethod(wire.raw_socket))
+        module = types.SimpleNamespace(**vars(socket))
+        module.socket = wire.udp_socket
+        monkeypatch.setattr(rawnet, "socket", module)
+        return wire
+    return attach
+
+
+@pytest.mark.parametrize("protocol", ["icmp", "udp"])
+def test_concurrent_transports_reject_each_others_replies(on_wire, protocol):
+    on_wire()
+    a, b = RawTransport(), RawTransport()
+    # each probe's error reaches both sockets, so each transport finds the
+    # other's reply queued ahead of its own
+    replies = [(t.probe(target, 3, protocol=protocol, flow_id=1, timeout_s=0.2), router)
+               for t, target, router in [(a, "192.0.2.1", "10.1.0.3"),
+                                         (b, "192.0.2.2", "10.2.0.3"),
+                                         (a, "192.0.2.1", "10.1.0.3"),
+                                         (b, "192.0.2.2", "10.2.0.3")]]
+    a.close()
+    b.close()
+    assert [reply.responder for reply, _ in replies] == [router for _, router in replies]
+
+
+@pytest.mark.parametrize("protocol", ["icmp", "udp"])
+def test_error_quoting_another_destination_is_rejected(on_wire, protocol):
+    on_wire(decoy="192.0.2.77")
+    with RawTransport() as transport:
+        reply = transport.probe("192.0.2.1", 4, protocol=protocol, flow_id=1, timeout_s=0.2)
+    assert reply.responder == "10.1.0.4"
+
+
+def test_udp_probe_matches_the_port_it_was_given(on_wire):
+    # with every flow port taken, the kernel picks the source port
+    on_wire(udp_ports_taken=range(33000, 33512))
+    with RawTransport() as transport:
+        reply = transport.probe("192.0.2.1", 2, protocol="udp", flow_id=1, timeout_s=0.2)
+    assert reply is not None
+    assert reply.responder == "10.1.0.2"

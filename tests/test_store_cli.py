@@ -894,6 +894,39 @@ def test_measure_reports_store_write_error_per_endpoint(tmp_path, capsys, monkey
     assert "measure error stage=store endpoint=100.64.9.1 msg=disk full" in captured.err
 
 
+def test_simulate_names_itself_in_endpoint_errors(tmp_path, capsys, monkeypatch):
+    def refuse(self, partition, session, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(MeasurementStore, "write_session", refuse)
+    cfg = make_config(tmp_path)
+    assert cli.main(["simulate", "--scenarios", cfg.scenario_dir, "--out", cfg.output_dir,
+                     "--duration", "120"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("simulate error sessions=0 failed=1 ")
+    assert captured.err.splitlines() == [
+        "simulate error stage=store endpoint=100.64.9.1 msg=disk full"]
+
+
+def test_measure_reports_a_repeated_address_before_probing(tmp_path, capsys, monkeypatch):
+    silent = StubRawTransport.SILENT
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text(f"address,pop_code\n{silent},sttlwax1\n100.64.9.1,sttlwax1\n"
+                      f"{silent},sttlwax1\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"transport": "raw", "output_dir": str(tmp_path / "s"),
+                                    "endpoints_file": str(cohort), "duration_s": 5}))
+    monkeypatch.setattr(rawnet, "RawTransport", StubRawTransport)
+    assert cli.main(["measure", "--config", str(cfg_path), "--partition", "p"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("measure error sessions=1 failed=2 ")
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    assert lines[0] == (f"measure error stage=store endpoint={silent} "
+                        "msg=listed more than once in the cohort")
+    assert lines[1].startswith(f"measure error stage=probe endpoint={silent} ")
+
+
 # ------------------------------------------------------------ bad user files
 
 def _single_config_error(capsys, command, *parts):
