@@ -33,7 +33,7 @@ from .discovery import (
     geolocate_customer,
     parse_scan_dataset,
 )
-from .simnet import Scenario, ScenarioError, SimnetTransport, fleet_transports, load_scenario_dir
+from .simnet import Scenario, ScenarioError, SimnetTransport, load_scenario_dir
 from .store import (
     CampaignConfig,
     ConfigError,
@@ -148,15 +148,18 @@ def _endpoint_from_scenario(scenario: Scenario, catalog: PopCatalog) -> Endpoint
 
 def _cohort(cfg: CampaignConfig) -> tuple[list[tuple[Endpoint, Callable]], int]:
     """Each endpoint of the campaign with the function that opens its
-    transport (its own simulator, or raw sockets closed after use), and
-    how many addresses ``cfg.exclude_file`` dropped."""
+    transport on ``cfg``'s protocol and timeout (its own simulator, in
+    sorted address order, or raw sockets closed after use), and how many
+    addresses ``cfg.exclude_file`` dropped."""
     catalog = PopCatalog.default()
+    settings = {"protocol": cfg.protocol, "timeout_s": cfg.timeout_s}
     if cfg.transport == "simnet":
-        cohort = [(_endpoint_from_scenario(t.scenario, catalog), partial(nullcontext, t))
-                  for _, t in fleet_transports(load_scenario_dir(cfg.scenario_dir))]
+        cohort = [(_endpoint_from_scenario(scenario, catalog),
+                   partial(nullcontext, SimnetTransport(scenario, **settings)))
+                  for _, scenario in sorted(load_scenario_dir(cfg.scenario_dir).items())]
     else:
         from . import rawnet  # only raw campaigns pay for the socket modules
-        cohort = [(ep, rawnet.RawTransport)
+        cohort = [(ep, partial(rawnet.RawTransport, **settings))
                   for ep in load_endpoints_csv(cfg.endpoints_file, catalog)]
     nets = []
     if cfg.exclude_file:
@@ -179,20 +182,16 @@ def _cohort(cfg: CampaignConfig) -> tuple[list[tuple[Endpoint, Callable]], int]:
 
 
 def _trace_path(transport, endpoint: Endpoint, cfg: CampaignConfig) -> probe.SatLinkPath:
-    trace = probe.run_traceroute(
-        transport, endpoint.address, protocol=cfg.protocol,
-        max_ttl=cfg.max_ttl, probes_per_hop=cfg.probes_per_hop,
-        timeout_s=cfg.timeout_s)
+    trace = probe.run_traceroute(transport, endpoint.address, max_ttl=cfg.max_ttl,
+                                 probes_per_hop=cfg.probes_per_hop)
     return probe.identify_sat_link(trace, jump_threshold_ms=cfg.jump_threshold_ms)
 
 
 def _measure_endpoint(transport, endpoint: Endpoint,
                       cfg: CampaignConfig) -> probe.MeasurementSession:
     path = _trace_path(transport, endpoint, cfg)
-    return probe.measure_session(
-        transport, endpoint, path, duration_s=cfg.duration_s,
-        cadence_hz=cfg.cadence_hz, protocol=cfg.protocol,
-        timeout_s=cfg.timeout_s)
+    return probe.measure_session(transport, endpoint, path, duration_s=cfg.duration_s,
+                                 cadence_hz=cfg.cadence_hz)
 
 
 def _run_cohort(command: str, cfg: CampaignConfig, cohort: Sequence, step,

@@ -10,19 +10,22 @@ any cooperation from the endpoint.
 
 A TTL ping is a single probe whose initial TTL equals the hop's distance
 so it expires exactly there; routers answer TTL-expired even when their
-addresses ignore directly addressed pings.  Flow-identifying header
-fields stay constant across probes of one flow so per-flow load
-balancers keep every probe on one path.
+addresses ignore directly addressed pings.
 
 All operations run against an abstract ``Transport`` so the same code
-drives real raw-socket probing and the deterministic simulator.
+drives real raw-socket probing and the deterministic simulator.  A
+transport fixes the probe protocol, the timeout and the flow when it is
+opened, and ``probe(target, ttl)`` is all a probe says.  So every probe
+to one endpoint carries the same flow-identifying header fields, and
+per-flow load balancers keep a whole trace and session on one path
+(the Paris-traceroute rule).
 """
 from __future__ import annotations
 
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol
 
 import numpy as np
 
@@ -61,18 +64,16 @@ class ProbeReply:
     kind: str  # "ttl_expired" | "echo"
 
 
-@runtime_checkable
 class Transport(Protocol):
-    """Probe transport with a clock.  Implementations: raw sockets
+    """Probe transport with a clock, its protocol, timeout and flow fixed
+    when it is opened.  Implementations: raw sockets
     (:mod:`leolink.rawnet`) and the simulator (:mod:`leolink.simnet`)."""
 
     def now_ms(self) -> int: ...
 
     def sleep_until_ms(self, t_ms: int) -> None: ...
 
-    def probe(self, target: str, ttl: int, *, protocol: str = "icmp",
-              flow_id: int = 0,
-              timeout_s: float = DEFAULT_PROBE_TIMEOUT_S) -> Optional[ProbeReply]: ...
+    def probe(self, target: str, ttl: int) -> Optional[ProbeReply]: ...
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,6 @@ class TraceHop:
 @dataclass(frozen=True)
 class TracerouteResult:
     target: str
-    protocol: str
-    flow_id: int
     hops: tuple[TraceHop, ...]
     reached: bool
 
@@ -181,17 +180,12 @@ def run_traceroute(
     transport: Transport,
     target: str,
     *,
-    protocol: str = "icmp",
-    flow_id: int = 1,
     max_ttl: int = DEFAULT_MAX_TTL,
     probes_per_hop: int = DEFAULT_PROBES_PER_HOP,
-    timeout_s: float = DEFAULT_PROBE_TIMEOUT_S,
 ) -> TracerouteResult:
-    """Trace the path to target with a constant flow id.
+    """Trace the path to target, one TTL ramp on the transport's flow.
 
-    Stops at the first TTL whose responder is the target itself.  Every
-    probe of the trace carries the same flow id, so per-flow load
-    balancers hold the path constant.
+    Stops at the first TTL whose responder is the target itself.
     """
     if not 1 <= max_ttl <= 64:
         raise ValueError("max_ttl must be within [1, 64]")
@@ -203,8 +197,7 @@ def run_traceroute(
         responder: Optional[str] = None
         samples: list[float] = []
         for _ in range(probes_per_hop):
-            reply = transport.probe(target, ttl, protocol=protocol,
-                                    flow_id=flow_id, timeout_s=timeout_s)
+            reply = transport.probe(target, ttl)
             if reply is None:
                 continue
             if responder is None:
@@ -214,10 +207,7 @@ def run_traceroute(
         if responder == target:
             reached = True
             break
-    result = TracerouteResult(
-        target=target, protocol=protocol, flow_id=flow_id,
-        hops=tuple(hops), reached=reached,
-    )
+    result = TracerouteResult(target=target, hops=tuple(hops), reached=reached)
     if not result.responsive_hops():
         raise UnreachableError(f"{target}: no responsive hop within ttl {max_ttl}")
     return result
@@ -259,10 +249,6 @@ def ttl_ping(
     transport: Transport,
     target: str,
     hop_ttl: int,
-    *,
-    protocol: str = "icmp",
-    flow_id: int = 1,
-    timeout_s: float = DEFAULT_PROBE_TIMEOUT_S,
 ) -> tuple[int, float]:
     """Single probe pinned to one hop: initial TTL = max TTL = hop_ttl.
 
@@ -271,8 +257,7 @@ def ttl_ping(
     microseconds), the RTT NaN on a timeout.
     """
     sent_ms = transport.now_ms()
-    reply = transport.probe(target, hop_ttl, protocol=protocol,
-                            flow_id=flow_id, timeout_s=timeout_s)
+    reply = transport.probe(target, hop_ttl)
     return sent_ms, math.nan if reply is None else reply.rtt_us
 
 
@@ -283,9 +268,6 @@ def measure_session(
     *,
     duration_s: int = DEFAULT_DURATION_S,
     cadence_hz: int = DEFAULT_CADENCE_HZ,
-    protocol: str = "icmp",
-    flow_id: int = 1,
-    timeout_s: float = DEFAULT_PROBE_TIMEOUT_S,
 ) -> MeasurementSession:
     """Probe the pre- and post-satellite hops once per tick.
 
@@ -307,9 +289,7 @@ def measure_session(
     for k in range(n_ticks):
         transport.sleep_until_ms(start_ms + k * tick_ms)
         for hop, ttl in enumerate((path.pre_sat_ttl, path.post_sat_ttl)):
-            sent_ms[hop, k], rtt_us[hop, k] = ttl_ping(
-                transport, path.target, ttl, protocol=protocol, flow_id=flow_id,
-                timeout_s=timeout_s)
+            sent_ms[hop, k], rtt_us[hop, k] = ttl_ping(transport, path.target, ttl)
     return MeasurementSession(
         endpoint=endpoint, path=path, start_ms=start_ms, duration_s=duration_s,
         cadence_hz=cadence_hz, terrestrial_sent_ms=sent_ms[0], terrestrial_rtt_us=rtt_us[0],
@@ -321,8 +301,6 @@ def validate_hop_stability(
     path: SatLinkPath,
     *,
     trials: int = 100,
-    protocol: str = "icmp",
-    flow_id: int = 1,
     max_ttl: int = DEFAULT_MAX_TTL,
 ) -> StabilityReport:
     """Re-trace the path repeatedly and score hop agreement.
@@ -339,8 +317,7 @@ def validate_hop_stability(
     for k in range(trials):
         transport.sleep_until_ms(started + k * STABILITY_INTERVAL_MS)
         try:
-            trace = run_traceroute(transport, path.target, protocol=protocol,
-                                   flow_id=flow_id, max_ttl=max_ttl,
+            trace = run_traceroute(transport, path.target, max_ttl=max_ttl,
                                    probes_per_hop=1)
         except UnreachableError:
             continue

@@ -1,7 +1,9 @@
 """Raw-socket probe transport for live paths.
 
 Implements the probe contract from :mod:`leolink.probe` on top of real
-sockets.  Three probe protocols:
+sockets.  A transport takes its protocol and timeout when it is made,
+and its instance number is its flow: every probe it sends carries that
+flow's header fields.  Three probe protocols:
 
 * ``icmp``: raw ICMP echo with the TTL pinned.  The echo sequence
   number varies per probe while a balance field in the payload keeps
@@ -22,10 +24,10 @@ receive loop filters by message type and echoes' identifiers before
 matching.  One transport instance serves one probing thread; create a
 transport per worker instead of sharing.  Every raw ICMP socket of the
 process receives a copy of every ICMP message, so concurrent transports
-keep apart by instance: each shifts its flow ids by its instance number
-when it derives the echo identifier and the UDP source port, and a
-time-exceeded or unreachable message only counts when the datagram it
-quotes was addressed to the probe's target.
+keep apart by flow: each derives its echo identifier, ICMP checksum
+and UDP source port from its own instance number, and a time-exceeded
+or unreachable message only counts when the datagram it quotes was
+addressed to the probe's target.
 
 Only the pure packet builders and parsers are unit-tested by default;
 socket paths are exercised by an opt-in loopback test.
@@ -59,6 +61,7 @@ ICMP6_DEST_UNREACH = 1
 # UDP probes use the classic traceroute destination port and a
 # flow-derived source port, both held constant across a TTL ramp.
 UDP_BASE_DST_PORT = 33434
+TCP_DST_PORT = 443
 
 PAYLOAD_LEN = 24  # bytes after the 8-byte ICMP header
 
@@ -187,19 +190,46 @@ def udp_src_port(flow_id: int) -> int:
     return 33000 + (flow_id % 512)
 
 
-_instance_numbers = itertools.count()
+# Odd, since flow_checksum forces bit 0 on: live transports get distinct
+# identifiers and checksums up to 16,384 of them, source ports up to 256.
+_instance_numbers = itertools.count(1, 2)
 _instance_lock = threading.Lock()
+
+
+def _receive(sock: socket.socket, parse, accept, t0: int,
+             timeout_s: float) -> Optional[tuple[ParsedIcmp, str, float]]:
+    """The first (parsed, responder, rtt_us) read from sock whose parse
+    ``accept`` takes, or None once timeout_s has passed since t0 (ns)."""
+    deadline = t0 + int(timeout_s * 1e9)
+    while True:
+        remaining = (deadline - time.monotonic_ns()) / 1e9
+        if remaining <= 0:
+            return None
+        ready, _, _ = select.select([sock], [], [], remaining)
+        if not ready:
+            return None
+        try:
+            data, addr = sock.recvfrom(4096)
+        except BlockingIOError:
+            continue
+        t1 = time.monotonic_ns()
+        parsed = parse(data)
+        if parsed is not None and accept(parsed):
+            return parsed, addr[0], (t1 - t0) / 1000.0
 
 
 class RawTransport:
     """Live-network transport; one instance per probing thread."""
 
-    def __init__(self) -> None:
+    def __init__(self, *, protocol: str = "icmp",
+                 timeout_s: float = DEFAULT_PROBE_TIMEOUT_S) -> None:
+        if protocol not in ("icmp", "udp", "tcp"):
+            raise ValueError(f"unknown protocol: {protocol}")
+        self.protocol = protocol
+        self.timeout_s = timeout_s
         with _instance_lock:
-            # distinct identifiers for up to 65,536 (udp: 512) live transports
-            self._instance = next(_instance_numbers)
+            self._flow = next(_instance_numbers)
         self._seq = 0
-        self.probes_sent = 0
         self._icmp4: Optional[socket.socket] = None
         self._icmp6: Optional[socket.socket] = None
 
@@ -245,146 +275,105 @@ class RawTransport:
         self.close()
 
     # -- probing ---------------------------------------------------------
-    def probe(self, target: str, ttl: int, *, protocol: str = "icmp",
-              flow_id: int = 0,
-              timeout_s: float = DEFAULT_PROBE_TIMEOUT_S) -> Optional[ProbeReply]:
+    def probe(self, target: str, ttl: int) -> Optional[ProbeReply]:
         family = socket.AF_INET6 if ":" in target else socket.AF_INET
-        self.probes_sent += 1
-        if protocol == "icmp":
-            return self._probe_icmp(target, family, ttl, flow_id, timeout_s)
-        if protocol == "udp":
-            if family == socket.AF_INET6:
-                raise TransportUnavailableError("udp probes are v4-only here")
-            return self._probe_udp(target, ttl, flow_id, timeout_s)
-        if protocol == "tcp":
-            if family == socket.AF_INET6:
-                raise TransportUnavailableError("tcp probes are v4-only here")
-            return self._probe_tcp(target, ttl, flow_id, timeout_s)
-        raise ValueError(f"unknown protocol: {protocol}")
+        if self.protocol == "icmp":
+            return self._probe_icmp(target, family, ttl)
+        if family == socket.AF_INET6:
+            raise TransportUnavailableError(f"{self.protocol} probes are v4-only here")
+        if self.protocol == "udp":
+            return self._probe_udp(target, ttl)
+        return self._probe_tcp(target, ttl)
 
-    def _probe_icmp(self, target: str, family: int, ttl: int,
-                    flow_id: int, timeout_s: float) -> Optional[ProbeReply]:
+    def _probe_icmp(self, target: str, family: int, ttl: int) -> Optional[ProbeReply]:
         sock = self._icmp_sock(family)
         if family == socket.AF_INET:
             sock.setsockopt(socket.IPPROTO_IP, socket.IP_TTL, ttl)
         else:
             sock.setsockopt(socket.IPPROTO_IPV6, socket.IPV6_UNICAST_HOPS, ttl)
-        self._seq = (self._seq + 1) & 0xFFFF
-        seq = self._seq
-        # flow_ident is one-to-one on flow ids mod 2**16, so shifting the
-        # flow id by the instance number keeps live transports apart
-        ident = flow_ident(flow_id + self._instance)
+        seq = self._seq = (self._seq + 1) & 0xFFFF
+        ident = flow_ident(self._flow)
         dst = socket.inet_pton(family, target)
         stamp = struct.pack("!Q", time.monotonic_ns() & (2**64 - 1))
         if family == socket.AF_INET:
-            packet = build_icmp_echo(ident, seq, flow_id, payload_extra=stamp)
+            packet = build_icmp_echo(ident, seq, self._flow, payload_extra=stamp)
         else:
             # the v6 kernel fills the checksum; flow stability relies on
             # constant addresses and identifier instead of balancing
             packet = struct.pack("!BBHHH", ICMP6_ECHO_REQUEST, 0, 0,
                                  ident, seq) + stamp + b"\x00" * (PAYLOAD_LEN - 8)
-        t0 = time.monotonic_ns()
-        sock.sendto(packet, (target, 0))
-        deadline = t0 + int(timeout_s * 1e9)
         parse = parse_icmp_v4 if family == socket.AF_INET else parse_icmp_v6
         reply_type = ICMP_ECHO_REPLY if family == socket.AF_INET else ICMP6_ECHO_REPLY
-        exceeded = ICMP_TIME_EXCEEDED if family == socket.AF_INET else ICMP6_TIME_EXCEEDED
-        while True:
-            remaining = (deadline - time.monotonic_ns()) / 1e9
-            if remaining <= 0:
-                return None
-            ready, _, _ = select.select([sock], [], [], remaining)
-            if not ready:
-                return None
-            try:
-                data, addr = sock.recvfrom(4096)
-            except BlockingIOError:
-                continue
-            t1 = time.monotonic_ns()
-            parsed = parse(data)
-            if parsed is None or parsed.ident != ident or parsed.seq != seq:
-                continue  # someone else's traffic, or our own request echoed back
-            if parsed.icmp_type != reply_type and parsed.quoted_dst != dst:
-                continue  # an error about a probe to another target
-            rtt_us = (t1 - t0) / 1000.0
-            if parsed.icmp_type == reply_type:
-                return ProbeReply(responder=addr[0], rtt_us=rtt_us, kind="echo")
-            if parsed.icmp_type == exceeded:
-                return ProbeReply(responder=addr[0], rtt_us=rtt_us, kind="ttl_expired")
-            # unreachable: the path ends here; report the reporter
-            return ProbeReply(responder=addr[0], rtt_us=rtt_us, kind="ttl_expired")
 
-    def _probe_udp(self, target: str, ttl: int, flow_id: int,
-                   timeout_s: float) -> Optional[ProbeReply]:
+        def ours(parsed: ParsedIcmp) -> bool:
+            # not someone else's traffic, nor our own request echoed back,
+            # nor an error about a probe to another target
+            return (parsed.ident == ident and parsed.seq == seq
+                    and (parsed.icmp_type == reply_type or parsed.quoted_dst == dst))
+
+        t0 = time.monotonic_ns()
+        sock.sendto(packet, (target, 0))
+        got = _receive(sock, parse, ours, t0, self.timeout_s)
+        if got is None:
+            return None
+        parsed, responder, rtt_us = got
+        # time exceeded, or unreachable: the path ends at the reporter
+        kind = "echo" if parsed.icmp_type == reply_type else "ttl_expired"
+        return ProbeReply(responder=responder, rtt_us=rtt_us, kind=kind)
+
+    def _probe_udp(self, target: str, ttl: int) -> Optional[ProbeReply]:
         icmp = self._icmp_sock(socket.AF_INET)
-        dport = UDP_BASE_DST_PORT
         dst = socket.inet_pton(socket.AF_INET, target)
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as udp:
             udp.setsockopt(socket.IPPROTO_IP, socket.IP_TTL, ttl)
             try:
-                udp.bind(("", udp_src_port(flow_id + self._instance)))
+                udp.bind(("", udp_src_port(self._flow)))
             except OSError:
                 pass  # port taken; sendto binds another, read back below
             t0 = time.monotonic_ns()
-            udp.sendto(b"\x00" * 8, (target, dport))
+            udp.sendto(b"\x00" * 8, (target, UDP_BASE_DST_PORT))
             sport = udp.getsockname()[1]
-            deadline = t0 + int(timeout_s * 1e9)
-            while True:
-                remaining = (deadline - time.monotonic_ns()) / 1e9
-                if remaining <= 0:
-                    return None
-                ready, _, _ = select.select([icmp], [], [], remaining)
-                if not ready:
-                    return None
-                try:
-                    data, addr = icmp.recvfrom(4096)
-                except BlockingIOError:
-                    continue
-                t1 = time.monotonic_ns()
-                parsed = parse_icmp_v4(data)
-                if parsed is None or parsed.quoted_udp_ports is None:
-                    continue
-                if parsed.quoted_udp_ports != (sport, dport) or parsed.quoted_dst != dst:
-                    continue
-                rtt_us = (t1 - t0) / 1000.0
-                if (parsed.icmp_type == ICMP_DEST_UNREACH
-                        and parsed.code == ICMP_PORT_UNREACH_CODE):
-                    return ProbeReply(responder=addr[0], rtt_us=rtt_us, kind="echo")
-                if parsed.icmp_type == ICMP_TIME_EXCEEDED:
-                    return ProbeReply(responder=addr[0], rtt_us=rtt_us,
-                                      kind="ttl_expired")
 
-    def _probe_tcp(self, target: str, ttl: int, flow_id: int,
-                   timeout_s: float, port: int = 443) -> Optional[ProbeReply]:
+            def ours(parsed: ParsedIcmp) -> bool:
+                # an error quoting this datagram: time exceeded on the way,
+                # or port unreachable from the target; other codes are ignored
+                return (parsed.quoted_udp_ports == (sport, UDP_BASE_DST_PORT)
+                        and parsed.quoted_dst == dst
+                        and (parsed.icmp_type == ICMP_TIME_EXCEEDED
+                             or (parsed.icmp_type == ICMP_DEST_UNREACH
+                                 and parsed.code == ICMP_PORT_UNREACH_CODE)))
+
+            got = _receive(icmp, parse_icmp_v4, ours, t0, self.timeout_s)
+        if got is None:
+            return None
+        parsed, responder, rtt_us = got
+        kind = "ttl_expired" if parsed.icmp_type == ICMP_TIME_EXCEEDED else "echo"
+        return ProbeReply(responder=responder, rtt_us=rtt_us, kind=kind)
+
+    def _probe_tcp(self, target: str, ttl: int) -> Optional[ProbeReply]:
         with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
             sock.setsockopt(socket.IPPROTO_IP, socket.IP_TTL, ttl)
             sock.setsockopt(socket.IPPROTO_IP, IP_RECVERR, 1)
             sock.setblocking(False)
             t0 = time.monotonic_ns()
-            rc = sock.connect_ex((target, port))
+            rc = sock.connect_ex((target, TCP_DST_PORT))
             if rc not in (0, errno.EINPROGRESS):
                 return None
-            deadline = t0 + int(timeout_s * 1e9)
-            while True:
-                remaining = (deadline - time.monotonic_ns()) / 1e9
-                if remaining <= 0:
-                    return None
-                _, writable, _ = select.select([], [sock], [], remaining)
-                if not writable:
-                    continue
-                t1 = time.monotonic_ns()
-                err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
-                rtt_us = (t1 - t0) / 1000.0
-                if err == 0 or err == errno.ECONNREFUSED:
-                    # SYN-ACK or RST: the target answered either way
-                    return ProbeReply(responder=target, rtt_us=rtt_us, kind="echo")
-                if err in (errno.EHOSTUNREACH, errno.ENETUNREACH):
-                    responder = self._errqueue_offender(sock) or ""
-                    if responder:
-                        return ProbeReply(responder=responder, rtt_us=rtt_us,
-                                          kind="ttl_expired")
-                    return None
+            remaining = self.timeout_s - (time.monotonic_ns() - t0) / 1e9
+            _, writable, _ = select.select([], [sock], [], max(remaining, 0.0))
+            if not writable:
                 return None
+            rtt_us = (time.monotonic_ns() - t0) / 1000.0
+            err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+            if err == 0 or err == errno.ECONNREFUSED:
+                # SYN-ACK or RST: the target answered either way
+                return ProbeReply(responder=target, rtt_us=rtt_us, kind="echo")
+            # an expiry on the way: the error queue names the reporting router
+            responder = (err in (errno.EHOSTUNREACH, errno.ENETUNREACH)
+                         and self._errqueue_offender(sock))
+            if not responder:
+                return None
+            return ProbeReply(responder=responder, rtt_us=rtt_us, kind="ttl_expired")
 
     @staticmethod
     def _errqueue_offender(sock: socket.socket) -> Optional[str]:

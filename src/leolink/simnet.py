@@ -10,7 +10,9 @@ exactly like a real network would, against a virtual clock, so a
 Everything is reproducible: all randomness (jitter, loss) is derived
 from the scenario seed and the probe coordinates, never from global
 state, so identical (scenario, probe sequence, seed) produce identical
-replies bit for bit regardless of thread interleaving.
+replies bit for bit regardless of thread interleaving.  A transport
+fixes its protocol and timeout when it is made and every probe carries
+one flow, so a whole session runs on values fixed up front.
 
 Scenario files are JSON with schema id ``leolink-scenario/1``:
 
@@ -64,15 +66,16 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
-from .probe import ProbeReply
+from .probe import DEFAULT_PROBE_TIMEOUT_S, ProbeReply
 
 SCHEMA_ID = "leolink-scenario/1"
 EVENT_KINDS = ("gs_switch", "isl_reroute", "satellite_switch")
 EVENT_GRID_S = 15
 JITTER_DISTS = ("none", "gaussian", "lognormal")
 PROTOCOLS = ("icmp", "udp", "tcp")
+FLOW = 1  # the one flow every probe carries, packed into the per-probe hash
 
 
 class ScenarioError(ValueError):
@@ -192,14 +195,35 @@ def _err(fieldname: str, message: str) -> ScenarioError:
     return ScenarioError(f"{fieldname}: {message}")
 
 
+def _number(fieldname: str, value, kind: type = float):
+    """value as an int or float; anything else is an error naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _err(fieldname, f"expected a number, got {value!r}") from None
+
+
+def _object(fieldname: str, value, kind: type | tuple = dict):
+    """value if it is a JSON object, or of kind; else an error naming the field."""
+    if not isinstance(value, kind):
+        wanted = "an object" if kind is dict else "a list"
+        raise _err(fieldname, f"expected {wanted}, got {value!r}")
+    return value
+
+
 def build_scenario(source: dict | str | Path) -> Scenario:
-    """Validate a scenario description (dict or JSON file path)."""
+    """Validate a scenario description (dict or JSON file path).
+
+    A bad description raises :class:`ScenarioError` naming the field,
+    prefixed by the file when one was read.
+    """
     if not isinstance(source, dict):
         with open(source, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    else:
-        obj = source
-
+            try:
+                return build_scenario(_object("scenario", json.load(fh)))
+            except ValueError as exc:  # ScenarioError, or the file is not JSON
+                raise ScenarioError(f"{source}: {exc}") from None
+    obj = source
     if obj.get("schema") != SCHEMA_ID:
         raise _err("schema", f"expected {SCHEMA_ID!r}, got {obj.get('schema')!r}")
 
@@ -208,6 +232,7 @@ def build_scenario(source: dict | str | Path) -> Scenario:
         raise _err("hops", "need at least two hops (one before and one after the satellite)")
     hops = []
     for i, h in enumerate(raw_hops):
+        h = _object(f"hops[{i}]", h)
         try:
             hops.append(SimHop(
                 label=str(h["label"]),
@@ -221,7 +246,7 @@ def build_scenario(source: dict | str | Path) -> Scenario:
     lat = obj.get("base_latencies_ms")
     if not isinstance(lat, list) or len(lat) != len(hops):
         raise _err("base_latencies_ms", f"need exactly {len(hops)} per-segment values")
-    latencies = tuple(float(x) for x in lat)
+    latencies = tuple(_number(f"base_latencies_ms[{i}]", x) for i, x in enumerate(lat))
     for i, x in enumerate(latencies):
         if x < 0:
             raise _err(f"base_latencies_ms[{i}]", "latency must be non-negative")
@@ -229,33 +254,35 @@ def build_scenario(source: dict | str | Path) -> Scenario:
     seg = obj.get("satellite_segment")
     if (not isinstance(seg, (list, tuple))) or len(seg) != 2:
         raise _err("satellite_segment", "expected [pre_hop, post_hop]")
-    pre_sat, post_sat = int(seg[0]), int(seg[1])
+    pre_sat, post_sat = (_number("satellite_segment", x, int) for x in seg)
     if not (1 <= pre_sat < post_sat <= len(hops)):
         raise _err("satellite_segment", f"need 1 <= pre < post <= {len(hops)}")
 
-    duration_s = int(obj.get("duration_s", 300))
+    duration_s = _number("duration_s", obj.get("duration_s", 300), int)
     if duration_s <= 0:
         raise _err("duration_s", "must be positive")
 
-    jit = obj.get("jitter", {})
+    jit = _object("jitter", obj.get("jitter", {}))
     dist = jit.get("dist", "gaussian")
     if dist not in JITTER_DISTS:
         raise _err("jitter.dist", f"must be one of {JITTER_DISTS}")
     jitter = Jitter(
         dist=dist,
-        sigma_ms=float(jit.get("sigma_ms", 0.5)),
-        satellite_sigma_ms=float(jit.get("satellite_sigma_ms", 1.5)),
+        sigma_ms=_number("jitter.sigma_ms", jit.get("sigma_ms", 0.5)),
+        satellite_sigma_ms=_number("jitter.satellite_sigma_ms",
+                                   jit.get("satellite_sigma_ms", 1.5)),
     )
     if jitter.sigma_ms < 0 or jitter.satellite_sigma_ms < 0:
         raise _err("jitter.sigma_ms", "sigma must be non-negative")
 
     events = []
-    for i, ev in enumerate(obj.get("events", [])):
+    for i, ev in enumerate(_object("events", obj.get("events", []), (list, tuple))):
+        ev = _object(f"events[{i}]", ev)
         kind = ev.get("kind")
         if kind not in EVENT_KINDS:
             raise _err(f"events[{i}].kind", f"must be one of {EVENT_KINDS}")
-        at_s = int(ev.get("at_s", -1))
-        dur = int(ev.get("duration_s", 0))
+        at_s = _number(f"events[{i}].at_s", ev.get("at_s", -1), int)
+        dur = _number(f"events[{i}].duration_s", ev.get("duration_s", 0), int)
         if at_s < 0 or at_s % EVENT_GRID_S != 0:
             raise _err(f"events[{i}].at_s", f"must be a non-negative multiple of {EVENT_GRID_S}")
         if dur <= 0 or dur % EVENT_GRID_S != 0:
@@ -268,19 +295,19 @@ def build_scenario(source: dict | str | Path) -> Scenario:
             raise _err(f"events[{i}]", "exactly one of delta_ms / new_rtt_ms required")
         events.append(RerouteEvent(
             at_s=at_s, kind=kind, duration_s=dur,
-            delta_ms=None if delta is None else float(delta),
-            new_rtt_ms=None if new_rtt is None else float(new_rtt),
+            delta_ms=None if delta is None else _number(f"events[{i}].delta_ms", delta),
+            new_rtt_ms=None if new_rtt is None else _number(f"events[{i}].new_rtt_ms", new_rtt),
         ))
     events.sort(key=lambda e: e.at_s)
     for a, b in zip(events, events[1:]):
         if b.at_s < a.end_s:
             raise _err("events", f"events at {a.at_s}s and {b.at_s}s overlap")
 
-    loss = float(obj.get("loss_probability", 0.0))
+    loss = _number("loss_probability", obj.get("loss_probability", 0.0))
     if not 0.0 <= loss <= 1.0:
         raise _err("loss_probability", "must be within [0, 1]")
 
-    protos = tuple(obj.get("target_protocols", list(PROTOCOLS)))
+    protos = _object("target_protocols", obj.get("target_protocols", PROTOCOLS), (list, tuple))
     for p in protos:
         if p not in PROTOCOLS:
             raise _err("target_protocols", f"unknown protocol {p!r}")
@@ -290,7 +317,7 @@ def build_scenario(source: dict | str | Path) -> Scenario:
         hf = obj["hop_flap"]
         try:
             flap = HopFlap(every_s=int(hf["every_s"]), duration_s=int(hf["duration_s"]))
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise _err("hop_flap", "expected {every_s, duration_s}") from None
         if flap.duration_s <= 0 or flap.every_s <= flap.duration_s:
             raise _err("hop_flap.every_s", "need every_s > duration_s > 0")
@@ -300,14 +327,14 @@ def build_scenario(source: dict | str | Path) -> Scenario:
         base_latencies_ms=latencies,
         pre_sat=pre_sat,
         post_sat=post_sat,
-        seed=int(obj.get("seed", 0)),
+        seed=_number("seed", obj.get("seed", 0), int),
         duration_s=duration_s,
         jitter=jitter,
         events=tuple(events),
         loss_probability=loss,
-        target_protocols=protos,
+        target_protocols=tuple(protos),
         hop_flap=flap,
-        endpoint_meta=dict(obj.get("endpoint", {})),
+        endpoint_meta=dict(_object("endpoint", obj.get("endpoint", {}))),
     )
 
 
@@ -325,10 +352,10 @@ def load_scenario_dir(path: str | Path) -> dict[str, Scenario]:
     return scenarios
 
 
-def _probe_rng(seed: int, t_ms: int, ttl: int, flow_id: int, protocol: str) -> random.Random:
+def _probe_rng(seed: int, t_ms: int, ttl: int, protocol: str) -> random.Random:
     """Deterministic per-probe random stream, independent of call order."""
     digest = hashlib.blake2b(
-        struct.pack("<QqiH", seed & 0xFFFFFFFFFFFFFFFF, t_ms, ttl, flow_id & 0xFFFF)
+        struct.pack("<QqiH", seed & 0xFFFFFFFFFFFFFFFF, t_ms, ttl, FLOW)
         + protocol.encode(),
         digest_size=8,
     ).digest()
@@ -359,7 +386,6 @@ def respond_to_probe(
     t_ms: int,
     *,
     protocol: str = "icmp",
-    flow_id: int = 0,
 ) -> Optional[ProbeReply]:
     """Answer one probe at virtual time t, or None for silence.
 
@@ -374,7 +400,7 @@ def respond_to_probe(
     if ttl < 1:
         raise ValueError("ttl must be >= 1")
     t_s = t_ms / 1000.0
-    rng = _probe_rng(scenario.seed, t_ms, ttl, flow_id, protocol)
+    rng = _probe_rng(scenario.seed, t_ms, ttl, protocol)
 
     if scenario.loss_probability > 0 and rng.random() < scenario.loss_probability:
         return None
@@ -413,18 +439,18 @@ class SimnetTransport:
 
     Create one transport per measurement task: virtual time advances
     only through the owning task's probes and sleeps, which keeps
-    concurrent sessions over different endpoints deterministic.
+    concurrent sessions over different endpoints deterministic.  A probe
+    that draws no reply advances the clock by the timeout.
     """
 
-    def __init__(self, scenario: Scenario, start_ms: int = 0):
+    def __init__(self, scenario: Scenario, *, protocol: str = "icmp",
+                 timeout_s: float = DEFAULT_PROBE_TIMEOUT_S):
         self.scenario = scenario
-        self.clock = VirtualClock(start_ms)
+        self.protocol = protocol
+        self.timeout_s = timeout_s
+        self.clock = VirtualClock()
         self.probes_sent = 0
         self.sat_probe_count = 0
-        # Flow-discipline tripwire: within one traceroute (ttl ramp),
-        # the flow id must stay constant or hop RTTs are incomparable.
-        self._last_ttl: Optional[int] = None
-        self._last_flow: Optional[int] = None
 
     def now_ms(self) -> int:
         return self.clock.now_ms()
@@ -432,35 +458,14 @@ class SimnetTransport:
     def sleep_until_ms(self, t_ms: int) -> None:
         self.clock.sleep_until_ms(t_ms)
 
-    def probe(
-        self,
-        target: str,
-        ttl: int,
-        *,
-        protocol: str = "icmp",
-        flow_id: int = 0,
-        timeout_s: float = 2.0,
-    ) -> Optional[ProbeReply]:
-        if self._last_ttl is not None and ttl == self._last_ttl + 1 and flow_id != self._last_flow:
-            raise AssertionError(
-                f"flow id changed mid-traceroute at ttl {ttl}: {self._last_flow} -> {flow_id}"
-            )
-        self._last_ttl, self._last_flow = ttl, flow_id
+    def probe(self, target: str, ttl: int) -> Optional[ProbeReply]:
         self.probes_sent += 1
         if ttl > self.scenario.pre_sat:
             self.sat_probe_count += 1
-        reply = respond_to_probe(
-            self.scenario, target, ttl, self.now_ms(),
-            protocol=protocol, flow_id=flow_id,
-        )
+        reply = respond_to_probe(self.scenario, target, ttl, self.now_ms(),
+                                 protocol=self.protocol)
         if reply is None:
-            self.clock.advance_ms(timeout_s * 1000.0)
+            self.clock.advance_ms(self.timeout_s * 1000.0)
         else:
             self.clock.advance_ms(reply.rtt_us / 1000.0)
         return reply
-
-
-def fleet_transports(scenarios: dict[str, Scenario], start_ms: int = 0) -> Iterator[tuple[str, SimnetTransport]]:
-    """One independent transport per endpoint, in sorted address order."""
-    for address in sorted(scenarios):
-        yield address, SimnetTransport(scenarios[address], start_ms=start_ms)

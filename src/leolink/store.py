@@ -43,6 +43,29 @@ _ROW_DTYPE = np.dtype([("sent_ms", np.int64), ("ttl", np.int64), ("rtt_us", np.f
 TRANSPORTS = ("simnet", "raw")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# The meta.json fields read_session reads: the test each value must pass
+# and what the test wants.  The fields of _OPTIONAL_META may be absent.
+_META_FIELDS = {
+    **dict.fromkeys(("address", "pre_sat_router", "pop_code", "source"),
+                    (lambda v: isinstance(v, str), "a string")),
+    **dict.fromkeys(("pre_sat_ttl", "post_sat_ttl", "start_ms", "duration_s", "cadence_hz",
+                     "n_terrestrial", "n_endpoint"), (_is_int, "an integer")),
+    "jump_ms": (_is_number, "a number"),
+    "customer_location": (lambda v: v is None or (isinstance(v, list) and len(v) == 2
+                                                  and all(map(_is_number, v))),
+                          "null or [latitude, longitude]"),
+}
+_OPTIONAL_META = ("pop_code", "source", "customer_location")
+
+
 class StoreError(RuntimeError):
     pass
 
@@ -285,9 +308,13 @@ class MeasurementStore:
             raise StoreError(
                 f"{record.path}: schema {meta.get('schema_version')!r}, "
                 f"expected {SCHEMA_VERSION}")
-        path = SatLinkPath(target=meta["address"], pre_sat_ttl=int(meta["pre_sat_ttl"]),
+        for name, (ok, wanted) in _META_FIELDS.items():
+            if not (ok(meta.get(name)) or name in _OPTIONAL_META and name not in meta):
+                raise StoreError(f"{record.path.parent / META_FILENAME}: {name} is "
+                                 f"{meta.get(name)!r}, expected {wanted}")
+        path = SatLinkPath(target=meta["address"], pre_sat_ttl=meta["pre_sat_ttl"],
                            pre_sat_router=meta["pre_sat_router"],
-                           post_sat_ttl=int(meta["post_sat_ttl"]), jump_ms=float(meta["jump_ms"]))
+                           post_sat_ttl=meta["post_sat_ttl"], jump_ms=float(meta["jump_ms"]))
         with open(record.path, newline="", encoding="utf-8") as fh:
             if fh.readline().rstrip("\r\n").split(",") != SESSION_COLUMNS:
                 raise StoreError(f"{record.path} line 1: columns are not {SESSION_COLUMNS}")
@@ -307,12 +334,12 @@ class MeasurementStore:
                              f"neither side of the recorded path")
         terr, endp = rows[ttl == path.pre_sat_ttl], rows[ttl == path.post_sat_ttl]
         for hop, hop_rows in (("terrestrial", terr), ("endpoint", endp)):
-            if len(hop_rows) != int(meta[f"n_{hop}"]):
+            if len(hop_rows) != meta[f"n_{hop}"]:
                 raise StoreError(f"{record.path}: {len(hop_rows)} {hop} rows, "
                                  f"meta.json records {meta[f'n_{hop}']}")
         session = MeasurementSession(
-            endpoint=endpoint_from_meta(meta), path=path, start_ms=int(meta["start_ms"]),
-            duration_s=int(meta["duration_s"]), cadence_hz=int(meta["cadence_hz"]),
+            endpoint=endpoint_from_meta(meta), path=path, start_ms=meta["start_ms"],
+            duration_s=meta["duration_s"], cadence_hz=meta["cadence_hz"],
             terrestrial_sent_ms=terr["sent_ms"], terrestrial_rtt_us=terr["rtt_us"],
             endpoint_sent_ms=endp["sent_ms"], endpoint_rtt_us=endp["rtt_us"])
         # send times in probe order: terrestrial 0, endpoint 0, terrestrial 1, ...

@@ -101,12 +101,12 @@ def oracle_satellite_delta_ms(scenario, t_s):
     return 0.0, None
 
 
-def oracle_respond_to_probe(scenario, target, ttl, t_ms, *, protocol="icmp", flow_id=0):
+def oracle_respond_to_probe(scenario, target, ttl, t_ms, *, protocol="icmp"):
     """The reply with the hop chain rebuilt on every probe."""
     if target != scenario.target_address:
         return None
     t_s = t_ms / 1000.0
-    rng = simnet._probe_rng(scenario.seed, t_ms, ttl, flow_id, protocol)
+    rng = simnet._probe_rng(scenario.seed, t_ms, ttl, protocol)
     if scenario.loss_probability > 0 and rng.random() < scenario.loss_probability:
         return None
     delta, _ = oracle_satellite_delta_ms(scenario, t_s)
@@ -418,17 +418,17 @@ def test_event_lookup_equals_linear_scan(scenario, extra_times):
 
 
 @given(event_scenarios(), st.lists(st.integers(0, 3_100_000), max_size=15),
-       st.integers(0, 3), st.sampled_from(simnet.PROTOCOLS))
+       st.sampled_from(simnet.PROTOCOLS))
 @settings(max_examples=100, deadline=None)
-def test_probe_replies_equal_per_probe_chain(scenario, times_ms, flow_id, protocol):
+def test_probe_replies_equal_per_probe_chain(scenario, times_ms, protocol):
     edges = [int(t * 1000) for t in boundary_times(scenario)]
     for t_ms in edges + times_ms:
         for ttl in range(1, scenario.path_length + 3):
             reply = simnet.respond_to_probe(scenario, scenario.target_address, ttl, t_ms,
-                                            protocol=protocol, flow_id=flow_id)
+                                            protocol=protocol)
             got = None if reply is None else (reply.responder, reply.rtt_us, reply.kind)
             assert got == oracle_respond_to_probe(scenario, scenario.target_address, ttl,
-                                                  t_ms, protocol=protocol, flow_id=flow_id)
+                                                  t_ms, protocol=protocol)
 
 
 # ------------------------------------------------------- store, isolation

@@ -100,20 +100,11 @@ def test_protocol_reachability_ordering():
     reached = {proto: 0 for proto in ("icmp", "udp", "tcp")}
     for proto in reached:
         for transport in cohort:
-            trace = run_traceroute(transport, "100.64.9.1", protocol=proto)
+            trace = run_traceroute(SimnetTransport(transport.scenario, protocol=proto),
+                                   "100.64.9.1")
             reached[proto] += trace.reached
     assert reached["icmp"] == 3
     assert reached["icmp"] >= reached["udp"] >= reached["tcp"]
-
-
-def test_flow_id_constant_within_traceroute():
-    transport = six_hop_transport()
-    run_traceroute(transport, "100.64.9.1", flow_id=5)
-    # The simnet transport trips an assertion if the flow id changes
-    # between consecutive TTLs of one ramp.
-    transport.probe("100.64.9.1", 1, flow_id=1)
-    with pytest.raises(AssertionError):
-        transport.probe("100.64.9.1", 2, flow_id=2)
 
 
 # ------------------------------------------------------------ identify_sat
@@ -122,7 +113,7 @@ def test_identify_sat_link_late_jump():
     # Terrestrial path flat around 12 ms, then the endpoint answers 38 ms
     # above the hop before it; the unresponsive hop in between is skipped.
     trace = TracerouteResult(
-        target="98.97.48.115", protocol="icmp", flow_id=1, reached=True,
+        target="98.97.48.115", reached=True,
         hops=(
             hop(15, "10.0.0.15", [11900.0, 12100.0, 12000.0]),
             hop(16, "206.224.64.21", [12000.0, 12400.0, 12200.0]),
@@ -139,7 +130,7 @@ def test_identify_sat_link_late_jump():
 
 def test_identify_sat_link_below_threshold():
     trace = TracerouteResult(
-        target="10.0.0.2", protocol="icmp", flow_id=1, reached=True,
+        target="10.0.0.2", reached=True,
         hops=(hop(1, "10.0.0.1", [1000.0]), hop(2, "10.0.0.2", [3000.0])),
     )
     with pytest.raises(NoSatelliteJumpError):
@@ -150,7 +141,7 @@ def test_identify_sat_link_below_threshold():
 
 def test_identify_sat_link_needs_two_responsive_hops():
     trace = TracerouteResult(
-        target="10.0.0.1", protocol="icmp", flow_id=1, reached=True,
+        target="10.0.0.1", reached=True,
         hops=(hop(1, "10.0.0.1", [1000.0]),),
     )
     with pytest.raises(InsufficientPathError):
@@ -159,7 +150,7 @@ def test_identify_sat_link_needs_two_responsive_hops():
 
 def test_identify_sat_link_requires_target_reached():
     trace = TracerouteResult(
-        target="99.99.99.99", protocol="icmp", flow_id=1, reached=False,
+        target="99.99.99.99", reached=False,
         hops=(hop(1, "10.0.0.1", [1000.0]), hop(2, "10.0.0.2", [30000.0])),
     )
     with pytest.raises(InsufficientPathError):
@@ -192,8 +183,7 @@ def test_identify_sat_link_is_deterministic(seed):
                                                for _ in range(3)]))
     hops.append(hop(len(hops) + 1, "target",
                     [base + 40000 + rng.uniform(0, 300) for _ in range(3)]))
-    trace = TracerouteResult(target="target", protocol="icmp", flow_id=1,
-                             reached=True, hops=tuple(hops))
+    trace = TracerouteResult(target="target", reached=True, hops=tuple(hops))
     assert identify_sat_link(trace) == identify_sat_link(trace)
 
 
@@ -209,12 +199,12 @@ def test_ttl_ping_exact_rtt_without_jitter(quiet_transport):
 
 
 def test_ttl_ping_beyond_path_is_lost(quiet_transport):
-    _, rtt_us = ttl_ping(quiet_transport, "100.64.9.1", 9,
-                         protocol="udp")  # target only answers icmp+udp echo here
+    _, rtt_us = ttl_ping(SimnetTransport(quiet_transport.scenario, protocol="udp"),
+                         "100.64.9.1", 9)  # target only answers icmp+udp echo here
     assert not math.isnan(rtt_us)  # ttl past the chain still reaches the target
     obj = scenario_dict(target_protocols=["udp"])
-    transport = SimnetTransport(build_scenario(obj))
-    _, lost_rtt_us = ttl_ping(transport, "100.64.9.1", 9, protocol="icmp")
+    transport = SimnetTransport(build_scenario(obj), protocol="icmp")
+    _, lost_rtt_us = ttl_ping(transport, "100.64.9.1", 9)
     assert math.isnan(lost_rtt_us)
 
 

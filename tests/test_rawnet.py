@@ -3,12 +3,14 @@ import os
 import socket
 import struct
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leolink import rawnet
+from leolink.probe import run_traceroute
 from leolink.rawnet import (
     ICMP_DEST_UNREACH,
     ICMP_ECHO_REPLY,
@@ -166,9 +168,8 @@ needs_root = pytest.mark.skipif(
 @needs_root
 def test_loopback_icmp_probe():
     try:
-        with RawTransport() as transport:
-            reply = transport.probe("127.0.0.1", 8, protocol="icmp",
-                                    flow_id=1, timeout_s=2.0)
+        with RawTransport(protocol="icmp", timeout_s=2.0) as transport:
+            reply = transport.probe("127.0.0.1", 8)
     except TransportUnavailableError:
         pytest.skip("raw sockets unavailable in this environment")
     assert reply is not None
@@ -202,6 +203,7 @@ class SharedIcmpWire:
 
     def __init__(self, decoy=None, udp_ports_taken=()):
         self.raw_sockets = []
+        self.sent = []  # (target, the ICMP echo or UDP datagram) per probe
         self.decoy = decoy
         self.udp_ports_taken = set(udp_ports_taken)
 
@@ -214,6 +216,7 @@ class SharedIcmpWire:
         return FakeUdpSocket(self)
 
     def answer(self, probe, target, ttl, proto):
+        self.sent.append((target, probe))
         head = (ICMP_TIME_EXCEEDED, 0) if proto == socket.IPPROTO_ICMP else (ICMP_DEST_UNREACH, 3)
         for dst in ([self.decoy] if self.decoy else []) + [target]:
             router = f"10.{dst.rsplit('.', 1)[1]}.0.{ttl}"
@@ -301,10 +304,10 @@ def on_wire(monkeypatch):
 @pytest.mark.parametrize("protocol", ["icmp", "udp"])
 def test_concurrent_transports_reject_each_others_replies(on_wire, protocol):
     on_wire()
-    a, b = RawTransport(), RawTransport()
+    a, b = (RawTransport(protocol=protocol, timeout_s=0.2) for _ in range(2))
     # each probe's error reaches both sockets, so each transport finds the
     # other's reply queued ahead of its own
-    replies = [(t.probe(target, 3, protocol=protocol, flow_id=1, timeout_s=0.2), router)
+    replies = [(t.probe(target, 3), router)
                for t, target, router in [(a, "192.0.2.1", "10.1.0.3"),
                                          (b, "192.0.2.2", "10.2.0.3"),
                                          (a, "192.0.2.1", "10.1.0.3"),
@@ -317,15 +320,39 @@ def test_concurrent_transports_reject_each_others_replies(on_wire, protocol):
 @pytest.mark.parametrize("protocol", ["icmp", "udp"])
 def test_error_quoting_another_destination_is_rejected(on_wire, protocol):
     on_wire(decoy="192.0.2.77")
-    with RawTransport() as transport:
-        reply = transport.probe("192.0.2.1", 4, protocol=protocol, flow_id=1, timeout_s=0.2)
+    with RawTransport(protocol=protocol, timeout_s=0.2) as transport:
+        reply = transport.probe("192.0.2.1", 4)
     assert reply.responder == "10.1.0.4"
 
 
 def test_udp_probe_matches_the_port_it_was_given(on_wire):
     # with every flow port taken, the kernel picks the source port
     on_wire(udp_ports_taken=range(33000, 33512))
-    with RawTransport() as transport:
-        reply = transport.probe("192.0.2.1", 2, protocol="udp", flow_id=1, timeout_s=0.2)
+    with RawTransport(protocol="udp", timeout_s=0.2) as transport:
+        reply = transport.probe("192.0.2.1", 2)
     assert reply is not None
     assert reply.responder == "10.1.0.2"
+
+
+# the header fields a per-flow balancer hashes: ICMP checksum and
+# identifier, or the UDP source port
+FLOW_FIELDS = {"icmp": lambda echo: (echo[2:4], echo[4:6]),
+               "udp": lambda datagram: (datagram[0:2],)}
+
+
+@pytest.mark.parametrize("protocol", ["icmp", "udp"])
+def test_each_transport_keeps_one_flow_on_the_wire(on_wire, protocol):
+    wire = on_wire()
+    targets = ("192.0.2.1", "192.0.2.2")
+    with RawTransport(protocol=protocol, timeout_s=0.2) as a, \
+            RawTransport(protocol=protocol, timeout_s=0.2) as b:
+        with ThreadPoolExecutor(2) as pool:
+            traces = list(pool.map(lambda job: run_traceroute(*job, max_ttl=4),
+                                   zip((a, b), targets)))
+    assert [len(t.hops) for t in traces] == [4, 4]
+    flows = [{FLOW_FIELDS[protocol](probe) for target, probe in wire.sent if target == t}
+             for t in targets]
+    assert [sum(target == t for target, _ in wire.sent) for t in targets] == [12, 12]
+    # one flow per transport over its whole ramp, and not the other's
+    [flow_a], [flow_b] = flows
+    assert all(x != y for x, y in zip(flow_a, flow_b))

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -465,6 +466,40 @@ def test_report_fails_only_the_session_with_a_bad_meta_json(tmp_path, capsys, me
     assert [r[0] for r in trend] == [{"p1": "p2", "p2": "p1"}[partition]]
 
 
+WRONG_META_TYPE = pytest.mark.parametrize("field,value", [
+    ("pre_sat_ttl", None), ("n_endpoint", [300]), ("customer_location", 5),
+], ids=["pre_sat_ttl_null", "n_endpoint_list", "customer_location_number"])
+
+
+def _reroute_day_store(tmp_path, field, value):
+    """A store with one reroute_day session whose meta.json has ``field`` set
+    to ``value``, and no analyze tables; returns it and the meta.json path."""
+    store_dir = tmp_path / "store"
+    assert cli.main(["simulate", "--scenarios", str(SCENARIOS / "reroute_day"),
+                     "--out", str(store_dir), "--duration", "300", "--partition", "p"]) == 0
+    shutil.rmtree(store_dir / "reports")
+    meta_path = store_dir / "p" / "98.97.48.115" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta[field] = value
+    meta_path.write_text(json.dumps(meta))
+    return store_dir, meta_path
+
+
+@WRONG_META_TYPE
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_meta_field_of_the_wrong_type_fails_its_session(tmp_path, capsys, command,
+                                                        field, value):
+    store_dir, meta_path = _reroute_day_store(tmp_path, field, value)
+    capsys.readouterr()
+    assert cli.main([command, "--store", str(store_dir)]) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"{command} error stage=analysis endpoint=98.97.48.115 "
+                           f"msg={meta_path}: {field} is {value!r}, expected ")
+    assert captured.out.startswith({"analyze": "analyze error sessions=0 failed=1 ",
+                                    "report": "report error no-sessions"}[command])
+
+
 def test_analyze_empty_store_exits_1(tmp_path, capsys):
     MeasurementStore(tmp_path / "store")
     assert cli.main(["analyze", "--store", str(tmp_path / "store")]) == 1
@@ -716,7 +751,8 @@ class StubRawTransport:
     instances: list["StubRawTransport"] = []
     SILENT = "100.64.9.99"
 
-    def __init__(self):
+    def __init__(self, *, protocol="icmp", timeout_s=2.0):
+        self.protocol = protocol
         self.exits = 0
         self.clock_ms = 0
         StubRawTransport.instances.append(self)
@@ -733,13 +769,41 @@ class StubRawTransport:
     def __exit__(self, *exc):
         self.exits += 1
 
-    def probe(self, target, ttl, *, protocol="icmp", flow_id=0, timeout_s=2.0):
+    def probe(self, target, ttl):
         if target == self.SILENT:
             return None
         hops = scenario_dict()["hops"]
         hops[-1]["address"] = target
         return respond_to_probe(build_scenario(scenario_dict(hops=hops)), target, ttl, 0,
-                                protocol=protocol, flow_id=flow_id)
+                                protocol=self.protocol)
+
+
+def test_cohort_opens_each_transport_on_the_config(tmp_path):
+    scenario_dir = tmp_path / "scenarios"
+    scenario_dir.mkdir()
+    for address in ("100.64.9.2", "100.64.9.1"):
+        obj = scenario_dict()
+        obj["hops"][-1]["address"] = address
+        (scenario_dir / f"{address}.json").write_text(json.dumps(obj))
+    cfg = CampaignConfig(transport="simnet", output_dir=str(tmp_path / "s"),
+                         scenario_dir=str(scenario_dir), protocol="udp", timeout_s=3.0)
+    cohort, _ = cli._cohort(cfg)
+    # one simulator per scenario, in sorted address order, each with its own clock
+    assert [ep.address for ep, _ in cohort] == ["100.64.9.1", "100.64.9.2"]
+    with cohort[0][1]() as first, cohort[1][1]() as second:
+        assert (first.protocol, first.timeout_s) == ("udp", 3.0)
+        assert (second.protocol, second.timeout_s) == ("udp", 3.0)
+        first.probe("100.64.9.1", 3)
+        assert first.now_ms() > 0
+        assert second.now_ms() == 0
+    cohort_csv = tmp_path / "cohort.csv"
+    cohort_csv.write_text("address,pop_code\n100.64.9.1,sttlwax1\n")
+    [(_, open_transport)], _ = cli._cohort(CampaignConfig(
+        transport="raw", output_dir=str(tmp_path / "s"), endpoints_file=str(cohort_csv),
+        protocol="tcp", timeout_s=3.0))
+    with open_transport() as transport:  # opens no socket before its first probe
+        assert isinstance(transport, rawnet.RawTransport)
+        assert (transport.protocol, transport.timeout_s) == ("tcp", 3.0)
 
 
 def test_trace_closes_raw_transport_per_endpoint(tmp_path, capsys, monkeypatch):
@@ -980,6 +1044,22 @@ def test_bad_pop_catalog_is_a_config_error(tmp_path, capsys, command, catalog_te
     _single_config_error(capsys, command, f"{catalog} {where}")
     assert not (tmp_path / "cohort.csv").exists()
     assert not (store.root / "reports").exists()
+
+
+@pytest.mark.parametrize("text,where", [
+    ("{not json", "Expecting property name enclosed in double quotes"),
+    (json.dumps(scenario_dict(base_latencies_ms=["a", 1, 2])),
+     "base_latencies_ms[0]: expected a number, got 'a'"),
+    (json.dumps(scenario_dict(events=[5])), "events[0]: expected an object, got 5"),
+], ids=["not_json", "latency_not_a_number", "event_not_an_object"])
+def test_bad_scenario_file_is_a_config_error(tmp_path, capsys, text, where):
+    scenario = tmp_path / "scenarios" / "bad.json"
+    scenario.parent.mkdir()
+    scenario.write_text(text)
+    assert cli.main(["simulate", "--scenarios", str(scenario.parent),
+                     "--out", str(tmp_path / "s")]) == 2
+    _single_config_error(capsys, "simulate", f"{scenario}: {where}")
+    assert not (tmp_path / "s").exists()
 
 
 # ------------------------------------------------------------- dependencies
