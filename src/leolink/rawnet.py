@@ -29,8 +29,8 @@ and UDP source port from its own instance number, and a time-exceeded
 or unreachable message only counts when the datagram it quotes was
 addressed to the probe's target.
 
-Only the pure packet builders and parsers are unit-tested by default;
-socket paths are exercised by an opt-in loopback test.
+Packet builders, parsers and the ICMP/UDP receive paths are unit-tested,
+the latter on fake sockets; a loopback test that needs root sends an echo.
 """
 from __future__ import annotations
 

@@ -196,11 +196,13 @@ def _err(fieldname: str, message: str) -> ScenarioError:
 
 
 def _number(fieldname: str, value, kind: type = float):
-    """value as an int or float; anything else is an error naming the field."""
+    """value as a finite int or float; anything else is an error naming the field."""
     try:
-        return kind(value)
+        if math.isfinite(number := kind(value)):
+            return number
     except (TypeError, ValueError, OverflowError):
-        raise _err(fieldname, f"expected a number, got {value!r}") from None
+        pass
+    raise _err(fieldname, f"expected a finite number, got {value!r}")
 
 
 def _object(fieldname: str, value, kind: type | tuple = dict):

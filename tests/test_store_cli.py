@@ -1049,9 +1049,11 @@ def test_bad_pop_catalog_is_a_config_error(tmp_path, capsys, command, catalog_te
 @pytest.mark.parametrize("text,where", [
     ("{not json", "Expecting property name enclosed in double quotes"),
     (json.dumps(scenario_dict(base_latencies_ms=["a", 1, 2])),
-     "base_latencies_ms[0]: expected a number, got 'a'"),
+     "base_latencies_ms[0]: expected a finite number, got 'a'"),
+    (json.dumps(scenario_dict(base_latencies_ms=[1, float("nan"), 2])),
+     "base_latencies_ms[1]: expected a finite number, got nan"),
     (json.dumps(scenario_dict(events=[5])), "events[0]: expected an object, got 5"),
-], ids=["not_json", "latency_not_a_number", "event_not_an_object"])
+], ids=["not_json", "latency_not_a_number", "latency_nan", "event_not_an_object"])
 def test_bad_scenario_file_is_a_config_error(tmp_path, capsys, text, where):
     scenario = tmp_path / "scenarios" / "bad.json"
     scenario.parent.mkdir()
