@@ -1,0 +1,78 @@
+"""Type checks for the fields of outside input, shared by every reader.
+
+A bad field raises the reader's own error class as ``<field>: expected
+<what>, got <value!r>``; a good one comes back as it is, never coerced.
+"""
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import MISSING, fields
+
+
+def _json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    return _json_int(value) or isinstance(value, float) and math.isfinite(value)
+
+
+KINDS = {  # kind: (test, what a message says is expected)
+    "integer": (_json_int, "an integer"),
+    "number": (_finite, "a finite number"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "flag": (lambda v: isinstance(v, bool), "true or false"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "list": (lambda v: isinstance(v, (list, tuple)), "a list"),
+    "location": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite, v)),
+                 "[latitude, longitude]"),
+}
+# The kind of a dataclass field by its annotation; an Optional one may be None.
+ANNOTATED = {"int": "integer", "float": "number", "str": "string", "bool": "flag",
+             "Optional[float]": "number", "Optional[str]": "string"}
+
+
+def check(value, kind: str, name: str, error: type[Exception], *, optional: bool = False):
+    """``value`` if it is of ``kind`` (or None if ``optional``), else ``error`` naming ``name``."""
+    test, wanted = KINDS[kind]
+    if test(value) or optional and value is None:
+        return value
+    raise error(f"{name}: expected {wanted}{' or null' if optional else ''}, got {value!r}")
+
+
+class Fields:
+    """Checked reads of one JSON object's fields, each named after ``where``:
+    a file (``"cfg.json: "``) or the object's own field (``"hops[0]."``)."""
+
+    def __init__(self, obj, error: type[Exception], where: str = ""):
+        self.error, self.where = error, where
+        self.obj = check(obj, "object", where[:-1] if where.endswith(".")
+                         else where + "top level", error)
+
+    def __call__(self, key: str, kind: str, default=None, *, optional: bool = False):
+        """Field ``key``, or ``default`` when it is absent, checked to be of ``kind``."""
+        return check(self.obj.get(key, default), kind, self.where + key, self.error,
+                     optional=optional)
+
+    def make(self, cls, *, strict: bool = False):
+        """Dataclass ``cls`` of this object's fields, each checked against its
+        annotation; a field with a default may be absent, and one that ``cls``
+        does not have is refused if ``strict``."""
+        if strict and (unknown := set(self.obj) - {f.name for f in fields(cls)}):
+            where = self.where[:-1] + ": " if self.where.endswith(".") else self.where
+            raise self.error(f"{where}unknown fields {sorted(unknown)}")
+        return cls(**{f.name: self(f.name, ANNOTATED[f.type],
+                                   None if f.default is MISSING else f.default,
+                                   optional=f.type.startswith("Optional["))
+                      for f in fields(cls)})
+
+
+def read_json(path, error: type[Exception], build):
+    """``build`` of the :class:`Fields` of the JSON object in file ``path``;
+    a file that is not JSON, or a bad field, raises ``error`` naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return build(Fields(json.load(fh), error))
+        except (ValueError, error) as exc:  # error, or the file is not JSON
+            raise error(f"{path}: {exc}") from None

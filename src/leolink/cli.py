@@ -31,6 +31,7 @@ from .discovery import (
     filter_customer_endpoints,
     filter_oneweb_customers,
     geolocate_customer,
+    load_geofeed,
     parse_scan_dataset,
 )
 from .simnet import Scenario, ScenarioError, SimnetTransport, load_scenario_dir
@@ -90,7 +91,8 @@ def cmd_discover(args: argparse.Namespace) -> int:
                  "ambiguous": len(filter_report.ambiguous)}
 
     if args.geofeed:
-        kept = [geolocate_customer(ep, args.geofeed) for ep in kept]
+        feed = load_geofeed(args.geofeed)
+        kept = [geolocate_customer(ep, feed) for ep in kept]
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -117,7 +119,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
 def load_endpoints_csv(path: str | Path, catalog: Optional[PopCatalog] = None) -> list[Endpoint]:
     """Read an endpoint cohort written by cmd_discover; a malformed one
-    raises :class:`ConfigError` naming the file and line."""
+    raises :class:`ConfigError` naming the file and line (and the field)."""
     catalog = catalog or PopCatalog.default()
     endpoints = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -129,21 +131,20 @@ def load_endpoints_csv(path: str | Path, catalog: Optional[PopCatalog] = None) -
             try:
                 row["customer_location"] = (
                     (float(row["cust_lat"]), float(row["cust_lon"])) if located else None)
-            except ValueError as exc:
+                endpoints.append(endpoint_from_meta(row, catalog))
+            except (ValueError, StoreError) as exc:
                 raise ConfigError(f"{path} line {reader.line_num}: {exc}") from None
-            endpoints.append(endpoint_from_meta(row, catalog))
     return endpoints
 
 
 # ------------------------------------------------------------ measurement
 
 def _endpoint_from_scenario(scenario: Scenario, catalog: PopCatalog) -> Endpoint:
-    meta = scenario.endpoint_meta
+    meta = scenario.endpoint_meta  # checked by build_scenario
     located = "latitude" in meta and "longitude" in meta
     return endpoint_from_meta({
-        "address": scenario.target_address, "pop_code": str(meta.get("pop_code", "")),
-        "customer_location": (float(meta["latitude"]), float(meta["longitude"])) if located else None,
-        "source": str(meta.get("source", "starlink_ptr"))}, catalog)
+        **meta, "address": scenario.target_address,
+        "customer_location": (meta["latitude"], meta["longitude"]) if located else None}, catalog)
 
 
 def _cohort(cfg: CampaignConfig) -> tuple[list[tuple[Endpoint, Callable]], int]:
@@ -432,7 +433,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if key not in session_rows:
             continue  # its analysis failed and was reported
         try:
-            endpoint = endpoint_from_meta(rec.meta, catalog)
+            endpoint = endpoint_from_meta(rec.meta, catalog, where=f"{rec.meta_path}: ")
             stats = analysis.SessionStats(*map(float, session_rows[key][5:]))
         except (StoreError, KeyError, TypeError, ValueError) as exc:
             _err(f"report error stage=analysis endpoint={rec.address} msg={exc}")
@@ -531,9 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenarios", required=True, help="directory of scenario JSON files")
     p.add_argument("--out", required=True, help="store root directory")
     p.add_argument("--partition", default=None)
-    p.add_argument("--duration", type=int, default=600)
-    p.add_argument("--cadence", type=int, default=1)
-    p.add_argument("--concurrency", type=int, default=8)
+    p.add_argument("--duration", type=int, default=CampaignConfig.duration_s)
+    p.add_argument("--cadence", type=int, default=CampaignConfig.cadence_hz)
+    p.add_argument("--concurrency", type=int, default=CampaignConfig.concurrency)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="render per-POP, distance and trend tables")

@@ -22,7 +22,6 @@ none of the latency statistics.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -31,6 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .checks import Fields, read_json
 from .geo import (
     EARTH_RADIUS_KM,
     LIGHT_SPEED_KM_S,
@@ -112,15 +112,16 @@ class ConstellationConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ConstellationConfig":
-        shells = tuple(Shell(**s) for s in obj["shells"])
+        config = Fields(obj, GeometryError)
+        shells = tuple(Fields(s, GeometryError, f"shells[{i}].").make(Shell, strict=True)
+                       for i, s in enumerate(config("shells", "list")))
         if not shells:
             raise GeometryError("config needs at least one shell")
-        return cls(shells=shells, epoch_s=float(obj.get("epoch_s", 0.0)))
+        return cls(shells=shells, epoch_s=config("epoch_s", "number", 0.0))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ConstellationConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return read_json(path, GeometryError, lambda config: cls.from_dict(config.obj))
 
     @classmethod
     def default(cls) -> "ConstellationConfig":
@@ -641,33 +642,22 @@ class StudyCase:
     @classmethod
     def from_json(cls, path: str | Path,
                   config: Optional[ConstellationConfig] = None) -> "StudyCase":
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        try:
-            dish = DishSite(
-                latitude=float(obj["dish"]["latitude"]),
-                longitude=float(obj["dish"]["longitude"]),
-                boresight_azimuth_deg=float(
-                    obj["dish"].get("boresight_azimuth_deg", DEFAULT_BORESIGHT_DEG)),
-                label=obj["dish"].get("label", ""),
-            )
-            access_gs = _site_from(obj["access_gs"])
-            pop = _site_from(obj["pop"])
-            landing = _site_from(obj["landing_gs"]) if obj.get("landing_gs") else None
-            vis = obj.get("visibility", {})
-            terr = obj.get("terrestrial_rtt_ms")
+        def build(case: Fields) -> StudyCase:
+            vis = Fields(case.obj.get("visibility", {}), GeometryError, "visibility.")
+            sampling = Fields(case.obj.get("sampling", {}), GeometryError, "sampling.")
             return cls(
-                label=obj.get("label", Path(path).stem),
-                dish=dish, access_gs=access_gs, pop=pop, landing_gs=landing,
-                terrestrial_rtt_ms=None if terr is None else float(terr),
-                max_slant_km=float(vis.get("max_slant_km", DEFAULT_MAX_SLANT_KM)),
-                min_elevation_deg=float(
-                    vis.get("min_elevation_deg", DEFAULT_MIN_ELEVATION_DEG)),
-                sample_step_s=float(obj.get("sampling", {}).get("step_s", 15.0)),
+                label=case("label", "string", Path(path).stem),
+                dish=_site(case, "dish", DishSite, boresight_azimuth_deg=DEFAULT_BORESIGHT_DEG),
+                access_gs=_site(case, "access_gs"), pop=_site(case, "pop"),
+                landing_gs=_site(case, "landing_gs") if case.obj.get("landing_gs") else None,
+                terrestrial_rtt_ms=case("terrestrial_rtt_ms", "number", optional=True),
+                max_slant_km=vis("max_slant_km", "number", DEFAULT_MAX_SLANT_KM),
+                min_elevation_deg=vis("min_elevation_deg", "number", DEFAULT_MIN_ELEVATION_DEG),
+                sample_step_s=sampling("step_s", "number", 15.0),
                 config=config or ConstellationConfig.default(),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GeometryError(f"bad study case {path}: {exc}") from exc
+
+        return read_json(path, GeometryError, build)
 
     @classmethod
     def nigeria(cls) -> "StudyCase":
@@ -676,10 +666,12 @@ class StudyCase:
             return cls.from_json(path)
 
 
-def _site_from(obj: dict) -> GroundStation:
-    return GroundStation(latitude=float(obj["latitude"]),
-                         longitude=float(obj["longitude"]),
-                         label=obj.get("label", ""))
+def _site(case: Fields, key: str, kind: type = GroundStation, **numbers) -> GroundStation:
+    """The ``kind`` site in field ``key``; ``numbers`` default its further number fields."""
+    site = Fields(case.obj.get(key), GeometryError, f"{key}.")
+    return kind(latitude=site("latitude", "number"), longitude=site("longitude", "number"),
+                label=site("label", "string", ""),
+                **{name: site(name, "number", value) for name, value in numbers.items()})
 
 
 @dataclass

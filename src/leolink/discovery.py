@@ -340,7 +340,7 @@ def filter_oneweb_customers(records: Iterable[ScanRecord]) -> tuple[list[Endpoin
     return endpoints, unclassifiable
 
 
-def _load_geofeed(path: str | Path) -> list[tuple[ipaddress._BaseNetwork, Optional[tuple[float, float]]]]:
+def load_geofeed(path: str | Path) -> list[tuple[ipaddress._BaseNetwork, Optional[tuple[float, float]]]]:
     """Geofeed CSV: prefix,country,region,city[,latitude,longitude]."""
     rows: list[tuple[ipaddress._BaseNetwork, Optional[tuple[float, float]]]] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -361,17 +361,15 @@ def _load_geofeed(path: str | Path) -> list[tuple[ipaddress._BaseNetwork, Option
     return rows
 
 
-def geolocate_customer(endpoint: Endpoint, geofeed_path: str | Path) -> Endpoint:
-    """Attach customer coordinates from the longest matching geofeed prefix.
-
-    The datasets involved are small, so a linear scan keeping the most
-    specific match is fine.  If the best row carries no coordinates the
-    endpoint is returned unchanged.
-    """
+def geolocate_customer(endpoint: Endpoint, geofeed: Sequence[tuple]) -> Endpoint:
+    """Attach customer coordinates from the longest matching prefix of the
+    rows :func:`load_geofeed` read once; a linear scan is fine at cohort
+    sizes.  If the best row carries no coordinates the endpoint is
+    returned unchanged."""
     address = ipaddress.ip_address(endpoint.address)
     best_len = -1
     best_coords: Optional[tuple[float, float]] = None
-    for net, coords in _load_geofeed(geofeed_path):
+    for net, coords in geofeed:
         if net.version == address.version and address in net and net.prefixlen > best_len:
             best_len = net.prefixlen
             best_coords = coords

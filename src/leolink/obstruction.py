@@ -23,6 +23,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .analysis import SpikeEvent
+from .checks import Fields
 
 # Accumulated cell increments below this are sensor noise, not a new
 # connection cell.
@@ -242,24 +243,26 @@ def write_frames(maps: Iterable[ObstructionMap], path: str | Path) -> int:
 
 
 def read_frames(path: str | Path) -> list[ObstructionMap]:
+    """A recording written by :func:`write_frames`; a bad line raises an error naming it."""
     with open(path, encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line.strip():
+        if not (header_line := fh.readline()).strip():
             raise ObstructionError(f"{path}: empty recording")
-        header = json.loads(header_line)
-        if header.get("format") != FRAME_FORMAT:
-            raise ObstructionError(f"{path}: not a {FRAME_FORMAT} recording")
-        rows, cols = int(header["rows"]), int(header["cols"])
-        maps = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            cells = np.asarray(rec["cells"], dtype=np.float64)
-            if cells.size != rows * cols:
-                raise ObstructionError(f"{path}:{lineno}: expected {rows * cols} cells")
-            maps.append(ObstructionMap(timestamp=float(rec["t"]),
-                                       grid=cells.reshape(rows, cols)))
+        maps, lineno = [], 1
+        try:
+            header = Fields(json.loads(header_line), ObstructionError)
+            if header.obj.get("format") != FRAME_FORMAT:
+                raise ObstructionError(f"not a {FRAME_FORMAT} recording")
+            rows, cols = header("rows", "integer"), header("cols", "integer")
+            for lineno, line in enumerate(fh, start=2):
+                if line.strip():
+                    frame = Fields(json.loads(line), ObstructionError)
+                    cells = np.asarray(frame("cells", "list"), dtype=np.float64)
+                    if cells.size != rows * cols:
+                        raise ObstructionError(f"cells: expected {rows * cols}, got {cells.size}")
+                    maps.append(ObstructionMap(timestamp=frame("t", "number"),
+                                               grid=cells.reshape(rows, cols)))
+        except (TypeError, ValueError) as exc:  # ObstructionError, or not JSON or numbers
+            raise ObstructionError(f"{path} line {lineno}: {exc}") from None
     return maps
 
 

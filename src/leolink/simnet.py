@@ -53,13 +53,12 @@ they extend the schema: ``target_protocols`` limits which probe
 protocols the target answers (intermediate hops expire any protocol);
 ``loss_probability`` drops probes uniformly; ``hop_flap`` periodically
 inserts one extra terrestrial hop (``{"every_s": 25, "duration_s": 1}``)
-to model transient path-length flaps; ``endpoint`` carries opaque
-endpoint metadata (POP code, customer coordinates) for cohort studies.
+to model transient path-length flaps; ``endpoint`` carries the
+endpoint's ``pop_code``, ``source``, ``latitude`` and ``longitude``.
 """
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 import struct
@@ -68,6 +67,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from .checks import Fields, check, read_json
 from .probe import DEFAULT_PROBE_TIMEOUT_S, ProbeReply
 
 SCHEMA_ID = "leolink-scenario/1"
@@ -195,148 +195,105 @@ def _err(fieldname: str, message: str) -> ScenarioError:
     return ScenarioError(f"{fieldname}: {message}")
 
 
-def _number(fieldname: str, value, kind: type = float):
-    """value as a finite int or float; anything else is an error naming the field."""
-    try:
-        if math.isfinite(number := kind(value)):
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise _err(fieldname, f"expected a finite number, got {value!r}")
-
-
-def _object(fieldname: str, value, kind: type | tuple = dict):
-    """value if it is a JSON object, or of kind; else an error naming the field."""
-    if not isinstance(value, kind):
-        wanted = "an object" if kind is dict else "a list"
-        raise _err(fieldname, f"expected {wanted}, got {value!r}")
-    return value
-
-
 def build_scenario(source: dict | str | Path) -> Scenario:
     """Validate a scenario description (dict or JSON file path).
 
     A bad description raises :class:`ScenarioError` naming the field,
-    prefixed by the file when one was read.
+    prefixed by the file when one was read.  Nothing is coerced.
     """
     if not isinstance(source, dict):
-        with open(source, encoding="utf-8") as fh:
-            try:
-                return build_scenario(_object("scenario", json.load(fh)))
-            except ValueError as exc:  # ScenarioError, or the file is not JSON
-                raise ScenarioError(f"{source}: {exc}") from None
-    obj = source
-    if obj.get("schema") != SCHEMA_ID:
-        raise _err("schema", f"expected {SCHEMA_ID!r}, got {obj.get('schema')!r}")
+        return read_json(source, ScenarioError, lambda scenario: build_scenario(scenario.obj))
+    top = Fields(source, ScenarioError)
+    if source.get("schema") != SCHEMA_ID:
+        raise _err("schema", f"expected {SCHEMA_ID!r}, got {source.get('schema')!r}")
 
-    raw_hops = obj.get("hops")
+    raw_hops = source.get("hops")
     if not isinstance(raw_hops, list) or len(raw_hops) < 2:
         raise _err("hops", "need at least two hops (one before and one after the satellite)")
-    hops = []
-    for i, h in enumerate(raw_hops):
-        h = _object(f"hops[{i}]", h)
-        try:
-            hops.append(SimHop(
-                label=str(h["label"]),
-                address=str(h["address"]),
-                ttl_expired=bool(h.get("ttl_expired", True)),
-                echo=bool(h.get("echo", False)),
-            ))
-        except KeyError as exc:
-            raise _err(f"hops[{i}]", f"missing key {exc}") from None
+    hops = [Fields(h, ScenarioError, f"hops[{i}].").make(SimHop) for i, h in enumerate(raw_hops)]
 
-    lat = obj.get("base_latencies_ms")
+    lat = source.get("base_latencies_ms")
     if not isinstance(lat, list) or len(lat) != len(hops):
         raise _err("base_latencies_ms", f"need exactly {len(hops)} per-segment values")
-    latencies = tuple(_number(f"base_latencies_ms[{i}]", x) for i, x in enumerate(lat))
+    latencies = tuple(check(x, "number", f"base_latencies_ms[{i}]", ScenarioError)
+                      for i, x in enumerate(lat))
     for i, x in enumerate(latencies):
         if x < 0:
             raise _err(f"base_latencies_ms[{i}]", "latency must be non-negative")
 
-    seg = obj.get("satellite_segment")
+    seg = source.get("satellite_segment")
     if (not isinstance(seg, (list, tuple))) or len(seg) != 2:
         raise _err("satellite_segment", "expected [pre_hop, post_hop]")
-    pre_sat, post_sat = (_number("satellite_segment", x, int) for x in seg)
+    pre_sat, post_sat = (check(x, "integer", f"satellite_segment[{i}]", ScenarioError)
+                         for i, x in enumerate(seg))
     if not (1 <= pre_sat < post_sat <= len(hops)):
         raise _err("satellite_segment", f"need 1 <= pre < post <= {len(hops)}")
 
-    duration_s = _number("duration_s", obj.get("duration_s", 300), int)
+    duration_s = top("duration_s", "integer", 300)
     if duration_s <= 0:
         raise _err("duration_s", "must be positive")
 
-    jit = _object("jitter", obj.get("jitter", {}))
-    dist = jit.get("dist", "gaussian")
-    if dist not in JITTER_DISTS:
+    jitter = Fields(source.get("jitter", {}), ScenarioError, "jitter.").make(Jitter)
+    if jitter.dist not in JITTER_DISTS:
         raise _err("jitter.dist", f"must be one of {JITTER_DISTS}")
-    jitter = Jitter(
-        dist=dist,
-        sigma_ms=_number("jitter.sigma_ms", jit.get("sigma_ms", 0.5)),
-        satellite_sigma_ms=_number("jitter.satellite_sigma_ms",
-                                   jit.get("satellite_sigma_ms", 1.5)),
-    )
     if jitter.sigma_ms < 0 or jitter.satellite_sigma_ms < 0:
         raise _err("jitter.sigma_ms", "sigma must be non-negative")
 
     events = []
-    for i, ev in enumerate(_object("events", obj.get("events", []), (list, tuple))):
-        ev = _object(f"events[{i}]", ev)
-        kind = ev.get("kind")
-        if kind not in EVENT_KINDS:
+    for i, ev in enumerate(top("events", "list", [])):
+        event = Fields(ev, ScenarioError, f"events[{i}].").make(RerouteEvent)
+        if event.kind not in EVENT_KINDS:
             raise _err(f"events[{i}].kind", f"must be one of {EVENT_KINDS}")
-        at_s = _number(f"events[{i}].at_s", ev.get("at_s", -1), int)
-        dur = _number(f"events[{i}].duration_s", ev.get("duration_s", 0), int)
-        if at_s < 0 or at_s % EVENT_GRID_S != 0:
+        if event.at_s < 0 or event.at_s % EVENT_GRID_S != 0:
             raise _err(f"events[{i}].at_s", f"must be a non-negative multiple of {EVENT_GRID_S}")
-        if dur <= 0 or dur % EVENT_GRID_S != 0:
+        if event.duration_s <= 0 or event.duration_s % EVENT_GRID_S != 0:
             raise _err(f"events[{i}].duration_s", f"must be a positive multiple of {EVENT_GRID_S}")
-        if at_s + dur > duration_s:
+        if event.end_s > duration_s:
             raise _err(f"events[{i}]", "event extends past scenario duration")
-        delta = ev.get("delta_ms")
-        new_rtt = ev.get("new_rtt_ms")
-        if (delta is None) == (new_rtt is None):
+        if (event.delta_ms is None) == (event.new_rtt_ms is None):
             raise _err(f"events[{i}]", "exactly one of delta_ms / new_rtt_ms required")
-        events.append(RerouteEvent(
-            at_s=at_s, kind=kind, duration_s=dur,
-            delta_ms=None if delta is None else _number(f"events[{i}].delta_ms", delta),
-            new_rtt_ms=None if new_rtt is None else _number(f"events[{i}].new_rtt_ms", new_rtt),
-        ))
+        events.append(event)
     events.sort(key=lambda e: e.at_s)
     for a, b in zip(events, events[1:]):
         if b.at_s < a.end_s:
             raise _err("events", f"events at {a.at_s}s and {b.at_s}s overlap")
 
-    loss = _number("loss_probability", obj.get("loss_probability", 0.0))
+    loss = top("loss_probability", "number", 0.0)
     if not 0.0 <= loss <= 1.0:
         raise _err("loss_probability", "must be within [0, 1]")
 
-    protos = _object("target_protocols", obj.get("target_protocols", PROTOCOLS), (list, tuple))
+    protos = top("target_protocols", "list", PROTOCOLS)
     for p in protos:
         if p not in PROTOCOLS:
             raise _err("target_protocols", f"unknown protocol {p!r}")
 
     flap = None
-    if "hop_flap" in obj:
-        hf = obj["hop_flap"]
-        try:
-            flap = HopFlap(every_s=int(hf["every_s"]), duration_s=int(hf["duration_s"]))
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise _err("hop_flap", "expected {every_s, duration_s}") from None
+    if "hop_flap" in source:
+        flap = Fields(source["hop_flap"], ScenarioError, "hop_flap.").make(HopFlap)
         if flap.duration_s <= 0 or flap.every_s <= flap.duration_s:
             raise _err("hop_flap.every_s", "need every_s > duration_s > 0")
+
+    # opaque here, but checked now so that a bad block fails its file
+    # before any endpoint is probed
+    endpoint = Fields(source.get("endpoint", {}), ScenarioError, "endpoint.")
+    for key, kind in (("pop_code", "string"), ("source", "string"),
+                      ("latitude", "number"), ("longitude", "number")):
+        if key in endpoint.obj:
+            endpoint(key, kind)
 
     return Scenario(
         hops=tuple(hops),
         base_latencies_ms=latencies,
         pre_sat=pre_sat,
         post_sat=post_sat,
-        seed=_number("seed", obj.get("seed", 0), int),
+        seed=top("seed", "integer", 0),
         duration_s=duration_s,
         jitter=jitter,
         events=tuple(events),
         loss_probability=loss,
         target_protocols=tuple(protos),
         hop_flap=flap,
-        endpoint_meta=dict(_object("endpoint", obj.get("endpoint", {}))),
+        endpoint_meta=dict(endpoint.obj),
     )
 
 

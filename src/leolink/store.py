@@ -23,14 +23,16 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .discovery import Endpoint, PopCatalog
+from . import probe
+from .checks import ANNOTATED, Fields, check, read_json
+from .discovery import SOURCE_STARLINK_PTR, Endpoint, PopCatalog
 from .probe import MeasurementSession, SatLinkPath
 
 SCHEMA_VERSION = 1
@@ -43,27 +45,9 @@ _ROW_DTYPE = np.dtype([("sent_ms", np.int64), ("ttl", np.int64), ("rtt_us", np.f
 TRANSPORTS = ("simnet", "raw")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-# The meta.json fields read_session reads: the test each value must pass
-# and what the test wants.  The fields of _OPTIONAL_META may be absent.
-_META_FIELDS = {
-    **dict.fromkeys(("address", "pre_sat_router", "pop_code", "source"),
-                    (lambda v: isinstance(v, str), "a string")),
-    **dict.fromkeys(("pre_sat_ttl", "post_sat_ttl", "start_ms", "duration_s", "cadence_hz",
-                     "n_terrestrial", "n_endpoint"), (_is_int, "an integer")),
-    "jump_ms": (_is_number, "a number"),
-    "customer_location": (lambda v: v is None or (isinstance(v, list) and len(v) == 2
-                                                  and all(map(_is_number, v))),
-                          "null or [latitude, longitude]"),
-}
-_OPTIONAL_META = ("pop_code", "source", "customer_location")
+# The inclusive range of each integer field of CampaignConfig.
+_INTEGER_RANGES = {"cadence_hz": (1, 10), "duration_s": (1, 86_400), "concurrency": (1, 64),
+                   "probes_per_hop": (1, 10), "max_ttl": (1, 64)}
 
 
 class StoreError(RuntimeError):
@@ -78,9 +62,7 @@ class ConfigError(ValueError):
 class CampaignConfig:
     """Everything a campaign run needs, loadable from one JSON file.
 
-    Tunable ranges: cadence_hz 1..10, duration_s 1..86400, concurrency
-    1..64, probes_per_hop 1..10, max_ttl 1..64, timeout_s (0, 30],
-    jump_threshold_ms > 0.
+    Tunable ranges: _INTEGER_RANGES, timeout_s (0, 30], jump_threshold_ms > 0.
     """
 
     transport: str
@@ -88,13 +70,13 @@ class CampaignConfig:
     scenario_dir: Optional[str] = None
     endpoints_file: Optional[str] = None
     partition_label: str = ""
-    cadence_hz: int = 1
+    cadence_hz: int = probe.DEFAULT_CADENCE_HZ
     duration_s: int = 600
     concurrency: int = 8
-    jump_threshold_ms: float = 10.0
-    probes_per_hop: int = 3
-    max_ttl: int = 32
-    timeout_s: float = 2.0
+    jump_threshold_ms: float = probe.DEFAULT_JUMP_THRESHOLD_MS
+    probes_per_hop: int = probe.DEFAULT_PROBES_PER_HOP
+    max_ttl: int = probe.DEFAULT_MAX_TTL
+    timeout_s: float = probe.DEFAULT_PROBE_TIMEOUT_S
     protocol: str = "icmp"
     exclude_file: Optional[str] = None
 
@@ -102,58 +84,41 @@ class CampaignConfig:
         self.validate()
 
     def validate(self) -> None:
-        def bad(name: str, why: str) -> ConfigError:
-            return ConfigError(f"{name}: {why}")
-
+        for f in fields(self):
+            check(getattr(self, f.name), ANNOTATED[f.type], f.name, ConfigError,
+                  optional=f.type.startswith("Optional["))
         if self.transport not in TRANSPORTS:
-            raise bad("transport", f"must be one of {TRANSPORTS}")
+            raise ConfigError(f"transport: must be one of {TRANSPORTS}")
         if self.transport == "simnet" and not self.scenario_dir:
-            raise bad("scenario_dir", "required for the simnet transport")
+            raise ConfigError("scenario_dir: required for the simnet transport")
         if self.transport == "raw" and not self.endpoints_file:
-            raise bad("endpoints_file", "required for the raw transport")
+            raise ConfigError("endpoints_file: required for the raw transport")
         if not self.output_dir:
-            raise bad("output_dir", "must be set")
-        if not 1 <= int(self.cadence_hz) <= 10:
-            raise bad("cadence_hz", "must be in 1..10")
-        if not 1 <= int(self.duration_s) <= 86_400:
-            raise bad("duration_s", "must be in 1..86400")
-        if not 1 <= int(self.concurrency) <= 64:
-            raise bad("concurrency", "must be in 1..64")
+            raise ConfigError("output_dir: must be set")
+        for name, (lo, hi) in _INTEGER_RANGES.items():
+            if not lo <= getattr(self, name) <= hi:
+                raise ConfigError(f"{name}: must be in {lo}..{hi}")
         if not self.jump_threshold_ms > 0:
-            raise bad("jump_threshold_ms", "must be positive")
-        if not 1 <= int(self.probes_per_hop) <= 10:
-            raise bad("probes_per_hop", "must be in 1..10")
-        if not 1 <= int(self.max_ttl) <= 64:
-            raise bad("max_ttl", "must be in 1..64")
-        if not 0 < float(self.timeout_s) <= 30:
-            raise bad("timeout_s", "must be in (0, 30]")
+            raise ConfigError("jump_threshold_ms: must be positive")
+        if not 0 < self.timeout_s <= 30:
+            raise ConfigError("timeout_s: must be in (0, 30]")
         if self.protocol not in ("icmp", "udp", "tcp"):
-            raise bad("protocol", "must be icmp, udp or tcp")
+            raise ConfigError("protocol: must be icmp, udp or tcp")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "CampaignConfig":
         try:
-            with open(path, encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            return read_json(path, ConfigError, lambda config: config.make(cls, strict=True))
+        except OSError as exc:
             raise ConfigError(f"cannot load {path}: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{path}: top level must be an object")
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"{path}: unknown fields {sorted(unknown)}")
-        try:
-            return cls(**obj)
-        except TypeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
 
     def config_hash(self) -> str:
-        # Where the store lives does not change what was measured, so two
-        # campaigns with the same probing parameters hash identically.
-        fields = asdict(self)
-        fields.pop("output_dir")
-        return params_hash(fields)
+        # Where the store lives and how many endpoints are probed at once
+        # do not change what was measured, so two campaigns with the same
+        # probing parameters hash identically.
+        params = asdict(self)
+        del params["output_dir"], params["concurrency"]
+        return params_hash(params)
 
 
 def params_hash(params: dict) -> str:
@@ -168,21 +133,20 @@ class SessionRecord:
     address: str
     path: Path
 
+    @property
+    def meta_path(self) -> Path:
+        return self.path.parent / META_FILENAME
+
     @cached_property
     def meta(self) -> dict:
         """The session's ``meta.json``, ``{}`` if there is none; one that
         cannot be read as a JSON object raises :class:`StoreError` naming it."""
-        mpath = self.path.parent / META_FILENAME
-        if not mpath.is_file():
+        if not self.meta_path.is_file():
             return {}
         try:
-            with open(mpath, encoding="utf-8") as fh:
-                meta = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise StoreError(f"{mpath}: {exc}") from None
-        if not isinstance(meta, dict):
-            raise StoreError(f"{mpath}: top level is not an object")
-        return meta
+            return read_json(self.meta_path, StoreError, lambda meta: meta.obj)
+        except OSError as exc:
+            raise StoreError(f"{self.meta_path}: {exc}") from None
 
 
 class MeasurementStore:
@@ -308,13 +272,15 @@ class MeasurementStore:
             raise StoreError(
                 f"{record.path}: schema {meta.get('schema_version')!r}, "
                 f"expected {SCHEMA_VERSION}")
-        for name, (ok, wanted) in _META_FIELDS.items():
-            if not (ok(meta.get(name)) or name in _OPTIONAL_META and name not in meta):
-                raise StoreError(f"{record.path.parent / META_FILENAME}: {name} is "
-                                 f"{meta.get(name)!r}, expected {wanted}")
-        path = SatLinkPath(target=meta["address"], pre_sat_ttl=meta["pre_sat_ttl"],
-                           pre_sat_router=meta["pre_sat_router"],
-                           post_sat_ttl=meta["post_sat_ttl"], jump_ms=float(meta["jump_ms"]))
+        field = Fields(meta, StoreError, f"{record.meta_path}: ")
+        endpoint = endpoint_from_meta(meta, where=field.where)
+        path = SatLinkPath(target=endpoint.address, pre_sat_ttl=field("pre_sat_ttl", "integer"),
+                           pre_sat_router=field("pre_sat_router", "string"),
+                           post_sat_ttl=field("post_sat_ttl", "integer"),
+                           jump_ms=float(field("jump_ms", "number")))
+        counts = {hop: field(f"n_{hop}", "integer") for hop in ("terrestrial", "endpoint")}
+        start_ms, duration_s, cadence_hz = (field(name, "integer")
+                                            for name in ("start_ms", "duration_s", "cadence_hz"))
         with open(record.path, newline="", encoding="utf-8") as fh:
             if fh.readline().rstrip("\r\n").split(",") != SESSION_COLUMNS:
                 raise StoreError(f"{record.path} line 1: columns are not {SESSION_COLUMNS}")
@@ -334,12 +300,12 @@ class MeasurementStore:
                              f"neither side of the recorded path")
         terr, endp = rows[ttl == path.pre_sat_ttl], rows[ttl == path.post_sat_ttl]
         for hop, hop_rows in (("terrestrial", terr), ("endpoint", endp)):
-            if len(hop_rows) != meta[f"n_{hop}"]:
+            if len(hop_rows) != counts[hop]:
                 raise StoreError(f"{record.path}: {len(hop_rows)} {hop} rows, "
-                                 f"meta.json records {meta[f'n_{hop}']}")
+                                 f"meta.json records {counts[hop]}")
         session = MeasurementSession(
-            endpoint=endpoint_from_meta(meta), path=path, start_ms=meta["start_ms"],
-            duration_s=meta["duration_s"], cadence_hz=meta["cadence_hz"],
+            endpoint=endpoint, path=path, start_ms=start_ms,
+            duration_s=duration_s, cadence_hz=cadence_hz,
             terrestrial_sent_ms=terr["sent_ms"], terrestrial_rtt_us=terr["rtt_us"],
             endpoint_sent_ms=endp["sent_ms"], endpoint_rtt_us=endp["rtt_us"])
         # send times in probe order: terrestrial 0, endpoint 0, terrestrial 1, ...
@@ -363,16 +329,20 @@ def _first_bad_line(path: Path) -> int | str:
     return "?"
 
 
-def endpoint_from_meta(meta: dict, catalog: Optional[PopCatalog] = None) -> Endpoint:
-    """The endpoint a session's ``meta.json`` describes, located by ``catalog``."""
-    loc = meta.get("customer_location")
-    pop_code = meta.get("pop_code", "")
+def endpoint_from_meta(meta: dict, catalog: Optional[PopCatalog] = None, *,
+                       where: str = "") -> Endpoint:
+    """The endpoint a ``meta.json``, cohort row or scenario describes, located by
+    ``catalog``: the one checked way to build one from outside data.  A field of
+    the wrong type raises :class:`StoreError` naming it after ``where``."""
+    field = Fields(meta, StoreError, where)
+    pop_code = field("pop_code", "string", "")
+    loc = field("customer_location", "location", optional=True)
     return Endpoint(
-        address=meta["address"],
+        address=field("address", "string"),
         pop_code=pop_code,
         pop_location=catalog[pop_code] if catalog and pop_code in catalog else None,
         customer_location=tuple(loc) if loc else None,
-        source=meta.get("source", "starlink_ptr"),
+        source=field("source", "string", SOURCE_STARLINK_PTR),
     )
 
 

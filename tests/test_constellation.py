@@ -415,6 +415,54 @@ def test_study_case_rejects_bad_json(tmp_path):
         StudyCase.from_json(bad)
 
 
+SHELL = {"altitude_km": 550.0, "inclination_deg": 53.0, "n_orbits": 72, "sats_per_orbit": 22}
+NIGERIA = json.loads((REPO_ROOT / "src" / "leolink" / "data" / "nigeria_case.json").read_text())
+
+
+def _with(obj, key, **fields):
+    return {**obj, key: {**obj[key], **fields}}
+
+
+@pytest.mark.parametrize("read,text,where", [
+    (StudyCase.from_json, "{not json", "Expecting property name enclosed in double quotes"),
+    (StudyCase.from_json, "[]", "top level: expected an object, got []"),
+    (StudyCase.from_json, json.dumps(_with(NIGERIA, "dish", latitude="6.4")),
+     "dish.latitude: expected a finite number, got '6.4'"),
+    (StudyCase.from_json, json.dumps({**NIGERIA, "terrestrial_rtt_ms": "110"}),
+     "terrestrial_rtt_ms: expected a finite number or null, got '110'"),
+    (StudyCase.from_json, json.dumps({k: v for k, v in NIGERIA.items() if k != "pop"}),
+     "pop: expected an object, got None"),
+    (StudyCase.from_json, json.dumps(_with(NIGERIA, "visibility", max_slant_km=None)),
+     "visibility.max_slant_km: expected a finite number, got None"),
+    (StudyCase.from_json, json.dumps(_with(NIGERIA, "access_gs", label=7)),
+     "access_gs.label: expected a string, got 7"),
+    (ConstellationConfig.from_json, "{not json", "Expecting property name"),
+    (ConstellationConfig.from_json, json.dumps({"shells": [{**SHELL, "altitude_km": "550"}]}),
+     "shells[0].altitude_km: expected a finite number, got '550'"),
+    (ConstellationConfig.from_json, json.dumps({"shells": [{**SHELL, "apogee_km": 560}]}),
+     "shells[0]: unknown fields ['apogee_km']"),
+    (ConstellationConfig.from_json, json.dumps({"shells": [{**SHELL, "n_orbits": 7.5}]}),
+     "shells[0].n_orbits: expected an integer, got 7.5"),
+    (ConstellationConfig.from_json, json.dumps({"shells": [SHELL], "epoch_s": True}),
+     "epoch_s: expected a finite number, got True"),
+    (ConstellationConfig.from_json, json.dumps({"shells": {}}), "shells: expected a list, got {}"),
+], ids=["case_not_json", "case_not_an_object", "dish_latitude_string", "terrestrial_string",
+        "pop_missing", "slant_null", "label_number", "config_not_json", "altitude_string",
+        "unknown_shell_key", "n_orbits_float", "epoch_bool", "shells_object"])
+def test_bad_geometry_file_names_file_and_field(tmp_path, read, text, where):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(GeometryError) as err:
+        read(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert where in str(err.value)
+
+
+def test_constellation_config_from_dict_refuses_a_fractional_orbit_count():
+    with pytest.raises(GeometryError, match=re.escape("shells[0].n_orbits: expected an integer")):
+        ConstellationConfig.from_dict({"shells": [{**SHELL, "n_orbits": 7.5}]})
+
+
 def test_evaluate_nigeria_case_frozen_medians():
     summary = evaluate_case(StudyCase.nigeria())
     assert summary.n_no_coverage == 0

@@ -15,6 +15,7 @@ from leolink.discovery import (
     filter_customer_endpoints,
     filter_oneweb_customers,
     geolocate_customer,
+    load_geofeed,
     match_customer_ptr,
     parse_scan_dataset,
 )
@@ -243,7 +244,7 @@ def test_geolocate_longest_prefix_wins(tmp_path):
     feed.write_text("\n".join(
         f"{p},XX,,City,{c[0]},{c[1]}" for p, c in rows) + "\n")
     ep = Endpoint(address="98.97.4.10", pop_code="lgosnga1", pop_location=None)
-    located = geolocate_customer(ep, feed)
+    located = geolocate_customer(ep, load_geofeed(feed))
     assert located.customer_location == brute_force_geofeed_match("98.97.4.10", rows)
     assert located.customer_location == (6.4698, 3.5852)
 
@@ -252,17 +253,18 @@ def test_geolocate_empty_feed_leaves_endpoint_unchanged(tmp_path):
     feed = tmp_path / "geofeed.csv"
     feed.write_text("")
     ep = Endpoint(address="98.97.4.10", pop_code="", pop_location=None)
-    assert geolocate_customer(ep, feed) == ep
+    assert geolocate_customer(ep, load_geofeed(feed)) == ep
 
 
 def test_geolocate_skips_malformed_rows_and_missing_coords():
     # The bundled feed has a junk prefix row and a coordinate-less row.
+    feed = load_geofeed(FIXTURES / "geofeed.csv")
     ep = Endpoint(address="2605:59c8:0:100::9", pop_code="", pop_location=None)
-    located = geolocate_customer(ep, FIXTURES / "geofeed.csv")
+    located = geolocate_customer(ep, feed)
     assert located.customer_location == (-12.0464, -77.0428)
     # Address matching only the coordinate-less /32 stays unlocated.
     bare = Endpoint(address="2605:59c8:9999::1", pop_code="", pop_location=None)
-    assert geolocate_customer(bare, FIXTURES / "geofeed.csv").customer_location is None
+    assert geolocate_customer(bare, feed).customer_location is None
 
 
 # ------------------------------------------------------------- properties

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from leolink.obstruction import (
     correlate_spikes,
     detect_switches,
     diff_maps,
+    FRAME_FORMAT,
     read_frames,
     write_frames,
     write_switches_csv,
@@ -304,6 +306,32 @@ def test_read_frames_rejects_foreign_file(tmp_path):
     (tmp_path / "empty.jsonl").write_text("")
     with pytest.raises(ObstructionError):
         read_frames(tmp_path / "empty.jsonl")
+
+
+HEADER = json.dumps({"format": FRAME_FORMAT, "rows": 2, "cols": 2})
+
+
+@pytest.mark.parametrize("lines,where", [
+    ([HEADER, "{not json"], "line 2: Expecting property name"),
+    ([HEADER, '{"cells": [0, 0, 0, 0]}'], "line 2: t: expected a finite number, got None"),
+    ([HEADER, '{"t": "1", "cells": [0, 0, 0, 0]}'], "line 2: t: expected a finite number"),
+    ([HEADER, '{"t": 1, "cells": ["a", 0, 0, 0]}'], "line 2: could not convert"),
+    ([HEADER, '{"t": 1}'], "line 2: cells: expected a list, got None"),
+    ([HEADER, '{"t": 1, "cells": [0, 0, 0]}'], "line 2: cells: expected 4, got 3"),
+    ([HEADER, '{"t": 1, "cells": [0, 2, 0, 0]}'], "line 2: grid values must lie in [0, 1]"),
+    ([HEADER, "", "[1, 2]"], "line 3: top level: expected an object, got [1, 2]"),
+    (["{not json"], "line 1: Expecting property name"),
+    ([json.dumps({"format": FRAME_FORMAT, "rows": "2", "cols": 2})],
+     "line 1: rows: expected an integer, got '2'"),
+    ([json.dumps({"format": FRAME_FORMAT, "rows": 2})], "line 1: cols: expected an integer"),
+], ids=["not_json", "t_missing", "t_string", "cell_string", "cells_missing", "cells_short",
+        "cell_out_of_range", "not_an_object", "header_not_json", "rows_string", "cols_missing"])
+def test_read_frames_names_file_line_and_field(tmp_path, lines, where):
+    path = tmp_path / "rec.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ObstructionError) as err:
+        read_frames(path)
+    assert str(err.value).startswith(f"{path} {where}")
 
 
 def test_write_frames_rejects_mixed_shapes(tmp_path):

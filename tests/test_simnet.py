@@ -53,6 +53,30 @@ def test_build_scenario_names_bad_field(mutate, field):
     assert str(err.value).startswith(field + ":")
 
 
+@pytest.mark.parametrize("mutate,message", [
+    (lambda o: o.update(seed=True), "seed: expected an integer, got True"),
+    (lambda o: o.update(seed=8.0), "seed: expected an integer, got 8.0"),
+    (lambda o: o["hops"][2].update(echo=0), "hops[2].echo: expected true or false, got 0"),
+    (lambda o: o.update(jitter={"dist": 1}), "jitter.dist: expected a string, got 1"),
+    (lambda o: o.update(target_protocols="icmp"), "target_protocols: expected a list, got 'icmp'"),
+    (lambda o: o.update(endpoint={"longitude": float("inf")}),
+     "endpoint.longitude: expected a finite number, got inf"),
+], ids=["seed_bool", "seed_float", "echo_number", "dist_number", "protocols_string",
+        "longitude_inf"])
+def test_build_scenario_refuses_a_field_of_the_wrong_type(mutate, message):
+    obj = scenario_dict()
+    mutate(obj)
+    with pytest.raises(ScenarioError) as err:
+        build_scenario(obj)
+    assert str(err.value) == message
+
+
+def test_build_scenario_keeps_values_as_given():
+    sc = build_scenario(scenario_dict(base_latencies_ms=[2, 3, 12.5], seed=7))
+    assert [type(x) for x in sc.base_latencies_ms] == [int, int, float]
+    assert sc.satellite_base_oneway_ms() == 12.5
+
+
 @pytest.mark.parametrize("event,field", [
     ({"at_s": 17, "kind": "isl_reroute", "delta_ms": 10.0, "duration_s": 30},
      "events[0].at_s"),

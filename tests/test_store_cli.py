@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leolink import cli, rawnet
+from leolink import cli, discovery, rawnet
 from leolink import store as store_module
 from leolink.discovery import Endpoint
 from leolink.probe import MeasurementSession, SatLinkPath
@@ -129,6 +129,9 @@ def test_config_hash_ignores_store_location(tmp_path):
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
     assert len(a.config_hash()) == 12
+    # nor does how many endpoints are probed at once
+    assert (make_config(tmp_path, concurrency=1).config_hash()
+            == make_config(tmp_path, concurrency=8).config_hash() == a.config_hash())
 
 
 # ------------------------------------------------------------------- store
@@ -331,6 +334,21 @@ def test_discover_geofeed_locates_customers(tmp_path):
     assert all(r["pop_lat"] for r in rows)
 
 
+def test_discover_reads_the_geofeed_once(tmp_path, capsys, monkeypatch):
+    feed = FIXTURES / "geofeed.csv"
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(Path(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(discovery, "open", counting_open, raising=False)
+    assert cli.main(["discover", "--scan", str(FIXTURES / "scan_small.jsonl"),
+                     "--geofeed", str(feed), "--out", str(tmp_path / "cohort.csv")]) == 0
+    assert "kept=91" in capsys.readouterr().out
+    assert opened.count(feed) == 1
+
+
 def test_discover_oneweb_provider(tmp_path, capsys):
     out = tmp_path / "cohort.csv"
     code = cli.main(["discover", "--provider", "oneweb",
@@ -495,7 +513,8 @@ def test_meta_field_of_the_wrong_type_fails_its_session(tmp_path, capsys, comman
     captured = capsys.readouterr()
     [line] = captured.err.splitlines()
     assert line.startswith(f"{command} error stage=analysis endpoint=98.97.48.115 "
-                           f"msg={meta_path}: {field} is {value!r}, expected ")
+                           f"msg={meta_path}: {field}: expected ")
+    assert line.endswith(f", got {value!r}")
     assert captured.out.startswith({"analyze": "analyze error sessions=0 failed=1 ",
                                     "report": "report error no-sessions"}[command])
 
@@ -905,10 +924,10 @@ def test_trace_paths_do_not_depend_on_concurrency(tmp_path, capsys):
         out = tmp_path / f"paths{concurrency}.csv"
         assert cli.main(["trace", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert capsys.readouterr().out.startswith("trace ok paths=12 failed=0 ")
-        # the provenance line holds the config hash, which covers concurrency
-        provenance, table = out.read_bytes().split(b"\n", 1)
+        # the provenance line holds the config hash, which leaves concurrency out
+        provenance = out.read_bytes().split(b"\n", 1)[0]
         assert provenance == f"# config_hash={CampaignConfig.from_json(cfg_path).config_hash()}".encode()
-        tables[concurrency] = table
+        tables[concurrency] = out.read_bytes()
     assert tables[1] == tables[8]
 
 
@@ -1064,6 +1083,185 @@ def test_bad_scenario_file_is_a_config_error(tmp_path, capsys, text, where):
     assert not (tmp_path / "s").exists()
 
 
+def _simnet_config(tmp_path, **fields):
+    """A measure config over the bundled relay_split scenario, with ``fields`` set."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"transport": "simnet", "output_dir": str(tmp_path / "s"),
+                                    "scenario_dir": str(SCENARIOS / "relay_split"), **fields}))
+    return cfg_path
+
+
+@pytest.mark.parametrize("field,value,wanted", [
+    ("cadence_hz", 1.5, "an integer"),
+    ("duration_s", 61.9, "an integer"),
+    ("max_ttl", "8", "an integer"),
+    ("duration_s", float("nan"), "an integer"),
+    ("concurrency", True, "an integer"),
+    ("timeout_s", "2", "a finite number"),
+    ("jump_threshold_ms", float("inf"), "a finite number"),
+    ("output_dir", 5, "a string"),
+    ("partition_label", 7, "a string"),
+    ("protocol", None, "a string"),
+    ("scenario_dir", ["a"], "a string or null"),
+    ("transport", None, "a string"),
+], ids=["cadence_float", "duration_float", "max_ttl_string", "duration_nan",
+        "concurrency_bool", "timeout_string", "jump_inf", "output_dir_number",
+        "partition_label_number", "protocol_null", "scenario_dir_list", "transport_null"])
+def test_config_field_of_the_wrong_type_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                         field, value, wanted):
+    opened = []
+    monkeypatch.setattr(cli, "SimnetTransport", lambda *args, **kwargs: opened.append(args))
+    cfg_path = _simnet_config(tmp_path, **{field: value})
+    assert cli.main(["measure", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"measure error stage=config msg={cfg_path}: {field}: expected {wanted}, got {value!r}"]
+    assert opened == []
+    assert not (tmp_path / "s").exists()
+
+
+def test_config_values_are_not_coerced(tmp_path):
+    cfg = CampaignConfig.from_json(_simnet_config(tmp_path, timeout_s=2, jump_threshold_ms=12))
+    assert (type(cfg.timeout_s), type(cfg.jump_threshold_ms)) == (int, int)
+
+
+@pytest.mark.parametrize("mutate,where", [
+    (lambda o: o["endpoint"].update(latitude="north"),
+     "endpoint.latitude: expected a finite number, got 'north'"),
+    (lambda o: o["endpoint"].update(pop_code=None), "endpoint.pop_code: expected a string, got None"),
+    (lambda o: o.update(endpoint=["lgosnga1"]), "endpoint: expected an object, got ['lgosnga1']"),
+    (lambda o: o["hops"][0].update(echo="false"), "hops[0].echo: expected true or false, got 'false'"),
+    (lambda o: o["hops"][2].update(ttl_expired=1), "hops[2].ttl_expired: expected true or false, got 1"),
+    (lambda o: o["hops"][1].update(label=2), "hops[1].label: expected a string, got 2"),
+    (lambda o: o["hops"][1].pop("address"), "hops[1].address: expected a string, got None"),
+    (lambda o: o.update(seed="8"), "seed: expected an integer, got '8'"),
+    (lambda o: o.update(duration_s=61.9), "duration_s: expected an integer, got 61.9"),
+    (lambda o: o.update(satellite_segment=[2.0, 3]), "satellite_segment[0]: expected an integer"),
+    (lambda o: o.update(hop_flap={"every_s": 25.5, "duration_s": 1}),
+     "hop_flap.every_s: expected an integer, got 25.5"),
+    (lambda o: o.update(hop_flap=[25, 1]), "hop_flap: expected an object, got [25, 1]"),
+    (lambda o: o.update(events=[{"at_s": 15.0, "kind": "gs_switch", "delta_ms": 5.0,
+                                 "duration_s": 30}]), "events[0].at_s: expected an integer"),
+    (lambda o: o.update(events=[{"at_s": 15, "kind": "gs_switch", "delta_ms": "5",
+                                 "duration_s": 30}]),
+     "events[0].delta_ms: expected a finite number or null, got '5'"),
+    (lambda o: o.update(jitter={"sigma_ms": True}), "jitter.sigma_ms: expected a finite number"),
+    (lambda o: o.update(loss_probability=None), "loss_probability: expected a finite number"),
+], ids=["endpoint_latitude", "endpoint_pop_code", "endpoint_list", "echo_string",
+        "ttl_expired_number", "label_number", "address_missing", "seed_string",
+        "duration_float", "segment_float", "flap_float", "flap_list", "event_at_float",
+        "event_delta_string", "sigma_bool", "loss_null"])
+def test_scenario_field_of_the_wrong_type_is_a_config_error(tmp_path, capsys, mutate, where):
+    obj = scenario_dict(endpoint={"pop_code": "sttlwax1", "latitude": 47.6,
+                                  "longitude": -122.3, "source": "starlink_ptr"})
+    mutate(obj)
+    scenario = tmp_path / "scenarios" / "bad.json"
+    scenario.parent.mkdir()
+    scenario.write_text(json.dumps(obj))
+    assert cli.main(["simulate", "--scenarios", str(scenario.parent),
+                     "--out", str(tmp_path / "s"), "--duration", "120"]) == 2
+    captured = _single_config_error(capsys, "simulate", f"{scenario}: {where}")
+    assert captured.out == ""
+    assert not (tmp_path / "s").exists()
+
+
+def _analyzed_reroute_day(tmp_path, field, value):
+    """A reroute_day store analyzed by ``simulate``, then ``field`` of its
+    meta.json set to ``value``; returns the store and the meta.json path."""
+    store_dir = tmp_path / "store"
+    assert cli.main(["simulate", "--scenarios", str(SCENARIOS / "reroute_day"),
+                     "--out", str(store_dir), "--duration", "300", "--partition", "p"]) == 0
+    assert (store_dir / "reports" / "sessions.csv").is_file()
+    meta_path = store_dir / "p" / "98.97.48.115" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta[field] = value
+    meta_path.write_text(json.dumps(meta))
+    return store_dir, meta_path
+
+
+@pytest.mark.parametrize("field,value,wanted", [
+    ("customer_location", ["north", "west"], "[latitude, longitude] or null"),
+    ("customer_location", [47.4, float("nan")], "[latitude, longitude] or null"),
+    ("customer_location", [47.4], "[latitude, longitude] or null"),
+    ("pop_code", 5, "a string"),
+    ("source", ["x"], "a string"),
+    ("address", None, "a string"),
+], ids=["location_strings", "location_nan", "location_short", "pop_code_number",
+        "source_list", "address_null"])
+def test_report_checks_the_endpoint_of_an_analyzed_session(tmp_path, capsys, field, value,
+                                                           wanted):
+    # report takes this session's statistics from analyze's tables, so only
+    # the endpoint it builds from meta.json reads the bad field
+    store_dir, meta_path = _analyzed_reroute_day(tmp_path, field, value)
+    capsys.readouterr()
+    assert cli.main(["report", "--store", str(store_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"report error stage=analysis endpoint=98.97.48.115 "
+        f"msg={meta_path}: {field}: expected {wanted}, got {value!r}"]
+    assert captured.out.startswith("report error no-sessions")
+
+
+@pytest.mark.parametrize("cohort_text,where", [
+    ("address,pop_code,cust_lat,cust_lon\n100.64.9.1,sttlwax1,nan,-122.3\n",
+     "line 2: customer_location: expected [latitude, longitude] or null, got (nan, -122.3)"),
+    ("address,pop_code,cust_lat,cust_lon\n100.64.9.1,sttlwax1,47.6,inf\n",
+     "line 2: customer_location: expected [latitude, longitude] or null, got (47.6, inf)"),
+    ("address,pop_code\n100.64.9.1,sttlwax1\n100.64.9.2\n",
+     "line 3: pop_code: expected a string, got None"),
+], ids=["latitude_nan", "longitude_inf", "short_row"])
+def test_cohort_row_is_checked_by_the_endpoint_builder(tmp_path, capsys, monkeypatch,
+                                                       cohort_text, where):
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text(cohort_text)
+    monkeypatch.setattr(StubRawTransport, "instances", [])
+    monkeypatch.setattr(rawnet, "RawTransport", StubRawTransport)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"transport": "raw", "output_dir": str(tmp_path / "s"),
+                                    "endpoints_file": str(cohort)}))
+    assert cli.main(["measure", "--config", str(cfg_path)]) == 2
+    _single_config_error(capsys, "measure", f"{cohort} {where}")
+    assert StubRawTransport.instances == []
+    assert not (tmp_path / "s").exists()
+
+
+def _bad_config_run(tmp_path):
+    # at file descriptor 0 the exclusion list would be read from stdin
+    return ["measure", "--config", str(_simnet_config(tmp_path, exclude_file=0))], 2, (
+        "measure error stage=config msg=", ": exclude_file: expected a string or null, got 0")
+
+
+def _bad_scenario_run(tmp_path):
+    obj = json.loads((SCENARIOS / "reroute_day" / "seattle_reroute_day.json").read_text())
+    obj["endpoint"]["latitude"] = "north"
+    scenario = tmp_path / "scenarios" / "bad.json"
+    scenario.parent.mkdir()
+    scenario.write_text(json.dumps(obj))
+    return ["simulate", "--scenarios", str(scenario.parent), "--out", str(tmp_path / "s")], 2, (
+        f"simulate error stage=config msg={scenario}: ",
+        "endpoint.latitude: expected a finite number, got 'north'")
+
+
+def _bad_meta_run(tmp_path):
+    store_dir, meta_path = _analyzed_reroute_day(tmp_path, "customer_location", ["north", "west"])
+    return ["report", "--store", str(store_dir)], 1, (
+        f"report error stage=analysis endpoint=98.97.48.115 msg={meta_path}: ",
+        "customer_location: expected [latitude, longitude] or null, got ['north', 'west']")
+
+
+@pytest.mark.parametrize("bad_run", [_bad_config_run, _bad_scenario_run, _bad_meta_run],
+                         ids=["config", "scenario", "meta_json"])
+def test_bad_input_ends_in_one_stage_line_without_a_traceback(tmp_path, capsys, bad_run):
+    argv, code, (head, tail) = bad_run(tmp_path)
+    capsys.readouterr()
+    done = _run_cli(*argv)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith(head) and line.endswith(tail), line
+
+
 # ------------------------------------------------------------- dependencies
 
 def _located_session(address, lat, lon, n=120):
@@ -1085,7 +1283,8 @@ def _run_cli(*argv):
     src = Path(cli.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "default"}
     return subprocess.run([sys.executable, "-m", "leolink.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                          timeout=120)
 
 
 def test_constant_min_rtt_gives_nan_rho_without_warnings(tmp_path):
