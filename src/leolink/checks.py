@@ -55,13 +55,18 @@ class Fields:
         return check(self.obj.get(key, default), kind, self.where + key, self.error,
                      optional=optional)
 
-    def make(self, cls, *, strict: bool = False):
-        """Dataclass ``cls`` of this object's fields, each checked against its
-        annotation; a field with a default may be absent, and one that ``cls``
-        does not have is refused if ``strict``."""
-        if strict and (unknown := set(self.obj) - {f.name for f in fields(cls)}):
+    def only(self, keys) -> "Fields":
+        """These fields, if none is outside ``keys``; else ``error`` naming the rest."""
+        if unknown := set(self.obj) - set(keys):
             where = self.where[:-1] + ": " if self.where.endswith(".") else self.where
             raise self.error(f"{where}unknown fields {sorted(unknown)}")
+        return self
+
+    def make(self, cls):
+        """Dataclass ``cls`` of this object's fields, each checked against its
+        annotation; a field with a default may be absent, and one that ``cls``
+        does not have is refused."""
+        self.only(f.name for f in fields(cls))
         return cls(**{f.name: self(f.name, ANNOTATED[f.type],
                                    None if f.default is MISSING else f.default,
                                    optional=f.type.startswith("Optional["))

@@ -113,7 +113,7 @@ class ConstellationConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "ConstellationConfig":
         config = Fields(obj, GeometryError)
-        shells = tuple(Fields(s, GeometryError, f"shells[{i}].").make(Shell, strict=True)
+        shells = tuple(Fields(s, GeometryError, f"shells[{i}].").make(Shell)
                        for i, s in enumerate(config("shells", "list")))
         if not shells:
             raise GeometryError("config needs at least one shell")
@@ -144,15 +144,21 @@ class SatelliteState:
 
 @dataclass
 class Snapshot:
-    """All satellite positions at one instant, in the epoch frame."""
+    """All satellite positions at one instant, in the epoch frame.
+
+    Row i of ``positions`` is satellite i of the config's layout: shells
+    in order, within a shell orbit by orbit, within an orbit slot by slot.
+    """
 
     t_s: float
     config: ConstellationConfig
     positions: np.ndarray          # (N, 3) km
-    shell_index: np.ndarray        # (N,) int
-    orbit_index: np.ndarray
-    slot_index: np.ndarray
-    altitudes_km: np.ndarray       # per-satellite shell altitude
+
+    def __post_init__(self) -> None:
+        want = (self.config.n_satellites, 3)
+        if np.shape(self.positions) != want:
+            raise GeometryError(f"positions: expected shape {want} for the config's layout, "
+                                f"got {np.shape(self.positions)}")
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -196,21 +202,6 @@ class RoutePath:
         return sum(s.rtt_ms for s in self.segments)
 
 
-def _satellite_index(config: ConstellationConfig) -> dict[str, np.ndarray]:
-    """Shell, orbit and slot of every satellite, in position order."""
-    shell_ix, orbit_ix, slot_ix, alts = [], [], [], []
-    for s_i, shell in enumerate(config.shells):
-        n = shell.n_orbits * shell.sats_per_orbit
-        shell_ix.append(np.full(n, s_i))
-        orbit_ix.append(np.repeat(np.arange(shell.n_orbits), shell.sats_per_orbit))
-        slot_ix.append(np.tile(np.arange(shell.sats_per_orbit), shell.n_orbits))
-        alts.append(np.full(n, shell.altitude_km))
-    return {"shell_index": np.concatenate(shell_ix),
-            "orbit_index": np.concatenate(orbit_ix),
-            "slot_index": np.concatenate(slot_ix),
-            "altitudes_km": np.concatenate(alts)}
-
-
 def propagate_many(config: ConstellationConfig, times: Sequence[float]) -> np.ndarray:
     """Satellite positions (T, N, 3) in km at each of ``times``.
 
@@ -244,9 +235,7 @@ def propagate_many(config: ConstellationConfig, times: Sequence[float]) -> np.nd
 
 def propagate(config: ConstellationConfig, t_s: float) -> Snapshot:
     """Satellite positions at time t (seconds since the config epoch)."""
-    return Snapshot(t_s=t_s, config=config,
-                    positions=propagate_many(config, [t_s])[0],
-                    **_satellite_index(config))
+    return Snapshot(t_s=t_s, config=config, positions=propagate_many(config, [t_s])[0])
 
 
 def site_positions(site: GroundStation, times: Sequence[float],
@@ -383,12 +372,16 @@ class _JointSky:
 
 
 def _state_at(snapshot: Snapshot, i: int) -> SatelliteState:
-    return SatelliteState(
-        shell_index=int(snapshot.shell_index[i]),
-        orbit_index=int(snapshot.orbit_index[i]),
-        slot_index=int(snapshot.slot_index[i]),
-        position_km=tuple(float(x) for x in snapshot.positions[i]),
-    )
+    """Satellite ``i`` of the snapshot, named from its config's layout."""
+    k = i  # satellite i's index within its shell
+    for shell_index, shell in enumerate(snapshot.config.shells):
+        n = shell.n_orbits * shell.sats_per_orbit
+        if k < n:
+            break
+        k -= n
+    orbit_index, slot_index = divmod(k, shell.sats_per_orbit)
+    return SatelliteState(shell_index, orbit_index, slot_index,
+                          tuple(float(x) for x in snapshot.positions[i]))
 
 
 def visible_satellites(
@@ -450,22 +443,20 @@ def worst_case_rtt(
     return vacuum_rtt_ms(float(d[0])), _state_at(snapshot, int(i[0]))
 
 
-def isl_extra_hop_rtt(config: ConstellationConfig, shell_index: int = 0) -> float:
+def isl_extra_hop_rtt(config: ConstellationConfig) -> float:
     """Round-trip cost of one extra in-plane inter-satellite hop (ms).
 
-    Neighbouring satellites of one orbit sit one in-plane spacing apart;
-    a detour over one extra satellite adds that distance in both
-    directions.
+    Neighbouring satellites of one orbit of the first shell sit one
+    in-plane spacing apart; a detour over one extra satellite adds that
+    distance in both directions.
     """
-    shell = config.shells[shell_index]
-    return vacuum_rtt_ms(shell.in_plane_spacing_km)
+    return vacuum_rtt_ms(config.shells[0].in_plane_spacing_km)
 
 
 def isl_path_distance_km(
     from_lat: float, from_lon: float,
     to_lat: float, to_lon: float,
     altitude_km: float,
-    max_chord_km: float = MAX_ISL_CHORD_KM,
 ) -> float:
     """Length of an inter-satellite path bridging two ground points.
 
@@ -477,7 +468,7 @@ def isl_path_distance_km(
     if theta == 0.0:
         return 0.0
     radius = EARTH_RADIUS_KM + altitude_km
-    theta_max = 2.0 * math.asin(min(1.0, max_chord_km / (2.0 * radius)))
+    theta_max = 2.0 * math.asin(min(1.0, MAX_ISL_CHORD_KM / (2.0 * radius)))
     n = max(1, math.ceil(theta / theta_max))
     return n * 2.0 * radius * math.sin(theta / (2.0 * n))
 
@@ -514,15 +505,19 @@ def composite_route_rtt(
     the inter-satellite leg from great-circle geometry at altitude, the
     tail from fiber speed over the great circle.  A supplied terrestrial
     RTT below the fiber floor suggests bad data but is not rejected.
+
+    One constellation, the snapshot's, else ``config``, else the bundled
+    default, sets the inter-satellite altitude and the extra-hop spacing
+    from its first shell; passing both ``snapshot`` and ``config`` is refused.
     """
     if route_kind not in ("relay", "isl"):
         raise GeometryError(f"unknown route kind: {route_kind}")
+    if snapshot is not None and config is not None:
+        raise GeometryError("pass snapshot or config, not both: a route reads one constellation")
     if route_kind == "isl" and landing_gs is None:
         raise GeometryError("isl route requires landing_gs")
     if extra_isl_hops < 0:
         raise GeometryError("extra_isl_hops must be >= 0")
-
-    segments: list[RouteSegment] = []
 
     if access_rtt_ms is None:
         if snapshot is None:
@@ -530,51 +525,38 @@ def composite_route_rtt(
         access_rtt_ms, _ = best_case_rtt(dish, access_gs, snapshot,
                                          max_slant_km=max_slant_km,
                                          min_elevation_deg=min_elevation_deg)
-    n_access = 1 if route_kind == "relay" else 2
-    for i in range(n_access):
-        segments.append(RouteSegment(
-            start="dish" if i == 0 else "constellation",
-            end="constellation" if route_kind == "isl" else access_gs.label or "access_gs",
-            medium="vacuum", rtt_ms=access_rtt_ms,
-        ))
+    if route_kind == "relay":
+        segments = [RouteSegment("dish", access_gs.label or "access_gs", "vacuum", access_rtt_ms)]
+    else:
+        segments = [RouteSegment(start, "constellation", "vacuum", access_rtt_ms)
+                    for start in ("dish", "constellation")]
 
     tail_gs = access_gs
     if route_kind == "isl":
         assert landing_gs is not None
         tail_gs = landing_gs
+        if isl_oneway_ms is None or extra_isl_hops:
+            cfg = (snapshot.config if snapshot is not None
+                   else config or ConstellationConfig.default())
+        dist = None
         if isl_oneway_ms is None:
-            shell_alt = (snapshot.altitudes_km[0] if snapshot is not None
-                         else (config or ConstellationConfig.default()).shells[0].altitude_km)
             dist = isl_path_distance_km(
                 access_gs.latitude, access_gs.longitude,
                 landing_gs.latitude, landing_gs.longitude,
-                altitude_km=float(shell_alt))
+                altitude_km=cfg.shells[0].altitude_km)
             isl_oneway_ms = dist / LIGHT_SPEED_KM_S * 1000.0
-        else:
-            dist = None
-        segments.append(RouteSegment(
-            start="constellation", end=landing_gs.label or "landing_gs",
-            medium="vacuum", rtt_ms=2.0 * isl_oneway_ms, distance_km=dist,
-        ))
+        segments.append(RouteSegment("constellation", landing_gs.label or "landing_gs",
+                                     "vacuum", 2.0 * isl_oneway_ms, distance_km=dist))
         if extra_isl_hops:
-            cfg = config or (snapshot.config if snapshot is not None else ConstellationConfig.default())
-            per_hop = isl_extra_hop_rtt(cfg)
-            segments.append(RouteSegment(
-                start="constellation", end="constellation",
-                medium="vacuum", rtt_ms=extra_isl_hops * per_hop,
-            ))
+            segments.append(RouteSegment("constellation", "constellation", "vacuum",
+                                         extra_isl_hops * isl_extra_hop_rtt(cfg)))
 
+    tail = (tail_gs.label or "gs", pop.label or "pop")
     if terrestrial_rtt_ms is None:
         d = haversine_km(tail_gs.latitude, tail_gs.longitude, pop.latitude, pop.longitude)
-        segments.append(RouteSegment(
-            start=tail_gs.label or "gs", end=pop.label or "pop",
-            medium="fiber", rtt_ms=fiber_rtt_ms(d), distance_km=d,
-        ))
+        segments.append(RouteSegment(*tail, "fiber", fiber_rtt_ms(d), distance_km=d))
     elif terrestrial_rtt_ms > 0 or route_kind == "isl":
-        segments.append(RouteSegment(
-            start=tail_gs.label or "gs", end=pop.label or "pop",
-            medium="measured", rtt_ms=terrestrial_rtt_ms,
-        ))
+        segments.append(RouteSegment(*tail, "measured", terrestrial_rtt_ms))
     return RoutePath(segments=segments)
 
 
@@ -645,6 +627,9 @@ class StudyCase:
         def build(case: Fields) -> StudyCase:
             vis = Fields(case.obj.get("visibility", {}), GeometryError, "visibility.")
             sampling = Fields(case.obj.get("sampling", {}), GeometryError, "sampling.")
+            step_s = sampling("step_s", "number", 15.0)
+            if step_s < 1.0:  # one period at 1 s is already about 5,700 samples
+                raise GeometryError(f"sampling.step_s: must be at least 1 s, got {step_s!r}")
             return cls(
                 label=case("label", "string", Path(path).stem),
                 dish=_site(case, "dish", DishSite, boresight_azimuth_deg=DEFAULT_BORESIGHT_DEG),
@@ -653,7 +638,7 @@ class StudyCase:
                 terrestrial_rtt_ms=case("terrestrial_rtt_ms", "number", optional=True),
                 max_slant_km=vis("max_slant_km", "number", DEFAULT_MAX_SLANT_KM),
                 min_elevation_deg=vis("min_elevation_deg", "number", DEFAULT_MIN_ELEVATION_DEG),
-                sample_step_s=sampling("step_s", "number", 15.0),
+                sample_step_s=step_s,
                 config=config or ConstellationConfig.default(),
             )
 

@@ -26,6 +26,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from .checks import check
+
 CUSTOMER_PTR_RE = re.compile(
     r"^customer\.(?P<pop>[a-z0-9]+)\.pop\.starlinkisp\.net\.?$", re.IGNORECASE
 )
@@ -110,12 +112,11 @@ class PopCatalog:
                 raise DatasetError(f"{path} line 1: missing columns {missing}")
             for row in reader:
                 try:
+                    latitude, longitude = (check(float(row[c]), "number", c, ValueError)
+                                           for c in ("latitude", "longitude"))
                     entries[row["pop_code"].strip().lower()] = PopLocation(
-                        city=row["city"],
-                        country=row["country"],
-                        latitude=float(row["latitude"]),
-                        longitude=float(row["longitude"]),
-                    )
+                        city=row["city"], country=row["country"],
+                        latitude=latitude, longitude=longitude)
                 except ValueError as exc:
                     raise DatasetError(f"{path} line {reader.line_num}: {exc}") from None
         return cls(entries)
@@ -351,12 +352,11 @@ def load_geofeed(path: str | Path) -> list[tuple[ipaddress._BaseNetwork, Optiona
                 net = ipaddress.ip_network(row[0].strip(), strict=False)
             except ValueError:
                 continue
-            coords: Optional[tuple[float, float]] = None
-            if len(row) >= 6 and row[4].strip() and row[5].strip():
-                try:
-                    coords = (float(row[4]), float(row[5]))
-                except ValueError:
-                    coords = None
+            try:  # absent, blank, unparsable or non-finite coordinates count as none
+                coords = check((float(row[4]), float(row[5])), "location", "coordinates",
+                               ValueError)
+            except (IndexError, ValueError):
+                coords = None
             rows.append((net, coords))
     return rows
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from .discovery import Endpoint
 
+PROTOCOLS = ("icmp", "udp", "tcp")  # the protocols a transport can be opened on
 DEFAULT_JUMP_THRESHOLD_MS = 10.0
 DEFAULT_PROBE_TIMEOUT_S = 2.0
 DEFAULT_PROBES_PER_HOP = 3

@@ -45,7 +45,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .probe import DEFAULT_PROBE_TIMEOUT_S, ProbeReply
+from .probe import DEFAULT_PROBE_TIMEOUT_S, PROTOCOLS, ProbeReply
 
 ICMP_ECHO_REQUEST = 8
 ICMP_ECHO_REPLY = 0
@@ -223,7 +223,7 @@ class RawTransport:
 
     def __init__(self, *, protocol: str = "icmp",
                  timeout_s: float = DEFAULT_PROBE_TIMEOUT_S) -> None:
-        if protocol not in ("icmp", "udp", "tcp"):
+        if protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol: {protocol}")
         self.protocol = protocol
         self.timeout_s = timeout_s

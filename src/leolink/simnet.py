@@ -55,6 +55,8 @@ protocols the target answers (intermediate hops expire any protocol);
 inserts one extra terrestrial hop (``{"every_s": 25, "duration_s": 1}``)
 to model transient path-length flaps; ``endpoint`` carries the
 endpoint's ``pop_code``, ``source``, ``latitude`` and ``longitude``.
+A key outside the schema is refused at every level, except a free-text
+``comment`` at the top level.
 """
 from __future__ import annotations
 
@@ -68,13 +70,18 @@ from pathlib import Path
 from typing import Optional
 
 from .checks import Fields, check, read_json
-from .probe import DEFAULT_PROBE_TIMEOUT_S, ProbeReply
+from .probe import DEFAULT_PROBE_TIMEOUT_S, PROTOCOLS, ProbeReply
 
 SCHEMA_ID = "leolink-scenario/1"
 EVENT_KINDS = ("gs_switch", "isl_reroute", "satellite_switch")
 EVENT_GRID_S = 15
 JITTER_DISTS = ("none", "gaussian", "lognormal")
-PROTOCOLS = ("icmp", "udp", "tcp")
+# The keys a scenario file may hold: the schema's, and free text in ``comment``.
+_SCENARIO_KEYS = ("schema", "comment", "seed", "duration_s", "hops", "base_latencies_ms",
+                  "satellite_segment", "jitter", "loss_probability", "target_protocols", "events",
+                  "hop_flap", "endpoint")
+_ENDPOINT_KINDS = {"pop_code": "string", "source": "string",
+                   "latitude": "number", "longitude": "number"}
 FLOW = 1  # the one flow every probe carries, packed into the per-probe hash
 
 
@@ -206,6 +213,7 @@ def build_scenario(source: dict | str | Path) -> Scenario:
     top = Fields(source, ScenarioError)
     if source.get("schema") != SCHEMA_ID:
         raise _err("schema", f"expected {SCHEMA_ID!r}, got {source.get('schema')!r}")
+    top.only(_SCENARIO_KEYS)
 
     raw_hops = source.get("hops")
     if not isinstance(raw_hops, list) or len(raw_hops) < 2:
@@ -275,11 +283,9 @@ def build_scenario(source: dict | str | Path) -> Scenario:
 
     # opaque here, but checked now so that a bad block fails its file
     # before any endpoint is probed
-    endpoint = Fields(source.get("endpoint", {}), ScenarioError, "endpoint.")
-    for key, kind in (("pop_code", "string"), ("source", "string"),
-                      ("latitude", "number"), ("longitude", "number")):
-        if key in endpoint.obj:
-            endpoint(key, kind)
+    endpoint = Fields(source.get("endpoint", {}), ScenarioError, "endpoint.").only(_ENDPOINT_KINDS)
+    for key in endpoint.obj:
+        endpoint(key, _ENDPOINT_KINDS[key])
 
     return Scenario(
         hops=tuple(hops),
@@ -404,6 +410,8 @@ class SimnetTransport:
 
     def __init__(self, scenario: Scenario, *, protocol: str = "icmp",
                  timeout_s: float = DEFAULT_PROBE_TIMEOUT_S):
+        if protocol not in PROTOCOLS:
+            raise ValueError(f"unknown protocol: {protocol}")
         self.scenario = scenario
         self.protocol = protocol
         self.timeout_s = timeout_s

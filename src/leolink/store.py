@@ -102,13 +102,13 @@ class CampaignConfig:
             raise ConfigError("jump_threshold_ms: must be positive")
         if not 0 < self.timeout_s <= 30:
             raise ConfigError("timeout_s: must be in (0, 30]")
-        if self.protocol not in ("icmp", "udp", "tcp"):
-            raise ConfigError("protocol: must be icmp, udp or tcp")
+        if self.protocol not in probe.PROTOCOLS:
+            raise ConfigError(f"protocol: must be one of {probe.PROTOCOLS}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "CampaignConfig":
         try:
-            return read_json(path, ConfigError, lambda config: config.make(cls, strict=True))
+            return read_json(path, ConfigError, lambda config: config.make(cls))
         except OSError as exc:
             raise ConfigError(f"cannot load {path}: {exc}") from exc
 

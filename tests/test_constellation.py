@@ -47,16 +47,11 @@ GS = GroundStation(latitude=2.0, longitude=2.0, label="gs")
 
 
 def snapshot_at(latlons, altitude_km=550.0):
-    """Hand-placed satellites at given (lat, lon) sub-points."""
-    config = ConstellationConfig(shells=(Shell(altitude_km, 53.0, 1, 1),))
+    """Hand-placed satellites at given (lat, lon) sub-points, the slots of one orbit."""
+    config = ConstellationConfig(shells=(Shell(altitude_km, 53.0, 1, len(latlons)),))
     positions = np.array([latlon_to_ecef(lat, lon, EARTH_RADIUS_KM + altitude_km)
                           for lat, lon in latlons])
-    n = len(latlons)
-    return Snapshot(t_s=0.0, config=config, positions=positions,
-                    shell_index=np.zeros(n, dtype=int),
-                    orbit_index=np.zeros(n, dtype=int),
-                    slot_index=np.arange(n),
-                    altitudes_km=np.full(n, altitude_km))
+    return Snapshot(t_s=0.0, config=config, positions=positions)
 
 
 def look(site, sat_pos, t_s=0.0):
@@ -270,8 +265,7 @@ def test_isl_path_distance_zero_and_bounds():
 
 
 def test_isl_path_respects_chord_cap():
-    d = isl_path_distance_km(0.0, 0.0, 0.0, 120.0, altitude_km=550.0,
-                             max_chord_km=5400.0)
+    d = isl_path_distance_km(0.0, 0.0, 0.0, 120.0, altitude_km=550.0)
     theta = math.radians(120.0)
     r = EARTH_RADIUS_KM + 550.0
     n = math.ceil(theta / (2.0 * math.asin(5400.0 / (2.0 * r))))
@@ -350,6 +344,43 @@ def test_composite_validation_errors():
         composite_route_rtt(DISH, GS, GS, route_kind="relay", extra_isl_hops=-1)
     with pytest.raises(GeometryError):
         composite_route_rtt(DISH, GS, GS, route_kind="relay")  # no snapshot
+
+
+def test_snapshot_refuses_positions_off_the_config_layout():
+    config = ConstellationConfig(shells=(Shell(550.0, 53.0, 2, 3),))
+    Snapshot(t_s=0.0, config=config, positions=np.zeros((6, 3)))
+    for shape in ((5, 3), (7, 3), (6, 2), (18,)):
+        with pytest.raises(GeometryError, match=re.escape("expected shape (6, 3)")):
+            Snapshot(t_s=0.0, config=config, positions=np.zeros(shape))
+
+
+def test_composite_refuses_snapshot_and_config_together():
+    config = ConstellationConfig.default()
+    with pytest.raises(GeometryError, match="not both"):
+        composite_route_rtt(DISH, GS, GS, snapshot=propagate(config, 0.0), config=config,
+                            access_rtt_ms=10.0)
+
+
+def test_composite_isl_without_constellation_reads_the_bundled_default():
+    case = StudyCase.nigeria()
+    kwargs = dict(route_kind="isl", landing_gs=case.landing_gs, access_rtt_ms=10.0,
+                  terrestrial_rtt_ms=110.0, extra_isl_hops=2)
+    bare = composite_route_rtt(case.dish, case.access_gs, case.pop, **kwargs)
+    default = composite_route_rtt(case.dish, case.access_gs, case.pop,
+                                  config=ConstellationConfig.default(), **kwargs)
+    assert bare == default
+    assert len(bare.segments) == 5
+
+
+def test_composite_isl_on_a_snapshot_reads_its_constellation():
+    snap = snapshot_at([(0.0, 0.0), (0.0, 90.0)], altitude_km=1100.0)
+    landing = GroundStation(0.0, 40.0, label="landing")
+    route = composite_route_rtt(DISH, GS, GS, route_kind="isl", landing_gs=landing,
+                                snapshot=snap, access_rtt_ms=10.0, terrestrial_rtt_ms=0.0,
+                                extra_isl_hops=1)
+    isl, hop = route.segments[2:4]
+    assert isl.distance_km == isl_path_distance_km(2.0, 2.0, 0.0, 40.0, altitude_km=1100.0)
+    assert hop.rtt_ms == isl_extra_hop_rtt(snap.config)
 
 
 def test_direct_floor_seychelles_to_lagos():
@@ -446,9 +477,12 @@ def _with(obj, key, **fields):
     (ConstellationConfig.from_json, json.dumps({"shells": [SHELL], "epoch_s": True}),
      "epoch_s: expected a finite number, got True"),
     (ConstellationConfig.from_json, json.dumps({"shells": {}}), "shells: expected a list, got {}"),
+    *((StudyCase.from_json, json.dumps(_with(NIGERIA, "sampling", step_s=step)),
+       f"sampling.step_s: must be at least 1 s, got {step!r}") for step in (0, -15, 1e-9, 0.5)),
 ], ids=["case_not_json", "case_not_an_object", "dish_latitude_string", "terrestrial_string",
         "pop_missing", "slant_null", "label_number", "config_not_json", "altitude_string",
-        "unknown_shell_key", "n_orbits_float", "epoch_bool", "shells_object"])
+        "unknown_shell_key", "n_orbits_float", "epoch_bool", "shells_object",
+        "step_zero", "step_negative", "step_tiny", "step_half"])
 def test_bad_geometry_file_names_file_and_field(tmp_path, read, text, where):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -456,6 +490,12 @@ def test_bad_geometry_file_names_file_and_field(tmp_path, read, text, where):
         read(path)
     assert str(err.value).startswith(f"{path}: ")
     assert where in str(err.value)
+
+
+def test_study_case_accepts_a_one_second_sampling_step(tmp_path):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(_with(NIGERIA, "sampling", step_s=1)))
+    assert StudyCase.from_json(path).sample_step_s == 1
 
 
 def test_constellation_config_from_dict_refuses_a_fractional_orbit_count():

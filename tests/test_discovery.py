@@ -1,5 +1,6 @@
 import ipaddress
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -265,6 +266,27 @@ def test_geolocate_skips_malformed_rows_and_missing_coords():
     # Address matching only the coordinate-less /32 stays unlocated.
     bare = Endpoint(address="2605:59c8:9999::1", pop_code="", pop_location=None)
     assert geolocate_customer(bare, feed).customer_location is None
+
+
+def test_geofeed_non_finite_coordinates_count_as_none(tmp_path):
+    feed = tmp_path / "geofeed.csv"
+    feed.write_text("98.97.0.0/16,US,US-WA,Seattle,nan,-122.3321\n"
+                    "98.97.4.0/24,NG,NG-LA,Ajah,6.4698,inf\n"
+                    "98.97.5.0/24,NG,NG-LA,Ajah,6.4698,3.5852\n")
+    assert [coords for _, coords in load_geofeed(feed)] == [None, None, (6.4698, 3.5852)]
+    ep = Endpoint(address="98.97.4.10", pop_code="lgosnga1", pop_location=None)
+    assert geolocate_customer(ep, load_geofeed(feed)) == ep
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_pop_catalog_refuses_a_non_finite_coordinate(tmp_path, value):
+    catalog = tmp_path / "catalog.csv"
+    catalog.write_text("pop_code,city,country,latitude,longitude\n"
+                       "sttlwax1,Seattle,US,47.6,-122.3\n"
+                       f"lgosnga1,Lagos,NG,{value},3.4\n")
+    with pytest.raises(DatasetError, match=re.escape(
+            f"{catalog} line 3: latitude: expected a finite number, got {float(value)}")):
+        PopCatalog.from_csv(catalog)
 
 
 # ------------------------------------------------------------- properties

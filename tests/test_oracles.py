@@ -549,9 +549,6 @@ def test_propagate_many_equals_per_step_propagation(config, times):
         assert np.array_equal(positions, want[0])
         snap = propagate(config, t)
         assert np.array_equal(snap.positions, want[0])
-        assert np.array_equal(snap.shell_index, want[1])
-        assert np.array_equal(snap.orbit_index, want[2])
-        assert np.array_equal(snap.slot_index, want[3])
 
 
 @given(configs, st.floats(0.0, 20_000.0), dishes, offsets, offsets, max_slants, min_elevations)

@@ -1,9 +1,11 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leolink.probe import PROTOCOLS
 from leolink.simnet import (
     EVENT_GRID_S,
     Scenario,
@@ -149,6 +151,21 @@ def test_reply_validates_arguments(quiet_scenario):
         respond_to_probe(quiet_scenario, "100.64.9.1", 0, 0)
     with pytest.raises(ValueError):
         respond_to_probe(quiet_scenario, "100.64.9.1", 1, 0, protocol="gre")
+
+
+def test_transport_refuses_an_unknown_protocol_when_made(quiet_scenario):
+    with pytest.raises(ValueError, match="unknown protocol: gre"):
+        SimnetTransport(quiet_scenario, protocol="gre")
+    for protocol in PROTOCOLS:
+        assert SimnetTransport(quiet_scenario, protocol=protocol).protocol == protocol
+
+
+def test_scenario_allows_a_top_level_comment_only():
+    assert build_scenario(scenario_dict(comment="free text")).hops
+    obj = scenario_dict()
+    obj["hops"][0]["comment"] = "free text"
+    with pytest.raises(ScenarioError, match=re.escape("hops[0]: unknown fields ['comment']")):
+        build_scenario(obj)
 
 
 def test_event_delta_applies_to_satellite_span_only():

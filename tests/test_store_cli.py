@@ -1065,6 +1065,18 @@ def test_bad_pop_catalog_is_a_config_error(tmp_path, capsys, command, catalog_te
     assert not (store.root / "reports").exists()
 
 
+def _misspelt(path: tuple, key: str, value):
+    """The base scenario with ``key`` added to the object at ``path``."""
+    obj = scenario_dict(events=[{"at_s": 15, "kind": "isl_reroute", "delta_ms": 30.0,
+                                 "duration_s": 15}],
+                        endpoint={"pop_code": "sttlwax1"})
+    target = obj
+    for step in path:
+        target = target[step]
+    target[key] = value
+    return obj
+
+
 @pytest.mark.parametrize("text,where", [
     ("{not json", "Expecting property name enclosed in double quotes"),
     (json.dumps(scenario_dict(base_latencies_ms=["a", 1, 2])),
@@ -1072,7 +1084,18 @@ def test_bad_pop_catalog_is_a_config_error(tmp_path, capsys, command, catalog_te
     (json.dumps(scenario_dict(base_latencies_ms=[1, float("nan"), 2])),
      "base_latencies_ms[1]: expected a finite number, got nan"),
     (json.dumps(scenario_dict(events=[5])), "events[0]: expected an object, got 5"),
-], ids=["not_json", "latency_not_a_number", "latency_nan", "event_not_an_object"])
+    (json.dumps(_misspelt(("hops", 2), "ecoh", True)), "hops[2]: unknown fields ['ecoh']"),
+    (json.dumps(_misspelt(("events", 0), "delta_sm", 20.0)),
+     "events[0]: unknown fields ['delta_sm']"),
+    (json.dumps(_misspelt(("jitter",), "sigma", 0.5)), "jitter: unknown fields ['sigma']"),
+    (json.dumps(_misspelt(("endpoint",), "lattitude", 47.6)),
+     "endpoint: unknown fields ['lattitude']"),
+    (json.dumps(_misspelt((), "loss_probabilty", 0.1)), "unknown fields ['loss_probabilty']"),
+    (json.dumps(_misspelt((), "hop_flap", {"every_s": 25, "duration": 1})),
+     "hop_flap: unknown fields ['duration']"),
+], ids=["not_json", "latency_not_a_number", "latency_nan", "event_not_an_object",
+        "misspelt_hop_echo", "misspelt_event_delta", "misspelt_jitter_sigma",
+        "misspelt_endpoint_latitude", "misspelt_loss_probability", "misspelt_hop_flap_duration"])
 def test_bad_scenario_file_is_a_config_error(tmp_path, capsys, text, where):
     scenario = tmp_path / "scenarios" / "bad.json"
     scenario.parent.mkdir()
