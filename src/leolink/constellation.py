@@ -22,11 +22,12 @@ none of the latency statistics.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -56,11 +57,10 @@ MAX_ISL_CHORD_KM = 5400.0
 
 DEFAULT_BORESIGHT_DEG = -22.0
 
-# Snapshots evaluated together.  For the default constellation each
-# (T, N, 3) array of a block is 114 KB.  Larger blocks ran at most about
-# 12 % faster and raised the geometry benchmark's peak RSS (by 0.2 MB at
-# 4 steps, 0.7 MB at 8).
-_BLOCK_STEPS = 3
+# Snapshots evaluated together.  The Nigeria case keeps 24-25 of 72 planes
+# per block, so at 6 steps a block's largest array (pair distances, 101 KB)
+# stays under that of a 3-step block over every satellite (114 KB).
+_BLOCK_STEPS = 6
 
 
 class GeometryError(ValueError):
@@ -112,7 +112,7 @@ class ConstellationConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ConstellationConfig":
-        config = Fields(obj, GeometryError)
+        config = Fields(obj, GeometryError).only(("shells", "epoch_s", "comment"))
         shells = tuple(Fields(s, GeometryError, f"shells[{i}].").make(Shell)
                        for i, s in enumerate(config("shells", "list")))
         if not shells:
@@ -132,6 +132,32 @@ class ConstellationConfig:
     @property
     def n_satellites(self) -> int:
         return sum(s.n_orbits * s.sats_per_orbit for s in self.shells)
+
+    @functools.cached_property
+    def _layout(self) -> tuple[np.ndarray, ...]:
+        """Per layout row, the seven ``terms`` (7, N) of its propagation and its
+        ``names`` (4, N): plane, shell, orbit and slot; per plane, its unit
+        ``normals`` (P, 3) and ``radius`` (P,), fixed in the epoch frame as right
+        ascension does not precess.  Built on first use; every query shares it,
+        so it is read-only.
+        """
+        terms, planes = [], []
+        for shell_index, shell in enumerate(self.shells):
+            orbits = np.arange(shell.n_orbits)[:, None]
+            slots = np.arange(shell.sats_per_orbit)
+            raan = np.radians(360.0 * orbits / shell.n_orbits)
+            u0 = np.radians(360.0 * slots / shell.sats_per_orbit)
+            a, inc = shell.semi_major_axis_km, math.radians(shell.inclination_deg)
+            cos_r, sin_r, cos_i, sin_i = np.cos(raan), np.sin(raan), math.cos(inc), math.sin(inc)
+            row = (a, cos_r, sin_r, cos_i, sin_i, u0 + np.radians(shell.phase_offset_deg) * orbits,
+                   shell.mean_motion_rad_s, orbits + len(planes), shell_index, orbits, slots)
+            terms.append(np.stack([x.ravel() for x in np.broadcast_arrays(*row)]))
+            planes += [(a, sin_i * s, -sin_i * c, cos_i) for c, s in zip(cos_r[:, 0], sin_r[:, 0])]
+        terms, planes = np.concatenate(terms, axis=1), np.array(planes)
+        layout = (terms[:7], terms[7:].astype(int), planes[:, 1:], planes[:, 0])
+        for array in layout:
+            array.setflags(write=False)
+        return layout
 
 
 @dataclass(frozen=True)
@@ -202,6 +228,18 @@ class RoutePath:
         return sum(s.rtt_ms for s in self.segments)
 
 
+def _propagate(config: ConstellationConfig, times: Sequence[float], rows) -> np.ndarray:
+    """Positions (T, len(rows), 3) of layout ``rows``; elementwise, so any subset rounds alike."""
+    a, cos_r, sin_r, cos_i, sin_i, u0, motion = config._layout[0][:, rows]
+    u = u0 + motion * (np.asarray(times, dtype=float) - config.epoch_s)[:, None]
+    cos_u, sin_u = np.cos(u), np.sin(u)
+    out = np.empty(u.shape + (3,))
+    out[..., 0] = a * (cos_r * cos_u - sin_r * sin_u * cos_i)
+    out[..., 1] = a * (sin_r * cos_u + cos_r * sin_u * cos_i)
+    out[..., 2] = a * (sin_u * sin_i)
+    return out
+
+
 def propagate_many(config: ConstellationConfig, times: Sequence[float]) -> np.ndarray:
     """Satellite positions (T, N, 3) in km at each of ``times``.
 
@@ -210,32 +248,20 @@ def propagate_many(config: ConstellationConfig, times: Sequence[float]) -> np.nd
     argument of latitude, with the shell's phase offset applied per
     plane.  Positions are exactly periodic with the shell period.
     """
-    dt = np.asarray(times, dtype=float) - config.epoch_s
-    out = np.empty((len(dt), config.n_satellites, 3))
-    lo = 0
-    for shell in config.shells:
-        a = shell.semi_major_axis_km
-        inc = math.radians(shell.inclination_deg)
-        orbits = np.arange(shell.n_orbits)
-        slots = np.arange(shell.sats_per_orbit)
-        raan = np.radians(360.0 * orbits / shell.n_orbits)[:, None]
-        u0 = np.radians(360.0 * slots / shell.sats_per_orbit)[None, :]
-        u = (u0 + np.radians(shell.phase_offset_deg) * orbits[:, None]) \
-            + (shell.mean_motion_rad_s * dt)[:, None, None]
-        cos_u, sin_u = np.cos(u), np.sin(u)
-        cos_r, sin_r = np.cos(raan), np.sin(raan)
-        n = shell.n_orbits * shell.sats_per_orbit
-        sats = out[:, lo:lo + n]
-        sats[..., 0] = (a * (cos_r * cos_u - sin_r * sin_u * math.cos(inc))).reshape(len(dt), n)
-        sats[..., 1] = (a * (sin_r * cos_u + cos_r * sin_u * math.cos(inc))).reshape(len(dt), n)
-        sats[..., 2] = (a * (sin_u * math.sin(inc))).reshape(len(dt), n)
-        lo += n
-    return out
+    return _propagate(config, times, slice(None))
 
 
 def propagate(config: ConstellationConfig, t_s: float) -> Snapshot:
     """Satellite positions at time t (seconds since the config epoch)."""
     return Snapshot(t_s=t_s, config=config, positions=propagate_many(config, [t_s])[0])
+
+
+def _site_positions(sites: Sequence[GroundStation], times: Sequence[float],
+                    epoch_s: float) -> np.ndarray:
+    """Inertial-frame positions (S, T, 3) of ground sites at each of ``times``."""
+    theta = np.degrees(EARTH_ROTATION_RAD_S * (np.asarray(times, dtype=float) - epoch_s))
+    lat, lon, alt = np.array([(s.latitude, s.longitude, s.altitude_m) for s in sites]).T[..., None]
+    return latlon_to_ecef(lat, lon + theta, radius_km=EARTH_RADIUS_KM + alt / 1000.0)
 
 
 def site_positions(site: GroundStation, times: Sequence[float],
@@ -244,9 +270,25 @@ def site_positions(site: GroundStation, times: Sequence[float],
 
     The earth rotates the site eastward relative to the epoch frame.
     """
-    theta = np.degrees(EARTH_ROTATION_RAD_S * (np.asarray(times, dtype=float) - epoch_s))
-    radius = EARTH_RADIUS_KM + site.altitude_m / 1000.0
-    return latlon_to_ecef(site.latitude, site.longitude + theta, radius_km=radius)
+    return _site_positions([site], times, epoch_s)[0]
+
+
+def _cull(config: ConstellationConfig, sites: np.ndarray, max_slant_km: float) -> np.ndarray:
+    """Ascending layout rows of the planes within ``max_slant_km`` of any of ``sites`` (K, 3).
+
+    A satellite on a circle of radius a about unit normal n is no closer to
+    site s than sqrt(h^2 + (a - rho)^2), h = s.n, rho = sqrt(|s|^2 - h^2).
+    That rounds by under 1e-3 km, so the limit gets 0.01 km of slack.
+    """
+    _, (plane, *_), normals, radius = config._layout
+    h = sites @ normals.T
+    h2 = h * h
+    rho = np.sqrt(np.maximum((sites * sites).sum(axis=1)[:, None] - h2, 0.0))
+    keep = (np.sqrt(h2 + (radius - rho) ** 2) <= max_slant_km + 0.01).any(axis=0)
+    rows = np.flatnonzero(keep[plane])
+    # One row would make the look's matrix products dot products, which
+    # round unlike the products over several rows; keep them all instead.
+    return np.arange(len(plane)) if len(rows) == 1 else rows
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -256,22 +298,21 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 
 def _length(v: np.ndarray) -> np.ndarray:
-    """Length (T, 1) of each row of (T, 3), as ``np.linalg.norm(v[t])`` rounds."""
-    return np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+    """Length (..., 1) of each row of (..., 3), as ``np.linalg.norm`` of one row rounds."""
+    return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
 
 
 def _project(rel: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``rel[t] @ v[t]`` for each snapshot: (T, N, 3) on (T, 3) gives (T, N).
+    """``rel[..., t, :, :] @ v[..., t, :]`` for each snapshot: (..., T, N, 3) on (..., T, 3).
 
     One matrix-vector product per snapshot, so the dot products round as
     they do for a single snapshot.
     """
-    return (rel @ v[:, :, None])[..., 0]
+    return (rel @ v[..., :, None])[..., 0]
 
 
-@dataclass
-class _Sky:
-    """One site's view of a block of snapshots, each (T, N).
+class _Sky(NamedTuple):
+    """Sites' views of a block of snapshots, each (..., T, N).
 
     ``slant`` is the range to every satellite; ``visible`` marks those
     within the slant limit and above the elevation mask, ``in_fov``
@@ -291,21 +332,21 @@ def _look(
     min_elevation_deg: float,
     fov: bool,
 ) -> _Sky:
-    """One look-angle pass of a site (T, 3) over positions (T, N, 3).
+    """One look-angle pass of site positions (..., T, 3) over positions (T, N, 3).
 
     Elevation is computed only within the slant limit, azimuth only for
     a :class:`DishSite` with ``fov`` set; otherwise ``in_fov`` is
     ``visible``.
     """
-    rel = positions - site_pos[:, None, :]
+    rel = positions - site_pos[..., None, :]
     slant = _norm(rel)
-    t, n = np.divmod(np.flatnonzero(slant <= max_slant_km), slant.shape[1])
+    near = np.nonzero(slant <= max_slant_km)
     up = site_pos / _length(site_pos)
-    sin_el = _project(rel, up)[t, n] / slant[t, n]
+    sin_el = _project(rel, up)[near] / slant[near]
     above = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0))) >= min_elevation_deg
-    t, n = t[above], n[above]
+    near = tuple(i[above] for i in near)
     visible = np.zeros(slant.shape, dtype=bool)
-    visible[t, n] = True
+    visible[near] = True
     if not (fov and isinstance(site, DishSite)):
         return _Sky(slant, visible, visible)
     # Local east/north for azimuth, degenerate at the poles.
@@ -314,45 +355,53 @@ def _look(
     pole = norm < 1e-12
     east = np.where(pole, [1.0, 0.0, 0.0], east / np.where(pole, 1.0, norm))
     north = np.cross(up, east)
-    azimuth = np.degrees(np.arctan2(_project(rel, east)[t, n],
-                                    _project(rel, north)[t, n])) % 360.0
+    azimuth = np.degrees(np.arctan2(_project(rel, east)[near],
+                                    _project(rel, north)[near])) % 360.0
     allowed = site.azimuth_allowed(azimuth)
     in_fov = np.zeros_like(visible)
-    in_fov[t[allowed], n[allowed]] = True
+    in_fov[tuple(i[allowed] for i in near)] = True
     return _Sky(slant, visible, in_fov)
 
 
 class _JointSky:
     """A dish and a ground station over one block of snapshots.
 
+    Only satellites of the planes within the slant limit of either site
+    are looked at, propagated unless ``positions`` of a snapshot are given.
     Each rule answers per snapshot with one-way path lengths in km,
     infinite where no satellite qualifies.
     """
 
-    def __init__(self, dish, gs, positions, dish_pos, gs_pos,
-                 max_slant_km, min_elevation_deg, *, dish_fov):
-        self.positions = positions
-        self.dish = _look(dish, dish_pos, positions, max_slant_km, min_elevation_deg, dish_fov)
-        self.gs = _look(gs, gs_pos, positions, max_slant_km, min_elevation_deg, False)
+    def __init__(self, dish, gs, config, times, max_slant_km, min_elevation_deg, *,
+                 dish_fov=False, positions=None):
+        sites = _site_positions([dish, gs], times, config.epoch_s)
+        self.rows = _cull(config, sites.reshape(-1, 3), max_slant_km)
+        self.positions = (_propagate(config, times, self.rows) if positions is None
+                          else positions[None, self.rows])
+        at = (self.positions, max_slant_km, min_elevation_deg)
+        if dish_fov:
+            self.dish, self.gs = _look(dish, sites[0], *at, True), _look(gs, sites[1], *at, False)
+        else:  # one pass for both sites
+            self.dish, self.gs = (_Sky(*sky) for sky in zip(*_look(gs, sites, *at, False)))
 
     @classmethod
     def of(cls, dish, gs, snapshot, max_slant_km, min_elevation_deg, *, dish_fov=False):
-        at = ([snapshot.t_s], snapshot.config.epoch_s)
-        return cls(dish, gs, snapshot.positions[None], site_positions(dish, *at),
-                   site_positions(gs, *at), max_slant_km, min_elevation_deg,
-                   dish_fov=dish_fov)
+        return cls(dish, gs, snapshot.config, [snapshot.t_s], max_slant_km, min_elevation_deg,
+                   dish_fov=dish_fov, positions=snapshot.positions)
 
     def _pick(self, mask, arg, fill):
         sums = np.where(mask & self.gs.visible, self.dish.slant + self.gs.slant, fill)
+        if not len(self.rows):  # no candidate: no row, infinite length
+            return None, np.full(len(sums), np.inf)
         i = arg(sums, axis=1)
-        return i, np.abs(sums[np.arange(len(i)), i])  # a -inf fill reads inf
+        return self.rows[i], np.abs(sums[np.arange(len(i)), i])  # a -inf fill reads inf
 
     def best(self) -> tuple[np.ndarray, np.ndarray]:
-        """Satellite index and length of the shortest bent pipe, whole sky."""
+        """Satellite row and length of the shortest bent pipe, whole sky."""
         return self._pick(self.dish.visible, np.argmin, np.inf)
 
     def worst(self) -> tuple[np.ndarray, np.ndarray]:
-        """Satellite index and length of the longest bent pipe in the dish's view."""
+        """Satellite row and length of the longest bent pipe in the dish's view."""
         return self._pick(self.dish.in_fov, np.argmax, -np.inf)
 
     def two_satellites(self) -> np.ndarray:
@@ -373,15 +422,8 @@ class _JointSky:
 
 def _state_at(snapshot: Snapshot, i: int) -> SatelliteState:
     """Satellite ``i`` of the snapshot, named from its config's layout."""
-    k = i  # satellite i's index within its shell
-    for shell_index, shell in enumerate(snapshot.config.shells):
-        n = shell.n_orbits * shell.sats_per_orbit
-        if k < n:
-            break
-        k -= n
-    orbit_index, slot_index = divmod(k, shell.sats_per_orbit)
-    return SatelliteState(shell_index, orbit_index, slot_index,
-                          tuple(float(x) for x in snapshot.positions[i]))
+    _, shell, orbit, slot = snapshot.config._layout[1][:, i].tolist()
+    return SatelliteState(shell, orbit, slot, tuple(float(x) for x in snapshot.positions[i]))
 
 
 def visible_satellites(
@@ -397,9 +439,11 @@ def visible_satellites(
     For a :class:`DishSite` the azimuth field-of-view rule also applies
     unless ``apply_fov`` is disabled.
     """
-    sky = _look(site, site_positions(site, [snapshot.t_s], snapshot.config.epoch_s),
-                snapshot.positions[None], max_slant_km, min_elevation_deg, apply_fov)
-    return [_state_at(snapshot, i) for i in np.flatnonzero(sky.in_fov[0])]
+    site_pos = site_positions(site, [snapshot.t_s], snapshot.config.epoch_s)
+    rows = _cull(snapshot.config, site_pos, max_slant_km)
+    sky = _look(site, site_pos, snapshot.positions[None, rows], max_slant_km,
+                min_elevation_deg, apply_fov)
+    return [_state_at(snapshot, int(rows[i])) for i in np.flatnonzero(sky.in_fov[0])]
 
 
 def best_case_rtt(
@@ -625,20 +669,28 @@ class StudyCase:
     def from_json(cls, path: str | Path,
                   config: Optional[ConstellationConfig] = None) -> "StudyCase":
         def build(case: Fields) -> StudyCase:
-            vis = Fields(case.obj.get("visibility", {}), GeometryError, "visibility.")
-            sampling = Fields(case.obj.get("sampling", {}), GeometryError, "sampling.")
-            step_s = sampling("step_s", "number", 15.0)
+            case.only(("label", "comment", "dish", "access_gs", "pop", "landing_gs",
+                       "terrestrial_rtt_ms", "visibility", "sampling"))
+            vis = _block(case, "visibility", {}).only(("max_slant_km", "min_elevation_deg"))
+            step_s = _block(case, "sampling", {}).only(("step_s",))("step_s", "number", 15.0)
+            slant = vis("max_slant_km", "number", DEFAULT_MAX_SLANT_KM)
+            elevation = vis("min_elevation_deg", "number", DEFAULT_MIN_ELEVATION_DEG)
             if step_s < 1.0:  # one period at 1 s is already about 5,700 samples
                 raise GeometryError(f"sampling.step_s: must be at least 1 s, got {step_s!r}")
+            if slant <= 0:
+                raise GeometryError(f"visibility.max_slant_km: must be positive, got {slant!r}")
+            if not -90 <= elevation <= 90:
+                raise GeometryError("visibility.min_elevation_deg: must be within [-90, 90], "
+                                    f"got {elevation!r}")
             return cls(
                 label=case("label", "string", Path(path).stem),
-                dish=_site(case, "dish", DishSite, boresight_azimuth_deg=DEFAULT_BORESIGHT_DEG),
-                access_gs=_site(case, "access_gs"), pop=_site(case, "pop"),
-                landing_gs=_site(case, "landing_gs") if case.obj.get("landing_gs") else None,
+                dish=_block(case, "dish").make(DishSite),
+                access_gs=_block(case, "access_gs").make(GroundStation),
+                pop=_block(case, "pop").make(GroundStation),
+                landing_gs=(None if case.obj.get("landing_gs") is None
+                            else _block(case, "landing_gs").make(GroundStation)),
                 terrestrial_rtt_ms=case("terrestrial_rtt_ms", "number", optional=True),
-                max_slant_km=vis("max_slant_km", "number", DEFAULT_MAX_SLANT_KM),
-                min_elevation_deg=vis("min_elevation_deg", "number", DEFAULT_MIN_ELEVATION_DEG),
-                sample_step_s=step_s,
+                max_slant_km=slant, min_elevation_deg=elevation, sample_step_s=step_s,
                 config=config or ConstellationConfig.default(),
             )
 
@@ -651,12 +703,9 @@ class StudyCase:
             return cls.from_json(path)
 
 
-def _site(case: Fields, key: str, kind: type = GroundStation, **numbers) -> GroundStation:
-    """The ``kind`` site in field ``key``; ``numbers`` default its further number fields."""
-    site = Fields(case.obj.get(key), GeometryError, f"{key}.")
-    return kind(latitude=site("latitude", "number"), longitude=site("longitude", "number"),
-                label=site("label", "string", ""),
-                **{name: site(name, "number", value) for name, value in numbers.items()})
+def _block(case: Fields, key: str, default=None) -> Fields:
+    """The fields of the object in field ``key``, or of ``default`` when it is absent."""
+    return Fields(case.obj.get(key, default), GeometryError, f"{key}.")
 
 
 @dataclass
@@ -672,27 +721,18 @@ class CaseSummary:
     n_no_coverage: int
 
 
-def _case_paths(case: StudyCase, times: np.ndarray, dish_pos: np.ndarray,
-                gs_pos: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Best, worst and two-satellite path lengths (km) at each time."""
-    sky = _JointSky(case.dish, case.access_gs, propagate_many(case.config, times),
-                    dish_pos, gs_pos, case.max_slant_km, case.min_elevation_deg,
-                    dish_fov=True)
-    return sky.best()[1], sky.worst()[1], sky.two_satellites()
-
-
 def evaluate_case(case: StudyCase) -> CaseSummary:
     """Sample one period at the case's step, in blocks of snapshots, and take medians.
 
     A sample where either selection has no coverage is dropped from
     every statistic, keeping the medians comparable.
     """
-    period = case.config.shells[0].period_s
-    times = np.arange(0.0, period, case.sample_step_s)
-    dish_pos, gs_pos = (site_positions(site, times, case.config.epoch_s)
-                        for site in (case.dish, case.access_gs))
-    steps = [slice(lo, lo + _BLOCK_STEPS) for lo in range(0, len(times), _BLOCK_STEPS)]
-    blocks = [_case_paths(case, times[b], dish_pos[b], gs_pos[b]) for b in steps]
+    times = np.arange(0.0, case.config.shells[0].period_s, case.sample_step_s)
+    blocks = []
+    for lo in range(0, len(times), _BLOCK_STEPS):
+        sky = _JointSky(case.dish, case.access_gs, case.config, times[lo:lo + _BLOCK_STEPS],
+                        case.max_slant_km, case.min_elevation_deg, dish_fov=True)
+        blocks.append((sky.best()[1], sky.worst()[1], sky.two_satellites()))
     best, worst, thresh = (np.concatenate(paths) for paths in zip(*blocks))
     covered = np.isfinite(best) & np.isfinite(worst) & np.isfinite(thresh)
     if not covered.any():

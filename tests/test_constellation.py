@@ -479,10 +479,32 @@ def _with(obj, key, **fields):
     (ConstellationConfig.from_json, json.dumps({"shells": {}}), "shells: expected a list, got {}"),
     *((StudyCase.from_json, json.dumps(_with(NIGERIA, "sampling", step_s=step)),
        f"sampling.step_s: must be at least 1 s, got {step!r}") for step in (0, -15, 1e-9, 0.5)),
+    (StudyCase.from_json, json.dumps({**NIGERIA, "terrestrial_rtt": 110.0}),
+     ": unknown fields ['terrestrial_rtt']"),
+    (StudyCase.from_json, json.dumps(_with(NIGERIA, "visibility", max_slant=1000.0)),
+     "visibility: unknown fields ['max_slant']"),
+    (StudyCase.from_json, json.dumps(_with(NIGERIA, "sampling", stepp_s=60.0)),
+     "sampling: unknown fields ['stepp_s']"),
+    (StudyCase.from_json, json.dumps(_with(NIGERIA, "dish", altitude=3000.0)),
+     "dish: unknown fields ['altitude']"),
+    (StudyCase.from_json, json.dumps(_with(NIGERIA, "pop", boresight_azimuth_deg=0.0)),
+     "pop: unknown fields ['boresight_azimuth_deg']"),
+    (StudyCase.from_json, json.dumps({**NIGERIA, "landing_gs": {}}),
+     "landing_gs.latitude: expected a finite number, got None"),
+    (ConstellationConfig.from_json, json.dumps({"shells": [SHELL], "epoch": 100.0}),
+     ": unknown fields ['epoch']"),
+    *((StudyCase.from_json, json.dumps(_with(NIGERIA, "visibility", max_slant_km=slant)),
+       f"visibility.max_slant_km: must be positive, got {slant!r}") for slant in (-5.0, 0)),
+    *((StudyCase.from_json, json.dumps(_with(NIGERIA, "visibility", min_elevation_deg=elev)),
+       f"visibility.min_elevation_deg: must be within [-90, 90], got {elev!r}")
+      for elev in (90.5, -91)),
 ], ids=["case_not_json", "case_not_an_object", "dish_latitude_string", "terrestrial_string",
         "pop_missing", "slant_null", "label_number", "config_not_json", "altitude_string",
         "unknown_shell_key", "n_orbits_float", "epoch_bool", "shells_object",
-        "step_zero", "step_negative", "step_tiny", "step_half"])
+        "step_zero", "step_negative", "step_tiny", "step_half",
+        "misspelt_case_key", "misspelt_visibility_key", "misspelt_sampling_key",
+        "misspelt_dish_key", "boresight_on_pop", "landing_gs_empty", "misspelt_config_key",
+        "slant_negative", "slant_zero", "elevation_above_90", "elevation_below_90"])
 def test_bad_geometry_file_names_file_and_field(tmp_path, read, text, where):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -490,6 +512,18 @@ def test_bad_geometry_file_names_file_and_field(tmp_path, read, text, where):
         read(path)
     assert str(err.value).startswith(f"{path}: ")
     assert where in str(err.value)
+
+
+@pytest.mark.parametrize("site", ["dish", "access_gs", "pop", "landing_gs"])
+def test_study_case_reads_every_site_altitude(tmp_path, site):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(_with(NIGERIA, site, altitude_m=3000.0)))
+    assert getattr(StudyCase.from_json(path), site).altitude_m == 3000.0
+
+
+def test_constellation_config_allows_a_top_level_comment():
+    config = ConstellationConfig.from_dict({"comment": "one shell", "shells": [SHELL]})
+    assert config == ConstellationConfig(shells=(Shell(**SHELL),))
 
 
 def test_study_case_accepts_a_one_second_sampling_step(tmp_path):

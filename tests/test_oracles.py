@@ -628,6 +628,64 @@ def test_evaluate_case_equals_per_step_sweep_on_nigeria():
     assert evaluate_case(case) == oracle_evaluate_case(case)
 
 
+polar_and_retrograde = st.builds(
+    Shell, altitude_km=st.floats(300.0, 2000.0),
+    inclination_deg=st.one_of(st.sampled_from([0.0, 53.0, 90.0, 97.6, 180.0]),
+                              st.floats(0.0, 180.0)),
+    n_orbits=st.integers(1, 12), sats_per_orbit=st.integers(1, 40),
+    phase_offset_deg=st.floats(0.0, 30.0))
+
+
+@given(st.lists(polar_and_retrograde, min_size=1, max_size=2), st.floats(-5000.0, 5000.0),
+       st.floats(-20_000.0, 20_000.0), st.lists(dishes, min_size=1, max_size=3),
+       st.one_of(st.floats(300.0, 20_000.0), st.integers(0, 10_000)))
+@settings(max_examples=300, deadline=None)
+def test_plane_cull_keeps_every_satellite_within_the_slant_limit(shells, epoch, t_s, sites,
+                                                                  limit):
+    config = ConstellationConfig(shells=tuple(shells), epoch_s=epoch)
+    positions = oracle_propagate(config, t_s)[0]
+    site_pos = np.array([oracle_site_position(site, t_s, epoch) for site in sites])
+    slant = np.array([oracle_look_angles(pos, positions)[0] for pos in site_pos])
+    # A float is a limit; an integer picks a satellite whose slant is the limit.
+    max_slant = limit if isinstance(limit, float) else float(slant.ravel()[limit % slant.size])
+    rows = constellation._cull(config, site_pos, max_slant)
+    assert np.all(np.diff(rows) > 0)
+    assert set(np.flatnonzero((slant <= max_slant).any(axis=0))) <= set(rows.tolist())
+    if max_slant >= 2.0 * max(shell.semi_major_axis_km for shell in shells):
+        assert len(rows) == config.n_satellites
+
+
+def test_site_no_plane_comes_near_has_no_candidates():
+    # The 53 deg shell comes no closer than about 4,250 km to the pole.
+    config = ConstellationConfig.default()
+    snap = propagate(config, 0.0)
+    dish, gs = DishSite(90.0, 0.0), GroundStation(90.0, 0.0)
+    sites = constellation.site_positions(dish, [0.0], config.epoch_s)
+    assert len(constellation._cull(config, sites, 600.0)) == 0
+    for rule in (best_case_rtt, worst_case_rtt, min_isl_ng_threshold):
+        with pytest.raises(NoCoverageError):
+            rule(dish, gs, snap, max_slant_km=600.0)
+    assert visible_satellites(dish, snap, max_slant_km=600.0) == []
+
+
+def test_one_plane_cull_rounds_as_the_full_sky():
+    # Within this slant limit only the plane of satellite 1 comes near the
+    # site.  Over one row the look's matrix product is a dot product, which
+    # rounds that satellite's elevation two units in the last place above
+    # the oracle's; one unit above the oracle's value must still hide it.
+    config = ConstellationConfig(shells=(Shell(550.0, 53.0, 12, 1),))
+    site, t_s = GroundStation(29.3, 55.7), 576.4
+    arrays = oracle_propagate(config, t_s)
+    slant, elevation, _ = oracle_look_angles(
+        oracle_site_position(site, t_s, config.epoch_s), arrays[0])
+    snap = propagate(config, t_s)
+    for min_elev in (elevation[1], np.nextafter(elevation[1], 90.0)):
+        mask = dict(max_slant_km=float(slant[1]) + 1.0, min_elevation_deg=float(min_elev))
+        want, _ = oracle_visible(site, t_s, config.epoch_s, arrays[0], apply_fov=False, **mask)
+        got = visible_satellites(site, snap, apply_fov=False, **mask)
+        assert got == [state(arrays, k) for k in np.flatnonzero(want)]
+
+
 @pytest.mark.parametrize("site", [DishSite(6.45, 3.39, boresight_azimuth_deg=-22.0),
                                   GroundStation(-33.9, 151.2, altitude_m=58.0),
                                   DishSite(-90.0, 0.0, boresight_azimuth_deg=10.0)])
