@@ -38,7 +38,6 @@ from .geo import (
     central_angle_rad,
     fiber_rtt_ms,
     haversine_km,
-    latlon_to_ecef,
     miles_to_km,
     vacuum_rtt_ms,
 )
@@ -56,6 +55,10 @@ DEFAULT_MIN_ELEVATION_DEG = 25.0
 MAX_ISL_CHORD_KM = 5400.0
 
 DEFAULT_BORESIGHT_DEG = -22.0
+
+# A snapshot's positions lie on the config's orbits to within this: far
+# above propagation's rounding, well inside the plane cull's 0.01 km slack.
+_ON_ORBIT_KM = 1e-3
 
 # Snapshots evaluated together.  The Nigeria case keeps 24-25 of 72 planes
 # per block, so at 6 steps a block's largest array (pair distances, 101 KB)
@@ -174,6 +177,8 @@ class Snapshot:
 
     Row i of ``positions`` is satellite i of the config's layout: shells
     in order, within a shell orbit by orbit, within an orbit slot by slot.
+    Each lies on its orbit: every query culls by plane, so a position off
+    it would be lost silently.
     """
 
     t_s: float
@@ -185,6 +190,13 @@ class Snapshot:
         if np.shape(self.positions) != want:
             raise GeometryError(f"positions: expected shape {want} for the config's layout, "
                                 f"got {np.shape(self.positions)}")
+        _, (plane, *_), normals, radius = self.config._layout
+        p = np.asarray(self.positions, dtype=float)
+        off = np.maximum(abs(_norm(p) - radius[plane]), abs((p * normals[plane]).sum(axis=1)))
+        bad = np.flatnonzero(~(off <= _ON_ORBIT_KM))
+        if len(bad):
+            raise GeometryError(f"positions: row {bad[0]} is {off[bad[0]]:.6g} km off its orbit, "
+                                f"more than {_ON_ORBIT_KM} km")
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -258,10 +270,22 @@ def propagate(config: ConstellationConfig, t_s: float) -> Snapshot:
 
 def _site_positions(sites: Sequence[GroundStation], times: Sequence[float],
                     epoch_s: float) -> np.ndarray:
-    """Inertial-frame positions (S, T, 3) of ground sites at each of ``times``."""
-    theta = np.degrees(EARTH_ROTATION_RAD_S * (np.asarray(times, dtype=float) - epoch_s))
-    lat, lon, alt = np.array([(s.latitude, s.longitude, s.altitude_m) for s in sites]).T[..., None]
-    return latlon_to_ecef(lat, lon + theta, radius_km=EARTH_RADIUS_KM + alt / 1000.0)
+    """Inertial-frame positions (S, T, 3) of ground sites at each of ``times``.
+
+    Scalar math, term for term as ``geo.latlon_to_ecef`` rounds (numpy's
+    float64 sin and cos call libm, as ``math`` does), and for a few sites
+    far cheaper than small arrays.
+    """
+    turns = [math.degrees(EARTH_ROTATION_RAD_S * (float(t) - epoch_s)) for t in times]
+    out = []
+    for site in sites:
+        radius = EARTH_RADIUS_KM + site.altitude_m / 1000.0
+        phi = math.radians(site.latitude)
+        r_cos, z = radius * math.cos(phi), radius * math.sin(phi)
+        for theta in turns:
+            lam = math.radians(site.longitude + theta)
+            out.append((r_cos * math.cos(lam), r_cos * math.sin(lam), z))
+    return np.array(out).reshape(len(sites), len(turns), 3)
 
 
 def site_positions(site: GroundStation, times: Sequence[float],
@@ -273,19 +297,24 @@ def site_positions(site: GroundStation, times: Sequence[float],
     return _site_positions([site], times, epoch_s)[0]
 
 
-def _cull(config: ConstellationConfig, sites: np.ndarray, max_slant_km: float) -> np.ndarray:
-    """Ascending layout rows of the planes within ``max_slant_km`` of any of ``sites`` (K, 3).
+def _cull(config: ConstellationConfig, sites: np.ndarray, max_slant_km: float,
+          every: bool = False) -> np.ndarray:
+    """Ascending layout rows of the planes within ``max_slant_km`` of any of ``sites`` (..., 3).
 
-    A satellite on a circle of radius a about unit normal n is no closer to
-    site s than sqrt(h^2 + (a - rho)^2), h = s.n, rho = sqrt(|s|^2 - h^2).
-    That rounds by under 1e-3 km, so the limit gets 0.01 km of slack.
+    With ``every``, sites are (S, 3), one per site at one instant, and a
+    plane must come within the limit of each.  A satellite on a circle of
+    radius a about unit normal n is no closer to site s than
+    sqrt(h^2 + (a - rho)^2), h = s.n, rho = sqrt(|s|^2 - h^2).  That rounds
+    by under 1e-3 km, so the limit gets 0.01 km of slack.
     """
     _, (plane, *_), normals, radius = config._layout
-    h = sites @ normals.T
+    flat = sites.reshape(-1, 3)
+    h = flat @ normals.T
     h2 = h * h
-    rho = np.sqrt(np.maximum((sites * sites).sum(axis=1)[:, None] - h2, 0.0))
-    keep = (np.sqrt(h2 + (radius - rho) ** 2) <= max_slant_km + 0.01).any(axis=0)
-    rows = np.flatnonzero(keep[plane])
+    rho = np.sqrt(np.maximum((flat * flat).sum(axis=1)[:, None] - h2, 0.0))
+    near = np.sqrt(h2 + (radius - rho) ** 2) <= max_slant_km + 0.01
+    keep = near.all(axis=0) if every else near.any(axis=0)
+    rows = keep[plane].nonzero()[0]
     # One row would make the look's matrix products dot products, which
     # round unlike the products over several rows; keep them all instead.
     return np.arange(len(plane)) if len(rows) == 1 else rows
@@ -293,8 +322,8 @@ def _cull(config: ConstellationConfig, sites: np.ndarray, max_slant_km: float) -
 
 def _norm(v: np.ndarray) -> np.ndarray:
     """Length over a last axis of 3, summed in the order numpy's norm sums."""
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    return np.sqrt(x * x + y * y + z * z)
+    sq = (v * v).reshape(-1, 3)
+    return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2]).reshape(v.shape[:-1])
 
 
 def _length(v: np.ndarray) -> np.ndarray:
@@ -303,106 +332,82 @@ def _length(v: np.ndarray) -> np.ndarray:
 
 
 def _project(rel: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``rel[..., t, :, :] @ v[..., t, :]`` for each snapshot: (..., T, N, 3) on (..., T, 3).
+    """``rel[..., :, :] @ v[..., :]``: (..., K, 3) on (..., 3).
 
-    One matrix-vector product per snapshot, so the dot products round as
-    they do for a single snapshot.
+    One matrix-vector product per site and snapshot, so the dot products
+    round as they do for a single snapshot of a single site.
     """
     return (rel @ v[..., :, None])[..., 0]
 
 
-class _Sky(NamedTuple):
-    """Sites' views of a block of snapshots, each (..., T, N).
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` over a last axis of 3, term for term, without its set-up."""
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
 
-    ``slant`` is the range to every satellite; ``visible`` marks those
-    within the slant limit and above the elevation mask, ``in_fov``
-    those of them that a dish's field of view also admits.
+
+def _look(sites: np.ndarray, positions: np.ndarray, max_slant_km: float,
+          min_elevation_deg: float, dish: Optional[GroundStation] = None):
+    """One look-angle pass of sites at (S, ..., 3) over positions (..., K, 3).
+
+    Each site's ``slant`` range and ``visible`` mask (S, ..., K): within the
+    slant limit and above the elevation mask, elevation computed only within
+    the limit.  ``in_fov`` (..., K) marks what site 0 sees, within its field
+    of view if it is a :class:`DishSite` given as ``dish``; azimuth is
+    computed only for what it sees.
     """
-
-    slant: np.ndarray
-    visible: np.ndarray
-    in_fov: np.ndarray
-
-
-def _look(
-    site: GroundStation,
-    site_pos: np.ndarray,
-    positions: np.ndarray,
-    max_slant_km: float,
-    min_elevation_deg: float,
-    fov: bool,
-) -> _Sky:
-    """One look-angle pass of site positions (..., T, 3) over positions (T, N, 3).
-
-    Elevation is computed only within the slant limit, azimuth only for
-    a :class:`DishSite` with ``fov`` set; otherwise ``in_fov`` is
-    ``visible``.
-    """
-    rel = positions - site_pos[..., None, :]
+    rel = positions - sites[..., None, :]
     slant = _norm(rel)
-    near = np.nonzero(slant <= max_slant_km)
-    up = site_pos / _length(site_pos)
+    near = slant <= max_slant_km
+    up = sites / _length(sites)
     sin_el = _project(rel, up)[near] / slant[near]
-    above = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0))) >= min_elevation_deg
-    near = tuple(i[above] for i in near)
-    visible = np.zeros(slant.shape, dtype=bool)
-    visible[near] = True
-    if not (fov and isinstance(site, DishSite)):
-        return _Sky(slant, visible, visible)
+    visible = near.copy()
+    visible[near] = np.degrees(np.arcsin(sin_el.clip(-1.0, 1.0))) >= min_elevation_deg
+    if not isinstance(dish, DishSite):
+        return slant, visible, visible[0]
     # Local east/north for azimuth, degenerate at the poles.
-    east = np.cross([0.0, 0.0, 1.0], up)
+    east = _cross(np.array([0.0, 0.0, 1.0]), up[0])
     norm = _length(east)
     pole = norm < 1e-12
     east = np.where(pole, [1.0, 0.0, 0.0], east / np.where(pole, 1.0, norm))
-    north = np.cross(up, east)
-    azimuth = np.degrees(np.arctan2(_project(rel, east)[near],
-                                    _project(rel, north)[near])) % 360.0
-    allowed = site.azimuth_allowed(azimuth)
-    in_fov = np.zeros_like(visible)
-    in_fov[tuple(i[allowed] for i in near)] = True
-    return _Sky(slant, visible, in_fov)
+    north = _cross(up[0], east)
+    seen = visible[0]
+    azimuth = np.degrees(np.arctan2(_project(rel[0], east)[seen],
+                                    _project(rel[0], north)[seen])) % 360.0
+    in_fov = seen.copy()
+    in_fov[seen] = dish.azimuth_allowed(azimuth)
+    return slant, visible, in_fov
 
 
 class _JointSky:
-    """A dish and a ground station over one block of snapshots.
+    """A dish (site 0) and a ground station (site 1) over a block of snapshots, or one.
 
-    Only satellites of the planes within the slant limit of either site
-    are looked at, propagated unless ``positions`` of a snapshot are given.
-    Each rule answers per snapshot with one-way path lengths in km,
-    infinite where no satellite qualifies.
+    Only the ``rows`` of the planes within the slant limit of either site
+    (of both, with ``every``) are looked at, propagated unless a snapshot's
+    ``positions`` are given; a block has a time axis before the rows' axis
+    K, a snapshot none.  Each rule answers with one-way path lengths in km.
     """
 
     def __init__(self, dish, gs, config, times, max_slant_km, min_elevation_deg, *,
-                 dish_fov=False, positions=None):
+                 dish_fov=False, every=False, positions=None):
         sites = _site_positions([dish, gs], times, config.epoch_s)
-        self.rows = _cull(config, sites.reshape(-1, 3), max_slant_km)
+        if positions is not None:  # one snapshot: no time axis
+            sites = sites[:, 0]
+        self.rows = _cull(config, sites, max_slant_km, every)
         self.positions = (_propagate(config, times, self.rows) if positions is None
-                          else positions[None, self.rows])
-        at = (self.positions, max_slant_km, min_elevation_deg)
-        if dish_fov:
-            self.dish, self.gs = _look(dish, sites[0], *at, True), _look(gs, sites[1], *at, False)
-        else:  # one pass for both sites
-            self.dish, self.gs = (_Sky(*sky) for sky in zip(*_look(gs, sites, *at, False)))
+                          else positions.take(self.rows, axis=0))
+        look = (self.positions, max_slant_km, min_elevation_deg, dish if dish_fov else None)
+        self.slant, self.visible, self.in_fov = _look(sites, *look)
 
     @classmethod
-    def of(cls, dish, gs, snapshot, max_slant_km, min_elevation_deg, *, dish_fov=False):
+    def of(cls, dish, gs, snapshot, max_slant_km, min_elevation_deg, **kwargs):
         return cls(dish, gs, snapshot.config, [snapshot.t_s], max_slant_km, min_elevation_deg,
-                   dish_fov=dish_fov, positions=snapshot.positions)
+                   positions=snapshot.positions, **kwargs)
 
-    def _pick(self, mask, arg, fill):
-        sums = np.where(mask & self.gs.visible, self.dish.slant + self.gs.slant, fill)
-        if not len(self.rows):  # no candidate: no row, infinite length
-            return None, np.full(len(sums), np.inf)
-        i = arg(sums, axis=1)
-        return self.rows[i], np.abs(sums[np.arange(len(i)), i])  # a -inf fill reads inf
-
-    def best(self) -> tuple[np.ndarray, np.ndarray]:
-        """Satellite row and length of the shortest bent pipe, whole sky."""
-        return self._pick(self.dish.visible, np.argmin, np.inf)
-
-    def worst(self) -> tuple[np.ndarray, np.ndarray]:
-        """Satellite row and length of the longest bent pipe in the dish's view."""
-        return self._pick(self.dish.in_fov, np.argmax, -np.inf)
+    def bent_pipes(self, worst: bool = False) -> np.ndarray:
+        """Dish -> satellite -> ground station lengths (..., K) through each satellite both
+        see; inf elsewhere, or with ``worst`` within the dish's view and -inf elsewhere."""
+        dish, fill = (self.in_fov, -np.inf) if worst else (self.visible[0], np.inf)
+        return np.where(dish & self.visible[1], self.slant[0] + self.slant[1], fill)
 
     def two_satellites(self) -> np.ndarray:
         """Shortest dish -> s1 -> s2 -> ground station path, s1 != s2.
@@ -411,13 +416,25 @@ class _JointSky:
         sees and those the ground station sees at any time of the block,
         masked to the pairs in view at that snapshot.
         """
-        di = np.flatnonzero(self.dish.visible.any(axis=0))
-        gi = np.flatnonzero(self.gs.visible.any(axis=0))
-        inter = _norm(self.positions[:, None, gi] - self.positions[:, di, None])
-        totals = (self.dish.slant[:, di, None] + inter) + self.gs.slant[:, None, gi]
-        pair = (self.dish.visible[:, di, None] & self.gs.visible[:, None, gi]
+        seen = self.visible.any(axis=tuple(range(1, self.visible.ndim - 1)))
+        di, gi = np.flatnonzero(seen[0]), np.flatnonzero(seen[1])
+        inter = _norm(self.positions[..., None, gi, :] - self.positions[..., di, None, :])
+        totals = (self.slant[0][..., di, None] + inter) + self.slant[1][..., None, gi]
+        pair = (self.visible[0][..., di, None] & self.visible[1][..., None, gi]
                 & (di[:, None] != gi))
-        return np.where(pair, totals, np.inf).min(axis=(1, 2), initial=np.inf)
+        return np.where(pair, totals, np.inf).min(axis=(-2, -1), initial=np.inf)
+
+
+def _bent_pipe(dish, gs, snapshot, max_slant_km, min_elevation_deg, worst=False):
+    """RTT (ms) and row of the shortest shared bent pipe; ``worst``: the longest the dish sees."""
+    sky = _JointSky.of(dish, gs, snapshot, max_slant_km, min_elevation_deg,
+                       dish_fov=worst, every=True)
+    paths = sky.bent_pipes(worst)
+    i = (paths.argmax() if worst else paths.argmin()) if len(paths) else None
+    if i is None or not np.isfinite(paths[i]):
+        raise NoCoverageError("no satellite jointly visible " + (
+            "within the dish field of view" if worst else "to dish and ground station"))
+    return vacuum_rtt_ms(float(paths[i])), int(sky.rows[i])
 
 
 def _state_at(snapshot: Snapshot, i: int) -> SatelliteState:
@@ -439,11 +456,11 @@ def visible_satellites(
     For a :class:`DishSite` the azimuth field-of-view rule also applies
     unless ``apply_fov`` is disabled.
     """
-    site_pos = site_positions(site, [snapshot.t_s], snapshot.config.epoch_s)
-    rows = _cull(snapshot.config, site_pos, max_slant_km)
-    sky = _look(site, site_pos, snapshot.positions[None, rows], max_slant_km,
-                min_elevation_deg, apply_fov)
-    return [_state_at(snapshot, int(rows[i])) for i in np.flatnonzero(sky.in_fov[0])]
+    sites = _site_positions([site], [snapshot.t_s], snapshot.config.epoch_s)[:, 0]
+    rows = _cull(snapshot.config, sites, max_slant_km)
+    *_, in_fov = _look(sites, snapshot.positions.take(rows, axis=0), max_slant_km,
+                       min_elevation_deg, site if apply_fov else None)
+    return [_state_at(snapshot, i) for i in rows[in_fov].tolist()]
 
 
 def best_case_rtt(
@@ -460,10 +477,8 @@ def best_case_rtt(
     whole sky: an optimal scheduler is not limited by the dish's
     current orientation.
     """
-    i, d = _JointSky.of(dish, gs, snapshot, max_slant_km, min_elevation_deg).best()
-    if not np.isfinite(d[0]):
-        raise NoCoverageError("no satellite jointly visible to dish and ground station")
-    return vacuum_rtt_ms(float(d[0])), _state_at(snapshot, int(i[0]))
+    rtt, i = _bent_pipe(dish, gs, snapshot, max_slant_km, min_elevation_deg)
+    return rtt, _state_at(snapshot, i)
 
 
 def worst_case_rtt(
@@ -480,11 +495,8 @@ def worst_case_rtt(
     dish's azimuth field of view; the ground station is unconstrained
     (its antennas cover all azimuths).
     """
-    i, d = _JointSky.of(dish, gs, snapshot, max_slant_km, min_elevation_deg,
-                        dish_fov=True).worst()
-    if not np.isfinite(d[0]):
-        raise NoCoverageError("no satellite jointly visible within the dish field of view")
-    return vacuum_rtt_ms(float(d[0])), _state_at(snapshot, int(i[0]))
+    rtt, i = _bent_pipe(dish, gs, snapshot, max_slant_km, min_elevation_deg, worst=True)
+    return rtt, _state_at(snapshot, i)
 
 
 def isl_extra_hop_rtt(config: ConstellationConfig) -> float:
@@ -566,9 +578,8 @@ def composite_route_rtt(
     if access_rtt_ms is None:
         if snapshot is None:
             raise GeometryError("need snapshot or access_rtt_ms for the access term")
-        access_rtt_ms, _ = best_case_rtt(dish, access_gs, snapshot,
-                                         max_slant_km=max_slant_km,
-                                         min_elevation_deg=min_elevation_deg)
+        access_rtt_ms, _ = _bent_pipe(dish, access_gs, snapshot, max_slant_km,
+                                      min_elevation_deg)
     if route_kind == "relay":
         segments = [RouteSegment("dish", access_gs.label or "access_gs", "vacuum", access_rtt_ms)]
     else:
@@ -637,9 +648,9 @@ def min_isl_ng_threshold(
     classifies it as bent-pipe relay routing.
     """
     sky = _JointSky.of(dish, gs, snapshot, max_slant_km, min_elevation_deg)
-    if not (sky.dish.visible.any() and sky.gs.visible.any()):
+    if not sky.visible.any(axis=-1).all():
         raise NoCoverageError("no satellite visible at one of the endpoints")
-    best = sky.two_satellites()[0]
+    best = sky.two_satellites()
     if not np.isfinite(best):
         raise NoCoverageError("no two-satellite path exists")
     return vacuum_rtt_ms(float(best))
@@ -732,7 +743,9 @@ def evaluate_case(case: StudyCase) -> CaseSummary:
     for lo in range(0, len(times), _BLOCK_STEPS):
         sky = _JointSky(case.dish, case.access_gs, case.config, times[lo:lo + _BLOCK_STEPS],
                         case.max_slant_km, case.min_elevation_deg, dish_fov=True)
-        blocks.append((sky.best()[1], sky.worst()[1], sky.two_satellites()))
+        blocks.append((sky.bent_pipes().min(axis=-1, initial=np.inf),
+                       np.abs(sky.bent_pipes(worst=True).max(axis=-1, initial=-np.inf)),
+                       sky.two_satellites()))
     best, worst, thresh = (np.concatenate(paths) for paths in zip(*blocks))
     covered = np.isfinite(best) & np.isfinite(worst) & np.isfinite(thresh)
     if not covered.any():

@@ -34,13 +34,13 @@ def workloads(monkeypatch):
     return module
 
 
-def run_quick(workloads, name):
+def run_quick(workloads, name, seed=7):
     """Build, run and verify one workload at quick size; its verdict."""
     bench_dir = REPO_ROOT / ".perfbench"
     bench_dir.mkdir(exist_ok=True)
     workdir = Path(tempfile.mkdtemp(prefix=f"smoke-{name}-", dir=bench_dir))
     try:
-        work = workloads.make(name, REPO_ROOT, workdir, seed=7, quick=True)
+        work = workloads.make(name, REPO_ROOT, workdir, seed=seed, quick=True)
         work.reset()
         work.part1()
         work.part2()
@@ -64,3 +64,14 @@ def test_geometry_workload_passes_its_checks(workloads):
     assert verdict.attempted == 1 + n
     assert verdict.lines == [f"check nigeria_summary=reference routes={n}/{n} "
                              "no_coverage=0 allowed=0 floor_violations=0"]
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (7, "973df159f7333cfdafaf9827b7c21a1fe0af94c3ab058838feced7d383b570f6"),
+    (11, "b840dfd2271cd03570cc62942a342842dcdfd565bb72a88ae01fe69512c62f98"),
+])
+def test_geometry_digest_is_pinned(workloads, seed, digest):
+    # The digest hashes the Nigeria summary and every route total bit for
+    # bit, so a geometry fast path that rounds one value differently fails
+    # here, not only in a benchmark run.
+    assert run_quick(workloads, "geometry", seed).digest == digest

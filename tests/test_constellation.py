@@ -47,11 +47,19 @@ GS = GroundStation(latitude=2.0, longitude=2.0, label="gs")
 
 
 def snapshot_at(latlons, altitude_km=550.0):
-    """Hand-placed satellites at given (lat, lon) sub-points, the slots of one orbit."""
-    config = ConstellationConfig(shells=(Shell(altitude_km, 53.0, 1, len(latlons)),))
+    """Satellites over given (lat, lon) sub-points at t = 0, one single-satellite shell each.
+
+    A one-satellite shell has right ascension 0 and, at t = 0, argument of
+    latitude 0, so ``propagate`` puts it over (0, 0) whatever its inclination.
+    Its plane holds the x axis, with normal (0, -sin i, cos i): inclination
+    atan2(z, y) tilts it through the sub-point, where the satellite is placed
+    on its orbit (at t = u / n, ``propagate`` puts it there too).
+    """
     positions = np.array([latlon_to_ecef(lat, lon, EARTH_RADIUS_KM + altitude_km)
                           for lat, lon in latlons])
-    return Snapshot(t_s=0.0, config=config, positions=positions)
+    shells = tuple(Shell(altitude_km, math.degrees(math.atan2(z, y)) % 180.0, 1, 1)
+                   for _, y, z in positions)
+    return Snapshot(t_s=0.0, config=ConstellationConfig(shells=shells), positions=positions)
 
 
 def look(site, sat_pos, t_s=0.0):
@@ -146,6 +154,7 @@ def test_visible_overhead_not_antipode():
     snap = snapshot_at([(0.0, 0.0), (0.0, 180.0)])
     seen = visible_satellites(GroundStation(0.0, 0.0), snap)
     assert [s.slot_index for s in seen] == [0]
+    assert [s.shell_index for s in seen] == [0]  # each satellite is its own shell
 
 
 def test_visible_respects_slant_limit():
@@ -218,6 +227,18 @@ def test_best_and_worst_match_brute_force():
     assert best == pytest.approx(2.0 * min(joint) / LIGHT_SPEED_KM_S * 1000.0)
     assert worst == pytest.approx(2.0 * max(fov_joint) / LIGHT_SPEED_KM_S * 1000.0)
     assert best <= worst
+
+
+def test_worst_case_from_a_plain_site_spans_the_whole_sky():
+    # Only a DishSite has a field of view: from a plain ground station the
+    # worst case may use the satellite due south that the dish cannot see.
+    snap = snapshot_at([(-4.0, 0.0), (1.0, 1.0)])
+    site = GroundStation(0.0, 0.0)
+    paths = [look(site, pos)[0] + look(GS, pos)[0] for pos in snap.positions]
+    worst, sat = worst_case_rtt(site, GS, snap)
+    assert worst == pytest.approx(2.0 * max(paths) / LIGHT_SPEED_KM_S * 1000.0)
+    assert sat.shell_index == 0
+    assert worst > worst_case_rtt(DISH, GS, snap)[0]
 
 
 def test_no_coverage_raises():
@@ -348,10 +369,42 @@ def test_composite_validation_errors():
 
 def test_snapshot_refuses_positions_off_the_config_layout():
     config = ConstellationConfig(shells=(Shell(550.0, 53.0, 2, 3),))
-    Snapshot(t_s=0.0, config=config, positions=np.zeros((6, 3)))
+    Snapshot(t_s=0.0, config=config, positions=propagate(config, 0.0).positions)
     for shape in ((5, 3), (7, 3), (6, 2), (18,)):
         with pytest.raises(GeometryError, match=re.escape("expected shape (6, 3)")):
             Snapshot(t_s=0.0, config=config, positions=np.zeros(shape))
+
+
+def test_snapshot_refuses_positions_off_the_config_orbits():
+    # Every query culls by plane, so a satellite off its orbit would be lost
+    # silently: this one over (40, 100) is about 1,490 km off the plane of a
+    # 53 deg orbit of right ascension 0, and best_case_rtt found no coverage.
+    config = ConstellationConfig(shells=(Shell(550.0, 53.0, 1, 1),))
+    over = latlon_to_ecef(40.0, 100.0, EARTH_RADIUS_KM + 550.0)
+    with pytest.raises(GeometryError, match="row 0 is 1492.* km off its orbit"):
+        Snapshot(t_s=0.0, config=config, positions=over[None])
+    on = propagate(config, 0.0).positions
+    for bad in (on * 1.001, on + [0.0, 0.0, 0.01], np.full((1, 3), np.nan)):
+        with pytest.raises(GeometryError, match="off its orbit"):
+            Snapshot(t_s=0.0, config=config, positions=bad)
+    Snapshot(t_s=0.0, config=config, positions=on + [0.0, 0.0, 1e-4])
+
+
+def test_snapshot_at_puts_each_satellite_over_its_sub_point():
+    latlons = [(0.0, 0.0), (0.0, 180.0), (40.0, 100.0), (-4.0, 0.0), (60.0, 120.0)]
+    snap = snapshot_at(latlons)
+    assert [s.inclination_deg for s in snap.config.shells[:2]] == [0.0, 0.0]
+    for k, ((lat, lon), pos) in enumerate(zip(latlons, snap.positions)):
+        assert pos == pytest.approx(latlon_to_ecef(lat, lon, EARTH_RADIUS_KM + 550.0))
+        # its shell's orbit passes there: argument of latitude u at t = u / n
+        shell = snap.config.shells[k]
+        x, y, z = pos / shell.semi_major_axis_km
+        inc = math.radians(shell.inclination_deg)
+        u = math.atan2(y * math.cos(inc) + z * math.sin(inc), x) % (2.0 * math.pi)
+        at = propagate(snap.config, u / shell.mean_motion_rad_s).positions[k]
+        assert at == pytest.approx(pos, abs=1e-6)
+    sats = visible_satellites(GroundStation(40.0, 100.0), snap)
+    assert [s.shell_index for s in sats] == [2]
 
 
 def test_composite_refuses_snapshot_and_config_together():

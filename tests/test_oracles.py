@@ -47,6 +47,7 @@ from leolink.constellation import (
     Shell,
     StudyCase,
     best_case_rtt,
+    composite_route_rtt,
     evaluate_case,
     min_isl_ng_threshold,
     propagate,
@@ -684,6 +685,66 @@ def test_one_plane_cull_rounds_as_the_full_sky():
         want, _ = oracle_visible(site, t_s, config.epoch_s, arrays[0], apply_fov=False, **mask)
         got = visible_satellites(site, snap, apply_fov=False, **mask)
         assert got == [state(arrays, k) for k in np.flatnonzero(want)]
+
+
+def test_one_plane_cull_rounds_as_the_full_sky_for_joint_queries():
+    # A dish and a ground station at the site above: only the plane of
+    # satellite 1 comes near both, so both joint rules see what the full
+    # sky sees.  At one unit above the oracle's elevation neither site sees
+    # it; at the oracle's value both do, yet no second satellite makes a pair.
+    config = ConstellationConfig(shells=(Shell(550.0, 53.0, 12, 1),))
+    dish, gs, t_s = DishSite(29.3, 55.7), GroundStation(29.3, 55.7), 576.4
+    arrays = oracle_propagate(config, t_s)
+    slant, elevation, _ = oracle_look_angles(
+        oracle_site_position(gs, t_s, config.epoch_s), arrays[0])
+    snap = propagate(config, t_s)
+    covered = []
+    for min_elev in (elevation[1], np.nextafter(elevation[1], 90.0)):
+        mask = dict(max_slant_km=float(slant[1]) + 1.0, min_elevation_deg=float(min_elev))
+        want, _, _ = oracle_selection(dish, gs, t_s, config.epoch_s, arrays[0],
+                                      mask["max_slant_km"], mask["min_elevation_deg"])
+        covered.append(want is not None)
+        if want is None:
+            with pytest.raises(NoCoverageError):
+                best_case_rtt(dish, gs, snap, **mask)
+        else:
+            assert best_case_rtt(dish, gs, snap, **mask) == (want[0], state(arrays, want[1]))
+        why = "no two-satellite path" if want else "no satellite visible at one of the endpoints"
+        with pytest.raises(NoCoverageError, match=why):
+            min_isl_ng_threshold(dish, gs, snap, **mask)
+    assert covered == [True, False]
+
+
+@given(st.floats(-52.0, 52.0), longitudes, st.lists(st.floats(-2.5, 2.5), min_size=2, max_size=2),
+       st.lists(st.floats(-12.0, 12.0), min_size=2, max_size=2),
+       st.one_of(st.none(), st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2)),
+       st.integers(0, 2), st.floats(0.0, 6000.0), max_slants, min_elevations)
+@settings(max_examples=150, deadline=None)
+def test_composite_access_term_equals_per_snapshot_oracle(lat, lon, to_gs, to_pop, to_landing,
+                                                          extra, t_s, max_slant, min_elev):
+    # The a07 recipe: access ground station near the dish, POP up to 12 deg
+    # away, a relay route or an inter-satellite one landing near the POP.
+    config = ConstellationConfig.default()
+    dish = DishSite(lat, lon)
+    gs = GroundStation(lat + to_gs[0], lon + to_gs[1])
+    pop = GroundStation(lat + to_pop[0], lon + to_pop[1], label="pop")
+    landing = (None if to_landing is None
+               else GroundStation(pop.latitude + to_landing[0], pop.longitude + to_landing[1]))
+    look = (t_s, config.epoch_s, oracle_propagate(config, t_s)[0], max_slant, min_elev, False)
+    dish_mask, dish_slant = oracle_visible(dish, *look)
+    gs_mask, gs_slant = oracle_visible(gs, *look)
+    best = np.where(dish_mask & gs_mask, dish_slant + gs_slant, np.inf).min(initial=np.inf)
+    route = dict(route_kind="relay" if landing is None else "isl", landing_gs=landing,
+                 extra_isl_hops=extra, max_slant_km=max_slant, min_elevation_deg=min_elev)
+    if not np.isfinite(best):
+        with pytest.raises(NoCoverageError):
+            composite_route_rtt(dish, gs, pop, snapshot=propagate(config, t_s), **route)
+    else:
+        got = composite_route_rtt(dish, gs, pop, snapshot=propagate(config, t_s), **route)
+        assert got == composite_route_rtt(dish, gs, pop, config=config,
+                                          access_rtt_ms=vacuum_rtt_ms(float(best)), **route)
+        access = got.segments[:1 if landing is None else 2]
+        assert [seg.rtt_ms for seg in access] == [vacuum_rtt_ms(float(best))] * len(access)
 
 
 @pytest.mark.parametrize("site", [DishSite(6.45, 3.39, boresight_azimuth_deg=-22.0),
