@@ -1,4 +1,4 @@
-"""Path probing: traceroute, satellite-link identification, TTL pings.
+"""Path probing: traceroute, satellite-link identification, TTL-pinned sessions.
 
 The measurement trick: a satellite endpoint's last-mile shows up in a
 traceroute as one large RTT jump between the final two responsive hops.
@@ -22,10 +22,9 @@ per-flow load balancers keep a whole trace and session on one path
 """
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -39,7 +38,6 @@ DEFAULT_MAX_TTL = 32
 DEFAULT_CADENCE_HZ = 1
 DEFAULT_DURATION_S = 300
 UNUSABLE_LOSS_FRACTION = 0.5
-STABILITY_INTERVAL_MS = 1000  # between validate_hop_stability's re-traces
 
 
 class ProbeError(Exception):
@@ -68,13 +66,20 @@ class ProbeReply:
 class Transport(Protocol):
     """Probe transport with a clock, its protocol, timeout and flow fixed
     when it is opened.  Implementations: raw sockets
-    (:mod:`leolink.rawnet`) and the simulator (:mod:`leolink.simnet`)."""
+    (:mod:`leolink.rawnet`) and the simulator (:mod:`leolink.simnet`).
+    ``probe_ticks`` answers a whole session schedule in one call."""
+
+    wrong_responders: dict[int, int]  # per TTL, replies from an unexpected hop
 
     def now_ms(self) -> int: ...
 
     def sleep_until_ms(self, t_ms: int) -> None: ...
 
     def probe(self, target: str, ttl: int) -> Optional[ProbeReply]: ...
+
+    def probe_ticks(self, target: str, hops: Sequence[tuple[int, str]], start_ms: int,
+                    cadence_hz: int, n_ticks: int) -> tuple[np.ndarray, np.ndarray]:
+        """What :func:`probe_each_tick` returns for the same schedule."""
 
 
 @dataclass(frozen=True)
@@ -164,19 +169,6 @@ class MeasurementSession:
         return self.terrestrial_loss_fraction <= UNUSABLE_LOSS_FRACTION
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    target: str
-    trials: int
-    endpoint_hop_consistency: float
-    terrestrial_hop_consistency: float
-
-    @property
-    def ip_stable(self) -> bool:
-        return (self.endpoint_hop_consistency == 1.0
-                and self.terrestrial_hop_consistency == 1.0)
-
-
 def run_traceroute(
     transport: Transport,
     target: str,
@@ -246,20 +238,32 @@ def identify_sat_link(
     )
 
 
-def ttl_ping(
-    transport: Transport,
-    target: str,
-    hop_ttl: int,
-) -> tuple[int, float]:
-    """Single probe pinned to one hop: initial TTL = max TTL = hop_ttl.
+def probe_each_tick(transport: Transport, target: str, hops: Sequence[tuple[int, str]],
+                    start_ms: int, cadence_hz: int,
+                    n_ticks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Probe each ``(ttl, responder)`` hop once per tick, in order.
 
-    The responder is either the hop (TTL expired) or the target itself
-    when hop_ttl reaches it.  Returns (send time in ms, RTT in
-    microseconds), the RTT NaN on a timeout.
+    Tick k sleeps until ``start_ms + (k * 1000) // cadence_hz``, so ticks
+    stay on the cadence grid and a slow tick never shifts later ones.
+    Returns send times in ms and RTTs in microseconds, each of shape
+    ``(len(hops), n_ticks)``.  No reply, or a reply from anyone but the
+    hop's responder (counted in ``wrong_responders``), is a NaN RTT.
     """
-    sent_ms = transport.now_ms()
-    reply = transport.probe(target, hop_ttl)
-    return sent_ms, math.nan if reply is None else reply.rtt_us
+    sent_ms = np.empty((len(hops), n_ticks), dtype=np.int64)
+    rtt_us = np.full((len(hops), n_ticks), np.nan)
+    for k in range(n_ticks):
+        transport.sleep_until_ms(start_ms + (k * 1000) // cadence_hz)
+        for hop, (ttl, responder) in enumerate(hops):
+            sent_ms[hop, k] = transport.now_ms()
+            reply = transport.probe(target, ttl)
+            if reply is None:
+                continue
+            if reply.responder == responder:
+                rtt_us[hop, k] = reply.rtt_us
+            else:
+                wrong = transport.wrong_responders
+                wrong[ttl] = wrong.get(ttl, 0) + 1
+    return sent_ms, rtt_us
 
 
 def measure_session(
@@ -276,63 +280,19 @@ def measure_session(
     per tick crosses the satellite link (the endpoint pays one packet
     per second at the default cadence).  Ticks are scheduled on a fixed
     grid from the session start; a slow tick never shifts later ones.
+    A reply from anyone but ``pre_sat_router`` at the terrestrial TTL or
+    the target at the endpoint TTL is lost.
     """
     if duration_s < 1:
         raise ValueError("duration_s must be >= 1")
     if not 1 <= cadence_hz <= 10:
         raise ValueError("cadence_hz must be within [1, 10]")
     start_ms = transport.now_ms()
-    tick_ms = 1000 // cadence_hz
-    n_ticks = duration_s * cadence_hz
     # row 0 is the terrestrial hop, row 1 the endpoint hop
-    sent_ms = np.empty((2, n_ticks), dtype=np.int64)
-    rtt_us = np.empty((2, n_ticks), dtype=np.float64)
-    for k in range(n_ticks):
-        transport.sleep_until_ms(start_ms + k * tick_ms)
-        for hop, ttl in enumerate((path.pre_sat_ttl, path.post_sat_ttl)):
-            sent_ms[hop, k], rtt_us[hop, k] = ttl_ping(transport, path.target, ttl)
+    sent_ms, rtt_us = transport.probe_ticks(
+        path.target, ((path.pre_sat_ttl, path.pre_sat_router), (path.post_sat_ttl, path.target)),
+        start_ms, cadence_hz, duration_s * cadence_hz)
     return MeasurementSession(
         endpoint=endpoint, path=path, start_ms=start_ms, duration_s=duration_s,
         cadence_hz=cadence_hz, terrestrial_sent_ms=sent_ms[0], terrestrial_rtt_us=rtt_us[0],
         endpoint_sent_ms=sent_ms[1], endpoint_rtt_us=rtt_us[1])
-
-
-def validate_hop_stability(
-    transport: Transport,
-    path: SatLinkPath,
-    *,
-    trials: int = 100,
-    max_ttl: int = DEFAULT_MAX_TTL,
-) -> StabilityReport:
-    """Re-trace the path repeatedly and score hop agreement.
-
-    A trial agrees on the endpoint hop when the last responsive hop sits
-    at the same TTL with the same responder as the reference path, and
-    on the terrestrial hop when the second-to-last matches likewise.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    endpoint_ok = 0
-    terrestrial_ok = 0
-    started = transport.now_ms()
-    for k in range(trials):
-        transport.sleep_until_ms(started + k * STABILITY_INTERVAL_MS)
-        try:
-            trace = run_traceroute(transport, path.target, max_ttl=max_ttl,
-                                   probes_per_hop=1)
-        except UnreachableError:
-            continue
-        responsive = trace.responsive_hops()
-        last = responsive[-1]
-        if last.ttl == path.post_sat_ttl and last.responder == path.target:
-            endpoint_ok += 1
-        if len(responsive) >= 2:
-            second = responsive[-2]
-            if second.ttl == path.pre_sat_ttl and second.responder == path.pre_sat_router:
-                terrestrial_ok += 1
-    return StabilityReport(
-        target=path.target,
-        trials=trials,
-        endpoint_hop_consistency=endpoint_ok / trials,
-        terrestrial_hop_consistency=terrestrial_ok / trials,
-    )

@@ -45,7 +45,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .probe import DEFAULT_PROBE_TIMEOUT_S, PROTOCOLS, ProbeReply
+from .probe import DEFAULT_PROBE_TIMEOUT_S, PROTOCOLS, ProbeReply, probe_each_tick
 
 ICMP_ECHO_REQUEST = 8
 ICMP_ECHO_REPLY = 0
@@ -230,6 +230,7 @@ class RawTransport:
         with _instance_lock:
             self._flow = next(_instance_numbers)
         self._seq = 0
+        self.wrong_responders: dict[int, int] = {}
         self._icmp4: Optional[socket.socket] = None
         self._icmp6: Optional[socket.socket] = None
 
@@ -275,6 +276,8 @@ class RawTransport:
         self.close()
 
     # -- probing ---------------------------------------------------------
+    probe_ticks = probe_each_tick  # a session is one probe per hop per tick
+
     def probe(self, target: str, ttl: int) -> Optional[ProbeReply]:
         family = socket.AF_INET6 if ":" in target else socket.AF_INET
         if self.protocol == "icmp":

@@ -60,14 +60,16 @@ A key outside the schema is refused at every level, except a free-text
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from hashlib import blake2b
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .checks import Fields, check, read_json
 from .probe import DEFAULT_PROBE_TIMEOUT_S, PROTOCOLS, ProbeReply
@@ -176,11 +178,6 @@ class Scenario:
                 return ev.new_rtt_ms / 2.0 - self.satellite_base_oneway_ms(), ev
             return (ev.delta_ms or 0.0) / 2.0, ev
         return 0.0, None
-
-    def flap_active(self, t_s: float) -> bool:
-        if self.hop_flap is None:
-            return False
-        return (t_s % self.hop_flap.every_s) < self.hop_flap.duration_s
 
 
 @dataclass(frozen=True)
@@ -317,16 +314,6 @@ def load_scenario_dir(path: str | Path) -> dict[str, Scenario]:
     return scenarios
 
 
-def _probe_rng(seed: int, t_ms: int, ttl: int, protocol: str) -> random.Random:
-    """Deterministic per-probe random stream, independent of call order."""
-    digest = hashlib.blake2b(
-        struct.pack("<QqiH", seed & 0xFFFFFFFFFFFFFFFF, t_ms, ttl, FLOW)
-        + protocol.encode(),
-        digest_size=8,
-    ).digest()
-    return random.Random(int.from_bytes(digest, "little"))
-
-
 class VirtualClock:
     def __init__(self, start_ms: int = 0):
         self._now_ms = float(start_ms)
@@ -344,59 +331,82 @@ class VirtualClock:
             self._now_ms = float(t_ms)
 
 
-def respond_to_probe(
-    scenario: Scenario,
-    target: str,
-    ttl: int,
-    t_ms: int,
-    *,
-    protocol: str = "icmp",
-) -> Optional[ProbeReply]:
-    """Answer one probe at virtual time t, or None for silence.
+def _probe_core(scenario: Scenario, protocol: str) -> Callable:
+    """``reply(ttl, t_ms)``: the ``(responder, kind, rtt_ms)`` of a probe to
+    the scenario's target sent at virtual time t_ms, or None for silence.
 
-    The reply RTT is twice the sum of one-way segment latencies up to
-    the hop where the probe's TTL expires, using the event-adjusted
-    satellite latency, plus seeded jitter.
+    The RTT is twice the one-way latency up to the hop where the TTL
+    expires, the satellite span event-adjusted, plus jitter.  The core's
+    own generator is reseeded per probe from a blake2b hash of (seed,
+    t_ms, ttl, flow, protocol) and draws gaussians term for term as
+    ``random.gauss`` does.  Each (flap, ttl) is planned once.
     """
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol: {protocol}")
-    if target != scenario.target_address:
-        return None
-    if ttl < 1:
-        raise ValueError("ttl must be >= 1")
-    t_s = t_ms / 1000.0
-    rng = _probe_rng(scenario.seed, t_ms, ttl, protocol)
+    gaussian = scenario.jitter.dist == "gaussian"
+    draws = gaussian or scenario.jitter.dist == "lognormal"
+    loss, flap = scenario.loss_probability, scenario.hop_flap
+    rng = random.Random()
+    reseed, uniform = super(random.Random, rng).seed, rng.random  # as random.Random(n) seeds
+    key, unpack = struct.Struct("<QqiH"), struct.Struct("<Q").unpack
+    seed, suffix = scenario.seed & 0xFFFFFFFFFFFFFFFF, protocol.encode()
 
-    if scenario.loss_probability > 0 and rng.random() < scenario.loss_probability:
-        return None
-
-    delta, _ = scenario.satellite_delta_ms(t_s)
-    chain = scenario._chains[scenario.flap_active(t_s)]
-
-    n = len(chain)
-    expire_at = min(ttl, n)  # 1-based position where the probe stops
-
-    hop = chain[expire_at - 1][0]
-    if ttl >= n:  # reached the target
-        if not hop.echo or protocol not in scenario.target_protocols:
+    def plan(chain: list, expire_at: int) -> Optional[tuple]:
+        # responder, kind, (seg_ms, is_sat_entry) per segment, sigma per
+        # draw, and whether the probe crosses the satellite span
+        hop, at_target = chain[expire_at - 1][0], expire_at == len(chain)
+        if not (hop.echo and protocol in scenario.target_protocols if at_target
+                else hop.ttl_expired):
             return None
-        kind = "echo"
-    else:
-        if not hop.ttl_expired:
-            return None
-        kind = "ttl_expired"
+        segments = chain[:expire_at]
+        return (hop.address, "echo" if at_target else "ttl_expired",
+                [(ms, entry) for _, ms, entry, _ in segments],
+                [sigma for *_, sigma in segments if draws and sigma > 0],
+                any(entry for _, _, entry, _ in segments))
 
-    oneway = 0.0
-    noise = 0.0
-    for _, seg_ms, is_sat_entry, sigma in chain[:expire_at]:
-        oneway += seg_ms + (delta if is_sat_entry else 0.0)
-        if scenario.jitter.dist == "gaussian" and sigma > 0:
-            noise += rng.gauss(0.0, sigma)
-        elif scenario.jitter.dist == "lognormal" and sigma > 0:
-            # One-sided queueing-style noise with scale sigma.
-            noise += sigma * (rng.lognormvariate(0.0, 1.0) / math.e ** 0.5)
-    rtt_ms = max(2.0 * oneway + noise, 0.001)
-    return ProbeReply(responder=hop.address, rtt_us=rtt_ms * 1000.0, kind=kind)
+    # per flap state, the plan of each TTL from 1 to the target's
+    plans = [[None] + [plan(chain, ttl) for ttl in range(1, len(chain) + 1)]
+             for chain in scenario._chains]
+
+    def reply(ttl: int, t_ms: int) -> Optional[tuple[str, str, float]]:
+        if ttl < 1:
+            raise ValueError("ttl must be >= 1")
+        t_s = t_ms / 1000.0
+        by_ttl = plans[flap is not None and (t_s % flap.every_s) < flap.duration_s]
+        p = by_ttl[min(ttl, len(by_ttl) - 1)]
+        if p is None:
+            return None
+        responder, kind, segments, sigmas, crosses = p
+        if loss > 0 or sigmas:
+            reseed(unpack(blake2b(key.pack(seed, t_ms, ttl, FLOW) + suffix,
+                                  digest_size=8).digest())[0])
+            if loss > 0 and uniform() < loss:
+                return None
+        delta = scenario.satellite_delta_ms(t_s)[0] if crosses else 0.0
+        oneway = noise = 0.0
+        for seg_ms, is_sat_entry in segments:
+            oneway += seg_ms + (delta if is_sat_entry else 0.0)
+        z2 = None  # random.gauss's cached second normal
+        for sigma in sigmas:
+            if not gaussian:  # one-sided queueing-style noise with scale sigma
+                noise += sigma * (rng.lognormvariate(0.0, 1.0) / math.e ** 0.5)
+            elif z2 is None:
+                x2pi, g2rad = uniform() * math.tau, math.sqrt(-2.0 * math.log(1.0 - uniform()))
+                z2 = math.sin(x2pi) * g2rad
+                noise += 0.0 + (math.cos(x2pi) * g2rad) * sigma
+            else:
+                noise += 0.0 + z2 * sigma
+                z2 = None
+        return responder, kind, max(2.0 * oneway + noise, 0.001)
+
+    return reply
+
+
+def respond_to_probe(scenario: Scenario, target: str, ttl: int, t_ms: int, *,
+                     protocol: str = "icmp") -> Optional[ProbeReply]:
+    """Answer one probe at virtual time t, or None for silence: the reply
+    of a fresh transport on ``protocol`` (see :func:`_probe_core`)."""
+    transport = SimnetTransport(scenario, protocol=protocol)
+    transport.clock = VirtualClock(t_ms)
+    return transport.probe(target, ttl)
 
 
 class SimnetTransport:
@@ -405,7 +415,8 @@ class SimnetTransport:
     Create one transport per measurement task: virtual time advances
     only through the owning task's probes and sleeps, which keeps
     concurrent sessions over different endpoints deterministic.  A probe
-    that draws no reply advances the clock by the timeout.
+    that draws no reply advances the clock by the timeout.  ``probe``
+    and ``probe_ticks`` share one per-probe core (:func:`_probe_core`).
     """
 
     def __init__(self, scenario: Scenario, *, protocol: str = "icmp",
@@ -418,6 +429,8 @@ class SimnetTransport:
         self.clock = VirtualClock()
         self.probes_sent = 0
         self.sat_probe_count = 0
+        self.wrong_responders: dict[int, int] = {}
+        self._reply = _probe_core(scenario, protocol)
 
     def now_ms(self) -> int:
         return self.clock.now_ms()
@@ -427,12 +440,46 @@ class SimnetTransport:
 
     def probe(self, target: str, ttl: int) -> Optional[ProbeReply]:
         self.probes_sent += 1
-        if ttl > self.scenario.pre_sat:
-            self.sat_probe_count += 1
-        reply = respond_to_probe(self.scenario, target, ttl, self.now_ms(),
-                                 protocol=self.protocol)
-        if reply is None:
+        self.sat_probe_count += ttl > self.scenario.pre_sat
+        answer = (self._reply(ttl, self.now_ms()) if target == self.scenario.target_address
+                  else None)
+        if answer is None:
             self.clock.advance_ms(self.timeout_s * 1000.0)
-        else:
-            self.clock.advance_ms(reply.rtt_us / 1000.0)
+            return None
+        reply = ProbeReply(responder=answer[0], rtt_us=answer[2] * 1000.0, kind=answer[1])
+        self.clock.advance_ms(reply.rtt_us / 1000.0)
         return reply
+
+    def probe_ticks(self, target: str, hops: Sequence[tuple[int, str]], start_ms: int,
+                    cadence_hz: int, n_ticks: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`probe` once per hop per tick, exactly as
+        :func:`probe.probe_each_tick` would send them, in one loop."""
+        if any(ttl < 1 for ttl, _ in hops):
+            raise ValueError("ttl must be >= 1")
+        sent_ms = np.empty((len(hops), n_ticks), dtype=np.int64)
+        rtt_us = np.empty((len(hops), n_ticks), dtype=np.float64)
+        reply = self._reply if target == self.scenario.target_address else lambda *_: None
+        timeout_ms, nan, wrong = self.timeout_s * 1000.0, math.nan, self.wrong_responders
+        rows = [(ttl, responder, memoryview(sent_ms[h]), memoryview(rtt_us[h]))
+                for h, (ttl, responder) in enumerate(hops)]
+        now = self.clock._now_ms  # the float clock, not the session's int start
+        for k in range(n_ticks):
+            tick = start_ms + (k * 1000) // cadence_hz
+            if tick > now:
+                now = float(tick)
+            for ttl, expected, sent, rtt in rows:
+                sent[k] = t_ms = int(now)
+                answer = reply(ttl, t_ms)
+                if answer is None:
+                    rtt[k] = nan
+                    now += timeout_ms
+                    continue
+                rtt[k] = got = answer[2] * 1000.0
+                now += got / 1000.0  # as probe() advances the clock
+                if answer[0] != expected:
+                    rtt[k] = nan
+                    wrong[ttl] = wrong.get(ttl, 0) + 1
+        self.clock._now_ms = now
+        self.probes_sent += len(hops) * n_ticks
+        self.sat_probe_count += n_ticks * sum(ttl > self.scenario.pre_sat for ttl, _ in hops)
+        return sent_ms, rtt_us

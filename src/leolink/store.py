@@ -41,6 +41,7 @@ META_FILENAME = "meta.json"
 SESSION_COLUMNS = ["timestamp_ms", "target", "hop_ttl", "rtt_us", "lost"]
 # The session.csv columns read back: timestamp_ms, hop_ttl, rtt_us.
 _ROW_DTYPE = np.dtype([("sent_ms", np.int64), ("ttl", np.int64), ("rtt_us", np.float64)])
+_WRITE_CHUNK_ROWS = 8192  # session.csv rows formatted at a time
 
 TRANSPORTS = ("simnet", "raw")
 
@@ -227,16 +228,19 @@ class MeasurementStore:
                          len(session.terrestrial_sent_ms))
         rtt_us = np.concatenate([session.terrestrial_rtt_us, session.endpoint_rtt_us])
         order = np.lexsort((ttls, sent_ms))  # stable
-        rows = zip(sent_ms[order].tolist(), ttls[order].tolist(), rtt_us[order].tolist())
         tmp_session = endpoint_dir / (SESSION_FILENAME + ".tmp")
         tmp_meta = endpoint_dir / (META_FILENAME + ".tmp")
         try:
             with open(tmp_session, "w", newline="", encoding="utf-8") as fh:
                 fh.write(",".join(SESSION_COLUMNS) + "\r\n")
-                fh.writelines(
-                    f"{t},{target},{ttl},,true\r\n" if math.isnan(rtt)
-                    else f"{t},{target},{ttl},{rtt:.1f},false\r\n"
-                    for t, ttl, rtt in rows)
+                # in chunks, so a day-long session's rows are never all Python objects
+                for lo in range(0, len(order), _WRITE_CHUNK_ROWS):
+                    rows = order[lo:lo + _WRITE_CHUNK_ROWS]
+                    fh.writelines(
+                        f"{t},{target},{ttl},,true\r\n" if math.isnan(rtt)
+                        else f"{t},{target},{ttl},{rtt:.1f},false\r\n"
+                        for t, ttl, rtt in zip(sent_ms[rows].tolist(), ttls[rows].tolist(),
+                                               rtt_us[rows].tolist()))
             with open(tmp_meta, "w", encoding="utf-8") as fh:
                 json.dump(meta, fh, indent=2, sort_keys=True)
                 fh.write("\n")

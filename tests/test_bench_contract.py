@@ -10,6 +10,7 @@ only the benchmark.  No timing is asserted.
 """
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import shutil
 import sys
@@ -34,8 +35,12 @@ def workloads(monkeypatch):
     return module
 
 
-def run_quick(workloads, name, seed=7):
-    """Build, run and verify one workload at quick size; its verdict."""
+def run_quick(workloads, name, seed=7, sessions=None):
+    """Build, run and verify one workload at quick size; its verdict.
+
+    If ``sessions`` is a list, the sha256 of the workload's session files
+    is appended to it (see :func:`sessions_digest`).
+    """
     bench_dir = REPO_ROOT / ".perfbench"
     bench_dir.mkdir(exist_ok=True)
     workdir = Path(tempfile.mkdtemp(prefix=f"smoke-{name}-", dir=bench_dir))
@@ -44,9 +49,21 @@ def run_quick(workloads, name, seed=7):
         work.reset()
         work.part1()
         work.part2()
+        if sessions is not None:
+            sessions.append(sessions_digest(workdir / "store", name))
         return work.verify()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+
+
+def sessions_digest(store: Path, partition: str) -> str:
+    """sha256 over the sorted ``session.csv`` files of one partition, each
+    as its store-relative posix path, a NUL byte and its bytes."""
+    h = hashlib.sha256()
+    for path in sorted((store / partition).rglob("session.csv")):
+        h.update(path.relative_to(store).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("name", ["fleet", "day"])
@@ -75,3 +92,19 @@ def test_geometry_digest_is_pinned(workloads, seed, digest):
     # bit, so a geometry fast path that rounds one value differently fails
     # here, not only in a benchmark run.
     assert run_quick(workloads, "geometry", seed).digest == digest
+
+
+@pytest.mark.parametrize("name, seed, digest", [
+    ("fleet", 7, "dfa5b31092bb8976e346eb7c101957594451a149d037f9795043ac90f74d1d30"),
+    ("fleet", 11, "d542175bf2e4835e8196c277946158ec3aaa46b984d52c039c07893590e4da96"),
+    ("day", 7, "0d00f2343b0f4eacba24213cb7137323acf6c0c38446c6717427c163791bbc94"),
+    ("day", 11, "85e7098cef5f8b84a4f7d4dd4b1253f320edb640761a1324e55e770c71259bdf"),
+])
+def test_simulated_sessions_are_pinned(workloads, name, seed, digest):
+    # Every probe the simulator answers lands in a session.csv, so a
+    # change to the per-probe stream, the tick clock or the session
+    # write fails here.  Unlike the workload digest this hash does not
+    # depend on the temporary work directory.
+    sessions = []
+    run_quick(workloads, name, seed, sessions)
+    assert sessions == [digest]

@@ -2,20 +2,26 @@
 
 Each oracle below is the earlier, obviously correct implementation: a
 per-tick ``np.median`` loop for ``smooth``, a ``while`` loop for
-``_maximal_runs``, a linear event scan and a per-probe hop chain for the
-simulator, a per-sample loop for isolation, for the session store a
-sort-then-``csv.writer`` pass and a ``heapq.merge`` of per-sample lists,
-and for the constellation the per-snapshot geometry: one propagation,
-one look-angle pass over every satellite per rule and a per-satellite
-loop for the two-satellite threshold, one time step at a time.  The
-fast code must agree with them exactly, not approximately.  The one
+``_maximal_runs``, a linear event scan, a per-probe hop chain and a
+per-tick loop over ``probe()`` for the simulator, a per-sample loop for
+isolation, for the session store a sort-then-``csv.writer`` pass and a
+``heapq.merge`` of per-sample lists, and for the constellation the
+per-snapshot geometry: one propagation, one look-angle pass over every
+satellite per rule and a per-satellite loop for the two-satellite
+threshold, one time step at a time.  The fast code must agree with
+them exactly, not approximately.  The one
 exception is the report's Spearman rho, checked against
 ``scipy.stats.spearmanr`` (skipped without scipy) to 1e-12.
 """
 import csv
+import hashlib
 import heapq
 import io
 import math
+import random
+import struct
+import sys
+import threading
 import warnings
 from collections import namedtuple
 from dataclasses import replace
@@ -26,7 +32,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leolink import constellation, simnet
+from leolink import constellation, probe, simnet
 from leolink.analysis import (
     EmptySeriesError,
     LatencySeries,
@@ -102,19 +108,30 @@ def oracle_satellite_delta_ms(scenario, t_s):
     return 0.0, None
 
 
+def oracle_probe_rng(seed, t_ms, ttl, protocol):
+    """A fresh generator per probe, seeded from the probe's coordinates."""
+    digest = hashlib.blake2b(
+        struct.pack("<QqiH", seed & 0xFFFFFFFFFFFFFFFF, t_ms, ttl, simnet.FLOW)
+        + protocol.encode(),
+        digest_size=8,
+    ).digest()
+    return random.Random(int.from_bytes(digest, "little"))
+
+
 def oracle_respond_to_probe(scenario, target, ttl, t_ms, *, protocol="icmp"):
     """The reply with the hop chain rebuilt on every probe."""
     if target != scenario.target_address:
         return None
     t_s = t_ms / 1000.0
-    rng = simnet._probe_rng(scenario.seed, t_ms, ttl, protocol)
+    rng = oracle_probe_rng(scenario.seed, t_ms, ttl, protocol)
     if scenario.loss_probability > 0 and rng.random() < scenario.loss_probability:
         return None
     delta, _ = oracle_satellite_delta_ms(scenario, t_s)
     chain = []
     for i, hop in enumerate(scenario.hops):
         chain.append((hop, scenario.base_latencies_ms[i], (i + 1) == scenario.pre_sat + 1))
-    if scenario.flap_active(t_s):
+    flap = scenario.hop_flap
+    if flap is not None and (t_s % flap.every_s) < flap.duration_s:
         flap_hop = simnet.SimHop(label="flap", address="10.255.255.1")
         chain.insert(scenario.pre_sat, (flap_hop, 0.1, False))
     n = len(chain)
@@ -430,6 +447,127 @@ def test_probe_replies_equal_per_probe_chain(scenario, times_ms, protocol):
             got = None if reply is None else (reply.responder, reply.rtt_us, reply.kind)
             assert got == oracle_respond_to_probe(scenario, scenario.target_address, ttl,
                                                   t_ms, protocol=protocol)
+
+
+def oracle_probe_ticks(transport, target, hops, start_ms, cadence_hz, n_ticks):
+    """The session as a per-tick loop over ``probe()``: send times, RTTs
+    with lost and wrong-responder replies NaN, and the wrong replies per TTL."""
+    sent_ms = np.zeros((len(hops), n_ticks), dtype=np.int64)
+    rtt_us = np.full((len(hops), n_ticks), np.nan)
+    wrong = {}
+    for k in range(n_ticks):
+        transport.sleep_until_ms(start_ms + (k * 1000) // cadence_hz)
+        for hop, (ttl, responder) in enumerate(hops):
+            sent_ms[hop, k] = transport.now_ms()
+            reply = transport.probe(target, ttl)
+            if reply is not None and reply.responder == responder:
+                rtt_us[hop, k] = reply.rtt_us
+            elif reply is not None:
+                wrong[ttl] = wrong.get(ttl, 0) + 1
+    return sent_ms, rtt_us, wrong
+
+
+@st.composite
+def session_runs(draw):
+    """A scenario, a transport protocol, a session schedule and the probes
+    sent before it, which leave a fractional clock as a traceroute does."""
+    scenario = draw(event_scenarios())
+    protocols = draw(st.lists(st.sampled_from(simnet.PROTOCOLS), min_size=1, unique=True))
+    scenario = replace(scenario, target_protocols=tuple(protocols))
+    addresses = [h.address for h in scenario.hops] + ["10.255.255.1", "192.0.2.1"]
+    hops = draw(st.lists(st.tuples(st.integers(1, scenario.path_length + 2),
+                                   st.sampled_from(addresses)), min_size=1, max_size=3))
+    return dict(
+        scenario=scenario, protocol=draw(st.sampled_from(simnet.PROTOCOLS)),
+        before=draw(st.lists(st.integers(1, scenario.path_length + 1), max_size=6)),
+        target=draw(st.sampled_from([scenario.target_address, scenario.target_address,
+                                     "192.0.2.1"])),
+        hops=tuple(hops), cadence_hz=draw(st.integers(1, 10)),
+        n_ticks=draw(st.integers(1, 80)))
+
+
+def session_transport(run):
+    transport = simnet.SimnetTransport(run["scenario"], protocol=run["protocol"], timeout_s=2.0)
+    for ttl in run["before"]:
+        transport.probe(run["scenario"].target_address, ttl)
+    return transport
+
+
+def session_state(transport, sent_ms, rtt_us):
+    return (sent_ms.tolist(), rtt_us.tobytes(), transport.clock._now_ms, transport.probes_sent,
+            transport.sat_probe_count, dict(transport.wrong_responders))
+
+
+@given(session_runs())
+@settings(max_examples=150, deadline=None)
+def test_session_call_equals_per_tick_probe_loop(run):
+    # Cadences that do not divide 1000, 2 s timeouts that overrun ticks,
+    # loss, flaps, lognormal jitter, new_rtt_ms events, refused protocols
+    # and wrong responders: the one call answers as the loop does.
+    schedule = (run["target"], run["hops"])
+    fast = session_transport(run)
+    start_ms = fast.now_ms()
+    got = session_state(fast, *fast.probe_ticks(*schedule, start_ms, run["cadence_hz"],
+                                                run["n_ticks"]))
+    slow = session_transport(run)
+    assert slow.now_ms() == start_ms
+    sent_ms, rtt_us, wrong = oracle_probe_ticks(slow, *schedule, start_ms, run["cadence_hz"],
+                                                run["n_ticks"])
+    slow.wrong_responders.update(wrong)
+    assert got == session_state(slow, sent_ms, rtt_us)
+    # the transport-agnostic loop raw sockets use answers the same
+    each = session_transport(run)
+    assert session_state(each, *probe.probe_each_tick(each, *schedule, start_ms,
+                                                      run["cadence_hz"], run["n_ticks"])) == got
+
+
+def test_session_clock_advances_as_probe_does():
+    # probe() advances the clock by rtt_us / 1000, which is not always
+    # rtt_ms: on this path the two hops' RTTs (4.62 and 38.84 ms) sum to
+    # one ulp apart the two ways, so the session must take the same route.
+    scenario = simnet.build_scenario(scenario_dict(base_latencies_ms=[0.92, 1.39, 17.11]))
+    schedule = ("100.64.9.1", ((2, "10.0.0.2"), (3, "100.64.9.1")), 0, 1, 1)
+    fast, slow = simnet.SimnetTransport(scenario), simnet.SimnetTransport(scenario)
+    fast.probe_ticks(*schedule)
+    oracle_probe_ticks(slow, *schedule)
+    assert fast.clock._now_ms == slow.clock._now_ms
+    rtt_ms = [simnet._probe_core(scenario, "icmp")(ttl, 0)[2] for ttl in (2, 3)]
+    assert slow.clock._now_ms != 0.0 + rtt_ms[0] + rtt_ms[1]
+
+
+def test_concurrent_sessions_share_no_generator():
+    # Transports probing on more threads than cores, switching often,
+    # answer as each does alone: the generator each reseeds per probe is
+    # its own.
+    def scenario(seed):
+        return simnet.build_scenario(scenario_dict(
+            seed=seed, duration_s=3000, loss_probability=0.1,
+            jitter={"dist": "gaussian", "sigma_ms": 0.4, "satellite_sigma_ms": 1.5}))
+
+    def session(seed):
+        transport = simnet.SimnetTransport(scenario(seed))
+        return session_state(transport, *transport.probe_ticks(
+            "100.64.9.1", ((2, "10.0.0.2"), (3, "100.64.9.1")), 0, 1, 3000))
+
+    seeds = (1, 2, 3)
+    alone = [session(seed) for seed in seeds]
+    together = [None] * len(seeds)
+
+    def run(i):
+        together[i] = session(seeds[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(seeds))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert together == alone
 
 
 # ------------------------------------------------------- store, isolation

@@ -15,9 +15,8 @@ from leolink.probe import (
     UnreachableError,
     identify_sat_link,
     measure_session,
+    probe_each_tick,
     run_traceroute,
-    ttl_ping,
-    validate_hop_stability,
 )
 from leolink.simnet import SimnetTransport, build_scenario
 from tests.conftest import scenario_dict
@@ -189,10 +188,17 @@ def test_identify_sat_link_is_deterministic(seed):
 
 # --------------------------------------------------------------- ttl pings
 
+def ttl_ping(transport, target, ttl, responder):
+    """One TTL-pinned probe as a one-tick session: (send time, RTT)."""
+    sent_ms, rtt_us = transport.probe_ticks(target, ((ttl, responder),),
+                                            transport.now_ms(), 1, 1)
+    return sent_ms[0, 0], rtt_us[0, 0]
+
+
 def test_ttl_ping_exact_rtt_without_jitter(quiet_transport):
     # Hop 2 sits behind segments of 2 + 3 ms one way: RTT 10 ms.
     before = quiet_transport.now_ms()
-    sent_ms, rtt_us = ttl_ping(quiet_transport, "100.64.9.1", 2)
+    sent_ms, rtt_us = ttl_ping(quiet_transport, "100.64.9.1", 2, "10.0.0.2")
     assert not math.isnan(rtt_us)
     assert rtt_us == pytest.approx(10_000.0, abs=1.0)
     assert sent_ms == before
@@ -200,19 +206,19 @@ def test_ttl_ping_exact_rtt_without_jitter(quiet_transport):
 
 def test_ttl_ping_beyond_path_is_lost(quiet_transport):
     _, rtt_us = ttl_ping(SimnetTransport(quiet_transport.scenario, protocol="udp"),
-                         "100.64.9.1", 9)  # target only answers icmp+udp echo here
+                         "100.64.9.1", 9, "100.64.9.1")  # target answers icmp+udp echo here
     assert not math.isnan(rtt_us)  # ttl past the chain still reaches the target
     obj = scenario_dict(target_protocols=["udp"])
     transport = SimnetTransport(build_scenario(obj), protocol="icmp")
-    _, lost_rtt_us = ttl_ping(transport, "100.64.9.1", 9)
+    _, lost_rtt_us = ttl_ping(transport, "100.64.9.1", 9, "100.64.9.1")
     assert math.isnan(lost_rtt_us)
 
 
 def test_terrestrial_hop_answers_ttl_ping_but_not_direct_ping(quiet_transport):
-    _, pinned_rtt_us = ttl_ping(quiet_transport, "100.64.9.1", 1)
+    _, pinned_rtt_us = ttl_ping(quiet_transport, "100.64.9.1", 1, "10.0.0.1")
     assert not math.isnan(pinned_rtt_us)
     # A direct ping addressed at the router itself gets nothing back.
-    _, direct_rtt_us = ttl_ping(quiet_transport, "10.0.0.1", 32)
+    _, direct_rtt_us = ttl_ping(quiet_transport, "10.0.0.1", 32, "10.0.0.1")
     assert math.isnan(direct_rtt_us)
 
 
@@ -293,38 +299,45 @@ def test_session_rejects_misaligned_arrays(hop):
                                duration_s=10, cadence_hz=1, **short)
 
 
+@pytest.mark.parametrize("cadence_hz", [1, 3, 7])
+def test_measure_session_ticks_stay_on_the_cadence_grid(quiet_transport, cadence_hz):
+    # Tick k goes out at start + (k * 1000) // cadence: a cadence that
+    # does not divide 1000 must not drift (at 7 Hz a 142 ms step would
+    # end a 600 s session 3.7 s early).
+    path = path_of(quiet_transport)
+    session = measure_session(quiet_transport, ENDPOINT, path, duration_s=600,
+                              cadence_hz=cadence_hz)
+    k = np.arange(600 * cadence_hz)
+    assert np.array_equal(session.terrestrial_sent_ms,
+                          session.start_ms + (k * 1000) // cadence_hz)
+    # the last tick is less than one tick before the session's end
+    last = session.terrestrial_sent_ms[-1] - session.start_ms
+    assert 600_000 - last <= math.ceil(1000 / cadence_hz)
+
+
+def test_measure_session_counts_replies_from_the_wrong_hop():
+    # The flap is active when the trace runs, so the path brackets the
+    # flap router at TTL 3.  Outside flaps TTL 3 reaches the target: those
+    # replies are lost to the terrestrial series and counted, so the
+    # session is unusable instead of subtracting the target from itself.
+    transport = SimnetTransport(build_scenario(
+        scenario_dict(hop_flap={"every_s": 25, "duration_s": 1})))
+    path = path_of(transport)
+    assert (path.pre_sat_ttl, path.pre_sat_router, path.post_sat_ttl) == (3, "10.255.255.1", 4)
+    session = measure_session(transport, ENDPOINT, path, duration_s=100)
+    assert transport.wrong_responders == {3: 96}
+    assert np.count_nonzero(np.isnan(session.terrestrial_rtt_us)) == 96
+    assert not np.isnan(session.endpoint_rtt_us).any()
+    assert not session.usable
+    # a steady path draws no wrong replies
+    steady = SimnetTransport(build_scenario(scenario_dict()))
+    measure_session(steady, ENDPOINT, path_of(steady), duration_s=100)
+    assert steady.wrong_responders == {}
+
+
 def test_measure_session_validates_arguments(quiet_transport):
     path = path_of(quiet_transport)
     with pytest.raises(ValueError):
         measure_session(quiet_transport, ENDPOINT, path, duration_s=0)
     with pytest.raises(ValueError):
         measure_session(quiet_transport, ENDPOINT, path, cadence_hz=11)
-
-
-# --------------------------------------------------------------- stability
-
-def test_hop_stability_static_routing():
-    transport = SimnetTransport(build_scenario(scenario_dict()))
-    path = path_of(transport)
-    report = validate_hop_stability(transport, path, trials=20)
-    assert report.endpoint_hop_consistency == 1.0
-    assert report.terrestrial_hop_consistency == 1.0
-    assert report.ip_stable
-
-
-def test_hop_stability_with_four_percent_flap():
-    # One second of every twenty-five inserts an extra hop: trials that
-    # land on those seconds disagree with the reference path.
-    obj = scenario_dict(hop_flap={"every_s": 25, "duration_s": 1})
-    transport = SimnetTransport(build_scenario(obj))
-    reference = path_of_uncheckable()
-    report = validate_hop_stability(transport, reference, trials=100)
-    assert report.endpoint_hop_consistency == pytest.approx(0.96, abs=0.011)
-    assert not report.ip_stable
-
-
-def test_hop_stability_two_trials_one_flap():
-    obj = scenario_dict(hop_flap={"every_s": 25, "duration_s": 1})
-    transport = SimnetTransport(build_scenario(obj))
-    report = validate_hop_stability(transport, path_of_uncheckable(), trials=2)
-    assert report.endpoint_hop_consistency == 0.5

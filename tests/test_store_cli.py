@@ -16,7 +16,7 @@ import pytest
 from leolink import cli, discovery, rawnet
 from leolink import store as store_module
 from leolink.discovery import Endpoint
-from leolink.probe import MeasurementSession, SatLinkPath
+from leolink.probe import MeasurementSession, SatLinkPath, probe_each_tick
 from leolink.simnet import SimnetTransport, build_scenario, respond_to_probe
 from leolink.store import (
     TRANSPORTS,
@@ -388,6 +388,29 @@ def test_simulate_reroute_day_finds_five_sustained(tmp_path, capsys):
     assert [r[4] for r in rows] == ["sustained"] * 5
 
 
+def test_simulate_refuses_a_session_whose_terrestrial_hop_flaps(tmp_path, capsys):
+    # The flap is active at t = 0, so the trace brackets the flap router
+    # at TTL 4.  Outside flaps TTL 4 reaches the target itself, and those
+    # replies must count as lost, not enter the series as the terrestrial
+    # hop (which would isolate a satellite RTT of about 0.3 ms).
+    obj = json.loads((SCENARIOS / "reroute_day" / "seattle_reroute_day.json").read_text())
+    obj["hop_flap"] = {"every_s": 25, "duration_s": 1}
+    obj["events"] = []
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    (scenarios / "flap.json").write_text(json.dumps(obj))
+    code = cli.main(["simulate", "--scenarios", str(scenarios), "--out", str(tmp_path / "store"),
+                     "--duration", "600", "--partition", "p"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("simulate error sessions=1 failed=0 ")
+    [line] = captured.err.splitlines()
+    assert line.endswith(" error stage=analysis endpoint=98.97.48.115 msg=98.97.48.115: "
+                         "terrestrial loss 96% exceeds 50%")
+    meta = json.loads((tmp_path / "store" / "p" / "98.97.48.115" / "meta.json").read_text())
+    assert (meta["pre_sat_ttl"], meta["pre_sat_router"]) == (4, "10.255.255.1")
+
+
 def test_analyze_truncated_session_exits_1(tmp_path, capsys):
     store_dir = tmp_path / "store"
     assert cli.main(["simulate", "--scenarios", str(SCENARIOS / "relay_split"),
@@ -599,13 +622,18 @@ def test_trace_and_measure_share_the_exclusion_file(tmp_path, capsys, monkeypatc
         "scenario_dir": str(SCENARIOS / "relay_split"), "duration_s": 120,
         "exclude_file": str(exclude)}))
     probed = []
-    original = SimnetTransport.probe
+    original = SimnetTransport.probe, SimnetTransport.probe_ticks
 
     def spy(self, target, ttl, **kwargs):
         probed.append(target)
-        return original(self, target, ttl, **kwargs)
+        return original[0](self, target, ttl, **kwargs)
+
+    def session_spy(self, target, *args, **kwargs):
+        probed.append(target)
+        return original[1](self, target, *args, **kwargs)
 
     monkeypatch.setattr(SimnetTransport, "probe", spy)
+    monkeypatch.setattr(SimnetTransport, "probe_ticks", session_spy)
     out = tmp_path / "paths.csv"
     assert cli.main(["trace", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert capsys.readouterr().out.startswith("trace ok paths=0 failed=0 ")
@@ -770,10 +798,13 @@ class StubRawTransport:
     instances: list["StubRawTransport"] = []
     SILENT = "100.64.9.99"
 
+    probe_ticks = probe_each_tick
+
     def __init__(self, *, protocol="icmp", timeout_s=2.0):
         self.protocol = protocol
         self.exits = 0
         self.clock_ms = 0
+        self.wrong_responders = {}
         StubRawTransport.instances.append(self)
 
     def now_ms(self):
