@@ -5,9 +5,12 @@ A bad field raises the reader's own error class as ``<field>: expected
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import MISSING, fields
+import types
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 
 
 def _json_int(value) -> bool:
@@ -28,9 +31,7 @@ KINDS = {  # kind: (test, what a message says is expected)
     "location": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite, v)),
                  "[latitude, longitude]"),
 }
-# The kind of a dataclass field by its annotation; an Optional one may be None.
-ANNOTATED = {"int": "integer", "float": "number", "str": "string", "bool": "flag",
-             "Optional[float]": "number", "Optional[str]": "string"}
+_KIND_OF = {int: "integer", float: "number", str: "string", bool: "flag", dict: "object"}
 
 
 def check(value, kind: str, name: str, error: type[Exception], *, optional: bool = False):
@@ -39,6 +40,27 @@ def check(value, kind: str, name: str, error: type[Exception], *, optional: bool
     if test(value) or optional and value is None:
         return value
     raise error(f"{name}: expected {wanted}{' or null' if optional else ''}, got {value!r}")
+
+
+def read(value, hint, name: str, error: type[Exception]):
+    """``value`` checked against type ``hint`` and named ``name``: a scalar as it is,
+    a dataclass made from an object (fields ``name.key``), ``tuple[X, ...]`` from
+    a list (items ``name[i]``), ``dict`` any object; None only if ``Optional``."""
+    optional = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    if optional:
+        if value is None:
+            return None
+        [hint] = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    if is_dataclass(hint):
+        return Fields(value, error, f"{name}.").make(hint)
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return tuple(read(v, item, f"{name}[{i}]", error)
+                     for i, v in enumerate(check(value, "list", name, error, optional=optional)))
+    return check(value, _KIND_OF[hint], name, error, optional=optional)
+
+
+hints = functools.cache(typing.get_type_hints)  # a class's resolved annotations, once
 
 
 class Fields:
@@ -63,14 +85,15 @@ class Fields:
         return self
 
     def make(self, cls):
-        """Dataclass ``cls`` of this object's fields, each checked against its
-        annotation; a field with a default may be absent, and one that ``cls``
-        does not have is refused."""
-        self.only(f.name for f in fields(cls))
-        return cls(**{f.name: self(f.name, ANNOTATED[f.type],
-                                   None if f.default is MISSING else f.default,
-                                   optional=f.type.startswith("Optional["))
-                      for f in fields(cls)})
+        """Dataclass ``cls`` of this object's fields, each read as its annotation
+        says (see :func:`read`); a field with a default may be absent and then
+        takes it, and a field that ``cls`` does not have is refused."""
+        annotations = hints(cls)
+        self.only(annotations)
+        return cls(**{f.name: read(self.obj.get(f.name), annotations[f.name],
+                                   self.where + f.name, self.error)
+                      for f in fields(cls) if f.name in self.obj
+                      or f.default is MISSING and f.default_factory is MISSING})
 
 
 def read_json(path, error: type[Exception], build):

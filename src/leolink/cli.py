@@ -140,7 +140,7 @@ def load_endpoints_csv(path: str | Path, catalog: Optional[PopCatalog] = None) -
 # ------------------------------------------------------------ measurement
 
 def _endpoint_from_scenario(scenario: Scenario, catalog: PopCatalog) -> Endpoint:
-    meta = scenario.endpoint_meta  # checked by build_scenario
+    meta = scenario.endpoint  # checked by Scenario
     located = "latitude" in meta and "longitude" in meta
     return endpoint_from_meta({
         **meta, "address": scenario.target_address,
@@ -328,12 +328,13 @@ def _analysis_rows(store: MeasurementStore, records: Sequence, params: dict,
 
 
 def _analyze_store(store: MeasurementStore, partition: Optional[str],
-                   out_dir: Path, params: dict) -> tuple[int, dict]:
-    """Analyze a partition (or all) into ``sessions.csv`` and ``spikes.csv``."""
+                   out_dir: Path, params: dict, command: str) -> tuple[int, dict]:
+    """Analyze a partition (or all) into ``sessions.csv`` and ``spikes.csv``;
+    a failed session is reported under ``command``."""
     records = store.sessions(partition)
     if not records:
         return 1, {}
-    session_rows, spike_rows, failures = _analysis_rows(store, records, params, "analyze")
+    session_rows, spike_rows, failures = _analysis_rows(store, records, params, command)
     analysis_hash = _analysis_hash(**params)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report_csv(out_dir / "spikes.csv", SPIKE_HEADER, spike_rows,
@@ -360,7 +361,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     code, counters = _analyze_store(
         store, args.partition, out_dir,
         {"window_s": args.window, "sustained_sigma": args.sustained_sigma,
-         "standard_sigma": args.standard_sigma})
+         "standard_sigma": args.standard_sigma}, "analyze")
     if not counters:
         print("analyze error no-sessions")
         return 1
@@ -380,7 +381,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if counters.get("sessions"):
         store = MeasurementStore(cfg.output_dir)
         a_code, a_counters = _analyze_store(store, counters["partition"],
-                                            store.root / "reports", {})
+                                            store.root / "reports", {}, "simulate")
         code = max(code, a_code)
         counters.update({k: a_counters[k] for k in ("spikes", "sustained") if k in a_counters})
     return _print_summary("simulate", code, counters)

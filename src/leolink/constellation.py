@@ -110,17 +110,19 @@ class Shell:
 
 @dataclass(frozen=True)
 class ConstellationConfig:
+    """The fields are the keys of a constellation config file."""
+
     shells: tuple[Shell, ...]
     epoch_s: float = 0.0
+    comment: str = field(default="", compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.shells:
+            raise GeometryError("config needs at least one shell")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ConstellationConfig":
-        config = Fields(obj, GeometryError).only(("shells", "epoch_s", "comment"))
-        shells = tuple(Fields(s, GeometryError, f"shells[{i}].").make(Shell)
-                       for i, s in enumerate(config("shells", "list")))
-        if not shells:
-            raise GeometryError("config needs at least one shell")
-        return cls(shells=shells, epoch_s=config("epoch_s", "number", 0.0))
+        return Fields(obj, GeometryError).make(cls)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ConstellationConfig":

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .analysis import SpikeEvent
-from .checks import Fields
+from .checks import Fields, read
 
 # Accumulated cell increments below this are sensor noise, not a new
 # connection cell.
@@ -252,11 +252,14 @@ def read_frames(path: str | Path) -> list[ObstructionMap]:
             header = Fields(json.loads(header_line), ObstructionError)
             if header.obj.get("format") != FRAME_FORMAT:
                 raise ObstructionError(f"not a {FRAME_FORMAT} recording")
+            header.only(("format", "rows", "cols"))
             rows, cols = header("rows", "integer"), header("cols", "integer")
             for lineno, line in enumerate(fh, start=2):
                 if line.strip():
-                    frame = Fields(json.loads(line), ObstructionError)
+                    frame = Fields(json.loads(line), ObstructionError).only(("t", "cells"))
+                    # a string cell fails the conversion, a bool one the check after it
                     cells = np.asarray(frame("cells", "list"), dtype=np.float64)
+                    read(frame.obj["cells"], tuple[float, ...], "cells", ObstructionError)
                     if cells.size != rows * cols:
                         raise ObstructionError(f"cells: expected {rows * cols}, got {cells.size}")
                     maps.append(ObstructionMap(timestamp=frame("t", "number"),

@@ -45,8 +45,9 @@ Scenario files are JSON with schema id ``leolink-scenario/1``:
 that hop.  ``satellite_segment`` gives the 1-based hop numbers of the
 last hop before and the first responding hop after the satellite link;
 the spanned segments form the satellite ground truth.  Reroute deltas
-attach to the first spanned segment.  Event times and durations must be
-multiples of 15 seconds (the provider reschedules on a 15 s grid).
+attach to the first spanned segment, and no event may take the span's
+RTT below 0.  Event times and durations must be multiples of 15 seconds
+(the provider reschedules on a 15 s grid).
 
 Optional knobs used by individual studies, all documented here because
 they extend the schema: ``target_protocols`` limits which probe
@@ -56,7 +57,7 @@ inserts one extra terrestrial hop (``{"every_s": 25, "duration_s": 1}``)
 to model transient path-length flaps; ``endpoint`` carries the
 endpoint's ``pop_code``, ``source``, ``latitude`` and ``longitude``.
 A key outside the schema is refused at every level, except a free-text
-``comment`` at the top level.
+``comment`` string at the top level.  :class:`Scenario` is the schema.
 """
 from __future__ import annotations
 
@@ -71,17 +72,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .checks import Fields, check, read_json
+from .checks import Fields, read_json
 from .probe import DEFAULT_PROBE_TIMEOUT_S, PROTOCOLS, ProbeReply
 
 SCHEMA_ID = "leolink-scenario/1"
 EVENT_KINDS = ("gs_switch", "isl_reroute", "satellite_switch")
 EVENT_GRID_S = 15
 JITTER_DISTS = ("none", "gaussian", "lognormal")
-# The keys a scenario file may hold: the schema's, and free text in ``comment``.
-_SCENARIO_KEYS = ("schema", "comment", "seed", "duration_s", "hops", "base_latencies_ms",
-                  "satellite_segment", "jitter", "loss_probability", "target_protocols", "events",
-                  "hop_flap", "endpoint")
 _ENDPOINT_KINDS = {"pop_code": "string", "source": "string",
                    "latitude": "number", "longitude": "number"}
 FLOW = 1  # the one flow every probe carries, packed into the per-probe hash
@@ -130,24 +127,74 @@ class HopFlap:
 
 @dataclass
 class Scenario:
-    """Validated simulation scenario for a single probe target."""
+    """Validated simulation scenario for a single probe target: the fields are
+    a scenario file's keys, and one built in code is checked as a file is."""
 
     hops: tuple[SimHop, ...]
     base_latencies_ms: tuple[float, ...]
-    pre_sat: int   # 1-based hop number of the last hop before the satellite
-    post_sat: int  # 1-based hop number of the first measured hop after it
+    satellite_segment: tuple[int, ...]  # (pre_sat, post_sat), as the module docstring says
+    schema: str = SCHEMA_ID
+    comment: str = ""
     seed: int = 0
     duration_s: int = 300
     jitter: Jitter = field(default_factory=Jitter)
     events: tuple[RerouteEvent, ...] = ()
     loss_probability: float = 0.0
     target_protocols: tuple[str, ...] = PROTOCOLS
-    hop_flap: Optional[HopFlap] = None
-    endpoint_meta: dict = field(default_factory=dict)
+    hop_flap: HopFlap = None  # absent means no flap; a file's null is refused
+    endpoint: dict = field(default_factory=dict)  # keys and kinds: _ENDPOINT_KINDS
 
     def __post_init__(self) -> None:
-        # build_scenario sorts events and rejects overlaps, so the last
-        # event to start by t is the only one that can be active at t.
+        if len(self.hops) < 2:
+            raise _err("hops", "need at least two hops (one before and one after the satellite)")
+        if len(self.base_latencies_ms) != len(self.hops):
+            raise _err("base_latencies_ms", f"need exactly {len(self.hops)} per-segment values")
+        for i, x in enumerate(self.base_latencies_ms):
+            if x < 0:
+                raise _err(f"base_latencies_ms[{i}]", "latency must be non-negative")
+        if len(self.satellite_segment) != 2:
+            raise _err("satellite_segment", "expected [pre_hop, post_hop]")
+        if not (1 <= self.pre_sat < self.post_sat <= len(self.hops)):
+            raise _err("satellite_segment", f"need 1 <= pre < post <= {len(self.hops)}")
+        if self.duration_s <= 0:
+            raise _err("duration_s", "must be positive")
+        if self.jitter.dist not in JITTER_DISTS:
+            raise _err("jitter.dist", f"must be one of {JITTER_DISTS}")
+        if self.jitter.sigma_ms < 0 or self.jitter.satellite_sigma_ms < 0:
+            raise _err("jitter.sigma_ms", "sigma must be non-negative")
+        for i, event in enumerate(self.events):
+            name = f"events[{i}]"
+            if event.kind not in EVENT_KINDS:
+                raise _err(f"{name}.kind", f"must be one of {EVENT_KINDS}")
+            if event.at_s < 0 or event.at_s % EVENT_GRID_S != 0:
+                raise _err(f"{name}.at_s", f"must be a non-negative multiple of {EVENT_GRID_S}")
+            if event.duration_s <= 0 or event.duration_s % EVENT_GRID_S != 0:
+                raise _err(f"{name}.duration_s", f"must be a positive multiple of {EVENT_GRID_S}")
+            if event.end_s > self.duration_s:
+                raise _err(name, "event extends past scenario duration")
+            if (event.delta_ms is None) == (event.new_rtt_ms is None):
+                raise _err(name, "exactly one of delta_ms / new_rtt_ms required")
+            rtt = (event.new_rtt_ms if event.delta_ms is None
+                   else 2.0 * self.satellite_base_oneway_ms() + event.delta_ms)
+            if rtt < 0:
+                raise _err(name, f"satellite RTT would be {rtt!r} ms, below 0")
+        self.events = tuple(sorted(self.events, key=lambda e: e.at_s))
+        for a, b in zip(self.events, self.events[1:]):
+            if b.at_s < a.end_s:
+                raise _err("events", f"events at {a.at_s}s and {b.at_s}s overlap")
+        if not 0.0 <= self.loss_probability <= 1.0:
+            raise _err("loss_probability", "must be within [0, 1]")
+        for p in self.target_protocols:
+            if p not in PROTOCOLS:
+                raise _err("target_protocols", f"unknown protocol {p!r}")
+        if self.hop_flap and not 0 < self.hop_flap.duration_s < self.hop_flap.every_s:
+            raise _err("hop_flap.every_s", "need every_s > duration_s > 0")
+        endpoint = Fields(self.endpoint, ScenarioError, "endpoint.").only(_ENDPOINT_KINDS)
+        for key in endpoint.obj:
+            endpoint(key, _ENDPOINT_KINDS[key])
+
+        # The events are sorted and disjoint, so the last event to start by
+        # t is the only one that can be active at t.
         self._event_starts = [ev.at_s for ev in self.events]
         # (hop, oneway_ms, is_sat_entry, sigma_ms) per TTL, without and
         # with a flap, which puts one terrestrial hop before the span.
@@ -156,6 +203,9 @@ class Scenario:
                  for i, (hop, ms) in enumerate(zip(self.hops, self.base_latencies_ms))]
         flap = [(SimHop(label="flap", address="10.255.255.1"), 0.1, False, self.jitter.sigma_ms)]
         self._chains = (chain, chain[:self.pre_sat] + flap + chain[self.pre_sat:])
+
+    pre_sat = property(lambda self: self.satellite_segment[0])
+    post_sat = property(lambda self: self.satellite_segment[1])
 
     @property
     def target_address(self) -> str:
@@ -207,97 +257,9 @@ def build_scenario(source: dict | str | Path) -> Scenario:
     """
     if not isinstance(source, dict):
         return read_json(source, ScenarioError, lambda scenario: build_scenario(scenario.obj))
-    top = Fields(source, ScenarioError)
     if source.get("schema") != SCHEMA_ID:
         raise _err("schema", f"expected {SCHEMA_ID!r}, got {source.get('schema')!r}")
-    top.only(_SCENARIO_KEYS)
-
-    raw_hops = source.get("hops")
-    if not isinstance(raw_hops, list) or len(raw_hops) < 2:
-        raise _err("hops", "need at least two hops (one before and one after the satellite)")
-    hops = [Fields(h, ScenarioError, f"hops[{i}].").make(SimHop) for i, h in enumerate(raw_hops)]
-
-    lat = source.get("base_latencies_ms")
-    if not isinstance(lat, list) or len(lat) != len(hops):
-        raise _err("base_latencies_ms", f"need exactly {len(hops)} per-segment values")
-    latencies = tuple(check(x, "number", f"base_latencies_ms[{i}]", ScenarioError)
-                      for i, x in enumerate(lat))
-    for i, x in enumerate(latencies):
-        if x < 0:
-            raise _err(f"base_latencies_ms[{i}]", "latency must be non-negative")
-
-    seg = source.get("satellite_segment")
-    if (not isinstance(seg, (list, tuple))) or len(seg) != 2:
-        raise _err("satellite_segment", "expected [pre_hop, post_hop]")
-    pre_sat, post_sat = (check(x, "integer", f"satellite_segment[{i}]", ScenarioError)
-                         for i, x in enumerate(seg))
-    if not (1 <= pre_sat < post_sat <= len(hops)):
-        raise _err("satellite_segment", f"need 1 <= pre < post <= {len(hops)}")
-
-    duration_s = top("duration_s", "integer", 300)
-    if duration_s <= 0:
-        raise _err("duration_s", "must be positive")
-
-    jitter = Fields(source.get("jitter", {}), ScenarioError, "jitter.").make(Jitter)
-    if jitter.dist not in JITTER_DISTS:
-        raise _err("jitter.dist", f"must be one of {JITTER_DISTS}")
-    if jitter.sigma_ms < 0 or jitter.satellite_sigma_ms < 0:
-        raise _err("jitter.sigma_ms", "sigma must be non-negative")
-
-    events = []
-    for i, ev in enumerate(top("events", "list", [])):
-        event = Fields(ev, ScenarioError, f"events[{i}].").make(RerouteEvent)
-        if event.kind not in EVENT_KINDS:
-            raise _err(f"events[{i}].kind", f"must be one of {EVENT_KINDS}")
-        if event.at_s < 0 or event.at_s % EVENT_GRID_S != 0:
-            raise _err(f"events[{i}].at_s", f"must be a non-negative multiple of {EVENT_GRID_S}")
-        if event.duration_s <= 0 or event.duration_s % EVENT_GRID_S != 0:
-            raise _err(f"events[{i}].duration_s", f"must be a positive multiple of {EVENT_GRID_S}")
-        if event.end_s > duration_s:
-            raise _err(f"events[{i}]", "event extends past scenario duration")
-        if (event.delta_ms is None) == (event.new_rtt_ms is None):
-            raise _err(f"events[{i}]", "exactly one of delta_ms / new_rtt_ms required")
-        events.append(event)
-    events.sort(key=lambda e: e.at_s)
-    for a, b in zip(events, events[1:]):
-        if b.at_s < a.end_s:
-            raise _err("events", f"events at {a.at_s}s and {b.at_s}s overlap")
-
-    loss = top("loss_probability", "number", 0.0)
-    if not 0.0 <= loss <= 1.0:
-        raise _err("loss_probability", "must be within [0, 1]")
-
-    protos = top("target_protocols", "list", PROTOCOLS)
-    for p in protos:
-        if p not in PROTOCOLS:
-            raise _err("target_protocols", f"unknown protocol {p!r}")
-
-    flap = None
-    if "hop_flap" in source:
-        flap = Fields(source["hop_flap"], ScenarioError, "hop_flap.").make(HopFlap)
-        if flap.duration_s <= 0 or flap.every_s <= flap.duration_s:
-            raise _err("hop_flap.every_s", "need every_s > duration_s > 0")
-
-    # opaque here, but checked now so that a bad block fails its file
-    # before any endpoint is probed
-    endpoint = Fields(source.get("endpoint", {}), ScenarioError, "endpoint.").only(_ENDPOINT_KINDS)
-    for key in endpoint.obj:
-        endpoint(key, _ENDPOINT_KINDS[key])
-
-    return Scenario(
-        hops=tuple(hops),
-        base_latencies_ms=latencies,
-        pre_sat=pre_sat,
-        post_sat=post_sat,
-        seed=top("seed", "integer", 0),
-        duration_s=duration_s,
-        jitter=jitter,
-        events=tuple(events),
-        loss_probability=loss,
-        target_protocols=tuple(protos),
-        hop_flap=flap,
-        endpoint_meta=dict(endpoint.obj),
-    )
+    return Fields(source, ScenarioError).make(Scenario)
 
 
 def load_scenario_dir(path: str | Path) -> dict[str, Scenario]:

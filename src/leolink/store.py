@@ -23,7 +23,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import probe
-from .checks import ANNOTATED, Fields, check, read_json
+from .checks import Fields, hints, read, read_json
 from .discovery import SOURCE_STARLINK_PTR, Endpoint, PopCatalog
 from .probe import MeasurementSession, SatLinkPath
 
@@ -49,6 +49,12 @@ TRANSPORTS = ("simnet", "raw")
 # The inclusive range of each integer field of CampaignConfig.
 _INTEGER_RANGES = {"cadence_hz": (1, 10), "duration_s": (1, 86_400), "concurrency": (1, 64),
                    "probes_per_hop": (1, 10), "max_ttl": (1, 64)}
+
+
+def _check_range(name: str, value: int, error: type[Exception], where: str = "") -> None:
+    lo, hi = _INTEGER_RANGES[name]
+    if not lo <= value <= hi:
+        raise error(f"{where}{name}: expected an integer in {lo}..{hi}, got {value!r}")
 
 
 class StoreError(RuntimeError):
@@ -85,9 +91,8 @@ class CampaignConfig:
         self.validate()
 
     def validate(self) -> None:
-        for f in fields(self):
-            check(getattr(self, f.name), ANNOTATED[f.type], f.name, ConfigError,
-                  optional=f.type.startswith("Optional["))
+        for name, hint in hints(CampaignConfig).items():
+            read(getattr(self, name), hint, name, ConfigError)
         if self.transport not in TRANSPORTS:
             raise ConfigError(f"transport: must be one of {TRANSPORTS}")
         if self.transport == "simnet" and not self.scenario_dir:
@@ -96,9 +101,8 @@ class CampaignConfig:
             raise ConfigError("endpoints_file: required for the raw transport")
         if not self.output_dir:
             raise ConfigError("output_dir: must be set")
-        for name, (lo, hi) in _INTEGER_RANGES.items():
-            if not lo <= getattr(self, name) <= hi:
-                raise ConfigError(f"{name}: must be in {lo}..{hi}")
+        for name in _INTEGER_RANGES:
+            _check_range(name, getattr(self, name), ConfigError)
         if not self.jump_threshold_ms > 0:
             raise ConfigError("jump_threshold_ms: must be positive")
         if not 0 < self.timeout_s <= 30:
@@ -285,6 +289,8 @@ class MeasurementStore:
         counts = {hop: field(f"n_{hop}", "integer") for hop in ("terrestrial", "endpoint")}
         start_ms, duration_s, cadence_hz = (field(name, "integer")
                                             for name in ("start_ms", "duration_s", "cadence_hz"))
+        for name, value in (("duration_s", duration_s), ("cadence_hz", cadence_hz)):
+            _check_range(name, value, StoreError, field.where)
         with open(record.path, newline="", encoding="utf-8") as fh:
             if fh.readline().rstrip("\r\n").split(",") != SESSION_COLUMNS:
                 raise StoreError(f"{record.path} line 1: columns are not {SESSION_COLUMNS}")

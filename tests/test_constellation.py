@@ -579,6 +579,21 @@ def test_constellation_config_allows_a_top_level_comment():
     assert config == ConstellationConfig(shells=(Shell(**SHELL),))
 
 
+def test_constellation_config_comment_is_kept_out_of_equality():
+    plain = ConstellationConfig(shells=(Shell(**SHELL),))
+    noted = ConstellationConfig(shells=(Shell(**SHELL),), comment="one shell")
+    assert noted == plain and hash(noted) == hash(plain) and noted.comment == "one shell"
+    with pytest.raises(GeometryError, match=re.escape("comment: expected a string, got 5")):
+        ConstellationConfig.from_dict({"comment": 5, "shells": [SHELL]})
+
+
+def test_constellation_config_needs_a_shell_in_code_as_in_a_file():
+    for build in (lambda: ConstellationConfig(shells=()),
+                  lambda: ConstellationConfig.from_dict({"shells": []})):
+        with pytest.raises(GeometryError, match="^config needs at least one shell$"):
+            build()
+
+
 def test_study_case_accepts_a_one_second_sampling_step(tmp_path):
     path = tmp_path / "case.json"
     path.write_text(json.dumps(_with(NIGERIA, "sampling", step_s=1)))

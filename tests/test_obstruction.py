@@ -324,8 +324,14 @@ HEADER = json.dumps({"format": FRAME_FORMAT, "rows": 2, "cols": 2})
     ([json.dumps({"format": FRAME_FORMAT, "rows": "2", "cols": 2})],
      "line 1: rows: expected an integer, got '2'"),
     ([json.dumps({"format": FRAME_FORMAT, "rows": 2})], "line 1: cols: expected an integer"),
+    ([json.dumps({"format": FRAME_FORMAT, "rows": 2, "cols": 2, "rowz": 9})],
+     "line 1: unknown fields ['rowz']"),
+    ([HEADER, '{"t": 1, "tt": 1, "cells": [0, 0, 0, 0]}'], "line 2: unknown fields ['tt']"),
+    ([HEADER, '{"t": 1, "cells": [0, true, 0, 0]}'],
+     "line 2: cells[1]: expected a finite number, got True"),
 ], ids=["not_json", "t_missing", "t_string", "cell_string", "cells_missing", "cells_short",
-        "cell_out_of_range", "not_an_object", "header_not_json", "rows_string", "cols_missing"])
+        "cell_out_of_range", "not_an_object", "header_not_json", "rows_string", "cols_missing",
+        "header_unknown_key", "frame_unknown_key", "cell_bool"])
 def test_read_frames_names_file_line_and_field(tmp_path, lines, where):
     path = tmp_path / "rec.jsonl"
     path.write_text("\n".join(lines) + "\n")

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from leolink.probe import PROTOCOLS
 from leolink.simnet import (
     EVENT_GRID_S,
+    RerouteEvent,
     Scenario,
     ScenarioError,
+    SimHop,
     SimnetTransport,
     VirtualClock,
     build_scenario,
@@ -63,8 +65,12 @@ def test_build_scenario_names_bad_field(mutate, field):
     (lambda o: o.update(target_protocols="icmp"), "target_protocols: expected a list, got 'icmp'"),
     (lambda o: o.update(endpoint={"longitude": float("inf")}),
      "endpoint.longitude: expected a finite number, got inf"),
+    (lambda o: o.update(jitter=None), "jitter: expected an object, got None"),
+    (lambda o: o.update(hop_flap=None), "hop_flap: expected an object, got None"),
+    (lambda o: o.update(endpoint=None), "endpoint: expected an object, got None"),
+    (lambda o: o.update(comment=5), "comment: expected a string, got 5"),
 ], ids=["seed_bool", "seed_float", "echo_number", "dist_number", "protocols_string",
-        "longitude_inf"])
+        "longitude_inf", "jitter_null", "hop_flap_null", "endpoint_null", "comment_number"])
 def test_build_scenario_refuses_a_field_of_the_wrong_type(mutate, message):
     obj = scenario_dict()
     mutate(obj)
@@ -96,6 +102,56 @@ def test_event_validation_names_field(event, field):
     with pytest.raises(ScenarioError) as err:
         build_scenario(scenario_dict(events=[event]))
     assert str(err.value).startswith(field + ":")
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"new_rtt_ms": -50.0}, "events[1]: satellite RTT would be -50.0 ms, below 0"),
+    ({"delta_ms": -500.0}, "events[1]: satellite RTT would be -475.0 ms, below 0"),
+], ids=["new_rtt_negative", "delta_below_the_span"])
+def test_event_whose_satellite_rtt_would_be_negative_is_refused(change, message):
+    # the span's base round trip is 2 x 12.5 ms
+    event = {"at_s": 120, "kind": "gs_switch", "duration_s": 30, **change}
+    with pytest.raises(ScenarioError) as err:
+        build_scenario(scenario_dict(events=[EVENT_80MS, event]))
+    assert str(err.value) == message
+
+
+def test_event_may_take_the_satellite_rtt_to_zero():
+    sc = build_scenario(scenario_dict(events=[{**EVENT_80MS, "delta_ms": -25.0}]))
+    assert ground_truth(sc, 60).sat_rtt_ms == 0.0
+
+
+CODE_HOPS = tuple(SimHop(**hop) for hop in scenario_dict()["hops"])
+
+
+@pytest.mark.parametrize("key,in_file,in_code,message", [
+    ("satellite_segment", [3, 2], (3, 2), "satellite_segment: need 1 <= pre < post <= 3"),
+    ("satellite_segment", [2], (2,), "satellite_segment: expected [pre_hop, post_hop]"),
+    ("events", [{**EVENT_80MS, "duration_s": 60}, {**EVENT_80MS, "at_s": 90}],
+     (RerouteEvent(60, "isl_reroute", 60, delta_ms=80.0),
+      RerouteEvent(90, "isl_reroute", 30, delta_ms=80.0)),
+     "events: events at 60s and 90s overlap"),
+    ("endpoint", {"latitude": "north"}, {"latitude": "north"},
+     "endpoint.latitude: expected a finite number, got 'north'"),
+    ("hops", scenario_dict()["hops"][:1], CODE_HOPS[:1],
+     "hops: need at least two hops (one before and one after the satellite)"),
+], ids=["segment_reversed", "segment_short", "events_overlap", "endpoint_latitude",
+        "one_hop"])
+def test_scenario_built_in_code_is_checked_as_a_file_is(key, in_file, in_code, message):
+    with pytest.raises(ScenarioError) as from_file:
+        build_scenario(scenario_dict(**{key: in_file}))
+    with pytest.raises(ScenarioError) as from_code:
+        Scenario(**{"hops": CODE_HOPS, "base_latencies_ms": (2.0, 3.0, 12.5),
+                    "satellite_segment": (2, 3), "events": (), key: in_code})
+    assert str(from_file.value) == str(from_code.value) == message
+
+
+def test_scenario_fields_are_the_file_keys():
+    sc = build_scenario(scenario_dict(comment="note", endpoint={"pop_code": "sttlwax1"}))
+    assert (sc.satellite_segment, sc.pre_sat, sc.post_sat) == ((2, 3), 2, 3)
+    assert (sc.schema, sc.comment, sc.endpoint) == ("leolink-scenario/1", "note",
+                                                    {"pop_code": "sttlwax1"})
+    assert sc.hops == CODE_HOPS and sc.hop_flap is None
 
 
 def test_overlapping_events_rejected():

@@ -405,8 +405,8 @@ def test_simulate_refuses_a_session_whose_terrestrial_hop_flaps(tmp_path, capsys
     assert code == 1
     assert captured.out.startswith("simulate error sessions=1 failed=0 ")
     [line] = captured.err.splitlines()
-    assert line.endswith(" error stage=analysis endpoint=98.97.48.115 msg=98.97.48.115: "
-                         "terrestrial loss 96% exceeds 50%")
+    assert line == ("simulate error stage=analysis endpoint=98.97.48.115 msg=98.97.48.115: "
+                    "terrestrial loss 96% exceeds 50%")
     meta = json.loads((tmp_path / "store" / "p" / "98.97.48.115" / "meta.json").read_text())
     assert (meta["pre_sat_ttl"], meta["pre_sat_router"]) == (4, "10.255.255.1")
 
@@ -509,7 +509,9 @@ def test_report_fails_only_the_session_with_a_bad_meta_json(tmp_path, capsys, me
 
 WRONG_META_TYPE = pytest.mark.parametrize("field,value", [
     ("pre_sat_ttl", None), ("n_endpoint", [300]), ("customer_location", 5),
-], ids=["pre_sat_ttl_null", "n_endpoint_list", "customer_location_number"])
+    ("duration_s", -120), ("cadence_hz", 0),  # integers outside CampaignConfig's ranges
+], ids=["pre_sat_ttl_null", "n_endpoint_list", "customer_location_number",
+        "duration_negative", "cadence_zero"])
 
 
 def _reroute_day_store(tmp_path, field, value):
