@@ -21,6 +21,13 @@ def _finite(value) -> bool:
     return _json_int(value) or isinstance(value, float) and math.isfinite(value)
 
 
+def _within(bound: float):
+    return lambda v: _finite(v) and -bound <= v <= bound
+
+
+_latitude, _longitude = _within(90), _within(180)
+
+
 KINDS = {  # kind: (test, what a message says is expected)
     "integer": (_json_int, "an integer"),
     "number": (_finite, "a finite number"),
@@ -28,8 +35,10 @@ KINDS = {  # kind: (test, what a message says is expected)
     "flag": (lambda v: isinstance(v, bool), "true or false"),
     "object": (lambda v: isinstance(v, dict), "an object"),
     "list": (lambda v: isinstance(v, (list, tuple)), "a list"),
-    "location": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite, v)),
-                 "[latitude, longitude]"),
+    "latitude": (_latitude, "a latitude within [-90, 90]"),
+    "longitude": (_longitude, "a longitude within [-180, 180]"),
+    "location": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                 and _latitude(v[0]) and _longitude(v[1]), "[latitude, longitude]"),
 }
 _KIND_OF = {int: "integer", float: "number", str: "string", bool: "flag", dict: "object"}
 
@@ -39,6 +48,8 @@ def check(value, kind: str, name: str, error: type[Exception], *, optional: bool
     test, wanted = KINDS[kind]
     if test(value) or optional and value is None:
         return value
+    if kind in ("latitude", "longitude") and not _finite(value):
+        wanted = KINDS["number"][1]  # a coordinate is a number first
     raise error(f"{name}: expected {wanted}{' or null' if optional else ''}, got {value!r}")
 
 
@@ -87,13 +98,20 @@ class Fields:
     def make(self, cls):
         """Dataclass ``cls`` of this object's fields, each read as its annotation
         says (see :func:`read`); a field with a default may be absent and then
-        takes it, and a field that ``cls`` does not have is refused."""
+        takes it, and a field that ``cls`` does not have is refused.  An
+        ``error`` from ``cls``'s own checks is named after this object too."""
         annotations = hints(cls)
         self.only(annotations)
-        return cls(**{f.name: read(self.obj.get(f.name), annotations[f.name],
-                                   self.where + f.name, self.error)
-                      for f in fields(cls) if f.name in self.obj
-                      or f.default is MISSING and f.default_factory is MISSING})
+        values = {f.name: read(self.obj.get(f.name), annotations[f.name],
+                               self.where + f.name, self.error)
+                  for f in fields(cls) if f.name in self.obj
+                  or f.default is MISSING and f.default_factory is MISSING}
+        try:
+            return cls(**values)
+        except self.error as exc:
+            if self.where:
+                raise self.error(f"{self.where}{exc}") from None
+            raise
 
 
 def read_json(path, error: type[Exception], build):

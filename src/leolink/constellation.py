@@ -84,11 +84,12 @@ class Shell:
 
     def __post_init__(self) -> None:
         if self.altitude_km <= 0:
-            raise GeometryError("altitude_km must be positive")
+            raise GeometryError(f"altitude_km: {self.altitude_km!r} is not positive")
         if not 0 <= self.inclination_deg <= 180:
-            raise GeometryError("inclination_deg must be within [0, 180]")
-        if self.n_orbits < 1 or self.sats_per_orbit < 1:
-            raise GeometryError("need at least one orbit and one satellite")
+            raise GeometryError(f"inclination_deg: {self.inclination_deg!r} is not within [0, 180]")
+        for name in ("n_orbits", "sats_per_orbit"):
+            if getattr(self, name) < 1:
+                raise GeometryError(f"{name}: {getattr(self, name)!r} is below 1")
 
     @property
     def semi_major_axis_km(self) -> float:
@@ -288,15 +289,6 @@ def _site_positions(sites: Sequence[GroundStation], times: Sequence[float],
             lam = math.radians(site.longitude + theta)
             out.append((r_cos * math.cos(lam), r_cos * math.sin(lam), z))
     return np.array(out).reshape(len(sites), len(turns), 3)
-
-
-def site_positions(site: GroundStation, times: Sequence[float],
-                   epoch_s: float = 0.0) -> np.ndarray:
-    """Inertial-frame positions (T, 3) of a ground site at each of ``times``.
-
-    The earth rotates the site eastward relative to the epoch frame.
-    """
-    return _site_positions([site], times, epoch_s)[0]
 
 
 def _cull(config: ConstellationConfig, sites: np.ndarray, max_slant_km: float,
@@ -697,11 +689,11 @@ class StudyCase:
                                     f"got {elevation!r}")
             return cls(
                 label=case("label", "string", Path(path).stem),
-                dish=_block(case, "dish").make(DishSite),
-                access_gs=_block(case, "access_gs").make(GroundStation),
-                pop=_block(case, "pop").make(GroundStation),
+                dish=_site(case, "dish", DishSite),
+                access_gs=_site(case, "access_gs"),
+                pop=_site(case, "pop"),
                 landing_gs=(None if case.obj.get("landing_gs") is None
-                            else _block(case, "landing_gs").make(GroundStation)),
+                            else _site(case, "landing_gs")),
                 terrestrial_rtt_ms=case("terrestrial_rtt_ms", "number", optional=True),
                 max_slant_km=slant, min_elevation_deg=elevation, sample_step_s=step_s,
                 config=config or ConstellationConfig.default(),
@@ -719,6 +711,14 @@ class StudyCase:
 def _block(case: Fields, key: str, default=None) -> Fields:
     """The fields of the object in field ``key``, or of ``default`` when it is absent."""
     return Fields(case.obj.get(key, default), GeometryError, f"{key}.")
+
+
+def _site(case: Fields, key: str, cls: type = GroundStation) -> GroundStation:
+    """The site in field ``key``, its coordinates on Earth."""
+    block = _block(case, key)
+    site = block.make(cls)
+    block("latitude", "latitude"), block("longitude", "longitude")
+    return site
 
 
 @dataclass

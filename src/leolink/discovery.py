@@ -112,7 +112,7 @@ class PopCatalog:
                 raise DatasetError(f"{path} line 1: missing columns {missing}")
             for row in reader:
                 try:
-                    latitude, longitude = (check(float(row[c]), "number", c, ValueError)
+                    latitude, longitude = (check(float(row[c]), c, c, ValueError)
                                            for c in ("latitude", "longitude"))
                     entries[row["pop_code"].strip().lower()] = PopLocation(
                         city=row["city"], country=row["country"],

@@ -118,10 +118,6 @@ def build_icmp_echo(ident: int, seq: int, flow_id: int,
     return head + payload + struct.pack("!H", balance)
 
 
-def icmp_packet_checksum_valid(packet: bytes) -> bool:
-    return inet_checksum(packet) == 0
-
-
 @dataclass(frozen=True)
 class ParsedIcmp:
     icmp_type: int

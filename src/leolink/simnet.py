@@ -80,7 +80,7 @@ EVENT_KINDS = ("gs_switch", "isl_reroute", "satellite_switch")
 EVENT_GRID_S = 15
 JITTER_DISTS = ("none", "gaussian", "lognormal")
 _ENDPOINT_KINDS = {"pop_code": "string", "source": "string",
-                   "latitude": "number", "longitude": "number"}
+                   "latitude": "latitude", "longitude": "longitude"}
 FLOW = 1  # the one flow every probe carries, packed into the per-probe hash
 
 
@@ -360,15 +360,6 @@ def _probe_core(scenario: Scenario, protocol: str) -> Callable:
         return responder, kind, max(2.0 * oneway + noise, 0.001)
 
     return reply
-
-
-def respond_to_probe(scenario: Scenario, target: str, ttl: int, t_ms: int, *,
-                     protocol: str = "icmp") -> Optional[ProbeReply]:
-    """Answer one probe at virtual time t, or None for silence: the reply
-    of a fresh transport on ``protocol`` (see :func:`_probe_core`)."""
-    transport = SimnetTransport(scenario, protocol=protocol)
-    transport.clock = VirtualClock(t_ms)
-    return transport.probe(target, ttl)
 
 
 class SimnetTransport:

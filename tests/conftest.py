@@ -1,4 +1,4 @@
-"""Shared helpers: scenario factories and bundled fixture paths."""
+"""Shared helpers: scenario factories, one simulated probe and bundled fixture paths."""
 from __future__ import annotations
 
 import copy
@@ -25,6 +25,15 @@ BASE_SCENARIO = {
     "jitter": {"dist": "none", "sigma_ms": 0.0, "satellite_sigma_ms": 0.0},
     "events": [],
 }
+
+
+def respond_to_probe(scenario, target: str, ttl: int, t_ms: int, *, protocol: str = "icmp"):
+    """Answer one probe at virtual time t, or None for silence: the reply
+    of a fresh simnet transport on ``protocol``."""
+    from leolink.simnet import SimnetTransport, VirtualClock
+    transport = SimnetTransport(scenario, protocol=protocol)
+    transport.clock = VirtualClock(t_ms)
+    return transport.probe(target, ttl)
 
 
 def scenario_dict(**overrides) -> dict:

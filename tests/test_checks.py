@@ -18,6 +18,10 @@ class Point:
     x: float
     label: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.x < 0:
+            raise BadInput(f"x: {self.x!r} is negative")
+
 
 @dataclass(frozen=True)
 class Shape:
@@ -52,9 +56,10 @@ def test_make_reads_nested_objects_lists_and_defaults():
     ({"points": [], "tags": "a"}, "tags: expected a list, got 'a'"),
     ({"points": [], "extra": []}, "extra: expected an object, got []"),
     ({"points": [], "colour": "red"}, "unknown fields ['colour']"),
+    ({"points": [{"x": 1}, {"x": -1}]}, "points[1].x: -1 is negative"),
 ], ids=["required_absent", "nested_bool", "nested_unknown", "item_not_object",
         "null_not_optional", "nested_field", "optional_string", "union_form", "tuple_string",
-        "dict_list", "unknown_key"])
+        "dict_list", "unknown_key", "nested_post_init"])
 def test_make_names_the_bad_field(obj, message):
     with pytest.raises(BadInput) as err:
         make(obj)

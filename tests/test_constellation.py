@@ -551,13 +551,28 @@ def _with(obj, key, **fields):
     *((StudyCase.from_json, json.dumps(_with(NIGERIA, "visibility", min_elevation_deg=elev)),
        f"visibility.min_elevation_deg: must be within [-90, 90], got {elev!r}")
       for elev in (90.5, -91)),
+    (ConstellationConfig.from_json, json.dumps({"shells": [{**SHELL, "altitude_km": -5.0}]}),
+     "shells[0].altitude_km: -5.0 is not positive"),
+    (ConstellationConfig.from_json,
+     json.dumps({"shells": [SHELL, {**SHELL, "inclination_deg": 181}]}),
+     "shells[1].inclination_deg: 181 is not within [0, 180]"),
+    (ConstellationConfig.from_json, json.dumps({"shells": [{**SHELL, "n_orbits": 0}]}),
+     "shells[0].n_orbits: 0 is below 1"),
+    (StudyCase.from_json, json.dumps(_with(NIGERIA, "dish", latitude=500.0)),
+     "dish.latitude: expected a latitude within [-90, 90], got 500.0"),
+    (StudyCase.from_json, json.dumps(_with(NIGERIA, "pop", longitude=-722.3)),
+     "pop.longitude: expected a longitude within [-180, 180], got -722.3"),
+    (StudyCase.from_json, json.dumps(_with(NIGERIA, "landing_gs", latitude=-90.5)),
+     "landing_gs.latitude: expected a latitude within [-90, 90], got -90.5"),
 ], ids=["case_not_json", "case_not_an_object", "dish_latitude_string", "terrestrial_string",
         "pop_missing", "slant_null", "label_number", "config_not_json", "altitude_string",
         "unknown_shell_key", "n_orbits_float", "epoch_bool", "shells_object",
         "step_zero", "step_negative", "step_tiny", "step_half",
         "misspelt_case_key", "misspelt_visibility_key", "misspelt_sampling_key",
         "misspelt_dish_key", "boresight_on_pop", "landing_gs_empty", "misspelt_config_key",
-        "slant_negative", "slant_zero", "elevation_above_90", "elevation_below_90"])
+        "slant_negative", "slant_zero", "elevation_above_90", "elevation_below_90",
+        "altitude_negative", "inclination_181", "zero_orbits", "dish_latitude_off_earth",
+        "pop_longitude_off_earth", "landing_gs_latitude_off_earth"])
 def test_bad_geometry_file_names_file_and_field(tmp_path, read, text, where):
     path = tmp_path / "bad.json"
     path.write_text(text)

@@ -278,6 +278,16 @@ def test_geofeed_non_finite_coordinates_count_as_none(tmp_path):
     assert geolocate_customer(ep, load_geofeed(feed)) == ep
 
 
+def test_geofeed_coordinates_off_earth_count_as_none(tmp_path):
+    feed = tmp_path / "geofeed.csv"
+    feed.write_text("98.97.0.0/16,US,US-WA,Seattle,500.0,-122.3321\n"
+                    "98.97.4.0/24,NG,NG-LA,Ajah,6.4698,-722.3\n"
+                    "98.97.5.0/24,AQ,,Pole,-90.0,180.0\n")
+    assert [coords for _, coords in load_geofeed(feed)] == [None, None, (-90.0, 180.0)]
+    ep = Endpoint(address="98.97.4.10", pop_code="lgosnga1", pop_location=None)
+    assert geolocate_customer(ep, load_geofeed(feed)) == ep
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_pop_catalog_refuses_a_non_finite_coordinate(tmp_path, value):
     catalog = tmp_path / "catalog.csv"

@@ -65,7 +65,7 @@ from leolink.discovery import Endpoint, PopLocation
 from leolink.geo import EARTH_RADIUS_KM, vacuum_rtt_ms
 from leolink.probe import MeasurementSession, SatLinkPath
 from leolink.store import MeasurementStore
-from tests.conftest import scenario_dict
+from tests.conftest import respond_to_probe, scenario_dict
 
 # One probe as the per-sample code held it; rtt_us is None when lost.
 Sample = namedtuple("Sample", "timestamp_ms target_ttl rtt_us")
@@ -442,8 +442,8 @@ def test_probe_replies_equal_per_probe_chain(scenario, times_ms, protocol):
     edges = [int(t * 1000) for t in boundary_times(scenario)]
     for t_ms in edges + times_ms:
         for ttl in range(1, scenario.path_length + 3):
-            reply = simnet.respond_to_probe(scenario, scenario.target_address, ttl, t_ms,
-                                            protocol=protocol)
+            reply = respond_to_probe(scenario, scenario.target_address, ttl, t_ms,
+                                     protocol=protocol)
             got = None if reply is None else (reply.responder, reply.rtt_us, reply.kind)
             assert got == oracle_respond_to_probe(scenario, scenario.target_address, ttl,
                                                   t_ms, protocol=protocol)
@@ -799,7 +799,7 @@ def test_site_no_plane_comes_near_has_no_candidates():
     config = ConstellationConfig.default()
     snap = propagate(config, 0.0)
     dish, gs = DishSite(90.0, 0.0), GroundStation(90.0, 0.0)
-    sites = constellation.site_positions(dish, [0.0], config.epoch_s)
+    sites = constellation._site_positions([dish], [0.0], config.epoch_s)[0]
     assert len(constellation._cull(config, sites, 600.0)) == 0
     for rule in (best_case_rtt, worst_case_rtt, min_isl_ng_threshold):
         with pytest.raises(NoCoverageError):

@@ -17,9 +17,8 @@ from leolink.simnet import (
     build_scenario,
     ground_truth,
     load_scenario_dir,
-    respond_to_probe,
 )
-from tests.conftest import scenario_dict
+from tests.conftest import respond_to_probe, scenario_dict
 
 EVENT_80MS = {"at_s": 60, "kind": "isl_reroute", "delta_ms": 80.0, "duration_s": 30}
 

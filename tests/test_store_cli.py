@@ -17,7 +17,7 @@ from leolink import cli, discovery, rawnet
 from leolink import store as store_module
 from leolink.discovery import Endpoint
 from leolink.probe import MeasurementSession, SatLinkPath, probe_each_tick
-from leolink.simnet import SimnetTransport, build_scenario, respond_to_probe
+from leolink.simnet import SimnetTransport, build_scenario
 from leolink.store import (
     TRANSPORTS,
     CampaignConfig,
@@ -27,7 +27,7 @@ from leolink.store import (
     read_report_csv,
     write_report_csv,
 )
-from tests.conftest import FIXTURES, scenario_dict
+from tests.conftest import FIXTURES, respond_to_probe, scenario_dict
 
 SCENARIOS = Path(cli.__file__).parent / "data" / "scenarios"
 
@@ -510,8 +510,9 @@ def test_report_fails_only_the_session_with_a_bad_meta_json(tmp_path, capsys, me
 WRONG_META_TYPE = pytest.mark.parametrize("field,value", [
     ("pre_sat_ttl", None), ("n_endpoint", [300]), ("customer_location", 5),
     ("duration_s", -120), ("cadence_hz", 0),  # integers outside CampaignConfig's ranges
+    ("customer_location", [500.0, -722.3]),
 ], ids=["pre_sat_ttl_null", "n_endpoint_list", "customer_location_number",
-        "duration_negative", "cadence_zero"])
+        "duration_negative", "cadence_zero", "customer_location_off_earth"])
 
 
 def _reroute_day_store(tmp_path, field, value):
@@ -1059,7 +1060,11 @@ def _single_config_error(capsys, command, *parts):
     ("address,pop_code,cust_lat,cust_lon\n100.64.9.1,sttlwax1,47.6,-122.3\n"
      "100.64.9.2,sttlwax1,abc,-122.3\n", "line 3: could not convert string to float"),
     ("addr,pop_code\n100.64.9.1,sttlwax1\n", "line 1: no address column"),
-], ids=["bad_value", "missing_column"])
+    ("address,pop_code,cust_lat,cust_lon\n100.64.9.1,sttlwax1,500.0,-122.3\n",
+     "line 2: customer_location: expected [latitude, longitude] or null, got (500.0, -122.3)"),
+    ("address,pop_code,cust_lat,cust_lon\n100.64.9.1,sttlwax1,47.6,-722.3\n",
+     "line 2: customer_location: expected [latitude, longitude] or null, got (47.6, -722.3)"),
+], ids=["bad_value", "missing_column", "latitude_off_earth", "longitude_off_earth"])
 @pytest.mark.parametrize("command", ["trace", "measure"])
 def test_bad_cohort_csv_is_a_config_error(tmp_path, capsys, monkeypatch, command,
                                           cohort_text, where):
@@ -1082,7 +1087,10 @@ def test_bad_cohort_csv_is_a_config_error(tmp_path, capsys, monkeypatch, command
      "lgosnga1,Lagos,NG,north,3.4\n", "line 3: could not convert string to float"),
     ("pop_code,city,country,lat,lon\nsttlwax1,Seattle,US,47.6,-122.3\n",
      "line 1: missing columns ['latitude', 'longitude']"),
-], ids=["bad_value", "missing_column"])
+    ("pop_code,city,country,latitude,longitude\nsttlwax1,Seattle,US,47.6,-122.3\n"
+     "lgosnga1,Lagos,NG,6.5,-722.3\n",
+     "line 3: longitude: expected a longitude within [-180, 180], got -722.3"),
+], ids=["bad_value", "missing_column", "longitude_off_earth"])
 @pytest.mark.parametrize("command", ["discover", "report"])
 def test_bad_pop_catalog_is_a_config_error(tmp_path, capsys, command, catalog_text, where):
     catalog = tmp_path / "catalog.csv"
@@ -1126,9 +1134,14 @@ def _misspelt(path: tuple, key: str, value):
     (json.dumps(_misspelt((), "loss_probabilty", 0.1)), "unknown fields ['loss_probabilty']"),
     (json.dumps(_misspelt((), "hop_flap", {"every_s": 25, "duration": 1})),
      "hop_flap: unknown fields ['duration']"),
+    (json.dumps(scenario_dict(endpoint={"latitude": 500.0, "longitude": -722.3})),
+     "endpoint.latitude: expected a latitude within [-90, 90], got 500.0"),
+    (json.dumps(scenario_dict(endpoint={"latitude": 47.6, "longitude": -722.3})),
+     "endpoint.longitude: expected a longitude within [-180, 180], got -722.3"),
 ], ids=["not_json", "latency_not_a_number", "latency_nan", "event_not_an_object",
         "misspelt_hop_echo", "misspelt_event_delta", "misspelt_jitter_sigma",
-        "misspelt_endpoint_latitude", "misspelt_loss_probability", "misspelt_hop_flap_duration"])
+        "misspelt_endpoint_latitude", "misspelt_loss_probability", "misspelt_hop_flap_duration",
+        "endpoint_latitude_off_earth", "endpoint_longitude_off_earth"])
 def test_bad_scenario_file_is_a_config_error(tmp_path, capsys, text, where):
     scenario = tmp_path / "scenarios" / "bad.json"
     scenario.parent.mkdir()
@@ -1243,8 +1256,9 @@ def _analyzed_reroute_day(tmp_path, field, value):
     ("pop_code", 5, "a string"),
     ("source", ["x"], "a string"),
     ("address", None, "a string"),
+    ("customer_location", [500.0, -722.3], "[latitude, longitude] or null"),
 ], ids=["location_strings", "location_nan", "location_short", "pop_code_number",
-        "source_list", "address_null"])
+        "source_list", "address_null", "location_off_earth"])
 def test_report_checks_the_endpoint_of_an_analyzed_session(tmp_path, capsys, field, value,
                                                            wanted):
     # report takes this session's statistics from analyze's tables, so only
@@ -1299,6 +1313,17 @@ def _bad_scenario_run(tmp_path):
         "endpoint.latitude: expected a finite number, got 'north'")
 
 
+def _off_earth_scenario_run(tmp_path):
+    obj = json.loads((SCENARIOS / "reroute_day" / "seattle_reroute_day.json").read_text())
+    obj["endpoint"]["latitude"] = 500.0
+    scenario = tmp_path / "scenarios" / "bad.json"
+    scenario.parent.mkdir()
+    scenario.write_text(json.dumps(obj))
+    return ["simulate", "--scenarios", str(scenario.parent), "--out", str(tmp_path / "s")], 2, (
+        f"simulate error stage=config msg={scenario}: ",
+        "endpoint.latitude: expected a latitude within [-90, 90], got 500.0")
+
+
 def _bad_meta_run(tmp_path):
     store_dir, meta_path = _analyzed_reroute_day(tmp_path, "customer_location", ["north", "west"])
     return ["report", "--store", str(store_dir)], 1, (
@@ -1306,8 +1331,9 @@ def _bad_meta_run(tmp_path):
         "customer_location: expected [latitude, longitude] or null, got ['north', 'west']")
 
 
-@pytest.mark.parametrize("bad_run", [_bad_config_run, _bad_scenario_run, _bad_meta_run],
-                         ids=["config", "scenario", "meta_json"])
+@pytest.mark.parametrize("bad_run", [_bad_config_run, _bad_scenario_run,
+                                     _off_earth_scenario_run, _bad_meta_run],
+                         ids=["config", "scenario", "scenario_off_earth", "meta_json"])
 def test_bad_input_ends_in_one_stage_line_without_a_traceback(tmp_path, capsys, bad_run):
     argv, code, (head, tail) = bad_run(tmp_path)
     capsys.readouterr()
