@@ -112,8 +112,10 @@ class PopCatalog:
                 raise DatasetError(f"{path} line 1: missing columns {missing}")
             for row in reader:
                 try:
-                    latitude, longitude = (check(float(row[c]), c, c, ValueError)
-                                           for c in ("latitude", "longitude"))
+                    latitude = check(float(row["latitude"]), "latitude", "latitude",
+                                     ValueError)
+                    longitude = check(float(row["longitude"]), "longitude", "longitude",
+                                      ValueError)
                     entries[row["pop_code"].strip().lower()] = PopLocation(
                         city=row["city"], country=row["country"],
                         latitude=latitude, longitude=longitude)
