@@ -59,7 +59,6 @@ class LatencySeries:
 
     timestamps_ms: np.ndarray  # int64, strictly increasing
     values_ms: np.ndarray      # float64, non-negative
-    source: str = "isolated"
 
     def __post_init__(self) -> None:
         self.timestamps_ms = np.asarray(self.timestamps_ms, dtype=np.int64)
@@ -136,25 +135,23 @@ def isolate_satellite_latency(session: MeasurementSession) -> tuple[LatencySerie
         raise SessionUnusableError(
             f"{session.path.target}: terrestrial loss "
             f"{session.terrestrial_loss_fraction:.0%} exceeds 50%")
-    terr, endp = session.terrestrial_rtt_us, session.endpoint_rtt_us
+    terr, endp = session.rtt_us
     paired = ~(np.isnan(terr) | np.isnan(endp))
     if not paired.any():
         raise EmptySeriesError(f"{session.path.target}: no paired ticks")
     diff_ms = (endp[paired] - terr[paired]) / 1000.0
     negative = diff_ms < 0.0
-    series = LatencySeries(session.endpoint_sent_ms[paired],
-                           np.where(negative, 0.0, diff_ms), source="isolated")
+    series = LatencySeries(session.sent_ms[1][paired], np.where(negative, 0.0, diff_ms))
     return series, int(np.count_nonzero(negative))
 
 
 def terrestrial_series(session: MeasurementSession) -> LatencySeries:
     """RTT series of the terrestrial reference hop, for jitter screening."""
-    rtt_us = session.terrestrial_rtt_us
+    rtt_us = session.rtt_us[0]
     answered = ~np.isnan(rtt_us)
     if not answered.any():
         raise EmptySeriesError(f"{session.path.target}: terrestrial hop never answered")
-    return LatencySeries(session.terrestrial_sent_ms[answered], rtt_us[answered] / 1000.0,
-                         source="terrestrial")
+    return LatencySeries(session.sent_ms[0][answered], rtt_us[answered] / 1000.0)
 
 
 def smooth(series: LatencySeries, window_s: float = SMOOTHING_WINDOW_S) -> LatencySeries:
@@ -167,8 +164,7 @@ def smooth(series: LatencySeries, window_s: float = SMOOTHING_WINDOW_S) -> Laten
         raise ValueError("window_s must be positive")
     n = len(series)
     if n == 0:
-        return LatencySeries(series.timestamps_ms.copy(), series.values_ms.copy(),
-                             source=series.source)
+        return LatencySeries(series.timestamps_ms.copy(), series.values_ms.copy())
     half_ms = window_s * 1000.0 / 2.0
     ts = series.timestamps_ms
     vs = series.values_ms
@@ -186,7 +182,7 @@ def smooth(series: LatencySeries, window_s: float = SMOOTHING_WINDOW_S) -> Laten
         for k in range(0, len(group), step):
             part = group[k:k + step]
             out[part] = np.median(rows[lo[part]], axis=1)
-    return LatencySeries(ts.copy(), out, source=series.source)
+    return LatencySeries(ts.copy(), out)
 
 
 def _maximal_runs(mask: np.ndarray) -> list[tuple[int, int]]:

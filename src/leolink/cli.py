@@ -43,6 +43,7 @@ from .store import (
     endpoint_from_meta,
     params_hash,
     read_report_csv,
+    replaced,
     write_report_csv,
 )
 
@@ -483,7 +484,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         "",
         f"config_hash: {report_hash}",
     ]
-    (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with replaced(out_dir / "summary.txt") as fh:
+        fh.write("\n".join(lines) + "\n")
 
     return _print_summary("report", 1 if failures else 0, {
         "sessions": len(items), "failed": failures, "pops": len(aggregates),

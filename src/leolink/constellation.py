@@ -671,8 +671,7 @@ class StudyCase:
     config: ConstellationConfig
 
     @classmethod
-    def from_json(cls, path: str | Path,
-                  config: Optional[ConstellationConfig] = None) -> "StudyCase":
+    def from_json(cls, path: str | Path) -> "StudyCase":
         def build(case: Fields) -> StudyCase:
             case.only(("label", "comment", "dish", "access_gs", "pop", "landing_gs",
                        "terrestrial_rtt_ms", "visibility", "sampling"))
@@ -696,7 +695,7 @@ class StudyCase:
                             else _site(case, "landing_gs")),
                 terrestrial_rtt_ms=case("terrestrial_rtt_ms", "number", optional=True),
                 max_slant_km=slant, min_elevation_deg=elevation, sample_step_s=step_s,
-                config=config or ConstellationConfig.default(),
+                config=ConstellationConfig.default(),
             )
 
         return read_json(path, GeometryError, build)

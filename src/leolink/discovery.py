@@ -303,8 +303,6 @@ def exclude_peps(
     empty blocklist removes nothing.  Returns (kept, removed_count).
     """
     blocklist = blocklist or PepBlocklist()
-    if not blocklist.tls_name_substrings:
-        return list(endpoints), 0
     flagged: set[str] = set()
     for rec in records:
         if rec.tls_subject_names and blocklist.matches(rec):

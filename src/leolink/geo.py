@@ -42,7 +42,12 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float,
     dphi = math.radians(lat2 - lat1)
     dlam = math.radians(lon2 - lon1)
     a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * radius_km * math.asin(math.sqrt(a))
+    if a <= 0.5:  # up to 90 degrees apart, where asin is well-conditioned
+        return 2.0 * radius_km * math.asin(math.sqrt(a))
+    # Nearer antipodal, a rounds close to 1 and asin loses the last digits:
+    # the Vincenty form, atan2(|u x v|, u . v) of the unit vectors, keeps them.
+    u, v = latlon_to_ecef(np.array([lat1, lat2]), np.array([lon1, lon2]), 1.0)
+    return radius_km * math.atan2(math.hypot(*np.cross(u, v)), sum(u * v))
 
 
 def latlon_to_ecef(lat: float | np.ndarray, lon: float | np.ndarray,

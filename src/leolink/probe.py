@@ -38,6 +38,17 @@ DEFAULT_MAX_TTL = 32
 DEFAULT_CADENCE_HZ = 1
 DEFAULT_DURATION_S = 300
 UNUSABLE_LOSS_FRACTION = 0.5
+# The inclusive range of each integer setting of a campaign, a trace and a session.
+RANGES = {"cadence_hz": (1, 10), "duration_s": (1, 86_400), "concurrency": (1, 64),
+          "probes_per_hop": (1, 10), "max_ttl": (1, 64)}
+
+
+def check_range(name: str, value: int, error: type[Exception] = ValueError,
+                where: str = "") -> None:
+    """Raise ``error`` naming ``where`` and ``name`` if value is outside ``RANGES[name]``."""
+    lo, hi = RANGES[name]
+    if not lo <= value <= hi:
+        raise error(f"{where}{name}: expected an integer in {lo}..{hi}, got {value!r}")
 
 
 class ProbeError(Exception):
@@ -132,9 +143,10 @@ class SatLinkPath:
 class MeasurementSession:
     """Per-tick probes of the terrestrial and endpoint hops.
 
-    Entry k of each array is tick k: the send time in ms (int64) and the
-    RTT in microseconds (float64, NaN for a lost probe) of that hop's
-    probe.  The four arrays always have one length.
+    ``sent_ms`` (int64) and ``rtt_us`` (float64, NaN for a lost probe) have
+    shape ``(2, n)``: row 0 is the terrestrial hop, row 1 the endpoint hop,
+    and column k is tick k.  Tick k's endpoint probe leaves no earlier
+    than its terrestrial probe and no later than tick k + 1's.
     """
 
     endpoint: Endpoint
@@ -142,24 +154,28 @@ class MeasurementSession:
     start_ms: int
     duration_s: int
     cadence_hz: int
-    terrestrial_sent_ms: np.ndarray
-    terrestrial_rtt_us: np.ndarray
-    endpoint_sent_ms: np.ndarray
-    endpoint_rtt_us: np.ndarray
+    sent_ms: np.ndarray
+    rtt_us: np.ndarray
 
     def __post_init__(self) -> None:
-        self.terrestrial_sent_ms = np.asarray(self.terrestrial_sent_ms, dtype=np.int64)
-        self.terrestrial_rtt_us = np.asarray(self.terrestrial_rtt_us, dtype=np.float64)
-        self.endpoint_sent_ms = np.asarray(self.endpoint_sent_ms, dtype=np.int64)
-        self.endpoint_rtt_us = np.asarray(self.endpoint_rtt_us, dtype=np.float64)
-        shapes = {a.shape for a in (self.terrestrial_sent_ms, self.terrestrial_rtt_us,
-                                    self.endpoint_sent_ms, self.endpoint_rtt_us)}
-        if len(shapes) != 1 or self.terrestrial_sent_ms.ndim != 1:
-            raise ValueError(f"per-hop arrays must be aligned by tick, got shapes {shapes}")
+        try:
+            self.sent_ms = np.asarray(self.sent_ms, dtype=np.int64)
+            self.rtt_us = np.asarray(self.rtt_us, dtype=np.float64)
+            aligned = self.sent_ms.shape == self.rtt_us.shape == (2, self.sent_ms.size // 2)
+        except ValueError:  # numpy refuses ragged rows
+            aligned = False
+        if not aligned:
+            raise ValueError("sent_ms and rtt_us must be alike (2, n) arrays, rows aligned by tick")
+        terrestrial, endpoint = self.sent_ms
+        late = endpoint < terrestrial
+        late[:-1] |= terrestrial[1:] < endpoint[:-1]
+        if late.any():
+            raise ValueError(f"the rows of tick {late.argmax()} do not pair by send time; "
+                             f"rows are missing or out of order")
 
     @property
     def terrestrial_loss_fraction(self) -> float:
-        lost = np.isnan(self.terrestrial_rtt_us)
+        lost = np.isnan(self.rtt_us[0])
         return float(lost.mean()) if len(lost) else 1.0
 
     @property
@@ -180,10 +196,8 @@ def run_traceroute(
 
     Stops at the first TTL whose responder is the target itself.
     """
-    if not 1 <= max_ttl <= 64:
-        raise ValueError("max_ttl must be within [1, 64]")
-    if probes_per_hop < 1:
-        raise ValueError("probes_per_hop must be >= 1")
+    check_range("max_ttl", max_ttl)
+    check_range("probes_per_hop", probes_per_hop)
     hops: list[TraceHop] = []
     reached = False
     for ttl in range(1, max_ttl + 1):
@@ -283,16 +297,12 @@ def measure_session(
     A reply from anyone but ``pre_sat_router`` at the terrestrial TTL or
     the target at the endpoint TTL is lost.
     """
-    if duration_s < 1:
-        raise ValueError("duration_s must be >= 1")
-    if not 1 <= cadence_hz <= 10:
-        raise ValueError("cadence_hz must be within [1, 10]")
+    check_range("duration_s", duration_s)
+    check_range("cadence_hz", cadence_hz)
     start_ms = transport.now_ms()
-    # row 0 is the terrestrial hop, row 1 the endpoint hop
     sent_ms, rtt_us = transport.probe_ticks(
         path.target, ((path.pre_sat_ttl, path.pre_sat_router), (path.post_sat_ttl, path.target)),
         start_ms, cadence_hz, duration_s * cadence_hz)
-    return MeasurementSession(
-        endpoint=endpoint, path=path, start_ms=start_ms, duration_s=duration_s,
-        cadence_hz=cadence_hz, terrestrial_sent_ms=sent_ms[0], terrestrial_rtt_us=rtt_us[0],
-        endpoint_sent_ms=sent_ms[1], endpoint_rtt_us=rtt_us[1])
+    return MeasurementSession(endpoint=endpoint, path=path, start_ms=start_ms,
+                              duration_s=duration_s, cadence_hz=cadence_hz,
+                              sent_ms=sent_ms, rtt_us=rtt_us)

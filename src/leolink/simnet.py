@@ -160,8 +160,9 @@ class Scenario:
             raise _err("duration_s", "must be positive")
         if self.jitter.dist not in JITTER_DISTS:
             raise _err("jitter.dist", f"must be one of {JITTER_DISTS}")
-        if self.jitter.sigma_ms < 0 or self.jitter.satellite_sigma_ms < 0:
-            raise _err("jitter.sigma_ms", "sigma must be non-negative")
+        for name in ("sigma_ms", "satellite_sigma_ms"):
+            if getattr(self.jitter, name) < 0:
+                raise _err(f"jitter.{name}", "sigma must be non-negative")
         for i, event in enumerate(self.events):
             name = f"events[{i}]"
             if event.kind not in EVENT_KINDS:
@@ -210,10 +211,6 @@ class Scenario:
     @property
     def target_address(self) -> str:
         return self.hops[-1].address
-
-    @property
-    def path_length(self) -> int:
-        return len(self.hops)
 
     def satellite_base_oneway_ms(self) -> float:
         # Segments strictly after pre_sat up to and including post_sat.
@@ -274,23 +271,6 @@ def load_scenario_dir(path: str | Path) -> dict[str, Scenario]:
             raise ScenarioError(f"{f}: duplicate target {sc.target_address}")
         scenarios[sc.target_address] = sc
     return scenarios
-
-
-class VirtualClock:
-    def __init__(self, start_ms: int = 0):
-        self._now_ms = float(start_ms)
-
-    def now_ms(self) -> int:
-        return int(self._now_ms)
-
-    def advance_ms(self, dt_ms: float) -> None:
-        if dt_ms < 0:
-            raise ValueError("clock cannot run backwards")
-        self._now_ms += dt_ms
-
-    def sleep_until_ms(self, t_ms: int) -> None:
-        if t_ms > self._now_ms:
-            self._now_ms = float(t_ms)
 
 
 def _probe_core(scenario: Scenario, protocol: str) -> Callable:
@@ -367,29 +347,33 @@ class SimnetTransport:
 
     Create one transport per measurement task: virtual time advances
     only through the owning task's probes and sleeps, which keeps
-    concurrent sessions over different endpoints deterministic.  A probe
-    that draws no reply advances the clock by the timeout.  ``probe``
-    and ``probe_ticks`` share one per-probe core (:func:`_probe_core`).
+    concurrent sessions over different endpoints deterministic.  The
+    clock counts float ms, read whole; a sleep never moves it back, and a
+    probe moves it on by its RTT, or by the timeout when no reply comes.
+    ``probe`` and ``probe_ticks`` share one per-probe core (:func:`_probe_core`).
     """
 
     def __init__(self, scenario: Scenario, *, protocol: str = "icmp",
                  timeout_s: float = DEFAULT_PROBE_TIMEOUT_S):
         if protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol: {protocol}")
+        if not timeout_s > 0:  # a lost probe must not move the clock back
+            raise ValueError(f"timeout_s must be positive, got {timeout_s!r}")
         self.scenario = scenario
         self.protocol = protocol
         self.timeout_s = timeout_s
-        self.clock = VirtualClock()
+        self._now_ms = 0.0
         self.probes_sent = 0
         self.sat_probe_count = 0
         self.wrong_responders: dict[int, int] = {}
         self._reply = _probe_core(scenario, protocol)
 
     def now_ms(self) -> int:
-        return self.clock.now_ms()
+        return int(self._now_ms)
 
     def sleep_until_ms(self, t_ms: int) -> None:
-        self.clock.sleep_until_ms(t_ms)
+        if t_ms > self._now_ms:
+            self._now_ms = float(t_ms)
 
     def probe(self, target: str, ttl: int) -> Optional[ProbeReply]:
         self.probes_sent += 1
@@ -397,10 +381,10 @@ class SimnetTransport:
         answer = (self._reply(ttl, self.now_ms()) if target == self.scenario.target_address
                   else None)
         if answer is None:
-            self.clock.advance_ms(self.timeout_s * 1000.0)
+            self._now_ms += self.timeout_s * 1000.0
             return None
         reply = ProbeReply(responder=answer[0], rtt_us=answer[2] * 1000.0, kind=answer[1])
-        self.clock.advance_ms(reply.rtt_us / 1000.0)
+        self._now_ms += reply.rtt_us / 1000.0
         return reply
 
     def probe_ticks(self, target: str, hops: Sequence[tuple[int, str]], start_ms: int,
@@ -415,7 +399,7 @@ class SimnetTransport:
         timeout_ms, nan, wrong = self.timeout_s * 1000.0, math.nan, self.wrong_responders
         rows = [(ttl, responder, memoryview(sent_ms[h]), memoryview(rtt_us[h]))
                 for h, (ttl, responder) in enumerate(hops)]
-        now = self.clock._now_ms  # the float clock, not the session's int start
+        now = self._now_ms  # the float clock, not the session's int start
         for k in range(n_ticks):
             tick = start_ms + (k * 1000) // cadence_hz
             if tick > now:
@@ -432,7 +416,7 @@ class SimnetTransport:
                 if answer[0] != expected:
                     rtt[k] = nan
                     wrong[ttl] = wrong.get(ttl, 0) + 1
-        self.clock._now_ms = now
+        self._now_ms = now
         self.probes_sent += len(hops) * n_ticks
         self.sat_probe_count += n_ticks * sum(ttl > self.scenario.pre_sat for ttl, _ in hops)
         return sent_ms, rtt_us

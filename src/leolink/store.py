@@ -23,10 +23,11 @@ import json
 import math
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -46,17 +47,6 @@ _WRITE_CHUNK_ROWS = 8192  # session.csv rows formatted at a time
 TRANSPORTS = ("simnet", "raw")
 
 
-# The inclusive range of each integer field of CampaignConfig.
-_INTEGER_RANGES = {"cadence_hz": (1, 10), "duration_s": (1, 86_400), "concurrency": (1, 64),
-                   "probes_per_hop": (1, 10), "max_ttl": (1, 64)}
-
-
-def _check_range(name: str, value: int, error: type[Exception], where: str = "") -> None:
-    lo, hi = _INTEGER_RANGES[name]
-    if not lo <= value <= hi:
-        raise error(f"{where}{name}: expected an integer in {lo}..{hi}, got {value!r}")
-
-
 class StoreError(RuntimeError):
     pass
 
@@ -69,7 +59,7 @@ class ConfigError(ValueError):
 class CampaignConfig:
     """Everything a campaign run needs, loadable from one JSON file.
 
-    Tunable ranges: _INTEGER_RANGES, timeout_s (0, 30], jump_threshold_ms > 0.
+    Tunable ranges: probe.RANGES, timeout_s (0, 30], jump_threshold_ms > 0.
     """
 
     transport: str
@@ -88,9 +78,6 @@ class CampaignConfig:
     exclude_file: Optional[str] = None
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         for name, hint in hints(CampaignConfig).items():
             read(getattr(self, name), hint, name, ConfigError)
         if self.transport not in TRANSPORTS:
@@ -101,8 +88,8 @@ class CampaignConfig:
             raise ConfigError("endpoints_file: required for the raw transport")
         if not self.output_dir:
             raise ConfigError("output_dir: must be set")
-        for name in _INTEGER_RANGES:
-            _check_range(name, getattr(self, name), ConfigError)
+        for name in probe.RANGES:
+            probe.check_range(name, getattr(self, name), ConfigError)
         if not self.jump_threshold_ms > 0:
             raise ConfigError("jump_threshold_ms: must be positive")
         if not 0 < self.timeout_s <= 30:
@@ -215,8 +202,8 @@ class MeasurementStore:
             "start_ms": session.start_ms,
             "duration_s": session.duration_s,
             "cadence_hz": session.cadence_hz,
-            "n_terrestrial": len(session.terrestrial_sent_ms),
-            "n_endpoint": len(session.endpoint_sent_ms),
+            "n_terrestrial": session.sent_ms.shape[1],
+            "n_endpoint": session.sent_ms.shape[1],
             "terrestrial_loss_fraction": round(session.terrestrial_loss_fraction, 6),
         }
         if extra_meta:
@@ -227,32 +214,24 @@ class MeasurementStore:
             target = '"' + target.replace('"', '""') + '"'
         # Rows in send order; at equal timestamps the terrestrial hop's
         # smaller TTL goes first, as it was probed first.
-        sent_ms = np.concatenate([session.terrestrial_sent_ms, session.endpoint_sent_ms])
+        sent_ms, rtt_us = session.sent_ms.ravel(), session.rtt_us.ravel()
         ttls = np.repeat([session.path.pre_sat_ttl, session.path.post_sat_ttl],
-                         len(session.terrestrial_sent_ms))
-        rtt_us = np.concatenate([session.terrestrial_rtt_us, session.endpoint_rtt_us])
+                         session.sent_ms.shape[1])
         order = np.lexsort((ttls, sent_ms))  # stable
-        tmp_session = endpoint_dir / (SESSION_FILENAME + ".tmp")
-        tmp_meta = endpoint_dir / (META_FILENAME + ".tmp")
-        try:
-            with open(tmp_session, "w", newline="", encoding="utf-8") as fh:
-                fh.write(",".join(SESSION_COLUMNS) + "\r\n")
-                # in chunks, so a day-long session's rows are never all Python objects
-                for lo in range(0, len(order), _WRITE_CHUNK_ROWS):
-                    rows = order[lo:lo + _WRITE_CHUNK_ROWS]
-                    fh.writelines(
-                        f"{t},{target},{ttl},,true\r\n" if math.isnan(rtt)
-                        else f"{t},{target},{ttl},{rtt:.1f},false\r\n"
-                        for t, ttl, rtt in zip(sent_ms[rows].tolist(), ttls[rows].tolist(),
-                                               rtt_us[rows].tolist()))
-            with open(tmp_meta, "w", encoding="utf-8") as fh:
-                json.dump(meta, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp_meta, endpoint_dir / META_FILENAME)
-            os.replace(tmp_session, session_path)
-        finally:
-            tmp_meta.unlink(missing_ok=True)
-            tmp_session.unlink(missing_ok=True)
+        # meta.json's block ends first, so session.csv is renamed into place last
+        with replaced(session_path) as fh:
+            fh.write(",".join(SESSION_COLUMNS) + "\r\n")
+            # in chunks, so a day-long session's rows are never all Python objects
+            for lo in range(0, len(order), _WRITE_CHUNK_ROWS):
+                rows = order[lo:lo + _WRITE_CHUNK_ROWS]
+                fh.writelines(
+                    f"{t},{target},{ttl},,true\r\n" if math.isnan(rtt)
+                    else f"{t},{target},{ttl},{rtt:.1f},false\r\n"
+                    for t, ttl, rtt in zip(sent_ms[rows].tolist(), ttls[rows].tolist(),
+                                           rtt_us[rows].tolist()))
+            with replaced(endpoint_dir / META_FILENAME) as meta_fh:
+                json.dump(meta, meta_fh, indent=2, sort_keys=True)
+                meta_fh.write("\n")
         return session_path
 
     def sessions(self, partition: Optional[str] = None) -> list[SessionRecord]:
@@ -269,12 +248,8 @@ class MeasurementStore:
         return out
 
     def read_session(self, record: SessionRecord) -> MeasurementSession:
-        """Rebuild a MeasurementSession from one stored record.
-
-        The k-th row of each hop is tick k, so every tick's endpoint
-        probe must leave no earlier than its terrestrial probe and no
-        later than the next tick's terrestrial probe.
-        """
+        """Rebuild a MeasurementSession from one stored record: the k-th row
+        of each hop is tick k, so the session's pairing rule checks the rows."""
         meta = record.meta
         if meta.get("schema_version") != SCHEMA_VERSION:
             raise StoreError(
@@ -290,7 +265,7 @@ class MeasurementStore:
         start_ms, duration_s, cadence_hz = (field(name, "integer")
                                             for name in ("start_ms", "duration_s", "cadence_hz"))
         for name, value in (("duration_s", duration_s), ("cadence_hz", cadence_hz)):
-            _check_range(name, value, StoreError, field.where)
+            probe.check_range(name, value, StoreError, field.where)
         with open(record.path, newline="", encoding="utf-8") as fh:
             if fh.readline().rstrip("\r\n").split(",") != SESSION_COLUMNS:
                 raise StoreError(f"{record.path} line 1: columns are not {SESSION_COLUMNS}")
@@ -313,18 +288,13 @@ class MeasurementStore:
             if len(hop_rows) != counts[hop]:
                 raise StoreError(f"{record.path}: {len(hop_rows)} {hop} rows, "
                                  f"meta.json records {counts[hop]}")
-        session = MeasurementSession(
-            endpoint=endpoint, path=path, start_ms=start_ms,
-            duration_s=duration_s, cadence_hz=cadence_hz,
-            terrestrial_sent_ms=terr["sent_ms"], terrestrial_rtt_us=terr["rtt_us"],
-            endpoint_sent_ms=endp["sent_ms"], endpoint_rtt_us=endp["rtt_us"])
-        # send times in probe order: terrestrial 0, endpoint 0, terrestrial 1, ...
-        sent_ms = np.column_stack([session.terrestrial_sent_ms, session.endpoint_sent_ms])
-        late = np.flatnonzero(np.diff(sent_ms.ravel()) < 0)
-        if len(late):
-            raise StoreError(f"{record.path}: the rows of tick {late[0] // 2} do not pair "
-                             f"by send time; rows are missing or out of order")
-        return session
+        try:
+            return MeasurementSession(
+                endpoint=endpoint, path=path, start_ms=start_ms, duration_s=duration_s,
+                cadence_hz=cadence_hz, sent_ms=[terr["sent_ms"], endp["sent_ms"]],
+                rtt_us=[terr["rtt_us"], endp["rtt_us"]])
+        except ValueError as exc:
+            raise StoreError(f"{record.path}: {exc}") from None
 
 
 def _first_bad_line(path: Path) -> int | str:
@@ -356,6 +326,20 @@ def endpoint_from_meta(meta: dict, catalog: Optional[PopCatalog] = None, *,
     )
 
 
+@contextmanager
+def replaced(path: Path) -> Iterator[IO[str]]:
+    """A text file to write ``path``'s new content into: it is written under
+    ``path.tmp`` and renamed over ``path`` only when the block ends without
+    an error, so a reader sees the old file or the whole new one."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_report_csv(
     path: str | Path,
     header: Sequence[str],
@@ -363,8 +347,9 @@ def write_report_csv(
     *,
     config_hash: str,
 ) -> None:
-    """Report CSV with a provenance comment naming the config hash."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Report CSV with a provenance comment naming the config hash, written
+    whole or not at all."""
+    with replaced(Path(path)) as fh:
         fh.write(f"# config_hash={config_hash}\n")
         w = csv.writer(fh)
         w.writerow(header)

@@ -30,9 +30,9 @@ BASE_SCENARIO = {
 def respond_to_probe(scenario, target: str, ttl: int, t_ms: int, *, protocol: str = "icmp"):
     """Answer one probe at virtual time t, or None for silence: the reply
     of a fresh simnet transport on ``protocol``."""
-    from leolink.simnet import SimnetTransport, VirtualClock
+    from leolink.simnet import SimnetTransport
     transport = SimnetTransport(scenario, protocol=protocol)
-    transport.clock = VirtualClock(t_ms)
+    transport._now_ms = float(t_ms)  # set directly: t_ms may be before the clock's start
     return transport.probe(target, ttl)
 
 

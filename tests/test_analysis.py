@@ -32,12 +32,10 @@ ENDPOINT = Endpoint(address="98.97.48.115", pop_code="sttlwax1",
 def make_session(pairs, start_ms=0, cadence_hz=1):
     """pairs: per-tick (terrestrial_rtt_us | None, endpoint_rtt_us | None)."""
     sent_ms = start_ms + 1000 * np.arange(len(pairs), dtype=np.int64)
-    terr, endp = (np.array([np.nan if v is None else v for v in hop], dtype=np.float64)
-                  for hop in zip(*pairs))
+    rtt_us = [[np.nan if v is None else v for v in hop] for hop in zip(*pairs)]
     return MeasurementSession(endpoint=ENDPOINT, path=PATH, start_ms=start_ms,
                               duration_s=len(pairs), cadence_hz=cadence_hz,
-                              terrestrial_sent_ms=sent_ms, terrestrial_rtt_us=terr,
-                              endpoint_sent_ms=sent_ms, endpoint_rtt_us=endp)
+                              sent_ms=[sent_ms, sent_ms], rtt_us=rtt_us)
 
 
 def series(values, start_ms=0, tick_ms=1000):
@@ -88,7 +86,6 @@ def test_terrestrial_series_converts_to_ms():
     session = make_session([(12_500.0, 50_000.0)] * 5)
     terr = terrestrial_series(session)
     assert np.allclose(terr.values_ms, 12.5)
-    assert terr.source == "terrestrial"
 
 
 def test_series_requires_increasing_timestamps():

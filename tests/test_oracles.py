@@ -162,10 +162,8 @@ def samples_of(session):
     """The per-hop sample lists of an array session."""
     return [[Sample(t, ttl, None if math.isnan(r) else r)
              for t, r in zip(sent.tolist(), rtt.tolist())]
-            for sent, rtt, ttl in ((session.terrestrial_sent_ms, session.terrestrial_rtt_us,
-                                    session.path.pre_sat_ttl),
-                                   (session.endpoint_sent_ms, session.endpoint_rtt_us,
-                                    session.path.post_sat_ttl))]
+            for sent, rtt, ttl in zip(session.sent_ms, session.rtt_us,
+                                      (session.path.pre_sat_ttl, session.path.post_sat_ttl))]
 
 
 def oracle_session_csv(target, terrestrial, endpoint):
@@ -441,7 +439,7 @@ def test_event_lookup_equals_linear_scan(scenario, extra_times):
 def test_probe_replies_equal_per_probe_chain(scenario, times_ms, protocol):
     edges = [int(t * 1000) for t in boundary_times(scenario)]
     for t_ms in edges + times_ms:
-        for ttl in range(1, scenario.path_length + 3):
+        for ttl in range(1, len(scenario.hops) + 3):
             reply = respond_to_probe(scenario, scenario.target_address, ttl, t_ms,
                                      protocol=protocol)
             got = None if reply is None else (reply.responder, reply.rtt_us, reply.kind)
@@ -475,11 +473,11 @@ def session_runs(draw):
     protocols = draw(st.lists(st.sampled_from(simnet.PROTOCOLS), min_size=1, unique=True))
     scenario = replace(scenario, target_protocols=tuple(protocols))
     addresses = [h.address for h in scenario.hops] + ["10.255.255.1", "192.0.2.1"]
-    hops = draw(st.lists(st.tuples(st.integers(1, scenario.path_length + 2),
+    hops = draw(st.lists(st.tuples(st.integers(1, len(scenario.hops) + 2),
                                    st.sampled_from(addresses)), min_size=1, max_size=3))
     return dict(
         scenario=scenario, protocol=draw(st.sampled_from(simnet.PROTOCOLS)),
-        before=draw(st.lists(st.integers(1, scenario.path_length + 1), max_size=6)),
+        before=draw(st.lists(st.integers(1, len(scenario.hops) + 1), max_size=6)),
         target=draw(st.sampled_from([scenario.target_address, scenario.target_address,
                                      "192.0.2.1"])),
         hops=tuple(hops), cadence_hz=draw(st.integers(1, 10)),
@@ -494,7 +492,7 @@ def session_transport(run):
 
 
 def session_state(transport, sent_ms, rtt_us):
-    return (sent_ms.tolist(), rtt_us.tobytes(), transport.clock._now_ms, transport.probes_sent,
+    return (sent_ms.tolist(), rtt_us.tobytes(), transport._now_ms, transport.probes_sent,
             transport.sat_probe_count, dict(transport.wrong_responders))
 
 
@@ -530,9 +528,9 @@ def test_session_clock_advances_as_probe_does():
     fast, slow = simnet.SimnetTransport(scenario), simnet.SimnetTransport(scenario)
     fast.probe_ticks(*schedule)
     oracle_probe_ticks(slow, *schedule)
-    assert fast.clock._now_ms == slow.clock._now_ms
+    assert fast._now_ms == slow._now_ms
     rtt_ms = [simnet._probe_core(scenario, "icmp")(ttl, 0)[2] for ttl in (2, 3)]
-    assert slow.clock._now_ms != 0.0 + rtt_ms[0] + rtt_ms[1]
+    assert slow._now_ms != 0.0 + rtt_ms[0] + rtt_ms[1]
 
 
 def test_concurrent_sessions_share_no_generator():
@@ -598,8 +596,7 @@ def make_session(ticks, target="100.64.9.1"):
     return MeasurementSession(
         endpoint=Endpoint(address="100.64.9.1", pop_code="sttlwax1", pop_location=None),
         path=path, start_ms=0, duration_s=len(ticks), cadence_hz=1,
-        terrestrial_sent_ms=terr_ms, terrestrial_rtt_us=terr,
-        endpoint_sent_ms=endp_ms, endpoint_rtt_us=endp)
+        sent_ms=[terr_ms, endp_ms], rtt_us=[terr, endp])
 
 
 @given(st.lists(st.tuples(st.integers(0, 2500), rtts, rtts), min_size=1, max_size=60),
@@ -622,8 +619,7 @@ def test_read_session_round_trips_arrays(tmp_path_factory, ticks, target):
     store = MeasurementStore(tmp_path_factory.mktemp("store"))
     store.write_session(store.new_partition("p"), session, config_hash="x")
     loaded = store.read_session(store.sessions()[0])
-    for name in ("terrestrial_sent_ms", "terrestrial_rtt_us",
-                 "endpoint_sent_ms", "endpoint_rtt_us"):
+    for name in ("sent_ms", "rtt_us"):
         got, want = getattr(loaded, name), getattr(session, name)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want, equal_nan=True)
@@ -634,7 +630,7 @@ def test_read_session_round_trips_arrays(tmp_path_factory, ticks, target):
 def test_isolation_equals_per_sample_loop(pairs):
     # Both hops of a tick sent in the same millisecond.
     session = make_session([(1000, terr, endp) for terr, endp in pairs])
-    session.endpoint_sent_ms = session.terrestrial_sent_ms.copy()
+    session.sent_ms[1] = session.sent_ms[0]
     timestamps, values, clamped = oracle_isolate(*samples_of(session))
     if not session.usable:
         with pytest.raises(SessionUnusableError):

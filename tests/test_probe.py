@@ -231,9 +231,7 @@ def path_of(transport):
 def test_measure_session_sample_counts(quiet_transport):
     path = path_of(quiet_transport)
     session = measure_session(quiet_transport, ENDPOINT, path, duration_s=300)
-    for hop in ("terrestrial", "endpoint"):
-        assert len(getattr(session, f"{hop}_sent_ms")) == 300
-        assert len(getattr(session, f"{hop}_rtt_us")) == 300
+    assert session.sent_ms.shape == session.rtt_us.shape == (2, 300)
     assert session.usable
     assert session.terrestrial_loss_fraction == 0.0
 
@@ -250,9 +248,9 @@ def test_measure_session_probe_budget():
 def test_measure_session_timestamps_strictly_increasing(quiet_transport):
     path = path_of(quiet_transport)
     session = measure_session(quiet_transport, ENDPOINT, path, duration_s=60)
-    for stamps in (session.terrestrial_sent_ms, session.endpoint_sent_ms):
+    for stamps in session.sent_ms:
         assert np.all(np.diff(stamps) > 0)
-    span = session.endpoint_sent_ms[-1] - session.start_ms
+    span = session.sent_ms[1, -1] - session.start_ms
     assert span <= 60 * 1000
 
 
@@ -262,9 +260,9 @@ def test_measure_session_shows_reroute_for_full_event():
     transport = SimnetTransport(build_scenario(obj))
     path = path_of(transport)
     session = measure_session(transport, ENDPOINT, path, duration_s=150)
-    shifted = session.endpoint_rtt_us > 80_000.0  # False where lost
+    shifted = session.rtt_us[1] > 80_000.0  # False where lost
     assert np.count_nonzero(shifted) == 30
-    gaps = np.diff(session.endpoint_sent_ms[shifted])
+    gaps = np.diff(session.sent_ms[1][shifted])
     assert np.all(gaps == 1000)  # consecutive ticks
 
 
@@ -286,17 +284,35 @@ def path_of_uncheckable():
                        pre_sat_router="10.0.0.2", post_sat_ttl=3, jump_ms=25.0)
 
 
+def in_memory_session(sent_ms, rtt_us):
+    return MeasurementSession(endpoint=ENDPOINT, path=path_of_uncheckable(), start_ms=0,
+                              duration_s=10, cadence_hz=1, sent_ms=sent_ms, rtt_us=rtt_us)
+
+
 @pytest.mark.parametrize("hop", ["terrestrial", "endpoint"])
 def test_session_rejects_misaligned_arrays(hop):
-    arrays = {f"{h}_{kind}": np.arange(10) for h in ("terrestrial", "endpoint")
-              for kind in ("sent_ms", "rtt_us")}
-    MeasurementSession(endpoint=ENDPOINT, path=path_of_uncheckable(), start_ms=0,
-                       duration_s=10, cadence_hz=1, **arrays)
-    for kind in ("sent_ms", "rtt_us"):
-        short = dict(arrays, **{f"{hop}_{kind}": np.arange(9)})
-        with pytest.raises(ValueError, match="aligned by tick"):
-            MeasurementSession(endpoint=ENDPOINT, path=path_of_uncheckable(), start_ms=0,
-                               duration_s=10, cadence_hz=1, **short)
+    row = ("terrestrial", "endpoint").index(hop)
+    arrays = {"sent_ms": [np.arange(10)] * 2, "rtt_us": [np.arange(10)] * 2}
+    in_memory_session(**arrays)
+    for name in arrays:
+        ragged = list(arrays[name])
+        ragged[row] = np.arange(9)  # numpy refuses these rows; the session names why
+        for bad in (ragged, np.arange(20), np.zeros((3, 10)), np.zeros((2, 9))):
+            with pytest.raises(ValueError, match="aligned by tick"):
+                in_memory_session(**dict(arrays, **{name: bad}))
+
+
+@pytest.mark.parametrize("endpoint_ms", [4500, 2990])
+def test_session_refuses_unpaired_ticks(endpoint_ms):
+    # Tick 3's endpoint probe leaves after tick 4's terrestrial probe, or
+    # before its own: a measured session is held to the rule a stored one is.
+    terrestrial = np.arange(10) * 1000
+    endpoint = terrestrial + 10
+    endpoint[3] = endpoint_ms
+    with pytest.raises(ValueError, match="the rows of tick 3 do not pair by send time"):
+        in_memory_session([terrestrial, endpoint], np.zeros((2, 10)))
+    endpoint[3] = 3000  # both probes of a tick may leave in one millisecond
+    in_memory_session([terrestrial, endpoint], np.zeros((2, 10)))
 
 
 @pytest.mark.parametrize("cadence_hz", [1, 3, 7])
@@ -308,10 +324,9 @@ def test_measure_session_ticks_stay_on_the_cadence_grid(quiet_transport, cadence
     session = measure_session(quiet_transport, ENDPOINT, path, duration_s=600,
                               cadence_hz=cadence_hz)
     k = np.arange(600 * cadence_hz)
-    assert np.array_equal(session.terrestrial_sent_ms,
-                          session.start_ms + (k * 1000) // cadence_hz)
+    assert np.array_equal(session.sent_ms[0], session.start_ms + (k * 1000) // cadence_hz)
     # the last tick is less than one tick before the session's end
-    last = session.terrestrial_sent_ms[-1] - session.start_ms
+    last = session.sent_ms[0, -1] - session.start_ms
     assert 600_000 - last <= math.ceil(1000 / cadence_hz)
 
 
@@ -326,8 +341,8 @@ def test_measure_session_counts_replies_from_the_wrong_hop():
     assert (path.pre_sat_ttl, path.pre_sat_router, path.post_sat_ttl) == (3, "10.255.255.1", 4)
     session = measure_session(transport, ENDPOINT, path, duration_s=100)
     assert transport.wrong_responders == {3: 96}
-    assert np.count_nonzero(np.isnan(session.terrestrial_rtt_us)) == 96
-    assert not np.isnan(session.endpoint_rtt_us).any()
+    assert np.count_nonzero(np.isnan(session.rtt_us[0])) == 96
+    assert not np.isnan(session.rtt_us[1]).any()
     assert not session.usable
     # a steady path draws no wrong replies
     steady = SimnetTransport(build_scenario(scenario_dict()))

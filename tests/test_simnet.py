@@ -13,7 +13,6 @@ from leolink.simnet import (
     ScenarioError,
     SimHop,
     SimnetTransport,
-    VirtualClock,
     build_scenario,
     ground_truth,
     load_scenario_dir,
@@ -30,7 +29,7 @@ def test_minimal_scenario_builds():
     assert isinstance(sc, Scenario)
     assert sc.events == ()
     assert sc.target_address == "100.64.9.1"
-    assert sc.path_length == 3
+    assert len(sc.hops) == 3
     assert sc.satellite_base_oneway_ms() == pytest.approx(12.5)
 
 
@@ -337,14 +336,19 @@ def test_ground_truth_full_timeline_matches_events():
 # ---------------------------------------------------------------- transport
 
 def test_virtual_clock_semantics():
-    clock = VirtualClock(1000)
-    assert clock.now_ms() == 1000
-    clock.advance_ms(25.4)
-    assert clock.now_ms() == 1025  # integer milliseconds, floor
-    clock.sleep_until_ms(2000)
-    assert clock.now_ms() == 2000
-    clock.sleep_until_ms(500)  # never goes backwards
-    assert clock.now_ms() == 2000
+    # The transport keeps its own float clock and reads it in whole ms.
+    transport = SimnetTransport(build_scenario(scenario_dict(base_latencies_ms=[2.2, 3.0, 12.5])))
+    transport.sleep_until_ms(1000)
+    assert transport.now_ms() == 1000
+    transport.probe("100.64.9.1", 1)  # a 4.4 ms round trip
+    assert transport.now_ms() == 1004  # integer milliseconds, floor
+    transport.probe("100.64.9.1", 1)
+    transport.probe("100.64.9.1", 1)
+    assert transport.now_ms() == 1013  # the fractions add up: 1013.2, not 1012
+    transport.sleep_until_ms(2000)
+    assert transport.now_ms() == 2000
+    transport.sleep_until_ms(500)  # never goes backwards
+    assert transport.now_ms() == 2000
 
 
 def test_transport_clock_advances_by_rtt(quiet_transport):
@@ -359,6 +363,8 @@ def test_transport_timeout_advances_clock():
     t0 = transport.now_ms()
     assert transport.probe("100.64.9.1", 3) is None
     assert transport.now_ms() - t0 == 2000
+    with pytest.raises(ValueError, match="timeout_s must be positive"):
+        SimnetTransport(sc, timeout_s=-1.0)
 
 
 def test_transport_counts_satellite_probes(quiet_transport):

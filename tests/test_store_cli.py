@@ -59,10 +59,8 @@ def small_session(address="100.64.9.1", n=5):
     endpoint_rtt_us = np.full(n, 35_000.0)
     endpoint_rtt_us[2] = np.nan
     return MeasurementSession(endpoint=endpoint, path=path, start_ms=0,
-                              duration_s=n, cadence_hz=1,
-                              terrestrial_sent_ms=sent_ms,
-                              terrestrial_rtt_us=np.full(n, 10_000.0),
-                              endpoint_sent_ms=sent_ms, endpoint_rtt_us=endpoint_rtt_us)
+                              duration_s=n, cadence_hz=1, sent_ms=[sent_ms, sent_ms],
+                              rtt_us=[np.full(n, 10_000.0), endpoint_rtt_us])
 
 
 # ----------------------------------------------------------- campaign config
@@ -158,8 +156,7 @@ def test_session_roundtrip(tmp_path):
     assert rec.address == "100.64.9.1"
     assert rec.partition == "p"
     loaded = store.read_session(rec)
-    for name in ("terrestrial_sent_ms", "terrestrial_rtt_us",
-                 "endpoint_sent_ms", "endpoint_rtt_us"):
+    for name in ("sent_ms", "rtt_us"):
         assert np.array_equal(getattr(loaded, name), getattr(session, name), equal_nan=True)
         assert getattr(loaded, name).dtype == getattr(session, name).dtype
     assert loaded.path == session.path
@@ -266,7 +263,7 @@ def test_failed_meta_write_leaves_no_session(tmp_path, monkeypatch):
     # nothing half-written blocks the append-only store from a retry
     store.write_session(part, small_session(), config_hash="x")
     assert sorted(p.name for p in endpoint_dir.iterdir()) == ["meta.json", "session.csv"]
-    assert len(store.read_session(store.sessions()[0]).endpoint_rtt_us) == 5
+    assert store.read_session(store.sessions()[0]).rtt_us.shape == (2, 5)
 
 
 def test_report_csv_roundtrip(tmp_path):
@@ -281,6 +278,21 @@ def test_report_csv_roundtrip(tmp_path):
     bare.write_text("a,b\n1,2\n")
     with pytest.raises(StoreError, match="provenance"):
         read_report_csv(bare)
+
+
+def test_report_csv_is_written_whole_or_not_at_all(tmp_path):
+    path = tmp_path / "sessions.csv"
+    write_report_csv(path, ["a", "b"], [[1, "x"]], config_hash="beefbeefbeef")
+    before = path.read_bytes()
+
+    def rows():
+        yield [2, "y"]
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        write_report_csv(path, ["a", "b"], rows(), config_hash="cafecafecafe")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sessions.csv"]
 
 
 # ---------------------------------------------------------------- discover
@@ -1138,10 +1150,14 @@ def _misspelt(path: tuple, key: str, value):
      "endpoint.latitude: expected a latitude within [-90, 90], got 500.0"),
     (json.dumps(scenario_dict(endpoint={"latitude": 47.6, "longitude": -722.3})),
      "endpoint.longitude: expected a longitude within [-180, 180], got -722.3"),
+    (json.dumps(scenario_dict(jitter={"dist": "gaussian", "sigma_ms": 0.5,
+                                      "satellite_sigma_ms": -1.0})),
+     "jitter.satellite_sigma_ms: sigma must be non-negative"),
 ], ids=["not_json", "latency_not_a_number", "latency_nan", "event_not_an_object",
         "misspelt_hop_echo", "misspelt_event_delta", "misspelt_jitter_sigma",
         "misspelt_endpoint_latitude", "misspelt_loss_probability", "misspelt_hop_flap_duration",
-        "endpoint_latitude_off_earth", "endpoint_longitude_off_earth"])
+        "endpoint_latitude_off_earth", "endpoint_longitude_off_earth",
+        "negative_satellite_sigma"])
 def test_bad_scenario_file_is_a_config_error(tmp_path, capsys, text, where):
     scenario = tmp_path / "scenarios" / "bad.json"
     scenario.parent.mkdir()
@@ -1354,10 +1370,8 @@ def _located_session(address, lat, lon, n=120):
                         customer_location=(lat, lon))
     sent_ms = np.arange(n, dtype=np.int64) * 1000
     return MeasurementSession(endpoint=endpoint, path=path, start_ms=0, duration_s=n,
-                              cadence_hz=1, terrestrial_sent_ms=sent_ms,
-                              terrestrial_rtt_us=np.full(n, 10_000.0),
-                              endpoint_sent_ms=sent_ms,
-                              endpoint_rtt_us=np.full(n, 35_000.0))
+                              cadence_hz=1, sent_ms=[sent_ms, sent_ms],
+                              rtt_us=[np.full(n, 10_000.0), np.full(n, 35_000.0)])
 
 
 def _run_cli(*argv):
