@@ -56,8 +56,8 @@ def main() -> int:
           f"  ({case.access_gs.latitude:.4f}, {case.access_gs.longitude:.4f})")
     print(f"  pop   {case.pop.label or '-'}"
           f"  ({case.pop.latitude:.4f}, {case.pop.longitude:.4f})")
-    print(f"  mask  elevation >= {case.min_elevation_deg:g} deg,"
-          f" slant <= {case.max_slant_km:g} km")
+    print(f"  mask  elevation >= {case.visibility.min_elevation_deg:g} deg,"
+          f" slant <= {case.visibility.max_slant_km:g} km")
     print(f"\nradio segment over one period"
           f" ({summary.n_samples} samples, {summary.n_no_coverage} without coverage):")
     print(f"  best-case RTT        {summary.best_rtt_ms:8.3f} ms")

@@ -6,6 +6,7 @@ A bad field raises the reader's own error class as ``<field>: expected
 from __future__ import annotations
 
 import functools
+import ipaddress
 import json
 import math
 import types
@@ -28,6 +29,13 @@ def _within(bound: float):
 _latitude, _longitude = _within(90), _within(180)
 
 
+def _ip_address(value) -> bool:
+    try:
+        return isinstance(value, str) and bool(ipaddress.ip_address(value))
+    except ValueError:
+        return False
+
+
 KINDS = {  # kind: (test, what a message says is expected)
     "integer": (_json_int, "an integer"),
     "number": (_finite, "a finite number"),
@@ -39,6 +47,7 @@ KINDS = {  # kind: (test, what a message says is expected)
     "longitude": (_longitude, "a longitude within [-180, 180]"),
     "location": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
                  and _latitude(v[0]) and _longitude(v[1]), "[latitude, longitude]"),
+    "address": (_ip_address, "an IP address"),
 }
 _KIND_OF = {int: "integer", float: "number", str: "string", bool: "flag", dict: "object"}
 
@@ -53,15 +62,21 @@ def check(value, kind: str, name: str, error: type[Exception], *, optional: bool
     raise error(f"{name}: expected {wanted}{' or null' if optional else ''}, got {value!r}")
 
 
+def _unwrapped(hint) -> tuple[bool, object]:
+    """Whether type ``hint`` is ``Optional``, and the hint it allows besides None."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        [inner] = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        return True, inner
+    return False, hint
+
+
 def read(value, hint, name: str, error: type[Exception]):
     """``value`` checked against type ``hint`` and named ``name``: a scalar as it is,
     a dataclass made from an object (fields ``name.key``), ``tuple[X, ...]`` from
     a list (items ``name[i]``), ``dict`` any object; None only if ``Optional``."""
-    optional = typing.get_origin(hint) in (typing.Union, types.UnionType)
-    if optional:
-        if value is None:
-            return None
-        [hint] = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    optional, hint = _unwrapped(hint)
+    if optional and value is None:
+        return None
     if is_dataclass(hint):
         return Fields(value, error, f"{name}.").make(hint)
     if typing.get_origin(hint) is tuple:
@@ -74,6 +89,21 @@ def read(value, hint, name: str, error: type[Exception]):
 hints = functools.cache(typing.get_type_hints)  # a class's resolved annotations, once
 
 
+@functools.cache
+def _schema(cls) -> tuple[tuple[str, object, str | None, bool, bool], ...]:
+    """(name, type hint, kind, whether Optional, whether required) of each field
+    of dataclass ``cls``, worked out once, as a file read per session does no
+    type-hint work.  ``kind`` is what a scalar field is checked as: the one its
+    ``metadata["kind"]`` declares, else its type's; None for any other field."""
+    schema = []
+    for f in fields(cls):
+        hint = hints(cls)[f.name]
+        optional, inner = _unwrapped(hint)
+        schema.append((f.name, hint, f.metadata.get("kind") or _KIND_OF.get(inner), optional,
+                       f.default is MISSING and f.default_factory is MISSING))
+    return tuple(schema)
+
+
 class Fields:
     """Checked reads of one JSON object's fields, each named after ``where``:
     a file (``"cfg.json: "``) or the object's own field (``"hops[0]."``)."""
@@ -82,11 +112,6 @@ class Fields:
         self.error, self.where = error, where
         self.obj = check(obj, "object", where[:-1] if where.endswith(".")
                          else where + "top level", error)
-
-    def __call__(self, key: str, kind: str, default=None, *, optional: bool = False):
-        """Field ``key``, or ``default`` when it is absent, checked to be of ``kind``."""
-        return check(self.obj.get(key, default), kind, self.where + key, self.error,
-                     optional=optional)
 
     def only(self, keys) -> "Fields":
         """These fields, if none is outside ``keys``; else ``error`` naming the rest."""
@@ -97,15 +122,16 @@ class Fields:
 
     def make(self, cls):
         """Dataclass ``cls`` of this object's fields, each read as its annotation
-        says (see :func:`read`); a field with a default may be absent and then
-        takes it, and a field that ``cls`` does not have is refused.  An
+        says (see :func:`read`), or checked as the kind of :data:`KINDS` that its
+        ``metadata["kind"]`` declares; a field with a default may be absent and
+        then takes it, and a field that ``cls`` does not have is refused.  An
         ``error`` from ``cls``'s own checks is named after this object too."""
-        annotations = hints(cls)
-        self.only(annotations)
-        values = {f.name: read(self.obj.get(f.name), annotations[f.name],
-                               self.where + f.name, self.error)
-                  for f in fields(cls) if f.name in self.obj
-                  or f.default is MISSING and f.default_factory is MISSING}
+        self.only(hints(cls))
+        values = {name: check(self.obj.get(name), kind, self.where + name, self.error,
+                              optional=optional) if kind
+                  else read(self.obj.get(name), hint, self.where + name, self.error)
+                  for name, hint, kind, optional, required in _schema(cls)
+                  if required or name in self.obj}
         try:
             return cls(**values)
         except self.error as exc:

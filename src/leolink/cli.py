@@ -97,7 +97,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
+    with replaced(out) as fh:
         w = csv.writer(fh)
         w.writerow(ENDPOINT_CSV_HEADER)
         for ep in kept:
@@ -130,9 +130,10 @@ def load_endpoints_csv(path: str | Path, catalog: Optional[PopCatalog] = None) -
         for row in reader:
             located = row.get("cust_lat") and row.get("cust_lon")
             try:
-                row["customer_location"] = (
+                meta = {key: row[key] for key in ("address", "pop_code", "source") if key in row}
+                meta["customer_location"] = (
                     (float(row["cust_lat"]), float(row["cust_lon"])) if located else None)
-                endpoints.append(endpoint_from_meta(row, catalog))
+                endpoints.append(endpoint_from_meta(meta, catalog))
             except (ValueError, StoreError) as exc:
                 raise ConfigError(f"{path} line {reader.line_num}: {exc}") from None
     return endpoints
@@ -144,7 +145,8 @@ def _endpoint_from_scenario(scenario: Scenario, catalog: PopCatalog) -> Endpoint
     meta = scenario.endpoint  # checked by Scenario
     located = "latitude" in meta and "longitude" in meta
     return endpoint_from_meta({
-        **meta, "address": scenario.target_address,
+        **{key: meta[key] for key in ("pop_code", "source") if key in meta},
+        "address": scenario.target_address,
         "customer_location": (meta["latitude"], meta["longitude"]) if located else None}, catalog)
 
 
@@ -171,15 +173,8 @@ def _cohort(cfg: CampaignConfig) -> tuple[list[tuple[Endpoint, Callable]], int]:
             nets = [ipaddress.ip_network(entry, strict=False) for entry in entries if entry]
         except ValueError as exc:
             raise ConfigError(f"exclude_file: {exc}") from None
-
-    def excluded(address: str) -> bool:
-        try:
-            ip = ipaddress.ip_address(address)
-        except ValueError as exc:
-            raise ConfigError(f"exclude_file: cohort address {exc}") from None
-        return any(ip in net for net in nets)
-
-    kept = [(ep, t) for ep, t in cohort if not (nets and excluded(ep.address))]
+    kept = [(ep, t) for ep, t in cohort  # every address is an IP address, as read
+            if not any(ipaddress.ip_address(ep.address) in net for net in nets)]
     return kept, len(cohort) - len(kept)
 
 
@@ -251,11 +246,9 @@ def _run_campaign(command: str, cfg: CampaignConfig,
     config_hash = cfg.config_hash()
 
     def write(transport, session: probe.MeasurementSession) -> Path:
-        extra = {"transport": cfg.transport, "protocol": cfg.protocol}
-        if isinstance(transport, SimnetTransport):
-            extra["seed"] = transport.scenario.seed
+        seed = transport.scenario.seed if isinstance(transport, SimnetTransport) else None
         return store.write_session(partition, session, config_hash=config_hash,
-                                   extra_meta=extra)
+                                   transport=cfg.transport, protocol=cfg.protocol, seed=seed)
 
     sessions, failed = _run_cohort(command, cfg, cohort, _measure_endpoint, write)
     return (1 if failed else 0), {"sessions": len(sessions), "failed": failed,
@@ -317,7 +310,7 @@ def _analysis_rows(store: MeasurementStore, records: Sequence, params: dict,
             continue
         st = result.stats
         session_rows.append([
-            rec.partition, rec.address, rec.meta.get("pop_code", ""),
+            rec.partition, rec.address, rec.meta.pop_code,
             result.n_ticks, result.clamped, f"{st.min_ms:.3f}", f"{st.median_ms:.3f}",
             f"{st.mean_ms:.3f}", f"{st.stddev_ms:.3f}",
             f"{st.loss_fraction:.4f}", f"{st.spike_time_fraction:.4f}",
@@ -435,7 +428,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if key not in session_rows:
             continue  # its analysis failed and was reported
         try:
-            endpoint = endpoint_from_meta(rec.meta, catalog, where=f"{rec.meta_path}: ")
+            endpoint = rec.meta.endpoint(catalog)
             stats = analysis.SessionStats(*map(float, session_rows[key][5:]))
         except (StoreError, KeyError, TypeError, ValueError) as exc:
             _err(f"report error stage=analysis endpoint={rec.address} msg={exc}")

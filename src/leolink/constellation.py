@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .checks import Fields, read_json
+from .checks import Fields, hints, read_json
 from .geo import (
     EARTH_RADIUS_KM,
     LIGHT_SPEED_KM_S,
@@ -207,8 +207,10 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class GroundStation:
-    latitude: float
-    longitude: float
+    """A site on the ground; one read from a file has its coordinates on Earth."""
+
+    latitude: float = field(metadata={"kind": "latitude"})
+    longitude: float = field(metadata={"kind": "longitude"})
     altitude_m: float = 0.0
     label: str = ""
 
@@ -651,8 +653,35 @@ def min_isl_ng_threshold(
 
 
 @dataclass(frozen=True)
+class Visibility:
+    """The sky a study's terminal and ground stations can use."""
+
+    max_slant_km: float = DEFAULT_MAX_SLANT_KM
+    min_elevation_deg: float = DEFAULT_MIN_ELEVATION_DEG
+
+    def __post_init__(self) -> None:
+        if not self.max_slant_km > 0:
+            raise GeometryError(f"max_slant_km: must be positive, got {self.max_slant_km!r}")
+        if not -90 <= self.min_elevation_deg <= 90:
+            raise GeometryError("min_elevation_deg: must be within [-90, 90], "
+                                f"got {self.min_elevation_deg!r}")
+
+
+@dataclass(frozen=True)
+class Sampling:
+    """How often a study samples one orbital period."""
+
+    step_s: float = 15.0
+
+    def __post_init__(self) -> None:
+        if not self.step_s >= 1.0:  # one period at 1 s is already about 5,700 samples
+            raise GeometryError(f"step_s: must be at least 1 s, got {self.step_s!r}")
+
+
+@dataclass(frozen=True, kw_only=True)
 class StudyCase:
-    """One named geometry study: sites, mask, and a sampling protocol.
+    """One named geometry study: sites, mask, and a sampling protocol.  The
+    fields other than ``config`` are the keys of a study case file.
 
     The visibility mask in a study overrides the module defaults; the
     defaults describe nominal service, a study may ask what the radio
@@ -663,40 +692,19 @@ class StudyCase:
     dish: DishSite
     access_gs: GroundStation
     pop: GroundStation
-    landing_gs: Optional[GroundStation]
-    terrestrial_rtt_ms: Optional[float]
-    max_slant_km: float
-    min_elevation_deg: float
-    sample_step_s: float
-    config: ConstellationConfig
+    landing_gs: Optional[GroundStation] = None
+    terrestrial_rtt_ms: Optional[float] = None
+    visibility: Visibility = Visibility()
+    sampling: Sampling = Sampling()
+    comment: str = field(default="", compare=False)
+    config: ConstellationConfig = field(default_factory=ConstellationConfig.default)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "StudyCase":
+        """The case in file ``path``, labelled by the file's stem unless it says."""
         def build(case: Fields) -> StudyCase:
-            case.only(("label", "comment", "dish", "access_gs", "pop", "landing_gs",
-                       "terrestrial_rtt_ms", "visibility", "sampling"))
-            vis = _block(case, "visibility", {}).only(("max_slant_km", "min_elevation_deg"))
-            step_s = _block(case, "sampling", {}).only(("step_s",))("step_s", "number", 15.0)
-            slant = vis("max_slant_km", "number", DEFAULT_MAX_SLANT_KM)
-            elevation = vis("min_elevation_deg", "number", DEFAULT_MIN_ELEVATION_DEG)
-            if step_s < 1.0:  # one period at 1 s is already about 5,700 samples
-                raise GeometryError(f"sampling.step_s: must be at least 1 s, got {step_s!r}")
-            if slant <= 0:
-                raise GeometryError(f"visibility.max_slant_km: must be positive, got {slant!r}")
-            if not -90 <= elevation <= 90:
-                raise GeometryError("visibility.min_elevation_deg: must be within [-90, 90], "
-                                    f"got {elevation!r}")
-            return cls(
-                label=case("label", "string", Path(path).stem),
-                dish=_site(case, "dish", DishSite),
-                access_gs=_site(case, "access_gs"),
-                pop=_site(case, "pop"),
-                landing_gs=(None if case.obj.get("landing_gs") is None
-                            else _site(case, "landing_gs")),
-                terrestrial_rtt_ms=case("terrestrial_rtt_ms", "number", optional=True),
-                max_slant_km=slant, min_elevation_deg=elevation, sample_step_s=step_s,
-                config=ConstellationConfig.default(),
-            )
+            case.only(hints(cls).keys() - {"config"})  # the constellation is the code's
+            return Fields({"label": Path(path).stem, **case.obj}, GeometryError).make(cls)
 
         return read_json(path, GeometryError, build)
 
@@ -705,19 +713,6 @@ class StudyCase:
         ref = resources.files("leolink.data").joinpath("nigeria_case.json")
         with resources.as_file(ref) as path:
             return cls.from_json(path)
-
-
-def _block(case: Fields, key: str, default=None) -> Fields:
-    """The fields of the object in field ``key``, or of ``default`` when it is absent."""
-    return Fields(case.obj.get(key, default), GeometryError, f"{key}.")
-
-
-def _site(case: Fields, key: str, cls: type = GroundStation) -> GroundStation:
-    """The site in field ``key``, its coordinates on Earth."""
-    block = _block(case, key)
-    site = block.make(cls)
-    block("latitude", "latitude"), block("longitude", "longitude")
-    return site
 
 
 @dataclass
@@ -739,11 +734,12 @@ def evaluate_case(case: StudyCase) -> CaseSummary:
     A sample where either selection has no coverage is dropped from
     every statistic, keeping the medians comparable.
     """
-    times = np.arange(0.0, case.config.shells[0].period_s, case.sample_step_s)
+    times = np.arange(0.0, case.config.shells[0].period_s, case.sampling.step_s)
     blocks = []
     for lo in range(0, len(times), _BLOCK_STEPS):
         sky = _JointSky(case.dish, case.access_gs, case.config, times[lo:lo + _BLOCK_STEPS],
-                        case.max_slant_km, case.min_elevation_deg, dish_fov=True)
+                        case.visibility.max_slant_km, case.visibility.min_elevation_deg,
+                        dish_fov=True)
         blocks.append((sky.bent_pipes().min(axis=-1, initial=np.inf),
                        np.abs(sky.bent_pipes(worst=True).max(axis=-1, initial=-np.inf)),
                        sky.two_satellites()))

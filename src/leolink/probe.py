@@ -22,6 +22,7 @@ per-flow load balancers keep a whole trace and session on one path
 """
 from __future__ import annotations
 
+import numbers
 import statistics
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
@@ -43,12 +44,11 @@ RANGES = {"cadence_hz": (1, 10), "duration_s": (1, 86_400), "concurrency": (1, 6
           "probes_per_hop": (1, 10), "max_ttl": (1, 64)}
 
 
-def check_range(name: str, value: int, error: type[Exception] = ValueError,
-                where: str = "") -> None:
-    """Raise ``error`` naming ``where`` and ``name`` if value is outside ``RANGES[name]``."""
+def check_range(name: str, value: int, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless value is an integer in ``RANGES[name]``."""
     lo, hi = RANGES[name]
-    if not lo <= value <= hi:
-        raise error(f"{where}{name}: expected an integer in {lo}..{hi}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise error(f"{name}: expected an integer in {lo}..{hi}, got {value!r}")
 
 
 class ProbeError(Exception):

@@ -72,7 +72,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .checks import Fields, read_json
+from .checks import Fields, check, read_json
 from .probe import DEFAULT_PROBE_TIMEOUT_S, PROTOCOLS, ProbeReply
 
 SCHEMA_ID = "leolink-scenario/1"
@@ -91,7 +91,7 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class SimHop:
     label: str
-    address: str
+    address: str = field(metadata={"kind": "address"})
     ttl_expired: bool = True
     echo: bool = False
 
@@ -191,8 +191,8 @@ class Scenario:
         if self.hop_flap and not 0 < self.hop_flap.duration_s < self.hop_flap.every_s:
             raise _err("hop_flap.every_s", "need every_s > duration_s > 0")
         endpoint = Fields(self.endpoint, ScenarioError, "endpoint.").only(_ENDPOINT_KINDS)
-        for key in endpoint.obj:
-            endpoint(key, _ENDPOINT_KINDS[key])
+        for key, value in endpoint.obj.items():
+            check(value, _ENDPOINT_KINDS[key], f"endpoint.{key}", ScenarioError)
 
         # The events are sorted and disjoint, so the last event to start by
         # t is the only one that can be active at t.

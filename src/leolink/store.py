@@ -24,7 +24,7 @@ import math
 import os
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Sequence
@@ -119,26 +119,69 @@ def params_hash(params: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+@dataclass(kw_only=True)
+class EndpointMeta:
+    """The fields that describe an endpoint wherever one is read: a cohort
+    row, a scenario's target and ``meta.json``."""
+
+    address: str = field(metadata={"kind": "address"})
+    pop_code: str = ""
+    source: str = SOURCE_STARLINK_PTR
+    customer_location: Optional[tuple[float, float]] = field(
+        default=None, metadata={"kind": "location"})
+
+    def endpoint(self, catalog: Optional[PopCatalog] = None) -> Endpoint:
+        """The endpoint these fields describe, its POP located by ``catalog``."""
+        return Endpoint(
+            address=self.address, pop_code=self.pop_code, source=self.source,
+            pop_location=catalog[self.pop_code] if catalog and self.pop_code in catalog else None,
+            customer_location=tuple(self.customer_location) if self.customer_location else None)
+
+
+@dataclass(kw_only=True)
+class SessionMeta(EndpointMeta):
+    """A session's ``meta.json``: its fields are the file's keys.  ``transport``,
+    ``protocol`` and ``seed`` say how it was measured, when that is known."""
+
+    schema_version: int
+    config_hash: str
+    pre_sat_ttl: int
+    pre_sat_router: str
+    post_sat_ttl: int
+    jump_ms: float
+    start_ms: int
+    duration_s: int
+    cadence_hz: int
+    n_terrestrial: int
+    n_endpoint: int
+    terrestrial_loss_fraction: float
+    transport: Optional[str] = None
+    protocol: Optional[str] = None
+    seed: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.schema_version != SCHEMA_VERSION:
+            raise StoreError(f"schema_version: expected {SCHEMA_VERSION}, "
+                             f"got {self.schema_version!r}")
+        for name in ("duration_s", "cadence_hz"):
+            probe.check_range(name, getattr(self, name), StoreError)
+
+
 @dataclass(frozen=True)
 class SessionRecord:
     partition: str
     address: str
     path: Path
 
-    @property
-    def meta_path(self) -> Path:
-        return self.path.parent / META_FILENAME
-
     @cached_property
-    def meta(self) -> dict:
-        """The session's ``meta.json``, ``{}`` if there is none; one that
-        cannot be read as a JSON object raises :class:`StoreError` naming it."""
-        if not self.meta_path.is_file():
-            return {}
+    def meta(self) -> SessionMeta:
+        """The session's ``meta.json``; one that is missing or cannot be read
+        as :class:`SessionMeta` raises :class:`StoreError` naming it."""
+        path = self.path.parent / META_FILENAME
         try:
-            return read_json(self.meta_path, StoreError, lambda meta: meta.obj)
+            return read_json(path, StoreError, lambda meta: meta.make(SessionMeta))
         except OSError as exc:
-            raise StoreError(f"{self.meta_path}: {exc}") from None
+            raise StoreError(f"{path}: {exc}") from None
 
 
 class MeasurementStore:
@@ -166,57 +209,39 @@ class MeasurementStore:
             return []
         return sorted(p.name for p in self.root.iterdir() if p.is_dir())
 
-    def write_session(
-        self,
-        partition: str,
-        session: MeasurementSession,
-        *,
-        config_hash: str,
-        extra_meta: Optional[dict] = None,
-    ) -> Path:
-        """Persist one session; refuses to touch an existing one.
+    def write_session(self, partition: str, session: MeasurementSession, *,
+                      config_hash: str, **campaign) -> Path:
+        """Persist one session; refuses to touch an existing one.  ``campaign``
+        gives the :class:`SessionMeta` fields of how it was measured.
 
         Both files are written under temporary names and renamed into
         place, ``session.csv`` last: ``sessions()`` lists a session once
         that name exists, so a failed write leaves no session behind and
         the same partition can be written again.
         """
-        endpoint_dir = self.root / partition / session.endpoint.address
+        ep, path = session.endpoint, session.path
+        meta = SessionMeta(
+            schema_version=SCHEMA_VERSION, config_hash=config_hash, address=ep.address,
+            pop_code=ep.pop_code, source=ep.source, customer_location=ep.customer_location or None,
+            pre_sat_ttl=path.pre_sat_ttl, pre_sat_router=path.pre_sat_router,
+            post_sat_ttl=path.post_sat_ttl, jump_ms=round(path.jump_ms, 3),
+            start_ms=session.start_ms, duration_s=session.duration_s,
+            cadence_hz=session.cadence_hz, n_terrestrial=session.sent_ms.shape[1],
+            n_endpoint=session.sent_ms.shape[1],
+            terrestrial_loss_fraction=round(session.terrestrial_loss_fraction, 6), **campaign)
+        endpoint_dir = self.root / partition / ep.address
         endpoint_dir.mkdir(parents=True, exist_ok=True)
         session_path = endpoint_dir / SESSION_FILENAME
         if session_path.exists():
             raise StoreError(f"{session_path} already exists; store is append-only")
 
-        ep = session.endpoint
-        meta = {
-            "schema_version": SCHEMA_VERSION,
-            "config_hash": config_hash,
-            "address": ep.address,
-            "pop_code": ep.pop_code,
-            "source": ep.source,
-            "customer_location": list(ep.customer_location) if ep.customer_location else None,
-            "pre_sat_ttl": session.path.pre_sat_ttl,
-            "pre_sat_router": session.path.pre_sat_router,
-            "post_sat_ttl": session.path.post_sat_ttl,
-            "jump_ms": round(session.path.jump_ms, 3),
-            "start_ms": session.start_ms,
-            "duration_s": session.duration_s,
-            "cadence_hz": session.cadence_hz,
-            "n_terrestrial": session.sent_ms.shape[1],
-            "n_endpoint": session.sent_ms.shape[1],
-            "terrestrial_loss_fraction": round(session.terrestrial_loss_fraction, 6),
-        }
-        if extra_meta:
-            meta.update(extra_meta)
-
-        target = session.path.target
+        target = path.target
         if any(c in target for c in ',"\r\n'):  # quoted as csv.writer would
             target = '"' + target.replace('"', '""') + '"'
         # Rows in send order; at equal timestamps the terrestrial hop's
         # smaller TTL goes first, as it was probed first.
         sent_ms, rtt_us = session.sent_ms.ravel(), session.rtt_us.ravel()
-        ttls = np.repeat([session.path.pre_sat_ttl, session.path.post_sat_ttl],
-                         session.sent_ms.shape[1])
+        ttls = np.repeat([path.pre_sat_ttl, path.post_sat_ttl], session.sent_ms.shape[1])
         order = np.lexsort((ttls, sent_ms))  # stable
         # meta.json's block ends first, so session.csv is renamed into place last
         with replaced(session_path) as fh:
@@ -230,7 +255,7 @@ class MeasurementStore:
                     for t, ttl, rtt in zip(sent_ms[rows].tolist(), ttls[rows].tolist(),
                                            rtt_us[rows].tolist()))
             with replaced(endpoint_dir / META_FILENAME) as meta_fh:
-                json.dump(meta, meta_fh, indent=2, sort_keys=True)
+                json.dump(asdict(meta), meta_fh, indent=2, sort_keys=True)
                 meta_fh.write("\n")
         return session_path
 
@@ -251,21 +276,9 @@ class MeasurementStore:
         """Rebuild a MeasurementSession from one stored record: the k-th row
         of each hop is tick k, so the session's pairing rule checks the rows."""
         meta = record.meta
-        if meta.get("schema_version") != SCHEMA_VERSION:
-            raise StoreError(
-                f"{record.path}: schema {meta.get('schema_version')!r}, "
-                f"expected {SCHEMA_VERSION}")
-        field = Fields(meta, StoreError, f"{record.meta_path}: ")
-        endpoint = endpoint_from_meta(meta, where=field.where)
-        path = SatLinkPath(target=endpoint.address, pre_sat_ttl=field("pre_sat_ttl", "integer"),
-                           pre_sat_router=field("pre_sat_router", "string"),
-                           post_sat_ttl=field("post_sat_ttl", "integer"),
-                           jump_ms=float(field("jump_ms", "number")))
-        counts = {hop: field(f"n_{hop}", "integer") for hop in ("terrestrial", "endpoint")}
-        start_ms, duration_s, cadence_hz = (field(name, "integer")
-                                            for name in ("start_ms", "duration_s", "cadence_hz"))
-        for name, value in (("duration_s", duration_s), ("cadence_hz", cadence_hz)):
-            probe.check_range(name, value, StoreError, field.where)
+        path = SatLinkPath(target=meta.address, pre_sat_ttl=meta.pre_sat_ttl,
+                           pre_sat_router=meta.pre_sat_router,
+                           post_sat_ttl=meta.post_sat_ttl, jump_ms=float(meta.jump_ms))
         with open(record.path, newline="", encoding="utf-8") as fh:
             if fh.readline().rstrip("\r\n").split(",") != SESSION_COLUMNS:
                 raise StoreError(f"{record.path} line 1: columns are not {SESSION_COLUMNS}")
@@ -284,14 +297,16 @@ class MeasurementStore:
             raise StoreError(f"{record.path}: hop_ttl {alien[0]} matches "
                              f"neither side of the recorded path")
         terr, endp = rows[ttl == path.pre_sat_ttl], rows[ttl == path.post_sat_ttl]
-        for hop, hop_rows in (("terrestrial", terr), ("endpoint", endp)):
-            if len(hop_rows) != counts[hop]:
+        for hop, hop_rows, count in (("terrestrial", terr, meta.n_terrestrial),
+                                     ("endpoint", endp, meta.n_endpoint)):
+            if len(hop_rows) != count:
                 raise StoreError(f"{record.path}: {len(hop_rows)} {hop} rows, "
-                                 f"meta.json records {counts[hop]}")
+                                 f"meta.json records {count}")
         try:
             return MeasurementSession(
-                endpoint=endpoint, path=path, start_ms=start_ms, duration_s=duration_s,
-                cadence_hz=cadence_hz, sent_ms=[terr["sent_ms"], endp["sent_ms"]],
+                endpoint=meta.endpoint(), path=path, start_ms=meta.start_ms,
+                duration_s=meta.duration_s, cadence_hz=meta.cadence_hz,
+                sent_ms=[terr["sent_ms"], endp["sent_ms"]],
                 rtt_us=[terr["rtt_us"], endp["rtt_us"]])
         except ValueError as exc:
             raise StoreError(f"{record.path}: {exc}") from None
@@ -309,21 +324,10 @@ def _first_bad_line(path: Path) -> int | str:
     return "?"
 
 
-def endpoint_from_meta(meta: dict, catalog: Optional[PopCatalog] = None, *,
-                       where: str = "") -> Endpoint:
-    """The endpoint a ``meta.json``, cohort row or scenario describes, located by
-    ``catalog``: the one checked way to build one from outside data.  A field of
-    the wrong type raises :class:`StoreError` naming it after ``where``."""
-    field = Fields(meta, StoreError, where)
-    pop_code = field("pop_code", "string", "")
-    loc = field("customer_location", "location", optional=True)
-    return Endpoint(
-        address=field("address", "string"),
-        pop_code=pop_code,
-        pop_location=catalog[pop_code] if catalog and pop_code in catalog else None,
-        customer_location=tuple(loc) if loc else None,
-        source=field("source", "string", SOURCE_STARLINK_PTR),
-    )
+def endpoint_from_meta(meta: dict, catalog: Optional[PopCatalog] = None) -> Endpoint:
+    """The endpoint a cohort row or scenario describes, read as :class:`EndpointMeta`
+    and located by ``catalog``; a bad field raises :class:`StoreError` naming it."""
+    return Fields(meta, StoreError).make(EndpointMeta).endpoint(catalog)
 
 
 @contextmanager

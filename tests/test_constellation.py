@@ -487,8 +487,8 @@ def test_nigeria_case_fields():
     assert case.pop.label == "lgosnga1"
     assert case.landing_gs is not None
     assert case.terrestrial_rtt_ms == 110.0
-    assert case.max_slant_km == 2500.0
-    assert case.min_elevation_deg == 11.0
+    assert case.visibility.max_slant_km == 2500.0
+    assert case.visibility.min_elevation_deg == 11.0
     assert case.dish.boresight_azimuth_deg == -22.0
 
 
@@ -564,6 +564,8 @@ def _with(obj, key, **fields):
      "pop.longitude: expected a longitude within [-180, 180], got -722.3"),
     (StudyCase.from_json, json.dumps(_with(NIGERIA, "landing_gs", latitude=-90.5)),
      "landing_gs.latitude: expected a latitude within [-90, 90], got -90.5"),
+    (StudyCase.from_json, json.dumps({**NIGERIA, "config": {"shells": [SHELL]}}),
+     ": unknown fields ['config']"),
 ], ids=["case_not_json", "case_not_an_object", "dish_latitude_string", "terrestrial_string",
         "pop_missing", "slant_null", "label_number", "config_not_json", "altitude_string",
         "unknown_shell_key", "n_orbits_float", "epoch_bool", "shells_object",
@@ -572,7 +574,7 @@ def _with(obj, key, **fields):
         "misspelt_dish_key", "boresight_on_pop", "landing_gs_empty", "misspelt_config_key",
         "slant_negative", "slant_zero", "elevation_above_90", "elevation_below_90",
         "altitude_negative", "inclination_181", "zero_orbits", "dish_latitude_off_earth",
-        "pop_longitude_off_earth", "landing_gs_latitude_off_earth"])
+        "pop_longitude_off_earth", "landing_gs_latitude_off_earth", "config_in_case"])
 def test_bad_geometry_file_names_file_and_field(tmp_path, read, text, where):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -612,7 +614,7 @@ def test_constellation_config_needs_a_shell_in_code_as_in_a_file():
 def test_study_case_accepts_a_one_second_sampling_step(tmp_path):
     path = tmp_path / "case.json"
     path.write_text(json.dumps(_with(NIGERIA, "sampling", step_s=1)))
-    assert StudyCase.from_json(path).sample_step_s == 1
+    assert StudyCase.from_json(path).sampling.step_s == 1
 
 
 def test_constellation_config_from_dict_refuses_a_fractional_orbit_count():

@@ -50,8 +50,10 @@ from leolink.constellation import (
     GroundStation,
     NoCoverageError,
     SatelliteState,
+    Sampling,
     Shell,
     StudyCase,
+    Visibility,
     best_case_rtt,
     composite_route_rtt,
     evaluate_case,
@@ -297,12 +299,13 @@ def oracle_selection(dish, gs, t_s, epoch_s, positions, max_slant_km, min_elevat
 
 def oracle_evaluate_case(case):
     """The per-step sweep of one period; None when no step had coverage."""
-    times = np.arange(0.0, case.config.shells[0].period_s, case.sample_step_s)
+    times = np.arange(0.0, case.config.shells[0].period_s, case.sampling.step_s)
     best, worst, thresh = [], [], []
     for t in times:
         positions = oracle_propagate(case.config, float(t))[0]
         b, w, th = oracle_selection(case.dish, case.access_gs, float(t), case.config.epoch_s,
-                                    positions, case.max_slant_km, case.min_elevation_deg)
+                                    positions, case.visibility.max_slant_km,
+                                    case.visibility.min_elevation_deg)
         if b is None or w is None or th is None:
             continue
         best.append(b[0])
@@ -725,8 +728,8 @@ def study_cases(draw):
     return StudyCase(label="drawn", dish=dish,
                      access_gs=ground_station(dish, draw(offsets), draw(offsets)),
                      pop=GroundStation(0.0, 0.0), landing_gs=None, terrestrial_rtt_ms=None,
-                     max_slant_km=draw(max_slants), min_elevation_deg=draw(min_elevations),
-                     sample_step_s=step, config=config)
+                     visibility=Visibility(draw(max_slants), draw(min_elevations)),
+                     sampling=Sampling(step), config=config)
 
 
 def partly_covered_case():
@@ -735,8 +738,8 @@ def partly_covered_case():
     dish = DishSite(90.0, 0.0, boresight_azimuth_deg=40.0)
     return StudyCase(label="sparse", dish=dish, access_gs=GroundStation(84.0, 30.0),
                      pop=GroundStation(0.0, 0.0), landing_gs=None, terrestrial_rtt_ms=None,
-                     max_slant_km=3000.0, min_elevation_deg=5.0,
-                     sample_step_s=config.shells[0].period_s / 50, config=config)
+                     visibility=Visibility(3000.0, 5.0),
+                     sampling=Sampling(config.shells[0].period_s / 50), config=config)
 
 
 @given(study_cases())

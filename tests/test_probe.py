@@ -1,4 +1,6 @@
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -356,3 +358,24 @@ def test_measure_session_validates_arguments(quiet_transport):
         measure_session(quiet_transport, ENDPOINT, path, duration_s=0)
     with pytest.raises(ValueError):
         measure_session(quiet_transport, ENDPOINT, path, cadence_hz=11)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("duration_s", 1.5), ("duration_s", True), ("cadence_hz", np.float64(1.0)),
+    ("max_ttl", 3.5), ("probes_per_hop", True),
+], ids=["duration_float", "duration_bool", "cadence_numpy_float", "max_ttl_float",
+        "probes_bool"])
+def test_integer_settings_refuse_what_is_not_an_integer(quiet_transport, name, value):
+    if name in ("max_ttl", "probes_per_hop"):
+        call = partial(run_traceroute, quiet_transport, "100.64.9.1")
+    else:
+        call = partial(measure_session, quiet_transport, ENDPOINT, path_of(quiet_transport))
+    with pytest.raises(ValueError, match=rf"^{name}: expected an integer in \d+\.\.\d+, "
+                                         rf"got {re.escape(repr(value))}$"):
+        call(**{name: value})
+
+
+def test_integer_settings_take_numpy_integers(quiet_transport):
+    session = measure_session(quiet_transport, ENDPOINT, path_of(quiet_transport),
+                              duration_s=np.int64(3), cadence_hz=np.int32(2))
+    assert session.sent_ms.shape == (2, 6)

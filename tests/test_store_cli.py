@@ -148,8 +148,7 @@ def test_session_roundtrip(tmp_path):
     store = MeasurementStore(tmp_path / "store")
     part = store.new_partition("p")
     session = small_session()
-    store.write_session(part, session, config_hash="cafe0123beef",
-                        extra_meta={"transport": "simnet"})
+    store.write_session(part, session, config_hash="cafe0123beef", transport="simnet")
     records = store.sessions()
     assert len(records) == 1
     rec = records[0]
@@ -374,6 +373,31 @@ def test_discover_oneweb_provider(tmp_path, capsys):
     assert addresses == {"185.118.1.1", "185.118.1.2"}
 
 
+def test_failed_discover_write_keeps_the_old_cohort(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "cohort.csv"
+    out.write_bytes(b"address,pop_code\r\n100.64.9.1,sttlwax1\r\n")
+    before = out.read_bytes()
+
+    class FailingWriter:
+        """Writes the header, then fails as a full disk would."""
+
+        def __init__(self, fh, writer=csv.writer):
+            self.writer, self.rows = writer(fh), 0
+
+        def writerow(self, row):
+            if self.rows == 1:
+                raise OSError("No space left on device")
+            self.rows += 1
+            self.writer.writerow(row)
+
+    monkeypatch.setattr(cli.csv, "writer", FailingWriter)
+    assert cli.main(["discover", "--scan", str(FIXTURES / "scan_small.jsonl"),
+                     "--out", str(out)]) == 2
+    assert "discover error stage=io msg=No space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cohort.csv"]
+
+
 def test_discover_missing_scan_is_exit_2(tmp_path, capsys):
     code = cli.main(["discover", "--scan", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "o.csv")])
@@ -517,6 +541,23 @@ def test_report_fails_only_the_session_with_a_bad_meta_json(tmp_path, capsys, me
                            f"msg={meta_path}: ")
     _, _, trend = read_report_csv(store_dir / "reports" / "temporal_trend.csv")
     assert [r[0] for r in trend] == [{"p1": "p2", "p2": "p1"}[partition]]
+
+
+@pytest.mark.parametrize("command,partition", [
+    ("analyze", "p2"), ("report", "p1"), ("report", "p2")],
+    ids=["analyze", "report_fresh", "report_from_tables"])
+def test_unknown_meta_json_key_fails_only_its_session(tmp_path, capsys, command, partition):
+    store_dir = _two_partition_store(tmp_path)
+    meta_path = next((store_dir / partition).glob("*/meta.json"))
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps({**meta, "operator": "starlink"}))
+    capsys.readouterr()
+    assert cli.main([command, "--store", str(store_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"{command} error sessions=1 failed=1 ")
+    assert captured.err.splitlines() == [
+        f"{command} error stage=analysis endpoint=176.83.201.7 "
+        f"msg={meta_path}: unknown fields ['operator']"]
 
 
 WRONG_META_TYPE = pytest.mark.parametrize("field,value", [
@@ -690,7 +731,8 @@ def test_non_ip_cohort_address_under_exclusion_is_a_config_error(tmp_path, capsy
     extra = {"trace": ["--out", str(tmp_path / "paths.csv")], "measure": []}[command]
     assert cli.main([command, "--config", str(cfg_path), *extra]) == 2
     err = capsys.readouterr().err
-    assert f"{command} error stage=config msg=exclude_file: cohort address 'host.example'" in err
+    assert (f"{command} error stage=config msg={cohort} line 3: "
+            f"address: expected an IP address, got 'host.example'") in err
     assert "Traceback" not in err
     assert StubRawTransport.instances == []
 
@@ -1219,7 +1261,11 @@ def test_config_values_are_not_coerced(tmp_path):
     (lambda o: o["hops"][0].update(echo="false"), "hops[0].echo: expected true or false, got 'false'"),
     (lambda o: o["hops"][2].update(ttl_expired=1), "hops[2].ttl_expired: expected true or false, got 1"),
     (lambda o: o["hops"][1].update(label=2), "hops[1].label: expected a string, got 2"),
-    (lambda o: o["hops"][1].pop("address"), "hops[1].address: expected a string, got None"),
+    (lambda o: o["hops"][1].pop("address"), "hops[1].address: expected an IP address, got None"),
+    # the store names a directory after the target's address, so this one
+    # would put a session outside its partition
+    (lambda o: o["hops"][2].update(address="../escaped"),
+     "hops[2].address: expected an IP address, got '../escaped'"),
     (lambda o: o.update(seed="8"), "seed: expected an integer, got '8'"),
     (lambda o: o.update(duration_s=61.9), "duration_s: expected an integer, got 61.9"),
     (lambda o: o.update(satellite_segment=[2.0, 3]), "satellite_segment[0]: expected an integer"),
@@ -1234,7 +1280,8 @@ def test_config_values_are_not_coerced(tmp_path):
     (lambda o: o.update(jitter={"sigma_ms": True}), "jitter.sigma_ms: expected a finite number"),
     (lambda o: o.update(loss_probability=None), "loss_probability: expected a finite number"),
 ], ids=["endpoint_latitude", "endpoint_pop_code", "endpoint_list", "echo_string",
-        "ttl_expired_number", "label_number", "address_missing", "seed_string",
+        "ttl_expired_number", "label_number", "address_missing", "address_a_path",
+        "seed_string",
         "duration_float", "segment_float", "flap_float", "flap_list", "event_at_float",
         "event_delta_string", "sigma_bool", "loss_null"])
 def test_scenario_field_of_the_wrong_type_is_a_config_error(tmp_path, capsys, mutate, where):
@@ -1271,7 +1318,7 @@ def _analyzed_reroute_day(tmp_path, field, value):
     ("customer_location", [47.4], "[latitude, longitude] or null"),
     ("pop_code", 5, "a string"),
     ("source", ["x"], "a string"),
-    ("address", None, "a string"),
+    ("address", None, "an IP address"),
     ("customer_location", [500.0, -722.3], "[latitude, longitude] or null"),
 ], ids=["location_strings", "location_nan", "location_short", "pop_code_number",
         "source_list", "address_null", "location_off_earth"])
@@ -1296,7 +1343,9 @@ def test_report_checks_the_endpoint_of_an_analyzed_session(tmp_path, capsys, fie
      "line 2: customer_location: expected [latitude, longitude] or null, got (47.6, inf)"),
     ("address,pop_code\n100.64.9.1,sttlwax1\n100.64.9.2\n",
      "line 3: pop_code: expected a string, got None"),
-], ids=["latitude_nan", "longitude_inf", "short_row"])
+    ("address,pop_code\n100.64.9.1,sttlwax1\n../x,sttlwax1\n",
+     "line 3: address: expected an IP address, got '../x'"),
+], ids=["latitude_nan", "longitude_inf", "short_row", "address_a_path"])
 def test_cohort_row_is_checked_by_the_endpoint_builder(tmp_path, capsys, monkeypatch,
                                                        cohort_text, where):
     cohort = tmp_path / "cohort.csv"
