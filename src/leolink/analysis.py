@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .discovery import Endpoint
+from .discovery import Endpoint, PopCatalog
 from .geo import haversine_km
 from .probe import MeasurementSession
 
@@ -342,21 +342,23 @@ def temporal_trend(
 
 def min_rtt_vs_pop_distance(
     items: Sequence[tuple[Endpoint, SessionStats]],
+    catalog: PopCatalog,
 ) -> tuple[list[tuple[str, float, float]], Optional[float]]:
     """Relate each endpoint's minimum RTT to its distance from the POP.
 
-    Needs both customer and POP coordinates; endpoints missing either
-    are skipped.  Returns (address, distance_km, min_rtt_ms) rows and
-    the Spearman rank correlation, or None with fewer than 3 points.
+    Needs the customer's coordinates and the POP's in ``catalog``;
+    endpoints missing either are skipped.  Returns (address, distance_km,
+    min_rtt_ms) rows and the Spearman rank correlation, or None with
+    fewer than 3 points.
     """
     rows: list[tuple[str, float, float]] = []
     for endpoint, st in items:
-        if endpoint.customer_location is None or endpoint.pop_location is None:
+        if endpoint.customer_location is None or endpoint.pop_code not in catalog:
             continue
         lat, lon = endpoint.customer_location
-        d = haversine_km(lat, lon, endpoint.pop_location.latitude,
-                         endpoint.pop_location.longitude)
-        rows.append((endpoint.address, d, st.min_ms))
+        pop = catalog[endpoint.pop_code]
+        rows.append((endpoint.address, haversine_km(lat, lon, pop.latitude, pop.longitude),
+                     st.min_ms))
     if len(rows) < 3:
         return rows, None
     _, dist, rtts = zip(*rows)

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import analysis, probe
+from .checks import Fields
 from .discovery import (
     DatasetError,
     Endpoint,
@@ -40,7 +41,6 @@ from .store import (
     ConfigError,
     MeasurementStore,
     StoreError,
-    endpoint_from_meta,
     params_hash,
     read_report_csv,
     replaced,
@@ -101,7 +101,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
         w = csv.writer(fh)
         w.writerow(ENDPOINT_CSV_HEADER)
         for ep in kept:
-            pop = ep.pop_location
+            pop = ep.pop_code and catalog[ep.pop_code]  # filtered to catalogued codes, or blank
             cust = ep.customer_location
             w.writerow([
                 ep.address, ep.pop_code,
@@ -118,36 +118,36 @@ def cmd_discover(args: argparse.Namespace) -> int:
         "kept": len(kept), **extra, "out": out})
 
 
-def load_endpoints_csv(path: str | Path, catalog: Optional[PopCatalog] = None) -> list[Endpoint]:
+def load_endpoints_csv(path: str | Path) -> list[Endpoint]:
     """Read an endpoint cohort written by cmd_discover; a malformed one
     raises :class:`ConfigError` naming the file and line (and the field)."""
-    catalog = catalog or PopCatalog.default()
     endpoints = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if "address" not in (reader.fieldnames or ()):
             raise ConfigError(f"{path} line 1: no address column")
         for row in reader:
-            located = row.get("cust_lat") and row.get("cust_lon")
+            lat, lon = row.get("cust_lat"), row.get("cust_lon")
             try:
-                meta = {key: row[key] for key in ("address", "pop_code", "source") if key in row}
-                meta["customer_location"] = (
-                    (float(row["cust_lat"]), float(row["cust_lon"])) if located else None)
-                endpoints.append(endpoint_from_meta(meta, catalog))
-            except (ValueError, StoreError) as exc:
+                if bool(lat) != bool(lon):
+                    raise ConfigError("cust_lon: required with cust_lat" if lat
+                                      else "cust_lat: required with cust_lon")
+                fields = {key: row[key] for key in ("address", "pop_code", "source") if key in row}
+                fields["customer_location"] = (float(lat), float(lon)) if lat else None
+                endpoints.append(Fields(fields, ConfigError).make(Endpoint))
+            except ValueError as exc:
                 raise ConfigError(f"{path} line {reader.line_num}: {exc}") from None
     return endpoints
 
 
 # ------------------------------------------------------------ measurement
 
-def _endpoint_from_scenario(scenario: Scenario, catalog: PopCatalog) -> Endpoint:
-    meta = scenario.endpoint  # checked by Scenario
-    located = "latitude" in meta and "longitude" in meta
-    return endpoint_from_meta({
+def _endpoint_from_scenario(scenario: Scenario) -> Endpoint:
+    meta = scenario.endpoint  # checked by Scenario, latitude and longitude together
+    return Endpoint(
+        address=scenario.target_address,
         **{key: meta[key] for key in ("pop_code", "source") if key in meta},
-        "address": scenario.target_address,
-        "customer_location": (meta["latitude"], meta["longitude"]) if located else None}, catalog)
+        customer_location=(meta["latitude"], meta["longitude"]) if "latitude" in meta else None)
 
 
 def _cohort(cfg: CampaignConfig) -> tuple[list[tuple[Endpoint, Callable]], int]:
@@ -155,16 +155,15 @@ def _cohort(cfg: CampaignConfig) -> tuple[list[tuple[Endpoint, Callable]], int]:
     transport on ``cfg``'s protocol and timeout (its own simulator, in
     sorted address order, or raw sockets closed after use), and how many
     addresses ``cfg.exclude_file`` dropped."""
-    catalog = PopCatalog.default()
     settings = {"protocol": cfg.protocol, "timeout_s": cfg.timeout_s}
     if cfg.transport == "simnet":
-        cohort = [(_endpoint_from_scenario(scenario, catalog),
+        cohort = [(_endpoint_from_scenario(scenario),
                    partial(nullcontext, SimnetTransport(scenario, **settings)))
                   for _, scenario in sorted(load_scenario_dir(cfg.scenario_dir).items())]
     else:
         from . import rawnet  # only raw campaigns pay for the socket modules
         cohort = [(ep, partial(rawnet.RawTransport, **settings))
-                  for ep in load_endpoints_csv(cfg.endpoints_file, catalog)]
+                  for ep in load_endpoints_csv(cfg.endpoints_file)]
     nets = []
     if cfg.exclude_file:
         with open(cfg.exclude_file, encoding="utf-8") as fh:
@@ -428,7 +427,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if key not in session_rows:
             continue  # its analysis failed and was reported
         try:
-            endpoint = rec.meta.endpoint(catalog)
+            endpoint = rec.meta  # a SessionMeta is the Endpoint it measured
             stats = analysis.SessionStats(*map(float, session_rows[key][5:]))
         except (StoreError, KeyError, TypeError, ValueError) as exc:
             _err(f"report error stage=analysis endpoint={rec.address} msg={exc}")
@@ -446,7 +445,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     aggregates = analysis.aggregate_by_pop(items)
-    dist_rows, rho = analysis.min_rtt_vs_pop_distance(items)
+    dist_rows, rho = analysis.min_rtt_vs_pop_distance(items, catalog)
     trend = analysis.temporal_trend(list(by_date.items()))
     tables = {
         "pop_summary.csv": (

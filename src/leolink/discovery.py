@@ -78,15 +78,18 @@ class ScanRecord:
                 raise ValueError(f"unknown protocol: {proto}")
 
 
-@dataclass(frozen=True)
+@dataclass(kw_only=True)
 class Endpoint:
-    """A measurable customer endpoint behind a satellite link."""
+    """A measurable customer endpoint behind a satellite link, as every stage
+    passes it on.  The fields are also the schema of a cohort row and of the
+    endpoint in ``meta.json``.  Its POP is located by the catalog of the
+    command that needs coordinates."""
 
-    address: str
-    pop_code: str
-    pop_location: Optional[PopLocation]
-    customer_location: Optional[tuple[float, float]] = None
+    address: str = field(metadata={"kind": "address"})
+    pop_code: str = ""
     source: str = SOURCE_STARLINK_PTR
+    customer_location: Optional[tuple[float, float]] = field(
+        default=None, metadata={"kind": "location"})
 
 
 class PopCatalog:
@@ -282,12 +285,7 @@ def filter_customer_endpoints(
         if pop not in catalog:
             report.unknown_pop.append((address, pop))
             continue
-        endpoints.append(Endpoint(
-            address=address,
-            pop_code=pop,
-            pop_location=catalog[pop],
-            source=SOURCE_STARLINK_PTR,
-        ))
+        endpoints.append(Endpoint(address=address, pop_code=pop))
     return endpoints, report
 
 
@@ -332,12 +330,7 @@ def filter_oneweb_customers(records: Iterable[ScanRecord]) -> tuple[list[Endpoin
         if rec.address in seen:
             continue
         seen.add(rec.address)
-        endpoints.append(Endpoint(
-            address=rec.address,
-            pop_code="",
-            pop_location=None,
-            source=SOURCE_ONEWEB_BLOCKLIST,
-        ))
+        endpoints.append(Endpoint(address=rec.address, source=SOURCE_ONEWEB_BLOCKLIST))
     return endpoints, unclassifiable
 
 

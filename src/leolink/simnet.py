@@ -55,7 +55,8 @@ protocols the target answers (intermediate hops expire any protocol);
 ``loss_probability`` drops probes uniformly; ``hop_flap`` periodically
 inserts one extra terrestrial hop (``{"every_s": 25, "duration_s": 1}``)
 to model transient path-length flaps; ``endpoint`` carries the
-endpoint's ``pop_code``, ``source``, ``latitude`` and ``longitude``.
+endpoint's ``pop_code``, ``source``, ``latitude`` and ``longitude`` (both
+coordinates or neither).
 A key outside the schema is refused at every level, except a free-text
 ``comment`` string at the top level.  :class:`Scenario` is the schema.
 """
@@ -193,6 +194,9 @@ class Scenario:
         endpoint = Fields(self.endpoint, ScenarioError, "endpoint.").only(_ENDPOINT_KINDS)
         for key, value in endpoint.obj.items():
             check(value, _ENDPOINT_KINDS[key], f"endpoint.{key}", ScenarioError)
+        for key, other in (("latitude", "longitude"), ("longitude", "latitude")):
+            if other in endpoint.obj and key not in endpoint.obj:
+                raise _err(f"endpoint.{key}", f"required with endpoint.{other}")
 
         # The events are sorted and disjoint, so the last event to start by
         # t is the only one that can be active at t.

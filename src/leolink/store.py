@@ -24,7 +24,7 @@ import math
 import os
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Sequence
@@ -32,8 +32,8 @@ from typing import IO, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import probe
-from .checks import Fields, hints, read, read_json
-from .discovery import SOURCE_STARLINK_PTR, Endpoint, PopCatalog
+from .checks import hints, read, read_json
+from .discovery import Endpoint
 from .probe import MeasurementSession, SatLinkPath
 
 SCHEMA_VERSION = 1
@@ -120,26 +120,7 @@ def params_hash(params: dict) -> str:
 
 
 @dataclass(kw_only=True)
-class EndpointMeta:
-    """The fields that describe an endpoint wherever one is read: a cohort
-    row, a scenario's target and ``meta.json``."""
-
-    address: str = field(metadata={"kind": "address"})
-    pop_code: str = ""
-    source: str = SOURCE_STARLINK_PTR
-    customer_location: Optional[tuple[float, float]] = field(
-        default=None, metadata={"kind": "location"})
-
-    def endpoint(self, catalog: Optional[PopCatalog] = None) -> Endpoint:
-        """The endpoint these fields describe, its POP located by ``catalog``."""
-        return Endpoint(
-            address=self.address, pop_code=self.pop_code, source=self.source,
-            pop_location=catalog[self.pop_code] if catalog and self.pop_code in catalog else None,
-            customer_location=tuple(self.customer_location) if self.customer_location else None)
-
-
-@dataclass(kw_only=True)
-class SessionMeta(EndpointMeta):
+class SessionMeta(Endpoint):
     """A session's ``meta.json``: its fields are the file's keys.  ``transport``,
     ``protocol`` and ``seed`` say how it was measured, when that is known."""
 
@@ -175,13 +156,18 @@ class SessionRecord:
 
     @cached_property
     def meta(self) -> SessionMeta:
-        """The session's ``meta.json``; one that is missing or cannot be read
-        as :class:`SessionMeta` raises :class:`StoreError` naming it."""
+        """The session's ``meta.json``; one that is missing, cannot be read as
+        :class:`SessionMeta` or names an address other than its directory's
+        raises :class:`StoreError` naming it."""
         path = self.path.parent / META_FILENAME
         try:
-            return read_json(path, StoreError, lambda meta: meta.make(SessionMeta))
+            meta = read_json(path, StoreError, lambda meta: meta.make(SessionMeta))
         except OSError as exc:
             raise StoreError(f"{path}: {exc}") from None
+        if meta.address != self.address:
+            raise StoreError(f"{path}: address: expected its directory's name "
+                             f"{self.address!r}, got {meta.address!r}")
+        return meta
 
 
 class MeasurementStore:
@@ -221,8 +207,7 @@ class MeasurementStore:
         """
         ep, path = session.endpoint, session.path
         meta = SessionMeta(
-            schema_version=SCHEMA_VERSION, config_hash=config_hash, address=ep.address,
-            pop_code=ep.pop_code, source=ep.source, customer_location=ep.customer_location or None,
+            schema_version=SCHEMA_VERSION, config_hash=config_hash, **asdict(ep),
             pre_sat_ttl=path.pre_sat_ttl, pre_sat_router=path.pre_sat_router,
             post_sat_ttl=path.post_sat_ttl, jump_ms=round(path.jump_ms, 3),
             start_ms=session.start_ms, duration_s=session.duration_s,
@@ -302,9 +287,12 @@ class MeasurementStore:
             if len(hop_rows) != count:
                 raise StoreError(f"{record.path}: {len(hop_rows)} {hop} rows, "
                                  f"meta.json records {count}")
+        location = meta.customer_location and tuple(meta.customer_location)
         try:
             return MeasurementSession(
-                endpoint=meta.endpoint(), path=path, start_ms=meta.start_ms,
+                endpoint=Endpoint(address=meta.address, pop_code=meta.pop_code,
+                                  source=meta.source, customer_location=location),
+                path=path, start_ms=meta.start_ms,
                 duration_s=meta.duration_s, cadence_hz=meta.cadence_hz,
                 sent_ms=[terr["sent_ms"], endp["sent_ms"]],
                 rtt_us=[terr["rtt_us"], endp["rtt_us"]])
@@ -322,12 +310,6 @@ def _first_bad_line(path: Path) -> int | str:
             except (IndexError, ValueError):
                 return reader.line_num
     return "?"
-
-
-def endpoint_from_meta(meta: dict, catalog: Optional[PopCatalog] = None) -> Endpoint:
-    """The endpoint a cohort row or scenario describes, read as :class:`EndpointMeta`
-    and located by ``catalog``; a bad field raises :class:`StoreError` naming it."""
-    return Fields(meta, StoreError).make(EndpointMeta).endpoint(catalog)
 
 
 @contextmanager

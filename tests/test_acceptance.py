@@ -88,7 +88,7 @@ def run_pipeline(scen, pop_code="sttlwax1"):
     transport = SimnetTransport(scen)
     target = scen.target_address
     path = identify_sat_link(run_traceroute(transport, target))
-    endpoint = Endpoint(address=target, pop_code=pop_code, pop_location=None)
+    endpoint = Endpoint(address=target, pop_code=pop_code)
     session = measure_session(transport, endpoint, path,
                               duration_s=scen.duration_s)
     isolated, _ = analysis.isolate_satellite_latency(session)

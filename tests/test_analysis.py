@@ -20,13 +20,13 @@ from leolink.analysis import (
     temporal_trend,
     terrestrial_series,
 )
-from leolink.discovery import Endpoint, PopLocation
+from leolink.discovery import Endpoint, PopCatalog, PopLocation
 from leolink.probe import MeasurementSession, SatLinkPath
 
 PATH = SatLinkPath(target="98.97.48.115", pre_sat_ttl=2,
                    pre_sat_router="206.224.64.21", post_sat_ttl=3, jump_ms=38.0)
-ENDPOINT = Endpoint(address="98.97.48.115", pop_code="sttlwax1",
-                    pop_location=PopLocation("Seattle", "US", 47.6062, -122.3321))
+ENDPOINT = Endpoint(address="98.97.48.115", pop_code="sttlwax1")
+SEATTLE = PopCatalog({"sttlwax1": PopLocation("Seattle", "US", 47.6062, -122.3321)})
 
 
 def make_session(pairs, start_ms=0, cadence_hz=1):
@@ -245,9 +245,9 @@ def test_jitter_filter_drops_jittery_terrestrial():
     spiky = series([12.0] * 50 + [22.0] + [12.0] * 49)
     exactly_one = series([12.0] * 99 + [13.0])
     kept = jitter_filter([
-        (Endpoint("a", "sttlwax1", None), flat),
-        (Endpoint("b", "sttlwax1", None), spiky),
-        (Endpoint("c", "sttlwax1", None), exactly_one),
+        (Endpoint(address="a", pop_code="sttlwax1"), flat),
+        (Endpoint(address="b", pop_code="sttlwax1"), spiky),
+        (Endpoint(address="c", pop_code="sttlwax1"), exactly_one),
     ])
     assert [e.address for e in kept] == ["a", "c"]
 
@@ -297,9 +297,9 @@ def test_aggregate_single_endpoint_identity():
 
 def test_aggregate_groups_and_sorts_by_pop():
     items = [
-        (Endpoint("a", "sttlwax1", None), session_stats(series([40.0, 42.0]))),
-        (Endpoint("b", "atlagax1", None), session_stats(series([30.0, 30.0]))),
-        (Endpoint("c", "sttlwax1", None), session_stats(series([44.0, 46.0]))),
+        (Endpoint(address="a", pop_code="sttlwax1"), session_stats(series([40.0, 42.0]))),
+        (Endpoint(address="b", pop_code="atlagax1"), session_stats(series([30.0, 30.0]))),
+        (Endpoint(address="c", pop_code="sttlwax1"), session_stats(series([44.0, 46.0]))),
     ]
     aggs = aggregate_by_pop(items)
     assert [a.pop_code for a in aggs] == ["atlagax1", "sttlwax1"]
@@ -319,14 +319,12 @@ def test_temporal_trend_25_percent_decrease():
 # ------------------------------------------------------- distance correlation
 
 def endpoint_at(address, lat, lon):
-    return Endpoint(address, "sttlwax1",
-                    PopLocation("Seattle", "US", 47.6062, -122.3321),
-                    customer_location=(lat, lon))
+    return Endpoint(address=address, pop_code="sttlwax1", customer_location=(lat, lon))
 
 
 def test_min_rtt_distance_zero_at_pop():
     ep = endpoint_at("a", 47.6062, -122.3321)
-    rows, rho = min_rtt_vs_pop_distance([(ep, session_stats(series([40.0])))])
+    rows, rho = min_rtt_vs_pop_distance([(ep, session_stats(series([40.0])))], SEATTLE)
     assert rows[0][1] == pytest.approx(0.0, abs=1e-9)
     assert rho is None  # a single point has no rank correlation
 
@@ -337,13 +335,16 @@ def test_min_rtt_distance_monotone_gives_rho_one():
                                     (35.0, 60.0)]):
         items.append((endpoint_at(f"e{i}", lat, -122.3321),
                       session_stats(series([rtt] * 3))))
-    rows, rho = min_rtt_vs_pop_distance(items)
+    rows, rho = min_rtt_vs_pop_distance(items, SEATTLE)
     assert len(rows) == 4
     assert rho == pytest.approx(1.0)
 
 
 def test_min_rtt_distance_skips_unlocated():
     located = (endpoint_at("a", 47.0, -122.0), session_stats(series([40.0])))
-    missing = (Endpoint("b", "sttlwax1", None), session_stats(series([40.0])))
-    rows, _ = min_rtt_vs_pop_distance([located, missing])
+    missing = (Endpoint(address="b", pop_code="sttlwax1"), session_stats(series([40.0])))
+    # located, but its POP is not in the catalog
+    uncatalogued = (Endpoint(address="c", pop_code="lgosnga1", customer_location=(6.5, 3.4)),
+                    session_stats(series([40.0])))
+    rows, _ = min_rtt_vs_pop_distance([located, missing, uncatalogued], SEATTLE)
     assert [r[0] for r in rows] == ["a"]

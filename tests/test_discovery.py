@@ -122,7 +122,7 @@ def test_filter_maps_pop_location():
         [rec(ptr="customer.atlagax1.pop.starlinkisp.net")])
     assert len(endpoints) == 1
     assert endpoints[0].pop_code == "atlagax1"
-    assert endpoints[0].pop_location.city == "Atlanta"
+    assert PopCatalog.default()[endpoints[0].pop_code].city == "Atlanta"
     assert not report.unknown_pop and not report.ambiguous
 
 
@@ -244,7 +244,7 @@ def test_geolocate_longest_prefix_wins(tmp_path):
             ("98.97.4.0/24", (6.4698, 3.5852))]
     feed.write_text("\n".join(
         f"{p},XX,,City,{c[0]},{c[1]}" for p, c in rows) + "\n")
-    ep = Endpoint(address="98.97.4.10", pop_code="lgosnga1", pop_location=None)
+    ep = Endpoint(address="98.97.4.10", pop_code="lgosnga1")
     located = geolocate_customer(ep, load_geofeed(feed))
     assert located.customer_location == brute_force_geofeed_match("98.97.4.10", rows)
     assert located.customer_location == (6.4698, 3.5852)
@@ -253,18 +253,18 @@ def test_geolocate_longest_prefix_wins(tmp_path):
 def test_geolocate_empty_feed_leaves_endpoint_unchanged(tmp_path):
     feed = tmp_path / "geofeed.csv"
     feed.write_text("")
-    ep = Endpoint(address="98.97.4.10", pop_code="", pop_location=None)
+    ep = Endpoint(address="98.97.4.10", pop_code="")
     assert geolocate_customer(ep, load_geofeed(feed)) == ep
 
 
 def test_geolocate_skips_malformed_rows_and_missing_coords():
     # The bundled feed has a junk prefix row and a coordinate-less row.
     feed = load_geofeed(FIXTURES / "geofeed.csv")
-    ep = Endpoint(address="2605:59c8:0:100::9", pop_code="", pop_location=None)
+    ep = Endpoint(address="2605:59c8:0:100::9", pop_code="")
     located = geolocate_customer(ep, feed)
     assert located.customer_location == (-12.0464, -77.0428)
     # Address matching only the coordinate-less /32 stays unlocated.
-    bare = Endpoint(address="2605:59c8:9999::1", pop_code="", pop_location=None)
+    bare = Endpoint(address="2605:59c8:9999::1", pop_code="")
     assert geolocate_customer(bare, feed).customer_location is None
 
 
@@ -274,7 +274,7 @@ def test_geofeed_non_finite_coordinates_count_as_none(tmp_path):
                     "98.97.4.0/24,NG,NG-LA,Ajah,6.4698,inf\n"
                     "98.97.5.0/24,NG,NG-LA,Ajah,6.4698,3.5852\n")
     assert [coords for _, coords in load_geofeed(feed)] == [None, None, (6.4698, 3.5852)]
-    ep = Endpoint(address="98.97.4.10", pop_code="lgosnga1", pop_location=None)
+    ep = Endpoint(address="98.97.4.10", pop_code="lgosnga1")
     assert geolocate_customer(ep, load_geofeed(feed)) == ep
 
 
@@ -284,7 +284,7 @@ def test_geofeed_coordinates_off_earth_count_as_none(tmp_path):
                     "98.97.4.0/24,NG,NG-LA,Ajah,6.4698,-722.3\n"
                     "98.97.5.0/24,AQ,,Pole,-90.0,180.0\n")
     assert [coords for _, coords in load_geofeed(feed)] == [None, None, (-90.0, 180.0)]
-    ep = Endpoint(address="98.97.4.10", pop_code="lgosnga1", pop_location=None)
+    ep = Endpoint(address="98.97.4.10", pop_code="lgosnga1")
     assert geolocate_customer(ep, load_geofeed(feed)) == ep
 
 
@@ -337,7 +337,7 @@ def test_filter_is_idempotent_and_subsets(records):
          for e in endpoints])
     assert {e.address for e in again} == addresses
     for e in endpoints:
-        assert e.pop_location is not None
+        assert e.pop_code in PopCatalog.default()
 
 
 @given(scan_records())

@@ -63,7 +63,7 @@ from leolink.constellation import (
     visible_satellites,
     worst_case_rtt,
 )
-from leolink.discovery import Endpoint, PopLocation
+from leolink.discovery import Endpoint, PopCatalog, PopLocation
 from leolink.geo import EARTH_RADIUS_KM, vacuum_rtt_ms
 from leolink.probe import MeasurementSession, SatLinkPath
 from leolink.store import MeasurementStore
@@ -378,10 +378,11 @@ def _spearman_columns(n):
 def test_spearman_rho_equals_scipy(columns):
     stats = pytest.importorskip("scipy.stats")
     # A POP at (0, 0) and each customer on the equator, dist km east of it.
-    pop = PopLocation("", "", 0.0, 0.0)
-    items = [(Endpoint(f"a{i}", "x", pop, (0.0, math.degrees(d / EARTH_RADIUS_KM))),
+    catalog = PopCatalog({"x": PopLocation("", "", 0.0, 0.0)})
+    items = [(Endpoint(address=f"a{i}", pop_code="x",
+                       customer_location=(0.0, math.degrees(d / EARTH_RADIUS_KM))),
               SessionStats(m, m, m, 0.0, 0.0, 0.0)) for i, (d, m) in enumerate(zip(*columns))]
-    rows, rho = min_rtt_vs_pop_distance(items)
+    rows, rho = min_rtt_vs_pop_distance(items, catalog)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns on a constant column
         want = stats.spearmanr([r[1] for r in rows], [r[2] for r in rows]).statistic
@@ -597,7 +598,7 @@ def make_session(ticks, target="100.64.9.1"):
     terr, endp = ([math.nan if v is None else v for v in hop] for hop in
                   ([terr for _, terr, _ in ticks], [endp for _, _, endp in ticks]))
     return MeasurementSession(
-        endpoint=Endpoint(address="100.64.9.1", pop_code="sttlwax1", pop_location=None),
+        endpoint=Endpoint(address="100.64.9.1", pop_code="sttlwax1"),
         path=path, start_ms=0, duration_s=len(ticks), cadence_hz=1,
         sent_ms=[terr_ms, endp_ms], rtt_us=[terr, endp])
 

@@ -23,7 +23,7 @@ from leolink.probe import (
 from leolink.simnet import SimnetTransport, build_scenario
 from tests.conftest import scenario_dict
 
-ENDPOINT = Endpoint(address="100.64.9.1", pop_code="sttlwax1", pop_location=None)
+ENDPOINT = Endpoint(address="100.64.9.1", pop_code="sttlwax1")
 
 
 def hop(ttl, responder=None, rtts=()):

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from leolink import cli, discovery, rawnet
 from leolink import store as store_module
 from leolink.discovery import Endpoint
+from leolink.geo import haversine_km
 from leolink.probe import MeasurementSession, SatLinkPath, probe_each_tick
 from leolink.simnet import SimnetTransport, build_scenario
 from leolink.store import (
@@ -54,7 +56,7 @@ def make_config(tmp_path, **overrides):
 def small_session(address="100.64.9.1", n=5):
     path = SatLinkPath(target=address, pre_sat_ttl=2, pre_sat_router="10.0.0.2",
                        post_sat_ttl=3, jump_ms=25.0)
-    endpoint = Endpoint(address=address, pop_code="sttlwax1", pop_location=None)
+    endpoint = Endpoint(address=address, pop_code="sttlwax1")
     sent_ms = np.arange(n, dtype=np.int64) * 1000
     endpoint_rtt_us = np.full(n, 35_000.0)
     endpoint_rtt_us[2] = np.nan
@@ -148,6 +150,7 @@ def test_session_roundtrip(tmp_path):
     store = MeasurementStore(tmp_path / "store")
     part = store.new_partition("p")
     session = small_session()
+    session.endpoint = replace(session.endpoint, customer_location=(47.6062, -122.3321))
     store.write_session(part, session, config_hash="cafe0123beef", transport="simnet")
     records = store.sessions()
     assert len(records) == 1
@@ -160,6 +163,7 @@ def test_session_roundtrip(tmp_path):
         assert getattr(loaded, name).dtype == getattr(session, name).dtype
     assert loaded.path == session.path
     assert loaded.endpoint.pop_code == "sttlwax1"
+    assert loaded.endpoint == session.endpoint  # a plain Endpoint, its location a tuple
     assert loaded.duration_s == 5 and loaded.cadence_hz == 1
 
 
@@ -325,6 +329,23 @@ def test_discover_writes_documented_columns(tmp_path):
                       "pop_lat", "pop_lon", "cust_lat", "cust_lon", "source"]
 
 
+def test_discover_writes_the_given_pop_catalog(tmp_path, capsys):
+    default = (Path(cli.__file__).parent / "data" / "pop_catalog.csv").read_text()
+    assert "sttlwax1,Seattle,Washington,47.6062,-122.3321\n" in default
+    catalog = tmp_path / "catalog.csv"
+    catalog.write_text(default.replace("sttlwax1,Seattle,Washington,47.6062,-122.3321",
+                                       "sttlwax1,Tacoma,Washington,47.2529,-122.4443"))
+    out = tmp_path / "cohort.csv"
+    assert cli.main(["discover", "--scan", str(FIXTURES / "scan_small.jsonl"),
+                     "--pop-catalog", str(catalog), "--out", str(out)]) == 0
+    assert "kept=91" in capsys.readouterr().out
+    with open(out, newline="") as fh:
+        seattle = [r for r in csv.DictReader(fh) if r["pop_code"] == "sttlwax1"]
+    assert seattle
+    assert {(r["pop_city"], r["pop_lat"], r["pop_lon"]) for r in seattle} == {
+        ("Tacoma", "47.2529", "-122.4443")}
+
+
 def test_discover_small_scan_pep_removal(tmp_path, capsys):
     out = tmp_path / "cohort.csv"
     assert cli.main(["discover", "--scan", str(FIXTURES / "scan_small.jsonl"),
@@ -369,8 +390,11 @@ def test_discover_oneweb_provider(tmp_path, capsys):
     line = capsys.readouterr().out.strip()
     assert "unclassifiable=1" in line
     with open(out, newline="") as fh:
-        addresses = {r["address"] for r in csv.DictReader(fh)}
-    assert addresses == {"185.118.1.1", "185.118.1.2"}
+        rows = list(csv.DictReader(fh))
+    assert {r["address"] for r in rows} == {"185.118.1.1", "185.118.1.2"}
+    # a OneWeb endpoint has no POP, so its pop_* columns stay blank
+    assert {(r["pop_code"], r["pop_city"], r["pop_lat"], r["pop_lon"]) for r in rows} == {
+        ("", "", "", "")}
 
 
 def test_failed_discover_write_keeps_the_old_cohort(tmp_path, capsys, monkeypatch):
@@ -1279,11 +1303,16 @@ def test_config_values_are_not_coerced(tmp_path):
      "events[0].delta_ms: expected a finite number or null, got '5'"),
     (lambda o: o.update(jitter={"sigma_ms": True}), "jitter.sigma_ms: expected a finite number"),
     (lambda o: o.update(loss_probability=None), "loss_probability: expected a finite number"),
+    (lambda o: o["endpoint"].pop("longitude"),
+     "endpoint.longitude: required with endpoint.latitude"),
+    (lambda o: o["endpoint"].pop("latitude"),
+     "endpoint.latitude: required with endpoint.longitude"),
 ], ids=["endpoint_latitude", "endpoint_pop_code", "endpoint_list", "echo_string",
         "ttl_expired_number", "label_number", "address_missing", "address_a_path",
         "seed_string",
         "duration_float", "segment_float", "flap_float", "flap_list", "event_at_float",
-        "event_delta_string", "sigma_bool", "loss_null"])
+        "event_delta_string", "sigma_bool", "loss_null", "endpoint_latitude_only",
+        "endpoint_longitude_only"])
 def test_scenario_field_of_the_wrong_type_is_a_config_error(tmp_path, capsys, mutate, where):
     obj = scenario_dict(endpoint={"pop_code": "sttlwax1", "latitude": 47.6,
                                   "longitude": -122.3, "source": "starlink_ptr"})
@@ -1320,8 +1349,9 @@ def _analyzed_reroute_day(tmp_path, field, value):
     ("source", ["x"], "a string"),
     ("address", None, "an IP address"),
     ("customer_location", [500.0, -722.3], "[latitude, longitude] or null"),
+    ("address", "192.0.2.7", "its directory's name '98.97.48.115'"),
 ], ids=["location_strings", "location_nan", "location_short", "pop_code_number",
-        "source_list", "address_null", "location_off_earth"])
+        "source_list", "address_null", "location_off_earth", "address_not_its_directory"])
 def test_report_checks_the_endpoint_of_an_analyzed_session(tmp_path, capsys, field, value,
                                                            wanted):
     # report takes this session's statistics from analyze's tables, so only
@@ -1336,6 +1366,19 @@ def test_report_checks_the_endpoint_of_an_analyzed_session(tmp_path, capsys, fie
     assert captured.out.startswith("report error no-sessions")
 
 
+def test_analyze_refuses_a_meta_json_naming_another_address(tmp_path, capsys):
+    store_dir, meta_path = _analyzed_reroute_day(tmp_path, "address", "192.0.2.7")
+    capsys.readouterr()
+    out = tmp_path / "reports"
+    assert cli.main(["analyze", "--store", str(store_dir), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"analyze error stage=analysis endpoint=98.97.48.115 msg={meta_path}: "
+        f"address: expected its directory's name '98.97.48.115', got '192.0.2.7'"]
+    assert captured.out.startswith("analyze error sessions=0 failed=1 ")
+    assert read_report_csv(out / "sessions.csv")[2] == []
+
+
 @pytest.mark.parametrize("cohort_text,where", [
     ("address,pop_code,cust_lat,cust_lon\n100.64.9.1,sttlwax1,nan,-122.3\n",
      "line 2: customer_location: expected [latitude, longitude] or null, got (nan, -122.3)"),
@@ -1345,7 +1388,14 @@ def test_report_checks_the_endpoint_of_an_analyzed_session(tmp_path, capsys, fie
      "line 3: pop_code: expected a string, got None"),
     ("address,pop_code\n100.64.9.1,sttlwax1\n../x,sttlwax1\n",
      "line 3: address: expected an IP address, got '../x'"),
-], ids=["latitude_nan", "longitude_inf", "short_row", "address_a_path"])
+    ("address,pop_code,cust_lat,cust_lon\n100.64.9.1,sttlwax1,47.6,\n",
+     "line 2: cust_lon: required with cust_lat"),
+    ("address,pop_code,cust_lat,cust_lon\n100.64.9.1,sttlwax1,,\n100.64.9.2,sttlwax1,,-122.3\n",
+     "line 3: cust_lat: required with cust_lon"),
+    ("address,pop_code,cust_lat\n100.64.9.1,sttlwax1,47.6\n",
+     "line 2: cust_lon: required with cust_lat"),
+], ids=["latitude_nan", "longitude_inf", "short_row", "address_a_path", "latitude_only",
+        "longitude_only", "no_longitude_column"])
 def test_cohort_row_is_checked_by_the_endpoint_builder(tmp_path, capsys, monkeypatch,
                                                        cohort_text, where):
     cohort = tmp_path / "cohort.csv"
@@ -1359,6 +1409,17 @@ def test_cohort_row_is_checked_by_the_endpoint_builder(tmp_path, capsys, monkeyp
     _single_config_error(capsys, "measure", f"{cohort} {where}")
     assert StubRawTransport.instances == []
     assert not (tmp_path / "s").exists()
+
+
+def test_cohort_rows_are_read_as_endpoints(tmp_path):
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text("address,pop_code,pop_city,pop_lat,pop_lon,cust_lat,cust_lon,source\n"
+                      "100.64.9.1,sttlwax1,Seattle,47.6062,-122.3321,,,starlink_ptr\n"
+                      "100.64.9.2,lgosnga1,,,,6.5,3.4,starlink_ptr\n")
+    # both coordinates blank is an unlocated customer; the pop_* columns are not read
+    assert cli.load_endpoints_csv(cohort) == [
+        Endpoint(address="100.64.9.1", pop_code="sttlwax1"),
+        Endpoint(address="100.64.9.2", pop_code="lgosnga1", customer_location=(6.5, 3.4))]
 
 
 def _bad_config_run(tmp_path):
@@ -1415,7 +1476,7 @@ def _located_session(address, lat, lon, n=120):
     """A flat 25 ms session of a located customer of the Lagos POP."""
     path = SatLinkPath(target=address, pre_sat_ttl=2, pre_sat_router="10.0.0.2",
                        post_sat_ttl=3, jump_ms=25.0)
-    endpoint = Endpoint(address=address, pop_code="lgosnga1", pop_location=None,
+    endpoint = Endpoint(address=address, pop_code="lgosnga1",
                         customer_location=(lat, lon))
     sent_ms = np.arange(n, dtype=np.int64) * 1000
     return MeasurementSession(endpoint=endpoint, path=path, start_ms=0, duration_s=n,
@@ -1443,6 +1504,24 @@ def test_constant_min_rtt_gives_nan_rho_without_warnings(tmp_path):
     assert done.stderr == ""
     summary = (store.root / "reports" / "summary.txt").read_text()
     assert "spearman(min RTT, POP distance) = nan over 3 endpoints" in summary
+
+
+def test_report_prices_distances_from_the_given_pop_catalog(tmp_path, capsys):
+    store = MeasurementStore(tmp_path / "store")
+    part = store.new_partition("2026-08-01")
+    located = [(6.5, 3.4), (7.4, 3.9), (9.1, 7.5)]
+    for i, (lat, lon) in enumerate(located):
+        store.write_session(part, _located_session(f"100.64.9.{i + 1}", lat, lon),
+                            config_hash="x")
+    catalog = tmp_path / "catalog.csv"
+    catalog.write_text("pop_code,city,country,latitude,longitude\n"
+                       "lgosnga1,Null Island,XX,0.0,0.0\n")
+    assert cli.main(["report", "--store", str(store.root), "--pop-catalog", str(catalog)]) == 0
+    _, header, rows = read_report_csv(store.root / "reports" / "min_rtt_distance.csv")
+    assert header == ["address", "pop_distance_km", "min_rtt_ms"]
+    assert [row[:2] for row in rows] == [
+        [f"100.64.9.{i + 1}", f"{haversine_km(lat, lon, 0.0, 0.0):.1f}"]
+        for i, (lat, lon) in enumerate(located)]
 
 
 def test_no_leolink_module_imports_scipy():
