@@ -97,7 +97,8 @@ class PopCatalog:
 
     Ships with the twenty known POP codes; a user-supplied CSV with the
     same columns (pop_code,city,country,latitude,longitude) overrides it;
-    a missing column or a bad coordinate raises :class:`DatasetError`.
+    a missing column, a blank or repeated code or a bad coordinate raises
+    :class:`DatasetError`.
     Coordinates are city-centre approximations: the reverse DNS names
     only identify the metro area.
     """
@@ -115,13 +116,15 @@ class PopCatalog:
                 raise DatasetError(f"{path} line 1: missing columns {missing}")
             for row in reader:
                 try:
+                    code = row["pop_code"].strip().lower()
+                    if not code or code in entries:
+                        raise ValueError(f"pop_code: {f'{code!r} repeated' if code else 'blank'}")
                     latitude = check(float(row["latitude"]), "latitude", "latitude",
                                      ValueError)
                     longitude = check(float(row["longitude"]), "longitude", "longitude",
                                       ValueError)
-                    entries[row["pop_code"].strip().lower()] = PopLocation(
-                        city=row["city"], country=row["country"],
-                        latitude=latitude, longitude=longitude)
+                    entries[code] = PopLocation(city=row["city"], country=row["country"],
+                                                latitude=latitude, longitude=longitude)
                 except ValueError as exc:
                     raise DatasetError(f"{path} line {reader.line_num}: {exc}") from None
         return cls(entries)

@@ -145,8 +145,9 @@ class MeasurementSession:
 
     ``sent_ms`` (int64) and ``rtt_us`` (float64, NaN for a lost probe) have
     shape ``(2, n)``: row 0 is the terrestrial hop, row 1 the endpoint hop,
-    and column k is tick k.  Tick k's endpoint probe leaves no earlier
-    than its terrestrial probe and no later than tick k + 1's.
+    and column k is tick k, with ``n == duration_s * cadence_hz``.  Tick
+    k's endpoint probe leaves no earlier than its terrestrial probe and no
+    later than tick k + 1's.
     """
 
     endpoint: Endpoint
@@ -166,6 +167,9 @@ class MeasurementSession:
             aligned = False
         if not aligned:
             raise ValueError("sent_ms and rtt_us must be alike (2, n) arrays, rows aligned by tick")
+        if self.sent_ms.shape[1] != self.duration_s * self.cadence_hz:
+            raise ValueError(f"{self.sent_ms.shape[1]} ticks, but {self.duration_s} s at "
+                             f"{self.cadence_hz} Hz is {self.duration_s * self.cadence_hz}")
         terrestrial, endpoint = self.sent_ms
         late = endpoint < terrestrial
         late[:-1] |= terrestrial[1:] < endpoint[:-1]

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import json
-import math
 import os
 import warnings
 from contextlib import contextmanager
@@ -32,16 +30,19 @@ from typing import IO, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import probe
-from .checks import hints, read, read_json
+from .checks import Fields, hints, read, read_json
 from .discovery import Endpoint
 from .probe import MeasurementSession, SatLinkPath
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 SESSION_FILENAME = "session.csv"
 META_FILENAME = "meta.json"
-SESSION_COLUMNS = ["timestamp_ms", "target", "hop_ttl", "rtt_us", "lost"]
-# The session.csv columns read back: timestamp_ms, hop_ttl, rtt_us.
-_ROW_DTYPE = np.dtype([("sent_ms", np.int64), ("ttl", np.int64), ("rtt_us", np.float64)])
+# One row per tick: each hop's send time (integer ms) and RTT (µs, nan if lost).
+SESSION_COLUMNS = ["terrestrial_sent_ms", "terrestrial_rtt_us",
+                   "endpoint_sent_ms", "endpoint_rtt_us"]
+_PARSERS = (int, float, int, float)  # one per column
+_ROW_DTYPE = np.dtype([(name, np.int64 if parse is int else np.float64)
+                       for name, parse in zip(SESSION_COLUMNS, _PARSERS)])
 _WRITE_CHUNK_ROWS = 8192  # session.csv rows formatted at a time
 
 TRANSPORTS = ("simnet", "raw")
@@ -133,17 +134,12 @@ class SessionMeta(Endpoint):
     start_ms: int
     duration_s: int
     cadence_hz: int
-    n_terrestrial: int
-    n_endpoint: int
     terrestrial_loss_fraction: float
     transport: Optional[str] = None
     protocol: Optional[str] = None
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.schema_version != SCHEMA_VERSION:
-            raise StoreError(f"schema_version: expected {SCHEMA_VERSION}, "
-                             f"got {self.schema_version!r}")
         for name in ("duration_s", "cadence_hz"):
             probe.check_range(name, getattr(self, name), StoreError)
 
@@ -160,8 +156,14 @@ class SessionRecord:
         :class:`SessionMeta` or names an address other than its directory's
         raises :class:`StoreError` naming it."""
         path = self.path.parent / META_FILENAME
+
+        def versioned(meta: Fields) -> SessionMeta:  # another version's keys are not ours
+            if (version := meta.obj.get("schema_version")) != SCHEMA_VERSION:
+                raise StoreError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+            return meta.make(SessionMeta)
+
         try:
-            meta = read_json(path, StoreError, lambda meta: meta.make(SessionMeta))
+            meta = read_json(path, StoreError, versioned)
         except OSError as exc:
             raise StoreError(f"{path}: {exc}") from None
         if meta.address != self.address:
@@ -209,10 +211,8 @@ class MeasurementStore:
         meta = SessionMeta(
             schema_version=SCHEMA_VERSION, config_hash=config_hash, **asdict(ep),
             pre_sat_ttl=path.pre_sat_ttl, pre_sat_router=path.pre_sat_router,
-            post_sat_ttl=path.post_sat_ttl, jump_ms=round(path.jump_ms, 3),
-            start_ms=session.start_ms, duration_s=session.duration_s,
-            cadence_hz=session.cadence_hz, n_terrestrial=session.sent_ms.shape[1],
-            n_endpoint=session.sent_ms.shape[1],
+            post_sat_ttl=path.post_sat_ttl, jump_ms=round(path.jump_ms, 3), start_ms=session.start_ms,
+            duration_s=session.duration_s, cadence_hz=session.cadence_hz,
             terrestrial_loss_fraction=round(session.terrestrial_loss_fraction, 6), **campaign)
         endpoint_dir = self.root / partition / ep.address
         endpoint_dir.mkdir(parents=True, exist_ok=True)
@@ -220,25 +220,15 @@ class MeasurementStore:
         if session_path.exists():
             raise StoreError(f"{session_path} already exists; store is append-only")
 
-        target = path.target
-        if any(c in target for c in ',"\r\n'):  # quoted as csv.writer would
-            target = '"' + target.replace('"', '""') + '"'
-        # Rows in send order; at equal timestamps the terrestrial hop's
-        # smaller TTL goes first, as it was probed first.
-        sent_ms, rtt_us = session.sent_ms.ravel(), session.rtt_us.ravel()
-        ttls = np.repeat([path.pre_sat_ttl, path.post_sat_ttl], session.sent_ms.shape[1])
-        order = np.lexsort((ttls, sent_ms))  # stable
+        columns = (session.sent_ms[0], session.rtt_us[0], session.sent_ms[1], session.rtt_us[1])
         # meta.json's block ends first, so session.csv is renamed into place last
         with replaced(session_path) as fh:
             fh.write(",".join(SESSION_COLUMNS) + "\r\n")
             # in chunks, so a day-long session's rows are never all Python objects
-            for lo in range(0, len(order), _WRITE_CHUNK_ROWS):
-                rows = order[lo:lo + _WRITE_CHUNK_ROWS]
-                fh.writelines(
-                    f"{t},{target},{ttl},,true\r\n" if math.isnan(rtt)
-                    else f"{t},{target},{ttl},{rtt:.1f},false\r\n"
-                    for t, ttl, rtt in zip(sent_ms[rows].tolist(), ttls[rows].tolist(),
-                                           rtt_us[rows].tolist()))
+            for lo in range(0, session.sent_ms.shape[1], _WRITE_CHUNK_ROWS):
+                fh.writelines(f"{t_sent},{t_rtt:.1f},{e_sent},{e_rtt:.1f}\r\n"
+                              for t_sent, t_rtt, e_sent, e_rtt in zip(
+                                  *(c[lo:lo + _WRITE_CHUNK_ROWS].tolist() for c in columns)))
             with replaced(endpoint_dir / META_FILENAME) as meta_fh:
                 json.dump(asdict(meta), meta_fh, indent=2, sort_keys=True)
                 meta_fh.write("\n")
@@ -258,56 +248,44 @@ class MeasurementStore:
         return out
 
     def read_session(self, record: SessionRecord) -> MeasurementSession:
-        """Rebuild a MeasurementSession from one stored record: the k-th row
-        of each hop is tick k, so the session's pairing rule checks the rows."""
+        """One stored record as a MeasurementSession, whose own rules check the rows."""
         meta = record.meta
-        path = SatLinkPath(target=meta.address, pre_sat_ttl=meta.pre_sat_ttl,
-                           pre_sat_router=meta.pre_sat_router,
-                           post_sat_ttl=meta.post_sat_ttl, jump_ms=float(meta.jump_ms))
         with open(record.path, newline="", encoding="utf-8") as fh:
             if fh.readline().rstrip("\r\n").split(",") != SESSION_COLUMNS:
                 raise StoreError(f"{record.path} line 1: columns are not {SESSION_COLUMNS}")
             try:
-                with warnings.catch_warnings():  # no rows is the count check's to report
+                with warnings.catch_warnings():  # no rows is the tick count's to report
                     warnings.simplefilter("ignore", UserWarning)
-                    rows = np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",", quotechar='"',
-                                      comments=None, usecols=(0, 2, 3), ndmin=1,
-                                      converters={3: lambda rtt: float(rtt or "nan")})
+                    rows = np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",", comments=None,
+                                      ndmin=1)
             except ValueError as exc:
                 raise StoreError(
                     f"{record.path} line {_first_bad_line(record.path)}: {exc}") from None
-        ttl = rows["ttl"]
-        alien = ttl[(ttl != path.pre_sat_ttl) & (ttl != path.post_sat_ttl)]
-        if len(alien):
-            raise StoreError(f"{record.path}: hop_ttl {alien[0]} matches "
-                             f"neither side of the recorded path")
-        terr, endp = rows[ttl == path.pre_sat_ttl], rows[ttl == path.post_sat_ttl]
-        for hop, hop_rows, count in (("terrestrial", terr, meta.n_terrestrial),
-                                     ("endpoint", endp, meta.n_endpoint)):
-            if len(hop_rows) != count:
-                raise StoreError(f"{record.path}: {len(hop_rows)} {hop} rows, "
-                                 f"meta.json records {count}")
         location = meta.customer_location and tuple(meta.customer_location)
         try:
             return MeasurementSession(
                 endpoint=Endpoint(address=meta.address, pop_code=meta.pop_code,
                                   source=meta.source, customer_location=location),
-                path=path, start_ms=meta.start_ms,
-                duration_s=meta.duration_s, cadence_hz=meta.cadence_hz,
-                sent_ms=[terr["sent_ms"], endp["sent_ms"]],
-                rtt_us=[terr["rtt_us"], endp["rtt_us"]])
+                path=SatLinkPath(target=meta.address, pre_sat_ttl=meta.pre_sat_ttl,
+                                 pre_sat_router=meta.pre_sat_router,
+                                 post_sat_ttl=meta.post_sat_ttl, jump_ms=float(meta.jump_ms)),
+                start_ms=meta.start_ms, duration_s=meta.duration_s, cadence_hz=meta.cadence_hz,
+                sent_ms=[rows[name] for name in SESSION_COLUMNS[0::2]],
+                rtt_us=[rows[name] for name in SESSION_COLUMNS[1::2]])
         except ValueError as exc:
             raise StoreError(f"{record.path}: {exc}") from None
 
 
 def _first_bad_line(path: Path) -> int | str:
-    """The line of the first unparsable row of ``session.csv``, for an error message."""
+    """The line of the first unparsable row of ``session.csv``, for an error
+    message: numpy counts rows from 0 in some messages and from 1 in others."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        for row in itertools.islice(reader, 1, None):
+        next(reader, None)  # the header
+        for row in reader:
             try:
-                int(row[0]), int(row[2]), float(row[3] or "nan")
-            except (IndexError, ValueError):
+                [parse(cell) for parse, cell in zip(_PARSERS, row, strict=True)]
+            except ValueError:
                 return reader.line_num
     return "?"
 

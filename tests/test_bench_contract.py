@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from leolink.store import MeasurementStore
 from tests.conftest import REPO_ROOT
 
 
@@ -38,7 +39,7 @@ def workloads(monkeypatch):
 def run_quick(workloads, name, seed=7, sessions=None):
     """Build, run and verify one workload at quick size; its verdict.
 
-    If ``sessions`` is a list, the sha256 of the workload's session files
+    If ``sessions`` is a list, the sha256 of the workload's stored sessions
     is appended to it (see :func:`sessions_digest`).
     """
     bench_dir = REPO_ROOT / ".perfbench"
@@ -57,12 +58,15 @@ def run_quick(workloads, name, seed=7, sessions=None):
 
 
 def sessions_digest(store: Path, partition: str) -> str:
-    """sha256 over the sorted ``session.csv`` files of one partition, each
-    as its store-relative posix path, a NUL byte and its bytes."""
+    """sha256 over the sessions of one partition as ``read_session`` returns
+    them, in store order: each one's directory name, a NUL byte, and the
+    bytes of its ``sent_ms`` and ``rtt_us`` arrays."""
     h = hashlib.sha256()
-    for path in sorted((store / partition).rglob("session.csv")):
-        h.update(path.relative_to(store).as_posix().encode() + b"\0")
-        h.update(path.read_bytes())
+    sessions = MeasurementStore(store)
+    for record in sessions.sessions(partition):
+        session = sessions.read_session(record)
+        h.update(record.address.encode() + b"\0")
+        h.update(session.sent_ms.tobytes() + session.rtt_us.tobytes())
     return h.hexdigest()
 
 
@@ -95,16 +99,18 @@ def test_geometry_digest_is_pinned(workloads, seed, digest):
 
 
 @pytest.mark.parametrize("name, seed, digest", [
-    ("fleet", 7, "dfa5b31092bb8976e346eb7c101957594451a149d037f9795043ac90f74d1d30"),
-    ("fleet", 11, "d542175bf2e4835e8196c277946158ec3aaa46b984d52c039c07893590e4da96"),
-    ("day", 7, "0d00f2343b0f4eacba24213cb7137323acf6c0c38446c6717427c163791bbc94"),
-    ("day", 11, "85e7098cef5f8b84a4f7d4dd4b1253f320edb640761a1324e55e770c71259bdf"),
+    ("fleet", 7, "0c686b0f5ff1c3c800972cc0eded644fd0192d303912a0a1268a9f80ba3092bf"),
+    ("fleet", 11, "37340ba34605209328ca1321a91d30a6dfff6466948d91c71e632367c100d6e9"),
+    ("day", 7, "6ca0c3107887ff2c41bcb159a9e391458f8ce8a8ec5001a213ece9744b84718d"),
+    ("day", 11, "d398e6a923435a6e1f17919a5d7f237dc7a079680a337ec8fdeb975db9fd540a"),
 ])
 def test_simulated_sessions_are_pinned(workloads, name, seed, digest):
-    # Every probe the simulator answers lands in a session.csv, so a
-    # change to the per-probe stream, the tick clock or the session
-    # write fails here.  Unlike the workload digest this hash does not
-    # depend on the temporary work directory.
+    # Every probe the simulator answers lands in a stored session, and
+    # this hashes the arrays read back from the store, not the file
+    # bytes: a change to the per-probe stream, the tick clock or the
+    # rounding on write fails here, a change of the file layout alone
+    # does not.  Unlike the workload digest this hash does not depend on
+    # the temporary work directory.
     sessions = []
     run_quick(workloads, name, seed, sessions)
     assert sessions == [digest]

@@ -4,18 +4,16 @@ Each oracle below is the earlier, obviously correct implementation: a
 per-tick ``np.median`` loop for ``smooth``, a ``while`` loop for
 ``_maximal_runs``, a linear event scan, a per-probe hop chain and a
 per-tick loop over ``probe()`` for the simulator, a per-sample loop for
-isolation, for the session store a sort-then-``csv.writer`` pass and a
-``heapq.merge`` of per-sample lists, and for the constellation the
-per-snapshot geometry: one propagation, one look-angle pass over every
-satellite per rule and a per-satellite loop for the two-satellite
-threshold, one time step at a time.  The fast code must agree with
-them exactly, not approximately.  The one
-exception is the report's Spearman rho, checked against
+isolation, for the session store a ``csv.writer`` pass over the ticks
+in order, and for the constellation the per-snapshot geometry: one
+propagation, one look-angle pass over every satellite per rule and a
+per-satellite loop for the two-satellite threshold, one time step at a
+time.  The fast code must agree with them exactly, not approximately.
+The one exception is the report's Spearman rho, checked against
 ``scipy.stats.spearmanr`` (skipped without scipy) to 1e-12.
 """
 import csv
 import hashlib
-import heapq
 import io
 import math
 import random
@@ -25,7 +23,6 @@ import threading
 import warnings
 from collections import namedtuple
 from dataclasses import replace
-from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -168,31 +165,17 @@ def samples_of(session):
                                       (session.path.pre_sat_ttl, session.path.post_sat_ttl))]
 
 
-def oracle_session_csv(target, terrestrial, endpoint):
-    """The session.csv bytes as csv.writer wrote them from one sorted list."""
-    rows = []
-    for samples in (terrestrial, endpoint):
-        for s in samples:
-            rtt = "" if s.rtt_us is None else f"{s.rtt_us:.1f}"
-            lost = "true" if s.rtt_us is None else "false"
-            rows.append((s.timestamp_ms, target, s.target_ttl, rtt, lost))
-    rows.sort(key=lambda r: (r[0], r[2]))
+def oracle_session_csv(terrestrial, endpoint):
+    """The session.csv bytes as csv.writer writes one row per tick."""
+    def rtt(sample):
+        return "nan" if sample.rtt_us is None else f"{sample.rtt_us:.1f}"
+
     buf = io.StringIO(newline="")
     w = csv.writer(buf)
-    w.writerow(["timestamp_ms", "target", "hop_ttl", "rtt_us", "lost"])
-    w.writerows(rows)
+    w.writerow(["terrestrial_sent_ms", "terrestrial_rtt_us", "endpoint_sent_ms", "endpoint_rtt_us"])
+    w.writerows((t.timestamp_ms, rtt(t), e.timestamp_ms, rtt(e))
+                for t, e in zip(terrestrial, endpoint, strict=True))
     return buf.getvalue().encode("utf-8")
-
-
-def oracle_merged_csv(target, terrestrial, endpoint):
-    """The session.csv bytes as the per-sample writer merged the two hops."""
-    if any(c in target for c in ',"\r\n'):
-        target = '"' + target.replace('"', '""') + '"'
-    samples = heapq.merge(terrestrial, endpoint, key=attrgetter("timestamp_ms", "target_ttl"))
-    return ("timestamp_ms,target,hop_ttl,rtt_us,lost\r\n" + "".join(
-        f"{s.timestamp_ms},{target},{s.target_ttl},,true\r\n" if s.rtt_us is None
-        else f"{s.timestamp_ms},{target},{s.target_ttl},{s.rtt_us:.1f},false\r\n"
-        for s in samples)).encode("utf-8")
 
 
 def oracle_isolate(terrestrial, endpoint):
@@ -577,16 +560,15 @@ def test_concurrent_sessions_share_no_generator():
 rtts = st.one_of(st.none(), st.floats(0.0, 3e6), st.sampled_from([0.05, 0.25, 12345.65]))
 # RTTs that survive session.csv's one decimal exactly
 tenths = st.one_of(st.none(), st.integers(0, 30_000_000).map(lambda k: k / 10))
-targets = st.sampled_from(["100.64.9.1", "2001:db8::1", 'odd,"name"', "a\nb", "#x"])
 
 
-def make_session(ticks, target="100.64.9.1"):
+def make_session(ticks):
     """ticks: (gap, terrestrial rtt, endpoint rtt); None is a lost probe.
 
     The endpoint probe leaves when the terrestrial one returned, sometimes
     in the same millisecond, and the next tick may start in that one too.
     """
-    path = SatLinkPath(target=target, pre_sat_ttl=2, pre_sat_router="10.0.0.2",
+    path = SatLinkPath(target="100.64.9.1", pre_sat_ttl=2, pre_sat_router="10.0.0.2",
                        post_sat_ttl=3, jump_ms=25.0)
     terr_ms, endp_ms = [], []
     t = 0
@@ -603,23 +585,19 @@ def make_session(ticks, target="100.64.9.1"):
         sent_ms=[terr_ms, endp_ms], rtt_us=[terr, endp])
 
 
-@given(st.lists(st.tuples(st.integers(0, 2500), rtts, rtts), min_size=1, max_size=60),
-       targets)
+@given(st.lists(st.tuples(st.integers(0, 2500), rtts, rtts), min_size=1, max_size=60))
 @settings(max_examples=60, deadline=None)
-def test_session_csv_equals_sorted_csv_writer(tmp_path_factory, ticks, target):
-    session = make_session(ticks, target)
+def test_session_csv_equals_sorted_csv_writer(tmp_path_factory, ticks):
+    session = make_session(ticks)
     store = MeasurementStore(tmp_path_factory.mktemp("store"))
     written = store.write_session(store.new_partition("p"), session, config_hash="x")
-    terrestrial, endpoint = samples_of(session)
-    assert written.read_bytes() == oracle_session_csv(target, terrestrial, endpoint)
-    assert written.read_bytes() == oracle_merged_csv(target, terrestrial, endpoint)
+    assert written.read_bytes() == oracle_session_csv(*samples_of(session))
 
 
-@given(st.lists(st.tuples(st.integers(0, 2500), tenths, tenths), min_size=1, max_size=60),
-       targets)
+@given(st.lists(st.tuples(st.integers(0, 2500), tenths, tenths), min_size=1, max_size=60))
 @settings(max_examples=60, deadline=None)
-def test_read_session_round_trips_arrays(tmp_path_factory, ticks, target):
-    session = make_session(ticks, target)
+def test_read_session_round_trips_arrays(tmp_path_factory, ticks):
+    session = make_session(ticks)
     store = MeasurementStore(tmp_path_factory.mktemp("store"))
     store.write_session(store.new_partition("p"), session, config_hash="x")
     loaded = store.read_session(store.sessions()[0])

@@ -304,6 +304,19 @@ def test_session_rejects_misaligned_arrays(hop):
                 in_memory_session(**dict(arrays, **{name: bad}))
 
 
+@pytest.mark.parametrize("duration_s, cadence_hz", [(9, 1), (11, 1), (10, 2)])
+def test_session_refuses_a_tick_count_off_its_schedule(duration_s, cadence_hz):
+    # measure_session schedules duration_s * cadence_hz ticks and loss is
+    # counted against that number, so a session holds exactly that many.
+    arrays = {"sent_ms": [np.arange(10) * 100] * 2, "rtt_us": np.zeros((2, 10))}
+    with pytest.raises(ValueError, match=f"^10 ticks, but {duration_s} s at {cadence_hz} Hz "
+                                         f"is {duration_s * cadence_hz}$"):
+        MeasurementSession(endpoint=ENDPOINT, path=path_of_uncheckable(), start_ms=0,
+                           duration_s=duration_s, cadence_hz=cadence_hz, **arrays)
+    MeasurementSession(endpoint=ENDPOINT, path=path_of_uncheckable(), start_ms=0,
+                       duration_s=5, cadence_hz=2, **arrays)
+
+
 @pytest.mark.parametrize("endpoint_ms", [4500, 2990])
 def test_session_refuses_unpaired_ticks(endpoint_ms):
     # Tick 3's endpoint probe leaves after tick 4's terrestrial probe, or

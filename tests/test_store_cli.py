@@ -173,11 +173,12 @@ def test_session_meta_fields(tmp_path):
     store.write_session(part, small_session(), config_hash="cafe0123beef")
     meta_path = next((store.root / "p").glob("*/meta.json"))
     meta = json.loads(meta_path.read_text())
-    assert meta["schema_version"] == 1
+    assert meta["schema_version"] == 2
     assert meta["config_hash"] == "cafe0123beef"
     assert meta["address"] == "100.64.9.1"
     assert meta["pre_sat_ttl"] == 2 and meta["post_sat_ttl"] == 3
-    assert meta["n_terrestrial"] == 5 and meta["n_endpoint"] == 5
+    assert meta["duration_s"] == 5 and meta["cadence_hz"] == 1
+    assert "n_terrestrial" not in meta and "n_endpoint" not in meta
     assert meta["terrestrial_loss_fraction"] == 0.0
 
 
@@ -188,11 +189,11 @@ def test_session_csv_columns_and_order(tmp_path):
     csv_path = next((store.root / "p").glob("*/session.csv"))
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["timestamp_ms", "target", "hop_ttl", "rtt_us", "lost"]
-    # per tick the terrestrial hop (smaller ttl) sorts first
-    assert [r[2] for r in rows[1:5]] == ["2", "3", "2", "3"]
-    lost_rows = [r for r in rows[1:] if r[4] == "true"]
-    assert len(lost_rows) == 1 and lost_rows[0][3] == ""
+    assert rows[0] == ["terrestrial_sent_ms", "terrestrial_rtt_us",
+                       "endpoint_sent_ms", "endpoint_rtt_us"]
+    # one row per tick, in tick order; a lost probe's RTT is nan
+    assert rows[1:] == [[str(1000 * k), "10000.0", str(1000 * k), "nan" if k == 2 else "35000.0"]
+                        for k in range(5)]
 
 
 def test_store_is_append_only(tmp_path):
@@ -203,32 +204,23 @@ def test_store_is_append_only(tmp_path):
         store.write_session(part, small_session(), config_hash="x")
 
 
-def test_read_session_rejects_alien_ttl(tmp_path):
-    store = MeasurementStore(tmp_path / "store")
-    part = store.new_partition("p")
-    store.write_session(part, small_session(), config_hash="x")
-    csv_path = next((store.root / "p").glob("*/session.csv"))
-    text = csv_path.read_text().replace("0,100.64.9.1,2,", "0,100.64.9.1,7,")
-    csv_path.write_text(text)
-    with pytest.raises(StoreError, match="neither"):
-        store.read_session(store.sessions()[0])
-
-
-@pytest.mark.parametrize("hop_ttl", ["2", "3"])
-def test_read_session_rejects_missing_rows(tmp_path, hop_ttl):
+@pytest.mark.parametrize("kept", [slice(1, None), slice(None, -1), slice(0, 0)],
+                         ids=["first_tick_dropped", "last_tick_dropped", "header_only"])
+def test_read_session_refuses_ticks_off_the_schedule(tmp_path, recwarn, kept):
     store = MeasurementStore(tmp_path / "store")
     store.write_session(store.new_partition("p"), small_session(), config_hash="x")
     csv_path = next((store.root / "p").glob("*/session.csv"))
-    lines = csv_path.read_bytes().split(b"\r\n")
-    dropped = next(i for i, line in enumerate(lines)
-                   if line.split(b",")[2:3] == [hop_ttl.encode()])
-    csv_path.write_bytes(b"\r\n".join(lines[:dropped] + lines[dropped + 1:]))
-    with pytest.raises(StoreError, match="4 .* rows, meta.json records 5"):
+    lines = csv_path.read_bytes().splitlines(keepends=True)
+    csv_path.write_bytes(b"".join(lines[:1] + lines[1:][kept]))
+    ticks = len(lines[1:][kept])
+    with pytest.raises(StoreError, match=f"session.csv: {ticks} ticks, but 5 s at 1 Hz is 5$"):
         store.read_session(store.sessions()[0])
+    assert not recwarn.list
 
 
-@pytest.mark.parametrize("bad_row", [b"0,100.64.9.1,2", b"0,100.64.9.1,2,fast,false",
-                                     b"zero,100.64.9.1,2,10000.0,false"])
+@pytest.mark.parametrize("bad_row", [b"0,10000.0,0", b"0,fast,0,35000.0",
+                                     b"0.5,10000.0,0,35000.0"],
+                         ids=["too_few_columns", "rtt_not_a_number", "sent_ms_not_an_integer"])
 def test_read_session_rejects_malformed_rows(tmp_path, bad_row):
     store = MeasurementStore(tmp_path / "store")
     store.write_session(store.new_partition("p"), small_session(), config_hash="x")
@@ -237,16 +229,6 @@ def test_read_session_rejects_malformed_rows(tmp_path, bad_row):
     csv_path.write_bytes(b"\r\n".join(lines[:1] + [bad_row] + lines[2:]))
     with pytest.raises(StoreError, match="line 2"):
         store.read_session(store.sessions()[0])
-
-
-def test_read_session_without_rows_fails_on_the_counts(tmp_path, recwarn):
-    store = MeasurementStore(tmp_path / "store")
-    store.write_session(store.new_partition("p"), small_session(), config_hash="x")
-    csv_path = next((store.root / "p").glob("*/session.csv"))
-    csv_path.write_bytes(csv_path.read_bytes().split(b"\r\n")[0] + b"\r\n")
-    with pytest.raises(StoreError, match="0 terrestrial rows, meta.json records 5"):
-        store.read_session(store.sessions()[0])
-    assert not recwarn.list
 
 
 def test_failed_meta_write_leaves_no_session(tmp_path, monkeypatch):
@@ -483,30 +465,24 @@ def test_analyze_truncated_session_exits_1(tmp_path, capsys):
     assert cli.main(["analyze", "--store", str(store_dir), "--partition", "p"]) == 1
     captured = capsys.readouterr()
     assert captured.out.startswith("analyze error sessions=0 failed=1 ")
-    assert "analyze error stage=analysis endpoint=" in captured.err
-    assert "meta.json records 300" in captured.err
-    assert "Traceback" not in captured.err
+    assert captured.err.splitlines() == [
+        f"analyze error stage=analysis endpoint=176.83.201.7 "
+        f"msg={csv_path}: 299 ticks, but 300 s at 1 Hz is 300"]
 
 
 def test_unpaired_ticks_fail_the_session(tmp_path, capsys):
-    # One row of each hop dropped and meta.json fixed up to match: the
-    # counts agree, but pairing the rest by position would shift ticks.
+    # Tick 3's two send times swapped: the tick count is right, but its
+    # endpoint probe would leave before its terrestrial probe.
     store_dir = tmp_path / "store"
     assert cli.main(["simulate", "--scenarios", str(SCENARIOS / "relay_split"),
                      "--out", str(store_dir), "--duration", "300",
                      "--partition", "p"]) == 0
     csv_path = next((store_dir / "p").glob("*/session.csv"))
-    meta_path = csv_path.parent / "meta.json"
-    meta = json.loads(meta_path.read_text())
     lines = csv_path.read_bytes().split(b"\r\n")
-    rows_of = {ttl: [i for i, line in enumerate(lines)
-                     if line.split(b",")[2:3] == [str(ttl).encode()]]
-               for ttl in (meta["pre_sat_ttl"], meta["post_sat_ttl"])}
-    dropped = {rows_of[meta["pre_sat_ttl"]][3], rows_of[meta["post_sat_ttl"]][7]}
-    csv_path.write_bytes(b"\r\n".join(line for i, line in enumerate(lines)
-                                       if i not in dropped))
-    meta.update(n_terrestrial=299, n_endpoint=299)
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    t_sent, t_rtt, e_sent, e_rtt = lines[4].split(b",")
+    assert int(e_sent) > int(t_sent)
+    lines[4] = b",".join([e_sent, t_rtt, t_sent, e_rtt])
+    csv_path.write_bytes(b"\r\n".join(lines))
     store = MeasurementStore(store_dir)
     with pytest.raises(StoreError, match="tick 3 do not pair"):
         store.read_session(store.sessions("p")[0])
@@ -584,11 +560,29 @@ def test_unknown_meta_json_key_fails_only_its_session(tmp_path, capsys, command,
         f"msg={meta_path}: unknown fields ['operator']"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_version_1_meta_json_fails_only_its_session(tmp_path, capsys, command):
+    # Version 1 stored one session.csv row per probe and counted each hop's
+    # rows in meta.json; no reader for it is kept.
+    store_dir = _two_partition_store(tmp_path)
+    meta_path = next((store_dir / "p2").glob("*/meta.json"))
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps({**meta, "schema_version": 1,
+                                     "n_terrestrial": 300, "n_endpoint": 300}))
+    capsys.readouterr()
+    assert cli.main([command, "--store", str(store_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"{command} error sessions=1 failed=1 ")
+    assert captured.err.splitlines() == [
+        f"{command} error stage=analysis endpoint=176.83.201.7 "
+        f"msg={meta_path}: schema_version: expected 2, got 1"]
+
+
 WRONG_META_TYPE = pytest.mark.parametrize("field,value", [
-    ("pre_sat_ttl", None), ("n_endpoint", [300]), ("customer_location", 5),
+    ("pre_sat_ttl", None), ("start_ms", [300]), ("customer_location", 5),
     ("duration_s", -120), ("cadence_hz", 0),  # integers outside CampaignConfig's ranges
     ("customer_location", [500.0, -722.3]),
-], ids=["pre_sat_ttl_null", "n_endpoint_list", "customer_location_number",
+], ids=["pre_sat_ttl_null", "start_ms_list", "customer_location_number",
         "duration_negative", "cadence_zero", "customer_location_off_earth"])
 
 
@@ -1043,6 +1037,14 @@ def test_trace_paths_do_not_depend_on_concurrency(tmp_path, capsys):
     assert tables[1] == tables[8]
 
 
+def test_readme_names_the_session_columns():
+    # the README's column list is the one store.SESSION_COLUMNS writes and reads
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    paragraph = readme[readme.index("**Session store**"):].split("\n\n", 1)[0]
+    lists = re.findall(r"`(\w+(?:,\w+)+)`", paragraph)
+    assert [names.split(",") for names in lists] == [store_module.SESSION_COLUMNS]
+
+
 def test_readme_transports_are_accepted(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     named = re.search(r"`transport` \(([^)]*)\)", readme)
@@ -1168,7 +1170,12 @@ def test_bad_cohort_csv_is_a_config_error(tmp_path, capsys, monkeypatch, command
     ("pop_code,city,country,latitude,longitude\nsttlwax1,Seattle,US,47.6,-122.3\n"
      "lgosnga1,Lagos,NG,6.5,-722.3\n",
      "line 3: longitude: expected a longitude within [-180, 180], got -722.3"),
-], ids=["bad_value", "missing_column", "longitude_off_earth"])
+    ("pop_code,city,country,latitude,longitude\nsttlwax1,Seattle,US,47.6,-122.3\n"
+     "lgosnga1,Lagos,NG,6.5,3.4\nSTTLWAX1,Tacoma,US,47.3,-122.4\n",
+     "line 4: pop_code: 'sttlwax1' repeated"),
+    ("pop_code,city,country,latitude,longitude\nsttlwax1,Seattle,US,47.6,-122.3\n"
+     " ,Lagos,NG,6.5,3.4\n", "line 3: pop_code: blank"),
+], ids=["bad_value", "missing_column", "longitude_off_earth", "repeated_code", "blank_code"])
 @pytest.mark.parametrize("command", ["discover", "report"])
 def test_bad_pop_catalog_is_a_config_error(tmp_path, capsys, command, catalog_text, where):
     catalog = tmp_path / "catalog.csv"
