@@ -180,12 +180,14 @@ class FilterReport:
 
 
 def _record_from_dict(obj: dict) -> ScanRecord:
+    check(obj, "object", "record", ValueError)
     services = tuple((int(p), str(proto)) for p, proto in obj.get("services", []))
-    tls_names = tuple(str(n) for n in obj.get("tls_names", []))
+    tls_names = tuple(str(n) for n in check(obj.get("tls_names", []), "list", "tls_names",
+                                            ValueError))
     return ScanRecord(
         address=str(obj["address"]),
-        ptr_name=obj.get("ptr") or None,
-        soa_name=obj.get("soa") or None,
+        ptr_name=check(obj.get("ptr"), "string", "ptr", ValueError, optional=True) or None,
+        soa_name=check(obj.get("soa"), "string", "soa", ValueError, optional=True) or None,
         tls_subject_names=tls_names,
         open_services=services,
         asn=int(obj.get("asn", 0)),
@@ -201,7 +203,7 @@ def _record_from_csv_row(row: dict) -> ScanRecord:
             services.append((int(port), proto))
     tls_names = tuple(n for n in (row.get("tls_names") or "").split(";") if n)
     return ScanRecord(
-        address=row["address"].strip(),
+        address=check(row["address"], "string", "address", ValueError).strip(),
         ptr_name=(row.get("ptr") or "").strip() or None,
         soa_name=(row.get("soa") or "").strip() or None,
         tls_subject_names=tls_names,

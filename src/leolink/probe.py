@@ -147,7 +147,7 @@ class MeasurementSession:
     shape ``(2, n)``: row 0 is the terrestrial hop, row 1 the endpoint hop,
     and column k is tick k, with ``n == duration_s * cadence_hz``.  Tick
     k's endpoint probe leaves no earlier than its terrestrial probe and no
-    later than tick k + 1's.
+    later than tick k + 1's, and each RTT is NaN or finite and positive.
     """
 
     endpoint: Endpoint
@@ -176,6 +176,12 @@ class MeasurementSession:
         if late.any():
             raise ValueError(f"the rows of tick {late.argmax()} do not pair by send time; "
                              f"rows are missing or out of order")
+        rtt = self.rtt_us  # fmin and fmax skip NaN, and make no array as large as rtt
+        if (np.fmin.reduce(rtt, axis=None, initial=np.inf) <= 0
+                or np.fmax.reduce(rtt, axis=None, initial=0.0) == np.inf):
+            tick = ((rtt <= 0) | (rtt == np.inf)).any(axis=0).argmax()
+            raise ValueError(f"the RTTs of tick {tick}, {rtt[:, tick].tolist()}, are "
+                             f"not each nan (lost) or finite and positive")
 
     @property
     def terrestrial_loss_fraction(self) -> float:

@@ -59,6 +59,7 @@ endpoint's ``pop_code``, ``source``, ``latitude`` and ``longitude`` (both
 coordinates or neither).
 A key outside the schema is refused at every level, except a free-text
 ``comment`` string at the top level.  :class:`Scenario` is the schema.
+:func:`score_spikes` scores detected spikes against a scenario's events.
 """
 from __future__ import annotations
 
@@ -73,6 +74,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .analysis import KIND_SUSTAINED, SMOOTHING_WINDOW_S, SpikeEvent
 from .checks import Fields, check, read_json
 from .probe import DEFAULT_PROBE_TIMEOUT_S, PROTOCOLS, ProbeReply
 
@@ -244,6 +246,43 @@ def ground_truth(scenario: Scenario, t_s: float) -> GroundTruth:
     if ev is None:
         return GroundTruth("baseline", rtt, False)
     return GroundTruth(ev.kind, rtt, True)
+
+
+@dataclass(frozen=True)
+class SpikeScore:
+    """What :func:`score_spikes` finds of one session."""
+
+    recalled: tuple[bool, ...]          # per event
+    false_sustained: int
+    nearest: tuple[Optional[int], ...]  # per spike, an index into the events
+
+
+def score_spikes(spikes: Sequence[SpikeEvent], events: Sequence[RerouteEvent], *,
+                 window_s: float = 15.0) -> SpikeScore:
+    """Score one session's spikes against its timed events, in one pass.
+
+    An event is recalled when a sustained spike overlaps its span
+    ``[at_s, end_s)`` less the first and last half smoothing window, over
+    which the smoothed series is still ramping.  A sustained spike that
+    overlaps no event's whole span is false.  A spike's nearest event is
+    the first whose start lies closest to the spike's start, if it is
+    within ``window_s`` either side inclusive, else None.
+    """
+    if not window_s >= 0:
+        raise ValueError(f"window_s: must be >= 0, got {window_s!r}")
+    trim_ms = SMOOTHING_WINDOW_S / 2 * 1000.0
+    spans = [(ev.at_s * 1000, ev.end_s * 1000) for ev in events]
+    recalled, false, nearest = [False] * len(spans), 0, []
+    for spike in spikes:
+        start, end = spike.start_ms, spike.end_ms
+        if spike.kind == KIND_SUSTAINED:
+            false += not any(start < hi and end > lo for lo, hi in spans)
+            for i, (lo, hi) in enumerate(spans):
+                recalled[i] |= start < hi - trim_ms and end > lo + trim_ms
+        gaps = [abs(ev.at_s - start / 1000.0) for ev in events]
+        best = min(range(len(gaps)), key=gaps.__getitem__, default=None)
+        nearest.append(best if best is not None and gaps[best] <= window_s else None)
+    return SpikeScore(tuple(recalled), false, tuple(nearest))
 
 
 def _err(fieldname: str, message: str) -> ScenarioError:

@@ -1,4 +1,5 @@
-"""Shared helpers: scenario factories, one simulated probe and bundled fixture paths."""
+"""Shared helpers: scenario factories, one simulated probe, bundled fixture paths
+and the spikes of a report table."""
 from __future__ import annotations
 
 import copy
@@ -41,6 +42,17 @@ def scenario_dict(**overrides) -> dict:
     obj = copy.deepcopy(BASE_SCENARIO)
     obj.update(overrides)
     return obj
+
+
+def spikes_by_address(report_csv: Path) -> dict:
+    """Each address's spikes in a report table of ``spikes.csv``'s columns."""
+    from leolink.analysis import SpikeEvent
+    from leolink.store import read_report_csv
+    spikes: dict = {}
+    for _, address, start, end, kind, peak, base in read_report_csv(report_csv)[2]:
+        spikes.setdefault(address, []).append(
+            SpikeEvent(int(start), int(end), kind, float(peak), float(base)))
+    return spikes
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ five minutes.
 """
 
 import csv
+import json
 import math
 import random
 from collections import Counter
@@ -34,14 +35,17 @@ from leolink.constellation import (
 )
 from leolink.discovery import Endpoint
 from leolink.geo import EARTH_RADIUS_KM, LIGHT_SPEED_KM_S, latlon_to_ecef
-from leolink.obstruction import SwitchEvent, correlate_spikes
 from leolink.probe import identify_sat_link, measure_session, run_traceroute
 from leolink.simnet import (
+    RerouteEvent,
     SimnetTransport,
     build_scenario,
     ground_truth,
     load_scenario_dir,
+    score_spikes,
 )
+from leolink.store import MeasurementStore
+from tests.conftest import spikes_by_address
 
 FIXTURES = Path(__file__).resolve().parent.parent / "data" / "fixtures"
 SCENARIOS = Path(cli.__file__).parent / "data" / "scenarios"
@@ -62,7 +66,8 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 
 def scenario(seed, *, events=(), duration_s=1000, jitter=None,
              address="100.64.9.1", sat_base_ms=12.5):
-    obj = {
+    """A scenario file's object: one target behind two terrestrial hops."""
+    return {
         "schema": "leolink-scenario/1",
         "duration_s": duration_s,
         "seed": seed,
@@ -80,7 +85,6 @@ def scenario(seed, *, events=(), duration_s=1000, jitter=None,
                              "sigma_ms": 0.5, "satellite_sigma_ms": 1.5},
         "events": list(events),
     }
-    return build_scenario(obj)
 
 
 def run_pipeline(scen, pop_code="sttlwax1"):
@@ -96,6 +100,21 @@ def run_pipeline(scen, pop_code="sttlwax1"):
     return session, isolated, smoothed, analysis.detect_spikes(smoothed)
 
 
+def simulate(tmp_path, name, scenarios):
+    """Run ``leolink simulate`` over scenario objects of one duration: the
+    store, and per target its scenario and the spikes ``spikes.csv`` lists."""
+    scenario_dir, out = tmp_path / name, tmp_path / f"{name}-store"
+    scenario_dir.mkdir()
+    for i, obj in enumerate(scenarios):
+        (scenario_dir / f"{i:02d}.json").write_text(json.dumps(obj))
+    assert cli.main(["simulate", "--scenarios", str(scenario_dir), "--out", str(out),
+                     "--duration", str(scenarios[0]["duration_s"]),
+                     "--partition", name]) == 0
+    spikes = spikes_by_address(out / "reports" / "spikes.csv")
+    return MeasurementStore(out), {address: (scen, spikes.get(address, []))
+                                   for address, scen in load_scenario_dir(scenario_dir).items()}
+
+
 @pytest.fixture(scope="module")
 def nigeria_summary():
     return evaluate_case(StudyCase.nigeria())
@@ -103,11 +122,12 @@ def nigeria_summary():
 
 # ---------------------------------------------------------------- criterion 1
 
-def test_a01_sustained_reroute_recall():
+def test_a01_sustained_reroute_recall(tmp_path):
     # 20 scenarios, 3 scheduled sustained reroutes each (>= 2 sigma,
-    # >= 15 s).  Every event must be recalled as a sustained spike.
+    # >= 15 s).  Every event must be recalled as a sustained spike in
+    # the spikes.csv that simulate writes.
     kinds = ("isl_reroute", "satellite_switch", "gs_switch")
-    total = matched = sustained_total = 0
+    scenarios = []
     for k in range(20):
         starts = (150 + 15 * (k % 4), 420 + 15 * (k % 3), 780 + 15 * (k % 5))
         durations = (45, 60, 45 + 15 * (k % 2))
@@ -115,15 +135,14 @@ def test_a01_sustained_reroute_recall():
         events = [{"at_s": s, "kind": kinds[i % 3],
                    "delta_ms": deltas[i], "duration_s": durations[i]}
                   for i, s in enumerate(starts)]
-        _, _, _, spikes = run_pipeline(scenario(7000 + k, events=events))
-        sustained = [e for e in spikes if e.kind == "sustained"]
-        sustained_total += len(sustained)
-        for ev in events:
-            total += 1
-            lo = (ev["at_s"] + 7.5) * 1000.0
-            hi = (ev["at_s"] + ev["duration_s"] - 7.5) * 1000.0
-            if any(e.start_ms < hi and e.end_ms > lo for e in sustained):
-                matched += 1
+        scenarios.append(scenario(7000 + k, events=events, address=f"100.64.9.{k + 1}"))
+    _, simulated = simulate(tmp_path, "a01", scenarios)
+    total = matched = sustained_total = 0
+    for scen, spikes in simulated.values():
+        sustained_total += sum(e.kind == "sustained" for e in spikes)
+        recalled = score_spikes(spikes, scen.events).recalled
+        total += len(recalled)
+        matched += sum(recalled)
     ok = matched == total == 60
     report(1, "sustained reroute recall", ok,
            f"recall={matched}/{total} sustained={sustained_total}")
@@ -132,41 +151,35 @@ def test_a01_sustained_reroute_recall():
 
 # ---------------------------------------------------------------- criterion 2
 
-def test_a02_false_positive_bound():
+def test_a02_false_positive_bound(tmp_path):
     # 10 x 1000 s of jitter-only traffic (terrestrial deviation under
     # 1 ms): at most one sustained false positive in the aggregate.
     # With a 10 ms terrestrial-jitter endpoint added, jitter_filter
     # must screen it out, leaving zero false positives on kept traffic.
+    # Spikes are simulate's spikes.csv; sessions are read back from its store.
     quiet_jitter = {"dist": "gaussian", "sigma_ms": 0.1,
                     "satellite_sigma_ms": 1.5}
-    candidates = []
-    false_positives = {}
-    for k in range(10):
-        scen = scenario(9001 + k, jitter=quiet_jitter,
-                        address=f"100.64.9.{k + 1}")
-        session, _, _, spikes = run_pipeline(scen)
-        endpoint = session.endpoint
-        candidates.append((endpoint, analysis.terrestrial_series(session)))
-        false_positives[endpoint.address] = sum(
-            e.kind == "sustained" for e in spikes)
-
-    aggregate_fp = sum(false_positives.values())
-
     noisy_jitter = {"dist": "gaussian", "sigma_ms": 10.0,
                     "satellite_sigma_ms": 1.5}
-    scen = scenario(9011, jitter=noisy_jitter, address="100.64.9.111",
-                    sat_base_ms=40.0)
-    session, _, _, spikes = run_pipeline(scen)
-    candidates.append((session.endpoint, analysis.terrestrial_series(session)))
-    false_positives[session.endpoint.address] = sum(
-        e.kind == "sustained" for e in spikes)
+    scenarios = [scenario(9001 + k, jitter=quiet_jitter, address=f"100.64.9.{k + 1}")
+                 for k in range(10)]
+    noisy = "100.64.9.111"
+    scenarios.append(scenario(9011, jitter=noisy_jitter, address=noisy, sat_base_ms=40.0))
+    store, simulated = simulate(tmp_path, "a02", scenarios)
+    false_positives = {address: score_spikes(spikes, scen.events).false_sustained
+                       for address, (scen, spikes) in simulated.items()}
+    aggregate_fp = sum(fp for address, fp in false_positives.items() if address != noisy)
 
+    candidates = []
+    for record in store.sessions("a02"):
+        session = store.read_session(record)
+        candidates.append((session.endpoint, analysis.terrestrial_series(session)))
     kept = analysis.jitter_filter(candidates)
     kept_addresses = {e.address for e in kept}
     kept_fp = sum(false_positives[a] for a in kept_addresses)
 
     ok = (aggregate_fp <= 1
-          and "100.64.9.111" not in kept_addresses
+          and noisy not in kept_addresses
           and len(kept) == 10
           and kept_fp == 0)
     report(2, "sustained false-positive bound", ok,
@@ -183,7 +196,7 @@ def test_a03_isolation_accuracy():
     # least 96% of samples and within 3 ms for at least 50%.
     within_10 = within_3 = n = 0
     for k in range(10):
-        scen = scenario(3001 + k, duration_s=300)
+        scen = build_scenario(scenario(3001 + k, duration_s=300))
         truth = ground_truth(scen, 0.0).sat_rtt_ms
         _, isolated, _, _ = run_pipeline(scen)
         error = np.abs(isolated.values_ms - truth)
@@ -418,24 +431,21 @@ def test_a10_obstruction_attribution():
             kind=kind, peak_ms=100.0, baseline_median_ms=40.0)
 
     def switch(at_s):
-        return SwitchEvent(at=at_s, from_cell=(0, 0), to_cell=(9, 9),
-                           displacement_cells=9)
+        return RerouteEvent(at_s=at_s, kind="satellite_switch", duration_s=0)
+
+    def unexplained(spikes, switches):
+        return score_spikes(spikes, switches).nearest.count(None) / len(spikes)
 
     sustained = [spike(t, "sustained") for t in (100, 300, 500, 700, 900)]
-    switches = [switch(t + 5.0) for t in (100, 500, 900)]
-    sustained_report = correlate_spikes(switches, sustained)
+    sustained_unexplained = unexplained(sustained, [switch(t + 5) for t in (100, 500, 900)])
 
-    standard = [spike(100.0 + 40.0 * i, "standard") for i in range(100)]
-    explained = [switch(100.0 + 40.0 * i + 3.0) for i in range(95)]
-    standard_report = correlate_spikes(explained, standard)
+    standard = [spike(100 + 40 * i, "standard") for i in range(100)]
+    standard_unexplained = unexplained(standard, [switch(100 + 40 * i + 3) for i in range(95)])
 
-    ok = (sustained_report.n_sustained == 5
-          and sustained_report.sustained_unexplained_fraction == 2 / 5
-          and standard_report.n_standard == 100
-          and standard_report.standard_unexplained_fraction == 0.05)
+    ok = sustained_unexplained == 2 / 5 and standard_unexplained == 0.05
     report(10, "obstruction attribution", ok,
-           f"sustained_unexplained={sustained_report.sustained_unexplained_fraction:.2f} "
-           f"standard_unexplained={standard_report.standard_unexplained_fraction:.2f}")
+           f"sustained_unexplained={sustained_unexplained:.2f} "
+           f"standard_unexplained={standard_unexplained:.2f}")
     assert ok
 
 

@@ -6,7 +6,9 @@ CLI and checks that every scheduled event is recalled in both
 ``evaluate_case`` on the Nigeria case against its recorded reference
 and prices a route sweep against the speed-of-light floor.  Running it
 here means a change that breaks those checks fails the test suite, not
-only the benchmark.  No timing is asserted.
+only the benchmark.  No timing is asserted.  The bench scores spikes
+against events with its own copy of ``simnet.score_spikes``' rule, so
+the two are held to the same counts here.
 """
 from __future__ import annotations
 
@@ -18,9 +20,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from leolink.analysis import SpikeEvent
+from leolink.simnet import build_scenario, score_spikes
 from leolink.store import MeasurementStore
-from tests.conftest import REPO_ROOT
+from tests.conftest import REPO_ROOT, spikes_by_address
 
 
 @pytest.fixture
@@ -36,11 +42,12 @@ def workloads(monkeypatch):
     return module
 
 
-def run_quick(workloads, name, seed=7, sessions=None):
+def run_quick(workloads, name, seed=7, sessions=None, inspect=None):
     """Build, run and verify one workload at quick size; its verdict.
 
     If ``sessions`` is a list, the sha256 of the workload's stored sessions
-    is appended to it (see :func:`sessions_digest`).
+    is appended to it (see :func:`sessions_digest`).  ``inspect``, if
+    given, is called with the verified workload before its files go.
     """
     bench_dir = REPO_ROOT / ".perfbench"
     bench_dir.mkdir(exist_ok=True)
@@ -52,7 +59,10 @@ def run_quick(workloads, name, seed=7, sessions=None):
         work.part2()
         if sessions is not None:
             sessions.append(sessions_digest(workdir / "store", name))
-        return work.verify()
+        verdict = work.verify()
+        if inspect is not None:
+            inspect(work)
+        return verdict
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -70,11 +80,78 @@ def sessions_digest(store: Path, partition: str) -> str:
     return h.hexdigest()
 
 
+def scorer_totals(scenarios, spikes):
+    """(recalled events, false sustained spikes) of ``score_spikes`` over the
+    workload's scenario objects, given each target's spikes."""
+    recalled = false = 0
+    for obj in scenarios:
+        score = score_spikes(spikes.get(obj["hops"][-1]["address"], []),
+                             build_scenario(obj).events)
+        recalled += sum(score.recalled)
+        false += score.false_sustained
+    return recalled, false
+
+
 @pytest.mark.parametrize("name", ["fleet", "day"])
 def test_pipeline_workload_passes_its_checks(workloads, name):
     verdict = run_quick(workloads, name)
     assert verdict.quality["event_recall"] == 1.0
     assert [line.split()[1] for line in verdict.lines] == ["spikes.csv", "spike_inventory.csv"]
+
+
+@pytest.mark.parametrize("name", ["fleet", "day"])
+@pytest.mark.parametrize("seed", [7, 11])
+def test_bench_score_agrees_with_the_scorer(workloads, name, seed):
+    # The bench's _score over spikes.csv and spike_inventory.csv gives what
+    # score_spikes gives over the same rows.
+    scores = {}
+
+    def score_both(work):
+        for report in ("spikes.csv", "spike_inventory.csv"):
+            spikes = spikes_by_address(work.abs_store / "reports" / report)
+            scores[report] = work._score(report), scorer_totals(work.scenarios, spikes)
+
+    run_quick(workloads, name, seed, inspect=score_both)
+    assert len(scores) == 2
+    for bench, scorer in scores.values():
+        assert bench == scorer
+
+
+def test_bench_score_agrees_with_the_scorer_on_generated_spans(workloads):
+    # Sustained spans placed at random and around each event's edges and
+    # ramps go through _score's _sustained hook, so its false-positive
+    # branch is held to the scorer's too.
+    (REPO_ROOT / ".perfbench").mkdir(exist_ok=True)
+    workdir = Path(tempfile.mkdtemp(prefix="smoke-score-", dir=REPO_ROOT / ".perfbench"))
+    try:
+        work = workloads.make("fleet", REPO_ROOT, workdir, seed=7, quick=True)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    addresses = [obj["hops"][-1]["address"] for obj in work.scenarios]
+    edges_ms = sorted({t for obj in work.scenarios for ev in obj["events"]
+                       for t in (ev["at_s"] * 1000, ev["at_s"] * 1000 + 7500,
+                                 (ev["at_s"] + ev["duration_s"]) * 1000 - 7500,
+                                 (ev["at_s"] + ev["duration_s"]) * 1000)})
+    starts = st.one_of(st.integers(0, work.duration_s * 1000), st.sampled_from(edges_ms).flatmap(
+        lambda t: st.integers(t - 20_000, t + 20_000)))
+    spans = st.tuples(st.sampled_from(addresses), starts, st.integers(1, 90_000))
+    seen = []
+
+    @given(st.lists(spans, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def agree(generated):
+        by_address = {}
+        for address, start, length in generated:
+            by_address.setdefault(address, []).append((start, start + length))
+        work._sustained = lambda report: by_address
+        spikes = {address: [SpikeEvent(s, e, "sustained", 0.0, 0.0) for s, e in mine]
+                  for address, mine in by_address.items()}
+        bench = work._score("generated")
+        assert bench == scorer_totals(work.scenarios, spikes)
+        seen.append(bench)
+
+    agree()
+    assert any(false for _, false in seen) and any(recalled for recalled, _ in seen)
 
 
 def test_geometry_workload_passes_its_checks(workloads):

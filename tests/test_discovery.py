@@ -62,6 +62,29 @@ def test_parse_counts_malformed_rows(tmp_path):
     assert report.total_rows == 10
 
 
+@pytest.mark.parametrize("fmt, text, message", [
+    ("json_lines", '{"address": "10.0.0.1"}\n[1, 2]\n',
+     "row 2: record: expected an object, got [1, 2]"),
+    ("json_lines", '{"address": "10.0.0.1"}\n{"address": "10.0.0.2", "ptr": 5}\n',
+     "row 2: ptr: expected a string or null, got 5"),
+    ("json_lines", '{"address": "10.0.0.1"}\n{"address": "10.0.0.2", "soa": ["a"]}\n',
+     "row 2: soa: expected a string or null, got ['a']"),
+    ("json_lines", '{"address": "10.0.0.1"}\n{"address": "10.0.0.2", "tls_names": "peplink"}\n',
+     "row 2: tls_names: expected a list, got 'peplink'"),
+    ("csv", "ptr,address\n,10.0.0.1\ncustomer.sttlwax1.pop.starlinkisp.net\n",
+     "row 3: address: expected a string, got None"),
+], ids=["json_not_an_object", "json_ptr_number", "json_soa_list", "json_tls_names_string",
+        "csv_short_row"])
+def test_parse_counts_a_record_of_the_wrong_shape_as_malformed(tmp_path, fmt, text, message):
+    # One good record and one whose shape is wrong: the bad one is a
+    # malformed row, never a traceback and never a record read loosely.
+    p = tmp_path / "scan"
+    p.write_text(text)
+    records, report = parse_scan_dataset(p, fmt=fmt)
+    assert [r.address for r in records] == ["10.0.0.1"]
+    assert (report.total_rows, report.malformed, report.errors) == (2, 1, [message])
+
+
 def test_parse_preserves_ptr_verbatim(tmp_path):
     p = tmp_path / "scan.jsonl"
     p.write_text(json.dumps({"address": "98.97.0.1",

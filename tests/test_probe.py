@@ -294,7 +294,7 @@ def in_memory_session(sent_ms, rtt_us):
 @pytest.mark.parametrize("hop", ["terrestrial", "endpoint"])
 def test_session_rejects_misaligned_arrays(hop):
     row = ("terrestrial", "endpoint").index(hop)
-    arrays = {"sent_ms": [np.arange(10)] * 2, "rtt_us": [np.arange(10)] * 2}
+    arrays = {"sent_ms": [np.arange(10)] * 2, "rtt_us": [np.arange(1, 11)] * 2}
     in_memory_session(**arrays)
     for name in arrays:
         ragged = list(arrays[name])
@@ -308,7 +308,7 @@ def test_session_rejects_misaligned_arrays(hop):
 def test_session_refuses_a_tick_count_off_its_schedule(duration_s, cadence_hz):
     # measure_session schedules duration_s * cadence_hz ticks and loss is
     # counted against that number, so a session holds exactly that many.
-    arrays = {"sent_ms": [np.arange(10) * 100] * 2, "rtt_us": np.zeros((2, 10))}
+    arrays = {"sent_ms": [np.arange(10) * 100] * 2, "rtt_us": np.ones((2, 10))}
     with pytest.raises(ValueError, match=f"^10 ticks, but {duration_s} s at {cadence_hz} Hz "
                                          f"is {duration_s * cadence_hz}$"):
         MeasurementSession(endpoint=ENDPOINT, path=path_of_uncheckable(), start_ms=0,
@@ -325,9 +325,23 @@ def test_session_refuses_unpaired_ticks(endpoint_ms):
     endpoint = terrestrial + 10
     endpoint[3] = endpoint_ms
     with pytest.raises(ValueError, match="the rows of tick 3 do not pair by send time"):
-        in_memory_session([terrestrial, endpoint], np.zeros((2, 10)))
+        in_memory_session([terrestrial, endpoint], np.ones((2, 10)))
     endpoint[3] = 3000  # both probes of a tick may leave in one millisecond
-    in_memory_session([terrestrial, endpoint], np.zeros((2, 10)))
+    in_memory_session([terrestrial, endpoint], np.ones((2, 10)))
+
+
+@pytest.mark.parametrize("hop", [0, 1])
+@pytest.mark.parametrize("rtt_us", [math.inf, -math.inf, -90000.0, 0.0])
+def test_session_refuses_an_rtt_that_is_not_a_measurement(hop, rtt_us):
+    # An RTT is lost (nan) or a positive, finite time.
+    sent = np.arange(10) * 1000
+    rtt = np.full((2, 10), 1234.5)
+    rtt[:, 7] = math.nan
+    in_memory_session([sent, sent], rtt)
+    rtt[hop, 3] = rtt_us
+    with pytest.raises(ValueError, match=re.escape(f"the RTTs of tick 3, {rtt[:, 3].tolist()}, "
+                                                   "are not each nan (lost) or finite")):
+        in_memory_session([sent, sent], rtt)
 
 
 @pytest.mark.parametrize("cadence_hz", [1, 3, 7])

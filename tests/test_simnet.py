@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leolink.analysis import SpikeEvent
 from leolink.probe import PROTOCOLS
 from leolink.simnet import (
     EVENT_GRID_S,
@@ -16,6 +17,7 @@ from leolink.simnet import (
     build_scenario,
     ground_truth,
     load_scenario_dir,
+    score_spikes,
 )
 from tests.conftest import respond_to_probe, scenario_dict
 
@@ -331,6 +333,113 @@ def test_ground_truth_full_timeline_matches_events():
                       if ground_truth(sc, float(t)).in_event]
     expected = list(range(30, 45)) + list(range(120, 165))
     assert active_seconds == expected
+
+
+# ------------------------------------------------------------- spike scoring
+
+def spike(start_s, kind="sustained", length_s=20):
+    return SpikeEvent(start_ms=int(start_s * 1000), end_ms=int((start_s + length_s) * 1000),
+                      kind=kind, peak_ms=100.0, baseline_median_ms=40.0)
+
+
+def switch(at_s):
+    return RerouteEvent(at_s=at_s, kind="satellite_switch", duration_s=0)
+
+
+def unpaired(score):
+    """The fraction of the scored spikes with no event within the window."""
+    return score.nearest.count(None) / len(score.nearest) if score.nearest else 0.0
+
+
+def test_score_without_events_leaves_every_spike_unpaired():
+    score = score_spikes([spike(t) for t in (10, 60, 110, 160, 210)], [])
+    assert score.nearest == (None,) * 5
+    assert unpaired(score) == 1.0
+    assert score.false_sustained == 5
+
+
+def test_score_pairs_three_of_five_sustained_spikes():
+    score = score_spikes([spike(t) for t in (100, 200, 300, 400, 500)],
+                         [switch(101), switch(196), switch(305)])
+    assert score.nearest == (0, 1, 2, None, None)
+    assert unpaired(score) == pytest.approx(2 / 5)
+
+
+def test_score_leaves_five_of_hundred_standard_spikes_unpaired():
+    score = score_spikes([spike(100 + 30 * i, kind="standard") for i in range(100)],
+                         [switch(100 + 30 * i + 3) for i in range(95)])
+    assert score.nearest.count(None) == 5
+    assert unpaired(score) == pytest.approx(0.05)
+    assert score.false_sustained == 0  # standard spikes are never false
+
+
+def test_score_window_is_inclusive_both_sides():
+    assert score_spikes([spike(100)], [switch(85)]).nearest == (0,)
+    assert score_spikes([spike(100)], [switch(115)]).nearest == (0,)
+    assert score_spikes([spike(100)], [switch(116)]).nearest == (None,)
+    assert score_spikes([spike(100)], [switch(116)], window_s=16.0).nearest == (0,)
+
+
+def test_score_pairs_a_spike_with_its_nearest_event():
+    score = score_spikes([spike(100)], [switch(95), switch(102), switch(112)])
+    assert score.nearest == (1,)
+
+
+def test_score_of_no_spikes_has_zero_unpaired_fraction():
+    score = score_spikes([], [switch(5)])
+    assert score.nearest == () and unpaired(score) == 0.0
+    assert score.recalled == (False,) and score.false_sustained == 0
+
+
+def test_score_refuses_a_negative_window():
+    with pytest.raises(ValueError, match="window_s"):
+        score_spikes([], [], window_s=-1.0)
+
+
+@given(st.lists(st.integers(0, 5000), max_size=8), st.lists(st.integers(0, 5000), max_size=8))
+@settings(max_examples=60)
+def test_score_unpaired_fraction_is_bounded(switch_times, spike_times):
+    spikes = [spike(t) for t in sorted(set(spike_times))]
+    score = score_spikes(spikes, [switch(t) for t in switch_times])
+    assert 0.0 <= unpaired(score) <= 1.0
+    assert len(score.nearest) == len(spikes)
+    assert len(score.recalled) == len(switch_times)
+
+
+def test_score_is_invariant_under_a_time_shift():
+    spikes = [spike(t) for t in (100, 200, 300)]
+    switches = [switch(103), switch(207)]
+    shifted = score_spikes([spike(int(s.start_ms / 1000) + 1000) for s in spikes],
+                           [switch(s.at_s + 1000) for s in switches])
+    assert score_spikes(spikes, switches) == shifted
+
+
+def event(at_s, duration_s):
+    return RerouteEvent(at_s=at_s, kind="isl_reroute", duration_s=duration_s, delta_ms=30.0)
+
+
+def test_score_recalls_an_event_only_past_its_ramps():
+    # a sustained spike must overlap [at_s + 7.5 s, end_s - 7.5 s)
+    ev = event(60, 45)
+    for start_s, length_s, recalled in [(40, 27.5, False), (40, 27.6, True),
+                                        (97.5, 20, False), (97.4, 20, True)]:
+        score = score_spikes([spike(start_s, length_s=length_s)], [ev])
+        assert score.recalled == (recalled,)
+        assert score.false_sustained == 0  # each one overlaps the whole span
+    standard = score_spikes([spike(70, kind="standard")], [ev])
+    assert standard.recalled == (False,)
+
+
+def test_score_counts_a_sustained_spike_outside_every_span_as_false():
+    events = [event(60, 45), event(300, 60)]
+    # spans are half-open: the spike ending at 60 s and the one starting at
+    # 360 s touch a span and overlap none; the one at 104 s overlaps only
+    # the first span's ramp, so it is not false and recalls nothing
+    score = score_spikes([spike(50, length_s=10), spike(104),
+                          spike(200), spike(360, length_s=10)], events)
+    assert score.false_sustained == 3
+    assert score.recalled == (False, False)
+    assert score.nearest == (0, None, None, None)
 
 
 # ---------------------------------------------------------------- transport

@@ -525,6 +525,32 @@ def test_analyze_fails_only_the_session_with_a_bad_meta_json(tmp_path, capsys, m
     assert [r[0] for r in rows] == ["p1"]
 
 
+def test_analyze_fails_only_the_session_holding_an_rtt_that_is_not_a_measurement(tmp_path,
+                                                                                  capsys):
+    # Tick 3's endpoint RTT is inf and tick 5's terrestrial RTT negative.
+    store_dir = _two_partition_store(tmp_path)
+    csv_path = next((store_dir / "p2").glob("*/session.csv"))
+    lines = csv_path.read_bytes().split(b"\r\n")
+    for line_no, column, value in ((5, 3, b"inf"), (7, 1, b"-90000.0")):
+        cells = lines[line_no - 1].split(b",")
+        cells[column] = value
+        lines[line_no - 1] = b",".join(cells)
+    csv_path.write_bytes(b"\r\n".join(lines))
+    store = MeasurementStore(store_dir)
+    with pytest.raises(StoreError, match=re.escape(f"{csv_path}: the RTTs of tick 3, [")):
+        store.read_session(store.sessions("p2")[0])
+    capsys.readouterr()
+    assert cli.main(["analyze", "--store", str(store_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("analyze error sessions=1 failed=1 ")
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"analyze error stage=analysis endpoint=176.83.201.7 "
+                           f"msg={csv_path}: the RTTs of tick 3, ")
+    assert line.endswith(", inf], are not each nan (lost) or finite and positive")
+    _, _, rows = read_report_csv(store_dir / "reports" / "sessions.csv")
+    assert [r[0] for r in rows] == ["p1"]
+
+
 @BAD_META
 @pytest.mark.parametrize("partition", ["p1", "p2"], ids=["fresh", "from_tables"])
 def test_report_fails_only_the_session_with_a_bad_meta_json(tmp_path, capsys, meta_text,
