@@ -48,6 +48,8 @@ KINDS = {  # kind: (test, what a message says is expected)
     "location": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
                  and _latitude(v[0]) and _longitude(v[1]), "[latitude, longitude]"),
     "address": (_ip_address, "an IP address"),
+    "service": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and _json_int(v[0])
+                and 0 < v[0] < 65536 and v[1] in ("tcp", "udp"), '[port 1..65535, "tcp" or "udp"]'),
 }
 _KIND_OF = {int: "integer", float: "number", str: "string", bool: "flag", dict: "object"}
 

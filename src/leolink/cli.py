@@ -73,20 +73,18 @@ def cmd_discover(args: argparse.Namespace) -> int:
     except (DatasetError, OSError) as exc:
         _err(f"discover error stage=parse msg={exc}")
         return 2
+    for message in parse_report.errors:  # the first MAX_KEPT_ERRORS malformed rows
+        _err(f"discover error stage=parse msg={message}")
 
     if args.provider == "oneweb":
         endpoints, unclassifiable = filter_oneweb_customers(records)
-        pep_removed = 0
-        kept = endpoints
-        extra = {"unclassifiable": unclassifiable}
+        kept, pep_removed, extra = endpoints, 0, {"unclassifiable": unclassifiable}
     else:
         endpoints, filter_report = filter_customer_endpoints(records, catalog)
+        blocklist = PepBlocklist()
         if args.pep_blocklist:
             with open(args.pep_blocklist, encoding="utf-8") as fh:
-                words = tuple(w.strip() for w in fh if w.strip())
-            blocklist = PepBlocklist(words)
-        else:
-            blocklist = PepBlocklist()
+                blocklist = PepBlocklist(tuple(w.strip() for w in fh if w.strip()))
         kept, pep_removed = exclude_peps(endpoints, records, blocklist)
         extra = {"unknown_pop": len(filter_report.unknown_pop),
                  "ambiguous": len(filter_report.ambiguous)}

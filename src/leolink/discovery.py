@@ -26,7 +26,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .checks import check
+from .checks import check, hints
 
 CUSTOMER_PTR_RE = re.compile(
     r"^customer\.(?P<pop>[a-z0-9]+)\.pop\.starlinkisp\.net\.?$", re.IGNORECASE
@@ -58,24 +58,30 @@ class PopLocation:
     longitude: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScanRecord:
-    """One scanned address with its identifying metadata."""
+    """One scanned address with its identifying metadata: the schema of a scan
+    record, its fields the keys of a JSON-lines record and the columns of a
+    CSV row.  Each field is checked and none is coerced.  Lists are held as
+    tuples, which the garbage collector stops tracking: a scan has many records."""
 
     address: str
-    ptr_name: Optional[str] = None
-    soa_name: Optional[str] = None
-    tls_subject_names: tuple[str, ...] = ()
-    open_services: tuple[tuple[int, str], ...] = ()
+    ptr: Optional[str] = None
+    soa: Optional[str] = None
+    tls_names: tuple[str, ...] = ()
+    services: tuple[tuple[int, str], ...] = ()  # (port, "tcp" or "udp") each
     asn: int = 0
 
     def __post_init__(self) -> None:
-        ipaddress.ip_address(self.address)  # raises ValueError on junk
-        for port, proto in self.open_services:
-            if not 0 < int(port) < 65536:
-                raise ValueError(f"port out of range: {port}")
-            if proto not in ("tcp", "udp"):
-                raise ValueError(f"unknown protocol: {proto}")
+        check(self.address, "address", "address", ValueError)
+        check(self.ptr, "string", "ptr", ValueError, optional=True)
+        check(self.soa, "string", "soa", ValueError, optional=True)
+        for i, name in enumerate(check(self.tls_names, "list", "tls_names", ValueError)):
+            check(name, "string", f"tls_names[{i}]", ValueError)
+        for i, service in enumerate(check(self.services, "list", "services", ValueError)):
+            check(service, "service", f"services[{i}]", ValueError)
+        check(self.asn, "integer", "asn", ValueError)
+        self.tls_names, self.services = tuple(self.tls_names), tuple(map(tuple, self.services))
 
 
 @dataclass(kw_only=True)
@@ -155,7 +161,7 @@ class PepBlocklist:
     tls_name_substrings: tuple[str, ...] = DEFAULT_PEP_SUBSTRINGS
 
     def matches(self, record: ScanRecord) -> bool:
-        lowered = [name.lower() for name in record.tls_subject_names]
+        lowered = [name.lower() for name in record.tls_names]
         return any(sub.lower() in name for name in lowered for sub in self.tls_name_substrings)
 
 
@@ -179,41 +185,37 @@ class FilterReport:
     ambiguous: list[str] = field(default_factory=list)  # addresses with conflicting POPs
 
 
-def _record_from_dict(obj: dict) -> ScanRecord:
-    check(obj, "object", "record", ValueError)
-    services = tuple((int(p), str(proto)) for p, proto in obj.get("services", []))
-    tls_names = tuple(str(n) for n in check(obj.get("tls_names", []), "list", "tls_names",
-                                            ValueError))
-    return ScanRecord(
-        address=str(obj["address"]),
-        ptr_name=check(obj.get("ptr"), "string", "ptr", ValueError, optional=True) or None,
-        soa_name=check(obj.get("soa"), "string", "soa", ValueError, optional=True) or None,
-        tls_subject_names=tls_names,
-        open_services=services,
-        asn=int(obj.get("asn", 0)),
-    )
+def _integer(text: str):
+    """The integer ``text`` spells, else ``text``, for the record to refuse."""
+    return int(text) if text.removeprefix("-").isdecimal() else text
 
 
-def _record_from_csv_row(row: dict) -> ScanRecord:
-    services = []
-    for item in (row.get("services") or "").split(";"):
-        item = item.strip()
-        if item:
-            port, proto = item.split("/")
-            services.append((int(port), proto))
-    tls_names = tuple(n for n in (row.get("tls_names") or "").split(";") if n)
-    return ScanRecord(
-        address=check(row["address"], "string", "address", ValueError).strip(),
-        ptr_name=(row.get("ptr") or "").strip() or None,
-        soa_name=(row.get("soa") or "").strip() or None,
-        tls_subject_names=tls_names,
-        open_services=tuple(services),
-        asn=int(row.get("asn") or 0),
-    )
+def _items(text: str) -> list[str]:
+    return [item for item in map(str.strip, text.split(";")) if item]
+
+
+_CSV_VALUES = {  # a scan CSV column: the JSON value of its key, from a non-blank cell
+    "tls_names": _items, "asn": _integer,
+    "services": lambda text: [[_integer(port), *proto]
+                              for port, *proto in (item.split("/") for item in _items(text))],
+}
+
+
+def _record_from_csv_row(row: dict) -> dict:
+    """A scan CSV row as the JSON object of its record, column for key: a blank
+    cell is absent, a list is split at ``;`` and a service ``port/proto`` is
+    ``[port, proto]``.  A row shorter or longer than the header is refused,
+    and a column that is no key is kept, for the record's reader to refuse."""
+    if None in row:  # csv.DictReader's key for the cells past the header
+        raise ValueError(f"cells past the header: {row[None]}")
+    cells = {key: check(cell, "string", key, ValueError).strip()  # None past a short row's end
+             for key, cell in row.items()}
+    return {key: _CSV_VALUES.get(key, str)(text) for key, text in cells.items()
+            if text or key not in hints(ScanRecord)}
 
 
 def parse_scan_dataset(path: str | Path, fmt: str = "json_lines") -> tuple[list[ScanRecord], ParseReport]:
-    """Parse a scan dataset file into records.
+    """Parse a scan dataset file, JSON lines or CSV of the same keys, into records.
 
     Malformed rows are counted in the report and skipped.  A file that
     contains rows but yields no well-formed record raises DatasetError;
@@ -225,33 +227,31 @@ def parse_scan_dataset(path: str | Path, fmt: str = "json_lines") -> tuple[list[
     report = ParseReport()
     with open(path, newline="", encoding="utf-8") as fh:
         if fmt == "json_lines":
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                report.total_rows += 1
-                try:
-                    records.append(_record_from_dict(json.loads(line)))
-                except (ValueError, KeyError, TypeError) as exc:
-                    report.note_error(lineno, str(exc))
-        else:
+            rows = ((lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip())
+            obj_of = json.loads
+        else:  # numbered by a row's last line, as a quoted cell may span lines
             reader = csv.DictReader(fh)
-            for lineno, row in enumerate(reader, start=2):
-                report.total_rows += 1
-                try:
-                    records.append(_record_from_csv_row(row))
-                except (ValueError, KeyError, TypeError) as exc:
-                    report.note_error(lineno, str(exc))
+            rows, obj_of = ((reader.line_num, row) for row in reader), _record_from_csv_row
+        for lineno, row in rows:
+            report.total_rows += 1
+            try:
+                obj = check(obj_of(row), "object", "record", ValueError)
+                if unknown := obj.keys() - hints(ScanRecord).keys():
+                    raise ValueError(f"record: unknown fields {sorted(unknown)}")
+                records.append(ScanRecord(**{"address": None, **obj}))  # no address reads null
+            except ValueError as exc:
+                report.note_error(lineno, str(exc))
     if report.total_rows > 0 and not records:
-        raise DatasetError(f"{path}: no well-formed rows among {report.total_rows}")
+        raise DatasetError(f"{path}: no well-formed rows among {report.total_rows}, "
+                           f"the first at {report.errors[0]}")
     return records, report
 
 
-def match_customer_ptr(ptr_name: Optional[str]) -> Optional[str]:
+def match_customer_ptr(ptr: Optional[str]) -> Optional[str]:
     """Return the POP code if the PTR matches the customer pattern."""
-    if not ptr_name:
+    if not ptr:
         return None
-    m = CUSTOMER_PTR_RE.match(ptr_name.strip())
+    m = CUSTOMER_PTR_RE.match(ptr.strip())
     return m.group("pop").lower() if m else None
 
 
@@ -268,29 +268,18 @@ def filter_customer_endpoints(
     """
     catalog = catalog or PopCatalog.default()
     report = FilterReport()
-    by_address: dict[str, str] = {}
-    excluded: set[str] = set()
-    order: list[str] = []
+    pops: dict[str, set[str]] = {}  # address: the POP codes its PTRs name, first seen first
     for rec in records:
-        pop = match_customer_ptr(rec.ptr_name)
-        if pop is None:
-            continue
-        seen = by_address.get(rec.address)
-        if seen is None:
-            by_address[rec.address] = pop
-            order.append(rec.address)
-        elif seen != pop:
-            excluded.add(rec.address)
+        if (pop := match_customer_ptr(rec.ptr)) is not None:
+            pops.setdefault(rec.address, set()).add(pop)
     endpoints: list[Endpoint] = []
-    for address in order:
-        pop = by_address[address]
-        if address in excluded:
+    for address, (pop, *others) in pops.items():
+        if others:
             report.ambiguous.append(address)
-            continue
-        if pop not in catalog:
+        elif pop not in catalog:
             report.unknown_pop.append((address, pop))
-            continue
-        endpoints.append(Endpoint(address=address, pop_code=pop))
+        else:
+            endpoints.append(Endpoint(address=address, pop_code=pop))
     return endpoints, report
 
 
@@ -306,10 +295,7 @@ def exclude_peps(
     empty blocklist removes nothing.  Returns (kept, removed_count).
     """
     blocklist = blocklist or PepBlocklist()
-    flagged: set[str] = set()
-    for rec in records:
-        if rec.tls_subject_names and blocklist.matches(rec):
-            flagged.add(rec.address)
+    flagged = {rec.address for rec in records if blocklist.matches(rec)}
     kept = [ep for ep in endpoints if ep.address not in flagged]
     return kept, len(endpoints) - len(kept)
 
@@ -322,21 +308,15 @@ def filter_oneweb_customers(records: Iterable[ScanRecord]) -> tuple[list[Endpoin
     classified and are excluded; their count is returned alongside.
     """
     blocked = (ONEWEB_DOMAIN, *RIR_DOMAINS)
-    endpoints: list[Endpoint] = []
+    kept: dict[str, None] = {}  # addresses, first seen first
     unclassifiable = 0
-    seen: set[str] = set()
     for rec in records:
-        names = [n.lower() for n in (rec.ptr_name, rec.soa_name) if n]
+        names = [n.lower() for n in (rec.ptr, rec.soa) if n]
         if not names:
             unclassifiable += 1
-            continue
-        if any(dom in name for name in names for dom in blocked):
-            continue
-        if rec.address in seen:
-            continue
-        seen.add(rec.address)
-        endpoints.append(Endpoint(address=rec.address, source=SOURCE_ONEWEB_BLOCKLIST))
-    return endpoints, unclassifiable
+        elif not any(dom in name for name in names for dom in blocked):
+            kept[rec.address] = None
+    return [Endpoint(address=a, source=SOURCE_ONEWEB_BLOCKLIST) for a in kept], unclassifiable
 
 
 def load_geofeed(path: str | Path) -> list[tuple[ipaddress._BaseNetwork, Optional[tuple[float, float]]]]:

@@ -207,6 +207,10 @@ class MeasurementStore:
         that name exists, so a failed write leaves no session behind and
         the same partition can be written again.
         """
+        rtt = session.rtt_us  # written at 0.1 µs: none may round to 0.0, which reads back refused
+        if f"{(least := np.fmin.reduce(rtt, axis=None, initial=np.inf)):.1f}" == "0.0":
+            raise StoreError(f"the RTT {least} µs of tick {(rtt == least).any(axis=0).argmax()} "
+                             f"would be stored as 0.0")
         ep, path = session.endpoint, session.path
         meta = SessionMeta(
             schema_version=SCHEMA_VERSION, config_hash=config_hash, **asdict(ep),

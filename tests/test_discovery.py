@@ -1,6 +1,8 @@
+import csv
 import ipaddress
 import json
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +26,8 @@ from tests.conftest import FIXTURES
 
 
 def rec(address="98.97.0.1", ptr=None, soa=None, tls=(), asn=14593):
-    return ScanRecord(address=address, ptr_name=ptr, soa_name=soa,
-                      tls_subject_names=tuple(tls), asn=asn)
+    return ScanRecord(address=address, ptr=ptr, soa=soa,
+                      tls_names=tuple(tls), asn=asn)
 
 
 # ------------------------------------------------------------- scan records
@@ -37,9 +39,9 @@ def test_scan_record_rejects_bad_address():
 
 def test_scan_record_rejects_bad_port():
     with pytest.raises(ValueError):
-        ScanRecord(address="1.2.3.4", open_services=((0, "tcp"),))
+        ScanRecord(address="1.2.3.4", services=((0, "tcp"),))
     with pytest.raises(ValueError):
-        ScanRecord(address="1.2.3.4", open_services=((70000, "tcp"),))
+        ScanRecord(address="1.2.3.4", services=((70000, "tcp"),))
 
 
 def test_parse_empty_file(tmp_path):
@@ -85,12 +87,57 @@ def test_parse_counts_a_record_of_the_wrong_shape_as_malformed(tmp_path, fmt, te
     assert (report.total_rows, report.malformed, report.errors) == (2, 1, [message])
 
 
+@pytest.mark.parametrize("fmt, text, message", [
+    ("json_lines", '{"address": "10.0.0.2", "asn": true}', "asn: expected an integer, got True"),
+    ("json_lines", '{"address": "10.0.0.2", "tls_names": [5, {"a": 1}]}',
+     "tls_names[0]: expected a string, got 5"),
+    ("json_lines", '{"address": "10.0.0.2", "services": [["443", "tcp"]]}',
+     "services[0]: expected [port 1..65535, \"tcp\" or \"udp\"], got ['443', 'tcp']"),
+    ("json_lines", '{"address": "10.0.0.2", "country": "US"}',
+     "record: unknown fields ['country']"),
+    ("json_lines", '{"ptr": "customer.sttlwax1.pop.starlinkisp.net"}',
+     "address: expected an IP address, got None"),
+    ("csv", "10.0.0.2,,,US", "cells past the header: ['US']"),
+    ("csv", "10.0.0.2,80/tcp;443,", "services[1]: expected [port 1..65535, \"tcp\" or \"udp\"], "
+                                   "got [443]"),
+    ("csv", "10.0.0.2,80/tcp,x", "asn: expected an integer, got 'x'"),
+    ("csv", "10.0.0.2,80/tcp", "asn: expected a string, got None"),
+], ids=["json_asn_bool", "json_tls_name_not_a_string", "json_port_string", "json_unknown_key",
+        "json_no_address", "csv_long_row", "csv_service_without_protocol", "csv_asn_text",
+        "csv_short_row_without_asn"])
+def test_parse_refuses_a_field_it_would_have_to_convert(tmp_path, fmt, text, message):
+    # A value of the wrong type is a malformed row, never coerced into a record.
+    p = tmp_path / "scan"
+    first = "address,services,asn\n10.0.0.1,," if fmt == "csv" else '{"address": "10.0.0.1"}'
+    p.write_text(f"{first}\n{text}\n")
+    records, report = parse_scan_dataset(p, fmt=fmt)
+    assert [r.address for r in records] == ["10.0.0.1"]
+    row = 3 if fmt == "csv" else 2
+    assert (report.total_rows, report.malformed, report.errors) == (2, 1, [f"row {row}: {message}"])
+
+
+def test_parse_names_a_csv_row_by_its_line(tmp_path):
+    # a quoted cell may span lines: the row after it is on line 4, not the third row
+    p = tmp_path / "scan.csv"
+    p.write_text('address,ptr\n10.0.0.1,"a\nb"\n999.1.1.1,x\n')
+    _, report = parse_scan_dataset(p, fmt="csv")
+    assert report.errors == ["row 4: address: expected an IP address, got '999.1.1.1'"]
+
+
+def test_parse_refuses_every_row_under_a_column_that_is_no_key(tmp_path):
+    p = tmp_path / "scan.csv"
+    p.write_text("address,country\n10.0.0.1,US\n10.0.0.2,\n")
+    with pytest.raises(DatasetError, match=re.escape(
+            "no well-formed rows among 2, the first at row 2: record: unknown fields ['country']")):
+        parse_scan_dataset(p, fmt="csv")
+
+
 def test_parse_preserves_ptr_verbatim(tmp_path):
     p = tmp_path / "scan.jsonl"
     p.write_text(json.dumps({"address": "98.97.0.1",
                              "ptr": "customer.atlagax1.pop.starlinkisp.net"}) + "\n")
     records, _ = parse_scan_dataset(p)
-    assert records[0].ptr_name == "customer.atlagax1.pop.starlinkisp.net"
+    assert records[0].ptr == "customer.atlagax1.pop.starlinkisp.net"
 
 
 def test_parse_all_rows_malformed_raises(tmp_path):
@@ -107,8 +154,8 @@ def test_parse_csv_format(tmp_path):
                  "a.example;b.example,443/tcp;80/tcp,14593\n")
     records, report = parse_scan_dataset(p, fmt="csv")
     assert report.malformed == 0
-    assert records[0].tls_subject_names == ("a.example", "b.example")
-    assert records[0].open_services == ((443, "tcp"), (80, "tcp"))
+    assert records[0].tls_names == ("a.example", "b.example")
+    assert records[0].services == ((443, "tcp"), (80, "tcp"))
 
 
 # -------------------------------------------------------------- PTR pattern
@@ -370,3 +417,87 @@ def test_exclude_peps_output_is_subset(records):
     kept, removed = exclude_peps(endpoints, records)
     assert {e.address for e in kept} <= {e.address for e in endpoints}
     assert removed == len(endpoints) - len(kept)
+
+
+# ------------------------------------------------- generated scan records
+
+FIXTURE_LINES = (FIXTURES / "scan_fixture.jsonl").read_text().splitlines()
+not_a_string = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+                         st.lists(st.integers(), max_size=2), st.just({"a": 1}))
+
+def mutate(draw, obj: dict, mutation: str) -> str:
+    """Apply ``mutation`` to the valid record ``obj``; the key its message names."""
+    if mutation == "drop_address":
+        del obj["address"]
+        return "address"
+    if mutation == "unknown_key":
+        key = draw(st.text(min_size=1).filter(lambda k: k not in obj))
+        obj[key] = draw(st.integers())
+        return key
+    if mutation == "bool_asn":
+        obj["asn"] = draw(st.booleans())
+        return "asn"
+    if mutation == "tls_name_not_a_string":
+        obj["tls_names"].insert(draw(st.integers(0, len(obj["tls_names"]))), draw(not_a_string))
+        return "tls_names"
+    port, proto = draw(st.integers(1, 65535)), draw(st.sampled_from(["tcp", "udp"]))
+    if mutation == "string_port":
+        obj["services"].append([str(port), proto])
+    else:  # a service of the wrong length
+        obj["services"].append(draw(st.lists(st.just(port), max_size=4).filter(
+            lambda service: len(service) != 2)))
+    return "services"
+
+
+@given(data=st.data(), mutation=st.sampled_from([
+    "drop_address", "unknown_key", "bool_asn", "tls_name_not_a_string", "string_port",
+    "service_of_wrong_length"]),
+       index=st.integers(0, len(FIXTURE_LINES) - 5), row=st.integers(0, 3))
+@settings(max_examples=120, deadline=None)
+def test_one_mutated_scan_record_is_one_malformed_row(tmp_path_factory, data, mutation, index, row):
+    # Four valid fixture records around one mutated one: exactly that row is
+    # malformed, its message names the key, and the other four are read.
+    obj = json.loads(FIXTURE_LINES[index])
+    key = mutate(data.draw, obj, mutation)
+    lines = FIXTURE_LINES[index + 1:index + 5]
+    lines.insert(row, json.dumps(obj))
+    p = tmp_path_factory.mktemp("scan") / "scan.jsonl"
+    p.write_text("\n".join(lines) + "\n")
+    records, report = parse_scan_dataset(p)
+    assert (report.total_rows, report.malformed, len(records)) == (5, 1, 4)
+    [message] = report.errors
+    assert message.startswith(f"row {row + 1}: ") and repr(key)[1:-1] in message
+
+
+def csv_cell(value) -> str:
+    if isinstance(value, list):
+        return ";".join("/".join(map(str, item)) if isinstance(item, list) else item
+                        for item in value)
+    return "" if value is None else str(value)
+
+
+hostnames = st.from_regex(r"[a-z0-9]([a-z0-9.-]{0,20}[a-z0-9])?", fullmatch=True)
+
+
+@given(st.lists(st.fixed_dictionaries({
+    "address": st.ip_addresses().map(str),
+    "ptr": st.none() | hostnames,
+    "soa": st.none() | hostnames,
+    "tls_names": st.lists(hostnames, max_size=3),
+    "services": st.lists(st.tuples(st.integers(1, 65535), st.sampled_from(["tcp", "udp"]))
+                         .map(list), max_size=3),
+    "asn": st.integers(),
+}), min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_a_scan_record_reads_equal_from_json_lines_and_csv(tmp_path_factory, objs):
+    KEYS = [f.name for f in fields(ScanRecord)]
+    d = tmp_path_factory.mktemp("scan")
+    (d / "scan.jsonl").write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    with open(d / "scan.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(KEYS)
+        writer.writerows([csv_cell(obj[key]) for key in KEYS] for obj in objs)
+    from_json, json_report = parse_scan_dataset(d / "scan.jsonl")
+    from_csv, csv_report = parse_scan_dataset(d / "scan.csv", fmt="csv")
+    assert json_report.malformed == csv_report.malformed == 0
+    assert from_json == from_csv == [ScanRecord(**obj) for obj in objs]

@@ -63,7 +63,7 @@ from leolink.constellation import (
 from leolink.discovery import Endpoint, PopCatalog, PopLocation
 from leolink.geo import EARTH_RADIUS_KM, vacuum_rtt_ms
 from leolink.probe import MeasurementSession, SatLinkPath
-from leolink.store import MeasurementStore
+from leolink.store import MeasurementStore, StoreError
 from tests.conftest import respond_to_probe, scenario_dict
 
 # One probe as the per-sample code held it; rtt_us is None when lost.
@@ -592,6 +592,11 @@ def make_session(ticks):
 def test_session_csv_equals_sorted_csv_writer(tmp_path_factory, ticks):
     session = make_session(ticks)
     store = MeasurementStore(tmp_path_factory.mktemp("store"))
+    if "0.0" in (f"{rtt:.1f}" for rtt in session.rtt_us.ravel()):
+        # it would read back as 0.0, which is no measurement: the write refuses it
+        with pytest.raises(StoreError, match="would be stored as 0.0$"):
+            store.write_session(store.new_partition("p"), session, config_hash="x")
+        return
     written = store.write_session(store.new_partition("p"), session, config_hash="x")
     assert written.read_bytes() == oracle_session_csv(*samples_of(session))
 

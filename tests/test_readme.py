@@ -1,6 +1,8 @@
-"""The README's library layout lists the package's modules as they are."""
+"""The README's library layout and scan record keys are the package's own."""
 import re
+from dataclasses import fields
 
+from leolink.discovery import ScanRecord
 from tests.conftest import REPO_ROOT
 
 
@@ -11,3 +13,10 @@ def test_readme_module_list_names_every_module():
     modules = sorted(p.name for p in (REPO_ROOT / "src" / "leolink").glob("*.py")
                      if p.name != "__init__.py")
     assert sorted(listed) == modules
+
+
+def test_readme_scan_record_keys_are_the_record_fields():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("**Scan records** ("):].split("\n\n", 2)[1]
+    documented = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    assert documented == [f.name for f in fields(ScanRecord)]

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import json
 import os
@@ -251,6 +252,22 @@ def test_failed_meta_write_leaves_no_session(tmp_path, monkeypatch):
     assert store.read_session(store.sessions()[0]).rtt_us.shape == (2, 5)
 
 
+def test_write_session_refuses_an_rtt_it_would_store_as_zero(tmp_path):
+    # 0.04 µs is positive, so the session holds it; at the 0.1 µs of
+    # session.csv it would be 0.0, which read_session refuses.
+    session = replace(small_session(n=3), rtt_us=[[10_000.0] * 3, [35_000.0, 0.04, np.nan]])
+    store = MeasurementStore(tmp_path / "store")
+    part = store.new_partition("p")
+    with pytest.raises(StoreError, match=re.escape(
+            "the RTT 0.04 µs of tick 1 would be stored as 0.0")):
+        store.write_session(part, session, config_hash="x")
+    assert not (store.root / "p" / "100.64.9.1").exists()
+    # 0.05 µs is stored as 0.1 and reads back
+    store.write_session(part, replace(session, rtt_us=[[10_000.0] * 3, [35_000.0, 0.05, np.nan]]),
+                        config_hash="x")
+    assert store.read_session(store.sessions()[0]).rtt_us[1].tolist()[:2] == [35_000.0, 0.1]
+
+
 def test_report_csv_roundtrip(tmp_path):
     path = tmp_path / "r.csv"
     write_report_csv(path, ["a", "b"], [[1, "x"], [2, "y"]],
@@ -409,6 +426,58 @@ def test_discover_missing_scan_is_exit_2(tmp_path, capsys):
                      "--out", str(tmp_path / "o.csv")])
     assert code == 2
     assert "stage=parse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scan, provider, summary, digest", [
+    ("scan_fixture", "starlink", "records=2051 malformed=0 candidates=1790 pep_removed=161 "
+     "kept=1629 unknown_pop=0 ambiguous=0",
+     "1d1deff32db7bd66a4b2b0df95080ac3e22a999fdfd52b960e3d10326d55af8a"),
+    ("scan_fixture", "oneweb", "records=2051 malformed=0 candidates=1951 pep_removed=0 "
+     "kept=1951 unclassifiable=100",
+     "e4c285fbb0a9e36c02817584c23a6d603738a0a5d9dba2de82b62b30548a8506"),
+    ("scan_small", "starlink", "records=100 malformed=0 candidates=100 pep_removed=9 "
+     "kept=91 unknown_pop=0 ambiguous=0",
+     "1addced9314e26d81f9e8dc9467faba7cbfc35c41c8fdee9e259ca5d9b843438"),
+    ("scan_small", "oneweb", "records=100 malformed=0 candidates=100 pep_removed=0 "
+     "kept=100 unclassifiable=0",
+     "ccd7bd7c508c0de2d3773bd610833b3276280ba81f1b024bf97fe5041bbdb04f"),
+    ("oneweb_scan", "starlink", "records=6 malformed=0 candidates=0 pep_removed=0 "
+     "kept=0 unknown_pop=0 ambiguous=0",
+     "1f0fe514c1371a17f0c0b878c1aaf19060ecc75964aa0cec5d9856d9e0d436b6"),
+    ("oneweb_scan", "oneweb", "records=6 malformed=0 candidates=2 pep_removed=0 "
+     "kept=2 unclassifiable=1",
+     "f247e6df49fb7e8a584d7e4a808395808190444ab9a4220f487c1f0a23e5f61f"),
+])
+def test_discovered_cohorts_are_pinned(tmp_path, capsys, monkeypatch, scan, provider,
+                                       summary, digest):
+    # The cohort file and the summary line of each bundled scan under each
+    # provider, with the bundled geofeed: a change to the scan reader, the
+    # funnel or the cohort writer that moves what discover selects fails here.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["discover", "--provider", provider, "--scan", str(FIXTURES / f"{scan}.jsonl"),
+                     "--geofeed", str(FIXTURES / "geofeed.csv"), "--out", "cohort.csv"]) == 0
+    assert capsys.readouterr().out == f"discover ok {summary} out=cohort.csv\n"
+    assert hashlib.sha256((tmp_path / "cohort.csv").read_bytes()).hexdigest() == digest
+
+
+def test_discover_says_why_each_row_is_malformed(tmp_path, capsys):
+    scan = tmp_path / "scan.jsonl"
+    scan.write_text('{"address": "98.97.0.1"}\n[1, 2]\n{"address": "98.97.0.2", "asn": "x"}\n')
+    assert cli.main(["discover", "--scan", str(scan), "--out", str(tmp_path / "c.csv")]) == 0
+    out, err = capsys.readouterr()
+    assert "malformed=2" in out
+    assert err.splitlines() == [
+        "discover error stage=parse msg=row 2: record: expected an object, got [1, 2]",
+        "discover error stage=parse msg=row 3: asn: expected an integer, got 'x'"]
+
+
+def test_discover_prints_at_most_the_kept_messages(tmp_path, capsys):
+    scan = tmp_path / "scan.jsonl"
+    scan.write_text('{"address": "98.97.0.1"}\n' + "[]\n" * (discovery.MAX_KEPT_ERRORS + 5))
+    assert cli.main(["discover", "--scan", str(scan), "--out", str(tmp_path / "c.csv")]) == 0
+    out, err = capsys.readouterr()
+    assert f"malformed={discovery.MAX_KEPT_ERRORS + 5}" in out
+    assert len(err.splitlines()) == discovery.MAX_KEPT_ERRORS
 
 
 # ---------------------------------------------------------- simulate/analyze
