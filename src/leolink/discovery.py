@@ -98,6 +98,14 @@ class Endpoint:
         default=None, metadata={"kind": "location"})
 
 
+def _csv_number(text: str):
+    """A CSV cell as a float, or as it is when it is not one, for a check to name."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 class PopCatalog:
     """Mapping of POP subdomain codes to city-centre locations.
 
@@ -125,10 +133,8 @@ class PopCatalog:
                     code = row["pop_code"].strip().lower()
                     if not code or code in entries:
                         raise ValueError(f"pop_code: {f'{code!r} repeated' if code else 'blank'}")
-                    latitude = check(float(row["latitude"]), "latitude", "latitude",
-                                     ValueError)
-                    longitude = check(float(row["longitude"]), "longitude", "longitude",
-                                      ValueError)
+                    latitude, longitude = (check(_csv_number(row[name]), name, name, ValueError)
+                                           for name in ("latitude", "longitude"))
                     entries[code] = PopLocation(city=row["city"], country=row["country"],
                                                 latitude=latitude, longitude=longitude)
                 except ValueError as exc:

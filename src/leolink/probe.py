@@ -35,6 +35,15 @@ PROTOCOLS = ("icmp", "udp", "tcp")  # the protocols a transport can be opened on
 DEFAULT_JUMP_THRESHOLD_MS = 10.0
 DEFAULT_PROBE_TIMEOUT_S = 2.0
 DEFAULT_PROBES_PER_HOP = 3
+# A bent-pipe link near its gateway (a 9 ms round trip) can read under
+# the jump threshold on three jittered samples per hop.  So a last-hop
+# jump in CONFIRM_BAND_MS, [low, high), is probed CONFIRM_PROBES more
+# times at each of the two hops, and over CONFIRM_SAMPLES samples a jump
+# of CONFIRMED_JUMP_MS is enough.
+CONFIRM_BAND_MS = (3.0, 10.0)
+CONFIRM_PROBES = 6
+CONFIRM_SAMPLES = DEFAULT_PROBES_PER_HOP + CONFIRM_PROBES
+CONFIRMED_JUMP_MS = 6.0
 DEFAULT_MAX_TTL = 32
 DEFAULT_CADENCE_HZ = 1
 DEFAULT_DURATION_S = 300
@@ -204,30 +213,43 @@ def run_traceroute(
 ) -> TracerouteResult:
     """Trace the path to target, one TTL ramp on the transport's flow.
 
-    Stops at the first TTL whose responder is the target itself.
+    Stops at the first TTL whose responder is the target itself.  If the
+    RTT jump across the last two responsive hops of a trace that reached
+    the target falls in ``CONFIRM_BAND_MS``, each of those hops takes
+    ``CONFIRM_PROBES`` more probes.
     """
     check_range("max_ttl", max_ttl)
     check_range("probes_per_hop", probes_per_hop)
     hops: list[TraceHop] = []
     reached = False
     for ttl in range(1, max_ttl + 1):
-        responder: Optional[str] = None
-        samples: list[float] = []
-        for _ in range(probes_per_hop):
-            reply = transport.probe(target, ttl)
-            if reply is None:
-                continue
-            if responder is None:
-                responder = reply.responder
-            samples.append(reply.rtt_us)
-        hops.append(TraceHop(ttl=ttl, responder=responder, rtt_samples=tuple(samples)))
-        if responder == target:
+        hops.append(_probe_hop(transport, target, TraceHop(ttl, None, ()), probes_per_hop))
+        if hops[-1].responder == target:
             reached = True
             break
+    last_two = [i for i, hop in enumerate(hops) if hop.responsive][-2:]
+    if reached and len(last_two) == 2:
+        pre, post = (hops[i].median_rtt_us for i in last_two)
+        if CONFIRM_BAND_MS[0] <= (post - pre) / 1000.0 < CONFIRM_BAND_MS[1]:
+            for i in last_two:
+                hops[i] = _probe_hop(transport, target, hops[i], CONFIRM_PROBES)
     result = TracerouteResult(target=target, hops=tuple(hops), reached=reached)
     if not result.responsive_hops():
         raise UnreachableError(f"{target}: no responsive hop within ttl {max_ttl}")
     return result
+
+
+def _probe_hop(transport: Transport, target: str, hop: TraceHop, count: int) -> TraceHop:
+    """``hop`` with ``count`` more probes at its TTL; its responder is the first to answer."""
+    responder, samples = hop.responder, list(hop.rtt_samples)
+    for _ in range(count):
+        reply = transport.probe(target, hop.ttl)
+        if reply is None:
+            continue
+        if responder is None:
+            responder = reply.responder
+        samples.append(reply.rtt_us)
+    return TraceHop(ttl=hop.ttl, responder=responder, rtt_samples=tuple(samples))
 
 
 def identify_sat_link(
@@ -236,8 +258,10 @@ def identify_sat_link(
 ) -> SatLinkPath:
     """Locate the satellite segment between the last two responsive hops.
 
-    Compares median hop RTTs; the jump must meet the threshold.  The
-    last responsive hop must be the target (the endpoint answers its
+    Compares median hop RTTs; the jump must meet the threshold, or, for
+    a threshold no higher than the top of ``CONFIRM_BAND_MS``,
+    ``CONFIRMED_JUMP_MS`` when both hops hold ``CONFIRM_SAMPLES`` samples.
+    The last responsive hop must be the target (the endpoint answers its
     own echo), otherwise the pre/post pairing is meaningless.
     """
     responsive = trace.responsive_hops()
@@ -249,6 +273,9 @@ def identify_sat_link(
     if not trace.reached or post.responder != trace.target:
         raise InsufficientPathError(f"{trace.target}: trace did not reach the target")
     jump_ms = (post.median_rtt_us - pre.median_rtt_us) / 1000.0
+    if (jump_threshold_ms <= CONFIRM_BAND_MS[1]
+            and min(len(pre.rtt_samples), len(post.rtt_samples)) >= CONFIRM_SAMPLES):
+        jump_threshold_ms = min(jump_threshold_ms, CONFIRMED_JUMP_MS)
     if jump_ms < jump_threshold_ms:
         raise NoSatelliteJumpError(
             f"{trace.target}: last-hop jump {jump_ms:.2f} ms below "

@@ -7,12 +7,15 @@ events, and a jitter model.  ``SimnetTransport`` then answers probes
 exactly like a real network would, against a virtual clock, so a
 2,000-second measurement session runs in milliseconds of wall time.
 
-Everything is reproducible: all randomness (jitter, loss) is derived
-from the scenario seed and the probe coordinates, never from global
-state, so identical (scenario, probe sequence, seed) produce identical
-replies bit for bit regardless of thread interleaving.  A transport
-fixes its protocol and timeout when it is made and every probe carries
-one flow, so a whole session runs on values fixed up front.
+Everything is reproducible: all randomness (jitter, loss) is a
+counter-based stream, a splitmix64 hash of the scenario seed and the
+probe's coordinates (send time, TTL, flow, protocol), with no generator
+and no global state.  So identical (scenario, probe sequence, seed)
+produce identical replies bit for bit regardless of thread interleaving,
+and the probes of many send times are answered in one array pass.  A
+transport fixes its protocol and timeout when it is made and every probe
+carries one flow, so within a session only the send time and the TTL
+vary.
 
 Scenario files are JSON with schema id ``leolink-scenario/1``:
 
@@ -64,11 +67,8 @@ A key outside the schema is refused at every level, except a free-text
 from __future__ import annotations
 
 import math
-import random
-import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from hashlib import blake2b
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -316,23 +316,50 @@ def load_scenario_dir(path: str | Path) -> dict[str, Scenario]:
     return scenarios
 
 
-def _probe_core(scenario: Scenario, protocol: str) -> Callable:
-    """``reply(ttl, t_ms)``: the ``(responder, kind, rtt_ms)`` of a probe to
-    the scenario's target sent at virtual time t_ms, or None for silence.
+_GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's counter step, 2**64 over the golden ratio
+_U64 = np.uint64
+_SQRT_E = math.e ** 0.5
+TICK_BLOCK = 1024  # ticks per array pass: bounds the scratch arrays of a long session
 
-    The RTT is twice the one-way latency up to the hop where the TTL
-    expires, the satellite span event-adjusted, plus jitter.  The core's
-    own generator is reseeded per probe from a blake2b hash of (seed,
-    t_ms, ttl, flow, protocol) and draws gaussians term for term as
-    ``random.gauss`` does.  Each (flap, ttl) is planned once.
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finaliser over a uint64 array; products wrap modulo 2**64."""
+    z = z ^ (z >> _U64(30))
+    z *= _U64(0xBF58476D1CE4E5B9)
+    z ^= z >> _U64(27)
+    z *= _U64(0x94D049BB133111EB)
+    z ^= z >> _U64(31)
+    return z
+
+
+def _probe_core(scenario: Scenario, protocol: str) -> tuple[Callable, Callable]:
+    """``(plan_of, replies)``: ``replies(ttl, t_ms)`` answers the probes to
+    the scenario's target at one TTL sent at the int64 virtual times ``t_ms``.
+
+    It returns ``(rtt_ms, flapped)``: each probe's RTT, NaN for silence,
+    and whether the flap hop was in the path.  The responder and the reply
+    kind are the first two items of ``plan_of(flapped, ttl)``.  The RTT is
+    twice the one-way latency up to the hop where the TTL expires, the
+    satellite span event-adjusted, plus jitter.  Each (flap, TTL) is
+    planned once.
+
+    The draws come from a counter-based stream, with no generator:
+    ``key = mix(seed ^ mix(protocol_index << 48 | FLOW << 32 | ttl))`` and
+    ``h = mix(key ^ t_ms * G)``, where ``mix`` is splitmix64's finaliser,
+    ``G`` its step and ``protocol_index`` the protocol's position in
+    ``probe.PROTOCOLS``.  Uniform j is ``(mix(h + j * G) >> 11) * 2**-53``.
+    When the scenario has loss, uniform 1 decides it.  The uniforms after
+    pair into Box-Muller normals, one per jittered segment in path order,
+    and lognormal jitter is ``exp(z) / sqrt(e)`` of the same normal.
     """
     gaussian = scenario.jitter.dist == "gaussian"
     draws = gaussian or scenario.jitter.dist == "lognormal"
     loss, flap = scenario.loss_probability, scenario.hop_flap
-    rng = random.Random()
-    reseed, uniform = super(random.Random, rng).seed, rng.random  # as random.Random(n) seeds
-    key, unpack = struct.Struct("<QqiH"), struct.Struct("<Q").unpack
-    seed, suffix = scenario.seed & 0xFFFFFFFFFFFFFFFF, protocol.encode()
+    seed, protocol_index = _U64(scenario.seed % 2 ** 64), PROTOCOLS.index(protocol)
+    keys: dict[int, np.ndarray] = {}  # per TTL, a one-element uint64 array
+    starts = np.array(scenario._event_starts, dtype=np.float64)
+    ends = np.array([ev.end_s for ev in scenario.events], dtype=np.float64)
+    deltas = np.array([scenario.satellite_delta_ms(ev.at_s)[0] for ev in scenario.events])
 
     def plan(chain: list, expire_at: int) -> Optional[tuple]:
         # responder, kind, (seg_ms, is_sat_entry) per segment, sigma per
@@ -351,38 +378,60 @@ def _probe_core(scenario: Scenario, protocol: str) -> Callable:
     plans = [[None] + [plan(chain, ttl) for ttl in range(1, len(chain) + 1)]
              for chain in scenario._chains]
 
-    def reply(ttl: int, t_ms: int) -> Optional[tuple[str, str, float]]:
+    def plan_of(flapped: bool, ttl: int) -> Optional[tuple]:
+        by_ttl = plans[flapped]
+        return by_ttl[min(ttl, len(by_ttl) - 1)]
+
+    def rtts(p: tuple, key: np.ndarray, t_ms: np.ndarray, t_s: np.ndarray) -> np.ndarray:
+        _, _, segments, sigmas, crosses = p
+        first = 2 if loss > 0 else 1  # the first jitter uniform: with loss, loss takes 1
+        h = _mix(key ^ t_ms.view(_U64) * _U64(_GOLDEN))
+
+        def uniform(j: int) -> np.ndarray:
+            return (_mix(h + _U64(j * _GOLDEN % 2 ** 64)) >> _U64(11)) * 2.0 ** -53
+
+        delta = 0.0
+        if crosses and len(starts):  # the last event to start by t is the only one active
+            ev = np.searchsorted(starts, t_s, side="right") - 1
+            delta = np.where((ev >= 0) & (t_s < ends[ev]), deltas[ev], 0.0)
+        oneway, noise = 0.0, np.zeros(len(t_ms))
+        for seg_ms, is_sat_entry in segments:
+            oneway = oneway + (seg_ms + delta if is_sat_entry else seg_ms)
+        for i, sigma in enumerate(sigmas):
+            if i % 2 == 0:
+                angle = uniform(first + i) * math.tau
+                radius = np.sqrt(-2.0 * np.log(1.0 - uniform(first + 1 + i)))
+                z = np.cos(angle) * radius
+            else:
+                z = np.sin(angle) * radius
+            # lognormal: one-sided queueing-style noise with scale sigma
+            noise = noise + (z * sigma if gaussian else sigma * (np.exp(z) / _SQRT_E))
+        rtt = np.maximum(2.0 * oneway + noise, 0.001)
+        if loss > 0:
+            rtt[uniform(1) < loss] = np.nan
+        return rtt
+
+    def replies(ttl: int, t_ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if ttl < 1:
             raise ValueError("ttl must be >= 1")
         t_s = t_ms / 1000.0
-        by_ttl = plans[flap is not None and (t_s % flap.every_s) < flap.duration_s]
-        p = by_ttl[min(ttl, len(by_ttl) - 1)]
-        if p is None:
-            return None
-        responder, kind, segments, sigmas, crosses = p
-        if loss > 0 or sigmas:
-            reseed(unpack(blake2b(key.pack(seed, t_ms, ttl, FLOW) + suffix,
-                                  digest_size=8).digest())[0])
-            if loss > 0 and uniform() < loss:
-                return None
-        delta = scenario.satellite_delta_ms(t_s)[0] if crosses else 0.0
-        oneway = noise = 0.0
-        for seg_ms, is_sat_entry in segments:
-            oneway += seg_ms + (delta if is_sat_entry else 0.0)
-        z2 = None  # random.gauss's cached second normal
-        for sigma in sigmas:
-            if not gaussian:  # one-sided queueing-style noise with scale sigma
-                noise += sigma * (rng.lognormvariate(0.0, 1.0) / math.e ** 0.5)
-            elif z2 is None:
-                x2pi, g2rad = uniform() * math.tau, math.sqrt(-2.0 * math.log(1.0 - uniform()))
-                z2 = math.sin(x2pi) * g2rad
-                noise += 0.0 + (math.cos(x2pi) * g2rad) * sigma
-            else:
-                noise += 0.0 + z2 * sigma
-                z2 = None
-        return responder, kind, max(2.0 * oneway + noise, 0.001)
+        if flap is None:
+            flapped, states = np.zeros(len(t_ms), dtype=bool), [(0, slice(None))]
+        else:
+            flapped = np.remainder(t_s, flap.every_s) < flap.duration_s
+            states = [(0, ~flapped), (1, flapped)]
+        if ttl not in keys:
+            keys[ttl] = _mix(seed ^ _mix(np.array([protocol_index << 48 | FLOW << 32 | ttl],
+                                                  dtype=_U64)))
+        key = keys[ttl]
+        rtt = np.full(len(t_ms), np.nan)
+        for state, on in states:
+            p = plan_of(state, ttl)
+            if p is not None:
+                rtt[on] = rtts(p, key, t_ms[on], t_s[on])
+        return rtt, flapped
 
-    return reply
+    return plan_of, replies
 
 
 class SimnetTransport:
@@ -393,7 +442,8 @@ class SimnetTransport:
     concurrent sessions over different endpoints deterministic.  The
     clock counts float ms, read whole; a sleep never moves it back, and a
     probe moves it on by its RTT, or by the timeout when no reply comes.
-    ``probe`` and ``probe_ticks`` share one per-probe core (:func:`_probe_core`).
+    ``probe`` and ``probe_ticks`` share one array core (:func:`_probe_core`):
+    ``probe`` asks it one probe, ``probe_ticks`` a block of ticks at a time.
     """
 
     def __init__(self, scenario: Scenario, *, protocol: str = "icmp",
@@ -409,7 +459,7 @@ class SimnetTransport:
         self.probes_sent = 0
         self.sat_probe_count = 0
         self.wrong_responders: dict[int, int] = {}
-        self._reply = _probe_core(scenario, protocol)
+        self._plan, self._replies = _probe_core(scenario, protocol)
 
     def now_ms(self) -> int:
         return int(self._now_ms)
@@ -421,45 +471,79 @@ class SimnetTransport:
     def probe(self, target: str, ttl: int) -> Optional[ProbeReply]:
         self.probes_sent += 1
         self.sat_probe_count += ttl > self.scenario.pre_sat
-        answer = (self._reply(ttl, self.now_ms()) if target == self.scenario.target_address
-                  else None)
-        if answer is None:
-            self._now_ms += self.timeout_s * 1000.0
-            return None
-        reply = ProbeReply(responder=answer[0], rtt_us=answer[2] * 1000.0, kind=answer[1])
-        self._now_ms += reply.rtt_us / 1000.0
-        return reply
+        if target == self.scenario.target_address:
+            rtt_ms, flapped = self._replies(ttl, np.array([self.now_ms()], dtype=np.int64))
+            if not math.isnan(rtt_ms[0]):
+                responder, kind = self._plan(bool(flapped[0]), ttl)[:2]
+                reply = ProbeReply(responder=responder, rtt_us=float(rtt_ms[0]) * 1000.0,
+                                   kind=kind)
+                self._now_ms += reply.rtt_us / 1000.0
+                return reply
+        self._now_ms += self.timeout_s * 1000.0
+        return None
+
+    def _answer(self, target: str, hops: Sequence[tuple[int, str]], clock: np.ndarray,
+                sent_ms: np.ndarray, rtt_us: np.ndarray, wrong: np.ndarray) -> np.ndarray:
+        """Send each hop's probe in turn from every float clock in ``clock``;
+        fill the hop rows of send times, RTTs (NaN when lost or from a wrong
+        responder) and wrong responders, and return the clocks after."""
+        answers = target == self.scenario.target_address
+        for h, (ttl, expected) in enumerate(hops):
+            sent_ms[h] = t_ms = clock.astype(np.int64)
+            if answers:
+                rtt_ms, flapped = self._replies(ttl, t_ms)
+                bad = [p is not None and p[0] != expected
+                       for p in (self._plan(False, ttl), self._plan(True, ttl))]
+                wrong[h] = np.where(flapped, bad[1], bad[0]) & ~np.isnan(rtt_ms)
+            else:
+                rtt_ms, wrong[h] = np.full(len(t_ms), np.nan), False
+            got = rtt_ms * 1000.0
+            # as probe() advances the clock: by the RTT in us over 1000
+            clock = clock + np.where(np.isnan(got), self.timeout_s * 1000.0, got / 1000.0)
+            rtt_us[h] = np.where(wrong[h], np.nan, got)
+        return clock
 
     def probe_ticks(self, target: str, hops: Sequence[tuple[int, str]], start_ms: int,
                     cadence_hz: int, n_ticks: int) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`probe` once per hop per tick, exactly as
-        :func:`probe.probe_each_tick` would send them, in one loop."""
+        :func:`probe.probe_each_tick` would send them.
+
+        Each block of ticks is answered in one array pass per hop, as if
+        every tick left at its grid time.  A tick whose previous tick ends
+        after its grid time (a timeout, or a high cadence) leaves late; a
+        sequential fix-up answers just those ticks again, one at a time,
+        from the clock the tick before left.
+        """
         if any(ttl < 1 for ttl, _ in hops):
             raise ValueError("ttl must be >= 1")
         sent_ms = np.empty((len(hops), n_ticks), dtype=np.int64)
         rtt_us = np.empty((len(hops), n_ticks), dtype=np.float64)
-        reply = self._reply if target == self.scenario.target_address else lambda *_: None
-        timeout_ms, nan, wrong = self.timeout_s * 1000.0, math.nan, self.wrong_responders
-        rows = [(ttl, responder, memoryview(sent_ms[h]), memoryview(rtt_us[h]))
-                for h, (ttl, responder) in enumerate(hops)]
-        now = self._now_ms  # the float clock, not the session's int start
-        for k in range(n_ticks):
-            tick = start_ms + (k * 1000) // cadence_hz
-            if tick > now:
-                now = float(tick)
-            for ttl, expected, sent, rtt in rows:
-                sent[k] = t_ms = int(now)
-                answer = reply(ttl, t_ms)
-                if answer is None:
-                    rtt[k] = nan
-                    now += timeout_ms
-                    continue
-                rtt[k] = got = answer[2] * 1000.0
-                now += got / 1000.0  # as probe() advances the clock
-                if answer[0] != expected:
-                    rtt[k] = nan
-                    wrong[ttl] = wrong.get(ttl, 0) + 1
-        self._now_ms = now
+        end = self._now_ms  # the float clock, not the session's int start
+        for lo in range(0, n_ticks, TICK_BLOCK):
+            block = slice(lo, lo + TICK_BLOCK)
+            sent, rtt = sent_ms[:, block], rtt_us[:, block]
+            due = start_ms + np.arange(lo, lo + sent.shape[1], dtype=np.int64) * 1000 // cadence_hz
+            wrong = np.empty(sent.shape, dtype=bool)
+            ends = self._answer(target, hops, due.astype(np.float64), sent, rtt, wrong)
+            # late as the array pass has it; a tick answered again that ends
+            # after the next tick's grid time makes that tick late too
+            pending = iter(np.flatnonzero(np.concatenate(([end], ends[:-1])) > due).tolist())
+            k = next(pending, None)
+            while k is not None:
+                before = end if k == 0 else ends[k - 1]
+                if before > due[k]:
+                    one = slice(k, k + 1)
+                    ends[k] = self._answer(target, hops, np.array([before]), sent[:, one],
+                                           rtt[:, one], wrong[:, one])[0]
+                    if k + 1 < len(due) and ends[k] > due[k + 1]:
+                        k += 1
+                        continue
+                k = next((j for j in pending if j > k), None)
+            end = float(ends[-1])
+            for (ttl, _), count in zip(hops, wrong.sum(axis=1).tolist()):
+                if count:
+                    self.wrong_responders[ttl] = self.wrong_responders.get(ttl, 0) + count
+        self._now_ms = end
         self.probes_sent += len(hops) * n_ticks
         self.sat_probe_count += n_ticks * sum(ttl > self.scenario.pre_sat for ttl, _ in hops)
         return sent_ms, rtt_us

@@ -176,10 +176,10 @@ def test_geometry_digest_is_pinned(workloads, seed, digest):
 
 
 @pytest.mark.parametrize("name, seed, digest", [
-    ("fleet", 7, "0c686b0f5ff1c3c800972cc0eded644fd0192d303912a0a1268a9f80ba3092bf"),
-    ("fleet", 11, "37340ba34605209328ca1321a91d30a6dfff6466948d91c71e632367c100d6e9"),
-    ("day", 7, "6ca0c3107887ff2c41bcb159a9e391458f8ce8a8ec5001a213ece9744b84718d"),
-    ("day", 11, "d398e6a923435a6e1f17919a5d7f237dc7a079680a337ec8fdeb975db9fd540a"),
+    ("fleet", 7, "e1d7c47c2c2d498f57941f937db4c5768543217df9531efb9e18401aa68293ef"),
+    ("fleet", 11, "1c7133df0c8dd1e9600b70a59c3df621993913f7687ba7e82f6016052539a8c9"),
+    ("day", 7, "d04448c0f855a35c1692500f4d40df8db676b5c1cdba91adc8712c3fb65d00c5"),
+    ("day", 11, "44e4957cf6e12b8108c999f633849e15c45ea1bbdd1a7baf577e6c296efbf42e"),
 ])
 def test_simulated_sessions_are_pinned(workloads, name, seed, digest):
     # Every probe the simulator answers lands in a stored session, and

@@ -369,6 +369,17 @@ def test_pop_catalog_refuses_a_non_finite_coordinate(tmp_path, value):
         PopCatalog.from_csv(catalog)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("lgosnga1,Lagos,NG,,3.4", "latitude: expected a finite number, got ''"),
+    ("lgosnga1,Lagos,NG,6.5,east", "longitude: expected a finite number, got 'east'"),
+])
+def test_pop_catalog_names_a_coordinate_that_is_not_a_number(tmp_path, row, message):
+    catalog = tmp_path / "catalog.csv"
+    catalog.write_text(f"pop_code,city,country,latitude,longitude\n{row}\n")
+    with pytest.raises(DatasetError, match=re.escape(f"{catalog} line 2: {message}")):
+        PopCatalog.from_csv(catalog)
+
+
 # ------------------------------------------------------------- properties
 
 pop_codes = st.sampled_from(["sttlwax1", "atlagax1", "lgosnga1", "tkyojpn1"])

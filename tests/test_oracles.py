@@ -13,16 +13,14 @@ The one exception is the report's Spearman rho, checked against
 ``scipy.stats.spearmanr`` (skipped without scipy) to 1e-12.
 """
 import csv
-import hashlib
 import io
 import math
-import random
-import struct
 import sys
 import threading
 import warnings
 from collections import namedtuple
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,14 +105,41 @@ def oracle_satellite_delta_ms(scenario, t_s):
     return 0.0, None
 
 
-def oracle_probe_rng(seed, t_ms, ttl, protocol):
-    """A fresh generator per probe, seeded from the probe's coordinates."""
-    digest = hashlib.blake2b(
-        struct.pack("<QqiH", seed & 0xFFFFFFFFFFFFFFFF, t_ms, ttl, simnet.FLOW)
-        + protocol.encode(),
-        digest_size=8,
-    ).digest()
-    return random.Random(int.from_bytes(digest, "little"))
+MASK = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def oracle_mix(z):
+    """splitmix64's finaliser over Python ints."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+class OracleStream:
+    """One probe's draws, one at a time: uniform j of the counter-based
+    stream for j = 1, 2, ..., and normals from them pair by pair as
+    ``random.gauss`` draws them, with numpy's log, sin, cos and exp."""
+
+    def __init__(self, seed, t_ms, ttl, protocol):
+        key = oracle_mix(seed & MASK ^ oracle_mix(
+            probe.PROTOCOLS.index(protocol) << 48 | simnet.FLOW << 32 | ttl))
+        self.h, self.j, self.gauss_next = oracle_mix(key ^ (t_ms * GOLDEN & MASK)), 0, None
+
+    def random(self):
+        self.j += 1
+        return (oracle_mix((self.h + self.j * GOLDEN) & MASK) >> 11) * 2.0 ** -53
+
+    def gauss(self, mu, sigma):
+        z, self.gauss_next = self.gauss_next, None
+        if z is None:
+            x2pi = self.random() * math.tau
+            g2rad = np.sqrt(-2.0 * np.log(1.0 - self.random()))
+            z, self.gauss_next = np.cos(x2pi) * g2rad, np.sin(x2pi) * g2rad
+        return mu + z * sigma
+
+    def lognormvariate(self):
+        return np.exp(self.gauss(0.0, 1.0))
 
 
 def oracle_respond_to_probe(scenario, target, ttl, t_ms, *, protocol="icmp"):
@@ -122,7 +147,7 @@ def oracle_respond_to_probe(scenario, target, ttl, t_ms, *, protocol="icmp"):
     if target != scenario.target_address:
         return None
     t_s = t_ms / 1000.0
-    rng = oracle_probe_rng(scenario.seed, t_ms, ttl, protocol)
+    rng = OracleStream(scenario.seed, t_ms, ttl, protocol)
     if scenario.loss_probability > 0 and rng.random() < scenario.loss_probability:
         return None
     delta, _ = oracle_satellite_delta_ms(scenario, t_s)
@@ -152,9 +177,9 @@ def oracle_respond_to_probe(scenario, target, ttl, t_ms, *, protocol="icmp"):
         if scenario.jitter.dist == "gaussian" and sigma > 0:
             noise += rng.gauss(0.0, sigma)
         elif scenario.jitter.dist == "lognormal" and sigma > 0:
-            noise += sigma * (rng.lognormvariate(0.0, 1.0) / math.e ** 0.5)
+            noise += sigma * (rng.lognormvariate() / math.e ** 0.5)
     rtt_ms = max(2.0 * oneway + noise, 0.001)
-    return (hop.address, rtt_ms * 1000.0, kind)
+    return (hop.address, float(rtt_ms) * 1000.0, kind)
 
 
 def samples_of(session):
@@ -424,14 +449,22 @@ def test_event_lookup_equals_linear_scan(scenario, extra_times):
        st.sampled_from(simnet.PROTOCOLS))
 @settings(max_examples=100, deadline=None)
 def test_probe_replies_equal_per_probe_chain(scenario, times_ms, protocol):
-    edges = [int(t * 1000) for t in boundary_times(scenario)]
-    for t_ms in edges + times_ms:
-        for ttl in range(1, len(scenario.hops) + 3):
-            reply = respond_to_probe(scenario, scenario.target_address, ttl, t_ms,
+    # probe() asks the core one probe at a time; the core asked all the
+    # times at once answers the same, bit for bit.
+    t_ms = [int(t * 1000) for t in boundary_times(scenario)] + times_ms
+    plan_of, replies = simnet._probe_core(scenario, protocol)
+    for ttl in range(1, len(scenario.hops) + 3):
+        rtt_ms, flapped = replies(ttl, np.array(t_ms, dtype=np.int64))
+        for k, t in enumerate(t_ms):
+            want = oracle_respond_to_probe(scenario, scenario.target_address, ttl, t,
+                                           protocol=protocol)
+            reply = respond_to_probe(scenario, scenario.target_address, ttl, t,
                                      protocol=protocol)
-            got = None if reply is None else (reply.responder, reply.rtt_us, reply.kind)
-            assert got == oracle_respond_to_probe(scenario, scenario.target_address, ttl,
-                                                  t_ms, protocol=protocol)
+            assert want == (None if reply is None else (reply.responder, reply.rtt_us,
+                                                        reply.kind))
+            plan = plan_of(bool(flapped[k]), ttl)
+            assert want == (None if math.isnan(rtt_ms[k]) else
+                            (plan[0], float(rtt_ms[k]) * 1000.0, plan[1]))
 
 
 def oracle_probe_ticks(transport, target, hops, start_ms, cadence_hz, n_ticks):
@@ -506,6 +539,20 @@ def test_session_call_equals_per_tick_probe_loop(run):
                                                       run["cadence_hz"], run["n_ticks"])) == got
 
 
+@given(session_runs(), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_session_call_is_exact_in_blocks_of_any_size(run, block):
+    # The array pass goes a block of ticks at a time, and a run of late
+    # ticks can cross from one block into the next.
+    schedule = (run["target"], run["hops"], 0, run["cadence_hz"], run["n_ticks"])
+    fast, slow = session_transport(run), session_transport(run)
+    with mock.patch.object(simnet, "TICK_BLOCK", block):
+        got = session_state(fast, *fast.probe_ticks(*schedule))
+    sent_ms, rtt_us, wrong = oracle_probe_ticks(slow, *schedule)
+    slow.wrong_responders.update(wrong)
+    assert got == session_state(slow, sent_ms, rtt_us)
+
+
 def test_session_clock_advances_as_probe_does():
     # probe() advances the clock by rtt_us / 1000, which is not always
     # rtt_ms: on this path the two hops' RTTs (4.62 and 38.84 ms) sum to
@@ -516,14 +563,14 @@ def test_session_clock_advances_as_probe_does():
     fast.probe_ticks(*schedule)
     oracle_probe_ticks(slow, *schedule)
     assert fast._now_ms == slow._now_ms
-    rtt_ms = [simnet._probe_core(scenario, "icmp")(ttl, 0)[2] for ttl in (2, 3)]
+    replies = simnet._probe_core(scenario, "icmp")[1]
+    rtt_ms = [float(replies(ttl, np.zeros(1, dtype=np.int64))[0][0]) for ttl in (2, 3)]
     assert slow._now_ms != 0.0 + rtt_ms[0] + rtt_ms[1]
 
 
 def test_concurrent_sessions_share_no_generator():
     # Transports probing on more threads than cores, switching often,
-    # answer as each does alone: the generator each reseeds per probe is
-    # its own.
+    # answer as each does alone: no state is shared between them.
     def scenario(seed):
         return simnet.build_scenario(scenario_dict(
             seed=seed, duration_s=3000, loss_probability=0.1,

@@ -1,14 +1,18 @@
+import json
 import math
 import re
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leolink import cli
 from leolink.discovery import Endpoint
 from leolink.probe import (
+    CONFIRM_SAMPLES,
     InsufficientPathError,
     MeasurementSession,
     NoSatelliteJumpError,
@@ -186,6 +190,54 @@ def test_identify_sat_link_is_deterministic(seed):
                     [base + 40000 + rng.uniform(0, 300) for _ in range(3)]))
     trace = TracerouteResult(target="target", reached=True, hops=tuple(hops))
     assert identify_sat_link(trace) == identify_sat_link(trace)
+
+
+def test_identify_sat_link_takes_a_confirmed_jump_from_six_ms():
+    def trace(samples, jump_us):
+        return TracerouteResult(target="10.0.0.2", reached=True, hops=(
+            hop(1, "10.0.0.1", [1000.0] * samples),
+            hop(2, "10.0.0.2", [1000.0 + jump_us] * samples)))
+
+    assert identify_sat_link(trace(CONFIRM_SAMPLES, 6000.0)).jump_ms == pytest.approx(6.0)
+    assert identify_sat_link(trace(CONFIRM_SAMPLES, 6000.0), 8.0).jump_ms == pytest.approx(6.0)
+    for refused in (trace(3, 9900.0), trace(CONFIRM_SAMPLES, 5990.0)):
+        with pytest.raises(NoSatelliteJumpError):
+            identify_sat_link(refused)
+    # a threshold set above the band is kept as it is
+    with pytest.raises(NoSatelliteJumpError, match="threshold 12.00 ms"):
+        identify_sat_link(trace(CONFIRM_SAMPLES, 11000.0), jump_threshold_ms=12.0)
+
+
+@pytest.mark.parametrize("sat_oneway_ms, samples", [
+    (4.5, [3, 9, 9]),    # a 9 ms jump: both sides of it are probed again
+    (1.0, [3, 3, 3]),    # 2 ms: below the band, refused as it is
+    (12.5, [3, 3, 3]),   # 25 ms: above the band, taken as it is
+])
+def test_traceroute_probes_a_jump_in_the_band_again(sat_oneway_ms, samples):
+    transport = SimnetTransport(build_scenario(
+        scenario_dict(base_latencies_ms=[2.0, 3.0, sat_oneway_ms])))
+    trace = run_traceroute(transport, "100.64.9.1")
+    assert [len(h.rtt_samples) for h in trace.hops] == samples
+    assert transport.probes_sent == sum(samples)
+
+
+def test_relay_split_traces_at_every_seed():
+    # The bundled relay/ISL split has a 9 ms bent-pipe round trip.  Its
+    # median jump over three samples per hop falls under the 10 ms
+    # threshold at most seeds; over nine it stays above 6 ms at all.
+    scenarios = Path(cli.__file__).parent / "data" / "scenarios"
+    obj = json.loads((scenarios / "relay_split" / "nigeria_relay_split.json").read_text())
+    untraced = []
+    for seed in range(1000):
+        scenario = build_scenario({**obj, "seed": seed})
+        trace = run_traceroute(SimnetTransport(scenario), scenario.target_address)
+        try:
+            path = identify_sat_link(trace)
+        except NoSatelliteJumpError as exc:
+            untraced.append((seed, str(exc)))
+            continue
+        assert (path.pre_sat_ttl, path.post_sat_ttl) == (2, 3)
+    assert untraced == []
 
 
 # --------------------------------------------------------------- ttl pings

@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from leolink.simnet import (
     ScenarioError,
     SimHop,
     SimnetTransport,
+    _probe_core,
     build_scenario,
     ground_truth,
     load_scenario_dir,
@@ -293,6 +295,31 @@ def test_jitter_varies_with_time_and_flow():
     r0 = respond_to_probe(sc, "100.64.9.1", 3, 0)
     r1 = respond_to_probe(sc, "100.64.9.1", 3, 1)
     assert r0.rtt_us != r1.rtt_us
+
+
+def stream_rtts(ttl, **overrides):
+    """The RTTs less the path of 10^5 probes at TTL 2 or 3 sent 1 ms apart,
+    on a path whose one jittered segment (sigma 1 ms) both TTLs cross:
+    without loss, the normal each probe draws."""
+    sc = build_scenario(scenario_dict(
+        satellite_segment=[1, 3], base_latencies_ms=[20.0, 30.0, 40.0],
+        jitter={"dist": "gaussian", "sigma_ms": 0.0, "satellite_sigma_ms": 1.0}, **overrides))
+    rtt_ms, _ = _probe_core(sc, "icmp")[1](ttl, np.arange(100_000, dtype=np.int64))
+    return rtt_ms - {2: 100.0, 3: 180.0}[ttl]
+
+
+def test_stream_normals_are_standard_and_independent():
+    z2, z3 = stream_rtts(2), stream_rtts(3)
+    for z in (z2, z3):
+        assert abs(z.mean()) < 0.01 and abs(z.var() - 1.0) < 0.02
+        # adjacent send times
+        assert abs(np.corrcoef(z[:-1], z[1:])[0, 1]) < 0.01
+    # TTL 2 and 3 at one send time
+    assert abs(np.corrcoef(z2, z3)[0, 1]) < 0.01
+
+
+def test_stream_loses_its_share_of_probes():
+    assert abs(np.isnan(stream_rtts(3, loss_probability=0.1)).mean() - 0.1) <= 0.005
 
 
 @given(st.integers(0, 300_000), st.integers(0, 2**31 - 1))

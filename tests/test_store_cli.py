@@ -1259,7 +1259,8 @@ def test_bad_cohort_csv_is_a_config_error(tmp_path, capsys, monkeypatch, command
 
 @pytest.mark.parametrize("catalog_text,where", [
     ("pop_code,city,country,latitude,longitude\nsttlwax1,Seattle,US,47.6,-122.3\n"
-     "lgosnga1,Lagos,NG,north,3.4\n", "line 3: could not convert string to float"),
+     "lgosnga1,Lagos,NG,north,3.4\n",
+     "line 3: latitude: expected a finite number, got 'north'"),
     ("pop_code,city,country,lat,lon\nsttlwax1,Seattle,US,47.6,-122.3\n",
      "line 1: missing columns ['latitude', 'longitude']"),
     ("pop_code,city,country,latitude,longitude\nsttlwax1,Seattle,US,47.6,-122.3\n"
