@@ -509,10 +509,13 @@ class SimnetTransport:
         :func:`probe.probe_each_tick` would send them.
 
         Each block of ticks is answered in one array pass per hop, as if
-        every tick left at its grid time.  A tick whose previous tick ends
-        after its grid time (a timeout, or a high cadence) leaves late; a
-        sequential fix-up answers just those ticks again, one at a time,
-        from the clock the tick before left.
+        every tick left at its grid time.  A tick leaves at its grid time or
+        when the tick before it ends, whichever is later, so a tick after a
+        timeout (or at a high cadence) leaves late.  Fix-up passes answer
+        late ticks again from those leaving times: each pass takes every
+        tick whose leaving time moved while its previous tick's did not,
+        which is the next tick of every run of late ticks at once.  They
+        end when no leaving time moves.
         """
         if any(ttl < 1 for ttl, _ in hops):
             raise ValueError("ttl must be >= 1")
@@ -524,21 +527,20 @@ class SimnetTransport:
             sent, rtt = sent_ms[:, block], rtt_us[:, block]
             due = start_ms + np.arange(lo, lo + sent.shape[1], dtype=np.int64) * 1000 // cadence_hz
             wrong = np.empty(sent.shape, dtype=bool)
-            ends = self._answer(target, hops, due.astype(np.float64), sent, rtt, wrong)
-            # late as the array pass has it; a tick answered again that ends
-            # after the next tick's grid time makes that tick late too
-            pending = iter(np.flatnonzero(np.concatenate(([end], ends[:-1])) > due).tolist())
-            k = next(pending, None)
-            while k is not None:
-                before = end if k == 0 else ends[k - 1]
-                if before > due[k]:
-                    one = slice(k, k + 1)
-                    ends[k] = self._answer(target, hops, np.array([before]), sent[:, one],
-                                           rtt[:, one], wrong[:, one])[0]
-                    if k + 1 < len(due) and ends[k] > due[k + 1]:
-                        k += 1
-                        continue
-                k = next((j for j in pending if j > k), None)
+            leave = due.astype(np.float64)
+            ends = self._answer(target, hops, leave, sent, rtt, wrong)
+            while True:
+                leaves = np.maximum(due, np.concatenate(([end], ends[:-1])))
+                moved = leaves != leave
+                moved[1:] &= ~moved[:-1]  # a tick waits for the one before it to settle
+                ticks = np.flatnonzero(moved)
+                if not len(ticks):
+                    break
+                leave[ticks] = leaves[ticks]
+                part = (slice(None), ticks)
+                answered = sent[part], rtt[part], wrong[part]
+                ends[ticks] = self._answer(target, hops, leave[ticks], *answered)
+                sent[part], rtt[part], wrong[part] = answered
             end = float(ends[-1])
             for (ttl, _), count in zip(hops, wrong.sum(axis=1).tolist()):
                 if count:

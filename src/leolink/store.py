@@ -43,7 +43,12 @@ SESSION_COLUMNS = ["terrestrial_sent_ms", "terrestrial_rtt_us",
 _PARSERS = (int, float, int, float)  # one per column
 _ROW_DTYPE = np.dtype([(name, np.int64 if parse is int else np.float64)
                        for name, parse in zip(SESSION_COLUMNS, _PARSERS)])
-_WRITE_CHUNK_ROWS = 8192  # session.csv rows formatted at a time
+# session.csv rows encoded at a time: bounds the encoder's numpy temporaries
+# to under 1 MB (8,192 rows doubled them, and were no faster)
+_WRITE_CHUNK_ROWS = 4096
+_HEADER = (",".join(SESSION_COLUMNS) + "\r\n").encode()
+_DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16)
+_TENTHS_LIMIT = 2 ** 53  # float64 holds every integer below it exactly
 
 TRANSPORTS = ("simnet", "raw")
 
@@ -207,10 +212,20 @@ class MeasurementStore:
         that name exists, so a failed write leaves no session behind and
         the same partition can be written again.
         """
-        rtt = session.rtt_us  # written at 0.1 µs: none may round to 0.0, which reads back refused
-        if f"{(least := np.fmin.reduce(rtt, axis=None, initial=np.inf)):.1f}" == "0.0":
-            raise StoreError(f"the RTT {least} µs of tick {(rtt == least).any(axis=0).argmax()} "
-                             f"would be stored as 0.0")
+        # Written in tenths of a µs: no RTT may round to 0.0, which reads back
+        # refused, or reach 2**53 tenths, past which float64 tenths are inexact.
+        # fmin and fmax skip nan, and make no array as large as rtt_us.
+        rtt = session.rtt_us
+        extremes = np.array([np.fmin.reduce(rtt, axis=None, initial=np.nan),
+                             np.fmax.reduce(rtt, axis=None, initial=np.nan)])
+        with np.errstate(over="ignore", invalid="ignore"):  # an RTT near 1e308 has inf tenths
+            least, greatest = _tenths(extremes)
+        for x, refused, stored in ((extremes[0], least == 0, "as 0.0"),
+                                   (extremes[1], greatest >= _TENTHS_LIMIT,
+                                    "inexactly, at 2**53 tenths of a µs or more")):
+            if refused:
+                raise StoreError(f"the RTT {x} µs of tick {(rtt == x).any(axis=0).argmax()} "
+                                 f"would be stored {stored}")
         ep, path = session.endpoint, session.path
         meta = SessionMeta(
             schema_version=SCHEMA_VERSION, config_hash=config_hash, **asdict(ep),
@@ -224,15 +239,13 @@ class MeasurementStore:
         if session_path.exists():
             raise StoreError(f"{session_path} already exists; store is append-only")
 
-        columns = (session.sent_ms[0], session.rtt_us[0], session.sent_ms[1], session.rtt_us[1])
         # meta.json's block ends first, so session.csv is renamed into place last
         with replaced(session_path) as fh:
-            fh.write(",".join(SESSION_COLUMNS) + "\r\n")
-            # in chunks, so a day-long session's rows are never all Python objects
+            out = fh.buffer  # the rows are bytes already; the text layer stays empty
+            out.write(_HEADER)
             for lo in range(0, session.sent_ms.shape[1], _WRITE_CHUNK_ROWS):
-                fh.writelines(f"{t_sent},{t_rtt:.1f},{e_sent},{e_rtt:.1f}\r\n"
-                              for t_sent, t_rtt, e_sent, e_rtt in zip(
-                                  *(c[lo:lo + _WRITE_CHUNK_ROWS].tolist() for c in columns)))
+                chunk = slice(lo, lo + _WRITE_CHUNK_ROWS)
+                out.write(_encode_rows(session.sent_ms[:, chunk], session.rtt_us[:, chunk]))
             with replaced(endpoint_dir / META_FILENAME) as meta_fh:
                 json.dump(asdict(meta), meta_fh, indent=2, sort_keys=True)
                 meta_fh.write("\n")
@@ -278,6 +291,79 @@ class MeasurementStore:
                 rtt_us=[rows[name] for name in SESSION_COLUMNS[1::2]])
         except ValueError as exc:
             raise StoreError(f"{record.path}: {exc}") from None
+
+
+def _tenths(rtt_us: np.ndarray) -> np.ndarray:
+    """Each RTT in integer tenths of a µs, as ``f"{rtt:.1f}"`` rounds it; nan stays nan.
+
+    ``rtt_us * 10`` is off the exact product by at most half an ulp, so
+    only an element within ``np.spacing`` of a .5 boundary can round
+    otherwise than the decimal form does: those few take its digits.  The
+    result is exact below 2**53 tenths, and ties go to even as there.
+    """
+    scaled = rtt_us * 10.0
+    tenths = np.rint(scaled)
+    for i in np.flatnonzero(np.abs(scaled - np.floor(scaled) - 0.5)
+                            <= np.spacing(scaled)).tolist():
+        tenths.flat[i] = int(f"{rtt_us.flat[i]:.1f}".replace(".", ""))
+    return tenths
+
+
+def _digits(out: np.ndarray, values: np.ndarray, keep: int) -> None:
+    """Write uint64 ``values`` into ``out``, an (n, width) uint8 block wide
+    enough for the largest, as right-aligned ASCII digits; leading zeros
+    before the last ``keep`` columns become 0 bytes."""
+    width = out.shape[1]
+    # no value has a leading zero right of the least value's first digit
+    head = out[:, :width - max(keep, len(str(values.min())))]
+    pairs = np.empty((len(values), (width + 1) // 2), dtype=np.uint16)
+    for j in reversed(range(pairs.shape[1])):
+        quotient = values // 100  # numpy divides by a scalar fast, but not in divmod
+        pairs[:, j] = _DIGIT_PAIRS[values - quotient * 100]
+        values = quotient
+    out[:] = pairs.view(np.uint8)[:, -width:]
+    head[np.logical_and.accumulate(head == ord("0"), axis=1)] = 0
+
+
+def _encode_rows(sent_ms: np.ndarray, rtt_us: np.ndarray) -> bytes:
+    """The ``session.csv`` rows of (2, n) ``sent_ms`` and ``rtt_us``: tick k is
+    ``f"{sent_ms[0, k]},{rtt_us[0, k]:.1f},{sent_ms[1, k]},{rtt_us[1, k]:.1f}\\r\\n"``.
+
+    Every field is written right-aligned into one (n, width) uint8 matrix,
+    with 0 bytes for the unused columns, which are then dropped.  RTTs
+    must be below 2**53 tenths of a µs.
+
+    >>> _encode_rows(np.array([[0, 1000], [2, 1041]]), np.array([[0.25, 12.5], [np.nan, 3e7]]))
+    b'0,0.2,2,nan\\r\\n1000,12.5,1041,30000000.0\\r\\n'
+    """
+    tenths = _tenths(rtt_us)
+    lost = np.isnan(tenths)
+    # a lost RTT's digits are overwritten by nan: the hop's greatest keeps
+    # them from widening the leading zeros _digits must clear
+    greatest = np.fmax.reduce(tenths, axis=1, initial=0.0)
+    tenths = np.where(lost, greatest[:, None], tenths).astype(np.uint64)
+    negative = sent_ms < 0
+    magnitude = np.where(negative, -sent_ms.view(np.uint64), sent_ms.view(np.uint64))
+    sent_widths = [len(str(m.max())) for m in magnitude]
+    rtt_widths = [max(2, len(str(t.max()))) for t in tenths]
+    # per hop: sign, send time, comma, RTT digits with the point before the last, end
+    rows = np.empty((sent_ms.shape[1], sum(sent_widths) + sum(rtt_widths) + 9), dtype=np.uint8)
+    col = 0
+    for hop, end in enumerate((b",", b"\r\n")):
+        rows[:, col] = np.where(negative[hop], ord("-"), 0)
+        _digits(rows[:, col + 1:col + 1 + sent_widths[hop]], magnitude[hop], keep=1)
+        col += 1 + sent_widths[hop]
+        rows[:, col] = ord(",")
+        rtt = rows[:, col + 1:col + 2 + rtt_widths[hop]]
+        _digits(rtt[:, :-1], tenths[hop], keep=2)
+        rtt[:, -1] = rtt[:, -2]
+        rtt[:, -2] = ord(".")
+        rtt[lost[hop]] = 0
+        rtt[lost[hop], -3:] = np.frombuffer(b"nan", dtype=np.uint8)
+        col += 2 + rtt_widths[hop]
+        rows[:, col:col + len(end)] = np.frombuffer(end, dtype=np.uint8)
+        col += len(end)
+    return rows[rows != 0].tobytes()
 
 
 def _first_bad_line(path: Path) -> int | str:

@@ -61,7 +61,7 @@ from leolink.constellation import (
 from leolink.discovery import Endpoint, PopCatalog, PopLocation
 from leolink.geo import EARTH_RADIUS_KM, vacuum_rtt_ms
 from leolink.probe import MeasurementSession, SatLinkPath
-from leolink.store import MeasurementStore, StoreError
+from leolink.store import _WRITE_CHUNK_ROWS, MeasurementStore, StoreError
 from tests.conftest import respond_to_probe, scenario_dict
 
 # One probe as the per-sample code held it; rtt_us is None when lost.
@@ -644,6 +644,48 @@ def test_session_csv_equals_sorted_csv_writer(tmp_path_factory, ticks):
         with pytest.raises(StoreError, match="would be stored as 0.0$"):
             store.write_session(store.new_partition("p"), session, config_hash="x")
         return
+    written = store.write_session(store.new_partition("p"), session, config_hash="x")
+    assert written.read_bytes() == oracle_session_csv(*samples_of(session))
+
+
+def numpy_session(n, start_ms, seed, lost_hop=None):
+    """An n-tick session with ticks 1 s apart from ``start_ms``, each
+    endpoint probe 0-999 ms after its terrestrial one, and RTTs drawn
+    from pools that stress the encoder's rounding; ``lost_hop`` loses
+    every probe of that hop."""
+    rng = np.random.default_rng(seed)
+    terrestrial = start_ms + np.arange(n, dtype=np.int64) * 1000
+    x_x5 = rng.integers(10, 300_000_000, n) / 10 + 0.05  # k.k5: a tie in decimal, not in binary
+    pools = [rng.uniform(1.0, 3e7, n),  # up to the 30 s timeout
+             rng.integers(10, 300_000_001, n) / 10,  # whole tenths
+             np.resize([0.25, 0.75, 12345.25], n),  # ties in binary: to even
+             rng.integers(1, 2 ** 27, n) / 4,
+             x_x5, np.nextafter(x_x5, np.inf), np.nextafter(x_x5, -np.inf)]
+    rtt = np.choose(rng.integers(0, len(pools), (2, n)), pools)
+    rtt[rng.random((2, n)) < 0.05] = np.nan
+    if lost_hop is not None:
+        rtt[lost_hop] = np.nan
+    return MeasurementSession(
+        endpoint=Endpoint(address="100.64.9.1", pop_code="sttlwax1"),
+        path=SatLinkPath(target="100.64.9.1", pre_sat_ttl=2, pre_sat_router="10.0.0.2",
+                         post_sat_ttl=3, jump_ms=25.0),
+        start_ms=start_ms, duration_s=n, cadence_hz=1,
+        sent_ms=[terrestrial, terrestrial + rng.integers(0, 1000, n)], rtt_us=rtt)
+
+
+@pytest.mark.parametrize("n, start_ms, lost_hop", [
+    *((n, start_ms, None)
+      for n in (1, _WRITE_CHUNK_ROWS - 1, _WRITE_CHUNK_ROWS, _WRITE_CHUNK_ROWS + 1,
+                2 * _WRITE_CHUNK_ROWS + 5)
+      for start_ms in (-5_000_000, 2 ** 32, 2 ** 62)),
+    *((n, 1_700_000_000_000, hop) for n in (1, _WRITE_CHUNK_ROWS + 1) for hop in (0, 1)),
+])
+def test_session_csv_equals_csv_writer_across_chunks(tmp_path, n, start_ms, lost_hop):
+    # Send times that cross zero (so the digit count changes inside a
+    # chunk) or need more than 32 bits, sessions that end just before, on
+    # and after a chunk boundary, and a hop with every probe lost.
+    session = numpy_session(n, start_ms, seed=n, lost_hop=lost_hop)
+    store = MeasurementStore(tmp_path)
     written = store.write_session(store.new_partition("p"), session, config_hash="x")
     assert written.read_bytes() == oracle_session_csv(*samples_of(session))
 

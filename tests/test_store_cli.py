@@ -268,6 +268,36 @@ def test_write_session_refuses_an_rtt_it_would_store_as_zero(tmp_path):
     assert store.read_session(store.sessions()[0]).rtt_us[1].tolist()[:2] == [35_000.0, 0.1]
 
 
+@pytest.mark.parametrize("refused, other, stored", [
+    (0.03, 0.04, "as 0.0"),
+    (9.2e14, 9.1e14, "inexactly, at 2**53 tenths of a µs or more"),
+])
+def test_write_session_refusal_names_the_first_tick_of_the_extreme_rtt(
+        tmp_path, refused, other, stored):
+    # Ticks past the first chunks of rows, over both hops: the least (or
+    # greatest) RTT is named at the first tick holding it, before anything
+    # is written.
+    session = small_session(n=12_500)
+    session.rtt_us[0, 100] = session.rtt_us[1, 12_000] = other
+    session.rtt_us[1, 9000] = session.rtt_us[0, 12_001] = refused
+    store = MeasurementStore(tmp_path / "store")
+    part = store.new_partition("p")
+    with pytest.raises(StoreError, match=re.escape(
+            f"the RTT {refused} µs of tick 9000 would be stored {stored}")):
+        store.write_session(part, session, config_hash="x")
+    assert not (store.root / "p" / "100.64.9.1").exists()
+
+
+def test_write_session_stores_the_greatest_exact_rtt(tmp_path):
+    # 2**53 - 1 tenths, the greatest the file holds exactly, reads back
+    session = small_session(n=3)
+    session.rtt_us[1, 1] = 900_719_925_474_099.1
+    store = MeasurementStore(tmp_path / "store")
+    written = store.write_session(store.new_partition("p"), session, config_hash="x")
+    assert b",900719925474099.1\r\n" in written.read_bytes()
+    assert store.read_session(store.sessions()[0]).rtt_us[1, 1] == 900_719_925_474_099.1
+
+
 def test_report_csv_roundtrip(tmp_path):
     path = tmp_path / "r.csv"
     write_report_csv(path, ["a", "b"], [[1, "x"], [2, "y"]],
