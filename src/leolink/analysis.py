@@ -58,7 +58,7 @@ class LatencySeries:
     """A timestamped latency series in milliseconds."""
 
     timestamps_ms: np.ndarray  # int64, strictly increasing
-    values_ms: np.ndarray      # float64, non-negative
+    values_ms: np.ndarray      # float64, finite
 
     def __post_init__(self) -> None:
         self.timestamps_ms = np.asarray(self.timestamps_ms, dtype=np.int64)
@@ -67,6 +67,10 @@ class LatencySeries:
             raise ValueError("timestamps and values must align")
         if len(self.timestamps_ms) > 1 and np.any(np.diff(self.timestamps_ms) <= 0):
             raise ValueError("timestamps must be strictly increasing")
+        bad = ~np.isfinite(self.values_ms)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"values must be finite; value {i} is {self.values_ms[i]}")
 
     def __len__(self) -> int:
         return len(self.timestamps_ms)
@@ -81,7 +85,8 @@ class LatencySeries:
         """Nominal inter-sample gap; median of the observed gaps."""
         if len(self) < 2:
             return 1000.0
-        return float(np.median(np.diff(self.timestamps_ms)))
+        # np.median averages int64 gaps in float64
+        return float(_medians(np.diff(self.timestamps_ms).astype(np.float64)))
 
 
 @dataclass(frozen=True)
@@ -121,6 +126,29 @@ class PopAggregate:
     n_endpoints: int
     mean_of_means_ms: float
     stddev_of_means_ms: float
+
+
+def _medians(values: np.ndarray) -> np.ndarray:
+    """``np.median(values, axis=-1)`` of NaN-free float64 values, bit for
+    bit, from one partition at ``w // 2`` where ``np.median`` partitions
+    around three pivots (the middle ranks and the last, for its NaN
+    check).  -0.0 and 0.0 tie, so a zero median may differ in sign.
+
+    For an even width the lower middle is the largest value left of the
+    pivot, and the two are summed and halved as ``np.median`` does.
+
+    >>> odd, even = np.array([[7.0, 1.0, 4.0]]), np.array([[0.3, 5.0, 0.1, 2.5]])
+    >>> _medians(odd), np.median(odd, axis=-1)
+    (array([4.]), array([4.]))
+    >>> _medians(even), np.median(even, axis=-1)
+    (array([1.4]), array([1.4]))
+    """
+    k = values.shape[-1] // 2
+    part = np.partition(values, k, axis=-1)
+    upper = part[..., k]
+    if values.shape[-1] % 2:
+        return upper
+    return (part[..., :k].max(axis=-1) + upper) / 2.0
 
 
 def isolate_satellite_latency(session: MeasurementSession) -> tuple[LatencySeries, int]:
@@ -172,7 +200,7 @@ def smooth(series: LatencySeries, window_s: float = SMOOTHING_WINDOW_S) -> Laten
     lo = np.searchsorted(ts, ts - half_ms, side="left")
     width = np.searchsorted(ts, ts + half_ms, side="right") - lo
     # Windows of equal width are rows of one sliding-window view, whose
-    # row medians equal the slice medians bit for bit.  Each np.median
+    # row medians equal the slice medians bit for bit.  Each _medians
     # call gathers at most 2**16 values, so memory stays flat.
     order = np.argsort(width, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
@@ -181,7 +209,7 @@ def smooth(series: LatencySeries, window_s: float = SMOOTHING_WINDOW_S) -> Laten
         step = max(1, (1 << 16) // w)
         for k in range(0, len(group), step):
             part = group[k:k + step]
-            out[part] = np.median(rows[lo[part]], axis=1)
+            out[part] = _medians(rows[lo[part]])
     return LatencySeries(ts.copy(), out)
 
 
@@ -214,7 +242,7 @@ def detect_spikes(
             f"{MIN_DETECTION_SPAN_MS / 1000.0:.0f} s for a baseline")
     vs = smoothed.values_ms
     ts = smoothed.timestamps_ms
-    m = float(np.median(vs))
+    m = float(_medians(vs))
     sigma = float(np.std(vs))
     if sigma == 0.0:
         return []
@@ -274,7 +302,7 @@ def jitter_filter(candidates: Sequence[tuple[Endpoint, LatencySeries]]) -> list[
     for endpoint, series in candidates:
         if len(series) == 0:
             continue
-        deviation = float(np.max(np.abs(series.values_ms - np.median(series.values_ms))))
+        deviation = float(np.max(np.abs(series.values_ms - _medians(series.values_ms))))
         if deviation <= JITTER_MAX_DEVIATION_MS:
             kept.append(endpoint)
     return kept
@@ -301,7 +329,7 @@ def session_stats(
     spike_ms = sum(e.duration_ms for e in spikes)
     return SessionStats(
         min_ms=float(np.min(vs)),
-        median_ms=float(np.median(vs)),
+        median_ms=float(_medians(vs)),
         mean_ms=float(np.mean(vs)),
         stddev_ms=float(np.std(vs)),
         loss_fraction=loss,

@@ -93,6 +93,14 @@ def test_series_requires_increasing_timestamps():
         LatencySeries(np.array([0, 1000, 1000]), np.array([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_series_refuses_non_finite_values(bad):
+    # The median kernel partitions without a NaN check, so the series
+    # holds none; the message names the first bad index.
+    with pytest.raises(ValueError, match=f"value 2 is {bad}"):
+        series([1.0, -2.0, bad, 4.0, bad])
+
+
 # --------------------------------------------------------------- smoothing
 
 def brute_force_smooth(ts, vs, window_s):

@@ -89,6 +89,16 @@ def session_files_digest(store: Path, partition: str) -> str:
     return h.hexdigest()
 
 
+def report_tables_digest(store: Path) -> str:
+    """sha256 over the tables ``analyze`` computes from the sessions:
+    ``reports/sessions.csv`` then ``reports/spikes.csv``, each as its file
+    name, a NUL byte, and the file's bytes."""
+    h = hashlib.sha256()
+    for name in ("sessions.csv", "spikes.csv"):
+        h.update(name.encode() + b"\0" + (store / "reports" / name).read_bytes())
+    return h.hexdigest()
+
+
 def scorer_totals(scenarios, spikes):
     """(recalled events, false sustained spikes) of ``score_spikes`` over the
     workload's scenario objects, given each target's spikes."""
@@ -216,3 +226,20 @@ def test_session_files_are_pinned(workloads, name, seed, digest):
     run_quick(workloads, name, seed,
               inspect=lambda work: files.append(session_files_digest(work.abs_store, name)))
     assert files == [digest]
+
+
+@pytest.mark.parametrize("name, seed, digest", [
+    ("fleet", 7, "c5eaca56ba9a91edf294de2c41e65d905c8512d1f46fe6a9a0e5ecac601af1fa"),
+    ("fleet", 11, "a38c8cec8163815a1a019b4496f82f8c76a4d37d91aa401565a9c006cc572678"),
+    ("day", 7, "1d1fcf22635b3c5622bd086a9efade58dd473f7d1a80c1d508799e3bb633da56"),
+    ("day", 11, "f8f282c0c339d5c6193ab0ffdce6d37c52f5348f56853f8d2804d8d92728512f"),
+])
+def test_analysis_tables_are_pinned(workloads, name, seed, digest):
+    # What analyze computes from the pinned sessions: the stats of
+    # sessions.csv as printed, and every spike edge, kind and peak of
+    # spikes.csv.  A median that moves one edge or one printed stat fails
+    # here even when every event is still recalled.
+    tables = []
+    run_quick(workloads, name, seed,
+              inspect=lambda work: tables.append(report_tables_digest(work.abs_store)))
+    assert tables == [digest]

@@ -1,7 +1,8 @@
 """The fast paths against the scalar code they replaced.
 
 Each oracle below is the earlier, obviously correct implementation: a
-per-tick ``np.median`` loop for ``smooth``, a ``while`` loop for
+per-tick ``np.median`` loop for ``smooth``, ``np.median`` itself for
+the analysis layer's median kernel and its callers, a ``while`` loop for
 ``_maximal_runs``, a linear event scan, a per-probe hop chain and a
 per-tick loop over ``probe()`` for the simulator, a per-sample loop for
 isolation, for the session store a ``csv.writer`` pass over the ticks
@@ -27,15 +28,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leolink import constellation, probe, simnet
+from leolink import analysis, constellation, probe, simnet
 from leolink.analysis import (
     EmptySeriesError,
     LatencySeries,
     SessionStats,
     SessionUnusableError,
     _maximal_runs,
+    _medians,
+    detect_spikes,
     isolate_satellite_latency,
     min_rtt_vs_pop_distance,
+    session_stats,
     smooth,
 )
 from leolink.constellation import (
@@ -361,6 +365,100 @@ def test_smooth_equals_per_tick_median_on_long_grids(n, cadence_hz, window_s, se
     vs = np.round(rng.normal(40.0, 6.0, size=n), 1)
     got = smooth(LatencySeries(ts, vs), window_s=window_s)
     assert np.array_equal(got.values_ms, oracle_smooth(ts, vs, window_s))
+
+
+# ------------------------------------------------------------- medians
+
+# -0.0 and 0.0 tie, so a median of zero may carry either sign; series
+# values are differences and clamps, which give +0.0.
+finite = st.floats(-1e6, 1e6).map(lambda x: x + 0.0)
+# Widths up to the widest window: 120 s at 10 Hz.
+widths = st.one_of(st.integers(1, 40), st.integers(1, 1201), st.sampled_from([1200, 1201]))
+
+
+@st.composite
+def median_values(draw, shape):
+    """Float64 values of ``shape``: tenths of a millisecond around a
+    baseline, as a session holds them; ties and repeats of a few values,
+    zero always among them; or values spread over many binades."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["tenths", "ties", "spread"]))
+    if kind == "tenths":
+        return np.round(rng.normal(40.0, 6.0, size=shape), 1)
+    if kind == "ties":
+        pool = [0.0] + draw(st.lists(finite, min_size=1, max_size=4))
+        return rng.choice(pool, size=shape)
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 7, size=shape)
+
+
+@given(st.integers(1, 64), widths, st.data())
+@settings(max_examples=300, deadline=None)
+def test_medians_equal_np_median_on_rows(n_rows, width, data):
+    rows = data.draw(median_values((n_rows, width)))
+    assert _medians(rows).tobytes() == np.median(rows, axis=-1).tobytes()
+
+
+@given(st.lists(st.one_of(st.sampled_from([0.0, 20.0, 20.5, 35.0]), finite),
+                min_size=1, max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_medians_equal_np_median_on_drawn_rows(values):
+    row = np.array(values)
+    rows = np.stack([row, row[::-1], np.sort(row)])
+    assert _medians(rows).tobytes() == np.median(rows, axis=-1).tobytes()
+    assert _medians(row).tobytes() == np.median(row).tobytes()
+
+
+@given(st.one_of(st.integers(1, 2000), st.sampled_from([86_399, 86_400])), st.data())
+@settings(max_examples=60, deadline=None)
+def test_medians_equal_np_median_on_one_series(n, data):
+    values = data.draw(median_values((n,)))
+    assert _medians(values).tobytes() == np.median(values).tobytes()
+
+
+@given(st.integers(0, 2**40),
+       st.lists(st.one_of(st.sampled_from([100, 999, 1000, 1000, 1001]), st.integers(1, 2**32)),
+                min_size=1, max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_tick_interval_equals_np_median_of_gaps(start_ms, gaps):
+    ts = np.cumsum([start_ms] + gaps, dtype=np.int64)
+    got = LatencySeries(ts, np.zeros(len(ts))).tick_interval_ms()
+    want = float(np.median(np.diff(ts)))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@st.composite
+def spiky_series(draw):
+    """A lossy 61 s to 15 min series of tenths over a baseline, with steps
+    and dips laid on it: what detect_spikes and session_stats are given."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tick_ms = draw(st.sampled_from([100, 500, 1000]))
+    n = draw(st.integers(61, 900)) * 1000 // tick_ms + 1
+    keep = rng.random(n) >= draw(st.sampled_from([0.0, 0.05, 0.3]))
+    keep[[0, -1]] = True
+    vs = np.round(rng.normal(40.0, draw(st.sampled_from([0.0, 0.5, 6.0])), size=n), 1)
+    for _ in range(draw(st.integers(0, 6))):
+        i = int(rng.integers(n))
+        vs[i:i + int(rng.integers(1, n // 4 + 2))] += rng.choice([-10.0, 30.0, 80.0])
+    return LatencySeries(np.arange(n, dtype=np.int64)[keep] * tick_ms, vs[keep]), n
+
+
+@given(spiky_series())
+@settings(max_examples=60, deadline=None)
+def test_detection_and_stats_equal_their_np_median_copies(series_n):
+    series, expected_ticks = series_n
+    smoothed = smooth(series)
+    spikes = detect_spikes(smoothed)
+    stats = session_stats(series, spikes=spikes, expected_ticks=expected_ticks)
+    shapes = []
+
+    def np_median(values):
+        shapes.append(values.shape)
+        return np.median(values, axis=-1)
+
+    with mock.patch.object(analysis, "_medians", np_median):
+        assert detect_spikes(smoothed) == spikes
+        assert session_stats(series, spikes=spikes, expected_ticks=expected_ticks) == stats
+    assert (len(series),) in shapes
 
 
 @given(st.lists(st.booleans(), max_size=300))
