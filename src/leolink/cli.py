@@ -233,29 +233,32 @@ def _run_cohort(command: str, cfg: CampaignConfig, cohort: Sequence, step,
     return done, len(cohort) - len(done)
 
 
-def _run_campaign(command: str, cfg: CampaignConfig,
-                  partition_label: Optional[str]) -> tuple[int, dict]:
-    """Measure the whole cohort into a fresh partition; returns (exit_code, counters)."""
+def _run_campaign(command: str, cfg: CampaignConfig, partition_label: Optional[str],
+                  then: Callable = lambda partition, session: None) -> tuple[int, dict, list]:
+    """Measure the whole cohort into a fresh partition; returns (exit_code, counters)
+    and (address, what ``then(partition, session)`` returned) per stored session."""
     store = MeasurementStore(cfg.output_dir)
     cohort, excluded = _cohort(cfg)
     label = partition_label or cfg.partition_label or date.today().isoformat()
     partition = store.new_partition(label)
     config_hash = cfg.config_hash()
 
-    def write(transport, session: probe.MeasurementSession) -> Path:
+    def write(transport, session: probe.MeasurementSession):
         seed = transport.scenario.seed if isinstance(transport, SimnetTransport) else None
-        return store.write_session(partition, session, config_hash=config_hash,
-                                   transport=cfg.transport, protocol=cfg.protocol, seed=seed)
+        store.write_session(partition, session, config_hash=config_hash,
+                            transport=cfg.transport, protocol=cfg.protocol, seed=seed)
+        return then(partition, session)
 
     sessions, failed = _run_cohort(command, cfg, cohort, _measure_endpoint, write)
     return (1 if failed else 0), {"sessions": len(sessions), "failed": failed,
                                   "excluded": excluded, "partition": partition,
-                                  "store": str(store.root)}
+                                  "store": str(store.root)}, sorted(  # addresses are unique
+        (ep.address, outcome) for ep, outcome in sessions)
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
     cfg = CampaignConfig.from_json(args.config)
-    return _print_summary("measure", *_run_campaign("measure", cfg, args.partition))
+    return _print_summary("measure", *_run_campaign("measure", cfg, args.partition)[:2])
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -291,47 +294,51 @@ def _analysis_hash(window_s: float = analysis.SMOOTHING_WINDOW_S,
                         "standard_sigma": standard_sigma})
 
 
-def _analysis_rows(store: MeasurementStore, records: Sequence, params: dict,
-                   command: str) -> tuple[list[list], list[list], int]:
-    """Session rows, spike rows and failure count of ``analyze_session(**params)``
-    over records; a failed session is reported as ``<command> error stage=analysis``."""
-    session_rows: list[list] = []
-    spike_rows: list[list] = []
-    failures = 0
-    for rec in records:
-        try:
-            result = analysis.analyze_session(store.read_session(rec), **params)
-        except (analysis.AnalysisError, StoreError, KeyError, ValueError) as exc:
-            _err(f"{command} error stage=analysis endpoint={rec.address} msg={exc}")
-            failures += 1
-            continue
-        st = result.stats
-        session_rows.append([
-            rec.partition, rec.address, rec.meta.pop_code,
-            result.n_ticks, result.clamped, f"{st.min_ms:.3f}", f"{st.median_ms:.3f}",
-            f"{st.mean_ms:.3f}", f"{st.stddev_ms:.3f}",
-            f"{st.loss_fraction:.4f}", f"{st.spike_time_fraction:.4f}",
-        ])
-        spike_rows.extend([rec.partition, rec.address, ev.start_ms, ev.end_ms,
-                           ev.kind, f"{ev.peak_ms:.3f}", f"{ev.baseline_median_ms:.3f}"]
-                          for ev in result.spikes)
-    return session_rows, spike_rows, failures
+def _session_rows(partition: str, load: Callable[[], probe.MeasurementSession],
+                  params: dict) -> tuple[list, list[list]] | Exception:
+    """The ``sessions.csv`` row and ``spikes.csv`` rows of
+    ``analyze_session(load(), **params)``, or the error that stopped it."""
+    try:
+        session = load()
+        result = analysis.analyze_session(session, **params)
+    except (analysis.AnalysisError, StoreError, KeyError, ValueError) as exc:
+        return exc
+    ep, st = session.endpoint, result.stats
+    return [partition, ep.address, ep.pop_code, result.n_ticks, result.clamped,
+            f"{st.min_ms:.3f}", f"{st.median_ms:.3f}", f"{st.mean_ms:.3f}",
+            f"{st.stddev_ms:.3f}", f"{st.loss_fraction:.4f}",
+            f"{st.spike_time_fraction:.4f}"], [
+        [partition, ep.address, ev.start_ms, ev.end_ms, ev.kind, f"{ev.peak_ms:.3f}",
+         f"{ev.baseline_median_ms:.3f}"] for ev in result.spikes]
 
 
-def _analyze_store(store: MeasurementStore, partition: Optional[str],
-                   out_dir: Path, params: dict, command: str) -> tuple[int, dict]:
-    """Analyze a partition (or all) into ``sessions.csv`` and ``spikes.csv``;
-    a failed session is reported under ``command``."""
-    records = store.sessions(partition)
-    if not records:
-        return 1, {}
-    session_rows, spike_rows, failures = _analysis_rows(store, records, params, command)
+def _stored_rows(store: MeasurementStore, records: Sequence, params: dict) -> list[tuple]:
+    """(address, ``_session_rows`` outcome) of each record as read from the store."""
+    return [(rec.address, _session_rows(rec.partition, partial(store.read_session, rec), params))
+            for rec in records]
+
+
+def _analysis_rows(analyzed: Sequence[tuple], command: str) -> tuple[list[list], list[list], int]:
+    """Session rows, spike rows and failure count of (address, ``_session_rows``
+    outcome) pairs; a failed session is reported as ``<command> error stage=analysis``."""
+    for address, outcome in analyzed:
+        if isinstance(outcome, Exception):
+            _err(f"{command} error stage=analysis endpoint={address} msg={outcome}")
+    done = [outcome for _, outcome in analyzed if not isinstance(outcome, Exception)]
+    return ([row for row, _ in done], [row for _, rows in done for row in rows],
+            len(analyzed) - len(done))
+
+
+def _analysis_tables(analyzed: Sequence[tuple], out_dir: Path, params: dict,
+                     command: str) -> tuple[int, dict]:
+    """Write the rows of (address, ``_session_rows`` outcome) pairs as
+    ``sessions.csv`` and ``spikes.csv``; a failed session is reported under ``command``."""
+    session_rows, spike_rows, failures = _analysis_rows(analyzed, command)
     analysis_hash = _analysis_hash(**params)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_report_csv(out_dir / "spikes.csv", SPIKE_HEADER, spike_rows,
-                     config_hash=analysis_hash)
-    write_report_csv(out_dir / "sessions.csv", SESSION_HEADER, session_rows,
-                     config_hash=analysis_hash)
+    for name, header, rows in (("spikes.csv", SPIKE_HEADER, spike_rows),
+                               ("sessions.csv", SESSION_HEADER, session_rows)):
+        write_report_csv(out_dir / name, header, rows, config_hash=analysis_hash)
     sustained = sum(row[4] == analysis.KIND_SUSTAINED for row in spike_rows)
     return (1 if failures else 0), {"sessions": len(session_rows), "failed": failures,
                                     "spikes": len(spike_rows), "sustained": sustained,
@@ -348,33 +355,29 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ConfigError(f"--sustained-sigma: {args.sustained_sigma} is below "
                           f"--standard-sigma {args.standard_sigma}")
     store = MeasurementStore(args.store)
-    out_dir = Path(args.out) if args.out else store.root / "reports"
-    code, counters = _analyze_store(
-        store, args.partition, out_dir,
-        {"window_s": args.window, "sustained_sigma": args.sustained_sigma,
-         "standard_sigma": args.standard_sigma}, "analyze")
-    if not counters:
+    records = store.sessions(args.partition)
+    if not records:
         print("analyze error no-sessions")
         return 1
-    return _print_summary("analyze", code, counters)
+    params = {"window_s": args.window, "sustained_sigma": args.sustained_sigma,
+              "standard_sigma": args.standard_sigma}
+    out_dir = Path(args.out) if args.out else store.root / "reports"
+    return _print_summary("analyze", *_analysis_tables(
+        _stored_rows(store, records, params), out_dir, params, "analyze"))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = CampaignConfig(
-        transport="simnet",
-        scenario_dir=args.scenarios,
-        output_dir=args.out,
-        duration_s=args.duration,
-        cadence_hz=args.cadence,
-        concurrency=args.concurrency,
-    )
-    code, counters = _run_campaign("simulate", cfg, args.partition)
-    if counters.get("sessions"):
-        store = MeasurementStore(cfg.output_dir)
-        a_code, a_counters = _analyze_store(store, counters["partition"],
-                                            store.root / "reports", {}, "simulate")
+    cfg = CampaignConfig(transport="simnet", scenario_dir=args.scenarios, output_dir=args.out,
+                         duration_s=args.duration, cadence_hz=args.cadence,
+                         concurrency=args.concurrency)
+    # Each session is analyzed in its worker as it was stored; none is read back.
+    code, counters, analyzed = _run_campaign(
+        "simulate", cfg, args.partition,
+        lambda partition, session: _session_rows(partition, lambda: session, {}))
+    if analyzed:
+        a_code, a_counters = _analysis_tables(analyzed, Path(args.out) / "reports", {}, "simulate")
         code = max(code, a_code)
-        counters.update({k: a_counters[k] for k in ("spikes", "sustained") if k in a_counters})
+        counters.update({k: a_counters[k] for k in ("spikes", "sustained")})
     return _print_summary("simulate", code, counters)
 
 
@@ -407,7 +410,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     uncovered = [r for r in records if (r.partition, r.address) not in session_rows]
     analysis_hashes = (({table_hash} if len(uncovered) < len(records) else set())
                        | ({_analysis_hash()} if uncovered else set()))
-    fresh_sessions, fresh_spikes, failures = _analysis_rows(store, uncovered, {}, "report")
+    fresh_sessions, fresh_spikes, failures = _analysis_rows(
+        _stored_rows(store, uncovered, {}), "report")
     session_rows.update((tuple(r[:2]), r) for r in fresh_sessions)
     spike_rows += fresh_spikes
     spikes_of: dict[tuple, list] = {}

@@ -187,9 +187,7 @@ class MeasurementStore:
         Daily runs on the same date land in ``label``, ``label.1``,
         ``label.2``, ... so no run ever writes into another's tree.
         """
-        if not label or "/" in label:
-            raise StoreError(f"bad partition label: {label!r}")
-        name = label
+        name = _partition_name(label)
         n = 0
         while (self.root / name).exists():
             n += 1
@@ -210,7 +208,9 @@ class MeasurementStore:
         Both files are written under temporary names and renamed into
         place, ``session.csv`` last: ``sessions()`` lists a session once
         that name exists, so a failed write leaves no session behind and
-        the same partition can be written again.
+        the same partition can be written again.  A written session then
+        holds each RTT as stored, the double its ``.1f`` digits read back
+        as: its arrays are ``read_session``'s, byte for byte.
         """
         # Written in tenths of a µs: no RTT may round to 0.0, which reads back
         # refused, or reach 2**53 tenths, past which float64 tenths are inexact.
@@ -239,20 +239,24 @@ class MeasurementStore:
         if session_path.exists():
             raise StoreError(f"{session_path} already exists; store is append-only")
 
+        as_read = np.empty_like(rtt)
         # meta.json's block ends first, so session.csv is renamed into place last
         with replaced(session_path) as fh:
             out = fh.buffer  # the rows are bytes already; the text layer stays empty
             out.write(_HEADER)
-            for lo in range(0, session.sent_ms.shape[1], _WRITE_CHUNK_ROWS):
+            for lo in range(0, rtt.shape[1], _WRITE_CHUNK_ROWS):
                 chunk = slice(lo, lo + _WRITE_CHUNK_ROWS)
-                out.write(_encode_rows(session.sent_ms[:, chunk], session.rtt_us[:, chunk]))
+                tenths = _tenths(rtt[:, chunk])
+                out.write(_encode_rows(session.sent_ms[:, chunk], tenths))
+                np.divide(tenths, 10.0, out=as_read[:, chunk])
             with replaced(endpoint_dir / META_FILENAME) as meta_fh:
                 json.dump(asdict(meta), meta_fh, indent=2, sort_keys=True)
                 meta_fh.write("\n")
+        session.rtt_us = as_read
         return session_path
 
     def sessions(self, partition: Optional[str] = None) -> list[SessionRecord]:
-        parts = [partition] if partition else self.partitions()
+        parts = [_partition_name(partition)] if partition else self.partitions()
         out: list[SessionRecord] = []
         for part in parts:
             pdir = self.root / part
@@ -293,6 +297,13 @@ class MeasurementStore:
             raise StoreError(f"{record.path}: {exc}") from None
 
 
+def _partition_name(label: str) -> str:
+    """``label`` if it names one plain directory under the store root, else StoreError."""
+    if label in ("", ".", "..") or "/" in label or "\0" in label:
+        raise StoreError(f"bad partition name: {label!r}")
+    return label
+
+
 def _tenths(rtt_us: np.ndarray) -> np.ndarray:
     """Each RTT in integer tenths of a µs, as ``f"{rtt:.1f}"`` rounds it; nan stays nan.
 
@@ -325,18 +336,18 @@ def _digits(out: np.ndarray, values: np.ndarray, keep: int) -> None:
     head[np.logical_and.accumulate(head == ord("0"), axis=1)] = 0
 
 
-def _encode_rows(sent_ms: np.ndarray, rtt_us: np.ndarray) -> bytes:
-    """The ``session.csv`` rows of (2, n) ``sent_ms`` and ``rtt_us``: tick k is
+def _encode_rows(sent_ms: np.ndarray, tenths: np.ndarray) -> bytes:
+    """The ``session.csv`` rows of (2, n) ``sent_ms`` and ``tenths``, the
+    ``_tenths`` of (2, n) ``rtt_us``: tick k is
     ``f"{sent_ms[0, k]},{rtt_us[0, k]:.1f},{sent_ms[1, k]},{rtt_us[1, k]:.1f}\\r\\n"``.
 
     Every field is written right-aligned into one (n, width) uint8 matrix,
     with 0 bytes for the unused columns, which are then dropped.  RTTs
     must be below 2**53 tenths of a µs.
 
-    >>> _encode_rows(np.array([[0, 1000], [2, 1041]]), np.array([[0.25, 12.5], [np.nan, 3e7]]))
+    >>> _encode_rows(np.array([[0, 1000], [2, 1041]]), np.array([[2.0, 125.0], [np.nan, 3e8]]))
     b'0,0.2,2,nan\\r\\n1000,12.5,1041,30000000.0\\r\\n'
     """
-    tenths = _tenths(rtt_us)
     lost = np.isnan(tenths)
     # a lost RTT's digits are overwritten by nan: the hop's greatest keeps
     # them from widening the leading zeros _digits must clear

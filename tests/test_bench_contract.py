@@ -173,6 +173,34 @@ def test_bench_score_agrees_with_the_scorer_on_generated_spans(workloads):
     assert any(false for _, false in seen) and any(recalled for recalled, _ in seen)
 
 
+def test_traced_fleet_counts_every_session_written_and_analyzed(workloads):
+    # perfbench/layertrace.py rebinds src/ functions by name; a refactor
+    # that moves a session's write or analysis out of them reads 0 here.
+    path = REPO_ROOT / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    tracer = layertrace.Tracer()
+    checked = []
+
+    def traced(work):
+        work.reset()
+        tracer.install()
+        try:
+            for name, part in zip(work.part_names, (work.part1, work.part2)):
+                with tracer.part(name):
+                    part()
+        finally:
+            tracer.restore()
+        checked.append(work.verify())
+
+    run_quick(workloads, "fleet", inspect=traced)
+    layers = layertrace.layer_metrics(tracer.spans, wall_s=0.0)
+    n = checked[0].attempted
+    assert (layers["store.sessions_written"], layers["analysis.sessions_analyzed"]) == (n, n)
+    assert [span["name"] for span in tracer.spans if span["error"]] == []
+
+
 def test_geometry_workload_passes_its_checks(workloads):
     # verify() raises CheckFailed unless the Nigeria summary matches the
     # reference to 1e-9, every route is priced and none beats the floor

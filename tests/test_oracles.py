@@ -801,6 +801,38 @@ def test_read_session_round_trips_arrays(tmp_path_factory, ticks):
         assert np.array_equal(got, want, equal_nan=True)
 
 
+def hard_rtts():
+    """RTTs whose tenths are hard to round: .x5 decimal ties, binary ties,
+    RTTs just under 2**53 tenths of a µs, each with its float neighbours,
+    and lost probes."""
+    x5 = st.integers(10, 300_000_000).map(lambda k: k / 10 + 0.05)
+    binary = st.builds(lambda k, tie: k + tie, st.integers(0, 2 ** 27),
+                       st.sampled_from([0.25, 0.75]))
+    near_limit = st.integers(4, 2 ** 20).map(lambda k: (2 ** 53 - k) / 10)
+    hard = st.one_of(x5, binary, near_limit)
+    return st.one_of(hard, hard.map(lambda x: float(np.nextafter(x, np.inf))),
+                     hard.map(lambda x: float(np.nextafter(x, -np.inf))), st.just(math.nan))
+
+
+@given(st.integers(1, 300), st.integers(0, 2 ** 32 - 1), st.sampled_from([None, 0, 1]),
+       st.lists(st.tuples(st.integers(0, 299), st.integers(0, 1), hard_rtts()), max_size=40))
+@settings(max_examples=80, deadline=None)
+def test_written_session_equals_the_session_read_back(tmp_path_factory, n, seed, lost_hop,
+                                                     placed):
+    # simulate analyzes the session it just wrote where analyze reads the
+    # record back: the two must hold the same bytes.
+    session = numpy_session(n, 1_700_000_000_000, seed, lost_hop)
+    rtt = session.rtt_us.copy()
+    for tick, hop, value in placed:
+        rtt[hop, tick % n] = value
+    session = replace(session, rtt_us=rtt)
+    store = MeasurementStore(tmp_path_factory.mktemp("store"))
+    store.write_session(store.new_partition("p"), session, config_hash="x")
+    read = store.read_session(store.sessions()[0])
+    for name in ("sent_ms", "rtt_us"):
+        assert getattr(session, name).tobytes() == getattr(read, name).tobytes(), name
+
+
 @given(st.lists(st.tuples(rtts, rtts), min_size=1, max_size=120))
 @settings(max_examples=150, deadline=None)
 def test_isolation_equals_per_sample_loop(pairs):

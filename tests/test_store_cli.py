@@ -145,6 +145,17 @@ def test_partition_names_get_suffixes(tmp_path):
     assert store.partitions() == ["2026-08-14", "2026-08-14.1", "2026-08-14.2"]
     with pytest.raises(StoreError):
         store.new_partition("bad/label")
+    # a partition is one plain directory under the root, in a fresh store too
+    for label in ("", ".", "..", "a\0b"):
+        with pytest.raises(StoreError, match="bad partition name"):
+            store.new_partition(label)
+        with pytest.raises(StoreError, match="bad partition name"):
+            MeasurementStore(tmp_path / "fresh").new_partition(label)
+    for partition in (".", "..", "../other/p", "a\0b"):
+        with pytest.raises(StoreError, match="bad partition name"):
+            store.sessions(partition)
+    assert store.partitions() == ["2026-08-14", "2026-08-14.1", "2026-08-14.2"]
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_session_roundtrip(tmp_path):
@@ -550,6 +561,59 @@ def test_simulate_refuses_a_session_whose_terrestrial_hop_flaps(tmp_path, capsys
                     "terrestrial loss 96% exceeds 50%")
     meta = json.loads((tmp_path / "store" / "p" / "98.97.48.115" / "meta.json").read_text())
     assert (meta["pre_sat_ttl"], meta["pre_sat_router"]) == (4, "10.255.255.1")
+
+
+def _scenario_at(address, **changes):
+    """The reroute_day scenario with its customer at ``address`` and ``changes`` applied."""
+    obj = json.loads((SCENARIOS / "reroute_day" / "seattle_reroute_day.json").read_text())
+    obj["hops"][-1]["address"] = address
+    obj.update(changes)
+    return obj
+
+
+def test_simulate_analyzes_each_session_once_and_as_analyze_would(tmp_path, capsys,
+                                                                   monkeypatch):
+    # Files in the opposite order of their addresses: two sessions whose
+    # terrestrial hop flaps (stored, then refused by the analysis), one
+    # clean session and one endpoint whose trace finds no satellite jump.
+    flap = {"hop_flap": {"every_s": 25, "duration_s": 1}, "events": []}
+    no_jump = {"base_latencies_ms": [0.8, 3.2, 1.5, 2.0],
+               "jitter": {"dist": "gaussian", "sigma_ms": 0.5, "satellite_sigma_ms": 0.5}}
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    for name, obj in (("a", _scenario_at("98.97.48.117", **flap)),
+                      ("b", _scenario_at("98.97.48.116", **flap)),
+                      ("c", _scenario_at("98.97.48.115")),
+                      ("d", _scenario_at("98.97.48.100", **no_jump))):
+        (scenarios / f"{name}.json").write_text(json.dumps(obj))
+    reads = []
+    read_session = MeasurementStore.read_session
+    monkeypatch.setattr(MeasurementStore, "read_session",
+                        lambda self, record: reads.append(record) or read_session(self, record))
+    store_dir = tmp_path / "store"
+    code = cli.main(["simulate", "--scenarios", str(scenarios), "--out", str(store_dir),
+                     "--duration", "600", "--partition", "p"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert reads == []
+    assert captured.out.startswith("simulate error sessions=3 failed=1 excluded=0 partition=p ")
+    probe_line, *analysis_lines = captured.err.splitlines()
+    assert probe_line.startswith("simulate error stage=probe endpoint=98.97.48.100 ")
+    assert [line.split(" msg=")[0] for line in analysis_lines] == [
+        f"simulate error stage=analysis endpoint=98.97.48.{n}" for n in (116, 117)]
+    for n, line in zip((116, 117), analysis_lines):
+        assert line.split(" msg=")[1].startswith(f"98.97.48.{n}: terrestrial loss ")
+    assert len(MeasurementStore(store_dir).sessions("p")) == 3
+
+    tables = {name: (store_dir / "reports" / name).read_bytes()
+              for name in ("sessions.csv", "spikes.csv")}
+    assert tables["sessions.csv"].count(b"\n") == 3  # the hash comment, header and one row
+    assert cli.main(["analyze", "--store", str(store_dir)]) == 1
+    assert len(reads) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        line.replace("simulate", "analyze", 1) for line in analysis_lines]
+    for name, simulated in tables.items():
+        assert (store_dir / "reports" / name).read_bytes() == simulated, name
 
 
 def test_analyze_truncated_session_exits_1(tmp_path, capsys):
@@ -1601,6 +1665,14 @@ def test_bad_input_ends_in_one_stage_line_without_a_traceback(tmp_path, capsys, 
     assert "Traceback" not in done.stderr
     [line] = done.stderr.splitlines()
     assert line.startswith(head) and line.endswith(tail), line
+
+
+def test_partition_label_with_a_nul_byte_is_a_store_error(tmp_path):
+    cfg_path = _simnet_config(tmp_path, partition_label="a\u0000b")
+    done = _run_cli("measure", "--config", str(cfg_path))
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == "measure error stage=store msg=bad partition name: 'a\\x00b'\n"
+    assert not (tmp_path / "s").exists()
 
 
 # ------------------------------------------------------------- dependencies
