@@ -16,10 +16,13 @@ import ipaddress
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from dataclasses import replace
 from datetime import date
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from . import analysis, probe
 from .checks import Fields
@@ -234,9 +237,10 @@ def _run_cohort(command: str, cfg: CampaignConfig, cohort: Sequence, step,
 
 
 def _run_campaign(command: str, cfg: CampaignConfig, partition_label: Optional[str],
-                  then: Callable = lambda partition, session: None) -> tuple[int, dict, list]:
-    """Measure the whole cohort into a fresh partition; returns (exit_code, counters)
-    and (address, what ``then(partition, session)`` returned) per stored session."""
+                  params: Optional[dict] = None) -> tuple[int, dict]:
+    """Measure the whole cohort into a fresh partition; returns (exit_code, counters).
+    Given analysis ``params``, each worker also analyzes its session as stored, for
+    the ``<store>/reports`` tables: no session is read back."""
     store = MeasurementStore(cfg.output_dir)
     cohort, excluded = _cohort(cfg)
     label = partition_label or cfg.partition_label or date.today().isoformat()
@@ -245,20 +249,27 @@ def _run_campaign(command: str, cfg: CampaignConfig, partition_label: Optional[s
 
     def write(transport, session: probe.MeasurementSession):
         seed = transport.scenario.seed if isinstance(transport, SimnetTransport) else None
-        store.write_session(partition, session, config_hash=config_hash,
+        stored = None if params is None else np.empty_like(session.rtt_us)
+        store.write_session(partition, session, config_hash=config_hash, stored_rtt_us=stored,
                             transport=cfg.transport, protocol=cfg.protocol, seed=seed)
-        return then(partition, session)
+        if stored is not None:  # the session as analyze would read it back
+            return _session_rows(partition, replace(session, rtt_us=stored), params)
 
     sessions, failed = _run_cohort(command, cfg, cohort, _measure_endpoint, write)
-    return (1 if failed else 0), {"sessions": len(sessions), "failed": failed,
-                                  "excluded": excluded, "partition": partition,
-                                  "store": str(store.root)}, sorted(  # addresses are unique
-        (ep.address, outcome) for ep, outcome in sessions)
+    counters = {"sessions": len(sessions), "failed": failed, "excluded": excluded,
+                "partition": partition, "store": str(store.root)}
+    if params is None or not sessions:
+        return (1 if failed else 0), counters
+    code, tables = _analysis_tables(  # by address, as analyze lists them; each is unique
+        sorted((ep.address, rows) for ep, rows in sessions), store.root / "reports",
+        params, command)
+    counters.update({k: tables[k] for k in ("spikes", "sustained")})
+    return (1 if failed or code else 0), counters
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
     cfg = CampaignConfig.from_json(args.config)
-    return _print_summary("measure", *_run_campaign("measure", cfg, args.partition)[:2])
+    return _print_summary("measure", *_run_campaign("measure", cfg, args.partition))
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -294,14 +305,13 @@ def _analysis_hash(window_s: float = analysis.SMOOTHING_WINDOW_S,
                         "standard_sigma": standard_sigma})
 
 
-def _session_rows(partition: str, load: Callable[[], probe.MeasurementSession],
+def _session_rows(partition: str, session: probe.MeasurementSession,
                   params: dict) -> tuple[list, list[list]] | Exception:
     """The ``sessions.csv`` row and ``spikes.csv`` rows of
-    ``analyze_session(load(), **params)``, or the error that stopped it."""
+    ``analyze_session(session, **params)``, or the error that stopped it."""
     try:
-        session = load()
         result = analysis.analyze_session(session, **params)
-    except (analysis.AnalysisError, StoreError, KeyError, ValueError) as exc:
+    except (analysis.AnalysisError, KeyError, ValueError) as exc:
         return exc
     ep, st = session.endpoint, result.stats
     return [partition, ep.address, ep.pop_code, result.n_ticks, result.clamped,
@@ -314,8 +324,12 @@ def _session_rows(partition: str, load: Callable[[], probe.MeasurementSession],
 
 def _stored_rows(store: MeasurementStore, records: Sequence, params: dict) -> list[tuple]:
     """(address, ``_session_rows`` outcome) of each record as read from the store."""
-    return [(rec.address, _session_rows(rec.partition, partial(store.read_session, rec), params))
-            for rec in records]
+    def outcome(rec):
+        try:
+            return _session_rows(rec.partition, store.read_session(rec), params)
+        except (StoreError, KeyError, ValueError) as exc:
+            return exc
+    return [(rec.address, outcome(rec)) for rec in records]
 
 
 def _analysis_rows(analyzed: Sequence[tuple], command: str) -> tuple[list[list], list[list], int]:
@@ -367,18 +381,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = CampaignConfig(transport="simnet", scenario_dir=args.scenarios, output_dir=args.out,
-                         duration_s=args.duration, cadence_hz=args.cadence,
-                         concurrency=args.concurrency)
-    # Each session is analyzed in its worker as it was stored; none is read back.
-    code, counters, analyzed = _run_campaign(
-        "simulate", cfg, args.partition,
-        lambda partition, session: _session_rows(partition, lambda: session, {}))
-    if analyzed:
-        a_code, a_counters = _analysis_tables(analyzed, Path(args.out) / "reports", {}, "simulate")
-        code = max(code, a_code)
-        counters.update({k: a_counters[k] for k in ("spikes", "sustained")})
-    return _print_summary("simulate", code, counters)
+    cfg = CampaignConfig(
+        transport="simnet",
+        scenario_dir=args.scenarios,
+        output_dir=args.out,
+        duration_s=args.duration,
+        cadence_hz=args.cadence,
+        concurrency=args.concurrency,
+    )
+    return _print_summary("simulate", *_run_campaign("simulate", cfg, args.partition, {}))
 
 
 # ---------------------------------------------------------------- report

@@ -200,17 +200,17 @@ class MeasurementStore:
             return []
         return sorted(p.name for p in self.root.iterdir() if p.is_dir())
 
-    def write_session(self, partition: str, session: MeasurementSession, *,
-                      config_hash: str, **campaign) -> Path:
+    def write_session(self, partition: str, session: MeasurementSession, *, config_hash: str,
+                      stored_rtt_us: Optional[np.ndarray] = None, **campaign) -> Path:
         """Persist one session; refuses to touch an existing one.  ``campaign``
-        gives the :class:`SessionMeta` fields of how it was measured.
+        gives the :class:`SessionMeta` fields of how it was measured.  Given an
+        array shaped as ``session.rtt_us``, ``stored_rtt_us`` receives each RTT
+        as stored, the double its ``.1f`` digits read back as: ``read_session``'s.
 
         Both files are written under temporary names and renamed into
         place, ``session.csv`` last: ``sessions()`` lists a session once
         that name exists, so a failed write leaves no session behind and
-        the same partition can be written again.  A written session then
-        holds each RTT as stored, the double its ``.1f`` digits read back
-        as: its arrays are ``read_session``'s, byte for byte.
+        the same partition can be written again.
         """
         # Written in tenths of a µs: no RTT may round to 0.0, which reads back
         # refused, or reach 2**53 tenths, past which float64 tenths are inexact.
@@ -239,20 +239,19 @@ class MeasurementStore:
         if session_path.exists():
             raise StoreError(f"{session_path} already exists; store is append-only")
 
-        as_read = np.empty_like(rtt)
         # meta.json's block ends first, so session.csv is renamed into place last
         with replaced(session_path) as fh:
             out = fh.buffer  # the rows are bytes already; the text layer stays empty
             out.write(_HEADER)
-            for lo in range(0, rtt.shape[1], _WRITE_CHUNK_ROWS):
+            for lo in range(0, session.sent_ms.shape[1], _WRITE_CHUNK_ROWS):
                 chunk = slice(lo, lo + _WRITE_CHUNK_ROWS)
-                tenths = _tenths(rtt[:, chunk])
+                tenths = _tenths(session.rtt_us[:, chunk])
                 out.write(_encode_rows(session.sent_ms[:, chunk], tenths))
-                np.divide(tenths, 10.0, out=as_read[:, chunk])
+                if stored_rtt_us is not None:
+                    np.divide(tenths, 10.0, out=stored_rtt_us[:, chunk])
             with replaced(endpoint_dir / META_FILENAME) as meta_fh:
                 json.dump(asdict(meta), meta_fh, indent=2, sort_keys=True)
                 meta_fh.write("\n")
-        session.rtt_us = as_read
         return session_path
 
     def sessions(self, partition: Optional[str] = None) -> list[SessionRecord]:
@@ -337,15 +336,16 @@ def _digits(out: np.ndarray, values: np.ndarray, keep: int) -> None:
 
 
 def _encode_rows(sent_ms: np.ndarray, tenths: np.ndarray) -> bytes:
-    """The ``session.csv`` rows of (2, n) ``sent_ms`` and ``tenths``, the
-    ``_tenths`` of (2, n) ``rtt_us``: tick k is
+    """The ``session.csv`` rows of (2, n) ``sent_ms`` and ``tenths``, the ``_tenths``
+    of (2, n) ``rtt_us``: tick k is
     ``f"{sent_ms[0, k]},{rtt_us[0, k]:.1f},{sent_ms[1, k]},{rtt_us[1, k]:.1f}\\r\\n"``.
 
     Every field is written right-aligned into one (n, width) uint8 matrix,
     with 0 bytes for the unused columns, which are then dropped.  RTTs
     must be below 2**53 tenths of a µs.
 
-    >>> _encode_rows(np.array([[0, 1000], [2, 1041]]), np.array([[2.0, 125.0], [np.nan, 3e8]]))
+    >>> rtt_us = np.array([[0.25, 12.5], [np.nan, 3e7]])
+    >>> _encode_rows(np.array([[0, 1000], [2, 1041]]), _tenths(rtt_us))
     b'0,0.2,2,nan\\r\\n1000,12.5,1041,30000000.0\\r\\n'
     """
     lost = np.isnan(tenths)

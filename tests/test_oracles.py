@@ -817,20 +817,25 @@ def hard_rtts():
 @given(st.integers(1, 300), st.integers(0, 2 ** 32 - 1), st.sampled_from([None, 0, 1]),
        st.lists(st.tuples(st.integers(0, 299), st.integers(0, 1), hard_rtts()), max_size=40))
 @settings(max_examples=80, deadline=None)
-def test_written_session_equals_the_session_read_back(tmp_path_factory, n, seed, lost_hop,
-                                                     placed):
-    # simulate analyzes the session it just wrote where analyze reads the
-    # record back: the two must hold the same bytes.
+def test_stored_form_equals_the_session_read_back(tmp_path_factory, n, seed, lost_hop, placed):
+    # simulate analyzes the session with the RTTs write_session stored where
+    # analyze reads the record back: the two must hold the same bytes, and
+    # the written session itself is left as it was.
     session = numpy_session(n, 1_700_000_000_000, seed, lost_hop)
     rtt = session.rtt_us.copy()
     for tick, hop, value in placed:
         rtt[hop, tick % n] = value
     session = replace(session, rtt_us=rtt)
+    before = rtt.tobytes()
+    stored_rtt_us = np.full_like(rtt, -1.0)
     store = MeasurementStore(tmp_path_factory.mktemp("store"))
-    store.write_session(store.new_partition("p"), session, config_hash="x")
+    store.write_session(store.new_partition("p"), session, config_hash="x",
+                        stored_rtt_us=stored_rtt_us)
+    assert session.rtt_us is rtt and rtt.tobytes() == before
+    stored = replace(session, rtt_us=stored_rtt_us)
     read = store.read_session(store.sessions()[0])
     for name in ("sent_ms", "rtt_us"):
-        assert getattr(session, name).tobytes() == getattr(read, name).tobytes(), name
+        assert getattr(stored, name).tobytes() == getattr(read, name).tobytes(), name
 
 
 @given(st.lists(st.tuples(rtts, rtts), min_size=1, max_size=120))
