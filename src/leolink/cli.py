@@ -16,13 +16,10 @@ import ipaddress
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import replace
 from datetime import date
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from . import analysis, probe
 from .checks import Fields
@@ -239,8 +236,8 @@ def _run_cohort(command: str, cfg: CampaignConfig, cohort: Sequence, step,
 def _run_campaign(command: str, cfg: CampaignConfig, partition_label: Optional[str],
                   params: Optional[dict] = None) -> tuple[int, dict]:
     """Measure the whole cohort into a fresh partition; returns (exit_code, counters).
-    Given analysis ``params``, each worker also analyzes its session as stored, for
-    the ``<store>/reports`` tables: no session is read back."""
+    Given analysis ``params``, each worker also analyzes its session, and the rows
+    join ``store.reports``' tables of the same params: no session is read back."""
     store = MeasurementStore(cfg.output_dir)
     cohort, excluded = _cohort(cfg)
     label = partition_label or cfg.partition_label or date.today().isoformat()
@@ -249,20 +246,22 @@ def _run_campaign(command: str, cfg: CampaignConfig, partition_label: Optional[s
 
     def write(transport, session: probe.MeasurementSession):
         seed = transport.scenario.seed if isinstance(transport, SimnetTransport) else None
-        stored = None if params is None else np.empty_like(session.rtt_us)
-        store.write_session(partition, session, config_hash=config_hash, stored_rtt_us=stored,
+        store.write_session(partition, session, config_hash=config_hash,
                             transport=cfg.transport, protocol=cfg.protocol, seed=seed)
-        if stored is not None:  # the session as analyze would read it back
-            return _session_rows(partition, replace(session, rtt_us=stored), params)
+        if params is not None:
+            return _session_rows(partition, session, params)
 
     sessions, failed = _run_cohort(command, cfg, cohort, _measure_endpoint, write)
     counters = {"sessions": len(sessions), "failed": failed, "excluded": excluded,
                 "partition": partition, "store": str(store.root)}
     if params is None or not sessions:
         return (1 if failed else 0), counters
+    # Tables of other params are left as they are; report analyzes what they lack.
+    table_hash, *table_rows = _analyzed_tables(store)
     code, tables = _analysis_tables(  # by address, as analyze lists them; each is unique
-        sorted((ep.address, rows) for ep, rows in sessions), store.root / "reports",
-        params, command)
+        sorted((ep.address, rows) for ep, rows in sessions),
+        store.reports if table_hash in (None, _analysis_hash(**params)) else None,
+        params, command, [[row for row in rows if row[0] != partition] for rows in table_rows])
     counters.update({k: tables[k] for k in ("spikes", "sustained")})
     return (1 if failed or code else 0), counters
 
@@ -343,16 +342,18 @@ def _analysis_rows(analyzed: Sequence[tuple], command: str) -> tuple[list[list],
             len(analyzed) - len(done))
 
 
-def _analysis_tables(analyzed: Sequence[tuple], out_dir: Path, params: dict,
-                     command: str) -> tuple[int, dict]:
-    """Write the rows of (address, ``_session_rows`` outcome) pairs as
+def _analysis_tables(analyzed: Sequence[tuple], out_dir: Optional[Path], params: dict,
+                     command: str, kept: Sequence[list] = ([], [])) -> tuple[int, dict]:
+    """Unless ``out_dir`` is None, write the rows of (address, ``_session_rows`` outcome)
+    pairs and ``kept``'s (session rows, spike rows) in (partition, address) order as
     ``sessions.csv`` and ``spikes.csv``; a failed session is reported under ``command``."""
     session_rows, spike_rows, failures = _analysis_rows(analyzed, command)
-    analysis_hash = _analysis_hash(**params)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, header, rows in (("spikes.csv", SPIKE_HEADER, spike_rows),
-                               ("sessions.csv", SESSION_HEADER, session_rows)):
-        write_report_csv(out_dir / name, header, rows, config_hash=analysis_hash)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, header, rows, old in (("spikes.csv", SPIKE_HEADER, spike_rows, kept[1]),
+                                        ("sessions.csv", SESSION_HEADER, session_rows, kept[0])):
+            write_report_csv(out_dir / name, header, sorted(old + rows, key=lambda r: r[:2]),
+                             config_hash=_analysis_hash(**params))
     sustained = sum(row[4] == analysis.KIND_SUSTAINED for row in spike_rows)
     return (1 if failures else 0), {"sessions": len(session_rows), "failed": failures,
                                     "spikes": len(spike_rows), "sustained": sustained,
@@ -375,7 +376,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return 1
     params = {"window_s": args.window, "sustained_sigma": args.sustained_sigma,
               "standard_sigma": args.standard_sigma}
-    out_dir = Path(args.out) if args.out else store.root / "reports"
+    out_dir = Path(args.out) if args.out else store.reports
     return _print_summary("analyze", *_analysis_tables(
         _stored_rows(store, records, params), out_dir, params, "analyze"))
 
@@ -395,11 +396,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- report
 
 def _analyzed_tables(store: MeasurementStore) -> tuple[Optional[str], list, list]:
-    """(params hash, session rows, spike rows) of ``<store>/reports``; none
+    """(params hash, session rows, spike rows) of ``store.reports``; none
     unless both tables exist with the documented columns and one hash."""
     try:
         (s_hash, s_header, session_rows), (k_hash, k_header, spike_rows) = (
-            read_report_csv(store.root / "reports" / name)
+            read_report_csv(store.reports / name)
             for name in ("sessions.csv", "spikes.csv"))
     except (OSError, StoreError, ValueError, csv.Error):
         return None, [], []
@@ -454,7 +455,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         print("report error no-sessions")
         return 1
 
-    out_dir = Path(args.out) if args.out else store.root / "reports"
+    out_dir = Path(args.out) if args.out else store.reports
     out_dir.mkdir(parents=True, exist_ok=True)
 
     aggregates = analysis.aggregate_by_pop(items)

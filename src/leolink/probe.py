@@ -48,6 +48,7 @@ DEFAULT_MAX_TTL = 32
 DEFAULT_CADENCE_HZ = 1
 DEFAULT_DURATION_S = 300
 UNUSABLE_LOSS_FRACTION = 0.5
+_CHUNK_TICKS = 4096  # ticks rounded or encoded at a time: numpy temporaries stay under 1 MB
 # The inclusive range of each integer setting of a campaign, a trace and a session.
 RANGES = {"cadence_hz": (1, 10), "duration_s": (1, 86_400), "concurrency": (1, 64),
           "probes_per_hop": (1, 10), "max_ttl": (1, 64)}
@@ -148,15 +149,33 @@ class SatLinkPath:
     jump_ms: float
 
 
+def _tenths(rtt_us: np.ndarray) -> np.ndarray:
+    """Each RTT in integer tenths of a µs, as ``f"{rtt:.1f}"`` rounds it; nan stays nan.
+
+    ``rtt_us * 10`` is off the exact product by at most half an ulp, so
+    only an element within ``np.spacing`` of a .5 boundary can round
+    otherwise than the decimal form does: those few take its digits.  The
+    result is exact below 2**53 tenths, and ties go to even as there.
+    """
+    scaled = rtt_us * 10.0
+    tenths = np.rint(scaled)
+    for i in np.flatnonzero(np.abs(scaled - np.floor(scaled) - 0.5)
+                            <= np.spacing(scaled)).tolist():
+        tenths.flat[i] = int(f"{rtt_us.flat[i]:.1f}".replace(".", ""))
+    return tenths
+
+
 @dataclass
 class MeasurementSession:
-    """Per-tick probes of the terrestrial and endpoint hops.
+    """Per-tick probes of the terrestrial and endpoint hops, held as stored.
 
     ``sent_ms`` (int64) and ``rtt_us`` (float64, NaN for a lost probe) have
     shape ``(2, n)``: row 0 is the terrestrial hop, row 1 the endpoint hop,
     and column k is tick k, with ``n == duration_s * cadence_hz``.  Tick
     k's endpoint probe leaves no earlier than its terrestrial probe and no
-    later than tick k + 1's, and each RTT is NaN or finite and positive.
+    later than tick k + 1's.  Each RTT is NaN, or is held as ``session.csv``
+    spells it: 1 to 2**53 - 1 tenths of a µs, the range float64 holds exactly.
+    The session holds read-only copies of the arrays it is given.
     """
 
     endpoint: Endpoint
@@ -169,8 +188,8 @@ class MeasurementSession:
 
     def __post_init__(self) -> None:
         try:
-            self.sent_ms = np.asarray(self.sent_ms, dtype=np.int64)
-            self.rtt_us = np.asarray(self.rtt_us, dtype=np.float64)
+            self.sent_ms = np.array(self.sent_ms, dtype=np.int64)
+            self.rtt_us = np.array(self.rtt_us, dtype=np.float64)
             aligned = self.sent_ms.shape == self.rtt_us.shape == (2, self.sent_ms.size // 2)
         except ValueError:  # numpy refuses ragged rows
             aligned = False
@@ -186,11 +205,24 @@ class MeasurementSession:
             raise ValueError(f"the rows of tick {late.argmax()} do not pair by send time; "
                              f"rows are missing or out of order")
         rtt = self.rtt_us  # fmin and fmax skip NaN, and make no array as large as rtt
-        if (np.fmin.reduce(rtt, axis=None, initial=np.inf) <= 0
-                or np.fmax.reduce(rtt, axis=None, initial=0.0) == np.inf):
+        extremes = np.array([np.fmin.reduce(rtt, axis=None, initial=np.inf),
+                             np.fmax.reduce(rtt, axis=None, initial=0.0)])
+        if extremes[0] <= 0 or extremes[1] == np.inf:
             tick = ((rtt <= 0) | (rtt == np.inf)).any(axis=0).argmax()
             raise ValueError(f"the RTTs of tick {tick}, {rtt[:, tick].tolist()}, are "
                              f"not each nan (lost) or finite and positive")
+        with np.errstate(over="ignore", invalid="ignore"):  # an RTT near 1e308 has inf tenths
+            least, greatest = _tenths(extremes)
+        for x, refused, stored in ((extremes[0], least == 0, "as 0.0"),
+                                   (extremes[1], greatest >= 2 ** 53,
+                                    "inexactly, at 2**53 tenths of a µs or more")):
+            if refused:
+                raise ValueError(f"the RTT {x} µs of tick {(rtt == x).any(axis=0).argmax()} "
+                                 f"would be stored {stored}")
+        for lo in range(0, rtt.shape[1], _CHUNK_TICKS):
+            chunk = rtt[:, lo:lo + _CHUNK_TICKS]
+            np.divide(_tenths(chunk), 10.0, out=chunk)
+        self.sent_ms.flags.writeable = rtt.flags.writeable = False
 
     @property
     def terrestrial_loss_fraction(self) -> float:

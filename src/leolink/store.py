@@ -10,6 +10,7 @@ Layout::
 
     <root>/<partition>/<endpoint-address>/session.csv
     <root>/<partition>/<endpoint-address>/meta.json
+    <root>/reports/                 analysis and report tables, no partition
 
 Plain CSV plus a directory tree keeps the store greppable; the datasets
 are small enough that a database would only get in the way.
@@ -32,7 +33,7 @@ import numpy as np
 from . import probe
 from .checks import Fields, hints, read, read_json
 from .discovery import Endpoint
-from .probe import MeasurementSession, SatLinkPath
+from .probe import _CHUNK_TICKS, MeasurementSession, SatLinkPath, _tenths
 
 SCHEMA_VERSION = 2
 SESSION_FILENAME = "session.csv"
@@ -43,12 +44,9 @@ SESSION_COLUMNS = ["terrestrial_sent_ms", "terrestrial_rtt_us",
 _PARSERS = (int, float, int, float)  # one per column
 _ROW_DTYPE = np.dtype([(name, np.int64 if parse is int else np.float64)
                        for name, parse in zip(SESSION_COLUMNS, _PARSERS)])
-# session.csv rows encoded at a time: bounds the encoder's numpy temporaries
-# to under 1 MB (8,192 rows doubled them, and were no faster)
-_WRITE_CHUNK_ROWS = 4096
 _HEADER = (",".join(SESSION_COLUMNS) + "\r\n").encode()
 _DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16)
-_TENTHS_LIMIT = 2 ** 53  # float64 holds every integer below it exactly
+REPORTS_DIRNAME = "reports"  # the tables' directory under the root; no partition
 
 TRANSPORTS = ("simnet", "raw")
 
@@ -180,6 +178,7 @@ class SessionRecord:
 class MeasurementStore:
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self.reports = self.root / REPORTS_DIRNAME
 
     def new_partition(self, label: str) -> str:
         """Create a fresh partition directory, suffixing on collision.
@@ -198,34 +197,18 @@ class MeasurementStore:
     def partitions(self) -> list[str]:
         if not self.root.is_dir():
             return []
-        return sorted(p.name for p in self.root.iterdir() if p.is_dir())
+        return sorted(p.name for p in self.root.iterdir() if p.is_dir() and p != self.reports)
 
     def write_session(self, partition: str, session: MeasurementSession, *, config_hash: str,
-                      stored_rtt_us: Optional[np.ndarray] = None, **campaign) -> Path:
+                      **campaign) -> Path:
         """Persist one session; refuses to touch an existing one.  ``campaign``
-        gives the :class:`SessionMeta` fields of how it was measured.  Given an
-        array shaped as ``session.rtt_us``, ``stored_rtt_us`` receives each RTT
-        as stored, the double its ``.1f`` digits read back as: ``read_session``'s.
+        gives the :class:`SessionMeta` fields of how it was measured.
 
         Both files are written under temporary names and renamed into
         place, ``session.csv`` last: ``sessions()`` lists a session once
         that name exists, so a failed write leaves no session behind and
         the same partition can be written again.
         """
-        # Written in tenths of a µs: no RTT may round to 0.0, which reads back
-        # refused, or reach 2**53 tenths, past which float64 tenths are inexact.
-        # fmin and fmax skip nan, and make no array as large as rtt_us.
-        rtt = session.rtt_us
-        extremes = np.array([np.fmin.reduce(rtt, axis=None, initial=np.nan),
-                             np.fmax.reduce(rtt, axis=None, initial=np.nan)])
-        with np.errstate(over="ignore", invalid="ignore"):  # an RTT near 1e308 has inf tenths
-            least, greatest = _tenths(extremes)
-        for x, refused, stored in ((extremes[0], least == 0, "as 0.0"),
-                                   (extremes[1], greatest >= _TENTHS_LIMIT,
-                                    "inexactly, at 2**53 tenths of a µs or more")):
-            if refused:
-                raise StoreError(f"the RTT {x} µs of tick {(rtt == x).any(axis=0).argmax()} "
-                                 f"would be stored {stored}")
         ep, path = session.endpoint, session.path
         meta = SessionMeta(
             schema_version=SCHEMA_VERSION, config_hash=config_hash, **asdict(ep),
@@ -243,19 +226,17 @@ class MeasurementStore:
         with replaced(session_path) as fh:
             out = fh.buffer  # the rows are bytes already; the text layer stays empty
             out.write(_HEADER)
-            for lo in range(0, session.sent_ms.shape[1], _WRITE_CHUNK_ROWS):
-                chunk = slice(lo, lo + _WRITE_CHUNK_ROWS)
-                tenths = _tenths(session.rtt_us[:, chunk])
-                out.write(_encode_rows(session.sent_ms[:, chunk], tenths))
-                if stored_rtt_us is not None:
-                    np.divide(tenths, 10.0, out=stored_rtt_us[:, chunk])
+            for lo in range(0, session.sent_ms.shape[1], _CHUNK_TICKS):
+                chunk = slice(lo, lo + _CHUNK_TICKS)
+                out.write(_encode_rows(session.sent_ms[:, chunk],
+                                       _tenths(session.rtt_us[:, chunk])))
             with replaced(endpoint_dir / META_FILENAME) as meta_fh:
                 json.dump(asdict(meta), meta_fh, indent=2, sort_keys=True)
                 meta_fh.write("\n")
         return session_path
 
     def sessions(self, partition: Optional[str] = None) -> list[SessionRecord]:
-        parts = [_partition_name(partition)] if partition else self.partitions()
+        parts = self.partitions() if partition is None else [_partition_name(partition)]
         out: list[SessionRecord] = []
         for part in parts:
             pdir = self.root / part
@@ -297,26 +278,11 @@ class MeasurementStore:
 
 
 def _partition_name(label: str) -> str:
-    """``label`` if it names one plain directory under the store root, else StoreError."""
-    if label in ("", ".", "..") or "/" in label or "\0" in label:
+    """``label`` if it names one plain directory under the store root, other
+    than the tables' ``reports``, else StoreError."""
+    if label in ("", ".", "..", REPORTS_DIRNAME) or "/" in label or "\0" in label:
         raise StoreError(f"bad partition name: {label!r}")
     return label
-
-
-def _tenths(rtt_us: np.ndarray) -> np.ndarray:
-    """Each RTT in integer tenths of a µs, as ``f"{rtt:.1f}"`` rounds it; nan stays nan.
-
-    ``rtt_us * 10`` is off the exact product by at most half an ulp, so
-    only an element within ``np.spacing`` of a .5 boundary can round
-    otherwise than the decimal form does: those few take its digits.  The
-    result is exact below 2**53 tenths, and ties go to even as there.
-    """
-    scaled = rtt_us * 10.0
-    tenths = np.rint(scaled)
-    for i in np.flatnonzero(np.abs(scaled - np.floor(scaled) - 0.5)
-                            <= np.spacing(scaled)).tolist():
-        tenths.flat[i] = int(f"{rtt_us.flat[i]:.1f}".replace(".", ""))
-    return tenths
 
 
 def _digits(out: np.ndarray, values: np.ndarray, keep: int) -> None:

@@ -64,8 +64,8 @@ from leolink.constellation import (
 )
 from leolink.discovery import Endpoint, PopCatalog, PopLocation
 from leolink.geo import EARTH_RADIUS_KM, vacuum_rtt_ms
-from leolink.probe import MeasurementSession, SatLinkPath
-from leolink.store import _WRITE_CHUNK_ROWS, MeasurementStore, StoreError
+from leolink.probe import _CHUNK_TICKS, MeasurementSession, SatLinkPath
+from leolink.store import MeasurementStore
 from tests.conftest import respond_to_probe, scenario_dict
 
 # One probe as the per-sample code held it; rtt_us is None when lost.
@@ -186,11 +186,13 @@ def oracle_respond_to_probe(scenario, target, ttl, t_ms, *, protocol="icmp"):
     return (hop.address, float(rtt_ms) * 1000.0, kind)
 
 
-def samples_of(session):
-    """The per-hop sample lists of an array session."""
+def samples_of(session, rtt_us=None):
+    """The per-hop sample lists of an array session, with ``rtt_us`` (the RTTs
+    it was made from, say) in place of its own RTTs if given."""
     return [[Sample(t, ttl, None if math.isnan(r) else r)
              for t, r in zip(sent.tolist(), rtt.tolist())]
-            for sent, rtt, ttl in zip(session.sent_ms, session.rtt_us,
+            for sent, rtt, ttl in zip(session.sent_ms,
+                                      session.rtt_us if rtt_us is None else rtt_us,
                                       (session.path.pre_sat_ttl, session.path.post_sat_ttl))]
 
 
@@ -702,9 +704,11 @@ def test_concurrent_sessions_share_no_generator():
 
 # ------------------------------------------------------- store, isolation
 
-# An RTT is lost (None) or positive: MeasurementSession refuses any other.
+# An RTT is lost (None) or positive: MeasurementSession refuses any other,
+# and one under 0.05 µs, which session.csv would spell 0.0.
 rtts = st.one_of(st.none(), st.floats(0.0, 3e6, exclude_min=True),
                  st.sampled_from([0.05, 0.25, 12345.65]))
+held_rtts = rtts.filter(lambda rtt: rtt is None or rtt >= 0.05)
 # RTTs that survive session.csv's one decimal exactly
 tenths = st.one_of(st.none(), st.integers(1, 30_000_000).map(lambda k: k / 10))
 
@@ -724,33 +728,39 @@ def make_session(ticks):
         t += gap % 3
         endp_ms.append(t)
         t += gap
-    terr, endp = ([math.nan if v is None else v for v in hop] for hop in
-                  ([terr for _, terr, _ in ticks], [endp for _, _, endp in ticks]))
     return MeasurementSession(
         endpoint=Endpoint(address="100.64.9.1", pop_code="sttlwax1"),
         path=path, start_ms=0, duration_s=len(ticks), cadence_hz=1,
-        sent_ms=[terr_ms, endp_ms], rtt_us=[terr, endp])
+        sent_ms=[terr_ms, endp_ms], rtt_us=tick_rtts(ticks))
+
+
+def tick_rtts(ticks):
+    """The (2, n) RTTs of ``make_session``'s ticks, nan where lost."""
+    return np.array([[math.nan if rtt is None else rtt for rtt in hop]
+                     for hop in list(zip(*ticks))[1:]])
 
 
 @given(st.lists(st.tuples(st.integers(0, 2500), rtts, rtts), min_size=1, max_size=60))
 @settings(max_examples=60, deadline=None)
 def test_session_csv_equals_sorted_csv_writer(tmp_path_factory, ticks):
+    if "0.0" in (f"{rtt:.1f}" for rtt in tick_rtts(ticks).ravel()):
+        # it would read back as 0.0, which is no measurement: the session refuses it
+        with pytest.raises(ValueError, match="would be stored as 0.0$"):
+            make_session(ticks)
+        return
     session = make_session(ticks)
     store = MeasurementStore(tmp_path_factory.mktemp("store"))
-    if "0.0" in (f"{rtt:.1f}" for rtt in session.rtt_us.ravel()):
-        # it would read back as 0.0, which is no measurement: the write refuses it
-        with pytest.raises(StoreError, match="would be stored as 0.0$"):
-            store.write_session(store.new_partition("p"), session, config_hash="x")
-        return
     written = store.write_session(store.new_partition("p"), session, config_hash="x")
-    assert written.read_bytes() == oracle_session_csv(*samples_of(session))
+    # the oracle spells the RTTs the session was made from, not those it holds
+    assert written.read_bytes() == oracle_session_csv(*samples_of(session, tick_rtts(ticks)))
 
 
-def numpy_session(n, start_ms, seed, lost_hop=None):
-    """An n-tick session with ticks 1 s apart from ``start_ms``, each
-    endpoint probe 0-999 ms after its terrestrial one, and RTTs drawn
-    from pools that stress the encoder's rounding; ``lost_hop`` loses
-    every probe of that hop."""
+def numpy_session(n, start_ms, seed, lost_hop=None, placed=()):
+    """(session, the RTTs it was made from): an n-tick session with ticks
+    1 s apart from ``start_ms``, each endpoint probe 0-999 ms after its
+    terrestrial one, and RTTs drawn from pools that stress the encoder's
+    rounding; ``lost_hop`` loses every probe of that hop, and each
+    ``(tick, hop, rtt)`` of ``placed`` then sets one RTT."""
     rng = np.random.default_rng(seed)
     terrestrial = start_ms + np.arange(n, dtype=np.int64) * 1000
     x_x5 = rng.integers(10, 300_000_000, n) / 10 + 0.05  # k.k5: a tie in decimal, not in binary
@@ -763,29 +773,31 @@ def numpy_session(n, start_ms, seed, lost_hop=None):
     rtt[rng.random((2, n)) < 0.05] = np.nan
     if lost_hop is not None:
         rtt[lost_hop] = np.nan
+    for tick, hop, value in placed:
+        rtt[hop, tick % n] = value
     return MeasurementSession(
         endpoint=Endpoint(address="100.64.9.1", pop_code="sttlwax1"),
         path=SatLinkPath(target="100.64.9.1", pre_sat_ttl=2, pre_sat_router="10.0.0.2",
                          post_sat_ttl=3, jump_ms=25.0),
         start_ms=start_ms, duration_s=n, cadence_hz=1,
-        sent_ms=[terrestrial, terrestrial + rng.integers(0, 1000, n)], rtt_us=rtt)
+        sent_ms=[terrestrial, terrestrial + rng.integers(0, 1000, n)], rtt_us=rtt), rtt
 
 
 @pytest.mark.parametrize("n, start_ms, lost_hop", [
     *((n, start_ms, None)
-      for n in (1, _WRITE_CHUNK_ROWS - 1, _WRITE_CHUNK_ROWS, _WRITE_CHUNK_ROWS + 1,
-                2 * _WRITE_CHUNK_ROWS + 5)
+      for n in (1, _CHUNK_TICKS - 1, _CHUNK_TICKS, _CHUNK_TICKS + 1,
+                2 * _CHUNK_TICKS + 5)
       for start_ms in (-5_000_000, 2 ** 32, 2 ** 62)),
-    *((n, 1_700_000_000_000, hop) for n in (1, _WRITE_CHUNK_ROWS + 1) for hop in (0, 1)),
+    *((n, 1_700_000_000_000, hop) for n in (1, _CHUNK_TICKS + 1) for hop in (0, 1)),
 ])
 def test_session_csv_equals_csv_writer_across_chunks(tmp_path, n, start_ms, lost_hop):
     # Send times that cross zero (so the digit count changes inside a
     # chunk) or need more than 32 bits, sessions that end just before, on
     # and after a chunk boundary, and a hop with every probe lost.
-    session = numpy_session(n, start_ms, seed=n, lost_hop=lost_hop)
+    session, rtt = numpy_session(n, start_ms, seed=n, lost_hop=lost_hop)
     store = MeasurementStore(tmp_path)
     written = store.write_session(store.new_partition("p"), session, config_hash="x")
-    assert written.read_bytes() == oracle_session_csv(*samples_of(session))
+    assert written.read_bytes() == oracle_session_csv(*samples_of(session, rtt))
 
 
 @given(st.lists(st.tuples(st.integers(0, 2500), tenths, tenths), min_size=1, max_size=60))
@@ -818,32 +830,21 @@ def hard_rtts():
        st.lists(st.tuples(st.integers(0, 299), st.integers(0, 1), hard_rtts()), max_size=40))
 @settings(max_examples=80, deadline=None)
 def test_stored_form_equals_the_session_read_back(tmp_path_factory, n, seed, lost_hop, placed):
-    # simulate analyzes the session with the RTTs write_session stored where
-    # analyze reads the record back: the two must hold the same bytes, and
-    # the written session itself is left as it was.
-    session = numpy_session(n, 1_700_000_000_000, seed, lost_hop)
-    rtt = session.rtt_us.copy()
-    for tick, hop, value in placed:
-        rtt[hop, tick % n] = value
-    session = replace(session, rtt_us=rtt)
-    before = rtt.tobytes()
-    stored_rtt_us = np.full_like(rtt, -1.0)
+    # A session holds its RTTs as session.csv spells them, so simulate
+    # analyzes what analyze reads back: the two hold the same bytes.
+    session, _ = numpy_session(n, 1_700_000_000_000, seed, lost_hop, placed)
     store = MeasurementStore(tmp_path_factory.mktemp("store"))
-    store.write_session(store.new_partition("p"), session, config_hash="x",
-                        stored_rtt_us=stored_rtt_us)
-    assert session.rtt_us is rtt and rtt.tobytes() == before
-    stored = replace(session, rtt_us=stored_rtt_us)
+    store.write_session(store.new_partition("p"), session, config_hash="x")
     read = store.read_session(store.sessions()[0])
     for name in ("sent_ms", "rtt_us"):
-        assert getattr(stored, name).tobytes() == getattr(read, name).tobytes(), name
+        assert getattr(session, name).tobytes() == getattr(read, name).tobytes(), name
 
 
-@given(st.lists(st.tuples(rtts, rtts), min_size=1, max_size=120))
+@given(st.lists(st.tuples(held_rtts, held_rtts), min_size=1, max_size=120))
 @settings(max_examples=150, deadline=None)
 def test_isolation_equals_per_sample_loop(pairs):
-    # Both hops of a tick sent in the same millisecond.
-    session = make_session([(1000, terr, endp) for terr, endp in pairs])
-    session.sent_ms[1] = session.sent_ms[0]
+    # A gap that 3 divides sends both hops of a tick in the same millisecond.
+    session = make_session([(999, terr, endp) for terr, endp in pairs])
     timestamps, values, clamped = oracle_isolate(*samples_of(session))
     if not session.usable:
         with pytest.raises(SessionUnusableError):

@@ -396,6 +396,53 @@ def test_session_refuses_an_rtt_that_is_not_a_measurement(hop, rtt_us):
         in_memory_session([sent, sent], rtt)
 
 
+def test_session_refuses_an_rtt_it_would_store_as_zero():
+    # 0.04 µs is positive, but at the 0.1 µs of session.csv it would be
+    # 0.0, which read_session refuses.
+    sent = np.arange(10) * 1000
+    rtt = np.full((2, 10), 10_000.0)
+    rtt[1, 1:3] = 0.04, math.nan
+    with pytest.raises(ValueError, match=re.escape(
+            "the RTT 0.04 µs of tick 1 would be stored as 0.0")):
+        in_memory_session([sent, sent], rtt)
+    rtt[1, 1] = 0.05  # held as 0.1
+    assert in_memory_session([sent, sent], rtt).rtt_us[1].tolist()[:2] == [10_000.0, 0.1]
+
+
+@pytest.mark.parametrize("refused, other, stored", [
+    (0.03, 0.04, "as 0.0"),
+    (9.2e14, 9.1e14, "inexactly, at 2**53 tenths of a µs or more"),
+])
+def test_session_refusal_names_the_first_tick_of_the_extreme_rtt(refused, other, stored):
+    # Over both hops, the least (or greatest) RTT is named at the first
+    # tick holding it.
+    sent = np.arange(12_500) * 1000
+    rtt = np.full((2, 12_500), 35_000.0)
+    rtt[0, 100] = rtt[1, 12_000] = other
+    rtt[1, 9000] = rtt[0, 12_001] = refused
+    with pytest.raises(ValueError, match=re.escape(
+            f"the RTT {refused} µs of tick 9000 would be stored {stored}")):
+        MeasurementSession(endpoint=ENDPOINT, path=path_of_uncheckable(), start_ms=0,
+                           duration_s=12_500, cadence_hz=1, sent_ms=[sent, sent], rtt_us=rtt)
+
+
+def test_session_holds_read_only_rtts_rounded_as_stored():
+    # Each RTT is rounded once, to the 0.1 µs session.csv spells it in, into
+    # arrays of the session's own that nothing changes after its checks.
+    sent = np.arange(10) * 1000
+    rtt = np.full((2, 10), 1234.5)
+    rtt[1, :4] = 0.25, 0.35, 12.45, math.nan
+    session = in_memory_session([sent, sent], rtt)
+    assert session.rtt_us[1, :3].tolist() == [0.2, 0.3, 12.4]
+    assert math.isnan(session.rtt_us[1, 3]) and session.rtt_us[0, 0] == 1234.5
+    assert rtt[1, 0] == 0.25  # the arrays it was given are left as they were
+    for name in ("sent_ms", "rtt_us"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(session, name)[1, 5] = 1
+    sent[5] = rtt[1, 5] = 1  # and are no longer the session's
+    assert (session.sent_ms[1, 5], session.rtt_us[1, 5]) == (5000, 1234.5)
+
+
 @pytest.mark.parametrize("cadence_hz", [1, 3, 7])
 def test_measure_session_ticks_stay_on_the_cadence_grid(quiet_transport, cadence_hz):
     # Tick k goes out at start + (k * 1000) // cadence: a cadence that

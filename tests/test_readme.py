@@ -1,7 +1,9 @@
-"""The README's library layout and scan record keys are the package's own."""
+"""The README's library layout, CLI options and scan record keys are the package's own."""
+import argparse
 import re
 from dataclasses import fields
 
+from leolink.cli import build_parser
 from leolink.discovery import ScanRecord
 from tests.conftest import REPO_ROOT
 
@@ -14,6 +16,18 @@ def test_readme_module_list_names_every_module():
                      if p.name != "__init__.py")
     assert sorted(listed) == modules
 
+
+
+def test_readme_cli_section_names_every_option():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    [commands] = [action.choices for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    unnamed = [f"{command} {option}" for command, parser in commands.items()
+               for action in parser._actions for option in action.option_strings
+               if option.startswith("--") and option != "--help"
+               and not re.search(re.escape(option) + r"(?![\w-])", section)]
+    assert unnamed == []
 
 def test_readme_scan_record_keys_are_the_record_fields():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")

@@ -145,15 +145,18 @@ def test_partition_names_get_suffixes(tmp_path):
     assert store.partitions() == ["2026-08-14", "2026-08-14.1", "2026-08-14.2"]
     with pytest.raises(StoreError):
         store.new_partition("bad/label")
-    # a partition is one plain directory under the root, in a fresh store too
-    for label in ("", ".", "..", "a\0b"):
+    # a partition is one plain directory under the root, other than the
+    # tables' reports/, in a fresh store too
+    for label in ("", ".", "..", "a\0b", "reports"):
         with pytest.raises(StoreError, match="bad partition name"):
             store.new_partition(label)
         with pytest.raises(StoreError, match="bad partition name"):
             MeasurementStore(tmp_path / "fresh").new_partition(label)
-    for partition in (".", "..", "../other/p", "a\0b"):
+    for partition in ("", ".", "..", "../other/p", "a\0b", "reports"):
         with pytest.raises(StoreError, match="bad partition name"):
             store.sessions(partition)
+    store.reports.mkdir()
+    assert store.reports == store.root / "reports"
     assert store.partitions() == ["2026-08-14", "2026-08-14.1", "2026-08-14.2"]
     assert not (tmp_path / "fresh").exists()
 
@@ -263,46 +266,10 @@ def test_failed_meta_write_leaves_no_session(tmp_path, monkeypatch):
     assert store.read_session(store.sessions()[0]).rtt_us.shape == (2, 5)
 
 
-def test_write_session_refuses_an_rtt_it_would_store_as_zero(tmp_path):
-    # 0.04 µs is positive, so the session holds it; at the 0.1 µs of
-    # session.csv it would be 0.0, which read_session refuses.
-    session = replace(small_session(n=3), rtt_us=[[10_000.0] * 3, [35_000.0, 0.04, np.nan]])
-    store = MeasurementStore(tmp_path / "store")
-    part = store.new_partition("p")
-    with pytest.raises(StoreError, match=re.escape(
-            "the RTT 0.04 µs of tick 1 would be stored as 0.0")):
-        store.write_session(part, session, config_hash="x")
-    assert not (store.root / "p" / "100.64.9.1").exists()
-    # 0.05 µs is stored as 0.1 and reads back
-    store.write_session(part, replace(session, rtt_us=[[10_000.0] * 3, [35_000.0, 0.05, np.nan]]),
-                        config_hash="x")
-    assert store.read_session(store.sessions()[0]).rtt_us[1].tolist()[:2] == [35_000.0, 0.1]
-
-
-@pytest.mark.parametrize("refused, other, stored", [
-    (0.03, 0.04, "as 0.0"),
-    (9.2e14, 9.1e14, "inexactly, at 2**53 tenths of a µs or more"),
-])
-def test_write_session_refusal_names_the_first_tick_of_the_extreme_rtt(
-        tmp_path, refused, other, stored):
-    # Ticks past the first chunks of rows, over both hops: the least (or
-    # greatest) RTT is named at the first tick holding it, before anything
-    # is written.
-    session = small_session(n=12_500)
-    session.rtt_us[0, 100] = session.rtt_us[1, 12_000] = other
-    session.rtt_us[1, 9000] = session.rtt_us[0, 12_001] = refused
-    store = MeasurementStore(tmp_path / "store")
-    part = store.new_partition("p")
-    with pytest.raises(StoreError, match=re.escape(
-            f"the RTT {refused} µs of tick 9000 would be stored {stored}")):
-        store.write_session(part, session, config_hash="x")
-    assert not (store.root / "p" / "100.64.9.1").exists()
-
-
 def test_write_session_stores_the_greatest_exact_rtt(tmp_path):
     # 2**53 - 1 tenths, the greatest the file holds exactly, reads back
-    session = small_session(n=3)
-    session.rtt_us[1, 1] = 900_719_925_474_099.1
+    session = replace(small_session(n=3),
+                      rtt_us=[[10_000.0] * 3, [35_000.0, 900_719_925_474_099.1, np.nan]])
     store = MeasurementStore(tmp_path / "store")
     written = store.write_session(store.new_partition("p"), session, config_hash="x")
     assert b",900719925474099.1\r\n" in written.read_bytes()
@@ -1673,6 +1640,51 @@ def test_partition_label_with_a_nul_byte_is_a_store_error(tmp_path):
     assert done.returncode == 2, done.stderr
     assert done.stderr == "measure error stage=store msg=bad partition name: 'a\\x00b'\n"
     assert not (tmp_path / "s").exists()
+
+
+def test_the_tables_directory_is_no_partition(tmp_path, capsys):
+    # simulate writes no session among the tables, and analyze reads
+    # neither them nor an empty --partition as a partition
+    store_dir = tmp_path / "store"
+    simulate = ["simulate", "--scenarios", str(SCENARIOS / "relay_split"),
+                "--out", str(store_dir), "--duration", "120", "--partition"]
+    assert cli.main([*simulate, "reports"]) == 2
+    assert capsys.readouterr().err == "simulate error stage=store msg=bad partition name: 'reports'\n"
+    assert not store_dir.exists()
+    assert cli.main([*simulate, "p"]) == 0
+    assert MeasurementStore(store_dir).partitions() == ["p"]
+    for partition in ("reports", ""):
+        capsys.readouterr()
+        assert cli.main(["analyze", "--store", str(store_dir), "--partition", partition]) == 2
+        assert capsys.readouterr().err == (
+            f"analyze error stage=store msg=bad partition name: {partition!r}\n")
+
+
+def test_simulate_keeps_the_table_rows_of_other_partitions(tmp_path):
+    # Tables of simulate's parameters take the new partition's rows among
+    # the others, as analyze would write them over the whole store.
+    store_dir = tmp_path / "store"
+
+    def simulate(scenarios, partition):
+        assert cli.main(["simulate", "--scenarios", str(SCENARIOS / scenarios), "--out",
+                         str(store_dir), "--duration", "300", "--partition", partition]) == 0
+
+    def tables():
+        return {name: (store_dir / "reports" / name).read_bytes()
+                for name in ("sessions.csv", "spikes.csv")}
+
+    simulate("relay_split", "p2")
+    simulate("reroute_day", "p1")
+    simulated = tables()
+    assert [row[:2] for row in read_report_csv(store_dir / "reports" / "sessions.csv")[2]] == [
+        ["p1", "98.97.48.115"], ["p2", "176.83.201.7"]]
+    assert cli.main(["analyze", "--store", str(store_dir)]) == 0
+    assert tables() == simulated
+    # Tables of other parameters are left as they are; report analyzes p3 itself.
+    assert cli.main(["analyze", "--store", str(store_dir), "--window", "30"]) == 0
+    windowed = tables()
+    simulate("relay_split", "p3")
+    assert tables() == windowed != simulated
 
 
 # ------------------------------------------------------------- dependencies
