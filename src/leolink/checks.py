@@ -12,6 +12,7 @@ import math
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
+from typing import Iterator
 
 
 def _json_int(value) -> bool:
@@ -150,3 +151,25 @@ def read_json(path, error: type[Exception], build):
             return build(Fields(json.load(fh), error))
         except (ValueError, error) as exc:  # error, or the file is not JSON
             raise error(f"{path}: {exc}") from None
+
+
+def utf8(text: str, name: str = "") -> str:
+    """``text``, read with ``errors="surrogateescape"``, if each byte it was read
+    from was UTF-8; else ValueError naming ``name`` and the first that was not."""
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{name}{': ' if name else ''}byte {ord(text[exc.start]) - 0xDC00:#04x}"
+                         f" at character {exc.start + 1} is not UTF-8") from None
+    return text
+
+
+def text_lines(path, error: type[Exception]) -> Iterator[str]:
+    """The lines of text file ``path``, endings kept as ``newline=""`` keeps them;
+    a line holding a byte that is not UTF-8 raises ``error`` naming file and line."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                yield utf8(line)
+            except ValueError as exc:
+                raise error(f"{path} line {lineno}: {exc}") from None

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import analysis, probe
-from .checks import Fields
+from .checks import Fields, text_lines
 from .discovery import (
     DatasetError,
     Endpoint,
@@ -83,8 +83,8 @@ def cmd_discover(args: argparse.Namespace) -> int:
         endpoints, filter_report = filter_customer_endpoints(records, catalog)
         blocklist = PepBlocklist()
         if args.pep_blocklist:
-            with open(args.pep_blocklist, encoding="utf-8") as fh:
-                blocklist = PepBlocklist(tuple(w.strip() for w in fh if w.strip()))
+            blocklist = PepBlocklist(tuple(w.strip() for w in text_lines(
+                args.pep_blocklist, ConfigError) if w.strip()))
         kept, pep_removed = exclude_peps(endpoints, records, blocklist)
         extra = {"unknown_pop": len(filter_report.unknown_pop),
                  "ambiguous": len(filter_report.ambiguous)}
@@ -120,21 +120,20 @@ def load_endpoints_csv(path: str | Path) -> list[Endpoint]:
     """Read an endpoint cohort written by cmd_discover; a malformed one
     raises :class:`ConfigError` naming the file and line (and the field)."""
     endpoints = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if "address" not in (reader.fieldnames or ()):
-            raise ConfigError(f"{path} line 1: no address column")
-        for row in reader:
-            lat, lon = row.get("cust_lat"), row.get("cust_lon")
-            try:
-                if bool(lat) != bool(lon):
-                    raise ConfigError("cust_lon: required with cust_lat" if lat
-                                      else "cust_lat: required with cust_lon")
-                fields = {key: row[key] for key in ("address", "pop_code", "source") if key in row}
-                fields["customer_location"] = (float(lat), float(lon)) if lat else None
-                endpoints.append(Fields(fields, ConfigError).make(Endpoint))
-            except ValueError as exc:
-                raise ConfigError(f"{path} line {reader.line_num}: {exc}") from None
+    reader = csv.DictReader(text_lines(path, ConfigError))
+    if "address" not in (reader.fieldnames or ()):
+        raise ConfigError(f"{path} line 1: no address column")
+    for row in reader:
+        lat, lon = row.get("cust_lat"), row.get("cust_lon")
+        try:
+            if bool(lat) != bool(lon):
+                raise ConfigError("cust_lon: required with cust_lat" if lat
+                                  else "cust_lat: required with cust_lon")
+            fields = {key: row[key] for key in ("address", "pop_code", "source") if key in row}
+            fields["customer_location"] = (float(lat), float(lon)) if lat else None
+            endpoints.append(Fields(fields, ConfigError).make(Endpoint))
+        except ValueError as exc:
+            raise ConfigError(f"{path} line {reader.line_num}: {exc}") from None
     return endpoints
 
 
@@ -164,8 +163,8 @@ def _cohort(cfg: CampaignConfig) -> tuple[list[tuple[Endpoint, Callable]], int]:
                   for ep in load_endpoints_csv(cfg.endpoints_file)]
     nets = []
     if cfg.exclude_file:
-        with open(cfg.exclude_file, encoding="utf-8") as fh:
-            entries = [line.split("#", 1)[0].strip() for line in fh]
+        entries = [line.split("#", 1)[0].strip()
+                   for line in text_lines(cfg.exclude_file, ConfigError)]
         try:
             nets = [ipaddress.ip_network(entry, strict=False) for entry in entries if entry]
         except ValueError as exc:
@@ -236,8 +235,8 @@ def _run_cohort(command: str, cfg: CampaignConfig, cohort: Sequence, step,
 def _run_campaign(command: str, cfg: CampaignConfig, partition_label: Optional[str],
                   params: Optional[dict] = None) -> tuple[int, dict]:
     """Measure the whole cohort into a fresh partition; returns (exit_code, counters).
-    Given analysis ``params``, each worker also analyzes its session, and the rows
-    join ``store.reports``' tables of the same params: no session is read back."""
+    Given analysis ``params``, each worker also analyzes its session (none is read
+    back), and ``_analysis_tables`` writes the rows unless tables of other params exist."""
     store = MeasurementStore(cfg.output_dir)
     cohort, excluded = _cohort(cfg)
     label = partition_label or cfg.partition_label or date.today().isoformat()
@@ -257,11 +256,11 @@ def _run_campaign(command: str, cfg: CampaignConfig, partition_label: Optional[s
     if params is None or not sessions:
         return (1 if failed else 0), counters
     # Tables of other params are left as they are; report analyzes what they lack.
-    table_hash, *table_rows = _analyzed_tables(store)
+    table_hash = _analyzed_tables(store.reports)[0]
     code, tables = _analysis_tables(  # by address, as analyze lists them; each is unique
         sorted((ep.address, rows) for ep, rows in sessions),
         store.reports if table_hash in (None, _analysis_hash(**params)) else None,
-        params, command, [[row for row in rows if row[0] != partition] for rows in table_rows])
+        params, command, partition)
     counters.update({k: tables[k] for k in ("spikes", "sustained")})
     return (1 if failed or code else 0), counters
 
@@ -343,17 +342,22 @@ def _analysis_rows(analyzed: Sequence[tuple], command: str) -> tuple[list[list],
 
 
 def _analysis_tables(analyzed: Sequence[tuple], out_dir: Optional[Path], params: dict,
-                     command: str, kept: Sequence[list] = ([], [])) -> tuple[int, dict]:
-    """Unless ``out_dir`` is None, write the rows of (address, ``_session_rows`` outcome)
-    pairs and ``kept``'s (session rows, spike rows) in (partition, address) order as
-    ``sessions.csv`` and ``spikes.csv``; a failed session is reported under ``command``."""
+                     command: str, partition: Optional[str] = None) -> tuple[int, dict]:
+    """Unless ``out_dir`` is None, write there as ``sessions.csv`` and ``spikes.csv`` the
+    rows of (address, ``_session_rows`` outcome) pairs of ``partition`` (None: of all) and,
+    if the tables replaced carry the same analysis hash, their rows of every other
+    partition, in (partition, address) order.  Failures are reported under ``command``."""
     session_rows, spike_rows, failures = _analysis_rows(analyzed, command)
     if out_dir is not None:
+        config_hash = _analysis_hash(**params)
+        table_hash, *tables = _analyzed_tables(out_dir) if partition else (None, [], [])
+        kept = [[row for row in rows if row[0] != partition] if table_hash == config_hash
+                 else [] for rows in tables]
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, header, rows, old in (("spikes.csv", SPIKE_HEADER, spike_rows, kept[1]),
                                         ("sessions.csv", SESSION_HEADER, session_rows, kept[0])):
             write_report_csv(out_dir / name, header, sorted(old + rows, key=lambda r: r[:2]),
-                             config_hash=_analysis_hash(**params))
+                             config_hash=config_hash)
     sustained = sum(row[4] == analysis.KIND_SUSTAINED for row in spike_rows)
     return (1 if failures else 0), {"sessions": len(session_rows), "failed": failures,
                                     "spikes": len(spike_rows), "sustained": sustained,
@@ -378,7 +382,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
               "standard_sigma": args.standard_sigma}
     out_dir = Path(args.out) if args.out else store.reports
     return _print_summary("analyze", *_analysis_tables(
-        _stored_rows(store, records, params), out_dir, params, "analyze"))
+        _stored_rows(store, records, params), out_dir, params, "analyze", args.partition))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -395,12 +399,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- report
 
-def _analyzed_tables(store: MeasurementStore) -> tuple[Optional[str], list, list]:
-    """(params hash, session rows, spike rows) of ``store.reports``; none
-    unless both tables exist with the documented columns and one hash."""
+def _analyzed_tables(directory: Path) -> tuple[Optional[str], list, list]:
+    """(params hash, session rows, spike rows) of the tables in ``directory``;
+    none unless both tables exist with the documented columns and one hash."""
     try:
         (s_hash, s_header, session_rows), (k_hash, k_header, spike_rows) = (
-            read_report_csv(store.reports / name)
+            read_report_csv(directory / name)
             for name in ("sessions.csv", "spikes.csv"))
     except (OSError, StoreError, ValueError, csv.Error):
         return None, [], []
@@ -416,7 +420,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     # Sessions in analyze's tables keep its rows and params; the rest are
     # analyzed here with the defaults and nothing is written back.
-    table_hash, table_sessions, table_spikes = _analyzed_tables(store)
+    table_hash, table_sessions, table_spikes = _analyzed_tables(store.reports)
     session_rows = {tuple(r[:2]): r for r in table_sessions}
     spike_rows = [r for r in table_spikes if tuple(r[:2]) in session_rows]
     uncovered = [r for r in records if (r.partition, r.address) not in session_rows]

@@ -26,7 +26,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .checks import check, hints
+from .checks import check, hints, text_lines, utf8
 
 CUSTOMER_PTR_RE = re.compile(
     r"^customer\.(?P<pop>[a-z0-9]+)\.pop\.starlinkisp\.net\.?$", re.IGNORECASE
@@ -123,22 +123,21 @@ class PopCatalog:
     @classmethod
     def from_csv(cls, path: str | Path) -> "PopCatalog":
         entries: dict[str, PopLocation] = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh, restval="")
-            missing = [c for c in POP_CATALOG_COLUMNS if c not in (reader.fieldnames or ())]
-            if missing:
-                raise DatasetError(f"{path} line 1: missing columns {missing}")
-            for row in reader:
-                try:
-                    code = row["pop_code"].strip().lower()
-                    if not code or code in entries:
-                        raise ValueError(f"pop_code: {f'{code!r} repeated' if code else 'blank'}")
-                    latitude, longitude = (check(_csv_number(row[name]), name, name, ValueError)
-                                           for name in ("latitude", "longitude"))
-                    entries[code] = PopLocation(city=row["city"], country=row["country"],
-                                                latitude=latitude, longitude=longitude)
-                except ValueError as exc:
-                    raise DatasetError(f"{path} line {reader.line_num}: {exc}") from None
+        reader = csv.DictReader(text_lines(path, DatasetError), restval="")
+        missing = [c for c in POP_CATALOG_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DatasetError(f"{path} line 1: missing columns {missing}")
+        for row in reader:
+            try:
+                code = row["pop_code"].strip().lower()
+                if not code or code in entries:
+                    raise ValueError(f"pop_code: {f'{code!r} repeated' if code else 'blank'}")
+                latitude, longitude = (check(_csv_number(row[name]), name, name, ValueError)
+                                       for name in ("latitude", "longitude"))
+                entries[code] = PopLocation(city=row["city"], country=row["country"],
+                                            latitude=latitude, longitude=longitude)
+            except ValueError as exc:
+                raise DatasetError(f"{path} line {reader.line_num}: {exc}") from None
         return cls(entries)
 
     @classmethod
@@ -210,12 +209,13 @@ _CSV_VALUES = {  # a scan CSV column: the JSON value of its key, from a non-blan
 def _record_from_csv_row(row: dict) -> dict:
     """A scan CSV row as the JSON object of its record, column for key: a blank
     cell is absent, a list is split at ``;`` and a service ``port/proto`` is
-    ``[port, proto]``.  A row shorter or longer than the header is refused,
-    and a column that is no key is kept, for the record's reader to refuse."""
+    ``[port, proto]``.  A row shorter or longer than the header, or holding a
+    byte that is not UTF-8, is refused, and a column that is no key is kept,
+    for the record's reader to refuse."""
     if None in row:  # csv.DictReader's key for the cells past the header
         raise ValueError(f"cells past the header: {row[None]}")
-    cells = {key: check(cell, "string", key, ValueError).strip()  # None past a short row's end
-             for key, cell in row.items()}
+    cells = {key: utf8(check(cell, "string", key, ValueError), key).strip()
+             for key, cell in row.items()}  # a cell past a short row's end is None
     return {key: _CSV_VALUES.get(key, str)(text) for key, text in cells.items()
             if text or key not in hints(ScanRecord)}
 
@@ -223,18 +223,19 @@ def _record_from_csv_row(row: dict) -> dict:
 def parse_scan_dataset(path: str | Path, fmt: str = "json_lines") -> tuple[list[ScanRecord], ParseReport]:
     """Parse a scan dataset file, JSON lines or CSV of the same keys, into records.
 
-    Malformed rows are counted in the report and skipped.  A file that
-    contains rows but yields no well-formed record raises DatasetError;
-    a genuinely empty file parses to an empty list.
+    Malformed rows, a row holding a byte that is not UTF-8 among them, are
+    counted in the report and skipped.  A file that contains rows but yields
+    no well-formed record raises DatasetError; a genuinely empty file parses
+    to an empty list.
     """
     if fmt not in ("json_lines", "csv"):
         raise ValueError(f"unknown dataset format: {fmt}")
     records: list[ScanRecord] = []
     report = ParseReport()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         if fmt == "json_lines":
             rows = ((lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip())
-            obj_of = json.loads
+            obj_of = lambda line: json.loads(utf8(line))
         else:  # numbered by a row's last line, as a quoted cell may span lines
             reader = csv.DictReader(fh)
             rows, obj_of = ((reader.line_num, row) for row in reader), _record_from_csv_row
@@ -328,11 +329,12 @@ def filter_oneweb_customers(records: Iterable[ScanRecord]) -> tuple[list[Endpoin
 def load_geofeed(path: str | Path) -> list[tuple[ipaddress._BaseNetwork, Optional[tuple[float, float]]]]:
     """Geofeed CSV: prefix,country,region,city[,latitude,longitude]."""
     rows: list[tuple[ipaddress._BaseNetwork, Optional[tuple[float, float]]]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         for row in csv.reader(fh):
             if not row or row[0].lstrip().startswith("#"):
                 continue
-            try:
+            try:  # a row holding a byte that is not UTF-8 is skipped too
+                utf8("".join(row))
                 net = ipaddress.ip_network(row[0].strip(), strict=False)
             except ValueError:
                 continue

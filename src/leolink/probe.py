@@ -165,7 +165,7 @@ def _tenths(rtt_us: np.ndarray) -> np.ndarray:
     return tenths
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeasurementSession:
     """Per-tick probes of the terrestrial and endpoint hops, held as stored.
 
@@ -188,8 +188,8 @@ class MeasurementSession:
 
     def __post_init__(self) -> None:
         try:
-            self.sent_ms = np.array(self.sent_ms, dtype=np.int64)
-            self.rtt_us = np.array(self.rtt_us, dtype=np.float64)
+            object.__setattr__(self, "sent_ms", np.array(self.sent_ms, dtype=np.int64))
+            object.__setattr__(self, "rtt_us", np.array(self.rtt_us, dtype=np.float64))
             aligned = self.sent_ms.shape == self.rtt_us.shape == (2, self.sent_ms.size // 2)
         except ValueError:  # numpy refuses ragged rows
             aligned = False

@@ -251,7 +251,8 @@ class MeasurementStore:
     def read_session(self, record: SessionRecord) -> MeasurementSession:
         """One stored record as a MeasurementSession, whose own rules check the rows."""
         meta = record.meta
-        with open(record.path, newline="", encoding="utf-8") as fh:
+        # a byte that is not UTF-8 reads as U+FFFD, which no cell parses
+        with open(record.path, newline="", encoding="utf-8", errors="replace") as fh:
             if fh.readline().rstrip("\r\n").split(",") != SESSION_COLUMNS:
                 raise StoreError(f"{record.path} line 1: columns are not {SESSION_COLUMNS}")
             try:
@@ -346,7 +347,7 @@ def _encode_rows(sent_ms: np.ndarray, tenths: np.ndarray) -> bytes:
 def _first_bad_line(path: Path) -> int | str:
     """The line of the first unparsable row of ``session.csv``, for an error
     message: numpy counts rows from 0 in some messages and from 1 in others."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
         next(reader, None)  # the header
         for row in reader:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import FrozenInstanceError, fields
 from functools import partial
 from pathlib import Path
 
@@ -441,6 +442,17 @@ def test_session_holds_read_only_rtts_rounded_as_stored():
             getattr(session, name)[1, 5] = 1
     sent[5] = rtt[1, 5] = 1  # and are no longer the session's
     assert (session.sent_ms[1, 5], session.rtt_us[1, 5]) == (5000, 1234.5)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(MeasurementSession)])
+def test_session_fields_cannot_be_assigned(name):
+    # A new value would skip every check the constructor makes, and the
+    # writer would store rows the reader refuses.
+    sent = np.arange(10) * 1000
+    session = in_memory_session([sent, sent], np.ones((2, 10)))
+    with pytest.raises(FrozenInstanceError):
+        setattr(session, name, np.zeros((2, 3)))
+    assert session.rtt_us.shape == (2, 10)
 
 
 @pytest.mark.parametrize("cadence_hz", [1, 3, 7])

@@ -1,19 +1,27 @@
+import contextlib
 import csv
+import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
+import math
 import os
 import random
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leolink import cli, discovery, rawnet
 from leolink import store as store_module
@@ -26,7 +34,9 @@ from leolink.store import (
     CampaignConfig,
     ConfigError,
     MeasurementStore,
+    SessionMeta,
     StoreError,
+    params_hash,
     read_report_csv,
     write_report_csv,
 )
@@ -165,7 +175,8 @@ def test_session_roundtrip(tmp_path):
     store = MeasurementStore(tmp_path / "store")
     part = store.new_partition("p")
     session = small_session()
-    session.endpoint = replace(session.endpoint, customer_location=(47.6062, -122.3321))
+    session = replace(session, endpoint=replace(session.endpoint,
+                                                customer_location=(47.6062, -122.3321)))
     store.write_session(part, session, config_hash="cafe0123beef", transport="simnet")
     records = store.sessions()
     assert len(records) == 1
@@ -772,6 +783,84 @@ def test_meta_field_of_the_wrong_type_fails_its_session(tmp_path, capsys, comman
                                     "report": "report error no-sessions"}[command])
 
 
+@pytest.fixture(scope="module")
+def three_session_store(tmp_path_factory):
+    """A ``simulate`` store of three generated endpoints, 300 s each, in partition p."""
+    root = tmp_path_factory.mktemp("three_sessions")
+    scen_dir = _generated_scenarios(root / "scenarios", 3, seed=20261020, duration_s=300)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--scenarios", str(scen_dir), "--out", str(root / "store"),
+                         "--duration", "300", "--partition", "p"]) == 0
+    return root / "store"
+
+
+def _mutated_meta(draw, text: str) -> str:
+    """``meta.json``'s ``text`` with one drawn mutation."""
+    meta = json.loads(text)
+    required = [f.name for f in dataclasses.fields(SessionMeta)
+                if f.default is f.default_factory is dataclasses.MISSING]
+    integers = [key for key, value in meta.items() if type(value) is int]
+    kind = draw(st.sampled_from(["drop", "unknown", "string", "nan", "true", "truncate"]))
+    if kind == "truncate":  # every prefix before the closing brace is not JSON
+        return text[:draw(st.integers(0, text.rindex("}") - 1))]
+    if kind == "drop":
+        del meta[draw(st.sampled_from(required))]
+    elif kind == "unknown":
+        meta[draw(st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1).filter(
+            lambda key: key not in meta))] = 1
+    else:
+        key = draw(st.sampled_from(list(meta) if kind == "nan" else integers))
+        meta[key] = {"string": str(meta[key]), "nan": math.nan, "true": True}[kind]
+    return json.dumps(meta, indent=2)
+
+
+def _mutated_session_csv(draw, data: bytes) -> bytes:
+    """``session.csv``'s ``data`` with one drawn mutation."""
+    header, *rows = data.split(b"\r\n")[:-1]
+    kind = draw(st.sampled_from(["truncate", "letter", "short", "swap", "not_utf8"]))
+    if kind == "truncate":  # before the last cell: a short last row or too few ticks
+        return data[:draw(st.integers(len(header) + 2, data.rindex(b",") - 1))]
+    if kind == "not_utf8":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + b"\xff" + data[at:]
+    i = draw(st.integers(0, len(rows) - 1))
+    if kind == "swap":
+        j = draw(st.integers(0, len(rows) - 1).filter(lambda j: j != i))
+        rows[i], rows[j] = rows[j], rows[i]
+    elif kind == "short":
+        rows[i] = rows[i].rsplit(b",", 1)[0]
+    else:  # no cell spells a number with an x in it
+        at = draw(st.integers(0, len(rows[i]) - 1).filter(lambda at: rows[i][at:at + 1] != b","))
+        rows[i] = rows[i][:at] + b"x" + rows[i][at + 1:]
+    return b"\r\n".join([header, *rows, b""])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_mutated_store_file_fails_only_its_session(three_session_store, data):
+    # One drawn mutation of one session's meta.json or session.csv: analyze
+    # names that file in the one line of that session and writes the others.
+    with tempfile.TemporaryDirectory() as tmp:
+        store_dir = Path(shutil.copytree(three_session_store, Path(tmp) / "store"))
+        records = MeasurementStore(store_dir).sessions()
+        record = data.draw(st.sampled_from(records))
+        if data.draw(st.booleans(), label="meta.json"):
+            path = record.path.parent / "meta.json"
+            path.write_text(_mutated_meta(data.draw, path.read_text()))
+        else:
+            path = record.path
+            path.write_bytes(_mutated_session_csv(data.draw, path.read_bytes()))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(["analyze", "--store", str(store_dir)]) == 1
+        assert out.getvalue().startswith("analyze error sessions=2 failed=1 ")
+        [line] = err.getvalue().splitlines()
+        assert line.startswith(f"analyze error stage=analysis endpoint={record.address} "
+                               f"msg={path}"), line
+        _, _, rows = read_report_csv(store_dir / "reports" / "sessions.csv")
+        assert [row[1] for row in rows] == [r.address for r in records if r != record]
+
+
 def test_analyze_empty_store_exits_1(tmp_path, capsys):
     MeasurementStore(tmp_path / "store")
     assert cli.main(["analyze", "--store", str(tmp_path / "store")]) == 1
@@ -1165,18 +1254,29 @@ def test_trace_writes_one_row_per_address(tmp_path, capsys, monkeypatch):
     assert [r[0] for r in rows] == ["100.64.9.1", "100.64.9.2"]
 
 
-def test_trace_paths_do_not_depend_on_concurrency(tmp_path, capsys):
+def _generated_scenarios(scen_dir: Path, n: int, seed: int, duration_s: int) -> Path:
+    """``n`` scenario files of ``scripts/run_simulated_campaign.py``'s fleet in ``scen_dir``."""
     spec = importlib.util.spec_from_file_location(
         "run_simulated_campaign",
         Path(__file__).resolve().parent.parent / "scripts" / "run_simulated_campaign.py")
     campaign = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(campaign)
-    scen_dir = tmp_path / "scenarios"
     scen_dir.mkdir()
-    rng = random.Random(20260814)
-    for i in range(12):
+    rng = random.Random(seed)
+    for i in range(n):
         (scen_dir / f"endpoint_{i:02d}.json").write_text(
-            json.dumps(campaign.make_scenario(rng, i, 600)))
+            json.dumps(campaign.make_scenario(rng, i, duration_s)))
+    return scen_dir
+
+
+def _tree(root: Path) -> dict:
+    """Every file under ``root``, by its relative path, as bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def test_trace_paths_do_not_depend_on_concurrency(tmp_path, capsys):
+    scen_dir = _generated_scenarios(tmp_path / "scenarios", 12, seed=20260814, duration_s=600)
     tables = {}
     for concurrency in (1, 8):
         cfg_path = tmp_path / f"cfg{concurrency}.json"
@@ -1191,6 +1291,22 @@ def test_trace_paths_do_not_depend_on_concurrency(tmp_path, capsys):
         assert provenance == f"# config_hash={CampaignConfig.from_json(cfg_path).config_hash()}".encode()
         tables[concurrency] = out.read_bytes()
     assert tables[1] == tables[8]
+
+
+def test_simulated_stores_do_not_depend_on_concurrency(tmp_path, capsys):
+    # The pool's workers measure, write and analyze each session; the
+    # partition and the tables come out the same however many run at once.
+    scen_dir = _generated_scenarios(tmp_path / "scenarios", 6, seed=7, duration_s=300)
+    stores = {}
+    for concurrency in (1, 4):
+        store_dir = tmp_path / f"store{concurrency}"
+        assert cli.main(["simulate", "--scenarios", str(scen_dir), "--out", str(store_dir),
+                         "--duration", "300", "--partition", "p",
+                         "--concurrency", str(concurrency)]) == 0
+        assert capsys.readouterr().out.startswith("simulate ok sessions=6 failed=0 ")
+        stores[concurrency] = _tree(store_dir)
+    assert len(stores[1]) == 6 * 2 + 2  # each session's two files, and the two tables
+    assert stores[1] == stores[4]
 
 
 def test_readme_names_the_session_columns():
@@ -1346,6 +1462,130 @@ def test_bad_pop_catalog_is_a_config_error(tmp_path, capsys, command, catalog_te
     _single_config_error(capsys, command, f"{catalog} {where}")
     assert not (tmp_path / "cohort.csv").exists()
     assert not (store.root / "reports").exists()
+
+
+def _not_utf8(path: Path, text: str) -> Path:
+    """``text`` written to ``path`` with each U+DCFF as the byte 0xff, which is not UTF-8."""
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    return path
+
+
+def _discover_with(tmp_path, *options):
+    return ["discover", "--scan", str(FIXTURES / "scan_small.jsonl"),
+            "--out", str(tmp_path / "cohort.csv"), *options]
+
+
+def _raw_run(tmp_path, command, **files):
+    """``command`` over a raw cohort of two addresses, with the config ``files`` given."""
+    if "endpoints_file" not in files:
+        files["endpoints_file"] = _not_utf8(tmp_path / "cohort.csv", "address,pop_code\n"
+                                            "100.64.9.1,sttlwax1\n100.64.9.2,sttlwax1\n")
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "transport": "raw", "output_dir": str(tmp_path / "s"),
+        **{key: str(path) for key, path in files.items()}}))
+    return [command, "--config", str(tmp_path / "cfg.json"),
+            *(["--out", str(tmp_path / "paths.csv")] if command == "trace" else [])]
+
+
+def _scan_json_with_a_bad_byte(tmp_path):
+    lines = (FIXTURES / "scan_small.jsonl").read_text().splitlines(keepends=True)
+    lines[3] = lines[3].replace("customer.", "customer.\udcff")
+    scan = _not_utf8(tmp_path / "scan.jsonl", "".join(lines))
+    return (["discover", "--scan", str(scan), "--out", str(tmp_path / "cohort.csv")], 0,
+            "discover error stage=parse msg=row 4: byte 0xff at character 40 is not UTF-8",
+            " malformed=1 ")
+
+
+def _scan_csv_with_a_bad_byte(tmp_path):
+    scan = _not_utf8(tmp_path / "scan.csv", "address,ptr\n98.96.0.1,customer.sttlwax1.pop."
+                     "starlinkisp.net\n98.96.0.2,customer.sttl\udcff.pop.starlinkisp.net\n")
+    return (["discover", "--format", "csv", "--scan", str(scan), "--out",
+             str(tmp_path / "cohort.csv")], 0,
+            "discover error stage=parse msg=row 3: ptr: byte 0xff at character 14 is not UTF-8",
+            " malformed=1 ")
+
+
+def _pop_catalog_with_a_bad_byte(tmp_path):
+    catalog = _not_utf8(tmp_path / "catalog.csv", "pop_code,city,country,latitude,longitude\n"
+                        "sttlwax1,Seattle,US,47.6,-122.3\nlgosnga1,Lagos\udcff,NG,6.5,3.4\n")
+    return (_discover_with(tmp_path, "--pop-catalog", str(catalog)), 2,
+            f"discover error stage=config msg={catalog} line 3: byte 0xff at character 15 "
+            f"is not UTF-8", "")
+
+
+def _pep_blocklist_with_a_bad_byte(tmp_path):
+    blocklist = _not_utf8(tmp_path / "peps.txt", "peplink\nprox\udcffy\n")
+    return (_discover_with(tmp_path, "--pep-blocklist", str(blocklist)), 2,
+            f"discover error stage=config msg={blocklist} line 2: byte 0xff at character 5 "
+            f"is not UTF-8", "")
+
+
+def _geofeed_with_a_bad_byte(tmp_path):
+    # Read, the /24 row would be the longest prefix of every address of the scan.
+    feed = _not_utf8(tmp_path / "geofeed.csv", "98.96.0.0/16,US,US-WA,Seattle,47.6062,"
+                     "-122.3321\n98.96.0.0/24,US,US-CO,Denver\udcff,39.7392,-104.9903\n")
+    return _discover_with(tmp_path, "--geofeed", str(feed)), 0, None, " kept=91 "
+
+
+def _cohort_with_a_bad_byte(tmp_path, command):
+    cohort = _not_utf8(tmp_path / "cohort.csv",
+                       "address,pop_code\n100.64.9.1,sttlwax1\n100.64.9.2,sttl\udcffwax1\n")
+    return (_raw_run(tmp_path, command, endpoints_file=cohort), 2,
+            f"{command} error stage=config msg={cohort} line 3: byte 0xff at character 16 "
+            f"is not UTF-8", "")
+
+
+def _exclude_file_with_a_bad_byte(tmp_path, command):
+    exclude = _not_utf8(tmp_path / "exclude.txt", "192.0.2.0/24\n# \udcff\n")
+    return (_raw_run(tmp_path, command, exclude_file=exclude), 2,
+            f"{command} error stage=config msg={exclude} line 2: byte 0xff at character 3 "
+            f"is not UTF-8", "")
+
+
+def _session_csv_with_a_bad_byte(tmp_path):
+    store_dir = tmp_path / "store"
+    assert cli.main(["simulate", "--scenarios", str(SCENARIOS / "relay_split"),
+                     "--out", str(store_dir), "--duration", "120", "--partition", "p"]) == 0
+    csv_path = next((store_dir / "p").glob("*/session.csv"))
+    lines = csv_path.read_text().splitlines(keepends=True)
+    lines[4] = "1\udcff" + lines[4]
+    _not_utf8(csv_path, "".join(lines))
+    return (["analyze", "--store", str(store_dir)], 1,
+            f"analyze error stage=analysis endpoint=176.83.201.7 msg={csv_path} line 5: ",
+            "analyze error sessions=0 failed=1 ")
+
+
+@pytest.mark.parametrize("case", [
+    _scan_json_with_a_bad_byte, _scan_csv_with_a_bad_byte, _pop_catalog_with_a_bad_byte,
+    _pep_blocklist_with_a_bad_byte, _geofeed_with_a_bad_byte,
+    partial(_cohort_with_a_bad_byte, command="trace"),
+    partial(_cohort_with_a_bad_byte, command="measure"),
+    partial(_exclude_file_with_a_bad_byte, command="trace"),
+    partial(_exclude_file_with_a_bad_byte, command="measure"),
+    _session_csv_with_a_bad_byte,
+], ids=["scan_json", "scan_csv", "pop_catalog", "pep_blocklist", "geofeed", "cohort-trace",
+        "cohort-measure", "exclude_file-trace", "exclude_file-measure", "session_csv"])
+def test_a_byte_that_is_not_utf8_ends_as_each_reader_documents(tmp_path, capsys, monkeypatch,
+                                                               case):
+    # A reader that skips bad rows skips the one holding the byte; every
+    # other reader fails with its error naming the file and the line.
+    monkeypatch.setattr(StubRawTransport, "instances", [])
+    monkeypatch.setattr(rawnet, "RawTransport", StubRawTransport)
+    argv, code, err, out = case(tmp_path)
+    capsys.readouterr()
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert (out in captured.out) if out else captured.out == "", captured.out
+    if err is None:
+        assert captured.err == ""
+    else:
+        [line] = captured.err.splitlines()
+        assert line.startswith(err), line
+    if argv[0] == "discover" and code == 0:  # the feed's bad row located no one
+        with open(tmp_path / "cohort.csv", newline="") as fh:
+            located = {row["cust_lat"] for row in csv.DictReader(fh)}
+        assert located == ({"47.6062"} if "--geofeed" in argv else {""})
+    assert StubRawTransport.instances == []
 
 
 def _misspelt(path: tuple, key: str, value):
@@ -1685,6 +1925,30 @@ def test_simulate_keeps_the_table_rows_of_other_partitions(tmp_path):
     windowed = tables()
     simulate("relay_split", "p3")
     assert tables() == windowed != simulated
+
+
+def test_analyze_of_one_partition_keeps_the_rows_of_the_others(tmp_path, capsys):
+    # Tables of analyze's own parameters keep the partitions it did not read,
+    # so they read as one analyze over the whole store, and report takes
+    # every session from them.
+    store_dir = tmp_path / "store"
+    reports = store_dir / "reports"
+    for scenarios, partition in (("reroute_day", "p1"), ("relay_split", "p2")):
+        assert cli.main(["simulate", "--scenarios", str(SCENARIOS / scenarios), "--out",
+                         str(store_dir), "--duration", "300", "--partition", partition]) == 0
+    analyze = ["analyze", "--store", str(store_dir), "--window", "30"]
+    assert cli.main(analyze) == 0
+    whole = {name: (reports / name).read_bytes() for name in ("sessions.csv", "spikes.csv")}
+    assert {row[0] for row in _spike_rows(reports / "spikes.csv")} == {"p1", "p2"}
+    capsys.readouterr()
+    assert cli.main([*analyze, "--partition", "p2"]) == 0
+    assert capsys.readouterr().out.startswith("analyze ok sessions=1 failed=0 ")
+    assert {name: (reports / name).read_bytes() for name in whole} == whole
+    assert cli.main(["report", "--store", str(store_dir)]) == 0
+    assert capsys.readouterr().out.startswith("report ok sessions=2 failed=0 ")
+    report_hash = params_hash({"report": 1, "partitions": ["p1", "p2"],
+                               "analysis": [cli._analysis_hash(window_s=30.0)]})
+    assert (reports / "summary.txt").read_text().endswith(f"config_hash: {report_hash}\n")
 
 
 # ------------------------------------------------------------- dependencies
