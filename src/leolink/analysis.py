@@ -238,7 +238,7 @@ def detect_spikes(
         raise EmptySeriesError("cannot detect spikes on an empty series")
     if smoothed.span_ms < MIN_DETECTION_SPAN_MS:
         raise AnalysisError(
-            f"series spans {smoothed.span_ms / 1000.0:.0f} s; need at least "
+            f"series spans {smoothed.span_ms / 1000.0:.3f} s; need at least "
             f"{MIN_DETECTION_SPAN_MS / 1000.0:.0f} s for a baseline")
     vs = smoothed.values_ms
     ts = smoothed.timestamps_ms

@@ -163,12 +163,12 @@ def _cohort(cfg: CampaignConfig) -> tuple[list[tuple[Endpoint, Callable]], int]:
                   for ep in load_endpoints_csv(cfg.endpoints_file)]
     nets = []
     if cfg.exclude_file:
-        entries = [line.split("#", 1)[0].strip()
-                   for line in text_lines(cfg.exclude_file, ConfigError)]
-        try:
-            nets = [ipaddress.ip_network(entry, strict=False) for entry in entries if entry]
-        except ValueError as exc:
-            raise ConfigError(f"exclude_file: {exc}") from None
+        for lineno, line in enumerate(text_lines(cfg.exclude_file, ConfigError), start=1):
+            try:
+                if entry := line.split("#", 1)[0].strip():
+                    nets.append(ipaddress.ip_network(entry, strict=False))
+            except ValueError as exc:
+                raise ConfigError(f"{cfg.exclude_file} line {lineno}: {exc}") from None
     kept = [(ep, t) for ep, t in cohort  # every address is an IP address, as read
             if not any(ipaddress.ip_address(ep.address) in net for net in nets)]
     return kept, len(cohort) - len(kept)
@@ -190,8 +190,9 @@ def _measure_endpoint(transport, endpoint: Endpoint,
 def _run_cohort(command: str, cfg: CampaignConfig, cohort: Sequence, step,
                 write: Optional[Callable] = None) -> tuple[list[tuple[Endpoint, object]], int]:
     """Run ``step(transport, endpoint, cfg)`` on a transport opened for each
-    address of ``cohort``, ``cfg.concurrency`` at a time, then
-    ``write(transport, result)`` if given.  Returns the successful
+    address of ``cohort``, then ``write(transport, result)`` if given: raw
+    probes wait on sockets, so ``cfg.concurrency`` addresses run at a time;
+    the simulator waits on nothing, so it runs one.  Returns the successful
     (endpoint, what write returned, else what step returned) pairs in cohort
     order and the failure count; each failure is a ``<command> error stage=``
     line: ``probe`` for a ProbeError, ``transport`` for any other probing
@@ -223,7 +224,7 @@ def _run_cohort(command: str, cfg: CampaignConfig, cohort: Sequence, step,
         return None, result
 
     done = []
-    with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
+    with ThreadPoolExecutor(cfg.concurrency if cfg.transport == "raw" else 1) as pool:
         for (endpoint, _), (stage, outcome) in zip(jobs.values(), pool.map(work, jobs.values())):
             if stage is None:
                 done.append((endpoint, outcome))
@@ -235,8 +236,9 @@ def _run_cohort(command: str, cfg: CampaignConfig, cohort: Sequence, step,
 def _run_campaign(command: str, cfg: CampaignConfig, partition_label: Optional[str],
                   params: Optional[dict] = None) -> tuple[int, dict]:
     """Measure the whole cohort into a fresh partition; returns (exit_code, counters).
-    Given analysis ``params``, each worker also analyzes its session (none is read
-    back), and ``_analysis_tables`` writes the rows unless tables of other params exist."""
+    Given analysis ``params``, each session is also analyzed right after its write
+    (none is read back; ``_run_cohort`` runs a simulated cohort one session at a time),
+    and ``_analysis_tables`` writes the rows unless tables of other params exist."""
     store = MeasurementStore(cfg.output_dir)
     cohort, excluded = _cohort(cfg)
     label = partition_label or cfg.partition_label or date.today().isoformat()
@@ -547,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", default=None)
     p.add_argument("--duration", type=int, default=CampaignConfig.duration_s)
     p.add_argument("--cadence", type=int, default=CampaignConfig.cadence_hz)
-    p.add_argument("--concurrency", type=int, default=CampaignConfig.concurrency)
+    p.add_argument("--concurrency", type=int, default=CampaignConfig.concurrency,
+                   help="checked (1..64) but unused: a simulated cohort runs one at a time")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="render per-POP, distance and trend tables")

@@ -64,6 +64,8 @@ class CampaignConfig:
     """Everything a campaign run needs, loadable from one JSON file.
 
     Tunable ranges: probe.RANGES, timeout_s (0, 30], jump_threshold_ms > 0.
+    ``concurrency`` is how many endpoints a raw campaign probes at once; a
+    simnet campaign, which waits on no network, runs one at a time.
     """
 
     transport: str

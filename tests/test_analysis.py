@@ -179,6 +179,14 @@ def test_short_series_rejected():
         detect_spikes(series([40.0, 41.0] * 10))
 
 
+def test_short_series_states_its_span_to_the_millisecond():
+    # 1 ms short of the bound: the span must not round up to the bound it misses
+    short = LatencySeries(np.array([0, 30_000, 59_999]), np.array([40.0, 41.0, 40.0]))
+    with pytest.raises(AnalysisError) as info:
+        detect_spikes(short)
+    assert str(info.value) == "series spans 59.999 s; need at least 60 s for a baseline"
+
+
 def test_sustained_spike_20s_excursion():
     values = alternating_baseline(600)
     for i in range(300, 320):

@@ -13,6 +13,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -974,7 +976,7 @@ def test_malformed_exclusion_file_is_a_config_error(tmp_path, capsys, command):
     extra = {"trace": ["--out", str(tmp_path / "paths.csv")], "measure": []}[command]
     assert cli.main([command, "--config", str(cfg_path), *extra]) == 2
     err = capsys.readouterr().err
-    assert f"{command} error stage=config msg=exclude_file: 'not-a-network'" in err
+    assert f"{command} error stage=config msg={exclude} line 2: 'not-a-network'" in err
     assert "Traceback" not in err
 
 
@@ -1013,6 +1015,16 @@ def test_simulate_bad_cadence_exits_2(tmp_path, capsys):
                      "--out", str(tmp_path / "s"), "--cadence", "11"])
     assert code == 2
     assert "stage=config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("concurrency", [0, 65])
+def test_simulate_still_checks_concurrency(tmp_path, capsys, concurrency):
+    # unused by a simulated cohort, but a value out of range is still refused
+    assert cli.main(["simulate", "--scenarios", str(SCENARIOS / "relay_split"),
+                     "--out", str(tmp_path / "s"), "--concurrency", str(concurrency)]) == 2
+    _single_config_error(capsys, "simulate", f"concurrency: expected an integer in 1..64, "
+                                             f"got {concurrency}")
+    assert not (tmp_path / "s").exists()
 
 
 # -------------------------------------------------------------- trace/report
@@ -1294,8 +1306,8 @@ def test_trace_paths_do_not_depend_on_concurrency(tmp_path, capsys):
 
 
 def test_simulated_stores_do_not_depend_on_concurrency(tmp_path, capsys):
-    # The pool's workers measure, write and analyze each session; the
-    # partition and the tables come out the same however many run at once.
+    # A simulated cohort runs one session at a time whatever --concurrency
+    # says; the partition and the tables come out the same at either value.
     scen_dir = _generated_scenarios(tmp_path / "scenarios", 6, seed=7, duration_s=300)
     stores = {}
     for concurrency in (1, 4):
@@ -1307,6 +1319,25 @@ def test_simulated_stores_do_not_depend_on_concurrency(tmp_path, capsys):
         stores[concurrency] = _tree(store_dir)
     assert len(stores[1]) == 6 * 2 + 2  # each session's two files, and the two tables
     assert stores[1] == stores[4]
+
+
+def test_simulated_cohort_is_probed_on_one_thread(tmp_path, capsys, monkeypatch):
+    # The simulator waits on no network, so threads could only take turns
+    # holding the GIL: --concurrency does not spread a simnet cohort.
+    scen_dir = _generated_scenarios(tmp_path / "scenarios", 6, seed=7, duration_s=300)
+    threads = []
+    probe_ticks = SimnetTransport.probe_ticks
+
+    def spy(self, *args, **kwargs):
+        threads.append(threading.get_ident())
+        time.sleep(0.01)  # time for a second worker, were there one, to take a session
+        return probe_ticks(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimnetTransport, "probe_ticks", spy)
+    assert cli.main(["simulate", "--scenarios", str(scen_dir), "--out", str(tmp_path / "s"),
+                     "--duration", "300", "--concurrency", "4"]) == 0
+    assert capsys.readouterr().out.startswith("simulate ok sessions=6 failed=0 ")
+    assert len(threads) == 6 and len(set(threads)) == 1
 
 
 def test_readme_names_the_session_columns():
