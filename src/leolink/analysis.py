@@ -76,10 +76,11 @@ class LatencySeries:
         return len(self.timestamps_ms)
 
     @property
-    def span_ms(self) -> int:
+    def duration_ms(self) -> float:
+        """Half-open, as an event's span: one nominal tick past the last sample."""
         if len(self) == 0:
-            return 0
-        return int(self.timestamps_ms[-1] - self.timestamps_ms[0])
+            return 0.0
+        return int(self.timestamps_ms[-1] - self.timestamps_ms[0]) + self.tick_interval_ms()
 
     def tick_interval_ms(self) -> float:
         """Nominal inter-sample gap; median of the observed gaps."""
@@ -231,14 +232,15 @@ def detect_spikes(
     full session.  Excursions are maximal runs above median + 1*sigma;
     a run (or sub-run) above median + 2*sigma lasting at least 15 s is
     a sustained event, anything else is standard.  A flat series
-    (sigma == 0) has no events by definition.  Requires at least 60 s
-    of series; shorter sessions cannot carry a meaningful baseline.
+    (sigma == 0) has no events by definition.  Requires a series lasting
+    at least 60 s (its :attr:`~LatencySeries.duration_ms`); shorter
+    sessions cannot carry a meaningful baseline.
     """
     if len(smoothed) == 0:
         raise EmptySeriesError("cannot detect spikes on an empty series")
-    if smoothed.span_ms < MIN_DETECTION_SPAN_MS:
+    if smoothed.duration_ms < MIN_DETECTION_SPAN_MS:
         raise AnalysisError(
-            f"series spans {smoothed.span_ms / 1000.0:.3f} s; need at least "
+            f"series spans {smoothed.duration_ms / 1000.0:.3f} s; need at least "
             f"{MIN_DETECTION_SPAN_MS / 1000.0:.0f} s for a baseline")
     vs = smoothed.values_ms
     ts = smoothed.timestamps_ms
@@ -325,7 +327,7 @@ def session_stats(
     loss = 0.0
     if expected_ticks:
         loss = max(0.0, 1.0 - len(series) / expected_ticks)
-    span = series.span_ms + series.tick_interval_ms()
+    span = series.duration_ms
     spike_ms = sum(e.duration_ms for e in spikes)
     return SessionStats(
         min_ms=float(np.min(vs)),

@@ -277,7 +277,7 @@ def _site_positions(sites: Sequence[GroundStation], times: Sequence[float],
                     epoch_s: float) -> np.ndarray:
     """Inertial-frame positions (S, T, 3) of ground sites at each of ``times``.
 
-    Scalar math, term for term as ``geo.latlon_to_ecef`` rounds (numpy's
+    Scalar math, term for term as numpy's elementwise form rounds (its
     float64 sin and cos call libm, as ``math`` does), and for a few sites
     far cheaper than small arrays.
     """

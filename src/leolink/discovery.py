@@ -155,9 +155,6 @@ class PopCatalog:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def codes(self) -> list[str]:
-        return sorted(self._entries)
-
 
 @dataclass(frozen=True)
 class PepBlocklist:

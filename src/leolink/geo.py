@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 EARTH_RADIUS_KM = 6371.0
 # Vacuum speed of light; radio and laser links run at this speed.
 LIGHT_SPEED_KM_S = 299_792.458
@@ -46,23 +44,11 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float,
         return 2.0 * radius_km * math.asin(math.sqrt(a))
     # Nearer antipodal, a rounds close to 1 and asin loses the last digits:
     # the Vincenty form, atan2(|u x v|, u . v) of the unit vectors, keeps them.
-    u, v = latlon_to_ecef(np.array([lat1, lat2]), np.array([lon1, lon2]), 1.0)
-    return radius_km * math.atan2(math.hypot(*np.cross(u, v)), sum(u * v))
-
-
-def latlon_to_ecef(lat: float | np.ndarray, lon: float | np.ndarray,
-                   radius_km: float = EARTH_RADIUS_KM) -> np.ndarray:
-    """Cartesian position of a surface point at the given radius.
-
-    Elementwise over arrays of coordinates; the last axis holds x, y, z.
-    """
-    phi = np.radians(lat)
-    lam = np.radians(lon)
-    xyz = np.empty(np.broadcast(phi, lam).shape + (3,))
-    xyz[..., 0] = radius_km * np.cos(phi) * np.cos(lam)
-    xyz[..., 1] = radius_km * np.cos(phi) * np.sin(lam)
-    xyz[..., 2] = radius_km * np.sin(phi)
-    return xyz
+    lam1, lam2 = math.radians(lon1), math.radians(lon2)
+    ux, uy, uz = math.cos(phi1) * math.cos(lam1), math.cos(phi1) * math.sin(lam1), math.sin(phi1)
+    vx, vy, vz = math.cos(phi2) * math.cos(lam2), math.cos(phi2) * math.sin(lam2), math.sin(phi2)
+    cross = math.hypot(uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
+    return radius_km * math.atan2(cross, ux * vx + uy * vy + uz * vz)
 
 
 def central_angle_rad(lat1: float, lon1: float, lat2: float, lon2: float) -> float:

@@ -81,7 +81,6 @@ class InsufficientPathError(ProbeError):
 class ProbeReply:
     responder: str
     rtt_us: float
-    kind: str  # "ttl_expired" | "echo"
 
 
 class Transport(Protocol):

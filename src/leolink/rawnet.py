@@ -193,9 +193,9 @@ _instance_lock = threading.Lock()
 
 
 def _receive(sock: socket.socket, parse, accept, t0: int,
-             timeout_s: float) -> Optional[tuple[ParsedIcmp, str, float]]:
-    """The first (parsed, responder, rtt_us) read from sock whose parse
-    ``accept`` takes, or None once timeout_s has passed since t0 (ns)."""
+             timeout_s: float) -> Optional[ProbeReply]:
+    """The reply of the first packet read from sock whose parse ``accept``
+    takes, or None once timeout_s has passed since t0 (ns)."""
     deadline = t0 + int(timeout_s * 1e9)
     while True:
         remaining = (deadline - time.monotonic_ns()) / 1e9
@@ -211,7 +211,7 @@ def _receive(sock: socket.socket, parse, accept, t0: int,
         t1 = time.monotonic_ns()
         parsed = parse(data)
         if parsed is not None and accept(parsed):
-            return parsed, addr[0], (t1 - t0) / 1000.0
+            return ProbeReply(responder=addr[0], rtt_us=(t1 - t0) / 1000.0)
 
 
 class RawTransport:
@@ -312,13 +312,8 @@ class RawTransport:
 
         t0 = time.monotonic_ns()
         sock.sendto(packet, (target, 0))
-        got = _receive(sock, parse, ours, t0, self.timeout_s)
-        if got is None:
-            return None
-        parsed, responder, rtt_us = got
-        # time exceeded, or unreachable: the path ends at the reporter
-        kind = "echo" if parsed.icmp_type == reply_type else "ttl_expired"
-        return ProbeReply(responder=responder, rtt_us=rtt_us, kind=kind)
+        # an echo reply, or an error naming the router where the path ends
+        return _receive(sock, parse, ours, t0, self.timeout_s)
 
     def _probe_udp(self, target: str, ttl: int) -> Optional[ProbeReply]:
         icmp = self._icmp_sock(socket.AF_INET)
@@ -342,12 +337,7 @@ class RawTransport:
                              or (parsed.icmp_type == ICMP_DEST_UNREACH
                                  and parsed.code == ICMP_PORT_UNREACH_CODE)))
 
-            got = _receive(icmp, parse_icmp_v4, ours, t0, self.timeout_s)
-        if got is None:
-            return None
-        parsed, responder, rtt_us = got
-        kind = "ttl_expired" if parsed.icmp_type == ICMP_TIME_EXCEEDED else "echo"
-        return ProbeReply(responder=responder, rtt_us=rtt_us, kind=kind)
+            return _receive(icmp, parse_icmp_v4, ours, t0, self.timeout_s)
 
     def _probe_tcp(self, target: str, ttl: int) -> Optional[ProbeReply]:
         with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
@@ -366,13 +356,13 @@ class RawTransport:
             err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
             if err == 0 or err == errno.ECONNREFUSED:
                 # SYN-ACK or RST: the target answered either way
-                return ProbeReply(responder=target, rtt_us=rtt_us, kind="echo")
+                return ProbeReply(responder=target, rtt_us=rtt_us)
             # an expiry on the way: the error queue names the reporting router
             responder = (err in (errno.EHOSTUNREACH, errno.ENETUNREACH)
                          and self._errqueue_offender(sock))
             if not responder:
                 return None
-            return ProbeReply(responder=responder, rtt_us=rtt_us, kind="ttl_expired")
+            return ProbeReply(responder=responder, rtt_us=rtt_us)
 
     @staticmethod
     def _errqueue_offender(sock: socket.socket) -> Optional[str]:

@@ -62,12 +62,15 @@ endpoint's ``pop_code``, ``source``, ``latitude`` and ``longitude`` (both
 coordinates or neither).
 A key outside the schema is refused at every level, except a free-text
 ``comment`` string at the top level.  :class:`Scenario` is the schema.
-:func:`score_spikes` scores detected spikes against a scenario's events.
+The events form the ground truth: :meth:`Scenario.event_at` names the
+event active at each of an array of times, and
+:meth:`Scenario.satellite_delta_ms` its delta, the one lookup that the
+probe replies use too.  :func:`score_spikes` scores detected spikes
+against a scenario's events.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -110,9 +113,6 @@ class RerouteEvent:
     @property
     def end_s(self) -> int:
         return self.at_s + self.duration_s
-
-    def active_at(self, t_s: float) -> bool:
-        return self.at_s <= t_s < self.end_s
 
 
 @dataclass(frozen=True)
@@ -200,9 +200,13 @@ class Scenario:
             if other in endpoint.obj and key not in endpoint.obj:
                 raise _err(f"endpoint.{key}", f"required with endpoint.{other}")
 
-        # The events are sorted and disjoint, so the last event to start by
-        # t is the only one that can be active at t.
-        self._event_starts = [ev.at_s for ev in self.events]
+        # The timeline: per event its start, end and one-way delta on the
+        # span, then a row for "no event" (index -1) that no time falls in.
+        base = self.satellite_base_oneway_ms()
+        timeline = [(ev.at_s, ev.end_s, ev.delta_ms / 2.0 if ev.new_rtt_ms is None
+                     else ev.new_rtt_ms / 2.0 - base) for ev in self.events]
+        self._starts, self._ends, self._deltas = map(
+            np.array, zip(*timeline, (np.inf, -np.inf, 0.0)))
         # (hop, oneway_ms, is_sat_entry, sigma_ms) per TTL, without and
         # with a flap, which puts one terrestrial hop before the span.
         chain = [(hop, ms, i == self.pre_sat, self.jitter.satellite_sigma_ms
@@ -222,30 +226,18 @@ class Scenario:
         # Segments strictly after pre_sat up to and including post_sat.
         return sum(self.base_latencies_ms[self.pre_sat:self.post_sat])
 
-    def satellite_delta_ms(self, t_s: float) -> tuple[float, Optional[RerouteEvent]]:
-        """One-way latency delta on the satellite span at time t."""
-        i = bisect_right(self._event_starts, t_s) - 1
-        if i >= 0 and self.events[i].active_at(t_s):
-            ev = self.events[i]
-            if ev.new_rtt_ms is not None:
-                return ev.new_rtt_ms / 2.0 - self.satellite_base_oneway_ms(), ev
-            return (ev.delta_ms or 0.0) / 2.0, ev
-        return 0.0, None
+    def event_at(self, t_s: np.ndarray) -> np.ndarray:
+        """Index into ``events`` of the event active at each of the times
+        ``t_s`` (in ``[at_s, end_s)``), or -1 where none is."""
+        # The events are sorted and disjoint, so the last event to start by
+        # t is the only one that can be active at t.
+        i = np.searchsorted(self._starts, t_s, side="right") - 1
+        return np.where(t_s < self._ends[i], i, -1)
 
-
-@dataclass(frozen=True)
-class GroundTruth:
-    route_kind: str          # "baseline" or the active event kind
-    sat_rtt_ms: float        # satellite span round-trip, jitter-free
-    in_event: bool
-
-
-def ground_truth(scenario: Scenario, t_s: float) -> GroundTruth:
-    delta, ev = scenario.satellite_delta_ms(t_s)
-    rtt = 2.0 * (scenario.satellite_base_oneway_ms() + delta)
-    if ev is None:
-        return GroundTruth("baseline", rtt, False)
-    return GroundTruth(ev.kind, rtt, True)
+    def satellite_delta_ms(self, t_s: np.ndarray) -> np.ndarray:
+        """One-way latency delta on the satellite span at each of the times
+        ``t_s``; the jitter-free span RTT is ``2 * (base + delta)``."""
+        return self._deltas[self.event_at(t_s)]
 
 
 @dataclass(frozen=True)
@@ -337,11 +329,11 @@ def _probe_core(scenario: Scenario, protocol: str) -> tuple[Callable, Callable]:
     the scenario's target at one TTL sent at the int64 virtual times ``t_ms``.
 
     It returns ``(rtt_ms, flapped)``: each probe's RTT, NaN for silence,
-    and whether the flap hop was in the path.  The responder and the reply
-    kind are the first two items of ``plan_of(flapped, ttl)``.  The RTT is
-    twice the one-way latency up to the hop where the TTL expires, the
-    satellite span event-adjusted, plus jitter.  Each (flap, TTL) is
-    planned once.
+    and whether the flap hop was in the path.  The responder is the first
+    item of ``plan_of(flapped, ttl)``.  The RTT is twice the one-way
+    latency up to the hop where the TTL expires, the satellite span
+    shifted by :meth:`Scenario.satellite_delta_ms`, plus jitter.  Each
+    (flap, TTL) is planned once.
 
     The draws come from a counter-based stream, with no generator:
     ``key = mix(seed ^ mix(protocol_index << 48 | FLOW << 32 | ttl))`` and
@@ -357,20 +349,16 @@ def _probe_core(scenario: Scenario, protocol: str) -> tuple[Callable, Callable]:
     loss, flap = scenario.loss_probability, scenario.hop_flap
     seed, protocol_index = _U64(scenario.seed % 2 ** 64), PROTOCOLS.index(protocol)
     keys: dict[int, np.ndarray] = {}  # per TTL, a one-element uint64 array
-    starts = np.array(scenario._event_starts, dtype=np.float64)
-    ends = np.array([ev.end_s for ev in scenario.events], dtype=np.float64)
-    deltas = np.array([scenario.satellite_delta_ms(ev.at_s)[0] for ev in scenario.events])
 
     def plan(chain: list, expire_at: int) -> Optional[tuple]:
-        # responder, kind, (seg_ms, is_sat_entry) per segment, sigma per
-        # draw, and whether the probe crosses the satellite span
+        # responder, (seg_ms, is_sat_entry) per segment, sigma per draw,
+        # and whether the probe crosses the satellite span
         hop, at_target = chain[expire_at - 1][0], expire_at == len(chain)
         if not (hop.echo and protocol in scenario.target_protocols if at_target
                 else hop.ttl_expired):
             return None
         segments = chain[:expire_at]
-        return (hop.address, "echo" if at_target else "ttl_expired",
-                [(ms, entry) for _, ms, entry, _ in segments],
+        return (hop.address, [(ms, entry) for _, ms, entry, _ in segments],
                 [sigma for *_, sigma in segments if draws and sigma > 0],
                 any(entry for _, _, entry, _ in segments))
 
@@ -383,17 +371,14 @@ def _probe_core(scenario: Scenario, protocol: str) -> tuple[Callable, Callable]:
         return by_ttl[min(ttl, len(by_ttl) - 1)]
 
     def rtts(p: tuple, key: np.ndarray, t_ms: np.ndarray, t_s: np.ndarray) -> np.ndarray:
-        _, _, segments, sigmas, crosses = p
+        _, segments, sigmas, crosses = p
         first = 2 if loss > 0 else 1  # the first jitter uniform: with loss, loss takes 1
         h = _mix(key ^ t_ms.view(_U64) * _U64(_GOLDEN))
 
         def uniform(j: int) -> np.ndarray:
             return (_mix(h + _U64(j * _GOLDEN % 2 ** 64)) >> _U64(11)) * 2.0 ** -53
 
-        delta = 0.0
-        if crosses and len(starts):  # the last event to start by t is the only one active
-            ev = np.searchsorted(starts, t_s, side="right") - 1
-            delta = np.where((ev >= 0) & (t_s < ends[ev]), deltas[ev], 0.0)
+        delta = scenario.satellite_delta_ms(t_s) if crosses else 0.0
         oneway, noise = 0.0, np.zeros(len(t_ms))
         for seg_ms, is_sat_entry in segments:
             oneway = oneway + (seg_ms + delta if is_sat_entry else seg_ms)
@@ -474,9 +459,8 @@ class SimnetTransport:
         if target == self.scenario.target_address:
             rtt_ms, flapped = self._replies(ttl, np.array([self.now_ms()], dtype=np.int64))
             if not math.isnan(rtt_ms[0]):
-                responder, kind = self._plan(bool(flapped[0]), ttl)[:2]
-                reply = ProbeReply(responder=responder, rtt_us=float(rtt_ms[0]) * 1000.0,
-                                   kind=kind)
+                reply = ProbeReply(responder=self._plan(bool(flapped[0]), ttl)[0],
+                                   rtt_us=float(rtt_ms[0]) * 1000.0)
                 self._now_ms += reply.rtt_us / 1000.0
                 return reply
         self._now_ms += self.timeout_s * 1000.0

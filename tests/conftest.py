@@ -1,11 +1,14 @@
-"""Shared helpers: scenario factories, one simulated probe, bundled fixture paths
-and the spikes of a report table."""
+"""Shared helpers: scenario factories, one simulated probe, bundled fixture paths,
+the spikes of a report table and the surface-point geometry oracle."""
 from __future__ import annotations
 
 import copy
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from leolink.geo import EARTH_RADIUS_KM
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "data" / "fixtures"
@@ -53,6 +56,20 @@ def spikes_by_address(report_csv: Path) -> dict:
         spikes.setdefault(address, []).append(
             SpikeEvent(int(start), int(end), kind, float(peak), float(base)))
     return spikes
+
+
+def latlon_to_ecef(lat, lon, radius_km=EARTH_RADIUS_KM) -> np.ndarray:
+    """Cartesian position of a surface point at the given radius.
+
+    Elementwise over arrays of coordinates; the last axis holds x, y, z.
+    """
+    phi = np.radians(lat)
+    lam = np.radians(lon)
+    xyz = np.empty(np.broadcast(phi, lam).shape + (3,))
+    xyz[..., 0] = radius_km * np.cos(phi) * np.cos(lam)
+    xyz[..., 1] = radius_km * np.cos(phi) * np.sin(lam)
+    xyz[..., 2] = radius_km * np.sin(phi)
+    return xyz
 
 
 @pytest.fixture

@@ -34,18 +34,17 @@ from leolink.constellation import (
     worst_case_rtt,
 )
 from leolink.discovery import Endpoint
-from leolink.geo import EARTH_RADIUS_KM, LIGHT_SPEED_KM_S, latlon_to_ecef
+from leolink.geo import EARTH_RADIUS_KM, LIGHT_SPEED_KM_S
 from leolink.probe import identify_sat_link, measure_session, run_traceroute
 from leolink.simnet import (
     RerouteEvent,
     SimnetTransport,
     build_scenario,
-    ground_truth,
     load_scenario_dir,
     score_spikes,
 )
 from leolink.store import MeasurementStore
-from tests.conftest import spikes_by_address
+from tests.conftest import latlon_to_ecef, spikes_by_address
 
 FIXTURES = Path(__file__).resolve().parent.parent / "data" / "fixtures"
 SCENARIOS = Path(cli.__file__).parent / "data" / "scenarios"
@@ -197,7 +196,7 @@ def test_a03_isolation_accuracy():
     within_10 = within_3 = n = 0
     for k in range(10):
         scen = build_scenario(scenario(3001 + k, duration_s=300))
-        truth = ground_truth(scen, 0.0).sat_rtt_ms
+        truth = 2.0 * (scen.satellite_base_oneway_ms() + scen.satellite_delta_ms(0.0))
         _, isolated, _, _ = run_pipeline(scen)
         error = np.abs(isolated.values_ms - truth)
         within_10 += int(np.sum(error <= 10.0))

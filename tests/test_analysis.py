@@ -180,8 +180,10 @@ def test_short_series_rejected():
 
 
 def test_short_series_states_its_span_to_the_millisecond():
-    # 1 ms short of the bound: the span must not round up to the bound it misses
-    short = LatencySeries(np.array([0, 30_000, 59_999]), np.array([40.0, 41.0, 40.0]))
+    # 1 ms short of the bound, counting one 15 s tick past the last sample:
+    # the span must not round up to the bound it misses
+    short = LatencySeries(np.array([0, 15_000, 30_000, 44_999]),
+                          np.array([40.0, 41.0, 40.0, 41.0]))
     with pytest.raises(AnalysisError) as info:
         detect_spikes(short)
     assert str(info.value) == "series spans 59.999 s; need at least 60 s for a baseline"

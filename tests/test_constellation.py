@@ -38,9 +38,8 @@ from leolink.geo import (
     LIGHT_SPEED_KM_S,
     fiber_rtt_ms,
     haversine_km,
-    latlon_to_ecef,
 )
-from tests.conftest import REPO_ROOT
+from tests.conftest import REPO_ROOT, latlon_to_ecef
 
 DISH = DishSite(latitude=0.0, longitude=0.0)
 GS = GroundStation(latitude=2.0, longitude=2.0, label="gs")

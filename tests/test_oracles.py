@@ -25,7 +25,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from leolink import analysis, constellation, probe, simnet
@@ -63,10 +63,10 @@ from leolink.constellation import (
     worst_case_rtt,
 )
 from leolink.discovery import Endpoint, PopCatalog, PopLocation
-from leolink.geo import EARTH_RADIUS_KM, vacuum_rtt_ms
+from leolink.geo import EARTH_RADIUS_KM, haversine_km, vacuum_rtt_ms
 from leolink.probe import _CHUNK_TICKS, MeasurementSession, SatLinkPath
 from leolink.store import MeasurementStore
-from tests.conftest import respond_to_probe, scenario_dict
+from tests.conftest import latlon_to_ecef, respond_to_probe, scenario_dict
 
 # One probe as the per-sample code held it; rtt_us is None when lost.
 Sample = namedtuple("Sample", "timestamp_ms target_ttl rtt_us")
@@ -101,12 +101,13 @@ def oracle_maximal_runs(mask):
 
 
 def oracle_satellite_delta_ms(scenario, t_s):
-    for ev in scenario.events:
-        if ev.active_at(t_s):
+    """The one-way span delta at t and the index of the active event, or -1."""
+    for i, ev in enumerate(scenario.events):
+        if ev.at_s <= t_s < ev.end_s:
             if ev.new_rtt_ms is not None:
-                return ev.new_rtt_ms / 2.0 - scenario.satellite_base_oneway_ms(), ev
-            return (ev.delta_ms or 0.0) / 2.0, ev
-    return 0.0, None
+                return ev.new_rtt_ms / 2.0 - scenario.satellite_base_oneway_ms(), i
+            return (ev.delta_ms or 0.0) / 2.0, i
+    return 0.0, -1
 
 
 MASK = (1 << 64) - 1
@@ -168,11 +169,8 @@ def oracle_respond_to_probe(scenario, target, ttl, t_ms, *, protocol="icmp"):
     if ttl >= n:
         if not hop.echo or protocol not in scenario.target_protocols:
             return None
-        kind = "echo"
-    else:
-        if not hop.ttl_expired:
-            return None
-        kind = "ttl_expired"
+    elif not hop.ttl_expired:
+        return None
     oneway = 0.0
     noise = 0.0
     for (_, seg_ms, is_sat_entry) in chain[:expire_at]:
@@ -183,7 +181,7 @@ def oracle_respond_to_probe(scenario, target, ttl, t_ms, *, protocol="icmp"):
         elif scenario.jitter.dist == "lognormal" and sigma > 0:
             noise += sigma * (rng.lognormvariate() / math.e ** 0.5)
     rtt_ms = max(2.0 * oneway + noise, 0.001)
-    return (hop.address, float(rtt_ms) * 1000.0, kind)
+    return (hop.address, float(rtt_ms) * 1000.0)
 
 
 def samples_of(session, rtt_us=None):
@@ -258,6 +256,12 @@ def oracle_site_position(site, t_s, epoch_s):
     return np.array([radius * math.cos(phi) * math.cos(lam),
                      radius * math.cos(phi) * math.sin(lam),
                      radius * math.sin(phi)])
+
+
+def oracle_antipodal_haversine_km(lat1, lon1, lat2, lon2):
+    """Great-circle distance by the Vincenty form over numpy's unit vectors."""
+    u, v = latlon_to_ecef(np.array([lat1, lat2]), np.array([lon1, lon2]), 1.0)
+    return EARTH_RADIUS_KM * math.atan2(math.hypot(*np.cross(u, v)), sum(u * v))
 
 
 def oracle_look_angles(site_pos, sat_pos):
@@ -541,8 +545,11 @@ def boundary_times(scenario):
 @given(event_scenarios(), st.lists(st.floats(-10.0, 3100.0), max_size=20))
 @settings(max_examples=150, deadline=None)
 def test_event_lookup_equals_linear_scan(scenario, extra_times):
-    for t_s in [*boundary_times(scenario), 0.0, float(scenario.duration_s), *extra_times]:
-        assert scenario.satellite_delta_ms(t_s) == oracle_satellite_delta_ms(scenario, t_s)
+    times = [*boundary_times(scenario), 0.0, float(scenario.duration_s), *extra_times]
+    want = [oracle_satellite_delta_ms(scenario, t_s) for t_s in times]
+    t_s = np.array(times)
+    assert scenario.event_at(t_s).tolist() == [i for _, i in want]
+    assert scenario.satellite_delta_ms(t_s).tolist() == [delta for delta, _ in want]
 
 
 @given(event_scenarios(), st.lists(st.integers(0, 3_100_000), max_size=15),
@@ -560,11 +567,10 @@ def test_probe_replies_equal_per_probe_chain(scenario, times_ms, protocol):
                                            protocol=protocol)
             reply = respond_to_probe(scenario, scenario.target_address, ttl, t,
                                      protocol=protocol)
-            assert want == (None if reply is None else (reply.responder, reply.rtt_us,
-                                                        reply.kind))
+            assert want == (None if reply is None else (reply.responder, reply.rtt_us))
             plan = plan_of(bool(flapped[k]), ttl)
             assert want == (None if math.isnan(rtt_ms[k]) else
-                            (plan[0], float(rtt_ms[k]) * 1000.0, plan[1]))
+                            (plan[0], float(rtt_ms[k]) * 1000.0))
 
 
 def oracle_probe_ticks(transport, target, hops, start_ms, cadence_hz, n_ticks):
@@ -857,6 +863,21 @@ def test_isolation_equals_per_sample_loop(pairs):
         assert np.array_equal(series.timestamps_ms, np.array(timestamps, dtype=np.int64))
         assert series.values_ms.tolist() == values
         assert got_clamped == clamped
+
+
+# ----------------------------------------------------------------- geo
+
+@given(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0), st.floats(-60.0, 60.0),
+       st.floats(-60.0, 60.0))
+@example(0.0, 0.0, 0.0, 0.0)  # exactly antipodal
+@settings(max_examples=300, deadline=None)
+def test_antipodal_haversine_equals_the_numpy_form(lat1, lon1, dlat, dlon):
+    # Over 90 degrees apart, haversine_km takes the Vincenty form in scalar
+    # math; it must round as numpy's unit vectors, cross and dot did.
+    lat2, lon2 = max(-90.0, min(90.0, dlat - lat1)), lon1 + 180.0 + dlon
+    want = oracle_antipodal_haversine_km(lat1, lon1, lat2, lon2)
+    assume(want > EARTH_RADIUS_KM * math.radians(91.0))
+    assert haversine_km(lat1, lon1, lat2, lon2) == want
 
 
 # ------------------------------------------------------- constellation

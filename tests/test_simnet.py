@@ -17,7 +17,6 @@ from leolink.simnet import (
     SimnetTransport,
     _probe_core,
     build_scenario,
-    ground_truth,
     load_scenario_dir,
     score_spikes,
 )
@@ -120,7 +119,7 @@ def test_event_whose_satellite_rtt_would_be_negative_is_refused(change, message)
 
 def test_event_may_take_the_satellite_rtt_to_zero():
     sc = build_scenario(scenario_dict(events=[{**EVENT_80MS, "delta_ms": -25.0}]))
-    assert ground_truth(sc, 60).sat_rtt_ms == 0.0
+    assert 2.0 * (sc.satellite_base_oneway_ms() + sc.satellite_delta_ms(60.0)) == 0.0
 
 
 CODE_HOPS = tuple(SimHop(**hop) for hop in scenario_dict()["hops"])
@@ -196,7 +195,6 @@ def test_reply_rtt_is_twice_cumulative_oneway(quiet_scenario):
     assert r1.rtt_us == pytest.approx(2 * 2.0 * 1000.0)
     assert r2.rtt_us == pytest.approx(2 * 5.0 * 1000.0)
     assert r3.rtt_us == pytest.approx(2 * 17.5 * 1000.0)
-    assert (r1.kind, r2.kind, r3.kind) == ("ttl_expired", "ttl_expired", "echo")
     assert r3.responder == "100.64.9.1"
 
 
@@ -333,21 +331,24 @@ def test_rtt_monotone_in_ttl_without_jitter(t_ms, seed):
 
 # ------------------------------------------------------------- ground truth
 
+def sat_rtt_ms(sc, t_s):
+    """The satellite span's jitter-free round trip at each of the times ``t_s``."""
+    return 2.0 * (sc.satellite_base_oneway_ms() + sc.satellite_delta_ms(t_s))
+
+
 def test_ground_truth_baseline(quiet_scenario):
-    truth = ground_truth(quiet_scenario, 10.0)
-    assert truth.route_kind == "baseline"
-    assert not truth.in_event
-    assert truth.sat_rtt_ms == pytest.approx(25.0)
+    t = np.array([10.0])
+    assert quiet_scenario.event_at(t).tolist() == [-1]  # no event: the baseline route
+    assert sat_rtt_ms(quiet_scenario, t) == pytest.approx([25.0])
 
 
 def test_ground_truth_event_boundaries():
     sc = build_scenario(scenario_dict(events=[EVENT_80MS]))
-    for t, active in [(59.999, False), (60.0, True), (89.999, True), (90.0, False)]:
-        truth = ground_truth(sc, t)
-        assert truth.in_event is active
-        expected = 25.0 + (80.0 if active else 0.0)
-        assert truth.sat_rtt_ms == pytest.approx(expected)
-    assert ground_truth(sc, 75.0).route_kind == "isl_reroute"
+    t = np.array([59.999, 60.0, 89.999, 90.0])
+    active = sc.event_at(t) >= 0
+    assert active.tolist() == [False, True, True, False]
+    assert sat_rtt_ms(sc, t) == pytest.approx(25.0 + np.where(active, 80.0, 0.0))
+    assert sc.events[sc.event_at(75.0)].kind == "isl_reroute"
 
 
 def test_ground_truth_full_timeline_matches_events():
@@ -356,10 +357,9 @@ def test_ground_truth_full_timeline_matches_events():
         {"at_s": 120, "kind": "satellite_switch", "delta_ms": 20.0, "duration_s": 45},
     ]
     sc = build_scenario(scenario_dict(events=events))
-    active_seconds = [t for t in range(sc.duration_s)
-                      if ground_truth(sc, float(t)).in_event]
+    active_seconds = np.flatnonzero(sc.event_at(np.arange(sc.duration_s, dtype=float)) >= 0)
     expected = list(range(30, 45)) + list(range(120, 165))
-    assert active_seconds == expected
+    assert active_seconds.tolist() == expected
 
 
 # ------------------------------------------------------------- spike scoring

@@ -520,6 +520,16 @@ def test_simulate_reroute_day_finds_five_sustained(tmp_path, capsys):
     assert [r[4] for r in rows] == ["sustained"] * 5
 
 
+def test_simulate_analyzes_a_sixty_second_session(tmp_path, capsys):
+    # 60 ticks at 1 Hz last 60 s: the last sample's tick counts toward the
+    # 60 s a baseline needs, though the samples span only 59 s
+    code = cli.main(["simulate", "--scenarios", str(SCENARIOS / "relay_split"),
+                     "--out", str(tmp_path / "store"), "--duration", "60"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out.startswith("simulate ok sessions=1 failed=0 ")
+
+
 def test_simulate_refuses_a_session_whose_terrestrial_hop_flaps(tmp_path, capsys):
     # The flap is active at t = 0, so the trace brackets the flap router
     # at TTL 4.  Outside flaps TTL 4 reaches the target itself, and those
