@@ -238,17 +238,16 @@ def detect_spikes(
     """
     if len(smoothed) == 0:
         raise EmptySeriesError("cannot detect spikes on an empty series")
-    if smoothed.duration_ms < MIN_DETECTION_SPAN_MS:
-        raise AnalysisError(
-            f"series spans {smoothed.duration_ms / 1000.0:.3f} s; need at least "
-            f"{MIN_DETECTION_SPAN_MS / 1000.0:.0f} s for a baseline")
-    vs = smoothed.values_ms
-    ts = smoothed.timestamps_ms
+    vs, ts = smoothed.values_ms, smoothed.timestamps_ms
+    tick_ms = smoothed.tick_interval_ms()
+    duration_ms = int(ts[-1] - ts[0]) + tick_ms  # as smoothed.duration_ms, from tick_ms
+    if duration_ms < MIN_DETECTION_SPAN_MS:
+        raise AnalysisError(f"series spans {duration_ms / 1000.0:.3f} s; need at least "
+                            f"{MIN_DETECTION_SPAN_MS / 1000.0:.0f} s for a baseline")
     m = float(_medians(vs))
     sigma = float(np.std(vs))
     if sigma == 0.0:
         return []
-    tick_ms = smoothed.tick_interval_ms()
 
     def span(i: int, j: int) -> tuple[int, int]:
         # Half-open [start, end): end is one tick past the last sample.

@@ -77,6 +77,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import probe
 from .analysis import KIND_SUSTAINED, SMOOTHING_WINDOW_S, SpikeEvent
 from .checks import Fields, check, read_json
 from .probe import DEFAULT_PROBE_TIMEOUT_S, PROTOCOLS, ProbeReply
@@ -311,7 +312,6 @@ def load_scenario_dir(path: str | Path) -> dict[str, Scenario]:
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's counter step, 2**64 over the golden ratio
 _U64 = np.uint64
 _SQRT_E = math.e ** 0.5
-TICK_BLOCK = 1024  # ticks per array pass: bounds the scratch arrays of a long session
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -428,7 +428,7 @@ class SimnetTransport:
     clock counts float ms, read whole; a sleep never moves it back, and a
     probe moves it on by its RTT, or by the timeout when no reply comes.
     ``probe`` and ``probe_ticks`` share one array core (:func:`_probe_core`):
-    ``probe`` asks it one probe, ``probe_ticks`` a block of ticks at a time.
+    ``probe`` asks it one probe, ``probe_ticks`` a pass of ticks at a time.
     """
 
     def __init__(self, scenario: Scenario, *, protocol: str = "icmp",
@@ -492,7 +492,7 @@ class SimnetTransport:
         """:meth:`probe` once per hop per tick, exactly as
         :func:`probe.probe_each_tick` would send them.
 
-        Each block of ticks is answered in one array pass per hop, as if
+        Each pass of ``probe.PASS_TICKS`` ticks is answered in one array call per hop, as if
         every tick left at its grid time.  A tick leaves at its grid time or
         when the tick before it ends, whichever is later, so a tick after a
         timeout (or at a high cadence) leaves late.  Fix-up passes answer
@@ -506,8 +506,8 @@ class SimnetTransport:
         sent_ms = np.empty((len(hops), n_ticks), dtype=np.int64)
         rtt_us = np.empty((len(hops), n_ticks), dtype=np.float64)
         end = self._now_ms  # the float clock, not the session's int start
-        for lo in range(0, n_ticks, TICK_BLOCK):
-            block = slice(lo, lo + TICK_BLOCK)
+        for lo in range(0, n_ticks, probe.PASS_TICKS):
+            block = slice(lo, lo + probe.PASS_TICKS)
             sent, rtt = sent_ms[:, block], rtt_us[:, block]
             due = start_ms + np.arange(lo, lo + sent.shape[1], dtype=np.int64) * 1000 // cadence_hz
             wrong = np.empty(sent.shape, dtype=bool)

@@ -33,7 +33,7 @@ import numpy as np
 from . import probe
 from .checks import Fields, hints, read, read_json
 from .discovery import Endpoint
-from .probe import _CHUNK_TICKS, MeasurementSession, SatLinkPath, _tenths
+from .probe import MeasurementSession, SatLinkPath, _tenths
 
 SCHEMA_VERSION = 2
 SESSION_FILENAME = "session.csv"
@@ -228,10 +228,9 @@ class MeasurementStore:
         with replaced(session_path) as fh:
             out = fh.buffer  # the rows are bytes already; the text layer stays empty
             out.write(_HEADER)
-            for lo in range(0, session.sent_ms.shape[1], _CHUNK_TICKS):
-                chunk = slice(lo, lo + _CHUNK_TICKS)
-                out.write(_encode_rows(session.sent_ms[:, chunk],
-                                       _tenths(session.rtt_us[:, chunk])))
+            for lo in range(0, session.sent_ms.shape[1], probe.PASS_TICKS):
+                chunk = slice(lo, lo + probe.PASS_TICKS)
+                out.write(_encode_rows(session.sent_ms[:, chunk], _tenths(session.rtt_us[:, chunk])))
             with replaced(endpoint_dir / META_FILENAME) as meta_fh:
                 json.dump(asdict(meta), meta_fh, indent=2, sort_keys=True)
                 meta_fh.write("\n")

@@ -64,7 +64,7 @@ from leolink.constellation import (
 )
 from leolink.discovery import Endpoint, PopCatalog, PopLocation
 from leolink.geo import EARTH_RADIUS_KM, haversine_km, vacuum_rtt_ms
-from leolink.probe import _CHUNK_TICKS, MeasurementSession, SatLinkPath
+from leolink.probe import MeasurementSession, SatLinkPath
 from leolink.store import MeasurementStore
 from tests.conftest import latlon_to_ecef, respond_to_probe, scenario_dict
 
@@ -652,7 +652,7 @@ def test_session_call_is_exact_in_blocks_of_any_size(run, block):
     # ticks can cross from one block into the next.
     schedule = (run["target"], run["hops"], 0, run["cadence_hz"], run["n_ticks"])
     fast, slow = session_transport(run), session_transport(run)
-    with mock.patch.object(simnet, "TICK_BLOCK", block):
+    with mock.patch.object(probe, "PASS_TICKS", block):
         got = session_state(fast, *fast.probe_ticks(*schedule))
     sent_ms, rtt_us, wrong = oracle_probe_ticks(slow, *schedule)
     slow.wrong_responders.update(wrong)
@@ -789,21 +789,49 @@ def numpy_session(n, start_ms, seed, lost_hop=None, placed=()):
         sent_ms=[terrestrial, terrestrial + rng.integers(0, 1000, n)], rtt_us=rtt), rtt
 
 
+HALF_PASS = probe.PASS_TICKS // 2
+
+
 @pytest.mark.parametrize("n, start_ms, lost_hop", [
     *((n, start_ms, None)
-      for n in (1, _CHUNK_TICKS - 1, _CHUNK_TICKS, _CHUNK_TICKS + 1,
-                2 * _CHUNK_TICKS + 5)
+      for n in (1, HALF_PASS - 1, HALF_PASS, HALF_PASS + 1, 2 * HALF_PASS + 5)
       for start_ms in (-5_000_000, 2 ** 32, 2 ** 62)),
-    *((n, 1_700_000_000_000, hop) for n in (1, _CHUNK_TICKS + 1) for hop in (0, 1)),
+    *((n, 1_700_000_000_000, hop) for n in (1, HALF_PASS + 1) for hop in (0, 1)),
 ])
 def test_session_csv_equals_csv_writer_across_chunks(tmp_path, n, start_ms, lost_hop):
     # Send times that cross zero (so the digit count changes inside a
-    # chunk) or need more than 32 bits, sessions that end just before, on
-    # and after a chunk boundary, and a hop with every probe lost.
+    # pass) or need more than 32 bits, sessions that end just before, on
+    # and after a pass boundary (written in passes of half the size too),
+    # and a hop with every probe lost.
     session, rtt = numpy_session(n, start_ms, seed=n, lost_hop=lost_hop)
-    store = MeasurementStore(tmp_path)
-    written = store.write_session(store.new_partition("p"), session, config_hash="x")
-    assert written.read_bytes() == oracle_session_csv(*samples_of(session, rtt))
+    want = oracle_session_csv(*samples_of(session, rtt))
+    for pass_ticks in (HALF_PASS, probe.PASS_TICKS):
+        store = MeasurementStore(tmp_path / str(pass_ticks))
+        with mock.patch.object(probe, "PASS_TICKS", pass_ticks):
+            written = store.write_session(store.new_partition("p"), session, config_hash="x")
+        assert written.read_bytes() == want
+
+
+@given(st.lists(st.tuples(st.integers(0, 2500), rtts, rtts), min_size=1, max_size=30),
+       st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_session_is_rounded_and_written_exactly_in_passes_of_any_size(tmp_path_factory, ticks,
+                                                                     pass_ticks):
+    # A session rounds its RTTs, and write_session encodes its rows, a
+    # pass of ticks at a time: a pass boundary may fall on any tick.
+    rtt = tick_rtts(ticks)
+    assume("0.0" not in (f"{x:.1f}" for x in rtt.ravel()))
+    with mock.patch.object(probe, "PASS_TICKS", pass_ticks):
+        session = make_session(ticks)
+    want = oracle_session_csv(*samples_of(session, rtt))
+    # it holds the RTTs the oracle's rows spell
+    rows = list(csv.reader(io.StringIO(want.decode("utf-8"))))[1:]
+    spelled = np.array([[float(row[column]) for row in rows] for column in (1, 3)])
+    assert np.array_equal(session.rtt_us, spelled, equal_nan=True)
+    store = MeasurementStore(tmp_path_factory.mktemp("store"))
+    with mock.patch.object(probe, "PASS_TICKS", pass_ticks):
+        written = store.write_session(store.new_partition("p"), session, config_hash="x")
+    assert written.read_bytes() == want
 
 
 @given(st.lists(st.tuples(st.integers(0, 2500), tenths, tenths), min_size=1, max_size=60))

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields
 from functools import partial
 from pathlib import Path
@@ -26,6 +27,7 @@ from leolink.probe import (
     run_traceroute,
 )
 from leolink.simnet import SimnetTransport, build_scenario
+from leolink.store import MeasurementStore
 from tests.conftest import scenario_dict
 
 ENDPOINT = Endpoint(address="100.64.9.1", pop_code="sttlwax1")
@@ -517,3 +519,35 @@ def test_integer_settings_take_numpy_integers(quiet_transport):
     session = measure_session(quiet_transport, ENDPOINT, path_of(quiet_transport),
                               duration_s=np.int64(3), cadence_hz=np.int32(2))
     assert session.sent_ms.shape == (2, 6)
+
+
+def test_a_day_session_is_probed_and_written_in_bounded_passes(tmp_path):
+    # Ticks go through probe_ticks and write_session in passes of
+    # PASS_TICKS, so neither holds numpy scratch for a whole day at once:
+    # about 1.4 and 1.2 MB at 8,192 ticks a pass, 12 MB each in one pass.
+    bound = 2_000_000
+    transport = SimnetTransport(build_scenario(scenario_dict(
+        duration_s=86_400, loss_probability=0.05,
+        jitter={"dist": "gaussian", "sigma_ms": 0.3, "satellite_sigma_ms": 2.0})))
+    path = path_of(transport)
+    hops = ((path.pre_sat_ttl, path.pre_sat_router), (path.post_sat_ttl, path.target))
+    store = MeasurementStore(tmp_path)
+    partition = store.new_partition("day")
+    start_ms = transport.now_ms()
+    tracemalloc.start()
+    try:
+        sent_ms, rtt_us = transport.probe_ticks(path.target, hops, start_ms, 1, 86_400)
+        probing = tracemalloc.get_traced_memory()[1] - sent_ms.nbytes - rtt_us.nbytes
+        session = MeasurementSession(endpoint=ENDPOINT, path=path, start_ms=start_ms,
+                                     duration_s=86_400, cadence_hz=1,
+                                     sent_ms=sent_ms, rtt_us=rtt_us)
+        del sent_ms, rtt_us
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        store.write_session(partition, session, config_hash="x")
+        writing = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert np.isnan(session.rtt_us).any()  # lost probes time out, so fix-up passes ran
+    assert probing < bound, f"probe_ticks peaked {probing} B above the arrays it returned"
+    assert writing < bound, f"write_session peaked {writing} B above the session it wrote"

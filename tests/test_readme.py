@@ -1,10 +1,12 @@
-"""The README's library layout, CLI options and scan record keys are the package's own."""
+"""The README's library layout, CLI options, scan record keys and pass size are the
+package's own."""
 import argparse
 import re
 from dataclasses import fields
 
 from leolink.cli import build_parser
 from leolink.discovery import ScanRecord
+from leolink.probe import PASS_TICKS
 from tests.conftest import REPO_ROOT
 
 
@@ -34,3 +36,11 @@ def test_readme_scan_record_keys_are_the_record_fields():
     section = readme[readme.index("**Scan records** ("):].split("\n\n", 2)[1]
     documented = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
     assert documented == [f.name for f in fields(ScanRecord)]
+
+
+def test_readme_states_the_one_pass_size():
+    # Every "pass of N ticks" (or block, chunk) the README states is the constant.
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"\b(?:pass(?:es)?|blocks?|chunks?) of\s+([\d,]+)\s+ticks", readme)
+    assert len(stated) >= 2
+    assert {int(n.replace(",", "")) for n in stated} == {PASS_TICKS}
