@@ -214,10 +214,10 @@ def smooth(series: LatencySeries, window_s: float = SMOOTHING_WINDOW_S) -> Laten
     return LatencySeries(ts.copy(), out)
 
 
-def _maximal_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Index ranges [i, j) of maximal True runs."""
+def _maximal_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index ranges [starts[k], ends[k]) of maximal True runs."""
     edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
-    return [(int(i), int(j)) for i, j in zip(edges[::2], edges[1::2])]
+    return edges[::2], edges[1::2]
 
 
 def detect_spikes(
@@ -230,11 +230,12 @@ def detect_spikes(
 
     The baseline median and standard deviation are computed over the
     full session.  Excursions are maximal runs above median + 1*sigma;
-    a run (or sub-run) above median + 2*sigma lasting at least 15 s is
-    a sustained event, anything else is standard.  A flat series
-    (sigma == 0) has no events by definition.  Requires a series lasting
-    at least 60 s (its :attr:`~LatencySeries.duration_ms`); shorter
-    sessions cannot carry a meaningful baseline.
+    sub-runs are the maximal runs of the joint mask, above both that and
+    median + 2*sigma.  A sub-run lasting at least 15 s is a sustained
+    event; an excursion holding none is one standard event.  A flat
+    series (sigma == 0) has no events by definition.  Requires a series
+    lasting at least 60 s (its :attr:`~LatencySeries.duration_ms`);
+    shorter sessions cannot carry a meaningful baseline.
     """
     if len(smoothed) == 0:
         raise EmptySeriesError("cannot detect spikes on an empty series")
@@ -249,30 +250,24 @@ def detect_spikes(
     if sigma == 0.0:
         return []
 
-    def span(i: int, j: int) -> tuple[int, int]:
-        # Half-open [start, end): end is one tick past the last sample.
-        return int(ts[i]), int(ts[j - 1] + tick_ms)
+    def runs(mask: np.ndarray) -> tuple[np.ndarray, ...]:
+        # First index, span [start, end) and peak of each run; end is one tick
+        # past the last sample.  Each peak's reduction goes on to the next run,
+        # over values the mask left out, which are below every value in a run.
+        i, j = _maximal_runs(mask)
+        return i, ts[i], (ts[j - 1] + tick_ms).astype(np.int64), np.maximum.reduceat(vs, i)
 
-    events: list[SpikeEvent] = []
-    for i, j in _maximal_runs(vs > m + standard_sigma * sigma):
-        sustained_here: list[SpikeEvent] = []
-        for a, b in _maximal_runs(vs[i:j] > m + sustained_sigma * sigma):
-            start, end = span(i + a, i + b)
-            if end - start >= SUSTAINED_MIN_MS:
-                sustained_here.append(SpikeEvent(
-                    start_ms=start, end_ms=end, kind=KIND_SUSTAINED,
-                    peak_ms=float(np.max(vs[i + a:i + b])),
-                    baseline_median_ms=m,
-                ))
-        if sustained_here:
-            events.extend(sustained_here)
-        else:
-            start, end = span(i, j)
-            events.append(SpikeEvent(
-                start_ms=start, end_ms=end, kind=KIND_STANDARD,
-                peak_ms=float(np.max(vs[i:j])),
-                baseline_median_ms=m,
-            ))
+    above = vs > m + standard_sigma * sigma
+    first, *excursions = runs(above)
+    sub_first, sub_start, sub_end, sub_peak = runs(above & (vs > m + sustained_sigma * sigma))
+    long = sub_end - sub_start >= SUSTAINED_MIN_MS
+    held = np.zeros(len(first), dtype=bool)  # the excursions holding a long sub-run
+    held[np.searchsorted(first, sub_first[long], side="right") - 1] = True
+    events = [SpikeEvent(start_ms=start, end_ms=end, kind=kind, peak_ms=peak,
+                         baseline_median_ms=m)
+              for kind, columns, keep in ((KIND_SUSTAINED, (sub_start, sub_end, sub_peak), long),
+                                          (KIND_STANDARD, excursions, ~held))
+              for start, end, peak in zip(*(column[keep].tolist() for column in columns))]
     events.sort(key=lambda e: e.start_ms)
     return events
 

@@ -190,8 +190,8 @@ class MeasurementSession:
     def __post_init__(self) -> None:
         try:
             object.__setattr__(self, "sent_ms", np.array(self.sent_ms, dtype=np.int64))
-            object.__setattr__(self, "rtt_us", np.array(self.rtt_us, dtype=np.float64))
-            aligned = self.sent_ms.shape == self.rtt_us.shape == (2, self.sent_ms.size // 2)
+            rtt = np.asarray(self.rtt_us, dtype=np.float64)  # rounded into a copy below
+            aligned = self.sent_ms.shape == rtt.shape == (2, self.sent_ms.size // 2)
         except ValueError:  # numpy refuses ragged rows
             aligned = False
         if not aligned:
@@ -205,7 +205,7 @@ class MeasurementSession:
         if late.any():
             raise ValueError(f"the rows of tick {late.argmax()} do not pair by send time; "
                              f"rows are missing or out of order")
-        rtt = self.rtt_us  # fmin and fmax skip NaN, and make no array as large as rtt
+        # fmin and fmax skip NaN, and make no array as large as rtt
         extremes = np.array([np.fmin.reduce(rtt, axis=None, initial=np.inf),
                              np.fmax.reduce(rtt, axis=None, initial=0.0)])
         if extremes[0] <= 0 or extremes[1] == np.inf:
@@ -220,10 +220,11 @@ class MeasurementSession:
             if refused:
                 raise ValueError(f"the RTT {x} µs of tick {(rtt == x).any(axis=0).argmax()} "
                                  f"would be stored {stored}")
+        object.__setattr__(self, "rtt_us", np.empty_like(rtt))
         for lo in range(0, rtt.shape[1], PASS_TICKS):
-            chunk = rtt[:, lo:lo + PASS_TICKS]
-            np.divide(_tenths(chunk), 10.0, out=chunk)
-        self.sent_ms.flags.writeable = rtt.flags.writeable = False
+            chunk = slice(lo, lo + PASS_TICKS)
+            np.divide(_tenths(rtt[:, chunk]), 10.0, out=self.rtt_us[:, chunk])
+        self.sent_ms.flags.writeable = self.rtt_us.flags.writeable = False
 
     @property
     def terrestrial_loss_fraction(self) -> float:

@@ -46,6 +46,8 @@ _ROW_DTYPE = np.dtype([(name, np.int64 if parse is int else np.float64)
                        for name, parse in zip(SESSION_COLUMNS, _PARSERS)])
 _HEADER = (",".join(SESSION_COLUMNS) + "\r\n").encode()
 _DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16)
+_DIGIT_QUADS = np.column_stack((np.repeat(_DIGIT_PAIRS, 100),  # f"{i:04d}" as memory bytes
+                                np.tile(_DIGIT_PAIRS, 100))).view(np.uint32).ravel()
 REPORTS_DIRNAME = "reports"  # the tables' directory under the root; no partition
 
 TRANSPORTS = ("simnet", "raw")
@@ -294,12 +296,13 @@ def _digits(out: np.ndarray, values: np.ndarray, keep: int) -> None:
     width = out.shape[1]
     # no value has a leading zero right of the least value's first digit
     head = out[:, :width - max(keep, len(str(values.min())))]
-    pairs = np.empty((len(values), (width + 1) // 2), dtype=np.uint16)
-    for j in reversed(range(pairs.shape[1])):
-        quotient = values // 100  # numpy divides by a scalar fast, but not in divmod
-        pairs[:, j] = _DIGIT_PAIRS[values - quotient * 100]
+    quads = np.empty((len(values), (width + 3) // 4), dtype=np.uint32)
+    for j in range(quads.shape[1] - 1, 0, -1):
+        quotient = values // 10_000  # numpy divides by a scalar fast, but not in divmod
+        quads[:, j] = _DIGIT_QUADS[values - quotient * 10_000]
         values = quotient
-    out[:] = pairs.view(np.uint8)[:, -width:]
+    quads[:, 0] = _DIGIT_QUADS[values]  # the width leaves at most four digits
+    out[:] = quads.view(np.uint8)[:, -width:]
     head[np.logical_and.accumulate(head == ord("0"), axis=1)] = 0
 
 
@@ -308,9 +311,9 @@ def _encode_rows(sent_ms: np.ndarray, tenths: np.ndarray) -> bytes:
     of (2, n) ``rtt_us``: tick k is
     ``f"{sent_ms[0, k]},{rtt_us[0, k]:.1f},{sent_ms[1, k]},{rtt_us[1, k]:.1f}\\r\\n"``.
 
-    Every field is written right-aligned into one (n, width) uint8 matrix,
-    with 0 bytes for the unused columns, which are then dropped.  RTTs
-    must be below 2**53 tenths of a µs.
+    Every field is written right-aligned, four digits per table step, into
+    one (n, width) uint8 matrix whose unused columns hold 0 bytes, which one
+    pass then drops.  RTTs must be below 2**53 tenths of a µs.
 
     >>> rtt_us = np.array([[0.25, 12.5], [np.nan, 3e7]])
     >>> _encode_rows(np.array([[0, 1000], [2, 1041]]), _tenths(rtt_us))
@@ -342,7 +345,7 @@ def _encode_rows(sent_ms: np.ndarray, tenths: np.ndarray) -> bytes:
         col += 2 + rtt_widths[hop]
         rows[:, col:col + len(end)] = np.frombuffer(end, dtype=np.uint8)
         col += len(end)
-    return rows[rows != 0].tobytes()
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _first_bad_line(path: Path) -> int | str:
@@ -369,8 +372,9 @@ def replaced(path: Path) -> Iterator[IO[str]]:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    finally:
+    except BaseException:  # after a good rename there is no tmp left to remove
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_report_csv(

@@ -3,14 +3,15 @@
 Each oracle below is the earlier, obviously correct implementation: a
 per-tick ``np.median`` loop for ``smooth``, ``np.median`` itself for
 the analysis layer's median kernel and its callers, a ``while`` loop for
-``_maximal_runs``, a linear event scan, a per-probe hop chain and a
-per-tick loop over ``probe()`` for the simulator, a per-sample loop for
-isolation, for the session store a ``csv.writer`` pass over the ticks
-in order, and for the constellation the per-snapshot geometry: one
-propagation, one look-angle pass over every satellite per rule and a
-per-satellite loop for the two-satellite threshold, one time step at a
-time.  The fast code must agree with them exactly, not approximately.
-The one exception is the report's Spearman rho, checked against
+``_maximal_runs``, a per-run loop for ``detect_spikes``, a linear event
+scan, a per-probe hop chain and a per-tick loop over ``probe()`` for
+the simulator, a per-sample loop for isolation, for the session store
+a ``csv.writer`` pass over the ticks in order, and for the
+constellation the per-snapshot geometry: one propagation, one
+look-angle pass over every satellite per rule and a per-satellite loop
+for the two-satellite threshold, one time step at a time.  The fast
+code must agree with them exactly, not approximately.  The one
+exception is the report's Spearman rho, checked against
 ``scipy.stats.spearmanr`` (skipped without scipy) to 1e-12.
 """
 import csv
@@ -64,8 +65,8 @@ from leolink.constellation import (
 )
 from leolink.discovery import Endpoint, PopCatalog, PopLocation
 from leolink.geo import EARTH_RADIUS_KM, haversine_km, vacuum_rtt_ms
-from leolink.probe import MeasurementSession, SatLinkPath
-from leolink.store import MeasurementStore
+from leolink.probe import MeasurementSession, SatLinkPath, _tenths
+from leolink.store import _DIGIT_QUADS, MeasurementStore, _encode_rows
 from tests.conftest import latlon_to_ecef, respond_to_probe, scenario_dict
 
 # One probe as the per-sample code held it; rtt_us is None when lost.
@@ -98,6 +99,40 @@ def oracle_maximal_runs(mask):
         else:
             i += 1
     return runs
+
+
+def oracle_detect_spikes(smoothed, sustained_sigma=analysis.SUSTAINED_SIGMA,
+                         standard_sigma=analysis.STANDARD_SIGMA):
+    """detect_spikes' events from a loop over the standard runs, each
+    scanned on its own for sustained sub-runs; the series lasts 60 s."""
+    vs, ts = smoothed.values_ms, smoothed.timestamps_ms
+    tick_ms = float(np.median(np.diff(ts))) if len(ts) > 1 else 1000.0
+    m = float(np.median(vs))
+    sigma = float(np.std(vs))
+    if sigma == 0.0:
+        return []
+
+    def span(i, j):
+        return int(ts[i]), int(ts[j - 1] + tick_ms)
+
+    events = []
+    for i, j in oracle_maximal_runs(vs > m + standard_sigma * sigma):
+        sustained_here = []
+        for a, b in oracle_maximal_runs(vs[i:j] > m + sustained_sigma * sigma):
+            start, end = span(i + a, i + b)
+            if end - start >= analysis.SUSTAINED_MIN_MS:
+                sustained_here.append(analysis.SpikeEvent(
+                    start_ms=start, end_ms=end, kind=analysis.KIND_SUSTAINED,
+                    peak_ms=float(np.max(vs[i + a:i + b])), baseline_median_ms=m))
+        if sustained_here:
+            events.extend(sustained_here)
+        else:
+            start, end = span(i, j)
+            events.append(analysis.SpikeEvent(
+                start_ms=start, end_ms=end, kind=analysis.KIND_STANDARD,
+                peak_ms=float(np.max(vs[i:j])), baseline_median_ms=m))
+    events.sort(key=lambda e: e.start_ms)
+    return events
 
 
 def oracle_satellite_delta_ms(scenario, t_s):
@@ -471,7 +506,45 @@ def test_detection_and_stats_equal_their_np_median_copies(series_n):
 @settings(max_examples=200, deadline=None)
 def test_maximal_runs_equal_while_loop(bits):
     mask = np.array(bits, dtype=bool)
-    assert _maximal_runs(mask) == oracle_maximal_runs(mask)
+    starts, ends = _maximal_runs(mask)
+    assert list(zip(starts.tolist(), ends.tolist())) == oracle_maximal_runs(mask)
+
+
+SIGMAS = [(analysis.SUSTAINED_SIGMA, analysis.STANDARD_SIGMA), (1.0, 1.0), (0.5, 1.0),
+          (3.0, 0.5), (-1.0, 0.0)]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([100, 500, 1000, 1000.5]),
+       st.integers(0, 3400), st.integers(0, 200), st.sampled_from([0.0, 0.3]),
+       st.sampled_from([0.0, 0.1]), st.tuples(st.integers(0, 40), st.integers(0, 40)),
+       st.sampled_from(SIGMAS))
+@example(0, 1000, 0, 0, 0.0, 0.0, (0, 0), SIGMAS[0])  # flat: sigma == 0
+@example(1, 1000, 0, 0, 0.0, 0.0, (15, 15), SIGMAS[0])  # 15 s at both ends
+@settings(max_examples=150, deadline=None)
+def test_detect_spikes_equals_per_run_loop(seed, tick_ms, extra, steps, noise, loss, edges,
+                                           sigmas):
+    # Steps laid on a 40 ms baseline: up to 200 of them, one tick long,
+    # 15 s long to a tick, or longer, at levels under, between and over
+    # the thresholds, and ``edges`` ticks raised at the series' head and
+    # tail, which put a run against either end.  Ticks 1000 and 1001 ms
+    # apart in turn make the tick interval, and so each end, a half ms.
+    rng = np.random.default_rng(seed)
+    n = math.ceil(60_000 / tick_ms) + extra
+    fifteen_s = int(analysis.SUSTAINED_MIN_MS // tick_ms)
+    vs = np.round(40.0 + rng.normal(0.0, noise, n), 1)
+    for _ in range(steps):
+        start = int(rng.integers(n))
+        length = int(rng.choice([1, fifteen_s - 1, fifteen_s, fifteen_s + 1,
+                                 rng.integers(1, n // 8 + 2)]))
+        vs[start:start + length] = 40.0 + rng.choice([-10.0, 12.0, 30.0, 80.0])
+    head, tail = edges
+    vs[:head] = vs[n - tail:] = 95.0
+    keep = rng.random(n) >= loss
+    keep[[0, -1]] = True
+    series = LatencySeries((np.arange(n) * tick_ms).astype(np.int64)[keep], vs[keep])
+    sustained_sigma, standard_sigma = sigmas
+    assert (detect_spikes(series, sustained_sigma=sustained_sigma, standard_sigma=standard_sigma)
+            == oracle_detect_spikes(series, sustained_sigma, standard_sigma))
 
 
 def _spearman_columns(n):
@@ -832,6 +905,43 @@ def test_session_is_rounded_and_written_exactly_in_passes_of_any_size(tmp_path_f
     with mock.patch.object(probe, "PASS_TICKS", pass_ticks):
         written = store.write_session(store.new_partition("p"), session, config_hash="x")
     assert written.read_bytes() == want
+
+
+def oracle_rows(sent_ms, rtt_us):
+    """``oracle_session_csv``'s rows, without the header, of (2, n) send
+    times and RTTs, nan where lost."""
+    return oracle_session_csv(*[
+        [Sample(t, None, None if math.isnan(r) else r)
+         for t, r in zip(sent.tolist(), rtt.tolist())]
+        for sent, rtt in zip(sent_ms, rtt_us)]).split(b"\r\n", 1)[1]
+
+
+def test_digit_table_spells_each_group_of_four():
+    assert _DIGIT_QUADS.dtype == np.uint32
+    assert _DIGIT_QUADS.tobytes() == "".join(f"{i:04d}" for i in range(10_000)).encode()
+
+
+# 10**k - 1, 10**k and 10**k + 1 for k = 0..15: where a field gains a digit
+DIGIT_EDGES = np.array([10**k + d for k in range(16) for d in (-1, 0, 1)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("rows", [
+    slice(None), *(slice(3 * k, 3 * k + 3) for k in range(16)),
+    *(slice(i, i + 1) for i in (0, 12, 13, 47)),
+], ids=["all", *(f"10**{k}" for k in range(16)), *(f"one row {DIGIT_EDGES[i]}"
+                                                   for i in (0, 12, 13, 47))])
+@pytest.mark.parametrize("lost_hop", [None, 0, 1])
+def test_encode_rows_at_digit_count_edges(rows, lost_hop):
+    # Send times of either sign and RTTs in tenths at the edges of one
+    # digit count (at 10**4, 10**8 and 10**12 a field's width crosses a
+    # four-digit group), of every count from 1 to 16 in one pass, so the
+    # leading zeros to clear span up to four groups, or in a one-row pass;
+    # with or without a hop that lost every probe.
+    sent = np.stack([DIGIT_EDGES, -DIGIT_EDGES[::-1]])[:, rows]
+    rtt = np.stack([DIGIT_EDGES[::-1] / 10, DIGIT_EDGES / 10])[:, rows]
+    if lost_hop is not None:
+        rtt[lost_hop] = np.nan
+    assert _encode_rows(sent, _tenths(rtt)) == oracle_rows(sent, rtt)
 
 
 @given(st.lists(st.tuples(st.integers(0, 2500), tenths, tenths), min_size=1, max_size=60))

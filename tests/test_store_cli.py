@@ -279,6 +279,28 @@ def test_failed_meta_write_leaves_no_session(tmp_path, monkeypatch):
     assert store.read_session(store.sessions()[0]).rtt_us.shape == (2, 5)
 
 
+def test_replaced_leaves_no_tmp_and_no_target_when_the_write_or_rename_fails(tmp_path,
+                                                                             monkeypatch):
+    target = tmp_path / "table.csv"
+    with pytest.raises(OSError, match="disk full"):
+        with store_module.replaced(target) as fh:
+            fh.write("half a table")
+            raise OSError("disk full")
+    assert sorted(tmp_path.iterdir()) == []
+    target.mkdir()  # a directory cannot be replaced by a file
+    (target / "keep").write_text("")
+    with pytest.raises(OSError):
+        with store_module.replaced(target) as fh:
+            fh.write("a whole table")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+    # a write that is renamed into place leaves no tmp to remove
+    unlinked = []
+    monkeypatch.setattr(Path, "unlink", lambda path, **kwargs: unlinked.append(path))
+    with store_module.replaced(tmp_path / "new.csv") as fh:
+        fh.write("a whole table")
+    assert (tmp_path / "new.csv").read_text() == "a whole table" and unlinked == []
+
+
 def test_write_session_stores_the_greatest_exact_rtt(tmp_path):
     # 2**53 - 1 tenths, the greatest the file holds exactly, reads back
     session = replace(small_session(n=3),
