@@ -150,16 +150,20 @@ class SatLinkPath:
     jump_ms: float
 
 
-def _tenths(rtt_us: np.ndarray) -> np.ndarray:
+def _tenths(rtt_us: np.ndarray, held: bool = False) -> np.ndarray:
     """Each RTT in integer tenths of a µs, as ``f"{rtt:.1f}"`` rounds it; nan stays nan.
 
     ``rtt_us * 10`` is off the exact product by at most half an ulp, so
     only an element within ``np.spacing`` of a .5 boundary can round
     otherwise than the decimal form does: those few take its digits.  The
-    result is exact below 2**53 tenths, and ties go to even as there.
+    result is exact below 2**53 tenths, and ties go to even as there.  Times
+    10, an RTT ``held`` as a session holds it, t / 10, is within t * 2**-52 of
+    t: below 2**51 tenths rint alone gives t, and at least 2**51 above.
     """
     scaled = rtt_us * 10.0
     tenths = np.rint(scaled)
+    if held and np.fmax.reduce(tenths, axis=None, initial=0.0) < 2 ** 51:
+        return tenths
     for i in np.flatnonzero(np.abs(scaled - np.floor(scaled) - 0.5)
                             <= np.spacing(scaled)).tolist():
         tenths.flat[i] = int(f"{rtt_us.flat[i]:.1f}".replace(".", ""))
@@ -190,7 +194,8 @@ class MeasurementSession:
     def __post_init__(self) -> None:
         try:
             object.__setattr__(self, "sent_ms", np.array(self.sent_ms, dtype=np.int64))
-            rtt = np.asarray(self.rtt_us, dtype=np.float64)  # rounded into a copy below
+            rtt = np.asarray(self.rtt_us, dtype=np.float64)  # rounded below
+            fresh = isinstance(self.rtt_us, (list, tuple))  # so rtt is no caller's array
             aligned = self.sent_ms.shape == rtt.shape == (2, self.sent_ms.size // 2)
         except ValueError:  # numpy refuses ragged rows
             aligned = False
@@ -220,7 +225,7 @@ class MeasurementSession:
             if refused:
                 raise ValueError(f"the RTT {x} µs of tick {(rtt == x).any(axis=0).argmax()} "
                                  f"would be stored {stored}")
-        object.__setattr__(self, "rtt_us", np.empty_like(rtt))
+        object.__setattr__(self, "rtt_us", rtt if fresh else np.empty_like(rtt))
         for lo in range(0, rtt.shape[1], PASS_TICKS):
             chunk = slice(lo, lo + PASS_TICKS)
             np.divide(_tenths(rtt[:, chunk]), 10.0, out=self.rtt_us[:, chunk])

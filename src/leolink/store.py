@@ -232,7 +232,8 @@ class MeasurementStore:
             out.write(_HEADER)
             for lo in range(0, session.sent_ms.shape[1], probe.PASS_TICKS):
                 chunk = slice(lo, lo + probe.PASS_TICKS)
-                out.write(_encode_rows(session.sent_ms[:, chunk], _tenths(session.rtt_us[:, chunk])))
+                tenths = _tenths(session.rtt_us[:, chunk], held=True)
+                out.write(_encode_rows(session.sent_ms[:, chunk], tenths))
             with replaced(endpoint_dir / META_FILENAME) as meta_fh:
                 json.dump(asdict(meta), meta_fh, indent=2, sort_keys=True)
                 meta_fh.write("\n")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from leolink import constellation
 from leolink.constellation import (
     DEFAULT_MAX_SLANT_KM,
     ConstellationConfig,
@@ -619,6 +620,22 @@ def test_study_case_accepts_a_one_second_sampling_step(tmp_path):
 def test_constellation_config_from_dict_refuses_a_fractional_orbit_count():
     with pytest.raises(GeometryError, match=re.escape("shells[0].n_orbits: expected an integer")):
         ConstellationConfig.from_dict({"shells": [{**SHELL, "n_orbits": 7.5}]})
+
+
+def test_a_sweep_propagates_only_the_slots_that_come_into_view(monkeypatch):
+    # Of the Nigeria case's 1,584 satellites a block's plane cull keeps
+    # about 535, whole planes; about 63 come within 2,500 km of a site.
+    counts = []
+    propagate_rows = constellation._propagate
+
+    def counted(config, times, rows):
+        counts.append(len(rows))
+        return propagate_rows(config, times, rows)
+
+    monkeypatch.setattr(constellation, "_propagate", counted)
+    summary = evaluate_case(StudyCase.nigeria())
+    assert len(counts) == -(-summary.n_samples // constellation._BLOCK_STEPS)
+    assert sum(counts) / len(counts) <= 100, f"{sum(counts) / len(counts):.0f} rows a block"
 
 
 def test_evaluate_nigeria_case_frozen_medians():

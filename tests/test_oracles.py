@@ -944,6 +944,32 @@ def test_encode_rows_at_digit_count_edges(rows, lost_hop):
     assert _encode_rows(sent, _tenths(rtt)) == oracle_rows(sent, rtt)
 
 
+# where rint of a held RTT times ten stops being proven to give its tenths
+TENTHS_EDGES = [2 ** 51 - 1, 2 ** 51, 2 ** 51 + 1, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 2 ** 53 - 1]
+binades = st.integers(0, 52).flatmap(lambda k: st.integers(2 ** k, 2 ** (k + 1) - 1))
+
+
+@given(st.lists(st.one_of(binades, st.sampled_from(TENTHS_EDGES), st.none()),
+                min_size=1, max_size=30))
+@example([2 ** 51 - 1, 1, None])
+@example([2 ** 51 + 1, 3])
+@example([2 ** 52 - 1])
+@example([2 ** 52 + 1])
+@example([2 ** 53 - 1, None])
+@settings(max_examples=300, deadline=None)
+def test_tenths_of_held_rtts_take_rint_where_it_is_proven(ts):
+    # Tenths from every binade of 1 to 2**53 - 1, held as a session holds
+    # them: t / 10 rounded.  A pass below 2**51 tenths takes rint alone,
+    # which gives back each t.
+    tenths = np.array([math.nan if t is None else t for t in ts], dtype=np.float64)
+    held = tenths / 10.0
+    want = _tenths(held)
+    assert np.array_equal(_tenths(held, held=True), want, equal_nan=True)
+    if np.fmax.reduce(tenths, initial=0.0) < 2 ** 51:
+        assert np.array_equal(np.rint(held * 10.0), want, equal_nan=True)
+        assert np.array_equal(want, tenths, equal_nan=True)
+
+
 @given(st.lists(st.tuples(st.integers(0, 2500), tenths, tenths), min_size=1, max_size=60))
 @settings(max_examples=60, deadline=None)
 def test_read_session_round_trips_arrays(tmp_path_factory, ticks):
@@ -1161,6 +1187,47 @@ def test_plane_cull_keeps_every_satellite_within_the_slant_limit(shells, epoch, 
     assert set(np.flatnonzero((slant <= max_slant).any(axis=0))) <= set(rows.tolist())
     if max_slant >= 2.0 * max(shell.semi_major_axis_km for shell in shells):
         assert len(rows) == config.n_satellites
+
+
+@given(st.lists(polar_and_retrograde, min_size=1, max_size=2), st.floats(-5000.0, 5000.0),
+       st.floats(-20_000.0, 20_000.0), st.floats(1.0, 900.0), st.integers(1, 12),
+       st.integers(1, 5), st.integers(1, 3), st.lists(dishes, min_size=1, max_size=2),
+       st.booleans(), st.one_of(st.floats(300.0, 20_000.0), st.integers(0, 10_000)))
+@example([Shell(550.0, 0.0, 3, 7, 0.0), Shell(1200.0, 97.6, 4, 22, 5.0)], 0.0, 100.0, 15.0,
+         6, 4, 1, [DishSite(90.0, 0.0)], True, 9500.0)  # every slot of the equatorial plane
+@example([Shell(550.0, 180.0, 2, 9, 3.0), Shell(800.0, 90.0, 5, 13, 0.0)], 250.0, -300.0, 15.0,
+         8, 3, 2, [DishSite(-33.9, 151.2), DishSite(6.45, 3.39)], True, 17)
+@settings(max_examples=300, deadline=None)
+def test_arc_cull_keeps_every_satellite_within_the_slant_limit(shells, epoch, t0, step, n_times,
+                                                                block, passes, sites, on_axis,
+                                                                limit):
+    # Over a run of times taken in blocks, some blocks to a pass, each
+    # block's rows ascend, lie in the planes the plane cull keeps, and hold
+    # every satellite within the limit of a site at one of the block's
+    # times.  A site on the earth's axis is on the axis of an equatorial
+    # plane, where rho = 0.
+    config = ConstellationConfig(shells=tuple(shells), epoch_s=epoch)
+    times = t0 + step * np.arange(n_times)
+    site_pos = np.array([[oracle_site_position(site, t, epoch) for t in times] for site in sites])
+    if on_axis:
+        site_pos = np.concatenate([site_pos, np.tile([0.0, 0.0, EARTH_RADIUS_KM], (1, n_times, 1))])
+    positions = [oracle_propagate(config, t)[0] for t in times]
+    slant = np.array([[oracle_look_angles(pos, sats)[0] for pos, sats in zip(track, positions)]
+                      for track in site_pos])
+    # A float is a limit; an integer picks a satellite whose slant is the limit.
+    max_slant = limit if isinstance(limit, float) else float(slant.ravel()[limit % slant.size])
+    with mock.patch.multiple(constellation, _BLOCK_STEPS=block, _ARC_STEPS=block * passes):
+        blocks = constellation._arcs(config, site_pos, times, max_slant)
+    spans = [span for span, _ in blocks]
+    assert spans == [slice(lo, min(lo + block, n_times)) for lo in range(0, n_times, block)]
+    for span, rows in blocks:
+        assert np.all(np.diff(rows) > 0)
+        planes = constellation._cull(config, site_pos[:, span], max_slant)
+        assert set(rows.tolist()) <= set(planes.tolist())
+        within = (slant[:, span] <= max_slant).any(axis=(0, 1))
+        assert set(np.flatnonzero(within).tolist()) <= set(rows.tolist())
+        if max_slant >= 2.0 * max(shell.semi_major_axis_km for shell in shells):
+            assert len(rows) == config.n_satellites
 
 
 def test_site_no_plane_comes_near_has_no_candidates():

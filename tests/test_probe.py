@@ -551,3 +551,30 @@ def test_a_day_session_is_probed_and_written_in_bounded_passes(tmp_path):
     assert np.isnan(session.rtt_us).any()  # lost probes time out, so fix-up passes ran
     assert probing < bound, f"probe_ticks peaked {probing} B above the arrays it returned"
     assert writing < bound, f"write_session peaked {writing} B above the session it wrote"
+
+
+def test_a_day_session_is_read_back_with_its_rtts_rounded_in_place(tmp_path):
+    # read_session gives the session a list of the loaded rows' fields, so
+    # the RTTs stacked from them are a new array, rounded where it lies:
+    # loadtxt's rows, the send times and the RTTs make four (2, n) arrays
+    # of float64, and the passes' scratch little more.  Rounding the stack
+    # into a second buffer made five.  A caller's array keeps its copy.
+    n = 86_400
+    rng = np.random.default_rng(5)
+    sent = np.arange(n) * 1000
+    rtt = rng.normal([[20_000.0], [45_000.0]], [[500.0], [3_000.0]], (2, n))
+    rtt[rng.random((2, n)) < 0.05] = math.nan
+    given_rtt = rtt.copy()
+    session = MeasurementSession(endpoint=ENDPOINT, path=path_of_uncheckable(), start_ms=0,
+                                 duration_s=n, cadence_hz=1, sent_ms=[sent, sent + 3], rtt_us=rtt)
+    assert np.array_equal(rtt, given_rtt, equal_nan=True)
+    store = MeasurementStore(tmp_path)
+    store.write_session(store.new_partition("day"), session, config_hash="x")
+    tracemalloc.start()
+    try:
+        read = store.read_session(store.sessions()[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read.rtt_us.tobytes() == session.rtt_us.tobytes()
+    assert peak < 5 * rtt.nbytes, f"read_session peaked at {peak / rtt.nbytes:.2f} RTT arrays"
