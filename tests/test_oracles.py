@@ -4,9 +4,10 @@ Each oracle below is the earlier, obviously correct implementation: a
 per-tick ``np.median`` loop for ``smooth``, ``np.median`` itself for
 the analysis layer's median kernel and its callers, a ``while`` loop for
 ``_maximal_runs``, a per-run loop for ``detect_spikes``, a linear event
-scan, a per-probe hop chain and a per-tick loop over ``probe()`` for
-the simulator, a per-sample loop for isolation, for the session store
-a ``csv.writer`` pass over the ticks in order, and for the
+scan, a per-probe hop chain, one one-element core call per probe and a
+per-tick loop over ``probe()`` for the simulator, a per-sample loop for
+isolation, for the session store a ``csv.writer`` pass over the ticks
+in order, and for the
 constellation the per-snapshot geometry: one propagation, one
 look-angle pass over every satellite per rule and a per-satellite loop
 for the two-satellite threshold, one time step at a time.  The fast
@@ -644,6 +645,58 @@ def test_probe_replies_equal_per_probe_chain(scenario, times_ms, protocol):
             plan = plan_of(bool(flapped[k]), ttl)
             assert want == (None if math.isnan(rtt_ms[k]) else
                             (plan[0], float(rtt_ms[k]) * 1000.0))
+
+
+def oracle_probe(transport, target, ttl):
+    """``probe()`` as one one-element core call per probe."""
+    transport.probes_sent += 1
+    transport.sat_probe_count += ttl > transport.scenario.pre_sat
+    if target == transport.scenario.target_address:
+        rtt_ms, flapped = transport._replies(ttl, np.array([transport.now_ms()], dtype=np.int64))
+        if not math.isnan(rtt_ms[0]):
+            reply = probe.ProbeReply(responder=transport._plan(bool(flapped[0]), ttl)[0],
+                                     rtt_us=float(rtt_ms[0]) * 1000.0)
+            transport._now_ms += reply.rtt_us / 1000.0
+            return reply
+    transport._now_ms += transport.timeout_s * 1000.0
+    return None
+
+
+@st.composite
+def probe_runs(draw):
+    """A scenario, a transport and a run of probes and sleeps: TTLs past
+    the chain, other addresses, and sleeps to a window's edges and past it."""
+    scenario = draw(event_scenarios())
+    addresses = [h.address for h in scenario.hops] + ["192.0.2.1"]
+    window = simnet._WINDOW_MS
+    probes = st.tuples(st.just("probe"), st.sampled_from([scenario.target_address] * 3
+                                                          + addresses),
+                       st.integers(1, len(scenario.hops) + 2))
+    # a sleep until the last probe's send time plus a gap
+    gaps = st.one_of(st.integers(0, 3 * window), st.sampled_from([window - 1, window, window + 1]),
+                     st.integers(0, 1000 * scenario.duration_s))
+    steps = st.lists(st.one_of(probes, probes, st.tuples(st.just("sleep"), gaps)), max_size=40)
+    return dict(scenario=scenario, protocol=draw(st.sampled_from(simnet.PROTOCOLS)),
+                timeout_s=draw(st.sampled_from([0.01, 0.1, 2.0])), steps=draw(steps))
+
+
+@given(probe_runs())
+@settings(max_examples=200, deadline=None)
+def test_windowed_probe_equals_one_core_call_per_probe(run):
+    # probe() answers a TTL's probes from one window of send times; every
+    # reply, the float clock and the counters are the per-probe path's.
+    fast, slow = (simnet.SimnetTransport(run["scenario"], protocol=run["protocol"],
+                                         timeout_s=run["timeout_s"]) for _ in range(2))
+    sent = 0
+    for step in run["steps"]:
+        if step[0] == "sleep":
+            for transport in (fast, slow):
+                transport.sleep_until_ms(sent + step[1])
+            continue
+        sent = fast.now_ms()
+        assert fast.probe(*step[1:]) == oracle_probe(slow, *step[1:])
+        assert (fast._now_ms, fast.probes_sent, fast.sat_probe_count) == (
+            slow._now_ms, slow.probes_sent, slow.sat_probe_count)
 
 
 def oracle_probe_ticks(transport, target, hops, start_ms, cadence_hz, n_ticks):

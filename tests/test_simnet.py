@@ -1,5 +1,8 @@
+import importlib.util
 import json
+import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leolink.analysis import SpikeEvent
-from leolink.probe import PROTOCOLS
+from leolink.probe import PROTOCOLS, run_traceroute
 from leolink.simnet import (
     EVENT_GRID_S,
     RerouteEvent,
@@ -509,3 +512,33 @@ def test_transport_counts_satellite_probes(quiet_transport):
     quiet_transport.probe("100.64.9.1", 3)
     assert quiet_transport.probes_sent == 3
     assert quiet_transport.sat_probe_count == 1  # only the ttl-3 probe
+
+
+@pytest.mark.parametrize("target", ["100.64.9.1", "10.9.9.9"])
+def test_probe_refuses_ttl_below_one_before_counting(quiet_transport, target):
+    # as probe_ticks does, for the target and any other address alike
+    quiet_transport.sleep_until_ms(1000)
+    for ttl in (0, -1):
+        with pytest.raises(ValueError, match="ttl must be >= 1"):
+            quiet_transport.probe(target, ttl)
+    assert (quiet_transport.probes_sent, quiet_transport.sat_probe_count,
+            quiet_transport._now_ms) == (0, 0, 1000.0)
+
+
+def test_a_trace_asks_the_core_once_per_ttl():
+    # A fleet trace sends three probes at each of three TTLs within a
+    # window of send times, so it costs three core calls, not nine.
+    spec = importlib.util.spec_from_file_location(
+        "run_simulated_campaign",
+        Path(__file__).resolve().parent.parent / "scripts" / "run_simulated_campaign.py")
+    campaign = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(campaign)
+    rng = random.Random(61)
+    for i in range(4):
+        scenario = build_scenario(campaign.make_scenario(rng, i, 1800))
+        transport = SimnetTransport(scenario)
+        replies, calls = transport._replies, []
+        transport._replies = lambda ttl, t_ms: calls.append(ttl) or replies(ttl, t_ms)
+        trace = run_traceroute(transport, scenario.target_address)
+        assert trace.reached and transport.probes_sent == 9
+        assert len(calls) <= 4, calls
